@@ -37,7 +37,6 @@ from .consistency import (
     build_target,
     extract_boxed,
     normalize_answer,
-    self_consistency,
     subsample_targets,
     test_time_sc,
 )
@@ -63,7 +62,7 @@ from .records import (
     load_labels,
     load_queries,
 )
-from .synth import GroupShift, SynthConfig, generate, query_truth, true_modal_probability
+from .synth import GroupShift, SynthConfig, generate, query_truth
 
 __version__ = "0.1.0"
 
@@ -117,11 +116,9 @@ __all__ = [
     "run_trials",
     "save_model",
     "selective_curve",
-    "self_consistency",
     "shift_eval",
     "split_cal_test",
     "subsample_targets",
     "test_time_sc",
     "token_prob_score",
-    "true_modal_probability",
 ]

@@ -197,11 +197,6 @@ def _trial_config(args: argparse.Namespace, **extra: Any) -> evaluation.TrialCon
     return config
 
 
-def _synth_config_object(config: synth.SynthConfig) -> dict[str, Any]:
-    obj = dataclasses.asdict(config)
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -209,15 +204,15 @@ def _synth_config_object(config: synth.SynthConfig) -> dict[str, Any]:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _synth_config(args)
-    config_obj = {"command": "synth", "preset": args.preset, **_synth_config_object(config)}
+    config_obj = {"command": "synth", "preset": args.preset, **dataclasses.asdict(config)}
     out = _out_dir(args, config_obj)
     queries, generations, labels = synth.generate(config)
     records.write_queries(os.path.join(out, "queries.jsonl"), queries)
     records.write_generations(os.path.join(out, "generations.jsonl"), generations)
     records.write_labels(os.path.join(out, "labels.jsonl"), labels)
-    synth.write_truth(os.path.join(out, "truth.jsonl"), config, queries)
+    truths = synth.write_truth(os.path.join(out, "truth.jsonl"), config, queries)
     _write_json(os.path.join(out, "config.json"), config_obj)
-    mean_pi = sum(synth.query_truth(config, q).pi for q in queries) / len(queries)
+    mean_pi = sum(t.pi for t in truths) / len(truths)
     accuracy = sum(l.z for l in labels) / len(labels)
     print(
         f"wrote {len(queries)} queries x {config.k} samples to {out} "
@@ -437,12 +432,13 @@ def _eval_command(args: argparse.Namespace, kind: str) -> int:
         "labels": args.labels,
         **evaluation.config_echo(config),
     }
-    out = _out_dir(args, config_obj)
     if kind == "shift":
         train_groups = _csv(args.train_groups)
         test_groups = _csv(args.test_groups)
         config_obj["train_groups"] = train_groups
         config_obj["test_groups"] = test_groups
+    out = _out_dir(args, config_obj)
+    if kind == "shift":
         results = evaluation.shift_eval(data, config, train_groups, test_groups)
         arm_echo = evaluation.config_echo(
             config, train_groups=train_groups, test_groups=test_groups

@@ -126,26 +126,9 @@ def canonical_answer(generation: GenerationRecord) -> str | None:
     return normalize_answer(raw) if raw is not None else None
 
 
-def _sample_answers(sample_set: SampleSet) -> list[str | None]:
-    return [canonical_answer(g) for g in sample_set.samples]
-
-
-def self_consistency(sample_set: SampleSet, answer: str) -> float:
-    """Share of samples whose answer matches ``answer`` (normalized).
-
-    Samples without an extractable answer count toward k as unique,
-    never-matching answers.
-    """
-    if sample_set.k == 0:
-        raise DataError(f"query {sample_set.query_id}: empty sample set")
-    target = normalize_answer(answer)
-    hits = sum(1 for a in _sample_answers(sample_set) if a is not None and a == target)
-    return hits / sample_set.k
-
-
 def _modal(sample_set: SampleSet) -> tuple[str, int, int]:
     """(modal answer, its count, representative sample_index)."""
-    answers = _sample_answers(sample_set)
+    answers = [canonical_answer(g) for g in sample_set.samples]
     counts = Counter(a for a in answers if a is not None)
     if not counts:
         raise DataError(

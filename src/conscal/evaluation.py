@@ -83,12 +83,11 @@ class EvalDataset:
     groups: tuple[str, ...]
     feature_source: str
     features: np.ndarray
-    targets_s: np.ndarray
+    targets_s: np.ndarray  # modal-answer share: distilled targets and tt_sc confidence
     token_prob: np.ndarray
     answer_prob: np.ndarray | None
     verbal_conf: np.ndarray
     verbal_imputed: np.ndarray
-    tt_confidence: np.ndarray
     deploy_correct: np.ndarray
     tt_correct: np.ndarray
 
@@ -109,7 +108,6 @@ class EvalDataset:
             answer_prob=None if self.answer_prob is None else self.answer_prob[idx],
             verbal_conf=self.verbal_conf[idx],
             verbal_imputed=self.verbal_imputed[idx],
-            tt_confidence=self.tt_confidence[idx],
             deploy_correct=self.deploy_correct[idx],
             tt_correct=self.tt_correct[idx],
         )
@@ -171,7 +169,6 @@ def build_dataset(
     ap_missing = False
     vc_raw: list[float | None] = []
     s_vals: list[float] = []
-    tt_conf: list[float] = []
     deploy_z: list[float] = []
     tt_z: list[float] = []
     for sample_set in sets:
@@ -185,7 +182,6 @@ def build_dataset(
         vc_raw.append(parse_verbal_confidence(deploy.response_text))
         target = build_target(sample_set)
         s_vals.append(target.s)
-        tt_conf.append(target.s)
         key = (
             AnswerKey.from_gold(sample_set.query.gold_answers)
             if sample_set.query.gold_answers
@@ -221,7 +217,6 @@ def build_dataset(
         answer_prob=None if ap_missing else np.array(ap, dtype=float),
         verbal_conf=np.array([v.value for v in imputed], dtype=float),
         verbal_imputed=np.array([v.imputed for v in imputed], dtype=bool),
-        tt_confidence=np.array(tt_conf, dtype=float),
         deploy_correct=np.array(deploy_z, dtype=float),
         tt_correct=np.array(tt_z, dtype=float),
     )
@@ -454,7 +449,7 @@ def _trial_confidences(
                 apply_platt(platt, data.token_prob[test_idx]), dtype=float
             )
         elif method == "tt_sc":
-            out[method] = data.tt_confidence[test_idx]
+            out[method] = data.targets_s[test_idx]
         else:  # pragma: no cover - guarded by TrialConfig.validate
             raise ConfigError(f"unknown method {method!r}")
     return out

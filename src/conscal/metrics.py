@@ -60,37 +60,52 @@ def equal_mass_bins(confidences: Any, bins: int) -> list[tuple[int, int]]:
     return [(edges[b], edges[b + 1]) for b in range(bins)]
 
 
-def _bin_gaps(confidences: np.ndarray, labels: np.ndarray, bins: int):
-    order = np.argsort(confidences, kind="stable")
-    c = confidences[order]
-    z = labels[order]
-    spans = equal_mass_bins(confidences, bins)
-    weights = np.empty(bins)
-    gaps = np.empty(bins)
-    for i, (lo, hi) in enumerate(spans):
-        weights[i] = (hi - lo) / c.shape[0]
-        gaps[i] = abs(z[lo:hi].mean() - c[lo:hi].mean())
-    return weights, gaps
+def _bin_stats(c: np.ndarray, z: np.ndarray, bins: int) -> tuple[BinStat, ...]:
+    """One stable sort and one binning of already-validated arrays."""
+    order = np.argsort(c, kind="stable")
+    c_sorted = c[order]
+    z_sorted = z[order]
+    return tuple(
+        BinStat(
+            lower=lo,
+            upper=hi,
+            count=hi - lo,
+            mean_confidence=float(c_sorted[lo:hi].mean()),
+            accuracy=float(z_sorted[lo:hi].mean()),
+        )
+        for lo, hi in equal_mass_bins(c, bins)
+    )
+
+
+def _calibration_errors(stats: tuple[BinStat, ...]) -> tuple[float, float, float]:
+    """(ECE_1, ECE_2, MCE) from a full set of bins; the last bin ends at ``n``."""
+    w = np.array([b.count for b in stats], dtype=float) / stats[-1].upper
+    gap = np.abs(
+        np.array([b.accuracy for b in stats]) - np.array([b.mean_confidence for b in stats])
+    )
+    return (
+        float(np.sum(w * gap)),
+        float(np.sqrt(np.sum(w * gap**2))),
+        float(gap.max()),
+    )
+
+
+def _checked_bin_stats(confidences: Any, labels: Any, bins: int) -> tuple[BinStat, ...]:
+    c = _confidence_vector(confidences)
+    return _bin_stats(c, _label_vector(labels, c.shape[0]), bins)
 
 
 def ece(confidences: Any, labels: Any, bins: int = 12, p: int = 1) -> float:
     """Equal-mass expected calibration error with exponent ``p``."""
     if p not in (1, 2):
         raise DataError(f"p must be 1 or 2, got {p!r}")
-    c = _confidence_vector(confidences)
-    z = _label_vector(labels, c.shape[0])
-    weights, gaps = _bin_gaps(c, z, bins)
-    if p == 1:
-        return float(np.sum(weights * gaps))
-    return float(np.sqrt(np.sum(weights * gaps**2)))
+    ece1, ece2, _ = _calibration_errors(_checked_bin_stats(confidences, labels, bins))
+    return ece1 if p == 1 else ece2
 
 
 def mce(confidences: Any, labels: Any, bins: int = 12) -> float:
     """Maximum calibration error: the largest per-bin gap."""
-    c = _confidence_vector(confidences)
-    z = _label_vector(labels, c.shape[0])
-    _, gaps = _bin_gaps(c, z, bins)
-    return float(gaps.max())
+    return _calibration_errors(_checked_bin_stats(confidences, labels, bins))[2]
 
 
 def brier(confidences: Any, labels: Any) -> float:
@@ -129,23 +144,7 @@ class BinStat:
 
 def reliability_data(confidences: Any, labels: Any, bins: int = 12) -> list[BinStat]:
     """Per-bin mean confidence and accuracy for reliability diagrams."""
-    c = _confidence_vector(confidences)
-    z = _label_vector(labels, c.shape[0])
-    order = np.argsort(c, kind="stable")
-    c_sorted = c[order]
-    z_sorted = z[order]
-    stats = []
-    for lo, hi in equal_mass_bins(c, bins):
-        stats.append(
-            BinStat(
-                lower=lo,
-                upper=hi,
-                count=hi - lo,
-                mean_confidence=float(c_sorted[lo:hi].mean()),
-                accuracy=float(z_sorted[lo:hi].mean()),
-            )
-        )
-    return stats
+    return list(_checked_bin_stats(confidences, labels, bins))
 
 
 def confidence_histogram(confidences: Any, buckets: int = HISTOGRAM_BUCKETS) -> list[int]:
@@ -172,15 +171,18 @@ class MetricReport:
 
 
 def compute_report(confidences: Any, labels: Any, bins: int = 12) -> MetricReport:
+    """Every metric for one evaluation set, from a single binning pass."""
     c = _confidence_vector(confidences)
     z = _label_vector(labels, c.shape[0])
+    stats = _bin_stats(c, z, bins)
+    ece1, ece2, worst = _calibration_errors(stats)
     return MetricReport(
-        ece1=ece(c, z, bins=bins, p=1),
-        ece2=ece(c, z, bins=bins, p=2),
-        mce=mce(c, z, bins=bins),
+        ece1=ece1,
+        ece2=ece2,
+        mce=worst,
         brier=brier(c, z),
         auroc=auroc(c, z),
-        bins=tuple(reliability_data(c, z, bins=bins)),
+        bins=stats,
         histogram=tuple(confidence_histogram(c)),
         n=int(c.shape[0]),
     )

@@ -214,11 +214,6 @@ def query_truth(config: SynthConfig, query: QueryRecord) -> QueryTruth:
     return QueryTruth(pi=pi, modal_prob=float(masses.max()), masses=tuple(masses.tolist()))
 
 
-def true_modal_probability(config: SynthConfig, query: QueryRecord) -> float:
-    """Probability that a fresh sample equals the modal-by-mass answer."""
-    return query_truth(config, query).modal_prob
-
-
 def _segmented_logprobs(
     rng: np.random.Generator,
     ln_gm: np.ndarray,
@@ -382,13 +377,21 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 
 
-def write_truth(path: str, config: SynthConfig, queries: Iterable[QueryRecord]) -> None:
-    """Write the ``{"query_id", "pi", "modal_prob"}`` sidecar for a dataset."""
+def write_truth(
+    path: str, config: SynthConfig, queries: Iterable[QueryRecord]
+) -> list[QueryTruth]:
+    """Write the ``{"query_id", "pi", "modal_prob"}`` sidecar for a dataset.
+
+    Returns the per-query truths it wrote, in query order.
+    """
+    truths = []
     with open(path, "w", encoding="utf-8") as handle:
         for query in queries:
             truth = query_truth(config, query)
+            truths.append(truth)
             obj = {"query_id": query.query_id, "pi": truth.pi, "modal_prob": truth.modal_prob}
             handle.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+    return truths
 
 
 def load_truth(path: str) -> dict[str, dict[str, float]]:

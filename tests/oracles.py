@@ -1,15 +1,17 @@
 """Independent reference implementations used to check the fast paths.
 
 Each oracle favors obviousness over speed: exhaustive enumeration, textbook
-elimination, quadratic pair counting, and plain grid refinement.  They share
-no code with the package beyond the standard library (and numpy only for
-array plumbing), so agreement between the two routes is meaningful evidence.
+elimination, quadratic pair counting, per-bin loops, and plain grid
+refinement.  They share no code with the package beyond the standard library
+(and numpy only for array plumbing), so agreement between the two routes is
+meaningful evidence.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -23,15 +25,16 @@ def isotonic_by_enumeration(
     A monotone fit is constant on contiguous blocks, and on each block the
     optimum is the block's weighted mean.  Enumerate all 2**(n-1) contiguous
     partitions, keep those whose block means are nondecreasing, and return
-    the fitted vector with the smallest weighted squared error.  Only viable
-    for small n; that is the point.
+    the fitted vector with the smallest weighted squared error.  Means and
+    errors are exact rationals, so no rounding or tolerance decides which
+    partition wins.  Only viable for small n; that is the point.
     """
-    v = [float(x) for x in values]
+    v = [Fraction(float(x)) for x in values]
     n = len(v)
-    w = [1.0] * n if weights is None else [float(x) for x in weights]
+    w = [Fraction(1)] * n if weights is None else [Fraction(float(x)) for x in weights]
     assert len(w) == n and n >= 1
-    best_sse = math.inf
-    best_fit: list[float] | None = None
+    best_sse: Fraction | None = None
+    best_fit: list[Fraction] | None = None
     # Bit b of the mask says "cut between positions b and b+1".
     for mask in range(1 << (n - 1)):
         cuts = [0] + [b + 1 for b in range(n - 1) if mask >> b & 1] + [n]
@@ -40,7 +43,7 @@ def isotonic_by_enumeration(
         for lo, hi in zip(cuts, cuts[1:]):
             wsum = sum(w[lo:hi])
             mean = sum(w[i] * v[i] for i in range(lo, hi)) / wsum
-            if means and mean < means[-1] - 1e-12:
+            if means and mean < means[-1]:
                 feasible = False
                 break
             means.append(mean)
@@ -50,11 +53,11 @@ def isotonic_by_enumeration(
         for (lo, hi), mean in zip(zip(cuts, cuts[1:]), means):
             fit.extend([mean] * (hi - lo))
         sse = sum(w[i] * (v[i] - fit[i]) ** 2 for i in range(n))
-        if sse < best_sse - 1e-15:
+        if best_sse is None or sse < best_sse:
             best_sse = sse
             best_fit = fit
     assert best_fit is not None
-    return np.asarray(best_fit)
+    return np.asarray([float(x) for x in best_fit])
 
 
 def ridge_by_elimination(
@@ -118,6 +121,30 @@ def auroc_by_pair_counting(
         elif p == q:
             total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def ece_by_loops(
+    confidences: Sequence[float], labels: Sequence[int], bins: int
+) -> tuple[float, float, float, list[tuple[int, int, int, float, float]]]:
+    """Equal-mass ECE_1, ECE_2, MCE and the bins, by plain per-bin loops.
+
+    Sorts the (confidence, label) pairs by confidence with Python's stable
+    sort, cuts sorted positions at ``floor(b*n/B)``, and averages each bin
+    by hand.  Bins are ``(lower, upper, count, mean_confidence, accuracy)``.
+    """
+    n = len(confidences)
+    order = sorted(range(n), key=lambda i: float(confidences[i]))
+    rows = []
+    for b in range(bins):
+        lo, hi = b * n // bins, (b + 1) * n // bins
+        conf = sum(float(confidences[i]) for i in order[lo:hi]) / (hi - lo)
+        acc = sum(float(labels[i]) for i in order[lo:hi]) / (hi - lo)
+        rows.append((lo, hi, hi - lo, conf, acc))
+    gaps = [abs(acc - conf) for _, _, _, conf, acc in rows]
+    weights = [count / n for _, _, count, _, _ in rows]
+    ece1 = sum(w * g for w, g in zip(weights, gaps))
+    ece2 = math.sqrt(sum(w * g * g for w, g in zip(weights, gaps)))
+    return ece1, ece2, max(gaps), rows
 
 
 def _penalized_nll(

@@ -168,7 +168,7 @@ def test_criterion_05_majority_vote_is_calibrated_under_dominant_distractors():
     for seed in range(10):
         grouped, labels = _sets_from(synth.premise_config(seed=seed))
         data = build_dataset(grouped, labels)
-        values.append(ece(data.tt_confidence, data.tt_correct, bins=12, p=1))
+        values.append(ece(data.targets_s, data.tt_correct, bins=12, p=1))
     assert float(np.mean(values)) <= 0.05
     assert time.monotonic() - started < 60.0
 

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conscal.calibrator import (
@@ -163,6 +163,7 @@ def test_pava_rejects_nonpositive_weights_and_misaligned_shapes():
     ),
 )
 @settings(max_examples=120)
+@example(values=[0.0, 1e-08], weights=None)  # already monotone; must not be pooled
 def test_pava_matches_partition_enumeration(values, weights):
     if weights is not None:
         weights = weights[: len(values)]

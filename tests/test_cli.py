@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from conscal import baselines, calibrator, consistency, records
-from conscal.cli import main
+from conscal.cli import build_parser, main
 
 from conftest import make_generation, make_query
 
@@ -474,6 +476,20 @@ def test_shift_reports_both_arms(shift_dir, tmp_path, capsys):
     assert "shift over 2 trials" in capsys.readouterr().out
 
 
+def test_shift_without_out_hashes_the_groups_into_the_run_name(
+    shift_dir, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    base = ["shift"] + _data_flags(shift_dir) + ["--trials", "1", "--bins", "4",
+                                                 "--methods", "token_prob"]
+    assert main(base + ["--train-groups", "main", "--test-groups", "shifted"]) == 0
+    assert main(base + ["--train-groups", "shifted", "--test-groups", "main"]) == 0
+    runs = sorted((tmp_path / "runs").iterdir())
+    assert len(runs) == 2
+    assert runs[0].name.split("-")[-1] != runs[1].name.split("-")[-1]
+    capsys.readouterr()
+
+
 def test_shift_rejects_overlapping_groups(shift_dir, tmp_path, capsys):
     code = main(["shift"] + _data_flags(shift_dir)
                 + ["--trials", "1", "--train-groups", "main,shifted",
@@ -510,3 +526,38 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "wrote 4 queries x 2 samples" in result.stdout
     assert (out / "labels.jsonl").exists()
+
+
+def _readme_commands():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    commands = []
+    in_sh = False
+    pending = ""
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line.strip() == "```sh"
+            continue
+        if not in_sh:
+            continue
+        text = pending + line.strip()
+        if text.endswith("\\"):
+            pending = text[:-1] + " "
+            continue
+        pending = ""
+        if text.startswith("conscal "):
+            commands.append(text)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {shlex.split(c)[1] for c in commands} >= {
+        "synth", "validate", "train", "score", "eval", "selective", "shift"
+    }
+    parser = build_parser()
+    for command in commands:
+        try:
+            args = parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
+        assert callable(args.func)

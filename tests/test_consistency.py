@@ -19,7 +19,6 @@ from conscal.consistency import (
     is_match,
     load_targets,
     normalize_answer,
-    self_consistency,
     subsample_targets,
     write_targets,
 )
@@ -100,27 +99,12 @@ def test_answer_key_requires_at_least_one_gold_answer():
 # ---------------------------------------------------------------------------
 
 
-def test_self_consistency_counts_matching_shares():
-    sample_set = make_set(["a", "a", "b", "a"])
-    assert self_consistency(sample_set, "a") == 0.75
-    assert self_consistency(sample_set, "b") == 0.25
-    assert self_consistency(sample_set, "c") == 0.0
-
-
 def test_answerless_samples_dilute_the_share():
-    sample_set = make_set(["a", None])
-    assert self_consistency(sample_set, "a") == 0.5
-
-
-def test_self_consistency_normalizes_the_probe_answer():
-    sample_set = make_set(["a"])
-    assert self_consistency(sample_set, "  A ") == 1.0
+    assert build_target(make_set(["a", None])).s == 0.5
 
 
 def test_empty_sample_set_is_an_error():
     empty = SampleSet(query=make_query("q1"), samples=())
-    with pytest.raises(DataError):
-        self_consistency(empty, "a")
     with pytest.raises(DataError):
         build_target(empty)
 

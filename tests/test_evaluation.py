@@ -54,7 +54,6 @@ def test_build_dataset_precomputes_aligned_arrays():
         data.token_prob,
         data.answer_prob,
         data.verbal_conf,
-        data.tt_confidence,
         data.deploy_correct,
         data.tt_correct,
     ):

@@ -19,7 +19,7 @@ from conscal.metrics import (
     reliability_data,
 )
 
-from oracles import auroc_by_pair_counting
+from oracles import auroc_by_pair_counting, ece_by_loops
 
 # A strategy for aligned (confidences, labels) with at least `bins` points.
 def _instances(min_size=2, max_size=40, discrete=False):
@@ -193,18 +193,36 @@ def test_histogram_rejects_bad_bucket_counts():
         confidence_histogram([0.5], buckets=0)
 
 
-def test_compute_report_is_consistent_with_the_individual_metrics():
-    gen = np.random.default_rng(11)
-    confidences = gen.uniform(size=60)
-    labels = (gen.random(60) < confidences).astype(int)
-    report = compute_report(confidences, labels, bins=6)
-    assert report.ece1 == ece(confidences, labels, bins=6)
-    assert report.ece2 == ece(confidences, labels, bins=6, p=2)
-    assert report.mce == mce(confidences, labels, bins=6)
+@given(_instances(min_size=6, max_size=60), st.integers(min_value=1, max_value=6))
+def test_compute_report_is_consistent_with_the_individual_metrics(pairs, bins):
+    confidences = [c for c, _ in pairs]
+    labels = [z for _, z in pairs]
+    n = len(pairs)
+    report = compute_report(confidences, labels, bins=bins)
+    assert report.ece1 == ece(confidences, labels, bins=bins)
+    assert report.ece2 == ece(confidences, labels, bins=bins, p=2)
+    assert report.mce == mce(confidences, labels, bins=bins)
     assert report.brier == brier(confidences, labels)
     assert report.auroc == auroc(confidences, labels)
-    assert len(report.bins) == 6
-    assert sum(b.count for b in report.bins) == 60
+    assert report.bins == tuple(reliability_data(confidences, labels, bins=bins))
+    assert len(report.bins) == bins
+    assert sum(b.count for b in report.bins) == n
     assert len(report.histogram) == 20
-    assert sum(report.histogram) == 60
-    assert report.n == 60
+    assert sum(report.histogram) == n
+    assert report.n == n
+
+
+@given(_instances(min_size=12, max_size=60, discrete=True), st.integers(min_value=1, max_value=12))
+@settings(max_examples=200)
+def test_compute_report_matches_per_bin_loops_under_heavy_ties(pairs, bins):
+    confidences = [c for c, _ in pairs]
+    labels = [z for _, z in pairs]
+    ece1, ece2, worst, rows = ece_by_loops(confidences, labels, bins)
+    report = compute_report(confidences, labels, bins=bins)
+    assert report.ece1 == pytest.approx(ece1, abs=1e-12)
+    assert report.ece2 == pytest.approx(ece2, abs=1e-12)
+    assert report.mce == pytest.approx(worst, abs=1e-12)
+    assert [(b.lower, b.upper, b.count) for b in report.bins] == [r[:3] for r in rows]
+    for b, (_, _, _, conf, acc) in zip(report.bins, rows):
+        assert b.mean_confidence == pytest.approx(conf, abs=1e-12)
+        assert b.accuracy == pytest.approx(acc, abs=1e-12)

@@ -17,7 +17,6 @@ from conscal.synth import (
     generate,
     load_truth,
     query_truth,
-    true_modal_probability,
     write_truth,
 )
 
@@ -106,7 +105,7 @@ def test_constant_difficulty_one_makes_every_sample_gold():
     assert all(l.z == 1 for l in labels)
     assert all(g.answer.endswith("a") for g in generations)
     for query in queries:
-        assert true_modal_probability(config, query) == 1.0
+        assert query_truth(config, query).modal_prob == 1.0
 
 
 def test_constant_difficulty_zero_with_one_distractor_is_still_unanimous():
