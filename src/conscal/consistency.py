@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import seeding
 from .errors import DataError, RecordError
@@ -141,34 +142,73 @@ def canonical_answer(generation: GenerationRecord) -> str | None:
     return answer
 
 
-def _modal(sample_set: SampleSet) -> tuple[str, int, int]:
-    """(modal answer, its count, representative sample_index)."""
-    answers = [canonical_answer(g) for g in sample_set.samples]
-    counts = Counter(a for a in answers if a is not None)
-    if not counts:
-        raise DataError(
-            f"query {sample_set.query_id}: no extractable answer in any of "
+@dataclass(frozen=True, eq=False)
+class AnswerCodes:
+    """The answers of one sample set as integer codes, from one extraction pass.
+
+    ``codes[j]`` is sample ``j``'s index into ``answers`` (-1 when it has no
+    answer); ``answers`` holds the distinct normalized answers in sorted
+    order, so the first most frequent code is the lexicographically smallest
+    modal answer.
+    """
+
+    codes: np.ndarray
+    answers: tuple[str, ...]
+
+
+def answer_codes(samples: Sequence[GenerationRecord]) -> AnswerCodes:
+    """Extract and normalize each sample's answer once, as codes."""
+    answers = [canonical_answer(g) for g in samples]
+    distinct = sorted({a for a in answers if a is not None})
+    index: dict[str | None, int] = {a: i for i, a in enumerate(distinct)}
+    index[None] = -1
+    return AnswerCodes(np.array([index[a] for a in answers], dtype=np.intp), tuple(distinct))
+
+
+def _checked(sample_set: SampleSet, codes: AnswerCodes | None) -> AnswerCodes:
+    """The given codes once they fit the set, else the set's codes."""
+    if codes is None:
+        return answer_codes(sample_set.samples)
+    if codes.codes.shape != (sample_set.k,):
+        raise ValueError(
+            f"query {sample_set.query_id}: {codes.codes.size} answer codes for "
             f"{sample_set.k} samples"
         )
-    best = max(counts.values())
-    # Ties break toward the lexicographically smallest answer string.
-    modal = min(a for a, c in counts.items() if c == best)
-    for generation, answer in zip(sample_set.samples, answers):
-        if answer == modal:
-            return modal, best, generation.sample_index
-    raise AssertionError("unreachable: modal answer must appear in samples")
+    return codes
 
 
-def build_target(sample_set: SampleSet) -> ConsistencyTarget:
-    """Modal answer, its share, and the representative generation."""
-    modal, count, selected = _modal(sample_set)
+def _target(
+    sample_set: SampleSet, codes: np.ndarray, answers: tuple[str, ...], positions: Sequence[int]
+) -> ConsistencyTarget:
+    """Modal answer among ``codes``, the codes of the samples at ``positions``."""
+    counts = np.bincount(codes[codes >= 0])
+    if counts.size == 0:
+        raise DataError(
+            f"query {sample_set.query_id}: no extractable answer in any of "
+            f"{codes.size} samples"
+        )
+    # argmax takes the first maximum: ties go to the smallest answer string.
+    modal = int(counts.argmax())
+    first = positions[int((codes == modal).argmax())]
     return ConsistencyTarget(
         query_id=sample_set.query_id,
-        selected_sample_index=selected,
-        answer=modal,
-        s=count / sample_set.k,
-        k=sample_set.k,
+        selected_sample_index=sample_set.samples[first].sample_index,
+        answer=answers[modal],
+        s=int(counts[modal]) / codes.size,
+        k=codes.size,
     )
+
+
+def build_target(
+    sample_set: SampleSet, *, codes: AnswerCodes | None = None
+) -> ConsistencyTarget:
+    """Modal answer, its share, and the representative generation.
+
+    ``codes`` are the set's :func:`answer_codes` when the caller already has
+    them; without them every sample's answer is extracted here.
+    """
+    coded = _checked(sample_set, codes)
+    return _target(sample_set, coded.codes, coded.answers, range(sample_set.k))
 
 
 def test_time_sc(sample_set: SampleSet) -> tuple[str, float]:
@@ -176,27 +216,30 @@ def test_time_sc(sample_set: SampleSet) -> tuple[str, float]:
 
     Same tie-breaking as :func:`build_target`.
     """
-    modal, count, _ = _modal(sample_set)
-    return modal, count / sample_set.k
+    target = build_target(sample_set)
+    return target.answer, target.s
 
 
-def subsample_targets(sample_set: SampleSet, k: int, seed: int) -> ConsistencyTarget:
+def subsample_targets(
+    sample_set: SampleSet, k: int, seed: int, *, codes: AnswerCodes | None = None
+) -> ConsistencyTarget:
     """Target built from ``k`` samples drawn uniformly without replacement.
 
     Deterministic given ``(sample_set, k, seed)``.  Selected sample indices
-    keep their original values.
+    keep their original values.  With the set's ``codes`` the drawn samples
+    are counted without extracting anything; without them only the drawn
+    samples are extracted.
     """
     if not 1 <= k <= sample_set.k:
         raise DataError(
             f"query {sample_set.query_id}: cannot subsample {k} of {sample_set.k} samples"
         )
-    rng = seeding.generator(seed)
-    chosen = rng.choice(sample_set.k, size=k, replace=False)
-    subset = SampleSet(
-        query=sample_set.query,
-        samples=tuple(sample_set.samples[i] for i in sorted(chosen.tolist())),
-    )
-    return build_target(subset)
+    chosen = np.sort(seeding.generator(seed).choice(sample_set.k, size=k, replace=False))
+    if codes is None:
+        coded = answer_codes([sample_set.samples[i] for i in chosen])
+        return _target(sample_set, coded.codes, coded.answers, chosen)
+    coded = _checked(sample_set, codes)
+    return _target(sample_set, coded.codes[chosen], coded.answers, chosen)
 
 
 # ---------------------------------------------------------------------------

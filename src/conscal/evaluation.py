@@ -47,7 +47,14 @@ from .baselines import (
     token_prob_score,
 )
 from .calibrator import FEATURE_SOURCES, fit_pipeline, predict
-from .consistency import AnswerKey, build_target, canonical_answer, is_match, subsample_targets
+from .consistency import (
+    AnswerCodes,
+    AnswerKey,
+    answer_codes,
+    build_target,
+    is_match,
+    subsample_targets,
+)
 from .errors import ConfigError, DataError
 from .metrics import REPORT_FORMAT, MetricReport, compute_report
 from .records import CorrectnessLabel, SampleSet
@@ -79,6 +86,7 @@ class EvalDataset:
     """Per-query arrays precomputed once so trials stay cheap."""
 
     sets: tuple[SampleSet, ...]
+    codes: tuple[AnswerCodes, ...]  # every sample's answer, extracted once
     query_ids: tuple[str, ...]
     groups: tuple[str, ...]
     feature_source: str
@@ -99,6 +107,7 @@ class EvalDataset:
         idx = np.asarray(indices, dtype=int)
         return EvalDataset(
             sets=tuple(self.sets[i] for i in idx),
+            codes=tuple(self.codes[i] for i in idx),
             query_ids=tuple(self.query_ids[i] for i in idx),
             groups=tuple(self.groups[i] for i in idx),
             feature_source=self.feature_source,
@@ -168,6 +177,7 @@ def build_dataset(
     ap: list[float] = []
     ap_missing = False
     vc_raw: list[float | None] = []
+    codes: list[AnswerCodes] = []
     s_vals: list[float] = []
     deploy_z: list[float] = []
     tt_z: list[float] = []
@@ -180,17 +190,20 @@ def build_dataset(
         elif not ap_missing:
             ap.append(answer_prob_score(deploy.answer_token_logprobs))
         vc_raw.append(parse_verbal_confidence(deploy.response_text))
-        target = build_target(sample_set)
+        coded = answer_codes(sample_set.samples)
+        codes.append(coded)
+        target = build_target(sample_set, codes=coded)
         s_vals.append(target.s)
         key = (
             AnswerKey.from_gold(sample_set.query.gold_answers)
             if sample_set.query.gold_answers
             else None
         )
+        deploy_code = int(coded.codes[0])
         deploy_z.append(
             _correctness(
                 labels_map, key, sample_set.query_id, deploy.sample_index,
-                canonical_answer(deploy),
+                coded.answers[deploy_code] if deploy_code >= 0 else None,
             )
         )
         tt_z.append(
@@ -208,6 +221,7 @@ def build_dataset(
     imputed = impute_verbal(vc_raw)
     return EvalDataset(
         sets=tuple(sets),
+        codes=tuple(codes),
         query_ids=tuple(s.query_id for s in sets),
         groups=tuple(s.query.group for s in sets),
         feature_source=feature_source,
@@ -419,6 +433,7 @@ def _trial_confidences(
                             data.sets[i],
                             config.k_subsample,
                             seed=seeding.mix(tseed, _S_SUBSAMPLE, int(i)),
+                            codes=data.codes[i],
                         ).s
                         for i in cal_idx
                     ]

@@ -2,15 +2,17 @@
 
 Each oracle favors obviousness over speed: exhaustive enumeration, textbook
 elimination, quadratic pair counting, per-bin and per-row loops,
-character-by-character scans, and plain grid refinement.  They share no code
-with the package beyond the standard library (and numpy only for array
-plumbing), so agreement between the two routes is meaningful evidence.
+character-by-character scans, string counting, and plain grid refinement.
+They share no code with the package beyond the standard library (and numpy
+only for array plumbing), so agreement between the two routes is meaningful
+evidence.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -241,3 +243,18 @@ def boxed_groups_by_scan(text: str) -> list[str]:
         if depth == 0:
             groups.append(text[start + len(marker) : i - 1])
     return groups
+
+
+def modal_by_counter(answers: Sequence[str | None]) -> tuple[str, int, int] | None:
+    """(modal answer, its count, position of its first carrier), or None.
+
+    Counts the non-None answer strings, keeps the most frequent, breaks ties
+    toward the smallest string with ``min``, then scans for the first
+    position holding it.  None when no position has an answer.
+    """
+    counts = Counter(a for a in answers if a is not None)
+    if not counts:
+        return None
+    best = max(counts.values())
+    modal = min(a for a, c in counts.items() if c == best)
+    return modal, best, list(answers).index(modal)

@@ -189,6 +189,21 @@ def test_targets_full_and_subsampled_at_full_k_agree(data_dir, tmp_path, capsys)
     assert "wrote 40 targets" in capsys.readouterr().out
 
 
+def test_subsampled_targets_match_the_recorded_files(tmp_path):
+    # Recorded from the string-counting target builder over the same data.
+    recorded = _read_json(
+        pathlib.Path(__file__).parent / "data" / "subsample_n40_k20_seed0.json"
+    )["targets_jsonl"]
+    data = tmp_path / "data"
+    assert main(["synth", "--n-queries", "40", "--k", "20", "--seed", "0",
+                 "--out", str(data)]) == 0
+    for k, expected in recorded.items():
+        out = tmp_path / f"targets-{k}"
+        assert main(["targets"] + _data_flags(data, labels=False)
+                    + ["--k", k, "--seed", "3", "--out", str(out)]) == 0
+        assert (out / "targets.jsonl").read_text(encoding="utf-8") == expected
+
+
 def test_targets_are_unanimous_when_difficulty_is_pinned_to_one(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"difficulty_constant": 1.0}')

@@ -6,13 +6,14 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conscal import consistency
+from conscal import consistency, seeding
 from conscal.consistency import (
     AnswerKey,
     ConsistencyTarget,
+    answer_codes,
     boxed_groups,
     build_target,
     extract_boxed,
@@ -27,7 +28,7 @@ from conscal.errors import DataError, RecordError
 from conscal.records import SampleSet
 
 from conftest import make_generation, make_query, make_set
-from oracles import boxed_groups_by_scan
+from oracles import boxed_groups_by_scan, modal_by_counter
 
 # ---------------------------------------------------------------------------
 # boxed extraction
@@ -235,6 +236,67 @@ def test_subsample_of_unanimous_set_is_always_unanimous():
     sample_set = make_set(["z"] * 6)
     for seed in range(5):
         assert subsample_targets(sample_set, 3, seed=seed).s == 1.0
+
+
+def _expected_target(answers, positions):
+    """The counter oracle's target over ``answers`` at ``positions``, or None."""
+    found = modal_by_counter([answers[i] for i in positions])
+    if found is None:
+        return None
+    modal, count, first = found
+    return ConsistencyTarget("q1", positions[first], modal, count / len(positions), len(positions))
+
+
+# Answers whose normalized forms collide (case, edge whitespace, casefolded
+# non-ASCII) or whose string order differs from their numeric order.
+_answers = st.lists(
+    st.sampled_from(["a", "A", " a ", "b", "10", "9", "é", "É", "ß", "ss", "日本", None]),
+    max_size=10,
+)
+
+
+@given(_answers, st.integers(min_value=1, max_value=10), st.integers(0, 2**32 - 1))
+@example([None, None], 1, 0)
+@example([], 1, 0)
+@example(["9", "10"], 1, 5)
+@example(["10", "9", "9", "10"], 4, 0)
+def test_targets_match_the_counter_oracle(answers, k, seed):
+    sample_set = make_set(answers)
+    canonical = [consistency.canonical_answer(g) for g in sample_set.samples]
+    expected = _expected_target(canonical, list(range(len(answers))))
+    if expected is None:
+        with pytest.raises(DataError, match="no extractable answer"):
+            build_target(sample_set)
+        with pytest.raises(DataError, match="no extractable answer"):
+            majority_vote(sample_set)
+    else:
+        assert build_target(sample_set) == expected
+        assert majority_vote(sample_set) == (expected.answer, expected.s)
+    if not answers:
+        return
+    k = min(k, len(answers))
+    chosen = seeding.generator(seed).choice(len(answers), size=k, replace=False)
+    drawn = _expected_target(canonical, sorted(chosen.tolist()))
+    for codes in (None, answer_codes(sample_set.samples)):
+        if drawn is None:
+            with pytest.raises(DataError, match="no extractable answer"):
+                subsample_targets(sample_set, k, seed=seed, codes=codes)
+        else:
+            assert subsample_targets(sample_set, k, seed=seed, codes=codes) == drawn
+
+
+def test_answer_codes_number_sorted_answers_and_mark_missing_ones():
+    coded = answer_codes(make_set(["b", None, " A", "b"]).samples)
+    assert coded.answers == ("a", "b")
+    assert coded.codes.tolist() == [1, -1, 0, 1]
+
+
+def test_codes_of_another_sample_set_are_rejected():
+    codes = answer_codes(make_set(["a", "b"]).samples)
+    with pytest.raises(ValueError, match="2 answer codes for 3 samples"):
+        build_target(make_set(["a", "b", "a"]), codes=codes)
+    with pytest.raises(ValueError, match="2 answer codes for 1 samples"):
+        subsample_targets(make_set(["a"]), 1, seed=0, codes=codes)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conscal import evaluation, synth
+from conscal import consistency, evaluation, records, synth
 from conscal.errors import ConfigError, DataError
 from conscal.evaluation import (
     DEFAULT_METHODS,
@@ -104,6 +106,13 @@ def test_partial_labels_fall_back_to_gold_per_sample():
     assert data.tt_correct.tolist() == [1.0]
 
 
+def test_gold_fallback_judges_the_deployed_answer_apart_from_the_vote():
+    data = build_dataset([make_set(["b", "a", "a", None], gold=("b",))])
+    assert (data.deploy_correct.tolist(), data.tt_correct.tolist()) == ([1.0], [0.0])
+    unanswered = build_dataset([make_set([None, "a"], gold=("a",))])
+    assert (unanswered.deploy_correct.tolist(), unanswered.tt_correct.tolist()) == ([0.0], [1.0])
+
+
 def test_no_correctness_source_is_an_error():
     sample_set = make_set(["a"], gold=None)
     with pytest.raises(DataError, match="correctness"):
@@ -134,6 +143,69 @@ def test_subset_slices_every_array_consistently():
     assert sub.query_ids == tuple(data.query_ids[i] for i in (3, 7, 11))
     assert np.array_equal(sub.features, data.features[[3, 7, 11]])
     assert np.array_equal(sub.tt_correct, data.tt_correct[[3, 7, 11]])
+    for coded, i in zip(sub.codes, (3, 7, 11)):
+        expected = consistency.answer_codes(sets[i].samples)
+        assert np.array_equal(coded.codes, expected.codes)
+        assert coded.answers == expected.answers
+
+
+def test_subsampled_trials_on_a_subset_match_a_dataset_built_from_it():
+    sets, labels = _synth_sets(n=40, k=6)
+    idx = [0, 2, 3, 5, 8, 13, 21, 22, 30, 34, 35, 39]
+    config = TrialConfig(
+        n_trials=3, cal_fraction=0.5, bins=3, methods=("distilled", "tt_sc"), k_subsample=2
+    )
+    from_subset = run_trials(build_dataset(sets, labels).subset(idx), config)
+    rebuilt = run_trials(build_dataset([sets[i] for i in idx], labels), config)
+    assert from_subset == rebuilt
+
+
+def test_answers_are_extracted_once_per_generation(monkeypatch):
+    sets, labels = _synth_sets(n=30, k=4)
+    original = consistency.extract_boxed
+    calls = []
+    monkeypatch.setattr(
+        consistency, "extract_boxed", lambda text: calls.append(text) or original(text)
+    )
+    data = build_dataset(sets, labels)
+    assert len(calls) == 30 * 4
+    run_trials(data, dataclasses.replace(_FAST, n_trials=2, k_subsample=3))
+    assert len(calls) == 30 * 4
+
+
+def test_answer_disagreements_are_logged_once_per_build(caplog):
+    sets, labels = _synth_sets(n=30, k=4)
+    sets[0] = dataclasses.replace(
+        sets[0],
+        samples=tuple(dataclasses.replace(g, answer="zz") for g in sets[0].samples[:2])
+        + sets[0].samples[2:],
+    )
+    with caplog.at_level("WARNING", logger="conscal.consistency"):
+        data = build_dataset(sets, labels)
+        assert caplog.text.count("disagrees") == 2
+        run_trials(data, dataclasses.replace(_FAST, n_trials=2, k_subsample=3))
+        assert caplog.text.count("disagrees") == 2
+
+
+_RECORDED = Path(__file__).parent / "data" / "subsample_n40_k20_seed0.json"
+
+
+def test_subsampled_trials_match_the_recorded_results():
+    # Recorded from the string-counting target builder, which extracted every
+    # drawn sample again in every trial.  Every field must match exactly.
+    recorded = json.loads(_RECORDED.read_text(encoding="utf-8"))["run_trials"]
+    config = synth.benchmark_config(n_queries=40, k=20, seed=0)
+    queries, generations, labels = synth.generate(config)
+    sets, _ = records.group_generations(queries, generations)
+    data = build_dataset(sets, labels)
+    for k, methods in recorded.items():
+        trial_config = TrialConfig(
+            n_trials=3, bins=4, methods=("distilled", "tt_sc"), k_subsample=int(k),
+            master_seed=1,
+        )
+        result = run_trials(data, trial_config)
+        as_json = {m: dataclasses.asdict(s) for m, s in result.methods.items()}
+        assert json.loads(json.dumps(as_json)) == methods
 
 
 # ---------------------------------------------------------------------------
