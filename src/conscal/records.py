@@ -22,24 +22,28 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import RecordError
 
 log = logging.getLogger(__name__)
 
-_QUERY_FIELDS = ("query_id", "text", "group", "gold_answers", "question_embedding")
-_GENERATION_FIELDS = (
-    "query_id",
-    "sample_index",
-    "response_text",
-    "answer",
-    "token_logprobs",
-    "answer_token_logprobs",
-    "embedding",
-    "sampling_meta",
+_QUERY_FIELDS = frozenset(("query_id", "text", "group", "gold_answers", "question_embedding"))
+_GENERATION_FIELDS = frozenset(
+    (
+        "query_id",
+        "sample_index",
+        "response_text",
+        "answer",
+        "token_logprobs",
+        "answer_token_logprobs",
+        "embedding",
+        "sampling_meta",
+    )
 )
-_LABEL_FIELDS = ("query_id", "sample_index", "z")
+# Exact types of the numbers json.loads returns; bool, a subclass of int,
+# is not among them.
+_NUMBER_TYPES = frozenset((int, float))
 
 
 @dataclass(frozen=True)
@@ -101,46 +105,60 @@ class CorrectnessLabel:
     z: int
 
 
-def _is_real(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_real(value: Any) -> bool:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _check_vector(value: Any, name: str, *, max_value: float | None = None) -> list[str]:
-    problems: list[str] = []
     if not isinstance(value, list) or not value:
         return [f"{name} must be a nonempty array of numbers"]
+    # Whole-field test: a finite sum means every entry is a finite float
+    # (NaN and infinities propagate, and huge integers or an overflowing
+    # sum raise).  Only a field that fails it is walked entry by entry.
+    if _NUMBER_TYPES.issuperset(map(type, value)):
+        try:
+            finite = math.isfinite(math.fsum(value))
+        except (OverflowError, ValueError):
+            finite = False
+        if finite and (max_value is None or max(value) <= max_value):
+            return []
     for entry in value:
-        if not _is_real(entry) or not math.isfinite(entry):
-            problems.append(f"{name} contains a non-finite or non-numeric entry")
-            break
+        if not _is_finite_real(entry):
+            return [f"{name} contains a non-finite or non-numeric entry"]
         if max_value is not None and entry > max_value:
-            problems.append(f"{name} contains an entry above {max_value:g}")
-            break
-    return problems
+            return [f"{name} contains an entry above {max_value:g}"]
+    return []
 
 
-def _iter_lines(path: str) -> Iterable[tuple[int, str]]:
+def _objects(path: str, diagnostics: list[Diagnostic]) -> Iterator[tuple[int, dict]]:
+    """Yield each line that decodes to a JSON object, diagnosing the others.
+
+    Lines are read one at a time, so a caller that validates and converts
+    each object before asking for the next keeps one decoded row alive.
+    Callers hold their row diagnostics apart and report them after these.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            yield lineno, raw.rstrip("\n")
+            try:
+                obj = json.loads(raw.rstrip("\n"))
+            except ValueError as exc:  # or an integer literal past int's digit limit
+                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else "integer too long"
+                diagnostics.append(Diagnostic(path, lineno, f"invalid JSON ({reason})"))
+                continue
+            if not isinstance(obj, dict):
+                diagnostics.append(Diagnostic(path, lineno, "record must be a JSON object"))
+                continue
+            yield lineno, obj
 
 
-def _parse_lines(path: str, diagnostics: list[Diagnostic]) -> list[tuple[int, dict]]:
-    rows: list[tuple[int, dict]] = []
-    for lineno, raw in _iter_lines(path):
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            diagnostics.append(Diagnostic(path, lineno, f"invalid JSON ({exc.msg})"))
-            continue
-        if not isinstance(obj, dict):
-            diagnostics.append(Diagnostic(path, lineno, "record must be a JSON object"))
-            continue
-        rows.append((lineno, obj))
-    return rows
-
-
-def _extra_of(obj: Mapping[str, Any], known: Sequence[str]) -> dict[str, Any]:
+def _extra_of(obj: Mapping[str, Any], known: frozenset[str]) -> dict[str, Any]:
+    if known.issuperset(obj):
+        return {}
     return {key: obj[key] for key in obj if key not in known}
 
 
@@ -152,10 +170,11 @@ def _extra_of(obj: Mapping[str, Any], known: Sequence[str]) -> dict[str, Any]:
 def scan_queries(path: str) -> tuple[list[QueryRecord], list[Diagnostic]]:
     """Parse and validate a query file, collecting every diagnostic."""
     diagnostics: list[Diagnostic] = []
+    row_diagnostics: list[Diagnostic] = []
     records: list[QueryRecord] = []
     seen: set[str] = set()
     embed_dim: int | None = None
-    for lineno, obj in _parse_lines(path, diagnostics):
+    for lineno, obj in _objects(path, diagnostics):
         problems: list[str] = []
         query_id = obj.get("query_id")
         if not isinstance(query_id, str) or not query_id:
@@ -186,7 +205,7 @@ def scan_queries(path: str) -> tuple[list[QueryRecord], list[Diagnostic]]:
                     f"question_embedding dimension {len(qemb)} differs from {embed_dim}"
                 )
         if problems:
-            diagnostics.extend(Diagnostic(path, lineno, p) for p in problems)
+            row_diagnostics.extend(Diagnostic(path, lineno, p) for p in problems)
             continue
         records.append(
             QueryRecord(
@@ -194,11 +213,11 @@ def scan_queries(path: str) -> tuple[list[QueryRecord], list[Diagnostic]]:
                 text=text,
                 group=group,
                 gold_answers=tuple(gold) if gold is not None else None,
-                question_embedding=tuple(float(v) for v in qemb) if qemb is not None else None,
+                question_embedding=tuple(map(float, qemb)) if qemb is not None else None,
                 extra=_extra_of(obj, _QUERY_FIELDS),
             )
         )
-    return records, diagnostics
+    return records, diagnostics + row_diagnostics
 
 
 def load_queries(path: str) -> list[QueryRecord]:
@@ -215,10 +234,11 @@ def load_queries(path: str) -> list[QueryRecord]:
 def scan_generation_records(path: str) -> tuple[list[GenerationRecord], list[Diagnostic]]:
     """Row-level parse of a generations file (no query cross-checks)."""
     diagnostics: list[Diagnostic] = []
+    row_diagnostics: list[Diagnostic] = []
     records: list[GenerationRecord] = []
     seen: set[tuple[str, int]] = set()
     embed_dim: int | None = None
-    for lineno, obj in _parse_lines(path, diagnostics):
+    for lineno, obj in _objects(path, diagnostics):
         problems: list[str] = []
         query_id = obj.get("query_id")
         if not isinstance(query_id, str) or not query_id:
@@ -232,7 +252,8 @@ def scan_generation_records(path: str) -> tuple[list[GenerationRecord], list[Dia
         answer = obj.get("answer")
         if answer is not None and not isinstance(answer, str):
             problems.append("answer must be a string when present")
-        problems.extend(_check_vector(obj.get("token_logprobs"), "token_logprobs", max_value=0.0))
+        token_lp = obj.get("token_logprobs")
+        problems.extend(_check_vector(token_lp, "token_logprobs", max_value=0.0))
         ans_lp = obj.get("answer_token_logprobs")
         if ans_lp is not None:
             problems.extend(_check_vector(ans_lp, "answer_token_logprobs", max_value=0.0))
@@ -256,24 +277,22 @@ def scan_generation_records(path: str) -> tuple[list[GenerationRecord], list[Dia
                     f"differs from {embed_dim}"
                 )
         if problems:
-            diagnostics.extend(Diagnostic(path, lineno, p) for p in problems)
+            row_diagnostics.extend(Diagnostic(path, lineno, p) for p in problems)
             continue
         records.append(
             GenerationRecord(
                 query_id=query_id,
                 sample_index=sample_index,
                 response_text=response_text,
-                token_logprobs=tuple(float(v) for v in obj["token_logprobs"]),
-                embedding=tuple(float(v) for v in embedding),
+                token_logprobs=tuple(map(float, token_lp)),
+                embedding=tuple(map(float, embedding)),
                 answer=answer,
-                answer_token_logprobs=(
-                    tuple(float(v) for v in ans_lp) if ans_lp is not None else None
-                ),
+                answer_token_logprobs=tuple(map(float, ans_lp)) if ans_lp is not None else None,
                 sampling_meta=meta,
                 extra=_extra_of(obj, _GENERATION_FIELDS),
             )
         )
-    return records, diagnostics
+    return records, diagnostics + row_diagnostics
 
 
 def load_generation_records(path: str) -> list[GenerationRecord]:
@@ -339,12 +358,13 @@ def scan_labels(
     path: str, sets: Sequence[SampleSet] | None = None
 ) -> tuple[list[CorrectnessLabel], list[Diagnostic]]:
     diagnostics: list[Diagnostic] = []
+    row_diagnostics: list[Diagnostic] = []
     labels: list[CorrectnessLabel] = []
     seen: set[tuple[str, int]] = set()
     known: set[tuple[str, int]] | None = None
     if sets is not None:
         known = {(s.query_id, g.sample_index) for s in sets for g in s.samples}
-    for lineno, obj in _parse_lines(path, diagnostics):
+    for lineno, obj in _objects(path, diagnostics):
         problems: list[str] = []
         query_id = obj.get("query_id")
         if not isinstance(query_id, str) or not query_id:
@@ -364,10 +384,10 @@ def scan_labels(
             else:
                 seen.add(pair)
         if problems:
-            diagnostics.extend(Diagnostic(path, lineno, p) for p in problems)
+            row_diagnostics.extend(Diagnostic(path, lineno, p) for p in problems)
             continue
         labels.append(CorrectnessLabel(query_id=query_id, sample_index=sample_index, z=z))
-    return labels, diagnostics
+    return labels, diagnostics + row_diagnostics
 
 
 def load_labels(path: str, sets: Sequence[SampleSet] | None = None) -> list[CorrectnessLabel]:

@@ -2,7 +2,8 @@
 
 Each oracle favors obviousness over speed: exhaustive enumeration, textbook
 elimination, quadratic pair counting, per-bin and per-row loops,
-character-by-character scans, string counting, and plain grid refinement.
+character-by-character scans, string counting, entry-by-entry validation,
+and plain grid refinement.
 They share no code with the package beyond the standard library (and numpy
 only for array plumbing), so agreement between the two routes is meaningful
 evidence.
@@ -258,3 +259,30 @@ def modal_by_counter(answers: Sequence[str | None]) -> tuple[str, int, int] | No
     best = max(counts.values())
     modal = min(a for a, c in counts.items() if c == best)
     return modal, best, list(answers).index(modal)
+
+
+def check_vector_by_entry(
+    value: object, name: str, *, max_value: float | None = None
+) -> list[str]:
+    """Problems with one record vector field, found one entry at a time.
+
+    The field must be a nonempty list.  Walking it in order, the first entry
+    that is not an int or float (booleans excluded) or is not finite as a
+    float (an integer too large for a float is not) is reported, as is the
+    first entry above ``max_value``, whichever comes first; at most one
+    message is returned.
+    """
+    if not isinstance(value, list) or not value:
+        return [f"{name} must be a nonempty array of numbers"]
+    for entry in value:
+        finite = False
+        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+            try:
+                finite = math.isfinite(float(entry))
+            except OverflowError:
+                pass
+        if not finite:
+            return [f"{name} contains a non-finite or non-numeric entry"]
+        if max_value is not None and entry > max_value:
+            return [f"{name} contains an entry above {max_value:g}"]
+    return []

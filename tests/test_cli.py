@@ -163,6 +163,24 @@ def test_validate_reports_each_problem_with_its_location(data_dir, tmp_path, cap
     assert "FAIL: 1 problem(s) found" in captured.out
 
 
+def test_validate_diagnoses_integers_too_large_for_a_float(tmp_path, capsys):
+    queries = tmp_path / "queries.jsonl"
+    records.write_queries(str(queries), [make_query("q1")])
+    generations = tmp_path / "generations.jsonl"
+    records.write_generations(str(generations), [make_generation("q1", 0, answer="a")])
+    row = json.loads(generations.read_text(encoding="utf-8"))
+    row.update(sample_index=1, token_logprobs=[-(10**400)])
+    with generations.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps(row) + "\n")
+    code = main(["validate", "--queries", str(queries), "--generations", str(generations)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        f"{generations}:2: token_logprobs contains a non-finite or non-numeric entry\n"
+    )
+    assert captured.out == "FAIL: 1 problem(s) found\n"
+
+
 def test_validate_missing_file_is_a_usage_error(tmp_path, capsys):
     code = main(["validate", "--queries", str(tmp_path / "absent.jsonl")])
     assert code == 2

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conscal import records
 from conscal.errors import RecordError
@@ -16,6 +19,7 @@ from conscal.records import (
 )
 
 from conftest import make_generation, make_query
+from oracles import check_vector_by_entry
 
 
 def _write_lines(path, rows):
@@ -231,10 +235,122 @@ def test_non_finite_and_non_numeric_vector_entries_are_rejected(tmp_path):
         [
             _valid_generation("q1", 0, embedding=["oops", 1.0]),
             _valid_generation("q2", 0, token_logprobs=[-0.1, None]),
+            _valid_generation("q3", 0, embedding=[0.5, math.nan]),
+            _valid_generation("q4", 0, token_logprobs=[-math.inf]),
+            _valid_generation("q5", 0, answer_token_logprobs=[math.inf, -0.1]),
         ],
     )
+    # json writes the NaN and Infinity tokens that json.loads reads back.
+    text = (tmp_path / "generations.jsonl").read_text(encoding="utf-8")
+    assert "NaN" in text and "-Infinity" in text
     _, diagnostics = records.scan_generation_records(path)
-    assert len(diagnostics) == 2
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (1, "embedding contains a non-finite or non-numeric entry"),
+        (2, "token_logprobs contains a non-finite or non-numeric entry"),
+        (3, "embedding contains a non-finite or non-numeric entry"),
+        (4, "token_logprobs contains a non-finite or non-numeric entry"),
+        (5, "answer_token_logprobs contains a non-finite or non-numeric entry"),
+    ]
+
+
+def test_integers_too_large_for_a_float_are_diagnosed(tmp_path):
+    huge = -(10**400)
+    path = _write_lines(
+        tmp_path / "generations.jsonl",
+        [
+            _valid_generation("q1", 0),
+            _valid_generation("q2", 0, token_logprobs=[-0.1, huge]),
+            _valid_generation("q3", 0, answer_token_logprobs=[huge]),
+            _valid_generation("q4", 0, embedding=[huge, 0.0]),
+        ],
+    )
+    found, diagnostics = records.scan_generation_records(path)
+    assert [g.query_id for g in found] == ["q1"]
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (2, "token_logprobs contains a non-finite or non-numeric entry"),
+        (3, "answer_token_logprobs contains a non-finite or non-numeric entry"),
+        (4, "embedding contains a non-finite or non-numeric entry"),
+    ]
+
+    queries = _write_lines(
+        tmp_path / "queries.jsonl", [_valid_query(question_embedding=[huge])]
+    )
+    _, diagnostics = records.scan_queries(queries)
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (1, "question_embedding contains a non-finite or non-numeric entry")
+    ]
+
+
+def test_integer_literals_beyond_the_digit_limit_are_invalid_json(tmp_path):
+    path = tmp_path / "generations.jsonl"
+    row = json.dumps(_valid_generation())
+    path.write_text(row.replace("[0.5, -0.5]", "[" + "9" * 5000 + "]") + "\n")
+    _, diagnostics = records.scan_generation_records(str(path))
+    assert [(d.line, d.message) for d in diagnostics] == [(1, "invalid JSON (integer too long)")]
+
+
+def test_decoding_problems_are_reported_before_row_problems(tmp_path):
+    path = tmp_path / "generations.jsonl"
+    bad_row = json.dumps(_valid_generation(token_logprobs=[0.5]))
+    path.write_text(bad_row + "\nnot json{\n")
+    _, diagnostics = records.scan_generation_records(str(path))
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (2, "invalid JSON (Expecting value)"),
+        (1, "token_logprobs contains an entry above 0"),
+    ]
+    with pytest.raises(RecordError) as excinfo:
+        records.load_generations(str(path), [make_query("q1")])
+    assert excinfo.value.line == 2
+    assert str(excinfo.value) == f"{path}:2: invalid JSON (Expecting value) (+1 more)"
+
+
+_vector_entries = st.one_of(
+    st.floats(),
+    st.just(-0.0),
+    st.integers(-10, 10),
+    st.integers(-(2**1030), 2**1030),
+    st.sampled_from([2**1024, 2**1024 - 1, -(10**400)]),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.floats(), max_size=2),
+)
+_finite_entries = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**60), 2**60)
+)
+_vectors = st.one_of(
+    st.lists(_vector_entries, max_size=6),
+    st.lists(_finite_entries, min_size=1, max_size=6),
+    st.none(),
+    st.text(max_size=3),
+    st.floats(),
+)
+
+
+@given(_vectors)
+@example([0.5, math.nan])
+@example([math.nan, 0.5])
+@example([True])
+@example([-1e308, -1e308])
+def test_vector_check_matches_the_entry_by_entry_oracle(value):
+    for bound in (None, 0.0):
+        expected = check_vector_by_entry(value, "v", max_value=bound)
+        assert records._check_vector(value, "v", max_value=bound) == expected
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        ([0.5, math.nan], "v contains an entry above 0"),
+        ([math.nan, 0.5], "v contains a non-finite or non-numeric entry"),
+        ([True], "v contains a non-finite or non-numeric entry"),
+        ([-1e308, -1e308], None),  # the sum overflows, every entry is finite
+    ],
+)
+def test_vector_check_names_the_first_offending_entry(value, expected):
+    messages = [] if expected is None else [expected]
+    assert check_vector_by_entry(value, "v", max_value=0.0) == messages
+    assert records._check_vector(value, "v", max_value=0.0) == messages
 
 
 def test_boolean_sample_index_and_label_values_are_rejected(tmp_path):
