@@ -55,6 +55,7 @@ from .evaluation import (
 from .metrics import auroc, brier, compute_report, ece, equal_mass_bins, mce
 from .records import (
     CorrectnessLabel,
+    GenerationBatch,
     GenerationRecord,
     QueryRecord,
     SampleSet,
@@ -76,6 +77,7 @@ __all__ = [
     "DataError",
     "EvalDataset",
     "EvalResult",
+    "GenerationBatch",
     "GenerationRecord",
     "GroupShift",
     "PlattModel",

@@ -21,8 +21,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import RecordError
 
@@ -69,7 +72,8 @@ class QueryRecord:
     extra: Mapping[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+# Datasets hold one of these per generation: slots keep each instance small.
+@dataclass(frozen=True, slots=True)
 class GenerationRecord:
     query_id: str
     sample_index: int
@@ -98,7 +102,111 @@ class SampleSet:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class GenerationBatch(Sequence[GenerationRecord]):
+    """Generation rows held as columns, grouped by query.
+
+    Rows ``query_offsets[q]:query_offsets[q + 1]`` belong to ``query_ids[q]``.
+    Row ``i`` has the token log-probabilities
+    ``token_logprobs[token_offsets[i]:token_offsets[i + 1]]``, the answer-span
+    ones ``answer_token_logprobs[answer_token_offsets[i]:...]`` and the
+    embedding ``embedding[i]``; the other columns hold one entry per row.
+
+    Read as a sequence, the batch gives the ``GenerationRecord`` each row
+    stands for.  Iteration converts each query's columns once.
+    """
+
+    query_ids: tuple[str, ...]
+    query_offsets: np.ndarray
+    sample_index: tuple[int, ...]
+    response_text: tuple[str, ...]
+    answer: tuple[str | None, ...]
+    token_logprobs: np.ndarray
+    token_offsets: np.ndarray
+    answer_token_logprobs: np.ndarray
+    answer_token_offsets: np.ndarray
+    embedding: np.ndarray
+    sampling_meta: tuple[Mapping[str, Any] | None, ...]
+
+    def __post_init__(self) -> None:
+        for column in fields(self):
+            value = getattr(self, column.name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.sample_index)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]  # negative and out-of-range indices as for a list
+        query = int(np.searchsorted(self.query_offsets, i, side="right")) - 1
+        return self._records(query, i, i + 1)[0]
+
+    def __iter__(self) -> Iterator[GenerationRecord]:
+        offsets = self.query_offsets.tolist()
+        for query in range(len(self.query_ids)):
+            yield from self._records(query, offsets[query], offsets[query + 1])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GenerationBatch):
+            return NotImplemented
+        for column in fields(self):
+            mine, theirs = getattr(self, column.name), getattr(other, column.name)
+            same = np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            if not same:
+                return False
+        return True
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"GenerationBatch({len(self.query_ids)} queries, {len(self)} rows)"
+
+    def _records(self, query: int, start: int, stop: int) -> list[GenerationRecord]:
+        """The records of rows ``start:stop``, all of them in ``query``."""
+        tokens = _segments(self.token_logprobs, self.token_offsets, start, stop, _floats)
+        spans = _segments(
+            self.answer_token_logprobs, self.answer_token_offsets, start, stop, _floats
+        )
+        query_id = self.query_ids[query]
+        return [
+            GenerationRecord(
+                query_id=query_id,
+                sample_index=self.sample_index[i],
+                response_text=self.response_text[i],
+                token_logprobs=token_row,
+                embedding=tuple(embedding),
+                answer=self.answer[i],
+                answer_token_logprobs=span_row,
+                sampling_meta=self.sampling_meta[i],
+            )
+            for i, token_row, span_row, embedding in zip(
+                range(start, stop), tokens, spans, self.embedding[start:stop].tolist()
+            )
+        ]
+
+
+def _floats(values: np.ndarray) -> tuple[float, ...]:
+    return tuple(values.tolist())
+
+
+def _segments(
+    values: np.ndarray,
+    offsets: np.ndarray,
+    start: int,
+    stop: int,
+    convert: Callable[[np.ndarray], Sequence[Any]],
+) -> list[Sequence[Any]]:
+    """Rows ``start:stop`` of a flat column, converted once and then sliced."""
+    ends = offsets[start : stop + 1].tolist()
+    base = ends[0]
+    flat = convert(values[base : ends[-1]])
+    return [flat[a - base : b - base] for a, b in zip(ends, ends[1:])]
+
+
+@dataclass(frozen=True, slots=True)
 class CorrectnessLabel:
     query_id: str
     sample_index: int
@@ -403,72 +511,163 @@ def load_labels(path: str, sets: Sequence[SampleSet] | None = None) -> list[Corr
 # ---------------------------------------------------------------------------
 # writers
 # ---------------------------------------------------------------------------
+#
+# Each line is formatted from a fixed template and is the same text that
+# ``json.dumps(obj, ensure_ascii=False, separators=(",", ":"))`` writes for
+# the record's object: known fields in a fixed order, absent optional fields
+# left out, then the ``extra`` keys that no written field took, sorted.
+# json writes a string with ``encode_basestring`` and a finite float with
+# ``float.__repr__``; the writers call those directly where the types allow.
+
+# An optional field's slot holds "" or the field's comma, key and value.
+_QUERY_LINE = '{{"query_id":{},"text":{},"group":{}{}{}{}}}\n'
+_GENERATION_LINE = (
+    '{{"query_id":{},"sample_index":{},"response_text":{}{},"token_logprobs":[{}]{},'
+    '"embedding":[{}]{}{}}}\n'
+)
+_LABEL_LINE = '{{"query_id":{},"sample_index":{},"z":{}}}\n'
+_FLOAT = frozenset((float,))
 
 
-def _dump(obj: dict[str, Any]) -> str:
+def _dump(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
-def _record_object(fields: list[tuple[str, Any]], extra: Mapping[str, Any]) -> dict[str, Any]:
-    obj = {name: value for name, value in fields if value is not None}
-    for key in sorted(extra):
-        obj.setdefault(key, extra[key])
-    return obj
+def _json_text(value: Any) -> str:
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is int:
+        return int.__repr__(value)
+    return _dump(value)
+
+
+def _numbers(values: Sequence[Any]) -> str:
+    """The json text of a vector, without its brackets.
+
+    Finite exact floats are written with ``float.__repr__``, as json writes
+    them; any other entry sends the whole vector through json.
+    """
+    if _FLOAT.issuperset(map(type, values)):
+        try:
+            finite = math.isfinite(math.fsum(values))
+        except (OverflowError, ValueError):
+            finite = False
+        if finite:
+            return ",".join(map(float.__repr__, values))
+    return _dump(list(values))[1:-1]
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """The json text of each entry of a float column."""
+    floats = values.tolist()
+    if np.isfinite(values).all():
+        return list(map(float.__repr__, floats))
+    return [_dump(value) for value in floats]
+
+
+def _optional(key: str, value: Any, text: Callable[[Any], str] = _json_text) -> str:
+    return "" if value is None else f',"{key}":{text(value)}'
+
+
+def _extra_text(record: QueryRecord | GenerationRecord, known: frozenset[str]) -> str:
+    """The ``extra`` keys that no written field took, in sorted order."""
+    extra = record.extra
+    return "".join(
+        "," + _dump({key: extra[key]})[1:-1]
+        for key in sorted(extra)
+        if key not in known or getattr(record, key) is None
+    )
+
+
+def _query_line(q: QueryRecord) -> str:
+    return _QUERY_LINE.format(
+        _json_text(q.query_id),
+        _json_text(q.text),
+        _json_text(q.group),
+        _optional("gold_answers", q.gold_answers, lambda gold: _dump(list(gold))),
+        _optional("question_embedding", q.question_embedding, lambda v: f"[{_numbers(v)}]"),
+        _extra_text(q, _QUERY_FIELDS),
+    )
+
+
+def _generation_line(g: GenerationRecord) -> str:
+    return _GENERATION_LINE.format(
+        _json_text(g.query_id),
+        _json_text(g.sample_index),
+        _json_text(g.response_text),
+        _optional("answer", g.answer),
+        _numbers(g.token_logprobs),
+        _optional("answer_token_logprobs", g.answer_token_logprobs, lambda v: f"[{_numbers(v)}]"),
+        _numbers(g.embedding),
+        _optional("sampling_meta", g.sampling_meta, lambda meta: _dump(dict(meta))),
+        _extra_text(g, _GENERATION_FIELDS),
+    )
+
+
+def _label_line(label: CorrectnessLabel) -> str:
+    return _LABEL_LINE.format(
+        _json_text(label.query_id), _json_text(label.sample_index), _json_text(label.z)
+    )
+
+
+def _batch_lines(batch: GenerationBatch) -> Iterator[list[str]]:
+    """The lines of a batch, one list per query, formatted from its columns."""
+    offsets = batch.query_offsets.tolist()
+    dim = batch.embedding.shape[1]
+    meta: Any = None
+    meta_text = ""
+    for query, query_id in enumerate(batch.query_ids):
+        start, stop = offsets[query], offsets[query + 1]
+        head = encode_basestring(query_id)
+        tokens = _segments(batch.token_logprobs, batch.token_offsets, start, stop, _float_texts)
+        spans = _segments(
+            batch.answer_token_logprobs, batch.answer_token_offsets, start, stop, _float_texts
+        )
+        embeddings = _float_texts(batch.embedding[start:stop].ravel())
+        lines = []
+        for row, i in enumerate(range(start, stop)):
+            if batch.sampling_meta[i] is not meta:
+                meta = batch.sampling_meta[i]
+                meta_text = _optional("sampling_meta", meta, lambda m: _dump(dict(m)))
+            answer = batch.answer[i]
+            lines.append(
+                _GENERATION_LINE.format(
+                    head,
+                    batch.sample_index[i],
+                    encode_basestring(batch.response_text[i]),
+                    "" if answer is None else ',"answer":' + encode_basestring(answer),
+                    ",".join(tokens[row]),
+                    ',"answer_token_logprobs":[' + ",".join(spans[row]) + "]",
+                    ",".join(embeddings[row * dim : (row + 1) * dim]),
+                    meta_text,
+                    "",
+                )
+            )
+        yield lines
 
 
 def write_queries(path: str, queries: Iterable[QueryRecord]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for q in queries:
-            obj = _record_object(
-                [
-                    ("query_id", q.query_id),
-                    ("text", q.text),
-                    ("group", q.group),
-                    ("gold_answers", list(q.gold_answers) if q.gold_answers is not None else None),
-                    (
-                        "question_embedding",
-                        list(q.question_embedding) if q.question_embedding is not None else None,
-                    ),
-                ],
-                q.extra,
-            )
-            handle.write(_dump(obj) + "\n")
+        handle.writelines(map(_query_line, queries))
 
 
-def write_generations(path: str, rows: Iterable[GenerationRecord | SampleSet]) -> None:
+def write_generations(
+    path: str, rows: GenerationBatch | Iterable[GenerationRecord | SampleSet]
+) -> None:
     with open(path, "w", encoding="utf-8") as handle:
+        if isinstance(rows, GenerationBatch):
+            for lines in _batch_lines(rows):
+                handle.writelines(lines)
+            return
         for row in rows:
-            if isinstance(row, SampleSet):
-                for sample in row.samples:
-                    handle.write(_dump(_generation_object(sample)) + "\n")
-            else:
-                handle.write(_dump(_generation_object(row)) + "\n")
-
-
-def _generation_object(g: GenerationRecord) -> dict[str, Any]:
-    return _record_object(
-        [
-            ("query_id", g.query_id),
-            ("sample_index", g.sample_index),
-            ("response_text", g.response_text),
-            ("answer", g.answer),
-            ("token_logprobs", list(g.token_logprobs)),
-            (
-                "answer_token_logprobs",
-                list(g.answer_token_logprobs) if g.answer_token_logprobs is not None else None,
-            ),
-            ("embedding", list(g.embedding)),
-            ("sampling_meta", dict(g.sampling_meta) if g.sampling_meta is not None else None),
-        ],
-        g.extra,
-    )
+            samples = row.samples if isinstance(row, SampleSet) else (row,)
+            handle.writelines(map(_generation_line, samples))
 
 
 def write_labels(path: str, labels: Iterable[CorrectnessLabel]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for label in labels:
-            obj = {"query_id": label.query_id, "sample_index": label.sample_index, "z": label.z}
-            handle.write(_dump(obj) + "\n")
+        handle.writelines(map(_label_line, labels))
 
 
 def _raise_if_any(diagnostics: Sequence[Diagnostic]) -> None:

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import seeding
 from .errors import ConfigError, DataError
-from .records import CorrectnessLabel, GenerationRecord, QueryRecord
+from .records import CorrectnessLabel, GenerationBatch, QueryRecord
 
 MAIN_GROUP = "main"
 
@@ -155,6 +155,18 @@ def _query_id(index: int) -> str:
     return f"q{index:06d}"
 
 
+def _query_index(qid: str) -> int | None:
+    """The index whose :func:`_query_id` is ``qid``, or None if there is none."""
+    digits = qid[1:]
+    if not (qid[:1] == "q" and digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        index = int(digits)
+    except ValueError:  # past int's digit limit
+        return None
+    return index if _query_id(index) == qid else None
+
+
 def _gold_answer(index: int) -> str:
     return f"{_query_id(index)}a"
 
@@ -200,9 +212,9 @@ def query_truth(config: SynthConfig, query: QueryRecord) -> QueryTruth:
     """
     config.validate()
     qid = query.query_id
-    if not (len(qid) == 7 and qid.startswith("q") and qid[1:].isdigit()):
+    index = _query_index(qid)
+    if index is None:
         raise DataError(f"query {qid!r} was not produced by this generator")
-    index = int(qid[1:])
     if index >= _total_queries(config):
         raise DataError(f"query {qid!r} is out of range for this configuration")
     if query.gold_answers is None or query.gold_answers[0] != _gold_answer(index):
@@ -218,23 +230,21 @@ def _segmented_logprobs(
     rng: np.random.Generator,
     ln_gm: np.ndarray,
     count_range: tuple[int, int],
-) -> list[tuple[float, ...]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One row of token log-probabilities per entry of ``ln_gm``.
 
-    Row ``j`` has a random length in ``count_range``; its values are one
-    zero-mean slice of a single flat jitter draw shifted to mean ``ln_gm[j]``,
-    then clipped to stay <= 0.
+    Returns the rows' values end to end and each row's length.  Row ``j``
+    has a random length in ``count_range``; its values are one zero-mean
+    slice of a single flat jitter draw shifted to mean ``ln_gm[j]``, then
+    clipped to stay <= 0.
     """
     k = ln_gm.shape[0]
     lengths = rng.integers(count_range[0], count_range[1], size=k)
     jitter = rng.normal(0.0, _TOKEN_JITTER, size=int(lengths.sum()))
-    ends = np.cumsum(lengths).tolist()
-    starts = [0] + ends[:-1]
+    starts = np.cumsum(lengths) - lengths
     means = np.add.reduceat(jitter, starts) / lengths
-    flat = tuple(
-        np.minimum(jitter - np.repeat(means, lengths) + np.repeat(ln_gm, lengths), 0.0).tolist()
-    )
-    return [flat[a:b] for a, b in zip(starts, ends)]
+    values = np.minimum(jitter - np.repeat(means, lengths) + np.repeat(ln_gm, lengths), 0.0)
+    return values, lengths
 
 
 def _band_logmeans(rng: np.random.Generator, pi: float, k: int, lo: float, hi: float,
@@ -243,43 +253,68 @@ def _band_logmeans(rng: np.random.Generator, pi: float, k: int, lo: float, hi: f
     return np.log(lo + (hi - lo) * level)
 
 
+def _append_rows(
+    column: np.ndarray, offsets: np.ndarray, row: int, values: np.ndarray, lengths: np.ndarray
+) -> None:
+    """Write rows ``row, row + 1, ...`` of a flat column after row ``row - 1``.
+
+    ``values`` are the rows end to end; their ends go into ``offsets``.
+    """
+    start = offsets[row]
+    offsets[row + 1 : row + 1 + lengths.size] = start + np.cumsum(lengths)
+    column[start : start + values.size] = values
+
+
 def generate(
     config: SynthConfig,
-) -> tuple[list[QueryRecord], list[GenerationRecord], list[CorrectnessLabel]]:
+) -> tuple[list[QueryRecord], GenerationBatch, list[CorrectnessLabel]]:
     """Generate a full dataset: queries, generations, labels.
 
     Deterministic given ``config``; single sequential pass over queries.
+    The generations stay in the columns they are drawn into.
     """
     config.validate()
     direction = seeding.generator(config.seed, _STREAM_DIRECTION).normal(
         size=config.embedding_dim
     )
     direction /= np.linalg.norm(direction)
+    total, k = _total_queries(config), config.k
     queries: list[QueryRecord] = []
-    generations: list[GenerationRecord] = []
     labels: list[CorrectnessLabel] = []
+    texts: list[str] = []
+    sampled: list[str] = []
+    # Rows are shorter than their count range's upper end, so these columns
+    # have room for every row; the batch keeps the filled prefix.
+    token_column = np.empty(total * k * (_TOKEN_COUNT[1] - 1))
+    span_column = np.empty(total * k * (_ANSWER_TOKEN_COUNT[1] - 1))
+    token_offsets = np.zeros(total * k + 1, dtype=np.intp)
+    span_offsets = np.zeros(total * k + 1, dtype=np.intp)
+    embeddings = np.empty((total * k, config.embedding_dim))
     meta = {"temperature": config.temperature, "source": "conscal-synth/1"}
-    for index in range(_total_queries(config)):
+    for index in range(total):
+        rows = slice(index * k, (index + 1) * k)
         rng, pi, masses = _answer_distribution(config, index)
         group, *_ = _group_of(config, index)
         qid = _query_id(index)
         gold = _gold_answer(index)
         answers = [gold] + [_distractor_answer(index, j) for j in range(config.distractor_count)]
-        drawn = rng.choice(len(answers), size=config.k, p=masses)
-        token_rows = _segmented_logprobs(
+        drawn = rng.choice(len(answers), size=k, p=masses)
+        tokens = _segmented_logprobs(
             rng,
-            _band_logmeans(rng, pi, config.k, TP_LO, TP_HI, TP_NOISE),
+            _band_logmeans(rng, pi, k, TP_LO, TP_HI, TP_NOISE),
             _TOKEN_COUNT,
         )
-        answer_rows = _segmented_logprobs(
+        _append_rows(token_column, token_offsets, rows.start, *tokens)
+        spans = _segmented_logprobs(
             rng,
-            _band_logmeans(rng, pi, config.k, ANS_LO, ANS_HI, ANS_NOISE),
+            _band_logmeans(rng, pi, k, ANS_LO, ANS_HI, ANS_NOISE),
             _ANSWER_TOKEN_COUNT,
         )
-        stated = np.round(np.exp(_band_logmeans(rng, pi, config.k, VC_LO, VC_HI, VC_NOISE)), 2)
-        vc_omitted = rng.random(size=config.k) < VC_OMIT
+        _append_rows(span_column, span_offsets, rows.start, *spans)
+        stated = np.round(np.exp(_band_logmeans(rng, pi, k, VC_LO, VC_HI, VC_NOISE)), 2)
+        vc_omitted = rng.random(size=k) < VC_OMIT
         signal = config.signal_strength * pi * direction
-        embeddings = signal + rng.normal(0.0, config.noise_scale, size=(config.k, config.embedding_dim))
+        embeddings[rows] = signal + rng.normal(0.0, config.noise_scale, size=(k, config.embedding_dim))
         question_embedding = signal + rng.normal(0.0, config.noise_scale, size=config.embedding_dim)
         queries.append(
             QueryRecord(
@@ -290,7 +325,6 @@ def generate(
                 question_embedding=tuple(question_embedding.tolist()),
             )
         )
-        emb_rows = embeddings.tolist()
         per_sample = zip(drawn.tolist(), vc_omitted.tolist(), stated.tolist())
         for j, (d, omitted, vc) in enumerate(per_sample):
             answer = answers[d]
@@ -304,19 +338,22 @@ def generate(
                     f"Attempt {j}: I'd put my confidence at \\boxed{{{vc:.2f}}}. "
                     f"Worked through the steps and settled on \\boxed{{{answer}}}."
                 )
-            generations.append(
-                GenerationRecord(
-                    query_id=qid,
-                    sample_index=j,
-                    response_text=text,
-                    token_logprobs=token_rows[j],
-                    embedding=tuple(emb_rows[j]),
-                    answer=answer,
-                    answer_token_logprobs=answer_rows[j],
-                    sampling_meta=meta,
-                )
-            )
+            texts.append(text)
+            sampled.append(answer)
             labels.append(CorrectnessLabel(query_id=qid, sample_index=j, z=int(d == 0)))
+    generations = GenerationBatch(
+        query_ids=tuple(q.query_id for q in queries),
+        query_offsets=np.arange(0, total * k + 1, k),
+        sample_index=tuple(range(k)) * total,
+        response_text=tuple(texts),
+        answer=tuple(sampled),
+        token_logprobs=token_column[: token_offsets[-1]].copy(),
+        token_offsets=token_offsets,
+        answer_token_logprobs=span_column[: span_offsets[-1]].copy(),
+        answer_token_offsets=span_offsets,
+        embedding=embeddings,
+        sampling_meta=(meta,) * (total * k),
+    )
     return queries, generations, labels
 
 

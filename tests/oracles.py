@@ -3,7 +3,7 @@
 Each oracle favors obviousness over speed: exhaustive enumeration, textbook
 elimination, quadratic pair counting, per-bin and per-row loops,
 character-by-character scans, string counting, entry-by-entry validation,
-and plain grid refinement.
+plain grid refinement, and ``json.dumps`` of each record's object.
 They share no code with the package beyond the standard library (and numpy
 only for array plumbing), so agreement between the two routes is meaningful
 evidence.
@@ -12,6 +12,7 @@ evidence.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -286,3 +287,53 @@ def check_vector_by_entry(
         if max_value is not None and entry > max_value:
             return [f"{name} contains an entry above {max_value:g}"]
     return []
+
+
+def _object_by_fields(fields: list[tuple[str, object]], extra: dict) -> dict:
+    obj = {name: value for name, value in fields if value is not None}
+    for key in sorted(extra):
+        obj.setdefault(key, extra[key])
+    return obj
+
+
+def record_line_by_json(record) -> str:
+    """A record's file line, as ``json.dumps`` writes the record's object.
+
+    The object holds the known fields in file order, leaving out those that
+    are None, then each ``extra`` key in sorted order unless a known field
+    already took it.  A sample set gives the lines of its samples.
+    """
+    if hasattr(record, "samples"):
+        return "".join(record_line_by_json(sample) for sample in record.samples)
+    if hasattr(record, "z"):
+        obj = {"query_id": record.query_id, "sample_index": record.sample_index, "z": record.z}
+    elif hasattr(record, "response_text"):
+        meta = record.sampling_meta
+        spans = record.answer_token_logprobs
+        obj = _object_by_fields(
+            [
+                ("query_id", record.query_id),
+                ("sample_index", record.sample_index),
+                ("response_text", record.response_text),
+                ("answer", record.answer),
+                ("token_logprobs", list(record.token_logprobs)),
+                ("answer_token_logprobs", list(spans) if spans is not None else None),
+                ("embedding", list(record.embedding)),
+                ("sampling_meta", dict(meta) if meta is not None else None),
+            ],
+            record.extra,
+        )
+    else:
+        gold = record.gold_answers
+        qemb = record.question_embedding
+        obj = _object_by_fields(
+            [
+                ("query_id", record.query_id),
+                ("text", record.text),
+                ("group", record.group),
+                ("gold_answers", list(gold) if gold is not None else None),
+                ("question_embedding", list(qemb) if qemb is not None else None),
+            ],
+            record.extra,
+        )
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import pathlib
@@ -89,6 +90,25 @@ def test_synth_reruns_are_byte_identical(data_dir, tmp_path):
     for name in ("queries.jsonl", "generations.jsonl", "labels.jsonl",
                  "truth.jsonl", "config.json"):
         assert _read_bytes(out / name) == _read_bytes(data_dir / name), name
+
+
+_DIGESTS = pathlib.Path(__file__).parent / "data" / "synth_digests_n20_k8_seed0.json"
+
+
+@pytest.mark.parametrize("preset", ["benchmark", "premise", "shift"])
+def test_synth_output_matches_the_recorded_digests(preset, tmp_path, capsys):
+    # Recorded from `conscal synth --preset P --n-queries 20 --k 8 --seed 0`;
+    # a declared change to any output byte re-records the file.
+    recorded = _read_json(_DIGESTS)[preset]
+    out = tmp_path / "out"
+    argv = ["synth", "--preset", preset, "--n-queries", "20", "--k", "8", "--seed", "0",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.replace(str(out), "{out}") == recorded["stdout"]
+    digests = {
+        name: hashlib.sha256(_read_bytes(out / name)).hexdigest() for name in recorded["files"]
+    }
+    assert digests == recorded["files"]
 
 
 def test_synth_headline_reports_sizes(tmp_path, capsys):

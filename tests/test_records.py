@@ -2,24 +2,30 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import os
+import tempfile
+from collections.abc import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conscal import records
+from conscal import records, synth
 from conscal.errors import RecordError
 from conscal.records import (
     CorrectnessLabel,
+    GenerationBatch,
     GenerationRecord,
     QueryRecord,
     SampleSet,
 )
 
 from conftest import make_generation, make_query
-from oracles import check_vector_by_entry
+from oracles import check_vector_by_entry, record_line_by_json
 
 
 def _write_lines(path, rows):
@@ -477,3 +483,169 @@ def test_empty_query_file_loads_as_empty(tmp_path):
     path = tmp_path / "queries.jsonl"
     path.write_text("")
     assert records.load_queries(str(path)) == []
+
+
+# ---------------------------------------------------------------------------
+# writers: the same bytes as json
+# ---------------------------------------------------------------------------
+
+_TEXT = st.text(max_size=8) | st.sampled_from(['"', "\\", "\x00\n\x1f\x7f", "é你好\u2028", ""])
+_NUMBER = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.sampled_from([-0.0, 5e-324, 1e-310, 1.7976931348623157e308, -1e300]),
+)
+_VECTOR = (
+    st.lists(_NUMBER, max_size=5)
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=5)
+).map(tuple)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _extras(known):
+    return st.dictionaries(st.sampled_from(sorted(known)) | _TEXT, _JSON, max_size=3)
+
+
+_QUERIES = st.builds(
+    QueryRecord,
+    query_id=_TEXT,
+    text=_TEXT,
+    group=_TEXT,
+    gold_answers=st.none() | st.lists(_TEXT, min_size=1, max_size=3).map(tuple),
+    question_embedding=st.none() | _VECTOR,
+    extra=_extras(records._QUERY_FIELDS),
+)
+_GENERATIONS = st.builds(
+    GenerationRecord,
+    query_id=_TEXT,
+    sample_index=st.integers(min_value=0),
+    response_text=_TEXT,
+    token_logprobs=_VECTOR,
+    embedding=_VECTOR,
+    answer=st.none() | _TEXT,
+    answer_token_logprobs=st.none() | _VECTOR,
+    sampling_meta=st.none() | st.dictionaries(_TEXT, _JSON, max_size=3),
+    extra=_extras(records._GENERATION_FIELDS),
+)
+_LABELS = st.builds(
+    CorrectnessLabel,
+    query_id=_TEXT,
+    sample_index=st.integers(min_value=0),
+    z=st.sampled_from([0, 1, False, True]),
+)
+_SAMPLE_SETS = st.builds(
+    SampleSet, query=_QUERIES, samples=st.lists(_GENERATIONS, max_size=3).map(tuple)
+)
+
+
+def _written(writer, rows) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.jsonl")
+        writer(path, rows)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
+def _oracle_bytes(rows) -> bytes:
+    return "".join(map(record_line_by_json, rows)).encode("utf-8")
+
+
+@given(
+    queries=st.lists(_QUERIES, max_size=3),
+    generations=st.lists(_GENERATIONS | _SAMPLE_SETS, max_size=3),
+    labels=st.lists(_LABELS, max_size=3),
+)
+@example(
+    queries=[
+        QueryRecord(
+            query_id="q\"1\\", text="\x00\t¿\u2028", group="g", gold_answers=("a", "β"),
+            question_embedding=(-0.0, 1, True, float("nan"), np.float64(0.5)),
+            extra={"gold_answers": [1], "text": "taken", "a": None},
+        )
+    ],
+    generations=[
+        GenerationRecord(
+            query_id="q1", sample_index=0, response_text="\\boxed{x}",
+            token_logprobs=(-0.0, float("-inf")), embedding=(1e-320, 1e308, 1e308),
+            sampling_meta={"temperature": 0.7}, extra={"answer": "late", "zz": [1.5]},
+        )
+    ],
+    labels=[CorrectnessLabel("q1", 0, 1)],
+)
+def test_writers_emit_the_json_oracle_lines(queries, generations, labels):
+    assert _written(records.write_queries, queries) == _oracle_bytes(queries)
+    assert _written(records.write_generations, generations) == _oracle_bytes(generations)
+    assert _written(records.write_labels, labels) == _oracle_bytes(labels)
+
+
+# ---------------------------------------------------------------------------
+# generation batches
+# ---------------------------------------------------------------------------
+
+_BATCH_CONFIG = synth.SynthConfig(n_queries=3, k=4, embedding_dim=3, seed=1)
+
+
+def test_generation_batch_reads_as_a_sequence_of_records():
+    queries, batch, _ = synth.generate(_BATCH_CONFIG)
+    rows = list(batch)
+    assert isinstance(batch, Sequence)
+    assert len(batch) == len(rows) == 12
+    assert all(isinstance(row, GenerationRecord) for row in rows)
+    assert [row.query_id for row in rows] == [q.query_id for q in queries for _ in range(4)]
+    assert [row.sample_index for row in rows] == [0, 1, 2, 3] * 3
+    assert [batch[i] for i in range(-12, 12)] == rows + rows
+    assert batch[3:7] == rows[3:7] and batch[::-5] == rows[::-5]
+    for index in (12, -13):
+        with pytest.raises(IndexError):
+            batch[index]
+    with pytest.raises(ValueError):
+        batch.embedding[0, 0] = 1.0  # the columns are read-only
+
+
+def test_generation_batches_compare_by_their_columns():
+    _, batch, _ = synth.generate(_BATCH_CONFIG)
+    _, again, _ = synth.generate(_BATCH_CONFIG)
+    _, other, _ = synth.generate(dataclasses.replace(_BATCH_CONFIG, seed=2))
+    assert batch == again and batch is not again
+    assert batch != other
+    assert batch != dataclasses.replace(batch, answer=batch.answer[:-1] + (None,))
+
+
+def test_grouping_a_batch_equals_grouping_its_records():
+    queries, batch, _ = synth.generate(_BATCH_CONFIG)
+    assert records.group_generations(queries, batch) == records.group_generations(
+        queries, list(batch)
+    )
+
+
+def test_a_written_batch_loads_back_as_its_records(tmp_path):
+    _, batch, _ = synth.generate(_BATCH_CONFIG)
+    path = str(tmp_path / "generations.jsonl")
+    records.write_generations(path, batch)
+    assert records.load_generation_records(path) == list(batch)
+
+
+def test_a_batch_writes_the_bytes_of_its_records():
+    _, batch, _ = synth.generate(_BATCH_CONFIG)
+    tokens = batch.token_logprobs.copy()
+    tokens[[0, 5, 9]] = [float("nan"), float("-inf"), -0.0]
+    embedding = batch.embedding.copy()
+    embedding[4] = [1e-320, -0.0, float("inf")]
+    edited = dataclasses.replace(
+        batch,
+        token_logprobs=tokens,
+        embedding=embedding,
+        answer=(None,) + batch.answer[1:],
+        sampling_meta=(None, {"t": "é"}) + batch.sampling_meta[2:],
+    )
+    for rows in (batch, edited):
+        assert _written(records.write_generations, rows) == _oracle_bytes(list(rows))
+        assert _written(records.write_generations, rows) == _written(
+            records.write_generations, list(rows)
+        )

@@ -75,7 +75,11 @@ def test_generation_stream_matches_the_recorded_dataset():
 )
 @example(seed=0, ln_gm=[-0.2, 0.0, -1.0], count_range=(1, 2))
 def test_segmented_logprobs_match_the_per_row_loop(seed, ln_gm, count_range):
-    fast = synth._segmented_logprobs(np.random.default_rng(seed), np.array(ln_gm), count_range)
+    values, lengths = synth._segmented_logprobs(
+        np.random.default_rng(seed), np.array(ln_gm), count_range
+    )
+    assert values.size == lengths.sum()
+    fast = np.split(values, np.cumsum(lengths)[:-1])
     slow = segmented_logprobs_by_loop(
         np.random.default_rng(seed), ln_gm, count_range, synth._TOKEN_JITTER
     )
@@ -191,6 +195,23 @@ def test_query_truth_rejects_foreign_queries():
     wrong_group = dataclasses.replace(queries[0], group="elsewhere")
     with pytest.raises(DataError, match="group"):
         query_truth(config, wrong_group)
+
+
+def test_query_truth_accepts_the_generators_ids_from_one_million_on():
+    config = synth.benchmark_config(n_queries=1_000_001, k=4)
+    index = 1_000_000
+    query = records.QueryRecord(
+        query_id=synth._query_id(index), text="", group=synth.MAIN_GROUP,
+        gold_answers=(synth._gold_answer(index),),
+    )
+    assert query.query_id == "q1000000"
+    _, pi, masses = synth._answer_distribution(config, index)
+    assert query_truth(config, query) == synth.QueryTruth(
+        pi=pi, modal_prob=float(masses.max()), masses=tuple(masses.tolist())
+    )
+    for foreign in ("q0000001", "q01000000", "q", "q\u0661\u0662\u0663\u0664\u0665\u0666"):
+        with pytest.raises(DataError, match="not produced by this generator"):
+            query_truth(config, dataclasses.replace(query, query_id=foreign))
 
 
 def test_truth_sidecar_round_trip(tmp_path):
