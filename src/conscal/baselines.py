@@ -19,7 +19,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .consistency import boxed_groups
-from .errors import DataError, RecordError
+from .errors import DataError, RecordError, json_error_reason
 
 _DECIMAL = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)$")
 
@@ -228,9 +228,11 @@ def load_scores(path: str) -> list[dict[str, Any]]:
         for lineno, raw in enumerate(handle, start=1):
             try:
                 obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise RecordError(
-                    f"{path}:{lineno}: invalid JSON ({exc.msg})", path=path, line=lineno
+                    f"{path}:{lineno}: invalid JSON ({json_error_reason(exc)})",
+                    path=path,
+                    line=lineno,
                 ) from exc
             if (
                 not isinstance(obj, dict)

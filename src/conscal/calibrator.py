@@ -29,7 +29,8 @@ import numpy as np
 import scipy.linalg
 
 from . import seeding
-from .errors import DataError
+from .errors import DataError, json_error_reason
+from .records import _is_finite_real
 
 MODEL_FORMAT = "conscal-model/1"
 
@@ -343,29 +344,46 @@ def _require(condition: bool, message: str) -> None:
         raise DataError(f"invalid model artifact: {message}")
 
 
+def _section(doc: dict[str, Any], key: str) -> dict[str, Any]:
+    section = doc.get(key, {})
+    _require(isinstance(section, dict), f"{key} must be an object")
+    return section
+
+
+def _finite_vector(section: dict[str, Any], key: str, message: str) -> np.ndarray:
+    """A JSON array of finite numbers as a float vector (empty when absent)."""
+    value = section.get(key, [])
+    _require(isinstance(value, list) and all(map(_is_finite_real, value)), message)
+    return np.asarray(value, dtype=float)
+
+
 def load_model(path: str) -> CalibratorModel:
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(
+                f"invalid model artifact: invalid JSON ({json_error_reason(exc)})"
+            ) from exc
     _require(isinstance(doc, dict), "not a JSON object")
     _require(doc.get("format") == MODEL_FORMAT, f"format tag must be {MODEL_FORMAT!r}")
     _require(doc.get("feature_source") in FEATURE_SOURCES, "unknown feature_source")
-    scaler_doc = doc.get("scaler", {})
-    ridge_doc = doc.get("ridge", {})
-    iso_doc = doc.get("isotonic", {})
-    means = np.asarray(scaler_doc.get("means", []), dtype=float)
-    scales = np.asarray(scaler_doc.get("scales", []), dtype=float)
-    weights = np.asarray(ridge_doc.get("weights", []), dtype=float)
-    knot_in = np.asarray(iso_doc.get("knot_inputs", []), dtype=float)
-    knot_out = np.asarray(iso_doc.get("knot_outputs", []), dtype=float)
-    _require(means.ndim == 1 and means.size > 0 and np.all(np.isfinite(means)), "bad scaler means")
+    scaler_doc = _section(doc, "scaler")
+    ridge_doc = _section(doc, "ridge")
+    iso_doc = _section(doc, "isotonic")
+    means = _finite_vector(scaler_doc, "means", "bad scaler means")
+    scales = _finite_vector(scaler_doc, "scales", "bad scaler scales")
+    weights = _finite_vector(ridge_doc, "weights", "bad ridge weights")
+    knot_in = _finite_vector(iso_doc, "knot_inputs", "bad knot inputs")
+    knot_out = _finite_vector(iso_doc, "knot_outputs", "bad knot outputs")
+    _require(means.size > 0, "bad scaler means")
     _require(scales.shape == means.shape and np.all(scales > 0), "bad scaler scales")
-    _require(weights.shape == means.shape and np.all(np.isfinite(weights)), "bad ridge weights")
+    _require(weights.shape == means.shape, "bad ridge weights")
     intercept = ridge_doc.get("intercept")
     alpha = ridge_doc.get("alpha")
-    _require(isinstance(intercept, (int, float)) and np.isfinite(intercept), "bad intercept")
-    _require(isinstance(alpha, (int, float)) and alpha > 0, "bad alpha")
-    _require(knot_in.ndim == 1 and knot_in.size >= 1, "isotonic needs at least one knot")
-    _require(np.all(np.isfinite(knot_in)), "bad knot inputs")
+    _require(_is_finite_real(intercept), "bad intercept")
+    _require(_is_finite_real(alpha) and alpha > 0, "bad alpha")
+    _require(knot_in.size >= 1, "isotonic needs at least one knot")
     _require(bool(np.all(np.diff(knot_in) > 0)), "knot inputs must strictly increase")
     _require(knot_out.shape == knot_in.shape, "knot arrays must align")
     _require(

@@ -36,7 +36,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import baselines, calibrator, consistency, evaluation, records, seeding, synth
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, json_error_reason
 
 _SCORE_METHODS = ("distilled", "token_prob", "answer_prob", "verbal_conf", "tt_sc")
 
@@ -52,6 +52,8 @@ def _read_json(path: str) -> dict[str, Any]:
             obj = json.load(handle)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON ({exc.msg}, line {exc.lineno})") from exc
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{path}: invalid JSON ({json_error_reason(exc)})") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected a JSON object")
     return obj

@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import seeding
-from .errors import DataError, RecordError
-from .records import GenerationRecord, SampleSet
+from .errors import DataError, RecordError, json_error_reason
+from .records import GenerationRecord, SampleSet, _is_finite_real
 
 log = logging.getLogger(__name__)
 
@@ -267,9 +267,11 @@ def load_targets(path: str) -> list[ConsistencyTarget]:
         for lineno, raw in enumerate(handle, start=1):
             try:
                 obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise RecordError(
-                    f"{path}:{lineno}: invalid JSON ({exc.msg})", path=path, line=lineno
+                    f"{path}:{lineno}: invalid JSON ({json_error_reason(exc)})",
+                    path=path,
+                    line=lineno,
                 ) from exc
             problems: list[str] = []
             if not isinstance(obj, dict):
@@ -284,11 +286,13 @@ def load_targets(path: str) -> list[ConsistencyTarget]:
                     problems.append("answer must be a string")
                 s = obj.get("s")
                 k = obj.get("k")
-                if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+                # A k too large for a float cannot be checked against s.
+                k_ok = isinstance(k, int) and _is_finite_real(k) and k >= 1
+                if not k_ok:
                     problems.append("k must be a positive integer")
                 if not isinstance(s, (int, float)) or isinstance(s, bool) or not 0.0 <= s <= 1.0:
                     problems.append("s must be a number in [0, 1]")
-                elif isinstance(k, int) and not isinstance(k, bool) and k >= 1:
+                elif k_ok:
                     if not math.isclose(s * k, round(s * k), abs_tol=1e-9):
                         problems.append("s * k must be an integer sample count")
                 if isinstance(obj.get("query_id"), str):

@@ -7,6 +7,8 @@ files exit with status 2.
 
 from __future__ import annotations
 
+import json
+
 
 class DataError(Exception):
     """Input data or requested configuration is invalid."""
@@ -26,3 +28,14 @@ class RecordError(DataError):
         super().__init__(message)
         self.path = path
         self.line = line
+
+
+def json_error_reason(exc: ValueError | RecursionError) -> str:
+    """Why decoding JSON text raised ``exc``, for an ``invalid JSON (...)`` message."""
+    if isinstance(exc, json.JSONDecodeError):
+        return exc.msg
+    if isinstance(exc, RecursionError):
+        return "nested too deeply"
+    if isinstance(exc, UnicodeDecodeError):  # reading the file, not parsing it
+        return "not UTF-8 text"
+    return "integer too long"  # an integer literal past int's digit limit

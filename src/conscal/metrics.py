@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-import scipy.stats
 
 from .errors import DataError
 
@@ -60,11 +59,14 @@ def equal_mass_bins(confidences: Any, bins: int) -> list[tuple[int, int]]:
     return [(edges[b], edges[b + 1]) for b in range(bins)]
 
 
-def _bin_stats(c: np.ndarray, z: np.ndarray, bins: int) -> tuple[BinStat, ...]:
-    """One stable sort and one binning of already-validated arrays."""
+def _sorted_pairs(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable order of ``c`` and both vectors taken in it."""
     order = np.argsort(c, kind="stable")
-    c_sorted = c[order]
-    z_sorted = z[order]
+    return order, c[order], z[order]
+
+
+def _bin_stats(c_sorted: np.ndarray, z_sorted: np.ndarray, bins: int) -> tuple[BinStat, ...]:
+    """One binning of already-validated, already-sorted arrays."""
     return tuple(
         BinStat(
             lower=lo,
@@ -73,7 +75,7 @@ def _bin_stats(c: np.ndarray, z: np.ndarray, bins: int) -> tuple[BinStat, ...]:
             mean_confidence=float(c_sorted[lo:hi].mean()),
             accuracy=float(z_sorted[lo:hi].mean()),
         )
-        for lo, hi in equal_mass_bins(c, bins)
+        for lo, hi in equal_mass_bins(c_sorted, bins)
     )
 
 
@@ -92,7 +94,8 @@ def _calibration_errors(stats: tuple[BinStat, ...]) -> tuple[float, float, float
 
 def _checked_bin_stats(confidences: Any, labels: Any, bins: int) -> tuple[BinStat, ...]:
     c = _confidence_vector(confidences)
-    return _bin_stats(c, _label_vector(labels, c.shape[0]), bins)
+    _, c_sorted, z_sorted = _sorted_pairs(c, _label_vector(labels, c.shape[0]))
+    return _bin_stats(c_sorted, z_sorted, bins)
 
 
 def ece(confidences: Any, labels: Any, bins: int = 12, p: int = 1) -> float:
@@ -108,11 +111,34 @@ def mce(confidences: Any, labels: Any, bins: int = 12) -> float:
     return _calibration_errors(_checked_bin_stats(confidences, labels, bins))[2]
 
 
+def _brier(c: np.ndarray, z: np.ndarray) -> float:
+    return float(np.mean((c - z) ** 2))
+
+
 def brier(confidences: Any, labels: Any) -> float:
     """Mean squared error between confidence and the 0/1 outcome."""
     c = _confidence_vector(confidences)
-    z = _label_vector(labels, c.shape[0])
-    return float(np.mean((c - z) ** 2))
+    return _brier(c, _label_vector(labels, c.shape[0]))
+
+
+def _auroc(order: np.ndarray, s_sorted: np.ndarray, z: np.ndarray) -> float | None:
+    """Mann-Whitney AUROC from the stable order of the scores.
+
+    A run of equal scores at sorted positions ``[a, b)`` gets the average
+    1-based rank ``(a + b + 1) / 2``, the value ``scipy.stats.rankdata``
+    gives it, and the positives' ranks are summed in original index order.
+    """
+    n = s_sorted.shape[0]
+    n_pos = int(z.sum())
+    n_neg = n - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    starts = np.flatnonzero(np.concatenate(([True], s_sorted[1:] != s_sorted[:-1])))
+    ends = np.append(starts[1:], n)
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    u = ranks[z == 1.0].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
 
 
 def auroc(scores: Any, labels: Any) -> float | None:
@@ -122,13 +148,8 @@ def auroc(scores: Any, labels: Any) -> float | None:
     """
     s = _confidence_vector(scores)
     z = _label_vector(labels, s.shape[0])
-    n_pos = int(z.sum())
-    n_neg = z.shape[0] - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return None
-    ranks = scipy.stats.rankdata(s)
-    u = ranks[z == 1.0].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    order = np.argsort(s, kind="stable")
+    return _auroc(order, s[order], z)
 
 
 @dataclass(frozen=True)
@@ -147,13 +168,25 @@ def reliability_data(confidences: Any, labels: Any, bins: int = 12) -> list[BinS
     return list(_checked_bin_stats(confidences, labels, bins))
 
 
+def _histogram(c_sorted: np.ndarray, buckets: int) -> list[int]:
+    """Counts of a sorted vector in ``buckets`` equal-width buckets over [0, 1].
+
+    Bucket ``i`` is ``[e_i, e_{i+1})`` for the ``linspace`` edges ``e``, the
+    last one is closed, and values outside [0, 1] fall in none, as with
+    ``np.histogram(c, buckets, range=(0, 1))``.
+    """
+    edges = np.linspace(0.0, 1.0, buckets + 1)
+    cuts = np.searchsorted(c_sorted, edges, side="left")
+    cuts[-1] = np.searchsorted(c_sorted, edges[-1], side="right")
+    return np.diff(cuts).tolist()
+
+
 def confidence_histogram(confidences: Any, buckets: int = HISTOGRAM_BUCKETS) -> list[int]:
     """Equal-width bucket counts of confidences over [0, 1]."""
     c = _confidence_vector(confidences)
     if buckets < 1:
         raise DataError(f"buckets must be >= 1, got {buckets}")
-    counts, _ = np.histogram(c, bins=buckets, range=(0.0, 1.0))
-    return counts.astype(int).tolist()
+    return _histogram(np.sort(c), buckets)
 
 
 @dataclass(frozen=True)
@@ -171,18 +204,23 @@ class MetricReport:
 
 
 def compute_report(confidences: Any, labels: Any, bins: int = 12) -> MetricReport:
-    """Every metric for one evaluation set, from a single binning pass."""
+    """Every metric for one evaluation set, from one validation and one sort.
+
+    The stable order feeds the equal-mass bins, the AUROC ranks and the
+    histogram counts.
+    """
     c = _confidence_vector(confidences)
     z = _label_vector(labels, c.shape[0])
-    stats = _bin_stats(c, z, bins)
+    order, c_sorted, z_sorted = _sorted_pairs(c, z)
+    stats = _bin_stats(c_sorted, z_sorted, bins)
     ece1, ece2, worst = _calibration_errors(stats)
     return MetricReport(
         ece1=ece1,
         ece2=ece2,
         mce=worst,
-        brier=brier(c, z),
-        auroc=auroc(c, z),
+        brier=_brier(c, z),
+        auroc=_auroc(order, c_sorted, z),
         bins=stats,
-        histogram=tuple(confidence_histogram(c)),
+        histogram=tuple(_histogram(c_sorted, HISTOGRAM_BUCKETS)),
         n=int(c.shape[0]),
     )

@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import RecordError
+from .errors import RecordError, json_error_reason
 
 log = logging.getLogger(__name__)
 
@@ -254,8 +254,8 @@ def _objects(path: str, diagnostics: list[Diagnostic]) -> Iterator[tuple[int, di
         for lineno, raw in enumerate(handle, start=1):
             try:
                 obj = json.loads(raw.rstrip("\n"))
-            except ValueError as exc:  # or an integer literal past int's digit limit
-                reason = exc.msg if isinstance(exc, json.JSONDecodeError) else "integer too long"
+            except (ValueError, RecursionError) as exc:
+                reason = json_error_reason(exc)
                 diagnostics.append(Diagnostic(path, lineno, f"invalid JSON ({reason})"))
                 continue
             if not isinstance(obj, dict):

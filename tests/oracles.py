@@ -3,10 +3,11 @@
 Each oracle favors obviousness over speed: exhaustive enumeration, textbook
 elimination, quadratic pair counting, per-bin and per-row loops,
 character-by-character scans, string counting, entry-by-entry validation,
-plain grid refinement, and ``json.dumps`` of each record's object.
-They share no code with the package beyond the standard library (and numpy
-only for array plumbing), so agreement between the two routes is meaningful
-evidence.
+plain grid refinement, ``json.dumps`` of each record's object,
+``scipy.stats.rankdata`` and a per-value scan of histogram edges.
+They share no code with the package beyond the standard library (numpy only
+for array plumbing, scipy only for ranking), so agreement between the two
+routes is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+import scipy.stats
 
 
 def isotonic_by_enumeration(
@@ -125,6 +127,37 @@ def auroc_by_pair_counting(
         elif p == q:
             total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def auroc_by_rankdata(scores: Sequence[float], labels: Sequence[int]) -> float | None:
+    """Mann-Whitney AUROC from ``scipy.stats.rankdata`` average ranks.
+
+    The positives' ranks are summed in index order, so this is the exact
+    float the metric must produce, not just a close one.
+    """
+    s = np.asarray(scores, dtype=float)
+    z = np.asarray(labels, dtype=float)
+    n_pos = int(z.sum())
+    n_neg = z.shape[0] - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    ranks = scipy.stats.rankdata(s)
+    u = ranks[z == 1.0].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def histogram_by_edges(values: Sequence[float], buckets: int) -> list[int]:
+    """Bucket counts over the ``linspace(0, 1, buckets + 1)`` edges, one value
+    at a time: bucket ``i`` is ``[e_i, e_{i+1})``, the last one also takes
+    ``1.0``, and values outside [0, 1] are dropped."""
+    edges = np.linspace(0.0, 1.0, buckets + 1).tolist()
+    counts = [0] * buckets
+    for value in map(float, values):
+        for i in range(buckets):
+            if edges[i] <= value < edges[i + 1] or (i == buckets - 1 and value == edges[i + 1]):
+                counts[i] += 1
+                break
+    return counts
 
 
 def ece_by_loops(

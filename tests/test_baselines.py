@@ -265,3 +265,6 @@ def test_load_scores_rejects_malformed_rows(tmp_path):
     path.write_text("not json\n", encoding="utf-8")
     with pytest.raises(RecordError, match="invalid JSON"):
         load_scores(str(path))
+    path.write_text('{"confidence": ' + "9" * 5000 + "}\n", encoding="utf-8")
+    with pytest.raises(RecordError, match=r":1: invalid JSON \(integer too long\)$"):
+        load_scores(str(path))

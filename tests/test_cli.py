@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import pathlib
 import shlex
 import subprocess
@@ -396,6 +397,36 @@ def test_score_reports_embedding_dimension_mismatches(model_dir, tmp_path, capsy
     assert "query q1 sample 0: embedding has 2 dimensions, model expects 16" in captured.err
 
 
+_BAD_MODELS = {
+    "truncated": ('{"format": "conscal-model/1", "scaler": {"means": [0.1, ',
+                  "invalid JSON (Expecting value)"),
+    "not_utf8": (b'{"format": "\xff"}', "invalid JSON (not UTF-8 text)"),
+    "deep": ("[" * 100_000 + "]" * 100_000, "invalid JSON (nested too deeply)"),
+    "scaler_list": (lambda d: d.update(scaler=[1, 2]), "scaler must be an object"),
+    "string_means": (lambda d: d["scaler"].update(means=["a"]), "bad scaler means"),
+    "huge_intercept": (lambda d: d["ridge"].update(intercept=10**400), "bad intercept"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MODELS))
+def test_score_reports_a_malformed_model_in_one_line(data_dir, model_dir, tmp_path, capsys, case):
+    content, reason = _BAD_MODELS[case]
+    path = tmp_path / "model.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif isinstance(content, str):
+        path.write_text(content, encoding="utf-8")
+    else:
+        doc = _read_json(model_dir / "model.json")
+        content(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["score"] + _data_flags(data_dir, labels=False)
+                + ["--methods", "distilled", "--model", str(path),
+                   "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: invalid model artifact: {reason}\n"
+
+
 def test_score_with_no_generations_writes_an_empty_file(tmp_path, capsys):
     queries = tmp_path / "queries.jsonl"
     generations = tmp_path / "generations.jsonl"
@@ -478,6 +509,15 @@ def test_eval_rejects_unknown_trial_config_keys(data_dir, tmp_path, capsys):
                 + ["--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "unknown trial config keys: bogus" in capsys.readouterr().err
+
+
+def test_config_with_an_integer_too_long_to_parse_is_a_data_error(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "trial.json"
+    cfg.write_text('{"n_trials": ' + "9" * 5000 + "}")
+    code = main(["eval"] + _data_flags(data_dir)
+                + ["--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {cfg}: invalid JSON (integer too long)\n"
 
 
 def test_selective_reports_zero_gain_at_rate_zero(data_dir, tmp_path):
@@ -579,6 +619,19 @@ def test_module_entry_point_runs_in_a_subprocess(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "wrote 4 queries x 2 samples" in result.stdout
     assert (out / "labels.jsonl").exists()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import conscal.cli, sys; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def _readme_commands():

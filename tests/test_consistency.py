@@ -328,6 +328,16 @@ def test_load_targets_rejects_fractional_sample_counts(tmp_path):
         load_targets(path)
 
 
+def test_load_targets_rejects_integers_too_large_for_a_float(tmp_path):
+    row = '{"query_id":"q1","selected_sample_index":0,"answer":"a","s":1.0,"k":%s}\n'
+    huge_k = _write_raw(tmp_path / "huge_k.jsonl", row % ("9" * 400))
+    with pytest.raises(RecordError, match=r":1: k must be a positive integer$"):
+        load_targets(huge_k)
+    long_k = _write_raw(tmp_path / "long_k.jsonl", row % ("9" * 5000))
+    with pytest.raises(RecordError, match=r":1: invalid JSON \(integer too long\)$"):
+        load_targets(long_k)
+
+
 def test_load_targets_rejects_duplicates_and_bad_ranges(tmp_path):
     dup = _write_raw(
         tmp_path / "dup.jsonl",

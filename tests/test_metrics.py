@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conscal.errors import DataError
 from conscal.metrics import (
+    HISTOGRAM_BUCKETS,
     auroc,
     brier,
     compute_report,
@@ -19,7 +20,7 @@ from conscal.metrics import (
     reliability_data,
 )
 
-from oracles import auroc_by_pair_counting, ece_by_loops
+from oracles import auroc_by_pair_counting, auroc_by_rankdata, ece_by_loops, histogram_by_edges
 
 # A strategy for aligned (confidences, labels) with at least `bins` points.
 def _instances(min_size=2, max_size=40, discrete=False):
@@ -226,3 +227,56 @@ def test_compute_report_matches_per_bin_loops_under_heavy_ties(pairs, bins):
     for b, (_, _, _, conf, acc) in zip(report.bins, rows):
         assert b.mean_confidence == pytest.approx(conf, abs=1e-12)
         assert b.accuracy == pytest.approx(acc, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exact agreement of the sorted-order kernels with their oracles
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _edge_instances(draw, buckets=st.integers(min_value=1, max_value=40), min_size=1):
+    """(values, labels, buckets): values from the bucket edges (as ``k/B`` and
+    as ``linspace`` gives them), their float neighbours, 0.0, -0.0, 1.0 and
+    points outside [0, 1], often from a pool of a few values so ties are heavy."""
+    b = draw(buckets)
+    edges = np.linspace(0.0, 1.0, b + 1)
+    specials = [0.0, -0.0, 1.0, -0.5, 1.5, -1e-300, 1.0 + 2**-52]
+    specials += [k / b for k in range(b + 1)] + edges.tolist()
+    specials += np.nextafter(edges, -1.0).tolist() + np.nextafter(edges, 2.0).tolist()
+    value = st.one_of(
+        st.sampled_from(specials),
+        st.floats(min_value=-0.25, max_value=1.25, allow_nan=False),
+    )
+    if draw(st.booleans()):
+        value = st.sampled_from(draw(st.lists(value, min_size=1, max_size=4)))
+    values = draw(st.lists(value, min_size=min_size, max_size=60))
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(values), max_size=len(values)))
+    return values, labels, b
+
+
+@given(_edge_instances())
+@settings(max_examples=300)
+def test_auroc_equals_the_rankdata_formula_exactly(instance):
+    values, labels, _ = instance
+    assert auroc(values, labels) == auroc_by_rankdata(values, labels)
+
+
+@given(_edge_instances())
+@settings(max_examples=300)
+def test_confidence_histogram_equals_the_edge_scan_exactly(instance):
+    values, _, buckets = instance
+    counts = confidence_histogram(values, buckets)
+    assert counts == histogram_by_edges(values, buckets)
+    assert counts == np.histogram(values, bins=buckets, range=(0.0, 1.0))[0].tolist()
+    assert all(type(count) is int for count in counts)
+
+
+@given(_edge_instances(buckets=st.just(HISTOGRAM_BUCKETS), min_size=12), st.integers(1, 12))
+@settings(max_examples=300)
+def test_compute_report_auroc_and_histogram_are_exact(instance, bins):
+    values, labels, _ = instance
+    report = compute_report(values, labels, bins=bins)
+    assert report.auroc == auroc_by_rankdata(values, labels)
+    assert report.histogram == tuple(histogram_by_edges(values, HISTOGRAM_BUCKETS))
+    assert all(type(count) is int for count in report.histogram)

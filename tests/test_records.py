@@ -295,6 +295,13 @@ def test_integer_literals_beyond_the_digit_limit_are_invalid_json(tmp_path):
     assert [(d.line, d.message) for d in diagnostics] == [(1, "invalid JSON (integer too long)")]
 
 
+def test_nesting_past_the_decoders_depth_is_invalid_json(tmp_path):
+    path = tmp_path / "generations.jsonl"
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    _, diagnostics = records.scan_generation_records(str(path))
+    assert [(d.line, d.message) for d in diagnostics] == [(1, "invalid JSON (nested too deeply)")]
+
+
 def test_decoding_problems_are_reported_before_row_problems(tmp_path):
     path = tmp_path / "generations.jsonl"
     bad_row = json.dumps(_valid_generation(token_logprobs=[0.5]))
