@@ -34,11 +34,11 @@ from .calibrator import (
 from .consistency import (
     AnswerKey,
     ConsistencyTarget,
+    answer_codes,
     build_target,
     extract_boxed,
     normalize_answer,
     subsample_targets,
-    test_time_sc,
 )
 from .errors import ConfigError, DataError, RecordError
 from .evaluation import (
@@ -86,6 +86,7 @@ __all__ = [
     "SampleSet",
     "SynthConfig",
     "TrialConfig",
+    "answer_codes",
     "answer_prob_score",
     "apply_platt",
     "auroc",
@@ -121,6 +122,5 @@ __all__ = [
     "shift_eval",
     "split_cal_test",
     "subsample_targets",
-    "test_time_sc",
     "token_prob_score",
 ]

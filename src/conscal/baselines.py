@@ -19,7 +19,8 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .consistency import boxed_groups
-from .errors import DataError, RecordError, json_error_reason
+from .errors import DataError, RecordError
+from .records import json_lines
 
 _DECIMAL = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)$")
 
@@ -224,27 +225,20 @@ def write_scores(path: str, rows: Iterable[dict[str, Any]]) -> None:
 
 def load_scores(path: str) -> list[dict[str, Any]]:
     rows: list[dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                obj = json.loads(raw)
-            except (ValueError, RecursionError) as exc:
-                raise RecordError(
-                    f"{path}:{lineno}: invalid JSON ({json_error_reason(exc)})",
-                    path=path,
-                    line=lineno,
-                ) from exc
-            if (
-                not isinstance(obj, dict)
-                or not isinstance(obj.get("query_id"), str)
-                or not isinstance(obj.get("method"), str)
-                or not isinstance(obj.get("confidence"), (int, float))
-                or isinstance(obj.get("confidence"), bool)
-            ):
-                raise RecordError(
-                    f"{path}:{lineno}: score rows need query_id, method, confidence",
-                    path=path,
-                    line=lineno,
-                )
-            rows.append(obj)
+    for lineno, obj, reason in json_lines(path):
+        if reason is not None:
+            raise RecordError(f"{path}:{lineno}: invalid JSON ({reason})", path=path, line=lineno)
+        if (
+            not isinstance(obj, dict)
+            or not isinstance(obj.get("query_id"), str)
+            or not isinstance(obj.get("method"), str)
+            or not isinstance(obj.get("confidence"), (int, float))
+            or isinstance(obj.get("confidence"), bool)
+        ):
+            raise RecordError(
+                f"{path}:{lineno}: score rows need query_id, method, confidence",
+                path=path,
+                line=lineno,
+            )
+        rows.append(obj)
     return rows

@@ -29,8 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from . import seeding
-from .errors import DataError, json_error_reason
-from .records import _is_finite_real
+from .errors import DataError, is_finite_real, json_error_reason
 
 MODEL_FORMAT = "conscal-model/1"
 
@@ -353,7 +352,7 @@ def _section(doc: dict[str, Any], key: str) -> dict[str, Any]:
 def _finite_vector(section: dict[str, Any], key: str, message: str) -> np.ndarray:
     """A JSON array of finite numbers as a float vector (empty when absent)."""
     value = section.get(key, [])
-    _require(isinstance(value, list) and all(map(_is_finite_real, value)), message)
+    _require(isinstance(value, list) and all(map(is_finite_real, value)), message)
     return np.asarray(value, dtype=float)
 
 
@@ -381,8 +380,8 @@ def load_model(path: str) -> CalibratorModel:
     _require(weights.shape == means.shape, "bad ridge weights")
     intercept = ridge_doc.get("intercept")
     alpha = ridge_doc.get("alpha")
-    _require(_is_finite_real(intercept), "bad intercept")
-    _require(_is_finite_real(alpha) and alpha > 0, "bad alpha")
+    _require(is_finite_real(intercept), "bad intercept")
+    _require(is_finite_real(alpha) and alpha > 0, "bad alpha")
     _require(knot_in.size >= 1, "isotonic needs at least one knot")
     _require(bool(np.all(np.diff(knot_in) > 0)), "knot inputs must strictly increase")
     _require(knot_out.shape == knot_in.shape, "knot arrays must align")

@@ -250,13 +250,14 @@ def cmd_targets(args: argparse.Namespace) -> int:
     targets = []
     warnings = 0
     for position, sample_set in enumerate(sets):
+        coded = consistency.answer_codes(sample_set)
         try:
             if args.k is None:
-                targets.append(consistency.build_target(sample_set))
+                targets.append(consistency.build_target(coded))
             else:
                 targets.append(
                     consistency.subsample_targets(
-                        sample_set, args.k, seed=seeding.mix(args.seed, position)
+                        coded, args.k, seed=seeding.mix(args.seed, position)
                     )
                 )
         except DataError as exc:
@@ -286,7 +287,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             )
         s_values = [by_query[s.query_id].s for s in sets]
     else:
-        s_values = [consistency.build_target(s).s for s in sets]
+        s_values = [consistency.build_target(consistency.answer_codes(s)).s for s in sets]
     features = [evaluation.feature_row(s, args.feature_source) for s in sets]
     config_obj = {
         "command": "train",
@@ -409,7 +410,7 @@ def cmd_score(args: argparse.Namespace) -> int:
                 )
         else:  # tt_sc
             for s in sets:
-                _, share = consistency.test_time_sc(s)
+                share = consistency.build_target(consistency.answer_codes(s)).s
                 rows.append({"query_id": s.query_id, "method": method, "confidence": share})
     baselines.write_scores(os.path.join(out, "scores.jsonl"), rows)
     _write_json(os.path.join(out, "config.json"), config_obj)

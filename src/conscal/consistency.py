@@ -9,6 +9,11 @@ and the modal answer's share is the proxy confidence target used to train the
 calibrator without any correctness labels.  Answers are compared after a
 deliberately minimal normalization (strip edge whitespace, casefold); no
 numeric canonicalization is attempted, so "0.50" and "0.5" stay distinct.
+
+:func:`answer_codes` is the one place answers are extracted: it turns a
+sample set into integer codes once, and every target (:func:`build_target`
+over all samples, :func:`subsample_targets` over a seeded draw) is then a
+count over those codes.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import seeding
-from .errors import DataError, RecordError, json_error_reason
-from .records import GenerationRecord, SampleSet, _is_finite_real
+from .errors import DataError, RecordError, is_finite_real
+from .records import GenerationRecord, SampleSet, json_lines
 
 log = logging.getLogger(__name__)
 
@@ -149,97 +154,63 @@ class AnswerCodes:
     ``codes[j]`` is sample ``j``'s index into ``answers`` (-1 when it has no
     answer); ``answers`` holds the distinct normalized answers in sorted
     order, so the first most frequent code is the lexicographically smallest
-    modal answer.
+    modal answer.  ``sample_index[j]`` is sample ``j``'s logged index, kept
+    as a Python int because loaded indices are unbounded JSON integers.
     """
 
+    query_id: str
+    sample_index: tuple[int, ...]
     codes: np.ndarray
     answers: tuple[str, ...]
 
 
-def answer_codes(samples: Sequence[GenerationRecord]) -> AnswerCodes:
+def answer_codes(sample_set: SampleSet) -> AnswerCodes:
     """Extract and normalize each sample's answer once, as codes."""
-    answers = [canonical_answer(g) for g in samples]
+    answers = [canonical_answer(g) for g in sample_set.samples]
     distinct = sorted({a for a in answers if a is not None})
     index: dict[str | None, int] = {a: i for i, a in enumerate(distinct)}
     index[None] = -1
-    return AnswerCodes(np.array([index[a] for a in answers], dtype=np.intp), tuple(distinct))
+    sample_index = tuple(g.sample_index for g in sample_set.samples)
+    codes = np.array([index[a] for a in answers], dtype=np.intp)
+    return AnswerCodes(sample_set.query_id, sample_index, codes, tuple(distinct))
 
 
-def _checked(sample_set: SampleSet, codes: AnswerCodes | None) -> AnswerCodes:
-    """The given codes once they fit the set, else the set's codes."""
-    if codes is None:
-        return answer_codes(sample_set.samples)
-    if codes.codes.shape != (sample_set.k,):
-        raise ValueError(
-            f"query {sample_set.query_id}: {codes.codes.size} answer codes for "
-            f"{sample_set.k} samples"
-        )
-    return codes
-
-
-def _target(
-    sample_set: SampleSet, codes: np.ndarray, answers: tuple[str, ...], positions: Sequence[int]
-) -> ConsistencyTarget:
-    """Modal answer among ``codes``, the codes of the samples at ``positions``."""
+def _target(coded: AnswerCodes, positions: Sequence[int]) -> ConsistencyTarget:
+    """Modal answer among the samples of ``coded`` at ``positions``."""
+    codes = coded.codes[positions]
     counts = np.bincount(codes[codes >= 0])
     if counts.size == 0:
         raise DataError(
-            f"query {sample_set.query_id}: no extractable answer in any of "
-            f"{codes.size} samples"
+            f"query {coded.query_id}: no extractable answer in any of {codes.size} samples"
         )
     # argmax takes the first maximum: ties go to the smallest answer string.
     modal = int(counts.argmax())
     first = positions[int((codes == modal).argmax())]
     return ConsistencyTarget(
-        query_id=sample_set.query_id,
-        selected_sample_index=sample_set.samples[first].sample_index,
-        answer=answers[modal],
+        query_id=coded.query_id,
+        selected_sample_index=coded.sample_index[first],
+        answer=coded.answers[modal],
         s=int(counts[modal]) / codes.size,
         k=codes.size,
     )
 
 
-def build_target(
-    sample_set: SampleSet, *, codes: AnswerCodes | None = None
-) -> ConsistencyTarget:
-    """Modal answer, its share, and the representative generation.
-
-    ``codes`` are the set's :func:`answer_codes` when the caller already has
-    them; without them every sample's answer is extracted here.
-    """
-    coded = _checked(sample_set, codes)
-    return _target(sample_set, coded.codes, coded.answers, range(sample_set.k))
+def build_target(codes: AnswerCodes) -> ConsistencyTarget:
+    """Modal answer over all of a set's samples, its share, and the
+    representative generation."""
+    return _target(codes, range(codes.codes.size))
 
 
-def test_time_sc(sample_set: SampleSet) -> tuple[str, float]:
-    """Deployment-side majority vote: (modal answer, its share).
-
-    Same tie-breaking as :func:`build_target`.
-    """
-    target = build_target(sample_set)
-    return target.answer, target.s
-
-
-def subsample_targets(
-    sample_set: SampleSet, k: int, seed: int, *, codes: AnswerCodes | None = None
-) -> ConsistencyTarget:
+def subsample_targets(codes: AnswerCodes, k: int, seed: int) -> ConsistencyTarget:
     """Target built from ``k`` samples drawn uniformly without replacement.
 
-    Deterministic given ``(sample_set, k, seed)``.  Selected sample indices
-    keep their original values.  With the set's ``codes`` the drawn samples
-    are counted without extracting anything; without them only the drawn
-    samples are extracted.
+    Deterministic given ``(codes, k, seed)``.  Selected sample indices keep
+    their original values.
     """
-    if not 1 <= k <= sample_set.k:
-        raise DataError(
-            f"query {sample_set.query_id}: cannot subsample {k} of {sample_set.k} samples"
-        )
-    chosen = np.sort(seeding.generator(seed).choice(sample_set.k, size=k, replace=False))
-    if codes is None:
-        coded = answer_codes([sample_set.samples[i] for i in chosen])
-        return _target(sample_set, coded.codes, coded.answers, chosen)
-    coded = _checked(sample_set, codes)
-    return _target(sample_set, coded.codes[chosen], coded.answers, chosen)
+    n = codes.codes.size
+    if not 1 <= k <= n:
+        raise DataError(f"query {codes.query_id}: cannot subsample {k} of {n} samples")
+    return _target(codes, np.sort(seeding.generator(seed).choice(n, size=k, replace=False)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,52 +234,45 @@ def write_targets(path: str, targets: Iterable[ConsistencyTarget]) -> None:
 def load_targets(path: str) -> list[ConsistencyTarget]:
     targets: list[ConsistencyTarget] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                obj = json.loads(raw)
-            except (ValueError, RecursionError) as exc:
-                raise RecordError(
-                    f"{path}:{lineno}: invalid JSON ({json_error_reason(exc)})",
-                    path=path,
-                    line=lineno,
-                ) from exc
-            problems: list[str] = []
-            if not isinstance(obj, dict):
-                problems.append("record must be a JSON object")
-            else:
-                if not isinstance(obj.get("query_id"), str) or not obj.get("query_id"):
-                    problems.append("query_id must be a nonempty string")
-                idx = obj.get("selected_sample_index")
-                if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
-                    problems.append("selected_sample_index must be a nonnegative integer")
-                if not isinstance(obj.get("answer"), str):
-                    problems.append("answer must be a string")
-                s = obj.get("s")
-                k = obj.get("k")
-                # A k too large for a float cannot be checked against s.
-                k_ok = isinstance(k, int) and _is_finite_real(k) and k >= 1
-                if not k_ok:
-                    problems.append("k must be a positive integer")
-                if not isinstance(s, (int, float)) or isinstance(s, bool) or not 0.0 <= s <= 1.0:
-                    problems.append("s must be a number in [0, 1]")
-                elif k_ok:
-                    if not math.isclose(s * k, round(s * k), abs_tol=1e-9):
-                        problems.append("s * k must be an integer sample count")
-                if isinstance(obj.get("query_id"), str):
-                    if obj["query_id"] in seen:
-                        problems.append(f"duplicate target for query {obj['query_id']!r}")
-                    else:
-                        seen.add(obj["query_id"])
-            if problems:
-                raise RecordError(f"{path}:{lineno}: {problems[0]}", path=path, line=lineno)
-            targets.append(
-                ConsistencyTarget(
-                    query_id=obj["query_id"],
-                    selected_sample_index=obj["selected_sample_index"],
-                    answer=obj["answer"],
-                    s=float(obj["s"]),
-                    k=obj["k"],
-                )
+    for lineno, obj, reason in json_lines(path):
+        if reason is not None:
+            raise RecordError(f"{path}:{lineno}: invalid JSON ({reason})", path=path, line=lineno)
+        problems: list[str] = []
+        if not isinstance(obj, dict):
+            problems.append("record must be a JSON object")
+        else:
+            if not isinstance(obj.get("query_id"), str) or not obj.get("query_id"):
+                problems.append("query_id must be a nonempty string")
+            idx = obj.get("selected_sample_index")
+            if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
+                problems.append("selected_sample_index must be a nonnegative integer")
+            if not isinstance(obj.get("answer"), str):
+                problems.append("answer must be a string")
+            s = obj.get("s")
+            k = obj.get("k")
+            # A k too large for a float cannot be checked against s.
+            k_ok = isinstance(k, int) and is_finite_real(k) and k >= 1
+            if not k_ok:
+                problems.append("k must be a positive integer")
+            if not isinstance(s, (int, float)) or isinstance(s, bool) or not 0.0 <= s <= 1.0:
+                problems.append("s must be a number in [0, 1]")
+            elif k_ok:
+                if not math.isclose(s * k, round(s * k), abs_tol=1e-9):
+                    problems.append("s * k must be an integer sample count")
+            if isinstance(obj.get("query_id"), str):
+                if obj["query_id"] in seen:
+                    problems.append(f"duplicate target for query {obj['query_id']!r}")
+                else:
+                    seen.add(obj["query_id"])
+        if problems:
+            raise RecordError(f"{path}:{lineno}: {problems[0]}", path=path, line=lineno)
+        targets.append(
+            ConsistencyTarget(
+                query_id=obj["query_id"],
+                selected_sample_index=obj["selected_sample_index"],
+                answer=obj["answer"],
+                s=float(obj["s"]),
+                k=obj["k"],
             )
+        )
     return targets

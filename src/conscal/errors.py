@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the checks that raise them.
 
 The CLI maps these onto its exit-status convention: any :class:`DataError`
 (including subclasses) exits with status 1, OS-level problems such as missing
@@ -8,6 +8,8 @@ files exit with status 2.
 from __future__ import annotations
 
 import json
+import math
+from typing import Any
 
 
 class DataError(Exception):
@@ -36,6 +38,31 @@ def json_error_reason(exc: ValueError | RecursionError) -> str:
         return exc.msg
     if isinstance(exc, RecursionError):
         return "nested too deeply"
-    if isinstance(exc, UnicodeDecodeError):  # reading the file, not parsing it
+    if isinstance(exc, UnicodeError):  # reading the file, not parsing it
         return "not UTF-8 text"
     return "integer too long"  # an integer literal past int's digit limit
+
+
+def is_finite_real(value: Any) -> bool:
+    """True for an int or float that is finite as a float; a bool is not a number here."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def require_integer(name: str, value: Any, minimum: int | None = None) -> None:
+    """Raise :class:`ConfigError` unless the setting ``name`` is an int (not a
+    bool) and, when ``minimum`` is given, at least ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+def require_real(name: str, value: Any) -> None:
+    """Raise :class:`ConfigError` unless the setting ``name`` is a finite real."""
+    if not is_finite_real(value):
+        raise ConfigError(f"{name} must be a finite real, got {value!r}")

@@ -55,7 +55,7 @@ from .consistency import (
     is_match,
     subsample_targets,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_integer, require_real
 from .metrics import REPORT_FORMAT, MetricReport, compute_report
 from .records import CorrectnessLabel, SampleSet
 
@@ -83,10 +83,13 @@ _S_SUBSAMPLE = 3
 
 @dataclass(frozen=True, eq=False)
 class EvalDataset:
-    """Per-query arrays precomputed once so trials stay cheap."""
+    """Per-query arrays precomputed once so trials stay cheap.
 
-    sets: tuple[SampleSet, ...]
-    codes: tuple[AnswerCodes, ...]  # every sample's answer, extracted once
+    The records themselves are not kept: ``codes`` holds each query's
+    answers, extracted once, which is all the ``k_subsample`` ablation needs.
+    """
+
+    codes: tuple[AnswerCodes, ...]
     query_ids: tuple[str, ...]
     groups: tuple[str, ...]
     feature_source: str
@@ -101,12 +104,11 @@ class EvalDataset:
 
     @property
     def n(self) -> int:
-        return len(self.sets)
+        return len(self.query_ids)
 
     def subset(self, indices: Sequence[int] | np.ndarray) -> "EvalDataset":
         idx = np.asarray(indices, dtype=int)
         return EvalDataset(
-            sets=tuple(self.sets[i] for i in idx),
             codes=tuple(self.codes[i] for i in idx),
             query_ids=tuple(self.query_ids[i] for i in idx),
             groups=tuple(self.groups[i] for i in idx),
@@ -190,9 +192,9 @@ def build_dataset(
         elif not ap_missing:
             ap.append(answer_prob_score(deploy.answer_token_logprobs))
         vc_raw.append(parse_verbal_confidence(deploy.response_text))
-        coded = answer_codes(sample_set.samples)
+        coded = answer_codes(sample_set)
         codes.append(coded)
-        target = build_target(sample_set, codes=coded)
+        target = build_target(coded)
         s_vals.append(target.s)
         key = (
             AnswerKey.from_gold(sample_set.query.gold_answers)
@@ -220,7 +222,6 @@ def build_dataset(
         raise DataError("inconsistent feature dimensions across queries")
     imputed = impute_verbal(vc_raw)
     return EvalDataset(
-        sets=tuple(sets),
         codes=tuple(codes),
         query_ids=tuple(s.query_id for s in sets),
         groups=tuple(s.query.group for s in sets),
@@ -255,28 +256,35 @@ class TrialConfig:
     selective_rates: tuple[float, ...] = ()
 
     def validate(self) -> None:
-        if self.n_trials < 1:
-            raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
+        require_integer("n_trials", self.n_trials, 1)
+        require_integer("master_seed", self.master_seed)
+        require_integer("bins", self.bins, 1)
+        for name in ("cal_fraction", "alpha", "split_frac"):
+            require_real(name, getattr(self, name))
         if not 0.0 < self.cal_fraction < 1.0:
             raise ConfigError(f"cal_fraction must be inside (0, 1), got {self.cal_fraction!r}")
-        if self.bins < 1:
-            raise ConfigError(f"bins must be >= 1, got {self.bins}")
-        if not self.methods:
+        methods = self.methods
+        if not isinstance(methods, (list, tuple)) or not all(isinstance(m, str) for m in methods):
+            raise ConfigError(f"methods must be a list of method names, got {methods!r}")
+        if not methods:
             raise ConfigError("methods must not be empty")
-        unknown = [m for m in self.methods if m not in METHOD_IDS]
+        unknown = [m for m in methods if m not in METHOD_IDS]
         if unknown:
             raise ConfigError(f"unknown methods: {', '.join(sorted(unknown))}")
-        if len(set(self.methods)) != len(self.methods):
+        if len(set(methods)) != len(methods):
             raise ConfigError("methods contains duplicates")
         if self.feature_source not in FEATURE_SOURCES:
             raise ConfigError(f"unknown feature_source {self.feature_source!r}")
-        if self.k_subsample is not None and self.k_subsample < 1:
-            raise ConfigError(f"k_subsample must be >= 1, got {self.k_subsample}")
-        if self.alpha <= 0 or not math.isfinite(self.alpha):
+        if self.k_subsample is not None:
+            require_integer("k_subsample", self.k_subsample, 1)
+        if self.alpha <= 0:
             raise ConfigError("alpha must be a positive real")
         if not 0.0 < self.split_frac < 1.0:
             raise ConfigError(f"split_frac must be inside (0, 1), got {self.split_frac!r}")
+        if not isinstance(self.selective_rates, (list, tuple)):
+            raise ConfigError(f"selective_rates must be a list, got {self.selective_rates!r}")
         for r in self.selective_rates:
+            require_real("abstention rate", r)
             if not 0.0 <= r < 1.0:
                 raise ConfigError(f"abstention rate must lie in [0, 1), got {r!r}")
 
@@ -430,10 +438,9 @@ def _trial_confidences(
                 s_cal = np.array(
                     [
                         subsample_targets(
-                            data.sets[i],
+                            data.codes[i],
                             config.k_subsample,
                             seed=seeding.mix(tseed, _S_SUBSAMPLE, int(i)),
-                            codes=data.codes[i],
                         ).s
                         for i in cal_idx
                     ]

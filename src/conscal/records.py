@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import RecordError, json_error_reason
+from .errors import RecordError, is_finite_real, json_error_reason
 
 log = logging.getLogger(__name__)
 
@@ -213,15 +213,6 @@ class CorrectnessLabel:
     z: int
 
 
-def _is_finite_real(value: Any) -> bool:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
 def _check_vector(value: Any, name: str, *, max_value: float | None = None) -> list[str]:
     if not isinstance(value, list) or not value:
         return [f"{name} must be a nonempty array of numbers"]
@@ -236,11 +227,33 @@ def _check_vector(value: Any, name: str, *, max_value: float | None = None) -> l
         if finite and (max_value is None or max(value) <= max_value):
             return []
     for entry in value:
-        if not _is_finite_real(entry):
+        if not is_finite_real(entry):
             return [f"{name} contains a non-finite or non-numeric entry"]
         if max_value is not None and entry > max_value:
             return [f"{name} contains an entry above {max_value:g}"]
     return []
+
+
+def json_lines(path: str) -> Iterator[tuple[int, Any, str | None]]:
+    """Decode each line of a JSONL file: ``(lineno, value, None)``, or
+    ``(lineno, None, reason)`` for a line that is not JSON.
+
+    Lines split as in text mode (``\\n``, ``\\r\\n`` or a lone ``\\r``).  A line
+    holding bytes that are not UTF-8 gets the reason ``not UTF-8 text`` and
+    reading goes on with the next line.
+    """
+    # surrogateescape turns each undecodable byte into a lone surrogate,
+    # which text decoded from UTF-8 never holds and which cannot be encoded.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                if not raw.isascii():
+                    raw.encode("utf-8")
+                value = json.loads(raw.rstrip("\n"))
+            except (ValueError, RecursionError) as exc:
+                yield lineno, None, json_error_reason(exc)
+                continue
+            yield lineno, value, None
 
 
 def _objects(path: str, diagnostics: list[Diagnostic]) -> Iterator[tuple[int, dict]]:
@@ -250,17 +263,12 @@ def _objects(path: str, diagnostics: list[Diagnostic]) -> Iterator[tuple[int, di
     each object before asking for the next keeps one decoded row alive.
     Callers hold their row diagnostics apart and report them after these.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                obj = json.loads(raw.rstrip("\n"))
-            except (ValueError, RecursionError) as exc:
-                reason = json_error_reason(exc)
-                diagnostics.append(Diagnostic(path, lineno, f"invalid JSON ({reason})"))
-                continue
-            if not isinstance(obj, dict):
-                diagnostics.append(Diagnostic(path, lineno, "record must be a JSON object"))
-                continue
+    for lineno, obj, reason in json_lines(path):
+        if reason is not None:
+            diagnostics.append(Diagnostic(path, lineno, f"invalid JSON ({reason})"))
+        elif not isinstance(obj, dict):
+            diagnostics.append(Diagnostic(path, lineno, "record must be a JSON object"))
+        else:
             yield lineno, obj
 
 

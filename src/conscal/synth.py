@@ -38,14 +38,13 @@ own difficulty distribution and group tag for distribution-shift studies.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
 from . import seeding
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_integer, require_real
 from .records import CorrectnessLabel, GenerationBatch, QueryRecord
 
 MAIN_GROUP = "main"
@@ -98,31 +97,39 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_queries < 1:
-            raise ConfigError(f"n_queries must be >= 1, got {self.n_queries}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        for name, value in (
+        for name in ("n_queries", "k", "distractor_count", "embedding_dim"):
+            require_integer(name, getattr(self, name), 1)
+        require_integer("seed", self.seed)
+        positive = [
             ("difficulty_alpha", self.difficulty_alpha),
             ("difficulty_beta", self.difficulty_beta),
             ("stick_concentration", self.stick_concentration),
-        ):
-            if not math.isfinite(value) or value <= 0:
+        ]
+        fractions = [("difficulty_constant", self.difficulty_constant)]
+        shift = self.group_shift
+        if shift is not None:
+            if not isinstance(shift.tag, str) or shift.tag in ("", MAIN_GROUP):
+                raise ConfigError(
+                    "group_shift tag must be a nonempty string that differs from the main tag"
+                )
+            positive += [
+                ("group_shift difficulty_alpha", shift.difficulty_alpha),
+                ("group_shift difficulty_beta", shift.difficulty_beta),
+            ]
+            fractions.append(("group_shift difficulty_constant", shift.difficulty_constant))
+        for name, value in positive:
+            require_real(name, value)
+            if value <= 0:
                 raise ConfigError(f"{name} must be a positive real, got {value!r}")
-        for cfg in (self, self.group_shift):
-            if cfg is not None and cfg.difficulty_constant is not None:
-                if not 0.0 <= cfg.difficulty_constant <= 1.0:
-                    raise ConfigError("difficulty_constant must lie in [0, 1]")
-        if self.distractor_count < 1:
-            raise ConfigError(f"distractor_count must be >= 1, got {self.distractor_count}")
-        if self.embedding_dim < 1:
-            raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
-        if self.signal_strength < 0 or not math.isfinite(self.signal_strength):
-            raise ConfigError("signal_strength must be a nonnegative real")
-        if self.noise_scale < 0 or not math.isfinite(self.noise_scale):
-            raise ConfigError("noise_scale must be a nonnegative real")
-        if self.group_shift is not None and self.group_shift.tag in ("", MAIN_GROUP):
-            raise ConfigError("group_shift tag must be nonempty and differ from the main tag")
+        for name, value in fractions:
+            if value is not None:
+                require_real(name, value)
+                if not 0.0 <= value <= 1.0:
+                    raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
+        for name in ("signal_strength", "noise_scale", "temperature"):
+            require_real(name, getattr(self, name))
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be a nonnegative real")
 
 
 @dataclass(frozen=True)
@@ -435,11 +442,3 @@ def write_truth(
             handle.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
     return truths
 
-
-def load_truth(path: str) -> dict[str, dict[str, float]]:
-    rows: dict[str, dict[str, float]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            obj = json.loads(raw)
-            rows[obj["query_id"]] = {"pi": obj["pi"], "modal_prob": obj["modal_prob"]}
-    return rows

@@ -268,3 +268,12 @@ def test_load_scores_rejects_malformed_rows(tmp_path):
     path.write_text('{"confidence": ' + "9" * 5000 + "}\n", encoding="utf-8")
     with pytest.raises(RecordError, match=r":1: invalid JSON \(integer too long\)$"):
         load_scores(str(path))
+
+
+def test_load_scores_names_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    path.write_bytes(b'{"query_id": "q1", "method": "m", "confidence": 0.5}\n"\xff"\n')
+    with pytest.raises(RecordError) as excinfo:
+        load_scores(str(path))
+    assert str(excinfo.value) == f"{path}:2: invalid JSON (not UTF-8 text)"
+    assert excinfo.value.line == 2

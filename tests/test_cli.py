@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from conscal import baselines, calibrator, consistency, records
+from conscal import baselines, calibrator, consistency, evaluation, records
 from conscal.cli import build_parser, main
 
 from conftest import make_generation, make_query
@@ -279,6 +279,41 @@ def test_targets_skip_boxless_queries_with_a_warning(tmp_path, capsys):
     assert target.query_id == "q1" and target.s == 1.0
 
 
+def test_sample_indices_beyond_int64_survive_targets_and_trials(tmp_path):
+    base = 2**70
+    answers = ["b", "a", "a", None]
+    queries = [make_query(f"q{i}") for i in range(8)]
+    generations = [
+        make_generation(q.query_id, base + j, answer=answer, embedding=(float(i), float(j)))
+        for i, q in enumerate(queries)
+        for j, answer in enumerate(answers)
+    ]
+    data = tmp_path / "data"
+    data.mkdir()
+    records.write_queries(str(data / "queries.jsonl"), queries)
+    records.write_generations(str(data / "generations.jsonl"), generations)
+    flags = _data_flags(data, labels=False)
+    for k_flags in ([], ["--k", "2"]):
+        out = tmp_path / f"targets{len(k_flags)}"
+        assert main(["targets", *flags, *k_flags, "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in (out / "targets.jsonl").read_text().splitlines()]
+        assert len(rows) == len(queries)
+        for row in rows:
+            position = row["selected_sample_index"] - base
+            assert answers[position] == row["answer"]
+            if not k_flags:
+                assert position == 1
+
+    sets = records.load_generations(str(data / "generations.jsonl"), queries)
+    dataset = evaluation.build_dataset(sets)
+    assert all(codes.sample_index == tuple(base + j for j in range(4)) for codes in dataset.codes)
+    config = evaluation.TrialConfig(
+        n_trials=2, cal_fraction=0.5, bins=2, methods=("distilled", "tt_sc"), k_subsample=2
+    )
+    result = evaluation.run_trials(dataset, config)
+    assert result.methods["tt_sc"].accuracy == 1.0
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -356,7 +391,7 @@ def test_score_rows_match_library_computations(data_dir, model_dir, tmp_path):
     assert len(vote) == len(sets)  # one row per query, not per sample
     assert all("sample_index" not in r for r in vote)
     shares = dict(zip((s.query_id for s in sets),
-                      (consistency.test_time_sc(s)[1] for s in sets)))
+                      (consistency.build_target(consistency.answer_codes(s)).s for s in sets)))
     assert all(r["confidence"] == shares[r["query_id"]] for r in vote)
 
 
@@ -509,6 +544,39 @@ def test_eval_rejects_unknown_trial_config_keys(data_dir, tmp_path, capsys):
                 + ["--config", str(cfg), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "unknown trial config keys: bogus" in capsys.readouterr().err
+
+
+_SHIFT = {"tag": "hard", "difficulty_alpha": 0.3, "difficulty_beta": 0.6}
+
+
+@pytest.mark.parametrize(
+    ("command", "config", "message"),
+    [
+        ("eval", '{"n_trials": 1e400}', "n_trials must be an integer, got inf"),
+        ("eval", '{"bins": "5"}', "bins must be an integer, got '5'"),
+        ("eval", '{"master_seed": 1.5}', "master_seed must be an integer, got 1.5"),
+        ("eval", '{"methods": "distilled"}',
+         "methods must be a list of method names, got 'distilled'"),
+        ("synth", '{"n_queries": 1e400}', "n_queries must be an integer, got inf"),
+        ("synth", '{"embedding_dim": 2.5}', "embedding_dim must be an integer, got 2.5"),
+        ("synth", '{"distractor_count": true}', "distractor_count must be an integer, got True"),
+        ("synth", '{"temperature": 1e400}', "temperature must be a finite real, got inf"),
+        ("synth", json.dumps({"group_shift": {**_SHIFT, "difficulty_alpha": -1}}),
+         "group_shift difficulty_alpha must be a positive real, got -1"),
+        ("synth", json.dumps({"group_shift": {**_SHIFT, "tag": 5}}),
+         "group_shift tag must be a nonempty string that differs from the main tag"),
+    ],
+)
+def test_config_values_of_the_wrong_type_are_usage_errors(
+    command, config, message, data_dir, tmp_path, capsys
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    flags = _data_flags(data_dir) if command == "eval" else []
+    code = main([command, *flags, "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_with_an_integer_too_long_to_parse_is_a_data_error(data_dir, tmp_path, capsys):
@@ -667,3 +735,14 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
         assert callable(args.func)
+
+
+def test_readme_library_example_runs(data_dir, capsys):
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```python\n")[1:]
+    assert len(blocks) == 1
+    source = blocks[0].split("```")[0]
+    assert "runs/data" in source
+    exec(compile(source.replace("runs/data", str(data_dir)), "README.md", "exec"), {})
+    ece2 = float(capsys.readouterr().out)
+    assert 0.0 <= ece2 <= 1.0

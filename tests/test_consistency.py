@@ -23,12 +23,17 @@ from conscal.consistency import (
     subsample_targets,
     write_targets,
 )
-from conscal.consistency import test_time_sc as majority_vote
 from conscal.errors import DataError, RecordError
 from conscal.records import SampleSet
 
 from conftest import make_generation, make_query, make_set
 from oracles import boxed_groups_by_scan, modal_by_counter
+
+
+def target_of(answers, **kwargs):
+    """The target over every sample of ``make_set(answers, **kwargs)``."""
+    return build_target(answer_codes(make_set(answers, **kwargs)))
+
 
 # ---------------------------------------------------------------------------
 # boxed extraction
@@ -119,13 +124,13 @@ def test_answer_key_requires_at_least_one_gold_answer():
 
 
 def test_answerless_samples_dilute_the_share():
-    assert build_target(make_set(["a", None])).s == 0.5
+    assert target_of(["a", None]).s == 0.5
 
 
 def test_empty_sample_set_is_an_error():
     empty = SampleSet(query=make_query("q1"), samples=())
     with pytest.raises(DataError):
-        build_target(empty)
+        build_target(answer_codes(empty))
 
 
 # ---------------------------------------------------------------------------
@@ -134,32 +139,32 @@ def test_empty_sample_set_is_an_error():
 
 
 def test_build_target_selects_the_modal_answer_and_first_carrier():
-    target = build_target(make_set(["a", "b", "a"]))
+    target = target_of(["a", "b", "a"])
     assert target == ConsistencyTarget(
         query_id="q1", selected_sample_index=0, answer="a", s=2 / 3, k=3
     )
 
 
 def test_modal_ties_break_toward_the_smaller_answer_string():
-    target = build_target(make_set(["b", "a"]))
+    target = target_of(["b", "a"])
     assert target.answer == "a"
     assert target.selected_sample_index == 1
     assert target.s == 0.5
 
 
 def test_unanimous_set_has_share_one():
-    target = build_target(make_set(["x", "x", "x"]))
+    target = target_of(["x", "x", "x"])
     assert target.s == 1.0
     assert target.selected_sample_index == 0
 
 
 def test_build_target_with_no_extractable_answers_is_an_error():
     with pytest.raises(DataError, match="no extractable answer"):
-        build_target(make_set([None, None]))
+        target_of([None, None])
 
 
 def test_answerless_samples_are_never_selected_but_still_dilute():
-    target = build_target(make_set([None, "a"]))
+    target = target_of([None, "a"])
     assert target.selected_sample_index == 1
     assert target.s == 0.5
 
@@ -172,9 +177,13 @@ def test_provided_answer_field_wins_over_boxed_text(caplog):
 
 
 def test_majority_vote_shares_match_the_target_builder():
-    assert majority_vote(make_set(["a", "a", "b"])) == ("a", 2 / 3)
-    assert majority_vote(make_set(["a", "b"])) == ("a", 0.5)
-    assert majority_vote(make_set(["a"])) == ("a", 1.0)
+    def vote(answers):
+        target = target_of(answers)
+        return target.answer, target.s
+
+    assert vote(["a", "a", "b"]) == ("a", 2 / 3)
+    assert vote(["a", "b"]) == ("a", 0.5)
+    assert vote(["a"]) == ("a", 1.0)
 
 
 @given(
@@ -186,8 +195,8 @@ def test_majority_vote_shares_match_the_target_builder():
 def test_modal_answer_and_share_survive_sample_reordering(answers, shuffler):
     permuted_answers = list(answers)
     shuffler.shuffle(permuted_answers)
-    target = build_target(make_set(answers))
-    other = build_target(make_set(permuted_answers))
+    target = target_of(answers)
+    other = target_of(permuted_answers)
     assert other.answer == target.answer
     assert other.s == target.s
     assert other.k == target.k
@@ -195,7 +204,7 @@ def test_modal_answer_and_share_survive_sample_reordering(answers, shuffler):
 
 @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=9))
 def test_share_times_k_is_an_integer_count(answers):
-    target = build_target(make_set(answers))
+    target = target_of(answers)
     assert math.isclose(target.s * target.k, round(target.s * target.k), abs_tol=1e-9)
     assert 0 < target.s <= 1.0
 
@@ -206,36 +215,36 @@ def test_share_times_k_is_an_integer_count(answers):
 
 
 def test_subsample_with_full_k_reproduces_the_full_target():
-    sample_set = make_set(["a", "b", "a", "c", "a"])
-    assert subsample_targets(sample_set, 5, seed=7) == build_target(sample_set)
+    codes = answer_codes(make_set(["a", "b", "a", "c", "a"]))
+    assert subsample_targets(codes, 5, seed=7) == build_target(codes)
 
 
 def test_subsample_is_deterministic_given_the_seed():
-    sample_set = make_set(["a", "b", "a", "c", "a", "b", "b", "a"])
-    first = subsample_targets(sample_set, 3, seed=11)
-    again = subsample_targets(sample_set, 3, seed=11)
+    codes = answer_codes(make_set(["a", "b", "a", "c", "a", "b", "b", "a"]))
+    first = subsample_targets(codes, 3, seed=11)
+    again = subsample_targets(codes, 3, seed=11)
     assert first == again
     assert first.k == 3
 
 
 def test_different_seeds_can_pick_different_subsets():
-    sample_set = make_set(["a"] * 4 + ["b"] * 4)
-    results = {subsample_targets(sample_set, 2, seed=s).s for s in range(12)}
+    codes = answer_codes(make_set(["a"] * 4 + ["b"] * 4))
+    results = {subsample_targets(codes, 2, seed=s).s for s in range(12)}
     assert len(results) > 1  # some seeds land on {a,a} or {b,b}, others split
 
 
 def test_subsample_k_out_of_range_is_an_error():
-    sample_set = make_set(["a", "b"])
-    with pytest.raises(DataError):
-        subsample_targets(sample_set, 0, seed=0)
-    with pytest.raises(DataError):
-        subsample_targets(sample_set, 3, seed=0)
+    codes = answer_codes(make_set(["a", "b"]))
+    with pytest.raises(DataError, match="cannot subsample 0 of 2 samples"):
+        subsample_targets(codes, 0, seed=0)
+    with pytest.raises(DataError, match="cannot subsample 3 of 2 samples"):
+        subsample_targets(codes, 3, seed=0)
 
 
 def test_subsample_of_unanimous_set_is_always_unanimous():
-    sample_set = make_set(["z"] * 6)
+    codes = answer_codes(make_set(["z"] * 6))
     for seed in range(5):
-        assert subsample_targets(sample_set, 3, seed=seed).s == 1.0
+        assert subsample_targets(codes, 3, seed=seed).s == 1.0
 
 
 def _expected_target(answers, positions):
@@ -261,42 +270,34 @@ _answers = st.lists(
 @example(["9", "10"], 1, 5)
 @example(["10", "9", "9", "10"], 4, 0)
 def test_targets_match_the_counter_oracle(answers, k, seed):
-    sample_set = make_set(answers)
-    canonical = [consistency.canonical_answer(g) for g in sample_set.samples]
+    codes = answer_codes(make_set(answers))
+    canonical = [codes.answers[c] if c >= 0 else None for c in codes.codes]
+    assert canonical == [consistency.canonical_answer(g) for g in make_set(answers).samples]
     expected = _expected_target(canonical, list(range(len(answers))))
     if expected is None:
         with pytest.raises(DataError, match="no extractable answer"):
-            build_target(sample_set)
-        with pytest.raises(DataError, match="no extractable answer"):
-            majority_vote(sample_set)
+            build_target(codes)
     else:
-        assert build_target(sample_set) == expected
-        assert majority_vote(sample_set) == (expected.answer, expected.s)
+        assert build_target(codes) == expected
     if not answers:
         return
     k = min(k, len(answers))
     chosen = seeding.generator(seed).choice(len(answers), size=k, replace=False)
     drawn = _expected_target(canonical, sorted(chosen.tolist()))
-    for codes in (None, answer_codes(sample_set.samples)):
-        if drawn is None:
-            with pytest.raises(DataError, match="no extractable answer"):
-                subsample_targets(sample_set, k, seed=seed, codes=codes)
-        else:
-            assert subsample_targets(sample_set, k, seed=seed, codes=codes) == drawn
+    if drawn is None:
+        with pytest.raises(DataError, match="no extractable answer"):
+            subsample_targets(codes, k, seed=seed)
+    else:
+        assert subsample_targets(codes, k, seed=seed) == drawn
 
 
 def test_answer_codes_number_sorted_answers_and_mark_missing_ones():
-    coded = answer_codes(make_set(["b", None, " A", "b"]).samples)
+    sample_set = make_set(["b", None, " A", "b"], query_id="q7")
+    coded = answer_codes(sample_set)
+    assert coded.query_id == "q7"
+    assert coded.sample_index == (0, 1, 2, 3)
     assert coded.answers == ("a", "b")
     assert coded.codes.tolist() == [1, -1, 0, 1]
-
-
-def test_codes_of_another_sample_set_are_rejected():
-    codes = answer_codes(make_set(["a", "b"]).samples)
-    with pytest.raises(ValueError, match="2 answer codes for 3 samples"):
-        build_target(make_set(["a", "b", "a"]), codes=codes)
-    with pytest.raises(ValueError, match="2 answer codes for 1 samples"):
-        subsample_targets(make_set(["a"]), 1, seed=0, codes=codes)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +307,8 @@ def test_codes_of_another_sample_set_are_rejected():
 
 def test_targets_round_trip(tmp_path):
     targets = [
-        build_target(make_set(["a", "a", "b"], query_id="q1")),
-        build_target(make_set(["c"], query_id="q2")),
+        target_of(["a", "a", "b"], query_id="q1"),
+        target_of(["c"], query_id="q2"),
     ]
     path = tmp_path / "targets.jsonl"
     write_targets(str(path), targets)
@@ -336,6 +337,15 @@ def test_load_targets_rejects_integers_too_large_for_a_float(tmp_path):
     long_k = _write_raw(tmp_path / "long_k.jsonl", row % ("9" * 5000))
     with pytest.raises(RecordError, match=r":1: invalid JSON \(integer too long\)$"):
         load_targets(long_k)
+
+
+def test_load_targets_names_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "targets.jsonl"
+    path.write_bytes(b"\xc3(\n")
+    with pytest.raises(RecordError) as excinfo:
+        load_targets(str(path))
+    assert str(excinfo.value) == f"{path}:1: invalid JSON (not UTF-8 text)"
+    assert excinfo.value.line == 1
 
 
 def test_load_targets_rejects_duplicates_and_bad_ranges(tmp_path):

@@ -144,9 +144,10 @@ def test_subset_slices_every_array_consistently():
     assert np.array_equal(sub.features, data.features[[3, 7, 11]])
     assert np.array_equal(sub.tt_correct, data.tt_correct[[3, 7, 11]])
     for coded, i in zip(sub.codes, (3, 7, 11)):
-        expected = consistency.answer_codes(sets[i].samples)
+        expected = consistency.answer_codes(sets[i])
         assert np.array_equal(coded.codes, expected.codes)
         assert coded.answers == expected.answers
+        assert (coded.query_id, coded.sample_index) == (expected.query_id, expected.sample_index)
 
 
 def test_subsampled_trials_on_a_subset_match_a_dataset_built_from_it():

@@ -302,6 +302,20 @@ def test_nesting_past_the_decoders_depth_is_invalid_json(tmp_path):
     assert [(d.line, d.message) for d in diagnostics] == [(1, "invalid JSON (nested too deeply)")]
 
 
+def test_bytes_that_are_not_utf8_are_diagnosed_and_reading_goes_on(tmp_path):
+    path = tmp_path / "queries.jsonl"
+    first = json.dumps(_valid_query("q1")).encode()
+    second = json.dumps(_valid_query("q2", text="é"), ensure_ascii=False).encode()
+    # A lone carriage return still ends a line, as in text mode.
+    path.write_bytes(first + b"\n\xff\n" + second + b"\r[]\n")
+    found, diagnostics = records.scan_queries(str(path))
+    assert [(q.query_id, q.text) for q in found] == [("q1", "what?"), ("q2", "é")]
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (2, "invalid JSON (not UTF-8 text)"),
+        (4, "record must be a JSON object"),
+    ]
+
+
 def test_decoding_problems_are_reported_before_row_problems(tmp_path):
     path = tmp_path / "generations.jsonl"
     bad_row = json.dumps(_valid_generation(token_logprobs=[0.5]))

@@ -19,7 +19,6 @@ from conscal.synth import (
     GroupShift,
     SynthConfig,
     generate,
-    load_truth,
     query_truth,
     write_truth,
 )
@@ -218,12 +217,12 @@ def test_truth_sidecar_round_trip(tmp_path):
     queries, _, _ = generate(_SMALL)
     path = str(tmp_path / "truth.jsonl")
     write_truth(path, _SMALL, queries)
-    loaded = load_truth(path)
-    assert set(loaded) == {q.query_id for q in queries}
-    for query in queries:
+    with open(path, encoding="utf-8") as handle:
+        rows = [json.loads(line) for line in handle]
+    assert [row["query_id"] for row in rows] == [q.query_id for q in queries]
+    for query, row in zip(queries, rows):
         truth = query_truth(_SMALL, query)
-        assert loaded[query.query_id]["pi"] == truth.pi
-        assert loaded[query.query_id]["modal_prob"] == truth.modal_prob
+        assert row == {"query_id": query.query_id, "pi": truth.pi, "modal_prob": truth.modal_prob}
 
 
 # ---------------------------------------------------------------------------
