@@ -56,7 +56,6 @@ from .metrics import auroc, brier, compute_report, ece, equal_mass_bins, mce
 from .records import (
     CorrectnessLabel,
     GenerationBatch,
-    GenerationRecord,
     QueryRecord,
     SampleSet,
     load_generations,
@@ -78,7 +77,6 @@ __all__ = [
     "EvalDataset",
     "EvalResult",
     "GenerationBatch",
-    "GenerationRecord",
     "GroupShift",
     "PlattModel",
     "QueryRecord",

@@ -314,21 +314,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scored_feature_matrix(
-    generations: list[records.GenerationRecord], model: calibrator.CalibratorModel
-) -> list[tuple[float, ...]]:
-    expected = int(model.scaler.means.shape[0])
-    rows = []
-    for g in generations:
-        if len(g.embedding) != expected:
-            raise DataError(
-                f"query {g.query_id} sample {g.sample_index}: embedding has "
-                f"{len(g.embedding)} dimensions, model expects {expected}"
-            )
-        rows.append(g.embedding)
-    return rows
-
-
 def cmd_score(args: argparse.Namespace) -> int:
     """Score every generation with each method (tt_sc scores per query)."""
     methods = _parse_methods(args.methods, _SCORE_METHODS)
@@ -346,72 +331,62 @@ def cmd_score(args: argparse.Namespace) -> int:
         "methods": list(methods),
     }
     out = _out_dir(args, config_obj)
-    generations = [g for s in sets for g in s.samples]
+    # The sets index one loaded batch; score rows follow set order.
+    positions = [i for s in sets for i in s.rows]
+    keys = [(s.query_id, s.batch.sample_index[i]) for s in sets for i in s.rows]
     rows: list[dict[str, Any]] = []
     for method in methods:
-        if not generations:
+        if not positions:
             break
+        batch = sets[0].batch
+        imputed: list[bool | None] = [None] * len(positions)
         if method == "distilled":
             assert model is not None
             if model.feature_source == "question_embedding":
-                features = [
+                features: Any = [
                     evaluation.feature_row(s, model.feature_source)
                     for s in sets
-                    for _ in s.samples
+                    for _ in s.rows
                 ]
             else:
-                features = _scored_feature_matrix(generations, model)
-            confidences = np.atleast_1d(calibrator.predict(model, features))
-            for g, value in zip(generations, confidences):
-                rows.append(
-                    {
-                        "query_id": g.query_id,
-                        "sample_index": g.sample_index,
-                        "method": method,
-                        "confidence": float(value),
-                    }
-                )
-        elif method == "token_prob":
-            for g in generations:
-                rows.append(
-                    {
-                        "query_id": g.query_id,
-                        "sample_index": g.sample_index,
-                        "method": method,
-                        "confidence": baselines.token_prob_score(g.token_logprobs),
-                    }
-                )
-        elif method == "answer_prob":
-            for g in generations:
-                if g.answer_token_logprobs is None:
+                features = batch.embedding[positions]
+                expected = int(model.scaler.means.shape[0])
+                if features.shape[1] != expected:
                     raise DataError(
-                        f"query {g.query_id} sample {g.sample_index}: record lacks the "
+                        f"query {keys[0][0]} sample {keys[0][1]}: embedding has "
+                        f"{features.shape[1]} dimensions, model expects {expected}"
+                    )
+            confidences = [
+                float(v) for v in np.atleast_1d(calibrator.predict(model, features))
+            ]
+        elif method == "token_prob":
+            confidences = [baselines.token_prob_score(batch.token_row(i)) for i in positions]
+        elif method == "answer_prob":
+            confidences = []
+            for (query_id, sample_index), i in zip(keys, positions):
+                span = batch.answer_token_row(i)
+                if span is None:
+                    raise DataError(
+                        f"query {query_id} sample {sample_index}: record lacks the "
                         "answer-span log-probabilities needed by answer_prob"
                     )
-                rows.append(
-                    {
-                        "query_id": g.query_id,
-                        "sample_index": g.sample_index,
-                        "method": method,
-                        "confidence": baselines.answer_prob_score(g.answer_token_logprobs),
-                    }
-                )
+                confidences.append(baselines.answer_prob_score(span))
         elif method == "verbal_conf":
-            raw = [baselines.parse_verbal_confidence(g.response_text) for g in generations]
-            for g, vc in zip(generations, baselines.impute_verbal(raw)):
-                rows.append(
-                    {
-                        "query_id": g.query_id,
-                        "sample_index": g.sample_index,
-                        "method": method,
-                        "confidence": vc.value,
-                        "imputed": vc.imputed,
-                    }
-                )
+            raw = [baselines.parse_verbal_confidence(batch.response_text[i]) for i in positions]
+            verbal = baselines.impute_verbal(raw)
+            confidences = [vc.value for vc in verbal]
+            imputed = [vc.imputed for vc in verbal]
         else:  # tt_sc
             for s in sets:
                 share = consistency.build_target(consistency.answer_codes(s)).s
                 rows.append({"query_id": s.query_id, "method": method, "confidence": share})
+            continue
+        # write_scores leaves out an "imputed" of None.
+        rows.extend(
+            {"query_id": query_id, "sample_index": sample_index, "method": method,
+             "confidence": confidence, "imputed": flag}
+            for (query_id, sample_index), confidence, flag in zip(keys, confidences, imputed)
+        )
     baselines.write_scores(os.path.join(out, "scores.jsonl"), rows)
     _write_json(os.path.join(out, "config.json"), config_obj)
     print(f"wrote {len(rows)} score rows ({len(methods)} methods) to {out}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import seeding
 from .errors import DataError, RecordError, is_finite_real
-from .records import GenerationRecord, SampleSet, json_lines
+from .records import GenerationBatch, SampleSet, json_lines
 
 log = logging.getLogger(__name__)
 
@@ -125,23 +125,24 @@ class ConsistencyTarget:
     k: int
 
 
-def canonical_answer(generation: GenerationRecord) -> str | None:
-    """Normalized answer of one generation, or None when there is none.
+def canonical_answer(batch: GenerationBatch, row: int) -> str | None:
+    """Normalized answer of generation ``row`` of ``batch``, or None if none.
 
-    A pre-extracted ``answer`` field wins over in-text extraction; when both
+    A pre-extracted ``answer`` wins over in-text extraction; when both
     exist and disagree a warning is logged, since that usually means the
     upstream extractor and this one diverge.
     """
-    extracted = extract_boxed(generation.response_text)
-    if generation.answer is None:
+    given = batch.answer[row]
+    extracted = extract_boxed(batch.response_text[row])
+    if given is None:
         return normalize_answer(extracted) if extracted is not None else None
-    answer = normalize_answer(generation.answer)
+    answer = normalize_answer(given)
     if extracted is not None and answer != normalize_answer(extracted):
         log.warning(
             "query %s sample %d: pre-extracted answer %r disagrees with boxed %r",
-            generation.query_id,
-            generation.sample_index,
-            generation.answer,
+            batch.query_id_of(row),
+            batch.sample_index[row],
+            given,
             extracted,
         )
     return answer
@@ -166,11 +167,12 @@ class AnswerCodes:
 
 def answer_codes(sample_set: SampleSet) -> AnswerCodes:
     """Extract and normalize each sample's answer once, as codes."""
-    answers = [canonical_answer(g) for g in sample_set.samples]
+    batch, rows = sample_set.batch, sample_set.rows
+    answers = [canonical_answer(batch, i) for i in rows]
     distinct = sorted({a for a in answers if a is not None})
     index: dict[str | None, int] = {a: i for i, a in enumerate(distinct)}
     index[None] = -1
-    sample_index = tuple(g.sample_index for g in sample_set.samples)
+    sample_index = tuple(map(batch.sample_index.__getitem__, rows))
     codes = np.array([index[a] for a in answers], dtype=np.intp)
     return AnswerCodes(sample_set.query_id, sample_index, codes, tuple(distinct))
 

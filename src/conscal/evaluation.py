@@ -85,8 +85,8 @@ _S_SUBSAMPLE = 3
 class EvalDataset:
     """Per-query arrays precomputed once so trials stay cheap.
 
-    The records themselves are not kept: ``codes`` holds each query's
-    answers, extracted once, which is all the ``k_subsample`` ablation needs.
+    The generation batch is not kept: ``codes`` holds each query's answers,
+    extracted once, which is all the ``k_subsample`` ablation needs.
     """
 
     codes: tuple[AnswerCodes, ...]
@@ -124,11 +124,11 @@ class EvalDataset:
         )
 
 
-def feature_row(sample_set: SampleSet, feature_source: str) -> tuple[float, ...]:
+def feature_row(sample_set: SampleSet, feature_source: str) -> Sequence[float]:
     """The feature vector a trained calibrator consumes for one query."""
     if feature_source in ("response_embedding", "external_embedding"):
-        row = sample_set.samples[0].embedding
-        if not row:
+        row = sample_set.batch.embedding[sample_set.rows[0]]
+        if not row.size:
             raise DataError(
                 f"query {sample_set.query_id}: deployment response has no embedding"
             )
@@ -174,7 +174,7 @@ def build_dataset(
     labels_map = None
     if labels is not None:
         labels_map = {(l.query_id, l.sample_index): l.z for l in labels}
-    rows: list[tuple[float, ...]] = []
+    rows: list[Sequence[float]] = []
     tp: list[float] = []
     ap: list[float] = []
     ap_missing = False
@@ -184,14 +184,15 @@ def build_dataset(
     deploy_z: list[float] = []
     tt_z: list[float] = []
     for sample_set in sets:
-        deploy = sample_set.samples[0]
+        batch, deploy = sample_set.batch, sample_set.rows[0]
         rows.append(feature_row(sample_set, feature_source))
-        tp.append(token_prob_score(deploy.token_logprobs))
-        if deploy.answer_token_logprobs is None:
+        tp.append(token_prob_score(batch.token_row(deploy)))
+        span = batch.answer_token_row(deploy)
+        if span is None:
             ap_missing = True
         elif not ap_missing:
-            ap.append(answer_prob_score(deploy.answer_token_logprobs))
-        vc_raw.append(parse_verbal_confidence(deploy.response_text))
+            ap.append(answer_prob_score(span))
+        vc_raw.append(parse_verbal_confidence(batch.response_text[deploy]))
         coded = answer_codes(sample_set)
         codes.append(coded)
         target = build_target(coded)
@@ -204,7 +205,7 @@ def build_dataset(
         deploy_code = int(coded.codes[0])
         deploy_z.append(
             _correctness(
-                labels_map, key, sample_set.query_id, deploy.sample_index,
+                labels_map, key, sample_set.query_id, coded.sample_index[0],
                 coded.answers[deploy_code] if deploy_code >= 0 else None,
             )
         )

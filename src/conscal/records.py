@@ -10,10 +10,13 @@ Every dataset is a set of UTF-8 text files with one JSON object per line:
 ``labels.jsonl``
     ``{"query_id", "sample_index", "z"}`` with ``z`` in ``{0, 1}``
 
-Unknown keys are preserved on the loaded record (in ``extra``) and written
-back on export, but carry no meaning here.  Validation is total: every
-malformed line yields a diagnostic naming the file and line, and a loader
-never returns a partially constructed dataset.
+Queries and labels load as one record object per line.  Generations load
+into one columnar :class:`GenerationBatch`, their only in-memory form, and a
+:class:`SampleSet` is a query plus the positions of its rows in that batch.
+Unknown keys are preserved (in ``extra``) and written back on export, but
+carry no meaning here.  Validation is total: every malformed line yields a
+diagnostic naming the file and line, and a loader never returns a partially
+constructed dataset.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -44,6 +49,10 @@ _GENERATION_FIELDS = frozenset(
         "sampling_meta",
     )
 )
+# Fields each loader checks itself; NaN or Infinity anywhere else in a line
+# (unknown keys, sampling_meta) is a problem of its own.
+_CHECKED_GENERATION_FIELDS = _GENERATION_FIELDS - {"sampling_meta"}
+_LABEL_FIELDS = frozenset(("query_id", "sample_index", "z"))
 # Exact types of the numbers json.loads returns; bool, a subclass of int,
 # is not among them.
 _NUMBER_TYPES = frozenset((int, float))
@@ -72,48 +81,18 @@ class QueryRecord:
     extra: Mapping[str, Any] = field(default_factory=dict)
 
 
-# Datasets hold one of these per generation: slots keep each instance small.
-@dataclass(frozen=True, slots=True)
-class GenerationRecord:
-    query_id: str
-    sample_index: int
-    response_text: str
-    token_logprobs: tuple[float, ...]
-    embedding: tuple[float, ...]
-    answer: str | None = None
-    answer_token_logprobs: tuple[float, ...] | None = None
-    sampling_meta: Mapping[str, Any] | None = None
-    extra: Mapping[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """All logged generations for one query, ordered by sample_index."""
-
-    query: QueryRecord
-    samples: tuple[GenerationRecord, ...]
-
-    @property
-    def query_id(self) -> str:
-        return self.query.query_id
-
-    @property
-    def k(self) -> int:
-        return len(self.samples)
-
-
 @dataclass(frozen=True, eq=False)
-class GenerationBatch(Sequence[GenerationRecord]):
-    """Generation rows held as columns, grouped by query.
+class GenerationBatch:
+    """Generation rows held as columns.
 
-    Rows ``query_offsets[q]:query_offsets[q + 1]`` belong to ``query_ids[q]``.
-    Row ``i`` has the token log-probabilities
-    ``token_logprobs[token_offsets[i]:token_offsets[i + 1]]``, the answer-span
-    ones ``answer_token_logprobs[answer_token_offsets[i]:...]`` and the
-    embedding ``embedding[i]``; the other columns hold one entry per row.
-
-    Read as a sequence, the batch gives the ``GenerationRecord`` each row
-    stands for.  Iteration converts each query's columns once.
+    Rows ``query_offsets[r]:query_offsets[r + 1]`` are a run of consecutive
+    rows that share the query id ``query_ids[r]``.  Row ``i`` has the token
+    log-probabilities ``token_logprobs[token_offsets[i]:token_offsets[i + 1]]``,
+    the answer-span ones ``answer_token_logprobs[answer_token_offsets[i]:...]``
+    (an empty segment: the row has none) and the embedding ``embedding[i]``;
+    the other columns hold one entry per row, ``None`` for an absent answer
+    or ``sampling_meta``.  ``extra`` holds each row's unknown keys; rows
+    without any share :data:`NO_EXTRA`.  The arrays are read-only.
     """
 
     query_ids: tuple[str, ...]
@@ -127,6 +106,7 @@ class GenerationBatch(Sequence[GenerationRecord]):
     answer_token_offsets: np.ndarray
     embedding: np.ndarray
     sampling_meta: tuple[Mapping[str, Any] | None, ...]
+    extra: tuple[Mapping[str, Any], ...]
 
     def __post_init__(self) -> None:
         for column in fields(self):
@@ -136,18 +116,6 @@ class GenerationBatch(Sequence[GenerationRecord]):
 
     def __len__(self) -> int:
         return len(self.sample_index)
-
-    def __getitem__(self, index):  # type: ignore[override]
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = range(len(self))[index]  # negative and out-of-range indices as for a list
-        query = int(np.searchsorted(self.query_offsets, i, side="right")) - 1
-        return self._records(query, i, i + 1)[0]
-
-    def __iter__(self) -> Iterator[GenerationRecord]:
-        offsets = self.query_offsets.tolist()
-        for query in range(len(self.query_ids)):
-            yield from self._records(query, offsets[query], offsets[query + 1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GenerationBatch):
@@ -162,48 +130,40 @@ class GenerationBatch(Sequence[GenerationRecord]):
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"GenerationBatch({len(self.query_ids)} queries, {len(self)} rows)"
+        return f"GenerationBatch({len(self.query_ids)} query runs, {len(self)} rows)"
 
-    def _records(self, query: int, start: int, stop: int) -> list[GenerationRecord]:
-        """The records of rows ``start:stop``, all of them in ``query``."""
-        tokens = _segments(self.token_logprobs, self.token_offsets, start, stop, _floats)
-        spans = _segments(
-            self.answer_token_logprobs, self.answer_token_offsets, start, stop, _floats
-        )
-        query_id = self.query_ids[query]
-        return [
-            GenerationRecord(
-                query_id=query_id,
-                sample_index=self.sample_index[i],
-                response_text=self.response_text[i],
-                token_logprobs=token_row,
-                embedding=tuple(embedding),
-                answer=self.answer[i],
-                answer_token_logprobs=span_row,
-                sampling_meta=self.sampling_meta[i],
-            )
-            for i, token_row, span_row, embedding in zip(
-                range(start, stop), tokens, spans, self.embedding[start:stop].tolist()
-            )
-        ]
+    def query_id_of(self, row: int) -> str:
+        return self.query_ids[int(np.searchsorted(self.query_offsets, row, side="right")) - 1]
+
+    def token_row(self, row: int) -> np.ndarray:
+        return self.token_logprobs[self.token_offsets[row] : self.token_offsets[row + 1]]
+
+    def answer_token_row(self, row: int) -> np.ndarray | None:
+        """The row's answer-span log-probabilities, or None when it has none."""
+        start, stop = self.answer_token_offsets[row : row + 2]
+        return self.answer_token_logprobs[start:stop] if stop > start else None
 
 
-def _floats(values: np.ndarray) -> tuple[float, ...]:
-    return tuple(values.tolist())
+# The ``extra`` of every generation row without unknown keys.
+NO_EXTRA: Mapping[str, Any] = MappingProxyType({})
 
 
-def _segments(
-    values: np.ndarray,
-    offsets: np.ndarray,
-    start: int,
-    stop: int,
-    convert: Callable[[np.ndarray], Sequence[Any]],
-) -> list[Sequence[Any]]:
-    """Rows ``start:stop`` of a flat column, converted once and then sliced."""
-    ends = offsets[start : stop + 1].tolist()
-    base = ends[0]
-    flat = convert(values[base : ends[-1]])
-    return [flat[a - base : b - base] for a, b in zip(ends, ends[1:])]
+@dataclass(frozen=True)
+class SampleSet:
+    """One query's logged generations: the positions of its rows in a shared
+    batch, ordered by sample_index.  ``rows[0]`` is the deployment response."""
+
+    query: QueryRecord
+    batch: GenerationBatch
+    rows: tuple[int, ...]
+
+    @property
+    def query_id(self) -> str:
+        return self.query.query_id
+
+    @property
+    def k(self) -> int:
+        return len(self.rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,42 +194,85 @@ def _check_vector(value: Any, name: str, *, max_value: float | None = None) -> l
     return []
 
 
-def json_lines(path: str) -> Iterator[tuple[int, Any, str | None]]:
+def json_lines(
+    path: str, constants: list[str] | None = None
+) -> Iterator[tuple[int, Any, str | None]]:
     """Decode each line of a JSONL file: ``(lineno, value, None)``, or
     ``(lineno, None, reason)`` for a line that is not JSON.
 
     Lines split as in text mode (``\\n``, ``\\r\\n`` or a lone ``\\r``).  A line
     holding bytes that are not UTF-8 gets the reason ``not UTF-8 text`` and
-    reading goes on with the next line.
+    reading goes on with the next line.  When ``constants`` is given, it
+    holds the ``NaN``, ``Infinity`` and ``-Infinity`` tokens of the line last
+    decoded; they still decode to floats.
     """
+
+    def constant(token: str) -> float:
+        constants.append(token)  # type: ignore[union-attr]
+        return float(token)
+
+    # One decoder for the file: json.loads with a hook would build one a line.
+    decode = json.JSONDecoder(parse_constant=None if constants is None else constant).decode
     # surrogateescape turns each undecodable byte into a lone surrogate,
     # which text decoded from UTF-8 never holds and which cannot be encoded.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            if constants:
+                constants.clear()
             try:
                 if not raw.isascii():
                     raw.encode("utf-8")
-                value = json.loads(raw.rstrip("\n"))
+                    if raw.startswith("\ufeff"):  # which json.loads rejects
+                        raise json.JSONDecodeError(
+                            "Unexpected UTF-8 BOM (decode using utf-8-sig)", raw, 0
+                        )
+                value = decode(raw.rstrip("\n"))
             except (ValueError, RecursionError) as exc:
                 yield lineno, None, json_error_reason(exc)
                 continue
             yield lineno, value, None
 
 
-def _objects(path: str, diagnostics: list[Diagnostic]) -> Iterator[tuple[int, dict]]:
+def _holds_non_finite(value: Any) -> bool:
+    """True when a decoded JSON value holds a NaN or infinite float anywhere."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, float) and not math.isfinite(item):
+            return True
+        if isinstance(item, (dict, list)):
+            stack.extend(item.values() if isinstance(item, dict) else item)
+    return False
+
+
+def _objects(
+    path: str, diagnostics: list[Diagnostic], checked: frozenset[str]
+) -> Iterator[tuple[int, dict, list[str]]]:
     """Yield each line that decodes to a JSON object, diagnosing the others.
+
+    Each object comes with its first problems: one for every top-level field
+    outside ``checked`` (the fields the caller validates itself) that holds
+    ``NaN`` or ``Infinity``, which JSON does not allow.  Only lines holding
+    such a token are walked.
 
     Lines are read one at a time, so a caller that validates and converts
     each object before asking for the next keeps one decoded row alive.
     Callers hold their row diagnostics apart and report them after these.
     """
-    for lineno, obj, reason in json_lines(path):
+    constants: list[str] = []
+    for lineno, obj, reason in json_lines(path, constants):
         if reason is not None:
             diagnostics.append(Diagnostic(path, lineno, f"invalid JSON ({reason})"))
         elif not isinstance(obj, dict):
             diagnostics.append(Diagnostic(path, lineno, "record must be a JSON object"))
+        elif constants:
+            yield lineno, obj, [
+                f"{key} contains NaN or Infinity"
+                for key, value in obj.items()
+                if key not in checked and _holds_non_finite(value)
+            ]
         else:
-            yield lineno, obj
+            yield lineno, obj, []
 
 
 def _extra_of(obj: Mapping[str, Any], known: frozenset[str]) -> dict[str, Any]:
@@ -290,8 +293,7 @@ def scan_queries(path: str) -> tuple[list[QueryRecord], list[Diagnostic]]:
     records: list[QueryRecord] = []
     seen: set[str] = set()
     embed_dim: int | None = None
-    for lineno, obj in _objects(path, diagnostics):
-        problems: list[str] = []
+    for lineno, obj, problems in _objects(path, diagnostics, _QUERY_FIELDS):
         query_id = obj.get("query_id")
         if not isinstance(query_id, str) or not query_id:
             problems.append("query_id must be a nonempty string")
@@ -347,15 +349,22 @@ def load_queries(path: str) -> list[QueryRecord]:
 # ---------------------------------------------------------------------------
 
 
-def scan_generation_records(path: str) -> tuple[list[GenerationRecord], list[Diagnostic]]:
-    """Row-level parse of a generations file (no query cross-checks)."""
+def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic]]:
+    """Row-level parse of a generations file (no query cross-checks).
+
+    Valid rows fill the batch in file order; a new query run starts
+    wherever the query id changes.
+    """
     diagnostics: list[Diagnostic] = []
     row_diagnostics: list[Diagnostic] = []
-    records: list[GenerationRecord] = []
     seen: set[tuple[str, int]] = set()
     embed_dim: int | None = None
-    for lineno, obj in _objects(path, diagnostics):
-        problems: list[str] = []
+    query_ids: list[str] = []
+    run_starts: list[int] = []
+    rows: list[tuple] = []  # (sample_index, response_text, answer, sampling_meta, extra)
+    tokens, spans, embeddings = array("d"), array("d"), array("d")
+    token_ends, span_ends = [0], [0]
+    for lineno, obj, problems in _objects(path, diagnostics, _CHECKED_GENERATION_FIELDS):
         query_id = obj.get("query_id")
         if not isinstance(query_id, str) or not query_id:
             problems.append("query_id must be a nonempty string")
@@ -395,59 +404,75 @@ def scan_generation_records(path: str) -> tuple[list[GenerationRecord], list[Dia
         if problems:
             row_diagnostics.extend(Diagnostic(path, lineno, p) for p in problems)
             continue
-        records.append(
-            GenerationRecord(
-                query_id=query_id,
-                sample_index=sample_index,
-                response_text=response_text,
-                token_logprobs=tuple(map(float, token_lp)),
-                embedding=tuple(map(float, embedding)),
-                answer=answer,
-                answer_token_logprobs=tuple(map(float, ans_lp)) if ans_lp is not None else None,
-                sampling_meta=meta,
-                extra=_extra_of(obj, _GENERATION_FIELDS),
-            )
-        )
-    return records, diagnostics + row_diagnostics
+        if not query_ids or query_ids[-1] != query_id:
+            query_ids.append(query_id)
+            run_starts.append(len(rows))
+        extra = _extra_of(obj, _GENERATION_FIELDS) or NO_EXTRA
+        rows.append((sample_index, response_text, answer, meta, extra))
+        tokens.extend(token_lp)
+        token_ends.append(len(tokens))
+        if ans_lp is not None:
+            spans.extend(ans_lp)
+        span_ends.append(len(spans))
+        embeddings.extend(embedding)
+    indices, texts, answers, metas, extras = zip(*rows) if rows else ((),) * 5
+    batch = GenerationBatch(
+        query_ids=tuple(query_ids),
+        query_offsets=np.array(run_starts + [len(rows)], dtype=np.intp),
+        sample_index=indices,
+        response_text=texts,
+        answer=answers,
+        token_logprobs=np.frombuffer(tokens, dtype=float),
+        token_offsets=np.array(token_ends, dtype=np.intp),
+        answer_token_logprobs=np.frombuffer(spans, dtype=float),
+        answer_token_offsets=np.array(span_ends, dtype=np.intp),
+        embedding=np.frombuffer(embeddings, dtype=float).reshape(len(rows), embed_dim or 0),
+        sampling_meta=metas,
+        extra=extras,
+    )
+    return batch, diagnostics + row_diagnostics
 
 
-def load_generation_records(path: str) -> list[GenerationRecord]:
-    records, diagnostics = scan_generation_records(path)
+def load_generation_records(path: str) -> GenerationBatch:
+    batch, diagnostics = scan_generation_records(path)
     _raise_if_any(diagnostics)
-    return records
+    return batch
 
 
 def group_generations(
     queries: Sequence[QueryRecord],
-    rows: Sequence[GenerationRecord],
+    batch: GenerationBatch,
     *,
     path: str = "<generations>",
 ) -> tuple[list[SampleSet], list[Diagnostic]]:
     """Group validated generation rows into per-query sample sets.
 
-    Rows referencing an unknown query are diagnostics (orphans).  Queries with
-    zero generations are dropped with a warning: partial generation logs are a
-    fact of life and should not fail a whole run.
+    Each set holds the positions of its query's rows in ``batch``, ordered
+    by ``sample_index`` (a stable sort); no row is copied.  Rows referencing
+    an unknown query are diagnostics (orphans), one per row.  Queries with
+    zero generations are dropped with a warning: partial generation logs are
+    a fact of life and should not fail a whole run.
     """
     diagnostics: list[Diagnostic] = []
-    by_query: dict[str, list[GenerationRecord]] = {q.query_id: [] for q in queries}
-    for row in rows:
-        bucket = by_query.get(row.query_id)
-        if bucket is None:
-            diagnostics.append(
-                Diagnostic(path, None, f"generation references unknown query_id {row.query_id!r}")
-            )
-            continue
-        bucket.append(row)
+    position = {q.query_id: p for p, q in enumerate(queries)}
+    offsets = batch.query_offsets.tolist()
+    rows: list[list[int]] = [[] for _ in queries]
+    for run, query_id in enumerate(batch.query_ids):
+        start, stop = offsets[run], offsets[run + 1]
+        p = position.get(query_id)
+        if p is None:
+            message = f"generation references unknown query_id {query_id!r}"
+            diagnostics.extend(Diagnostic(path, None, message) for _ in range(start, stop))
+        else:
+            rows[p].extend(range(start, stop))
     sets: list[SampleSet] = []
     dropped: list[str] = []
-    for query in queries:
-        bucket = by_query[query.query_id]
-        if not bucket:
+    for query, query_rows in zip(queries, rows):
+        if not query_rows:
             dropped.append(query.query_id)
             continue
-        bucket.sort(key=lambda r: r.sample_index)
-        sets.append(SampleSet(query=query, samples=tuple(bucket)))
+        query_rows.sort(key=batch.sample_index.__getitem__)
+        sets.append(SampleSet(query=query, batch=batch, rows=tuple(query_rows)))
     if dropped:
         preview = ", ".join(dropped[:5])
         more = "" if len(dropped) <= 5 else f" (+{len(dropped) - 5} more)"
@@ -456,9 +481,9 @@ def group_generations(
 
 
 def load_generations(path: str, queries: Sequence[QueryRecord]) -> list[SampleSet]:
-    rows, diagnostics = scan_generation_records(path)
+    batch, diagnostics = scan_generation_records(path)
     if not diagnostics:
-        sets, diagnostics = group_generations(queries, rows, path=path)
+        sets, diagnostics = group_generations(queries, batch, path=path)
     else:
         sets = []
     _raise_if_any(diagnostics)
@@ -479,9 +504,8 @@ def scan_labels(
     seen: set[tuple[str, int]] = set()
     known: set[tuple[str, int]] | None = None
     if sets is not None:
-        known = {(s.query_id, g.sample_index) for s in sets for g in s.samples}
-    for lineno, obj in _objects(path, diagnostics):
-        problems: list[str] = []
+        known = {(s.query_id, s.batch.sample_index[i]) for s in sets for i in s.rows}
+    for lineno, obj, problems in _objects(path, diagnostics, _LABEL_FIELDS):
         query_id = obj.get("query_id")
         if not isinstance(query_id, str) or not query_id:
             problems.append("query_id must be a nonempty string")
@@ -578,13 +602,15 @@ def _optional(key: str, value: Any, text: Callable[[Any], str] = _json_text) -> 
     return "" if value is None else f',"{key}":{text(value)}'
 
 
-def _extra_text(record: QueryRecord | GenerationRecord, known: frozenset[str]) -> str:
-    """The ``extra`` keys that no written field took, in sorted order."""
-    extra = record.extra
+def _extra_text(
+    extra: Mapping[str, Any], known: frozenset[str], values: Mapping[str, Any]
+) -> str:
+    """The ``extra`` keys that no written field took, in sorted order: the
+    unknown keys, and those of fields whose value in ``values`` is None."""
     return "".join(
         "," + _dump({key: extra[key]})[1:-1]
         for key in sorted(extra)
-        if key not in known or getattr(record, key) is None
+        if key not in known or (key in values and values[key] is None)
     )
 
 
@@ -595,21 +621,7 @@ def _query_line(q: QueryRecord) -> str:
         _json_text(q.group),
         _optional("gold_answers", q.gold_answers, lambda gold: _dump(list(gold))),
         _optional("question_embedding", q.question_embedding, lambda v: f"[{_numbers(v)}]"),
-        _extra_text(q, _QUERY_FIELDS),
-    )
-
-
-def _generation_line(g: GenerationRecord) -> str:
-    return _GENERATION_LINE.format(
-        _json_text(g.query_id),
-        _json_text(g.sample_index),
-        _json_text(g.response_text),
-        _optional("answer", g.answer),
-        _numbers(g.token_logprobs),
-        _optional("answer_token_logprobs", g.answer_token_logprobs, lambda v: f"[{_numbers(v)}]"),
-        _numbers(g.embedding),
-        _optional("sampling_meta", g.sampling_meta, lambda meta: _dump(dict(meta))),
-        _extra_text(g, _GENERATION_FIELDS),
+        _extra_text(q.extra, _QUERY_FIELDS, vars(q)),
     )
 
 
@@ -619,18 +631,28 @@ def _label_line(label: CorrectnessLabel) -> str:
     )
 
 
+def _segment_texts(
+    values: np.ndarray, offsets: np.ndarray, start: int, stop: int
+) -> list[list[str]]:
+    """The json texts of rows ``start:stop`` of a flat float column."""
+    ends = offsets[start : stop + 1].tolist()
+    base = ends[0]
+    texts = _float_texts(values[base : ends[-1]])
+    return [texts[a - base : b - base] for a, b in zip(ends, ends[1:])]
+
+
 def _batch_lines(batch: GenerationBatch) -> Iterator[list[str]]:
-    """The lines of a batch, one list per query, formatted from its columns."""
+    """The lines of a batch, one list per query run, formatted from its columns."""
     offsets = batch.query_offsets.tolist()
     dim = batch.embedding.shape[1]
     meta: Any = None
     meta_text = ""
-    for query, query_id in enumerate(batch.query_ids):
-        start, stop = offsets[query], offsets[query + 1]
+    for run, query_id in enumerate(batch.query_ids):
+        start, stop = offsets[run], offsets[run + 1]
         head = encode_basestring(query_id)
-        tokens = _segments(batch.token_logprobs, batch.token_offsets, start, stop, _float_texts)
-        spans = _segments(
-            batch.answer_token_logprobs, batch.answer_token_offsets, start, stop, _float_texts
+        tokens = _segment_texts(batch.token_logprobs, batch.token_offsets, start, stop)
+        spans = _segment_texts(
+            batch.answer_token_logprobs, batch.answer_token_offsets, start, stop
         )
         embeddings = _float_texts(batch.embedding[start:stop].ravel())
         lines = []
@@ -638,7 +660,12 @@ def _batch_lines(batch: GenerationBatch) -> Iterator[list[str]]:
             if batch.sampling_meta[i] is not meta:
                 meta = batch.sampling_meta[i]
                 meta_text = _optional("sampling_meta", meta, lambda m: _dump(dict(m)))
-            answer = batch.answer[i]
+            answer, span, extra = batch.answer[i], spans[row], batch.extra[i]
+            extra_text = ""
+            if extra:
+                values = {"answer": answer, "answer_token_logprobs": span or None,
+                          "sampling_meta": meta}
+                extra_text = _extra_text(extra, _GENERATION_FIELDS, values)
             lines.append(
                 _GENERATION_LINE.format(
                     head,
@@ -646,10 +673,10 @@ def _batch_lines(batch: GenerationBatch) -> Iterator[list[str]]:
                     encode_basestring(batch.response_text[i]),
                     "" if answer is None else ',"answer":' + encode_basestring(answer),
                     ",".join(tokens[row]),
-                    ',"answer_token_logprobs":[' + ",".join(spans[row]) + "]",
+                    ',"answer_token_logprobs":[' + ",".join(span) + "]" if span else "",
                     ",".join(embeddings[row * dim : (row + 1) * dim]),
                     meta_text,
-                    "",
+                    extra_text,
                 )
             )
         yield lines
@@ -660,17 +687,10 @@ def write_queries(path: str, queries: Iterable[QueryRecord]) -> None:
         handle.writelines(map(_query_line, queries))
 
 
-def write_generations(
-    path: str, rows: GenerationBatch | Iterable[GenerationRecord | SampleSet]
-) -> None:
+def write_generations(path: str, batch: GenerationBatch) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        if isinstance(rows, GenerationBatch):
-            for lines in _batch_lines(rows):
-                handle.writelines(lines)
-            return
-        for row in rows:
-            samples = row.samples if isinstance(row, SampleSet) else (row,)
-            handle.writelines(map(_generation_line, samples))
+        for lines in _batch_lines(batch):
+            handle.writelines(lines)
 
 
 def write_labels(path: str, labels: Iterable[CorrectnessLabel]) -> None:
@@ -695,10 +715,10 @@ def validate_files(
     queries, diagnostics = scan_queries(queries_path)
     sets: list[SampleSet] | None = None
     if generations_path is not None:
-        rows, gen_diags = scan_generation_records(generations_path)
+        batch, gen_diags = scan_generation_records(generations_path)
         diagnostics.extend(gen_diags)
         if not gen_diags:
-            sets, group_diags = group_generations(queries, rows, path=generations_path)
+            sets, group_diags = group_generations(queries, batch, path=generations_path)
             diagnostics.extend(group_diags)
     if labels_path is not None:
         _, label_diags = scan_labels(labels_path, sets)

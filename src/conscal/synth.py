@@ -45,7 +45,7 @@ import numpy as np
 
 from . import seeding
 from .errors import ConfigError, DataError, require_integer, require_real
-from .records import CorrectnessLabel, GenerationBatch, QueryRecord
+from .records import NO_EXTRA, CorrectnessLabel, GenerationBatch, QueryRecord
 
 MAIN_GROUP = "main"
 
@@ -360,6 +360,7 @@ def generate(
         answer_token_offsets=span_offsets,
         embedding=embeddings,
         sampling_meta=(meta,) * (total * k),
+        extra=(NO_EXTRA,) * (total * k),
     )
     return queries, generations, labels
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from typing import Mapping, Sequence
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from conscal.records import GenerationRecord, QueryRecord, SampleSet
+from conscal.records import NO_EXTRA, GenerationBatch, QueryRecord, SampleSet
 
 # Model fitting inside property bodies makes per-example runtimes jittery;
 # judge examples on correctness, not wall clock.
@@ -41,17 +43,56 @@ def make_generation(
     token_logprobs: tuple[float, ...] = (-0.1, -0.2),
     answer_token_logprobs: tuple[float, ...] | None = (-0.05,),
     embedding: tuple[float, ...] = (0.0, 1.0),
-) -> GenerationRecord:
+) -> dict:
+    """One generation's fields, for :func:`make_batch`.
+
+    ``answer`` is boxed in the text; the answer field stays absent, which
+    forces in-text extraction unless a test sets it.
+    """
     if text is None:
         text = f"thinking... \\boxed{{{answer}}}" if answer is not None else "no answer here"
-    return GenerationRecord(
-        query_id=query_id,
-        sample_index=sample_index,
-        response_text=text,
-        token_logprobs=token_logprobs,
-        embedding=embedding,
-        answer=None,  # force in-text extraction unless a test sets it
-        answer_token_logprobs=answer_token_logprobs,
+    return {
+        "query_id": query_id,
+        "sample_index": sample_index,
+        "response_text": text,
+        "answer": None,
+        "token_logprobs": token_logprobs,
+        "answer_token_logprobs": answer_token_logprobs,
+        "embedding": embedding,
+    }
+
+
+def make_batch(rows: Sequence[Mapping]) -> GenerationBatch:
+    """A batch holding ``rows`` (dicts of generation fields) in order.
+
+    ``answer``, ``answer_token_logprobs``, ``sampling_meta`` and ``extra``
+    may be left out; consecutive rows with one query id form one run.
+    """
+    ids = [row["query_id"] for row in rows]
+    starts = [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]]
+
+    def flat(name: str) -> tuple[np.ndarray, np.ndarray]:
+        parts = [row.get(name) or () for row in rows]
+        values = np.array([v for part in parts for v in part], dtype=float)
+        return values, np.cumsum([0] + [len(part) for part in parts])
+
+    tokens, token_offsets = flat("token_logprobs")
+    spans, span_offsets = flat("answer_token_logprobs")
+    dim = len(rows[0]["embedding"]) if rows else 0
+    embedding = np.array([row["embedding"] for row in rows], dtype=float)
+    return GenerationBatch(
+        query_ids=tuple(ids[i] for i in starts),
+        query_offsets=np.array(starts + [len(rows)]),
+        sample_index=tuple(row["sample_index"] for row in rows),
+        response_text=tuple(row["response_text"] for row in rows),
+        answer=tuple(row.get("answer") for row in rows),
+        token_logprobs=tokens,
+        token_offsets=token_offsets,
+        answer_token_logprobs=spans,
+        answer_token_offsets=span_offsets,
+        embedding=embedding.reshape(len(rows), dim),
+        sampling_meta=tuple(row.get("sampling_meta") for row in rows),
+        extra=tuple(row.get("extra") or NO_EXTRA for row in rows),
     )
 
 
@@ -64,10 +105,10 @@ def make_set(
 ) -> SampleSet:
     """A sample set whose responses box the given answers (None = no box)."""
     query = make_query(query_id, gold=gold, group=group)
-    samples = tuple(
-        make_generation(query_id, j, answer=answer) for j, answer in enumerate(answers)
+    batch = make_batch(
+        [make_generation(query_id, j, answer=answer) for j, answer in enumerate(answers)]
     )
-    return SampleSet(query=query, samples=samples)
+    return SampleSet(query=query, batch=batch, rows=tuple(range(len(answers))))
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@
 Each oracle favors obviousness over speed: exhaustive enumeration, textbook
 elimination, quadratic pair counting, per-bin and per-row loops,
 character-by-character scans, string counting, entry-by-entry validation,
-plain grid refinement, ``json.dumps`` of each record's object,
-``scipy.stats.rankdata`` and a per-value scan of histogram edges.
+plain grid refinement, ``json.dumps`` of each record's object, per-row
+bucket grouping, ``scipy.stats.rankdata`` and a per-value scan of histogram
+edges.
 They share no code with the package beyond the standard library (numpy only
 for array plumbing, scipy only for ranking), so agreement between the two
 routes is meaningful evidence.
@@ -329,33 +330,46 @@ def _object_by_fields(fields: list[tuple[str, object]], extra: dict) -> dict:
     return obj
 
 
-def record_line_by_json(record) -> str:
+def batch_row(batch, row: int) -> dict:
+    """Row ``row`` of a generation batch as the dict of its fields.
+
+    Reads each column at the row on its own: the query run whose offsets
+    hold the row gives the query id, an empty answer-span segment gives
+    None, and the vectors come back as lists of floats.
+    """
+    offsets = batch.query_offsets.tolist()
+    run = next(r for r in range(len(batch.query_ids)) if offsets[r] <= row < offsets[r + 1])
+    tokens = batch.token_offsets.tolist()
+    spans = batch.answer_token_offsets.tolist()
+    span = batch.answer_token_logprobs.tolist()[spans[row] : spans[row + 1]]
+    meta = batch.sampling_meta[row]
+    return {
+        "query_id": batch.query_ids[run],
+        "sample_index": batch.sample_index[row],
+        "response_text": batch.response_text[row],
+        "answer": batch.answer[row],
+        "token_logprobs": batch.token_logprobs.tolist()[tokens[row] : tokens[row + 1]],
+        "answer_token_logprobs": span or None,
+        "embedding": batch.embedding[row].tolist(),
+        "sampling_meta": dict(meta) if meta is not None else None,
+        "extra": dict(batch.extra[row]),
+    }
+
+
+def record_line_by_json(record, row: int | None = None) -> str:
     """A record's file line, as ``json.dumps`` writes the record's object.
 
     The object holds the known fields in file order, leaving out those that
     are None, then each ``extra`` key in sorted order unless a known field
-    already took it.  A sample set gives the lines of its samples.
+    already took it.  With ``row``, ``record`` is a generation batch and the
+    line is that row's, read with :func:`batch_row`.
     """
-    if hasattr(record, "samples"):
-        return "".join(record_line_by_json(sample) for sample in record.samples)
-    if hasattr(record, "z"):
+    if row is not None:
+        fields = batch_row(record, row)
+        extra = fields.pop("extra")
+        obj = _object_by_fields(list(fields.items()), extra)
+    elif hasattr(record, "z"):
         obj = {"query_id": record.query_id, "sample_index": record.sample_index, "z": record.z}
-    elif hasattr(record, "response_text"):
-        meta = record.sampling_meta
-        spans = record.answer_token_logprobs
-        obj = _object_by_fields(
-            [
-                ("query_id", record.query_id),
-                ("sample_index", record.sample_index),
-                ("response_text", record.response_text),
-                ("answer", record.answer),
-                ("token_logprobs", list(record.token_logprobs)),
-                ("answer_token_logprobs", list(spans) if spans is not None else None),
-                ("embedding", list(record.embedding)),
-                ("sampling_meta", dict(meta) if meta is not None else None),
-            ],
-            record.extra,
-        )
     else:
         gold = record.gold_answers
         qemb = record.question_embedding
@@ -370,3 +384,38 @@ def record_line_by_json(record) -> str:
             record.extra,
         )
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+def group_generations_by_buckets(queries, batch):
+    """Per-query sample sets of a generation batch, by one bucket per query.
+
+    Walks the rows one at a time, appends each to its query's bucket (a row
+    of an unknown query is an orphan: one message each, in row order),
+    sorts each bucket by ``sample_index`` with Python's stable sort and
+    drops the queries whose bucket stays empty.  Returns
+    ``([(query, rows), ...], orphan messages, warning text or None)``.
+    """
+    messages = []
+    by_query = {q.query_id: [] for q in queries}
+    for i in range(len(batch)):
+        query_id = batch_row(batch, i)["query_id"]
+        bucket = by_query.get(query_id)
+        if bucket is None:
+            messages.append(f"generation references unknown query_id {query_id!r}")
+            continue
+        bucket.append(i)
+    sets = []
+    dropped = []
+    for query in queries:
+        bucket = by_query[query.query_id]
+        if not bucket:
+            dropped.append(query.query_id)
+            continue
+        bucket.sort(key=lambda i: batch.sample_index[i])
+        sets.append((query, tuple(bucket)))
+    warning = None
+    if dropped:
+        preview = ", ".join(dropped[:5])
+        more = "" if len(dropped) <= 5 else f" (+{len(dropped) - 5} more)"
+        warning = f"dropping {len(dropped)} queries with zero generations: {preview}{more}"
+    return sets, messages, warning

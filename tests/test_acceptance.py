@@ -33,6 +33,7 @@ from conscal.cli import main
 from conscal.evaluation import (
     TrialConfig,
     build_dataset,
+    feature_row,
     run_trials,
     selective_curve,
     shift_eval,
@@ -317,7 +318,7 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
     assert resaved.read_bytes() == (model_a / "model.json").read_bytes()
     queries = records.load_queries(str(run_a / "queries.jsonl"))
     sets = records.load_generations(str(run_a / "generations.jsonl"), queries)
-    features = [s.samples[0].embedding for s in sets]
+    features = [feature_row(s, "response_embedding") for s in sets]
     reloaded = load_model(str(resaved))
     assert np.array_equal(
         np.asarray(predict(model, features)), np.asarray(predict(reloaded, features))
@@ -329,7 +330,7 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
     assert rewritten.read_bytes() == (run_a / "queries.jsonl").read_bytes()
     rewritten = tmp_path / "generations2.jsonl"
     records.write_generations(
-        str(rewritten), [g for s in sets for g in s.samples]
+        str(rewritten), records.load_generation_records(str(run_a / "generations.jsonl"))
     )
     assert rewritten.read_bytes() == (run_a / "generations.jsonl").read_bytes()
     labels = records.load_labels(str(run_a / "labels.jsonl"), sets)

@@ -16,7 +16,7 @@ import pytest
 from conscal import baselines, calibrator, consistency, evaluation, records
 from conscal.cli import build_parser, main
 
-from conftest import make_generation, make_query
+from conftest import make_batch, make_generation, make_query
 
 
 def _read_bytes(path):
@@ -188,7 +188,7 @@ def test_validate_diagnoses_integers_too_large_for_a_float(tmp_path, capsys):
     queries = tmp_path / "queries.jsonl"
     records.write_queries(str(queries), [make_query("q1")])
     generations = tmp_path / "generations.jsonl"
-    records.write_generations(str(generations), [make_generation("q1", 0, answer="a")])
+    records.write_generations(str(generations), make_batch([make_generation("q1", 0, answer="a")]))
     row = json.loads(generations.read_text(encoding="utf-8"))
     row.update(sample_index=1, token_logprobs=[-(10**400)])
     with generations.open("a", encoding="utf-8") as handle:
@@ -262,11 +262,13 @@ def test_targets_skip_boxless_queries_with_a_warning(tmp_path, capsys):
     records.write_queries(str(queries), [make_query("q1"), make_query("q2")])
     records.write_generations(
         str(generations),
-        [
-            make_generation("q1", 0, answer="a"),
-            make_generation("q1", 1, answer="a"),
-            make_generation("q2", 0),  # no boxed answer anywhere
-        ],
+        make_batch(
+            [
+                make_generation("q1", 0, answer="a"),
+                make_generation("q1", 1, answer="a"),
+                make_generation("q2", 0),  # no boxed answer anywhere
+            ]
+        ),
     )
     out = tmp_path / "targets"
     code = main(["targets", "--queries", str(queries),
@@ -291,7 +293,7 @@ def test_sample_indices_beyond_int64_survive_targets_and_trials(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
     records.write_queries(str(data / "queries.jsonl"), queries)
-    records.write_generations(str(data / "generations.jsonl"), generations)
+    records.write_generations(str(data / "generations.jsonl"), make_batch(generations))
     flags = _data_flags(data, labels=False)
     for k_flags in ([], ["--k", "2"]):
         out = tmp_path / f"targets{len(k_flags)}"
@@ -372,19 +374,20 @@ def test_score_rows_match_library_computations(data_dir, model_dir, tmp_path):
     rows = baselines.load_scores(str(out / "scores.jsonl"))
     queries = records.load_queries(str(data_dir / "queries.jsonl"))
     sets = records.load_generations(str(data_dir / "generations.jsonl"), queries)
-    generations = [g for s in sets for g in s.samples]
+    batch = sets[0].batch
+    positions = [i for s in sets for i in s.rows]
 
     distilled = [r for r in rows if r["method"] == "distilled"]
     model = calibrator.load_model(str(model_dir / "model.json"))
-    expected = calibrator.predict(model, [g.embedding for g in generations])
+    expected = calibrator.predict(model, [batch.embedding[i] for i in positions])
     assert [r["confidence"] for r in distilled] == [float(v) for v in expected]
     assert [(r["query_id"], r["sample_index"]) for r in distilled] == [
-        (g.query_id, g.sample_index) for g in generations
+        (batch.query_id_of(i), batch.sample_index[i]) for i in positions
     ]
 
     token = [r for r in rows if r["method"] == "token_prob"]
     assert [r["confidence"] for r in token] == [
-        baselines.token_prob_score(g.token_logprobs) for g in generations
+        baselines.token_prob_score(batch.token_row(i)) for i in positions
     ]
 
     vote = [r for r in rows if r["method"] == "tt_sc"]
@@ -423,7 +426,7 @@ def test_score_reports_embedding_dimension_mismatches(model_dir, tmp_path, capsy
     queries = tmp_path / "queries.jsonl"
     generations = tmp_path / "generations.jsonl"
     records.write_queries(str(queries), [make_query("q1")])
-    records.write_generations(str(generations), [make_generation("q1", 0, answer="a")])
+    records.write_generations(str(generations), make_batch([make_generation("q1", 0, answer="a")]))
     code = main(["score", "--queries", str(queries), "--generations", str(generations),
                  "--model", str(model_dir / "model.json"),
                  "--methods", "distilled", "--out", str(tmp_path / "x")])

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -26,7 +25,7 @@ from conscal.consistency import (
 from conscal.errors import DataError, RecordError
 from conscal.records import SampleSet
 
-from conftest import make_generation, make_query, make_set
+from conftest import make_batch, make_generation, make_query, make_set
 from oracles import boxed_groups_by_scan, modal_by_counter
 
 
@@ -128,7 +127,7 @@ def test_answerless_samples_dilute_the_share():
 
 
 def test_empty_sample_set_is_an_error():
-    empty = SampleSet(query=make_query("q1"), samples=())
+    empty = SampleSet(query=make_query("q1"), batch=make_batch([]), rows=())
     with pytest.raises(DataError):
         build_target(answer_codes(empty))
 
@@ -170,10 +169,10 @@ def test_answerless_samples_are_never_selected_but_still_dilute():
 
 
 def test_provided_answer_field_wins_over_boxed_text(caplog):
-    generation = dataclasses.replace(make_generation("q1", 0, text=r"\boxed{b}"), answer="c")
+    generation = make_batch([{**make_generation("q1", 0, text=r"\boxed{b}"), "answer": "c"}])
     with caplog.at_level("WARNING", logger="conscal.consistency"):
-        assert consistency.canonical_answer(generation) == "c"
-    assert "disagrees" in caplog.text
+        assert consistency.canonical_answer(generation, 0) == "c"
+    assert "query q1 sample 0: pre-extracted answer 'c' disagrees" in caplog.text
 
 
 def test_majority_vote_shares_match_the_target_builder():
@@ -270,9 +269,12 @@ _answers = st.lists(
 @example(["9", "10"], 1, 5)
 @example(["10", "9", "9", "10"], 4, 0)
 def test_targets_match_the_counter_oracle(answers, k, seed):
-    codes = answer_codes(make_set(answers))
+    sample_set = make_set(answers)
+    codes = answer_codes(sample_set)
     canonical = [codes.answers[c] if c >= 0 else None for c in codes.codes]
-    assert canonical == [consistency.canonical_answer(g) for g in make_set(answers).samples]
+    assert canonical == [
+        consistency.canonical_answer(sample_set.batch, i) for i in sample_set.rows
+    ]
     expected = _expected_target(canonical, list(range(len(answers))))
     if expected is None:
         with pytest.raises(DataError, match="no extractable answer"):

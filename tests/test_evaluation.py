@@ -28,16 +28,19 @@ from conscal.evaluation import (
 from conscal.metrics import auroc
 from conscal.records import CorrectnessLabel, SampleSet
 
-from conftest import make_generation, make_set
+from conftest import make_batch, make_generation, make_query, make_set
 
 
 def _synth_sets(n=80, k=8, seed=0, **overrides):
     config = synth.SynthConfig(n_queries=n, k=k, embedding_dim=5, seed=seed, **overrides)
     queries, generations, labels = synth.generate(config)
-    by_query = {q.query_id: [] for q in queries}
-    for g in generations:
-        by_query[g.query_id].append(g)
-    sets = [SampleSet(query=q, samples=tuple(by_query[q.query_id])) for q in queries]
+    # synth writes one run of rows per query, in query order.
+    assert generations.query_ids == tuple(q.query_id for q in queries)
+    offsets = generations.query_offsets.tolist()
+    sets = [
+        SampleSet(query=q, batch=generations, rows=tuple(range(start, stop)))
+        for q, start, stop in zip(queries, offsets, offsets[1:])
+    ]
     return sets, labels
 
 
@@ -67,12 +70,13 @@ def test_build_dataset_precomputes_aligned_arrays():
 
 def test_missing_answer_spans_disable_answer_prob():
     sets, _ = _synth_sets(n=6, k=3)
-    stripped = []
-    for s in sets:
-        samples = tuple(
-            dataclasses.replace(g, answer_token_logprobs=None) for g in s.samples
-        )
-        stripped.append(dataclasses.replace(s, samples=samples))
+    batch = sets[0].batch
+    without_spans = dataclasses.replace(
+        batch,
+        answer_token_logprobs=np.empty(0),
+        answer_token_offsets=np.zeros(len(batch) + 1, dtype=np.intp),
+    )
+    stripped = [dataclasses.replace(s, batch=without_spans) for s in sets]
     data = build_dataset(stripped)
     assert data.answer_prob is None
     config = TrialConfig(n_trials=1, methods=("answer_prob",), bins=2, cal_fraction=0.5)
@@ -129,8 +133,8 @@ def test_build_dataset_rejects_empty_input_and_bad_source():
 
 def test_inconsistent_feature_dimensions_are_reported():
     good = make_set(["a"], query_id="q1")
-    bad_samples = (make_generation("q2", 0, answer="a", embedding=(0.0, 1.0, 2.0)),)
-    bad = dataclasses.replace(make_set(["a"], query_id="q2"), samples=bad_samples)
+    bad_rows = make_batch([make_generation("q2", 0, answer="a", embedding=(0.0, 1.0, 2.0))])
+    bad = SampleSet(query=make_query("q2"), batch=bad_rows, rows=(0,))
     with pytest.raises(DataError, match="dimension"):
         build_dataset([good, bad])
 
@@ -176,11 +180,11 @@ def test_answers_are_extracted_once_per_generation(monkeypatch):
 
 def test_answer_disagreements_are_logged_once_per_build(caplog):
     sets, labels = _synth_sets(n=30, k=4)
-    sets[0] = dataclasses.replace(
-        sets[0],
-        samples=tuple(dataclasses.replace(g, answer="zz") for g in sets[0].samples[:2])
-        + sets[0].samples[2:],
-    )
+    answers = list(sets[0].batch.answer)
+    for i in sets[0].rows[:2]:
+        answers[i] = "zz"
+    edited = dataclasses.replace(sets[0].batch, answer=tuple(answers))
+    sets = [dataclasses.replace(s, batch=edited) for s in sets]
     with caplog.at_level("WARNING", logger="conscal.consistency"):
         data = build_dataset(sets, labels)
         assert caplog.text.count("disagrees") == 2

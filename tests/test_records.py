@@ -7,25 +7,19 @@ import json
 import math
 import os
 import tempfile
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conscal import records, synth
+from conscal.cli import main
 from conscal.errors import RecordError
-from conscal.records import (
-    CorrectnessLabel,
-    GenerationBatch,
-    GenerationRecord,
-    QueryRecord,
-    SampleSet,
-)
+from conscal.records import CorrectnessLabel, Diagnostic, QueryRecord
 
-from conftest import make_generation, make_query
-from oracles import check_vector_by_entry, record_line_by_json
+from conftest import make_batch, make_generation, make_query, make_set
+from oracles import check_vector_by_entry, group_generations_by_buckets, record_line_by_json
 
 
 def _write_lines(path, rows):
@@ -79,41 +73,32 @@ def test_queries_round_trip_preserves_fields_extras_and_unicode(tmp_path):
 
 
 def test_generations_round_trip_with_and_without_optional_fields(tmp_path):
-    rows = [
-        GenerationRecord(
-            query_id="q1",
-            sample_index=0,
-            response_text="so \\boxed{42}",
-            token_logprobs=(-0.5, 0.0),
-            embedding=(1.0, 2.0),
-            answer="42",
-            answer_token_logprobs=(-0.01,),
-            sampling_meta={"temperature": 0.7},
-            extra={"model": "m1"},
-        ),
-        GenerationRecord(
-            query_id="q1",
-            sample_index=1,
-            response_text="no idea",
-            token_logprobs=(-1.0,),
-            embedding=(0.0, 0.0),
-        ),
-    ]
+    rows = make_batch(
+        [
+            {
+                "query_id": "q1",
+                "sample_index": 0,
+                "response_text": "so \\boxed{42}",
+                "token_logprobs": (-0.5, 0.0),
+                "embedding": (1.0, 2.0),
+                "answer": "42",
+                "answer_token_logprobs": (-0.01,),
+                "sampling_meta": {"temperature": 0.7},
+                "extra": {"model": "m1"},
+            },
+            {
+                "query_id": "q1",
+                "sample_index": 1,
+                "response_text": "no idea",
+                "token_logprobs": (-1.0,),
+                "embedding": (0.0, 0.0),
+            },
+        ]
+    )
     path = tmp_path / "generations.jsonl"
     records.write_generations(str(path), rows)
     loaded = records.load_generation_records(str(path))
     assert loaded == rows
-
-
-def test_generation_writer_accepts_sample_sets(tmp_path):
-    sample_set = SampleSet(
-        query=make_query("q1"),
-        samples=(make_generation("q1", 0, answer="a"), make_generation("q1", 1, answer="b")),
-    )
-    path = tmp_path / "generations.jsonl"
-    records.write_generations(str(path), [sample_set])
-    loaded = records.load_generation_records(str(path))
-    assert loaded == list(sample_set.samples)
 
 
 def test_labels_round_trip(tmp_path):
@@ -127,18 +112,20 @@ def test_on_disk_generation_key_order_is_stable(tmp_path):
     path = tmp_path / "generations.jsonl"
     records.write_generations(
         str(path),
-        [
-            GenerationRecord(
-                query_id="q1",
-                sample_index=0,
-                response_text="t",
-                token_logprobs=(-0.1,),
-                embedding=(0.0,),
-                answer="a",
-                answer_token_logprobs=(-0.2,),
-                sampling_meta={"temperature": 1.0},
-            )
-        ],
+        make_batch(
+            [
+                {
+                    "query_id": "q1",
+                    "sample_index": 0,
+                    "response_text": "t",
+                    "token_logprobs": (-0.1,),
+                    "embedding": (0.0,),
+                    "answer": "a",
+                    "answer_token_logprobs": (-0.2,),
+                    "sampling_meta": {"temperature": 1.0},
+                }
+            ]
+        ),
     )
     first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
     assert list(first) == [
@@ -271,7 +258,7 @@ def test_integers_too_large_for_a_float_are_diagnosed(tmp_path):
         ],
     )
     found, diagnostics = records.scan_generation_records(path)
-    assert [g.query_id for g in found] == ["q1"]
+    assert found.query_ids == ("q1",) and len(found) == 1
     assert [(d.line, d.message) for d in diagnostics] == [
         (2, "token_logprobs contains a non-finite or non-numeric entry"),
         (3, "answer_token_logprobs contains a non-finite or non-numeric entry"),
@@ -419,9 +406,7 @@ def test_labels_referencing_unknown_generations_need_sets_to_be_caught(tmp_path)
     # Without context the label is structurally fine.
     _, without = records.scan_labels(path)
     assert without == []
-    sets = [
-        SampleSet(query=make_query("q1"), samples=(make_generation("q1", 0, answer="a"),))
-    ]
+    sets = [make_set(["a"], query_id="q1")]
     _, with_sets = records.scan_labels(path, sets)
     assert len(with_sets) == 1
     assert "unknown generation" in with_sets[0].message
@@ -452,22 +437,24 @@ def test_record_error_counts_additional_problems(tmp_path):
 
 def test_group_generations_orders_samples_and_flags_orphans():
     queries = [make_query("q1"), make_query("q2")]
-    rows = [
-        make_generation("q1", 1, answer="b"),
-        make_generation("q1", 0, answer="a"),
-        make_generation("q2", 0, answer="a"),
-        make_generation("ghost", 0, answer="a"),
-    ]
+    rows = make_batch(
+        [
+            make_generation("q1", 1, answer="b"),
+            make_generation("q1", 0, answer="a"),
+            make_generation("q2", 0, answer="a"),
+            make_generation("ghost", 0, answer="a"),
+        ]
+    )
     sets, diagnostics = records.group_generations(queries, rows)
     assert [s.query_id for s in sets] == ["q1", "q2"]
-    assert [g.sample_index for g in sets[0].samples] == [0, 1]
+    assert [rows.sample_index[i] for i in sets[0].rows] == [0, 1]
     assert len(diagnostics) == 1
     assert "unknown query_id 'ghost'" in diagnostics[0].message
 
 
 def test_queries_with_zero_generations_are_dropped_with_a_warning(caplog):
     queries = [make_query("q1"), make_query("q2")]
-    rows = [make_generation("q1", 0, answer="a")]
+    rows = make_batch([make_generation("q1", 0, answer="a")])
     with caplog.at_level("WARNING", logger="conscal.records"):
         sets, diagnostics = records.group_generations(queries, rows)
     assert [s.query_id for s in sets] == ["q1"]
@@ -542,26 +529,39 @@ _QUERIES = st.builds(
     question_embedding=st.none() | _VECTOR,
     extra=_extras(records._QUERY_FIELDS),
 )
-_GENERATIONS = st.builds(
-    GenerationRecord,
-    query_id=_TEXT,
-    sample_index=st.integers(min_value=0),
-    response_text=_TEXT,
-    token_logprobs=_VECTOR,
-    embedding=_VECTOR,
-    answer=st.none() | _TEXT,
-    answer_token_logprobs=st.none() | _VECTOR,
-    sampling_meta=st.none() | st.dictionaries(_TEXT, _JSON, max_size=3),
-    extra=_extras(records._GENERATION_FIELDS),
+_FLOAT64 = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1e-310, -2.5e-320, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
 )
+
+
+@st.composite
+def _batches(draw):
+    """Generation batches over interleaved query ids, with float64 columns."""
+    dim = draw(st.integers(0, 3))
+    query_ids = draw(st.lists(st.sampled_from(["q1", "q2", "é"]) | _TEXT, max_size=4))
+    rows = [
+        {
+            "query_id": query_id,
+            "sample_index": draw(st.integers(min_value=0)),
+            "response_text": draw(_TEXT),
+            "answer": draw(st.none() | _TEXT),
+            "token_logprobs": draw(st.lists(_FLOAT64, max_size=4)),
+            # An empty span is an absent one.
+            "answer_token_logprobs": draw(st.lists(_FLOAT64, max_size=3)),
+            "embedding": draw(st.lists(_FLOAT64, min_size=dim, max_size=dim)),
+            "sampling_meta": draw(st.none() | st.dictionaries(_TEXT, _JSON, max_size=3)),
+            "extra": draw(_extras(records._GENERATION_FIELDS)),
+        }
+        for query_id in query_ids
+    ]
+    return make_batch(rows)
+
+
 _LABELS = st.builds(
     CorrectnessLabel,
     query_id=_TEXT,
     sample_index=st.integers(min_value=0),
     z=st.sampled_from([0, 1, False, True]),
-)
-_SAMPLE_SETS = st.builds(
-    SampleSet, query=_QUERIES, samples=st.lists(_GENERATIONS, max_size=3).map(tuple)
 )
 
 
@@ -577,9 +577,13 @@ def _oracle_bytes(rows) -> bytes:
     return "".join(map(record_line_by_json, rows)).encode("utf-8")
 
 
+def _batch_oracle_bytes(batch) -> bytes:
+    return "".join(record_line_by_json(batch, i) for i in range(len(batch))).encode("utf-8")
+
+
 @given(
     queries=st.lists(_QUERIES, max_size=3),
-    generations=st.lists(_GENERATIONS | _SAMPLE_SETS, max_size=3),
+    generations=_batches(),
     labels=st.lists(_LABELS, max_size=3),
 )
 @example(
@@ -590,19 +594,106 @@ def _oracle_bytes(rows) -> bytes:
             extra={"gold_answers": [1], "text": "taken", "a": None},
         )
     ],
-    generations=[
-        GenerationRecord(
-            query_id="q1", sample_index=0, response_text="\\boxed{x}",
-            token_logprobs=(-0.0, float("-inf")), embedding=(1e-320, 1e308, 1e308),
-            sampling_meta={"temperature": 0.7}, extra={"answer": "late", "zz": [1.5]},
-        )
-    ],
+    generations=make_batch(
+        [
+            {
+                "query_id": "q1", "sample_index": 0, "response_text": "\\boxed{x}",
+                "token_logprobs": (-0.0, float("-inf")), "embedding": (1e-320, 1e308, 1e308),
+                "sampling_meta": {"temperature": 0.7}, "extra": {"answer": "late", "zz": [1.5]},
+            },
+            {
+                "query_id": "q2", "sample_index": 2**70, "response_text": "", "answer": "é",
+                "token_logprobs": (float("nan"),), "answer_token_logprobs": (-5e-324,),
+                "embedding": (float("inf"), -0.0, 0.5),
+                "extra": {"answer_token_logprobs": 1, "ключ": "значение"},
+            },
+        ]
+    ),
     labels=[CorrectnessLabel("q1", 0, 1)],
 )
 def test_writers_emit_the_json_oracle_lines(queries, generations, labels):
     assert _written(records.write_queries, queries) == _oracle_bytes(queries)
-    assert _written(records.write_generations, generations) == _oracle_bytes(generations)
+    assert _written(records.write_generations, generations) == _batch_oracle_bytes(generations)
     assert _written(records.write_labels, labels) == _oracle_bytes(labels)
+
+
+def test_a_file_of_interleaved_queries_loads_and_writes_back_byte_for_byte(tmp_path):
+    objects = [
+        {"query_id": "q1", "sample_index": 1, "response_text": "\\boxed{x}", "answer": "x",
+         "token_logprobs": [-0.5, 0.0], "answer_token_logprobs": [-0.25],
+         "embedding": [1.0, 2.0], "sampling_meta": {"t": 0.7}, "model": "m1"},
+        {"query_id": "q2", "sample_index": 0, "response_text": "é 你好",
+         "token_logprobs": [-1.0], "embedding": [0.0, -0.0]},
+        {"query_id": "q1", "sample_index": 0, "response_text": "",
+         "token_logprobs": [-1e-310], "answer_token_logprobs": [-0.5, -0.125],
+         "embedding": [5e-324, 1.5], "a": None, "zz": [1, {"k": "é"}]},
+        {"query_id": "q1", "sample_index": 7, "response_text": "no answer",
+         "token_logprobs": [-3.0], "embedding": [2.0, 3.0], "sampling_meta": {"t": 0.7}},
+    ]
+    text = "".join(
+        json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n" for obj in objects
+    )
+    path = tmp_path / "generations.jsonl"
+    path.write_text(text, encoding="utf-8")
+    batch = records.load_generation_records(str(path))
+    assert batch.query_ids == ("q1", "q2", "q1")
+    assert batch.query_offsets.tolist() == [0, 1, 2, 4]
+    assert batch.answer == ("x", None, None, None)
+    assert [batch.answer_token_row(i) is None for i in range(4)] == [False, True, False, True]
+    assert batch.extra == ({"model": "m1"}, {}, {"a": None, "zz": [1, {"k": "é"}]}, {})
+    assert batch.extra[1] is batch.extra[3] is records.NO_EXTRA
+    rewritten = tmp_path / "rewritten.jsonl"
+    records.write_generations(str(rewritten), batch)
+    assert rewritten.read_bytes() == path.read_bytes()
+
+
+_CLEAN_LINES = {
+    "queries": '{"query_id":"q1","text":"x","group":"main"}',
+    "generations": (
+        '{"query_id":"q1","sample_index":0,"response_text":"t","token_logprobs":[-0.1],'
+        '"embedding":[0.5]}'
+    ),
+    "labels": '{"query_id":"q1","sample_index":0,"z":1}',
+}
+
+
+@pytest.mark.parametrize(
+    "kind, line, expected",
+    [
+        (
+            "queries",
+            '{"query_id":"q1","text":"x","group":"main","extra_key":NaN}',
+            "extra_key contains NaN or Infinity",
+        ),
+        (
+            "generations",
+            _CLEAN_LINES["generations"][:-1] + ',"sampling_meta":{"t":Infinity}}',
+            "sampling_meta contains NaN or Infinity",
+        ),
+        (
+            "labels",
+            '{"query_id":"q1","sample_index":0,"z":1,"notes":[{"w":-Infinity}]}',
+            "notes contains NaN or Infinity",
+        ),
+    ],
+)
+def test_nan_and_infinity_outside_the_vector_fields_are_diagnosed(
+    kind, line, expected, tmp_path
+):
+    paths = {}
+    for name, text in {**_CLEAN_LINES, kind: line}.items():
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text(text + "\n", encoding="utf-8")
+    scan = {
+        "queries": records.scan_queries,
+        "generations": records.scan_generation_records,
+        "labels": records.scan_labels,
+    }[kind]
+    found, diagnostics = scan(str(paths[kind]))
+    assert len(found) == 0
+    assert [(d.line, d.message) for d in diagnostics] == [(1, expected)]
+    argv = ["validate"] + [f"--{name}={path}" for name, path in paths.items()]
+    assert main(argv) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -612,23 +703,6 @@ def test_writers_emit_the_json_oracle_lines(queries, generations, labels):
 _BATCH_CONFIG = synth.SynthConfig(n_queries=3, k=4, embedding_dim=3, seed=1)
 
 
-def test_generation_batch_reads_as_a_sequence_of_records():
-    queries, batch, _ = synth.generate(_BATCH_CONFIG)
-    rows = list(batch)
-    assert isinstance(batch, Sequence)
-    assert len(batch) == len(rows) == 12
-    assert all(isinstance(row, GenerationRecord) for row in rows)
-    assert [row.query_id for row in rows] == [q.query_id for q in queries for _ in range(4)]
-    assert [row.sample_index for row in rows] == [0, 1, 2, 3] * 3
-    assert [batch[i] for i in range(-12, 12)] == rows + rows
-    assert batch[3:7] == rows[3:7] and batch[::-5] == rows[::-5]
-    for index in (12, -13):
-        with pytest.raises(IndexError):
-            batch[index]
-    with pytest.raises(ValueError):
-        batch.embedding[0, 0] = 1.0  # the columns are read-only
-
-
 def test_generation_batches_compare_by_their_columns():
     _, batch, _ = synth.generate(_BATCH_CONFIG)
     _, again, _ = synth.generate(_BATCH_CONFIG)
@@ -636,20 +710,16 @@ def test_generation_batches_compare_by_their_columns():
     assert batch == again and batch is not again
     assert batch != other
     assert batch != dataclasses.replace(batch, answer=batch.answer[:-1] + (None,))
-
-
-def test_grouping_a_batch_equals_grouping_its_records():
-    queries, batch, _ = synth.generate(_BATCH_CONFIG)
-    assert records.group_generations(queries, batch) == records.group_generations(
-        queries, list(batch)
-    )
+    assert len(batch) == 12
+    with pytest.raises(ValueError):
+        batch.embedding[0, 0] = 1.0  # the columns are read-only
 
 
 def test_a_written_batch_loads_back_as_its_records(tmp_path):
     _, batch, _ = synth.generate(_BATCH_CONFIG)
     path = str(tmp_path / "generations.jsonl")
     records.write_generations(path, batch)
-    assert records.load_generation_records(path) == list(batch)
+    assert records.load_generation_records(path) == batch
 
 
 def test_a_batch_writes_the_bytes_of_its_records():
@@ -658,15 +728,43 @@ def test_a_batch_writes_the_bytes_of_its_records():
     tokens[[0, 5, 9]] = [float("nan"), float("-inf"), -0.0]
     embedding = batch.embedding.copy()
     embedding[4] = [1e-320, -0.0, float("inf")]
+    # Row 0 loses its answer span.
+    first_span_end = batch.answer_token_offsets[1]
+    spans = batch.answer_token_offsets - first_span_end
+    spans[0] = 0
     edited = dataclasses.replace(
         batch,
         token_logprobs=tokens,
         embedding=embedding,
         answer=(None,) + batch.answer[1:],
+        answer_token_logprobs=batch.answer_token_logprobs[first_span_end:],
+        answer_token_offsets=spans,
         sampling_meta=(None, {"t": "é"}) + batch.sampling_meta[2:],
     )
     for rows in (batch, edited):
-        assert _written(records.write_generations, rows) == _oracle_bytes(list(rows))
-        assert _written(records.write_generations, rows) == _written(
-            records.write_generations, list(rows)
-        )
+        assert _written(records.write_generations, rows) == _batch_oracle_bytes(rows)
+
+
+_GROUPED_IDS = st.sampled_from(["q1", "q2", "q3", "ghost"])
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(
+    query_ids=st.lists(st.sampled_from(["q1", "q2", "q3", "q4"]), unique=True, max_size=4),
+    rows=st.lists(
+        st.tuples(_GROUPED_IDS, st.integers(0, 3) | st.integers(2**63, 2**64)), max_size=12
+    ),
+)
+@example(query_ids=["q1", "q2"], rows=[("q2", 1), ("q1", 0), ("ghost", 0), ("q2", 0)])
+@example(query_ids=[f"q{i}" for i in range(7)], rows=[])
+def test_grouping_matches_the_bucket_oracle(query_ids, rows, caplog):
+    queries = [make_query(query_id) for query_id in query_ids]
+    batch = make_batch([make_generation(query_id, index) for query_id, index in rows])
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="conscal.records"):
+        sets, diagnostics = records.group_generations(queries, batch)
+    expected_sets, messages, warning = group_generations_by_buckets(queries, batch)
+    assert [(s.query, s.rows) for s in sets] == expected_sets
+    assert all(s.batch is batch for s in sets)
+    assert diagnostics == [Diagnostic("<generations>", None, m) for m in messages]
+    assert [r.getMessage() for r in caplog.records] == ([warning] if warning else [])

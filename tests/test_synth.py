@@ -23,7 +23,7 @@ from conscal.synth import (
     write_truth,
 )
 
-from oracles import segmented_logprobs_by_loop
+from oracles import batch_row, segmented_logprobs_by_loop
 
 _SMALL = SynthConfig(n_queries=12, k=6, embedding_dim=5, seed=3)
 
@@ -47,6 +47,16 @@ def _as_json(rows):
     return json.loads(json.dumps([dataclasses.asdict(row) for row in rows]))
 
 
+def _row_query_ids(batch):
+    """Each row's query id, read from the batch's query runs."""
+    offsets = batch.query_offsets.tolist()
+    return [
+        query_id
+        for query_id, start, stop in zip(batch.query_ids, offsets, offsets[1:])
+        for _ in range(start, stop)
+    ]
+
+
 def test_generation_stream_matches_the_recorded_dataset():
     # Recorded from the per-row-loop generator.  Everything drawn from the
     # random stream must match exactly; logprob rows may differ only by the
@@ -55,7 +65,8 @@ def test_generation_stream_matches_the_recorded_dataset():
     queries, generations, labels = generate(synth.premise_config(n_queries=3, k=4, seed=0))
     assert _as_json(queries) == recorded["queries"]
     assert _as_json(labels) == recorded["labels"]
-    current = _as_json(generations)
+    rows = [batch_row(generations, i) for i in range(len(generations))]
+    current = json.loads(json.dumps(rows))
     assert len(current) == len(recorded["generations"])
     for now, then in zip(current, recorded["generations"]):
         for name in _LOGPROB_FIELDS:
@@ -104,22 +115,27 @@ def test_dataset_shape_matches_the_config():
     for query in queries:
         assert len(query.question_embedding) == 5
         assert query.gold_answers == (f"{query.query_id}a",)
-    for generation in generations:
-        assert len(generation.embedding) == 5
-        assert generation.answer_token_logprobs is not None
-        assert all(lp <= 0.0 for lp in generation.token_logprobs)
-        assert all(lp <= 0.0 for lp in generation.answer_token_logprobs)
+    assert generations.embedding.shape == (12 * 6, 5)
+    assert all(generations.answer_token_row(i) is not None for i in range(12 * 6))
+    assert np.all(generations.token_logprobs <= 0.0)
+    assert np.all(generations.answer_token_logprobs <= 0.0)
 
 
 def test_labels_agree_with_recomputing_gold_matches():
     queries, generations, labels = generate(_SMALL)
     gold = {q.query_id: q.gold_answers[0] for q in queries}
     by_pair = {(l.query_id, l.sample_index): l.z for l in labels}
-    for generation in generations:
-        expected = int(generation.answer == gold[generation.query_id])
-        assert by_pair[(generation.query_id, generation.sample_index)] == expected
+    columns = zip(
+        _row_query_ids(generations),
+        generations.sample_index,
+        generations.answer,
+        generations.response_text,
+    )
+    for query_id, sample_index, answer, text in columns:
+        expected = int(answer == gold[query_id])
+        assert by_pair[(query_id, sample_index)] == expected
         # The boxed answer in the text agrees with the answer field.
-        assert extract_boxed(generation.response_text) == generation.answer
+        assert extract_boxed(text) == answer
 
 
 def test_written_files_pass_validation(tmp_path):
@@ -141,9 +157,14 @@ def test_written_files_pass_validation(tmp_path):
 def test_sampled_answer_frequencies_match_the_recorded_masses():
     config = SynthConfig(n_queries=3, k=10_000, embedding_dim=3, seed=0)
     queries, generations, _ = generate(config)
+    row_query_ids = _row_query_ids(generations)
     for query in queries:
         truth = query_truth(config, query)
-        drawn = [g.answer for g in generations if g.query_id == query.query_id]
+        drawn = [
+            answer
+            for query_id, answer in zip(row_query_ids, generations.answer)
+            if query_id == query.query_id
+        ]
         names = [query.gold_answers[0]] + [
             f"{query.query_id}d{j}" for j in range(config.distractor_count)
         ]
@@ -159,7 +180,7 @@ def test_constant_difficulty_one_makes_every_sample_gold():
     config = SynthConfig(n_queries=4, k=8, difficulty_constant=1.0, embedding_dim=3, seed=1)
     queries, generations, labels = generate(config)
     assert all(l.z == 1 for l in labels)
-    assert all(g.answer.endswith("a") for g in generations)
+    assert all(answer.endswith("a") for answer in generations.answer)
     for query in queries:
         assert query_truth(config, query).modal_prob == 1.0
 
@@ -233,7 +254,7 @@ def test_truth_sidecar_round_trip(tmp_path):
 def test_stated_confidences_parse_back_and_omissions_are_rare():
     config = SynthConfig(n_queries=2, k=2500, embedding_dim=3, seed=5)
     _, generations, _ = generate(config)
-    parsed = [parse_verbal_confidence(g.response_text) for g in generations]
+    parsed = [parse_verbal_confidence(text) for text in generations.response_text]
     missing = sum(1 for p in parsed if p is None)
     rate = missing / len(parsed)
     assert 0.05 < rate < 0.12  # nominal omission rate is 0.08
@@ -245,8 +266,8 @@ def test_stated_confidences_parse_back_and_omissions_are_rare():
 
 def test_verbal_statement_does_not_disturb_answer_extraction():
     _, generations, _ = generate(_SMALL)
-    for generation in generations:
-        assert extract_boxed(generation.response_text) == generation.answer
+    for text, answer in zip(generations.response_text, generations.answer):
+        assert extract_boxed(text) == answer
 
 
 def test_embeddings_carry_a_linear_difficulty_signal():
@@ -254,8 +275,12 @@ def test_embeddings_carry_a_linear_difficulty_signal():
                          noise_scale=0.25, seed=2)
     queries, generations, _ = generate(config)
     pis = np.array([query_truth(config, q).pi for q in queries])
-    deploy = {g.query_id: g for g in generations if g.sample_index == 0}
-    X = np.array([deploy[q.query_id].embedding for q in queries])
+    deploy = {
+        query_id: generations.embedding[i]
+        for i, query_id in enumerate(_row_query_ids(generations))
+        if generations.sample_index[i] == 0
+    }
+    X = np.array([deploy[q.query_id] for q in queries])
     # Least-squares recovery of pi from the embedding should correlate highly.
     coef, *_ = np.linalg.lstsq(np.column_stack([X, np.ones(len(X))]), pis, rcond=None)
     recovered = np.column_stack([X, np.ones(len(X))]) @ coef
