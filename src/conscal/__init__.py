@@ -54,7 +54,6 @@ from .evaluation import (
 )
 from .metrics import auroc, brier, compute_report, ece, equal_mass_bins, mce
 from .records import (
-    CorrectnessLabel,
     GenerationBatch,
     QueryRecord,
     SampleSet,
@@ -71,7 +70,6 @@ __all__ = [
     "CalibratorModel",
     "ConfigError",
     "ConsistencyTarget",
-    "CorrectnessLabel",
     "DEFAULT_METHODS",
     "DataError",
     "EvalDataset",

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .consistency import boxed_groups
-from .errors import DataError, RecordError
+from .errors import DataError, RecordError, is_finite_real
 from .records import json_lines
 
 _DECIMAL = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)$")
@@ -142,7 +142,9 @@ def fit_platt(
 
     Damped Newton iterations on the Bernoulli log-likelihood with a tiny
     quadratic penalty that keeps one-class and separable batches finite.
-    Convergence: gradient norm below 1e-8 or 100 iterations.
+    Convergence: gradient norm below 1e-8, 100 iterations, or an accepted
+    step that leaves ``theta`` bit for bit where it was (every later
+    iteration would repeat it).
     """
     s = np.asarray(scores, dtype=float)
     z = np.asarray(labels, dtype=float)
@@ -180,12 +182,13 @@ def fit_platt(
             candidate = theta - scale * step
             value = objective(candidate)
             if value <= current:
-                theta = candidate
-                current = value
                 break
             scale *= 0.5
         else:
             break
+        if candidate.tobytes() == theta.tobytes():
+            break  # a step that rounds back to theta: every later one would too
+        theta, current = candidate, value
     return PlattModel(slope=float(theta[0]), bias=float(theta[1]), input_clip=eps)
 
 
@@ -237,6 +240,12 @@ def load_scores(path: str) -> list[dict[str, Any]]:
         ):
             raise RecordError(
                 f"{path}:{lineno}: score rows need query_id, method, confidence",
+                path=path,
+                line=lineno,
+            )
+        if not is_finite_real(obj["confidence"]):
+            raise RecordError(
+                f"{path}:{lineno}: confidence must be a finite number",
                 path=path,
                 line=lineno,
             )

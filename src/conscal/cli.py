@@ -115,9 +115,7 @@ def _load_sets(args: argparse.Namespace) -> list[records.SampleSet]:
     return records.load_generations(args.generations, queries)
 
 
-def _load_labels(
-    path: str | None, sets: Sequence[records.SampleSet]
-) -> list[records.CorrectnessLabel] | None:
+def _load_labels(path: str | None, sets: Sequence[records.SampleSet]) -> np.ndarray | None:
     if path is None:
         return None
     return records.load_labels(path, sets)
@@ -208,14 +206,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config = _synth_config(args)
     config_obj = {"command": "synth", "preset": args.preset, **dataclasses.asdict(config)}
     out = _out_dir(args, config_obj)
-    queries, generations, labels = synth.generate(config)
+    queries, generations, z = synth.generate(config)
     records.write_queries(os.path.join(out, "queries.jsonl"), queries)
     records.write_generations(os.path.join(out, "generations.jsonl"), generations)
-    records.write_labels(os.path.join(out, "labels.jsonl"), labels)
+    records.write_labels(os.path.join(out, "labels.jsonl"), generations, z)
     truths = synth.write_truth(os.path.join(out, "truth.jsonl"), config, queries)
     _write_json(os.path.join(out, "config.json"), config_obj)
     mean_pi = sum(t.pi for t in truths) / len(truths)
-    accuracy = sum(l.z for l in labels) / len(labels)
+    accuracy = int(z.sum()) / len(z)
     print(
         f"wrote {len(queries)} queries x {config.k} samples to {out} "
         f"(mean pi {mean_pi:.4f}, sample accuracy {accuracy:.4f})"
@@ -401,8 +399,8 @@ def _eval_command(args: argparse.Namespace, kind: str) -> int:
     if kind in ("eval", "selective") and args.labels is None:
         raise ConfigError(f"the {kind} command needs --labels (correctness per sample)")
     sets = _load_sets(args)
-    labels = _load_labels(args.labels, sets)
-    data = evaluation.build_dataset(sets, labels, feature_source=config.feature_source)
+    z = _load_labels(args.labels, sets)
+    data = evaluation.build_dataset(sets, z, feature_source=config.feature_source)
     config_obj = {
         "command": kind,
         "queries": args.queries,

@@ -57,7 +57,7 @@ from .consistency import (
 )
 from .errors import ConfigError, DataError, require_integer, require_real
 from .metrics import REPORT_FORMAT, MetricReport, compute_report
-from .records import CorrectnessLabel, SampleSet
+from .records import SampleSet, shared_batch
 
 DEFAULT_METHODS = (
     "distilled",
@@ -142,16 +142,15 @@ def feature_row(sample_set: SampleSet, feature_source: str) -> Sequence[float]:
 
 
 def _correctness(
-    labels_map: Mapping[tuple[str, int], int] | None,
+    z: np.ndarray | None,
+    row: int,
     key: AnswerKey | None,
     query_id: str,
     sample_index: int,
     answer: str | None,
 ) -> float:
-    if labels_map is not None:
-        z = labels_map.get((query_id, sample_index))
-        if z is not None:
-            return float(z)
+    if z is not None and z[row] >= 0:
+        return float(z[row])
     if key is not None:
         return float(answer is not None and is_match(answer, key))
     raise DataError(
@@ -162,18 +161,21 @@ def _correctness(
 
 def build_dataset(
     sets: Sequence[SampleSet],
-    labels: Sequence[CorrectnessLabel] | None = None,
+    z: np.ndarray | None = None,
     *,
     feature_source: str = "response_embedding",
 ) -> EvalDataset:
-    """Precompute every per-query quantity the trial loop needs."""
+    """Precompute every per-query quantity the trial loop needs.
+
+    ``z`` holds a correctness label per row of the sets' shared batch, -1
+    where a row has none (as :func:`conscal.records.load_labels` returns).
+    """
     if len(sets) == 0:
         raise DataError("evaluation needs at least one query with generations")
     if feature_source not in FEATURE_SOURCES:
         raise ConfigError(f"unknown feature_source {feature_source!r}")
-    labels_map = None
-    if labels is not None:
-        labels_map = {(l.query_id, l.sample_index): l.z for l in labels}
+    if z is not None and len(z) != len(shared_batch(sets)):
+        raise DataError(f"z has {len(z)} entries for {len(sets[0].batch)} generation rows")
     rows: list[Sequence[float]] = []
     tp: list[float] = []
     ap: list[float] = []
@@ -205,13 +207,14 @@ def build_dataset(
         deploy_code = int(coded.codes[0])
         deploy_z.append(
             _correctness(
-                labels_map, key, sample_set.query_id, coded.sample_index[0],
+                z, deploy, key, sample_set.query_id, coded.sample_index[0],
                 coded.answers[deploy_code] if deploy_code >= 0 else None,
             )
         )
+        selected = sample_set.rows[coded.sample_index.index(target.selected_sample_index)]
         tt_z.append(
             _correctness(
-                labels_map, key, sample_set.query_id, target.selected_sample_index,
+                z, selected, key, sample_set.query_id, target.selected_sample_index,
                 target.answer,
             )
         )
@@ -355,26 +358,27 @@ def selective_curve(
         order = np.lexsort((np.array(query_ids, dtype=str), conf))
     sorted_labels = lab[order]
     sorted_conf = conf[order]
-    base_accuracy = float(sorted_labels.mean())
+
+    def mean(values: np.ndarray) -> float | None:
+        # The float ndarray.mean returns, without its per-call overhead.
+        return float(values.sum()) / values.size if values.size else None
+
+    base_accuracy = mean(sorted_labels)
     points: list[SelectivePoint] = []
     for rate in rates:
         if not 0.0 <= rate < 1.0:
             raise DataError(f"abstention rate must lie in [0, 1), got {rate!r}")
         abstained = int(math.ceil(round(rate * n, 9)))
-        kept = sorted_labels[abstained:]
-        dropped = sorted_labels[:abstained]
-        accuracy = float(kept.mean()) if kept.size else None
+        accuracy = mean(sorted_labels[abstained:])
         points.append(
             SelectivePoint(
                 rate=float(rate),
                 abstained=abstained,
-                answered=int(kept.size),
+                answered=n - abstained,
                 accuracy=accuracy,
-                confidence=float(sorted_conf[abstained:].mean()) if kept.size else None,
-                abstained_accuracy=float(dropped.mean()) if dropped.size else None,
-                abstained_confidence=float(sorted_conf[:abstained].mean())
-                if dropped.size
-                else None,
+                confidence=mean(sorted_conf[abstained:]),
+                abstained_accuracy=mean(sorted_labels[:abstained]),
+                abstained_confidence=mean(sorted_conf[:abstained]),
                 gain=None if accuracy is None else accuracy - base_accuracy,
             )
         )

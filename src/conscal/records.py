@@ -10,13 +10,21 @@ Every dataset is a set of UTF-8 text files with one JSON object per line:
 ``labels.jsonl``
     ``{"query_id", "sample_index", "z"}`` with ``z`` in ``{0, 1}``
 
-Queries and labels load as one record object per line.  Generations load
-into one columnar :class:`GenerationBatch`, their only in-memory form, and a
+Queries load as one record object per line.  Generations load into one
+columnar :class:`GenerationBatch`, their only in-memory form, and a
 :class:`SampleSet` is a query plus the positions of its rows in that batch.
-Unknown keys are preserved (in ``extra``) and written back on export, but
-carry no meaning here.  Validation is total: every malformed line yields a
-diagnostic naming the file and line, and a loader never returns a partially
-constructed dataset.
+Labels load as ``z``, an ``int8`` column over the rows of the sets' shared
+batch with -1 for a row without a label.  Unknown keys are preserved (in
+``extra``) and written back on export, but carry no meaning here.
+
+Validation is total: every malformed line yields a diagnostic naming the
+file and line, and a loader never returns a partially constructed dataset.
+The generation loader checks each line's fields as it reads it, but tests
+the entries of its vector fields once per column, after the last line: a
+whole-column pass, then an entry-by-entry walk of the rows holding a bad
+entry only.  The duplicate and dimension checks run after that pass, so a
+row is judged against the valid rows before it, as if every line had been
+checked in full before the next was read.
 """
 
 from __future__ import annotations
@@ -26,13 +34,14 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass, field, fields
+from itertools import compress
 from json.encoder import encode_basestring
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import RecordError, is_finite_real, json_error_reason
+from .errors import DataError, RecordError, is_finite_real, json_error_reason
 
 log = logging.getLogger(__name__)
 
@@ -164,13 +173,6 @@ class SampleSet:
     @property
     def k(self) -> int:
         return len(self.rows)
-
-
-@dataclass(frozen=True, slots=True)
-class CorrectnessLabel:
-    query_id: str
-    sample_index: int
-    z: int
 
 
 def _check_vector(value: Any, name: str, *, max_value: float | None = None) -> list[str]:
@@ -353,17 +355,24 @@ def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic
     """Row-level parse of a generations file (no query cross-checks).
 
     Valid rows fill the batch in file order; a new query run starts
-    wherever the query id changes.
+    wherever the query id changes.  The vector entries of the rows whose
+    other fields pass are tested a column at a time after the last line
+    (see the module docstring), and only then are those rows checked for
+    duplicates and embedding dimension, in line order.
     """
     diagnostics: list[Diagnostic] = []
     row_diagnostics: list[Diagnostic] = []
-    seen: set[tuple[str, int]] = set()
-    embed_dim: int | None = None
-    query_ids: list[str] = []
-    run_starts: list[int] = []
-    rows: list[tuple] = []  # (sample_index, response_text, answer, sampling_meta, extra)
+    # Rows whose fields pass the line checks ("candidates"), as columns.
+    lines = array("q")
+    ids: list[str] = []
+    indices: list[int] = []
+    texts: list[str] = []
+    answers: list[str | None] = []
+    metas: list[Mapping[str, Any] | None] = []
+    extras: list[Mapping[str, Any]] = []
     tokens, spans, embeddings = array("d"), array("d"), array("d")
-    token_ends, span_ends = [0], [0]
+    token_ends, span_ends, embedding_ends = array("q", [0]), array("q", [0]), array("q", [0])
+    numbers = _NUMBER_TYPES.issuperset
     for lineno, obj, problems in _objects(path, diagnostics, _CHECKED_GENERATION_FIELDS):
         query_id = obj.get("query_id")
         if not isinstance(query_id, str) or not query_id:
@@ -378,59 +387,149 @@ def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic
         if answer is not None and not isinstance(answer, str):
             problems.append("answer must be a string when present")
         token_lp = obj.get("token_logprobs")
-        problems.extend(_check_vector(token_lp, "token_logprobs", max_value=0.0))
         ans_lp = obj.get("answer_token_logprobs")
+        embedding = obj.get("embedding")
+        meta = obj.get("sampling_meta")
+        # A row whose vectors are nonempty lists of JSON numbers (booleans
+        # excluded) and whose other fields pass goes into the columns; its
+        # entries are tested there after the last line.  Any other row is
+        # checked in full here.
+        if (
+            not problems
+            and type(token_lp) is list and token_lp and numbers(map(type, token_lp))
+            and (
+                ans_lp is None
+                or type(ans_lp) is list and ans_lp and numbers(map(type, ans_lp))
+            )
+            and type(embedding) is list and embedding and numbers(map(type, embedding))
+            and (meta is None or isinstance(meta, dict))
+        ):
+            try:
+                tokens.fromlist(token_lp)
+                spans.fromlist(ans_lp or [])
+                embeddings.fromlist(embedding)
+            except OverflowError:  # an integer too large for a float
+                # The failing fromlist left its column unchanged.
+                del tokens[token_ends[-1] :], spans[span_ends[-1] :]
+            else:
+                token_ends.append(len(tokens))
+                span_ends.append(len(spans))
+                embedding_ends.append(len(embeddings))
+                lines.append(lineno)
+                ids.append(query_id)
+                indices.append(sample_index)
+                texts.append(response_text)
+                answers.append(answer)
+                metas.append(meta)
+                extras.append(_extra_of(obj, _GENERATION_FIELDS) or NO_EXTRA)
+                continue
+        problems.extend(_check_vector(token_lp, "token_logprobs", max_value=0.0))
         if ans_lp is not None:
             problems.extend(_check_vector(ans_lp, "answer_token_logprobs", max_value=0.0))
-        embedding = obj.get("embedding")
         problems.extend(_check_vector(embedding, "embedding"))
-        meta = obj.get("sampling_meta")
         if meta is not None and not isinstance(meta, dict):
             problems.append("sampling_meta must be an object when present")
-        if not problems:
+        row_diagnostics.extend(Diagnostic(path, lineno, p) for p in problems)
+    columns = (
+        (tokens, token_ends, "token_logprobs", 0.0),
+        (spans, span_ends, "answer_token_logprobs", 0.0),
+        (embeddings, embedding_ends, "embedding", None),
+    )
+    failing = set().union(
+        *(_failing_rows(values, ends, max_value) for values, ends, _, max_value in columns)
+    )
+    # Duplicates, dimensions and query runs, judged over the rows that passed.
+    seen: set[tuple[str, int]] = set()
+    embed_dim: int | None = None
+    keep: list[bool] = []
+    query_ids: list[str] = []
+    run_starts: list[int] = []
+    kept = 0
+    for c, (lineno, query_id, sample_index) in enumerate(zip(lines, ids, indices)):
+        if c in failing:
+            problems = _walked_problems(columns, c)
+        else:
+            problems = []
             pair = (query_id, sample_index)
             if pair in seen:
                 problems.append(f"duplicate (query_id, sample_index) {pair!r}")
             else:
                 seen.add(pair)
-        if not problems:
-            if embed_dim is None:
-                embed_dim = len(embedding)
-            elif len(embedding) != embed_dim:
-                problems.append(
-                    f"query {query_id}: embedding dimension {len(embedding)} "
-                    f"differs from {embed_dim}"
-                )
+                dim = embedding_ends[c + 1] - embedding_ends[c]
+                if embed_dim is None:
+                    embed_dim = dim
+                elif dim != embed_dim:
+                    problems.append(
+                        f"query {query_id}: embedding dimension {dim} differs from {embed_dim}"
+                    )
+        keep.append(not problems)
         if problems:
             row_diagnostics.extend(Diagnostic(path, lineno, p) for p in problems)
             continue
         if not query_ids or query_ids[-1] != query_id:
             query_ids.append(query_id)
-            run_starts.append(len(rows))
-        extra = _extra_of(obj, _GENERATION_FIELDS) or NO_EXTRA
-        rows.append((sample_index, response_text, answer, meta, extra))
-        tokens.extend(token_lp)
-        token_ends.append(len(tokens))
-        if ans_lp is not None:
-            spans.extend(ans_lp)
-        span_ends.append(len(spans))
-        embeddings.extend(embedding)
-    indices, texts, answers, metas, extras = zip(*rows) if rows else ((),) * 5
+            run_starts.append(kept)
+        kept += 1
+    row_diagnostics.sort(key=lambda d: d.line)
+    mask = np.array(keep, dtype=bool)
+    token_values, token_offsets = _kept_segments(tokens, token_ends, mask)
+    span_values, span_offsets = _kept_segments(spans, span_ends, mask)
+    embedding_values, _ = _kept_segments(embeddings, embedding_ends, mask)
     batch = GenerationBatch(
         query_ids=tuple(query_ids),
-        query_offsets=np.array(run_starts + [len(rows)], dtype=np.intp),
-        sample_index=indices,
-        response_text=texts,
-        answer=answers,
-        token_logprobs=np.frombuffer(tokens, dtype=float),
-        token_offsets=np.array(token_ends, dtype=np.intp),
-        answer_token_logprobs=np.frombuffer(spans, dtype=float),
-        answer_token_offsets=np.array(span_ends, dtype=np.intp),
-        embedding=np.frombuffer(embeddings, dtype=float).reshape(len(rows), embed_dim or 0),
-        sampling_meta=metas,
-        extra=extras,
+        query_offsets=np.array(run_starts + [kept], dtype=np.intp),
+        sample_index=tuple(compress(indices, keep)),
+        response_text=tuple(compress(texts, keep)),
+        answer=tuple(compress(answers, keep)),
+        token_logprobs=token_values,
+        token_offsets=token_offsets,
+        answer_token_logprobs=span_values,
+        answer_token_offsets=span_offsets,
+        embedding=embedding_values.reshape(kept, embed_dim or 0),
+        sampling_meta=tuple(compress(metas, keep)),
+        extra=tuple(compress(extras, keep)),
     )
     return batch, diagnostics + row_diagnostics
+
+
+def _failing_rows(values: array, ends: array, max_value: float | None) -> set[int]:
+    """The rows of a flat column holding an entry that is not finite or is
+    above ``max_value``: one pass over the column, then, if it fails, the
+    positions of the failing entries."""
+    column = np.frombuffer(values, dtype=float)
+    if column.size:
+        low, high = column.min(), column.max()  # NaN propagates into both
+        if math.isfinite(low) and math.isfinite(high) and (max_value is None or high <= max_value):
+            return set()
+    bad = ~np.isfinite(column)
+    if max_value is not None:
+        bad |= column > max_value
+    return set((np.searchsorted(ends, np.flatnonzero(bad), side="right") - 1).tolist())
+
+
+def _walked_problems(
+    columns: Sequence[tuple[array, array, str, float | None]], row: int
+) -> list[str]:
+    """The problems of one row's vector fields, found entry by entry."""
+    problems = []
+    for values, ends, name, max_value in columns:
+        start, stop = ends[row], ends[row + 1]
+        if stop > start:  # an empty answer-span segment: the row has no such field
+            problems += _check_vector(values[start:stop].tolist(), name, max_value=max_value)
+    return problems
+
+
+def _kept_segments(
+    values: array, ends: array, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A flat column and its row offsets, reduced to the rows ``keep`` marks."""
+    column = np.frombuffer(values, dtype=float)
+    offsets = np.array(ends, dtype=np.intp)
+    if keep.all():
+        return column, offsets
+    lengths = np.diff(offsets)
+    kept = np.concatenate(([0], np.cumsum(lengths[keep]))).astype(np.intp)
+    return column[np.repeat(keep, lengths)], kept
 
 
 def load_generation_records(path: str) -> GenerationBatch:
@@ -495,16 +594,37 @@ def load_generations(path: str, queries: Sequence[QueryRecord]) -> list[SampleSe
 # ---------------------------------------------------------------------------
 
 
+def shared_batch(sets: Sequence[SampleSet]) -> GenerationBatch | None:
+    """The one generation batch whose rows every set indexes (None for no sets)."""
+    if not sets:
+        return None
+    batch = sets[0].batch
+    if any(s.batch is not batch for s in sets):
+        raise DataError("the sample sets index more than one generation batch")
+    return batch
+
+
 def scan_labels(
     path: str, sets: Sequence[SampleSet] | None = None
-) -> tuple[list[CorrectnessLabel], list[Diagnostic]]:
+) -> tuple[np.ndarray, list[Diagnostic]]:
+    """Parse and validate a labels file into an ``int8`` column ``z``.
+
+    With ``sets``, ``z`` has an entry per row of their shared batch: the
+    row's label, or -1 when it has none.  A label is known only if its
+    ``(query_id, sample_index)`` is a row of one of the sets, and it is a
+    duplicate when its row is already labelled.  Without sets, ``z`` holds
+    the labels of the valid lines in file order; only the line checks and
+    the duplicate check run.
+    """
     diagnostics: list[Diagnostic] = []
     row_diagnostics: list[Diagnostic] = []
-    labels: list[CorrectnessLabel] = []
+    z: list[int] = []
     seen: set[tuple[str, int]] = set()
-    known: set[tuple[str, int]] | None = None
+    row_of: dict[tuple[str, int], int] | None = None
     if sets is not None:
-        known = {(s.query_id, s.batch.sample_index[i]) for s in sets for i in s.rows}
+        batch = shared_batch(sets)
+        z = [-1] * (0 if batch is None else len(batch))
+        row_of = {(s.query_id, s.batch.sample_index[i]): i for s in sets for i in s.rows}
     for lineno, obj, problems in _objects(path, diagnostics, _LABEL_FIELDS):
         query_id = obj.get("query_id")
         if not isinstance(query_id, str) or not query_id:
@@ -512,32 +632,43 @@ def scan_labels(
         sample_index = obj.get("sample_index")
         if not isinstance(sample_index, int) or isinstance(sample_index, bool) or sample_index < 0:
             problems.append("sample_index must be a nonnegative integer")
-        z = obj.get("z")
-        if not isinstance(z, int) or isinstance(z, bool) or z not in (0, 1):
+        label = obj.get("z")
+        if not isinstance(label, int) or isinstance(label, bool) or label not in (0, 1):
             problems.append("z must be 0 or 1")
         if not problems:
             pair = (query_id, sample_index)
-            if pair in seen:
-                problems.append(f"duplicate label for {pair!r}")
-            elif known is not None and pair not in known:
-                problems.append(f"label references unknown generation {pair!r}")
+            if row_of is None:
+                if pair in seen:
+                    problems.append(f"duplicate label for {pair!r}")
+                else:
+                    seen.add(pair)
+                    z.append(label)
             else:
-                seen.add(pair)
+                row = row_of.get(pair)
+                if row is None:
+                    problems.append(f"label references unknown generation {pair!r}")
+                elif z[row] >= 0:
+                    problems.append(f"duplicate label for {pair!r}")
+                else:
+                    z[row] = label
         if problems:
             row_diagnostics.extend(Diagnostic(path, lineno, p) for p in problems)
-            continue
-        labels.append(CorrectnessLabel(query_id=query_id, sample_index=sample_index, z=z))
-    return labels, diagnostics + row_diagnostics
+    return np.array(z, dtype=np.int8), diagnostics + row_diagnostics
 
 
-def load_labels(path: str, sets: Sequence[SampleSet] | None = None) -> list[CorrectnessLabel]:
-    labels, diagnostics = scan_labels(path, sets)
+def load_labels(path: str, sets: Sequence[SampleSet] | None = None) -> np.ndarray:
+    """The ``z`` column of :func:`scan_labels`; raises on any diagnostic."""
+    z, diagnostics = scan_labels(path, sets)
     _raise_if_any(diagnostics)
     if sets:
         total = sum(s.k for s in sets)
         if total:
-            log.info("label coverage: %d of %d generations (%.1f%%)", len(labels), total, 100.0 * len(labels) / total)
-    return labels
+            labelled = int(np.count_nonzero(z >= 0))
+            log.info(
+                "label coverage: %d of %d generations (%.1f%%)",
+                labelled, total, 100.0 * labelled / total,
+            )
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -625,12 +756,6 @@ def _query_line(q: QueryRecord) -> str:
     )
 
 
-def _label_line(label: CorrectnessLabel) -> str:
-    return _LABEL_LINE.format(
-        _json_text(label.query_id), _json_text(label.sample_index), _json_text(label.z)
-    )
-
-
 def _segment_texts(
     values: np.ndarray, offsets: np.ndarray, start: int, stop: int
 ) -> list[list[str]]:
@@ -693,9 +818,20 @@ def write_generations(path: str, batch: GenerationBatch) -> None:
             handle.writelines(lines)
 
 
-def write_labels(path: str, labels: Iterable[CorrectnessLabel]) -> None:
+def write_labels(path: str, batch: GenerationBatch, z: np.ndarray) -> None:
+    """Write a line for each labelled row of ``batch`` (``z`` 0 or 1), in row order."""
+    if len(z) != len(batch):
+        raise DataError(f"z has {len(z)} entries for a batch of {len(batch)} rows")
+    labels = np.asarray(z).tolist()
+    offsets = batch.query_offsets.tolist()
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(map(_label_line, labels))
+        for run, query_id in enumerate(batch.query_ids):
+            head = encode_basestring(query_id)
+            handle.writelines(
+                _LABEL_LINE.format(head, batch.sample_index[i], labels[i])
+                for i in range(offsets[run], offsets[run + 1])
+                if labels[i] >= 0
+            )
 
 
 def _raise_if_any(diagnostics: Sequence[Diagnostic]) -> None:

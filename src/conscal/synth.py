@@ -45,7 +45,7 @@ import numpy as np
 
 from . import seeding
 from .errors import ConfigError, DataError, require_integer, require_real
-from .records import NO_EXTRA, CorrectnessLabel, GenerationBatch, QueryRecord
+from .records import NO_EXTRA, GenerationBatch, QueryRecord
 
 MAIN_GROUP = "main"
 
@@ -274,11 +274,13 @@ def _append_rows(
 
 def generate(
     config: SynthConfig,
-) -> tuple[list[QueryRecord], GenerationBatch, list[CorrectnessLabel]]:
-    """Generate a full dataset: queries, generations, labels.
+) -> tuple[list[QueryRecord], GenerationBatch, np.ndarray]:
+    """Generate a full dataset: queries, generations, and their labels ``z``.
 
     Deterministic given ``config``; single sequential pass over queries.
-    The generations stay in the columns they are drawn into.
+    The generations stay in the columns they are drawn into; ``z`` is an
+    ``int8`` column over the generation rows, 1 where the sampled answer is
+    the gold one.
     """
     config.validate()
     direction = seeding.generator(config.seed, _STREAM_DIRECTION).normal(
@@ -287,7 +289,7 @@ def generate(
     direction /= np.linalg.norm(direction)
     total, k = _total_queries(config), config.k
     queries: list[QueryRecord] = []
-    labels: list[CorrectnessLabel] = []
+    z = np.empty(total * k, dtype=np.int8)
     texts: list[str] = []
     sampled: list[str] = []
     # Rows are shorter than their count range's upper end, so these columns
@@ -306,6 +308,7 @@ def generate(
         gold = _gold_answer(index)
         answers = [gold] + [_distractor_answer(index, j) for j in range(config.distractor_count)]
         drawn = rng.choice(len(answers), size=k, p=masses)
+        z[rows] = drawn == 0
         tokens = _segmented_logprobs(
             rng,
             _band_logmeans(rng, pi, k, TP_LO, TP_HI, TP_NOISE),
@@ -347,7 +350,6 @@ def generate(
                 )
             texts.append(text)
             sampled.append(answer)
-            labels.append(CorrectnessLabel(query_id=qid, sample_index=j, z=int(d == 0)))
     generations = GenerationBatch(
         query_ids=tuple(q.query_id for q in queries),
         query_offsets=np.arange(0, total * k + 1, k),
@@ -362,7 +364,7 @@ def generate(
         sampling_meta=(meta,) * (total * k),
         extra=(NO_EXTRA,) * (total * k),
     )
-    return queries, generations, labels
+    return queries, generations, z
 
 
 # ---------------------------------------------------------------------------

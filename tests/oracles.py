@@ -4,8 +4,8 @@ Each oracle favors obviousness over speed: exhaustive enumeration, textbook
 elimination, quadratic pair counting, per-bin and per-row loops,
 character-by-character scans, string counting, entry-by-entry validation,
 plain grid refinement, ``json.dumps`` of each record's object, per-row
-bucket grouping, ``scipy.stats.rankdata`` and a per-value scan of histogram
-edges.
+bucket grouping, record loaders that judge one line at a time,
+``scipy.stats.rankdata`` and a per-value scan of histogram edges.
 They share no code with the package beyond the standard library (numpy only
 for array plumbing, scipy only for ranking), so agreement between the two
 routes is meaningful evidence.
@@ -357,7 +357,8 @@ def batch_row(batch, row: int) -> dict:
 
 
 def record_line_by_json(record, row: int | None = None) -> str:
-    """A record's file line, as ``json.dumps`` writes the record's object.
+    """A query's or a generation row's file line, as ``json.dumps`` writes
+    its object.
 
     The object holds the known fields in file order, leaving out those that
     are None, then each ``extra`` key in sorted order unless a known field
@@ -368,8 +369,6 @@ def record_line_by_json(record, row: int | None = None) -> str:
         fields = batch_row(record, row)
         extra = fields.pop("extra")
         obj = _object_by_fields(list(fields.items()), extra)
-    elif hasattr(record, "z"):
-        obj = {"query_id": record.query_id, "sample_index": record.sample_index, "z": record.z}
     else:
         gold = record.gold_answers
         qemb = record.question_embedding
@@ -384,6 +383,20 @@ def record_line_by_json(record, row: int | None = None) -> str:
             record.extra,
         )
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+def label_lines_by_json(batch, z) -> str:
+    """The labels file of a ``z`` column: a ``json.dumps`` line for each row
+    of ``batch`` whose label is 0 or 1, in row order."""
+    return "".join(
+        json.dumps(
+            {"query_id": batch_row(batch, i)["query_id"],
+             "sample_index": batch.sample_index[i], "z": int(z[i])},
+            ensure_ascii=False, separators=(",", ":"),
+        ) + "\n"
+        for i in range(len(batch))
+        if z[i] in (0, 1)
+    )
 
 
 def group_generations_by_buckets(queries, batch):
@@ -419,3 +432,194 @@ def group_generations_by_buckets(queries, batch):
         more = "" if len(dropped) <= 5 else f" (+{len(dropped) - 5} more)"
         warning = f"dropping {len(dropped)} queries with zero generations: {preview}{more}"
     return sets, messages, warning
+
+
+def _objects_by_line(path: str, checked: frozenset):
+    """Each line of a JSONL file as ``(lineno, object or None, problems)``.
+
+    A line that is not JSON or not an object gets one problem and no
+    object.  An object's problems are its top-level fields outside
+    ``checked`` that hold a non-finite float, looked for only when the line
+    has a ``NaN``, ``Infinity`` or ``-Infinity`` token.  The file must be
+    UTF-8 text.
+    """
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            tokens: list[str] = []
+
+            def constant(token: str) -> float:
+                tokens.append(token)
+                return float(token)
+
+            try:
+                obj = json.loads(line, parse_constant=constant)
+            except json.JSONDecodeError as exc:
+                yield lineno, None, [f"invalid JSON ({exc.msg})"]
+                continue
+            if not isinstance(obj, dict):
+                yield lineno, None, ["record must be a JSON object"]
+                continue
+
+            def non_finite(value) -> bool:
+                if isinstance(value, float):
+                    return not math.isfinite(value)
+                if isinstance(value, dict):
+                    value = list(value.values())
+                return isinstance(value, list) and any(map(non_finite, value))
+
+            yield lineno, obj, [
+                f"{key} contains NaN or Infinity"
+                for key, value in obj.items()
+                if tokens and key not in checked and non_finite(value)
+            ]
+
+
+def _is_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def scan_generations_by_row(path: str):
+    """Rows and problems of a generations file, judged one line at a time.
+
+    Each line is checked in full before the next is read: its fields, each
+    vector with :func:`check_vector_by_entry`, then, only for a line with
+    no problem so far, the duplicate ``(query_id, sample_index)`` check
+    and the embedding dimension against the first valid row's.  Returns
+    ``(rows, [(line, message), ...])``: the valid rows as dicts of their
+    fields in file order, and the problems, those of lines that are not
+    JSON objects first, then the others in line order.
+    """
+    fields = ("query_id", "sample_index", "response_text", "answer", "token_logprobs",
+              "answer_token_logprobs", "embedding", "sampling_meta")
+    checked = frozenset(fields) - {"sampling_meta"}
+    unreadable, problems_by_line, rows = [], [], []
+    seen = set()
+    embed_dim = None
+    for lineno, obj, problems in _objects_by_line(path, checked):
+        if obj is None:
+            unreadable.extend((lineno, p) for p in problems)
+            continue
+        query_id = obj.get("query_id")
+        if not isinstance(query_id, str) or not query_id:
+            problems.append("query_id must be a nonempty string")
+        if not _is_index(obj.get("sample_index")):
+            problems.append("sample_index must be a nonnegative integer")
+        if not isinstance(obj.get("response_text"), str):
+            problems.append("response_text must be a string")
+        if obj.get("answer") is not None and not isinstance(obj["answer"], str):
+            problems.append("answer must be a string when present")
+        problems += check_vector_by_entry(
+            obj.get("token_logprobs"), "token_logprobs", max_value=0.0
+        )
+        if obj.get("answer_token_logprobs") is not None:
+            problems += check_vector_by_entry(
+                obj["answer_token_logprobs"], "answer_token_logprobs", max_value=0.0
+            )
+        problems += check_vector_by_entry(obj.get("embedding"), "embedding")
+        if obj.get("sampling_meta") is not None and not isinstance(obj["sampling_meta"], dict):
+            problems.append("sampling_meta must be an object when present")
+        if not problems:
+            pair = (query_id, obj["sample_index"])
+            if pair in seen:
+                problems.append(f"duplicate (query_id, sample_index) {pair!r}")
+            else:
+                seen.add(pair)
+        if not problems:
+            dim = len(obj["embedding"])
+            if embed_dim is None:
+                embed_dim = dim
+            elif dim != embed_dim:
+                problems.append(
+                    f"query {query_id}: embedding dimension {dim} differs from {embed_dim}"
+                )
+        if problems:
+            problems_by_line.extend((lineno, p) for p in problems)
+            continue
+        row = {name: obj.get(name) for name in fields}
+        row["extra"] = {key: value for key, value in obj.items() if key not in fields}
+        rows.append(row)
+    return rows, unreadable + problems_by_line
+
+
+def scan_labels_by_row(path: str, known=None):
+    """Labels and problems of a labels file, judged one line at a time.
+
+    ``known``, when given, is the set of ``(query_id, sample_index)`` pairs
+    a label may name.  Returns ``([(query_id, sample_index, z), ...],
+    [(line, message), ...])``, ordered as :func:`scan_generations_by_row`
+    orders its problems.
+    """
+    fields = frozenset(("query_id", "sample_index", "z"))
+    unreadable, problems_by_line, labels = [], [], []
+    seen = set()
+    for lineno, obj, problems in _objects_by_line(path, fields):
+        if obj is None:
+            unreadable.extend((lineno, p) for p in problems)
+            continue
+        query_id = obj.get("query_id")
+        if not isinstance(query_id, str) or not query_id:
+            problems.append("query_id must be a nonempty string")
+        if not _is_index(obj.get("sample_index")):
+            problems.append("sample_index must be a nonnegative integer")
+        z = obj.get("z")
+        if not isinstance(z, int) or isinstance(z, bool) or z not in (0, 1):
+            problems.append("z must be 0 or 1")
+        if not problems:
+            pair = (query_id, obj["sample_index"])
+            if pair in seen:
+                problems.append(f"duplicate label for {pair!r}")
+            elif known is not None and pair not in known:
+                problems.append(f"label references unknown generation {pair!r}")
+            else:
+                seen.add(pair)
+        if problems:
+            problems_by_line.extend((lineno, p) for p in problems)
+            continue
+        labels.append((query_id, obj["sample_index"], z))
+    return labels, unreadable + problems_by_line
+
+
+def platt_by_full_newton(
+    scores: Sequence[float], labels: Sequence[int], *, eps: float = 1e-6, penalty: float = 1e-6
+) -> tuple[tuple[float, float], int]:
+    """Platt ``(slope, bias)`` from damped Newton run to its 100-iteration cap.
+
+    Stops only on a gradient norm below 1e-8 or when backtracking finds no
+    step in 50 halvings, never because a step left the parameters
+    unchanged.  Also returns the number of iterations run.
+    """
+    s = np.asarray(scores, dtype=float)
+    z = np.asarray(labels, dtype=float)
+    clipped = np.clip(s, eps, 1.0 - eps)
+    t = np.log(clipped) - np.log1p(-clipped)
+    design = np.column_stack([t, np.ones_like(t)])
+    theta = np.zeros(2)
+
+    def objective(th):
+        u = design @ th
+        return float(np.sum(np.logaddexp(0.0, u) - z * u) + penalty * (th @ th))
+
+    current = objective(theta)
+    iterations = 0
+    for _ in range(100):
+        iterations += 1
+        u = design @ theta
+        p = 1.0 / (1.0 + np.exp(-u))
+        grad = design.T @ (p - z) + 2.0 * penalty * theta
+        if np.linalg.norm(grad) < 1e-8:
+            break
+        curvature = p * (1.0 - p)
+        hessian = design.T @ (design * curvature[:, None]) + 2.0 * penalty * np.eye(2)
+        step = np.linalg.solve(hessian, grad)
+        scale = 1.0
+        for _ in range(50):
+            candidate = theta - scale * step
+            value = objective(candidate)
+            if value <= current:
+                theta = candidate
+                current = value
+                break
+            scale *= 0.5
+        else:
+            break
+    return (float(theta[0]), float(theta[1])), iterations

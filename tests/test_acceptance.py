@@ -333,9 +333,9 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
         str(rewritten), records.load_generation_records(str(run_a / "generations.jsonl"))
     )
     assert rewritten.read_bytes() == (run_a / "generations.jsonl").read_bytes()
-    labels = records.load_labels(str(run_a / "labels.jsonl"), sets)
+    z = records.load_labels(str(run_a / "labels.jsonl"), sets)
     rewritten = tmp_path / "labels2.jsonl"
-    records.write_labels(str(rewritten), labels)
+    records.write_labels(str(rewritten), sets[0].batch, z)
     assert rewritten.read_bytes() == (run_a / "labels.jsonl").read_bytes()
 
     # The JSON report is loadable and carries the format tag.

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conscal.baselines import (
@@ -25,7 +25,7 @@ from conscal.baselines import (
 from conscal.errors import DataError, RecordError
 from conscal.metrics import auroc
 
-from oracles import platt_nll_by_grid
+from oracles import platt_by_full_newton, platt_nll_by_grid
 
 LN = math.log
 
@@ -175,6 +175,38 @@ def test_one_class_batches_stay_finite_and_near_the_class():
     assert math.isfinite(model.slope) and math.isfinite(model.bias)
 
 
+# Six points on which Newton's gradient stalls just above its 1e-8 tolerance:
+# run to the cap, the loop repeats a step that rounds back to theta.
+_STALLED = ([0.77, 0.02, 0.13, 0.26, 0.87, 0.32], [0, 0, 0, 1, 0, 1])
+
+
+def test_the_stalled_fixture_runs_the_full_loop_to_its_cap():
+    (slope, bias), iterations = platt_by_full_newton(*_STALLED)
+    assert iterations == 100
+    model = fit_platt(*_STALLED)
+    assert (model.slope.hex(), model.bias.hex()) == (slope.hex(), bias.hex())
+
+
+_GRID = st.sampled_from([i / 100 for i in range(101)])
+
+
+@st.composite
+def _platt_batches(draw):
+    n = draw(st.integers(1, 14))
+    scores = draw(st.lists(_GRID | st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return scores, draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+
+
+@settings(max_examples=300)
+@given(_platt_batches())
+@example(_STALLED)
+def test_fit_platt_equals_the_full_newton_loop_bit_for_bit(batch):
+    with np.errstate(over="ignore"):  # exp(-u) of a far-off logit
+        model = fit_platt(*batch)
+        (slope, bias), _ = platt_by_full_newton(*batch)
+    assert (model.slope.hex(), model.bias.hex()) == (slope.hex(), bias.hex())
+
+
 def test_fit_platt_validates_inputs():
     with pytest.raises(DataError):
         fit_platt([], [])
@@ -268,6 +300,20 @@ def test_load_scores_rejects_malformed_rows(tmp_path):
     path.write_text('{"confidence": ' + "9" * 5000 + "}\n", encoding="utf-8")
     with pytest.raises(RecordError, match=r":1: invalid JSON \(integer too long\)$"):
         load_scores(str(path))
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_load_scores_rejects_non_finite_confidences(tmp_path, token):
+    path = tmp_path / "scores.jsonl"
+    path.write_text(
+        '{"query_id":"q1","method":"token_prob","confidence":0.5}\n'
+        f'{{"query_id":"q1","method":"token_prob","confidence":{token}}}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(RecordError) as excinfo:
+        load_scores(str(path))
+    assert str(excinfo.value) == f"{path}:2: confidence must be a finite number"
+    assert (excinfo.value.path, excinfo.value.line) == (str(path), 2)
 
 
 def test_load_scores_names_a_line_that_is_not_utf8(tmp_path):

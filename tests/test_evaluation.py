@@ -26,7 +26,7 @@ from conscal.evaluation import (
     trial_table,
 )
 from conscal.metrics import auroc
-from conscal.records import CorrectnessLabel, SampleSet
+from conscal.records import SampleSet
 
 from conftest import make_batch, make_generation, make_query, make_set
 
@@ -93,7 +93,7 @@ def test_question_embedding_source_reads_the_query_vector():
 
 def test_labels_take_precedence_over_gold_answers():
     sample_set = make_set(["a", "a"], query_id="q1", gold=("a",))
-    contradicting = [CorrectnessLabel("q1", 0, 0), CorrectnessLabel("q1", 1, 0)]
+    contradicting = np.array([0, 0], dtype=np.int8)
     with_labels = build_dataset([sample_set], contradicting)
     assert with_labels.deploy_correct.tolist() == [0.0]
     assert with_labels.tt_correct.tolist() == [0.0]
@@ -103,11 +103,20 @@ def test_labels_take_precedence_over_gold_answers():
 
 def test_partial_labels_fall_back_to_gold_per_sample():
     sample_set = make_set(["a", "b"], query_id="q1", gold=("b",))
-    only_first = [CorrectnessLabel("q1", 0, 1)]  # contradicts gold on sample 0
+    only_first = np.array([1, -1], dtype=np.int8)  # contradicts gold on sample 0
     data = build_dataset([sample_set], only_first)
     assert data.deploy_correct.tolist() == [1.0]  # label wins on the deployment
     # tt target is the tie-broken modal answer "a" carried by sample 0: labeled 1.
     assert data.tt_correct.tolist() == [1.0]
+
+
+def test_labels_must_be_a_column_over_the_sets_shared_batch():
+    sets, z = _synth_sets(n=4, k=2)
+    with pytest.raises(DataError, match="7 entries for 8 generation rows"):
+        build_dataset(sets, z[:-1])
+    apart = [make_set(["a"], query_id="q1"), make_set(["a"], query_id="q2")]
+    with pytest.raises(DataError, match="more than one generation batch"):
+        build_dataset(apart, np.array([1], dtype=np.int8))
 
 
 def test_gold_fallback_judges_the_deployed_answer_apart_from_the_vote():
@@ -337,6 +346,32 @@ def test_answered_and_abstained_sides_reassemble_the_whole(pairs, rate):
     if point.abstained_accuracy is not None:
         recombined += point.abstained * point.abstained_accuracy
     assert recombined == pytest.approx(total, abs=1e-9)
+
+
+@given(
+    pairs=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=1.0), st.integers(0, 1)),
+        min_size=1,
+        max_size=399,
+    ),
+    rates=st.lists(st.floats(min_value=0.0, max_value=0.99), min_size=1, max_size=4),
+)
+def test_selective_means_equal_numpy_mean_exactly(pairs, rates):
+    confidences = np.array([c for c, _ in pairs])
+    labels = np.array([z for _, z in pairs], dtype=float)
+    order = np.argsort(confidences, kind="stable")
+
+    def mean(values):
+        return float(np.mean(values)) if values.size else None
+
+    base = mean(labels)
+    for point in selective_curve(confidences, labels, rates):
+        cut = point.abstained
+        assert point.accuracy == mean(labels[order][cut:])
+        assert point.confidence == mean(confidences[order][cut:])
+        assert point.abstained_accuracy == mean(labels[order][:cut])
+        assert point.abstained_confidence == mean(confidences[order][:cut])
+        assert point.gain == (None if point.accuracy is None else point.accuracy - base)
 
 
 def test_monotone_transforms_leave_selective_accuracy_and_auroc_alone():

@@ -213,6 +213,16 @@ def test_compute_report_is_consistent_with_the_individual_metrics(pairs, bins):
     assert report.n == n
 
 
+@given(_instances(min_size=12, max_size=399), st.integers(min_value=1, max_value=12))
+def test_bin_means_equal_numpy_mean_exactly(pairs, bins):
+    confidences = np.array([c for c, _ in pairs])
+    labels = np.array([z for _, z in pairs], dtype=float)
+    order = np.argsort(confidences, kind="stable")
+    for b in compute_report(confidences, labels, bins=bins).bins:
+        assert b.mean_confidence == float(np.mean(confidences[order][b.lower : b.upper]))
+        assert b.accuracy == float(np.mean(labels[order][b.lower : b.upper]))
+
+
 @given(_instances(min_size=12, max_size=60, discrete=True), st.integers(min_value=1, max_value=12))
 @settings(max_examples=200)
 def test_compute_report_matches_per_bin_loops_under_heavy_ties(pairs, bins):

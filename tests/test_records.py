@@ -15,11 +15,18 @@ from hypothesis import strategies as st
 
 from conscal import records, synth
 from conscal.cli import main
-from conscal.errors import RecordError
-from conscal.records import CorrectnessLabel, Diagnostic, QueryRecord
+from conscal.errors import DataError, RecordError
+from conscal.records import Diagnostic, QueryRecord, SampleSet
 
 from conftest import make_batch, make_generation, make_query, make_set
-from oracles import check_vector_by_entry, group_generations_by_buckets, record_line_by_json
+from oracles import (
+    check_vector_by_entry,
+    group_generations_by_buckets,
+    label_lines_by_json,
+    record_line_by_json,
+    scan_generations_by_row,
+    scan_labels_by_row,
+)
 
 
 def _write_lines(path, rows):
@@ -102,10 +109,16 @@ def test_generations_round_trip_with_and_without_optional_fields(tmp_path):
 
 
 def test_labels_round_trip(tmp_path):
-    labels = [CorrectnessLabel("q1", 0, 1), CorrectnessLabel("q1", 1, 0)]
+    batch = make_batch([make_generation("q1", j) for j in range(3)])
+    z = np.array([1, 0, -1], dtype=np.int8)
     path = tmp_path / "labels.jsonl"
-    records.write_labels(str(path), labels)
-    assert records.load_labels(str(path)) == labels
+    records.write_labels(str(path), batch, z)
+    sets = [SampleSet(query=make_query("q1"), batch=batch, rows=(0, 1, 2))]
+    loaded = records.load_labels(str(path), sets)
+    assert loaded.dtype == np.int8 and loaded.tolist() == [1, 0, -1]
+    assert records.load_labels(str(path)).tolist() == [1, 0]  # without sets: file order
+    with pytest.raises(DataError, match="2 entries for a batch of 3 rows"):
+        records.write_labels(str(path), batch, z[:2])
 
 
 def test_on_disk_generation_key_order_is_stable(tmp_path):
@@ -557,14 +570,6 @@ def _batches(draw):
     return make_batch(rows)
 
 
-_LABELS = st.builds(
-    CorrectnessLabel,
-    query_id=_TEXT,
-    sample_index=st.integers(min_value=0),
-    z=st.sampled_from([0, 1, False, True]),
-)
-
-
 def _written(writer, rows) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "records.jsonl")
@@ -584,7 +589,7 @@ def _batch_oracle_bytes(batch) -> bytes:
 @given(
     queries=st.lists(_QUERIES, max_size=3),
     generations=_batches(),
-    labels=st.lists(_LABELS, max_size=3),
+    labels=st.lists(st.sampled_from([-1, 0, 1]), max_size=6),
 )
 @example(
     queries=[
@@ -609,12 +614,14 @@ def _batch_oracle_bytes(batch) -> bytes:
             },
         ]
     ),
-    labels=[CorrectnessLabel("q1", 0, 1)],
+    labels=[1, -1],
 )
 def test_writers_emit_the_json_oracle_lines(queries, generations, labels):
     assert _written(records.write_queries, queries) == _oracle_bytes(queries)
     assert _written(records.write_generations, generations) == _batch_oracle_bytes(generations)
-    assert _written(records.write_labels, labels) == _oracle_bytes(labels)
+    z = np.array((labels + [-1] * len(generations))[: len(generations)], dtype=np.int8)
+    written = _written(lambda path, batch: records.write_labels(path, batch, z), generations)
+    assert written == label_lines_by_json(generations, z).encode("utf-8")
 
 
 def test_a_file_of_interleaved_queries_loads_and_writes_back_byte_for_byte(tmp_path):
@@ -768,3 +775,166 @@ def test_grouping_matches_the_bucket_oracle(query_ids, rows, caplog):
     assert all(s.batch is batch for s in sets)
     assert diagnostics == [Diagnostic("<generations>", None, m) for m in messages]
     assert [r.getMessage() for r in caplog.records] == ([warning] if warning else [])
+
+
+# ---------------------------------------------------------------------------
+# loaders against the per-row oracles
+# ---------------------------------------------------------------------------
+
+# JSON texts of vector entries: valid numbers, numbers that only the pass
+# over a whole column rejects, and entries that are not numbers.
+_GOOD_ENTRIES = ["-0.5", "0", "-0.0", "-3", "-2e-320", "-1e308"]
+_COLUMN_BAD_ENTRIES = ["0.25", "7", "1e999", "-1e999", "NaN", "Infinity", "-Infinity",
+                       "1" + "0" * 400, "-1" + "0" * 400]
+_TYPE_BAD_ENTRIES = ["true", "false", '"x"', "null", "[]", "{}"]
+
+
+def _vector_text(entries):
+    return "[" + ",".join(entries) + "]"
+
+
+def _vectors(good, *, numbers_only):
+    """Vector texts: mostly valid, else with bad numbers (and, unless
+    ``numbers_only``, bad entries and values that are no list at all)."""
+    bad = _COLUMN_BAD_ENTRIES + ([] if numbers_only else _TYPE_BAD_ENTRIES)
+    valid = st.lists(st.sampled_from(good), min_size=1, max_size=3)
+    mixed = st.lists(st.sampled_from(good + bad), min_size=1 if numbers_only else 0, max_size=3)
+    texts = (valid | valid | mixed).map(_vector_text)
+    return texts if numbers_only else texts | st.sampled_from(["null", '"v"', "{}", "-1"])
+
+
+def _object_text(fields):
+    return "{" + ",".join(f'"{key}":{value}' for key, value in fields if value is not None) + "}"
+
+
+@st.composite
+def _generation_line(draw):
+    kind = draw(st.integers(0, 15))
+    if kind == 0:
+        return draw(st.sampled_from(["not json{", "[1]", '"row"', "", '{"query_id":"q1",}']))
+    # About half of the rows have well-formed fields, so that duplicates and
+    # dimension changes meet rows that only the column pass rejects.
+    clean = kind > 7
+
+    def pick(valid, invalid):
+        return draw(st.sampled_from(valid if clean else valid + invalid))
+
+    tokens = _vectors(_GOOD_ENTRIES, numbers_only=clean)
+    embeddings = _vectors(["0.5", "-1", "3", "1" + "0" * 20, "1e308"], numbers_only=clean)
+    return _object_text(
+        [
+            ("query_id", pick(['"q1"', '"q2"', '"q3"'], ['""', "5"])),
+            ("sample_index", pick(["0", "1", "2"], ["-1", "true", "1.0"])),
+            ("response_text", pick(['"t"', '"\\boxed{a}"'], ["null"])),
+            ("answer", pick([None, '"a"'], ["3"])),
+            ("token_logprobs", draw(tokens if clean else tokens | st.none())),
+            ("answer_token_logprobs", draw(st.none() | tokens)),
+            ("embedding", draw(embeddings if clean else embeddings | st.none())),
+            ("sampling_meta", pick([None, '{"t":0.7}', '{"t":1e999}', '{"ok":false}'],
+                                   ['{"t":NaN}', '"m"'])),
+            ("note", pick([None, '"n"', "1e999", "true"], ["[Infinity]"])),
+        ]
+    )
+
+
+@st.composite
+def _label_line(draw):
+    if draw(st.integers(0, 15)) == 0:
+        return draw(st.sampled_from(["not json{", "[1]", "null"]))
+    return _object_text(
+        [
+            ("query_id", draw(st.sampled_from(['"q1"', '"q2"', '"q3"', '"ghost"', '""', "7"]))),
+            ("sample_index", draw(st.sampled_from(["0", "1", "2", "5", "-1", "true"]))),
+            ("z", draw(st.sampled_from(["0", "1", "2", "true", "1.0", "NaN", None]))),
+            ("note", draw(st.sampled_from([None, "-Infinity", '"n"']))),
+        ]
+    )
+
+
+# Duplicates and dimension changes before and after rows whose only fault is
+# an entry found by the column pass (NaN, 1e999, a positive log-probability)
+# or an integer too large for a float.
+_TRAP_LINES = [
+    '{"query_id":"q1","sample_index":0,"response_text":"t","token_logprobs":[-0.5,NaN],'
+    '"embedding":[1,2,3]}',
+    '{"query_id":"q1","sample_index":0,"response_text":"t","token_logprobs":[-0.5],'
+    '"embedding":[1,2]}',
+    '{"query_id":"q2","sample_index":0,"response_text":"t","token_logprobs":[-0.5],'
+    '"answer_token_logprobs":[-1,' + "1" + "0" * 400 + '],"embedding":[1,2]}',
+    '{"query_id":"q2","sample_index":1,"response_text":"t","token_logprobs":[-0.5],'
+    '"embedding":[1e999,2]}',
+    '{"query_id":"q1","sample_index":1,"response_text":"t","token_logprobs":[0.5],'
+    '"embedding":[1,2,3]}',
+    '{"query_id":"q1","sample_index":1,"response_text":"t","token_logprobs":[-0.25],'
+    '"answer_token_logprobs":[-1],"embedding":[3,4]}',
+    '{"query_id":"q1","sample_index":1,"response_text":"t","token_logprobs":[-0.25],'
+    '"embedding":[5,6,7]}',
+]
+
+
+@settings(max_examples=200)
+@given(
+    lines=st.lists(_generation_line(), max_size=12),
+    query_ids=st.sets(st.sampled_from(["q1", "q2", "q3"])),
+    label_lines=st.lists(_label_line(), max_size=8),
+)
+@example(
+    lines=_TRAP_LINES,
+    query_ids={"q1"},
+    label_lines=[
+        '{"query_id":"q1","sample_index":0,"z":1}',
+        '{"query_id":"q2","sample_index":0,"z":1}',
+        '{"query_id":"q1","sample_index":1,"z":0}',
+        '{"query_id":"q1","sample_index":0,"z":0}',
+    ],
+)
+def test_loaders_match_the_per_row_oracles(lines, query_ids, label_lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        generations = os.path.join(tmp, "generations.jsonl")
+        labels = os.path.join(tmp, "labels.jsonl")
+        for path, text in ((generations, lines), (labels, label_lines)):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.writelines(line + "\n" for line in text)
+
+        batch, diagnostics = records.scan_generation_records(generations)
+        rows, expected = scan_generations_by_row(generations)
+        assert batch == make_batch(rows)
+        assert [(d.path, d.line, d.message) for d in diagnostics] == [
+            (generations, line, message) for line, message in expected
+        ]
+
+        z, diagnostics = records.scan_labels(labels)
+        found, expected = scan_labels_by_row(labels)
+        assert z.dtype == np.int8 and z.tolist() == [label for _, _, label in found]
+        assert [(d.line, d.message) for d in diagnostics] == expected
+
+        sets, _ = records.group_generations([make_query(q) for q in sorted(query_ids)], batch)
+        row_of = {(s.query_id, batch.sample_index[i]): i for s in sets for i in s.rows}
+        z, diagnostics = records.scan_labels(labels, sets)
+        found, expected = scan_labels_by_row(labels, set(row_of))
+        column = [-1] * (len(batch) if sets else 0)
+        for query_id, sample_index, label in found:
+            column[row_of[(query_id, sample_index)]] = label
+        assert z.dtype == np.int8 and z.tolist() == column
+        assert [(d.line, d.message) for d in diagnostics] == expected
+
+
+def test_a_row_with_a_bad_entry_counts_for_nothing_after_it(tmp_path):
+    path = tmp_path / "generations.jsonl"
+    path.write_text("".join(line + "\n" for line in _TRAP_LINES), encoding="utf-8")
+    batch, diagnostics = records.scan_generation_records(str(path))
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (1, "token_logprobs contains a non-finite or non-numeric entry"),
+        (3, "answer_token_logprobs contains a non-finite or non-numeric entry"),
+        (4, "embedding contains a non-finite or non-numeric entry"),
+        (5, "token_logprobs contains an entry above 0"),
+        (7, "duplicate (query_id, sample_index) ('q1', 1)"),
+    ]
+    # Line 2 is no duplicate of line 1 and sets the dimension; line 3's huge
+    # integer leaves no entry behind; q2's rows start no query run.
+    assert batch.query_ids == ("q1",)
+    assert batch.sample_index == (0, 1)
+    assert batch.token_logprobs.tolist() == [-0.5, -0.25]
+    assert batch.answer_token_logprobs.tolist() == [-1.0]
+    assert batch.answer_token_offsets.tolist() == [0, 0, 1]
+    assert batch.embedding.tolist() == [[1.0, 2.0], [3.0, 4.0]]
