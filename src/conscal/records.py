@@ -178,16 +178,6 @@ class SampleSet:
 def _check_vector(value: Any, name: str, *, max_value: float | None = None) -> list[str]:
     if not isinstance(value, list) or not value:
         return [f"{name} must be a nonempty array of numbers"]
-    # Whole-field test: a finite sum means every entry is a finite float
-    # (NaN and infinities propagate, and huge integers or an overflowing
-    # sum raise).  Only a field that fails it is walked entry by entry.
-    if _NUMBER_TYPES.issuperset(map(type, value)):
-        try:
-            finite = math.isfinite(math.fsum(value))
-        except (OverflowError, ValueError):
-            finite = False
-        if finite and (max_value is None or max(value) <= max_value):
-            return []
     for entry in value:
         if not is_finite_real(entry):
             return [f"{name} contains a non-finite or non-numeric entry"]
@@ -494,13 +484,8 @@ def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic
 
 def _failing_rows(values: array, ends: array, max_value: float | None) -> set[int]:
     """The rows of a flat column holding an entry that is not finite or is
-    above ``max_value``: one pass over the column, then, if it fails, the
-    positions of the failing entries."""
+    above ``max_value``."""
     column = np.frombuffer(values, dtype=float)
-    if column.size:
-        low, high = column.min(), column.max()  # NaN propagates into both
-        if math.isfinite(low) and math.isfinite(high) and (max_value is None or high <= max_value):
-            return set()
     bad = ~np.isfinite(column)
     if max_value is not None:
         bad |= column > max_value
@@ -612,9 +597,9 @@ def scan_labels(
     With ``sets``, ``z`` has an entry per row of their shared batch: the
     row's label, or -1 when it has none.  A label is known only if its
     ``(query_id, sample_index)`` is a row of one of the sets, and it is a
-    duplicate when its row is already labelled.  Without sets, ``z`` holds
-    the labels of the valid lines in file order; only the line checks and
-    the duplicate check run.
+    duplicate when its row is already labelled.  Without sets, only the
+    line checks and the duplicate check run, and ``z`` is empty: there are
+    no rows to align the labels with.
     """
     diagnostics: list[Diagnostic] = []
     row_diagnostics: list[Diagnostic] = []
@@ -642,7 +627,6 @@ def scan_labels(
                     problems.append(f"duplicate label for {pair!r}")
                 else:
                     seen.add(pair)
-                    z.append(label)
             else:
                 row = row_of.get(pair)
                 if row is None:
@@ -656,8 +640,9 @@ def scan_labels(
     return np.array(z, dtype=np.int8), diagnostics + row_diagnostics
 
 
-def load_labels(path: str, sets: Sequence[SampleSet] | None = None) -> np.ndarray:
-    """The ``z`` column of :func:`scan_labels`; raises on any diagnostic."""
+def load_labels(path: str, sets: Sequence[SampleSet]) -> np.ndarray:
+    """The ``z`` column of :func:`scan_labels` over the rows of ``sets``'
+    shared batch; raises on any diagnostic."""
     z, diagnostics = scan_labels(path, sets)
     _raise_if_any(diagnostics)
     if sets:

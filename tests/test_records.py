@@ -116,7 +116,8 @@ def test_labels_round_trip(tmp_path):
     sets = [SampleSet(query=make_query("q1"), batch=batch, rows=(0, 1, 2))]
     loaded = records.load_labels(str(path), sets)
     assert loaded.dtype == np.int8 and loaded.tolist() == [1, 0, -1]
-    assert records.load_labels(str(path)).tolist() == [1, 0]  # without sets: file order
+    unaligned, diagnostics = records.scan_labels(str(path))  # without sets: no rows to fill
+    assert unaligned.dtype == np.int8 and unaligned.size == 0 and diagnostics == []
     with pytest.raises(DataError, match="2 entries for a batch of 3 rows"):
         records.write_labels(str(path), batch, z[:2])
 
@@ -904,8 +905,8 @@ def test_loaders_match_the_per_row_oracles(lines, query_ids, label_lines):
         ]
 
         z, diagnostics = records.scan_labels(labels)
-        found, expected = scan_labels_by_row(labels)
-        assert z.dtype == np.int8 and z.tolist() == [label for _, _, label in found]
+        _, expected = scan_labels_by_row(labels)
+        assert z.dtype == np.int8 and z.size == 0
         assert [(d.line, d.message) for d in diagnostics] == expected
 
         sets, _ = records.group_generations([make_query(q) for q in sorted(query_ids)], batch)
