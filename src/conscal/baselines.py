@@ -11,7 +11,6 @@
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
@@ -20,7 +19,7 @@ import numpy as np
 
 from .consistency import boxed_groups
 from .errors import DataError, RecordError, is_finite_real
-from .records import json_lines
+from .records import json_lines, write_json_lines
 
 _DECIMAL = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)$")
 
@@ -121,6 +120,13 @@ def _logit(scores: np.ndarray, eps: float) -> np.ndarray:
     return np.log(clipped) - np.log1p(-clipped)
 
 
+def _sigmoid(u: np.ndarray) -> np.ndarray:
+    # exp(-u) overflows to inf once u < -709; 1 / (1 + inf) is then the
+    # right limit, 0, so the overflow is no error.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-u))
+
+
 def platt_nll(scores: Any, labels: Any, slope: float, bias: float, *, eps: float = 1e-6,
               penalty: float = 1e-6) -> float:
     """Penalized negative log-likelihood minimized by :func:`fit_platt`."""
@@ -168,8 +174,7 @@ def fit_platt(
 
     current = objective(theta)
     for _ in range(100):
-        u = design @ theta
-        p = 1.0 / (1.0 + np.exp(-u))
+        p = _sigmoid(design @ theta)
         grad = design.T @ (p - z) + 2.0 * penalty * theta
         if np.linalg.norm(grad) < 1e-8:
             break
@@ -196,8 +201,7 @@ def apply_platt(model: PlattModel, scores: Any) -> np.ndarray | float:
     s = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(s)):
         raise DataError("scores contain non-finite entries")
-    u = model.slope * _logit(s, model.input_clip) + model.bias
-    out = 1.0 / (1.0 + np.exp(-u))
+    out = _sigmoid(model.slope * _logit(s, model.input_clip) + model.bias)
     if s.ndim == 0:
         return float(out)
     return out
@@ -208,22 +212,24 @@ def apply_platt(model: PlattModel, scores: Any) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 
+def _score_object(row: dict[str, Any]) -> dict[str, Any]:
+    obj: dict[str, Any] = {"query_id": row["query_id"]}
+    if "sample_index" in row:
+        obj["sample_index"] = row["sample_index"]
+    obj["method"] = row["method"]
+    obj["confidence"] = row["confidence"]
+    if row.get("imputed") is not None:
+        obj["imputed"] = bool(row["imputed"])
+    return obj
+
+
 def write_scores(path: str, rows: Iterable[dict[str, Any]]) -> None:
     """Write per-generation confidence rows.
 
     Each row carries ``query_id``, ``method``, ``confidence`` and optionally
     ``sample_index`` and ``imputed``.
     """
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            obj: dict[str, Any] = {"query_id": row["query_id"]}
-            if "sample_index" in row:
-                obj["sample_index"] = row["sample_index"]
-            obj["method"] = row["method"]
-            obj["confidence"] = row["confidence"]
-            if row.get("imputed") is not None:
-                obj["imputed"] = bool(row["imputed"])
-            handle.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+    write_json_lines(path, map(_score_object, rows))
 
 
 def load_scores(path: str) -> list[dict[str, Any]]:

@@ -11,8 +11,8 @@ Each stage is deliberately plain:
 * scaler: column means and population standard deviations (zero-variance
   columns fall back to scale 1 so constant features pass through centered);
 * ridge: minimizes ||y - Xw - b||^2 + alpha * ||w||^2 with an unpenalized
-  intercept, solved on centered data via a symmetric positive-definite
-  factorization of (Xc'Xc + alpha*I) w = Xc'y_c, b = mean(y) - mean(X) @ w;
+  intercept, solved on centered data as one dense linear system
+  (Xc'Xc + alpha*I) w = Xc'y_c, b = mean(y) - mean(X) @ w;
 * isotonic: least-squares nondecreasing fit by pool-adjacent-violators, ties
   in the input scores pre-pooled to their target mean, fitted values clipped
   to [0, 1]; prediction interpolates linearly between knots and clamps to the
@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
-import scipy.linalg
 
 from . import seeding
 from .errors import DataError, is_finite_real, json_error_reason
@@ -104,8 +103,8 @@ class RidgeModel:
 def fit_ridge(features: Any, targets: Any, alpha: float = 1.0) -> RidgeModel:
     """Ridge regression with an unpenalized intercept.
 
-    Solves (Xc'Xc + alpha*I) w = Xc'y_c on column-centered data by Cholesky
-    factorization; the intercept is mean(y) - mean(X) @ w.
+    Solves (Xc'Xc + alpha*I) w = Xc'y_c on column-centered data with
+    ``np.linalg.solve``; the intercept is mean(y) - mean(X) @ w.
     """
     X = _as_matrix(features)
     y = _as_vector(targets, "targets")
@@ -120,8 +119,7 @@ def fit_ridge(features: Any, targets: Any, alpha: float = 1.0) -> RidgeModel:
     Xc = X - x_means
     yc = y - y_mean
     gram = Xc.T @ Xc + alpha * np.eye(X.shape[1])
-    factor = scipy.linalg.cho_factor(gram, lower=True)
-    weights = scipy.linalg.cho_solve(factor, Xc.T @ yc)
+    weights = np.linalg.solve(gram, Xc.T @ yc)
     intercept = float(y_mean - x_means @ weights)
     return RidgeModel(weights=weights, intercept=intercept, alpha=float(alpha))
 

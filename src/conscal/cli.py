@@ -226,8 +226,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         args.queries, generations_path=args.generations, labels_path=args.labels
     )
     for diag in diagnostics:
-        where = diag.path if diag.line is None else f"{diag.path}:{diag.line}"
-        print(f"{where}: {diag.message}", file=sys.stderr)
+        print(diag, file=sys.stderr)
     if diagnostics:
         print(f"FAIL: {len(diagnostics)} problem(s) found")
         return 1

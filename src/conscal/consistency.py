@@ -18,7 +18,6 @@ count over those codes.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ import numpy as np
 
 from . import seeding
 from .errors import DataError, RecordError, is_finite_real
-from .records import GenerationBatch, SampleSet, json_lines
+from .records import GenerationBatch, SampleSet, json_lines, write_json_lines
 
 log = logging.getLogger(__name__)
 
@@ -221,16 +220,11 @@ def subsample_targets(codes: AnswerCodes, k: int, seed: int) -> ConsistencyTarge
 
 
 def write_targets(path: str, targets: Iterable[ConsistencyTarget]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for t in targets:
-            obj = {
-                "query_id": t.query_id,
-                "selected_sample_index": t.selected_sample_index,
-                "answer": t.answer,
-                "s": t.s,
-                "k": t.k,
-            }
-            handle.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+    write_json_lines(path, (
+        {"query_id": t.query_id, "selected_sample_index": t.selected_sample_index,
+         "answer": t.answer, "s": t.s, "k": t.k}
+        for t in targets
+    ))
 
 
 def load_targets(path: str) -> list[ConsistencyTarget]:

@@ -68,7 +68,6 @@ DEFAULT_METHODS = (
     "tt_sc",
 )
 METHOD_IDS = frozenset(DEFAULT_METHODS)
-UNSUPERVISED_METHODS = ("distilled", "token_prob", "answer_prob", "verbal_conf")
 
 # Per-trial sub-stream tags (fixed forever; changing them changes all results).
 _S_SPLIT = 1
@@ -98,7 +97,6 @@ class EvalDataset:
     token_prob: np.ndarray
     answer_prob: np.ndarray | None
     verbal_conf: np.ndarray
-    verbal_imputed: np.ndarray
     deploy_correct: np.ndarray
     tt_correct: np.ndarray
 
@@ -118,7 +116,6 @@ class EvalDataset:
             token_prob=self.token_prob[idx],
             answer_prob=None if self.answer_prob is None else self.answer_prob[idx],
             verbal_conf=self.verbal_conf[idx],
-            verbal_imputed=self.verbal_imputed[idx],
             deploy_correct=self.deploy_correct[idx],
             tt_correct=self.tt_correct[idx],
         )
@@ -224,7 +221,6 @@ def build_dataset(
         raise DataError(f"inconsistent feature dimensions across queries: {exc}") from None
     if features.ndim != 2:
         raise DataError("inconsistent feature dimensions across queries")
-    imputed = impute_verbal(vc_raw)
     return EvalDataset(
         codes=tuple(codes),
         query_ids=tuple(s.query_id for s in sets),
@@ -234,8 +230,7 @@ def build_dataset(
         targets_s=np.array(s_vals, dtype=float),
         token_prob=np.array(tp, dtype=float),
         answer_prob=None if ap_missing else np.array(ap, dtype=float),
-        verbal_conf=np.array([v.value for v in imputed], dtype=float),
-        verbal_imputed=np.array([v.imputed for v in imputed], dtype=bool),
+        verbal_conf=np.array([v.value for v in impute_verbal(vc_raw)], dtype=float),
         deploy_correct=np.array(deploy_z, dtype=float),
         tt_correct=np.array(tt_z, dtype=float),
     )

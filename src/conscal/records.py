@@ -681,6 +681,12 @@ def _dump(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+def write_json_lines(path: str, objects: Iterable[Any]) -> None:
+    """Write each object as one compact JSON line, the format of every JSONL file."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(_dump(obj) + "\n" for obj in objects)
+
+
 def _json_text(value: Any) -> str:
     kind = type(value)
     if kind is str:

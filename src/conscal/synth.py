@@ -37,7 +37,6 @@ own difficulty distribution and group tag for distribution-shift studies.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -45,7 +44,7 @@ import numpy as np
 
 from . import seeding
 from .errors import ConfigError, DataError, require_integer, require_real
-from .records import NO_EXTRA, GenerationBatch, QueryRecord
+from .records import NO_EXTRA, GenerationBatch, QueryRecord, write_json_lines
 
 MAIN_GROUP = "main"
 
@@ -436,12 +435,11 @@ def write_truth(
 
     Returns the per-query truths it wrote, in query order.
     """
-    truths = []
-    with open(path, "w", encoding="utf-8") as handle:
-        for query in queries:
-            truth = query_truth(config, query)
-            truths.append(truth)
-            obj = {"query_id": query.query_id, "pi": truth.pi, "modal_prob": truth.modal_prob}
-            handle.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+    queries = list(queries)
+    truths = [query_truth(config, query) for query in queries]
+    write_json_lines(path, (
+        {"query_id": query.query_id, "pi": truth.pi, "modal_prob": truth.modal_prob}
+        for query, truth in zip(queries, truths)
+    ))
     return truths
 

@@ -5,10 +5,11 @@ elimination, quadratic pair counting, per-bin and per-row loops,
 character-by-character scans, string counting, entry-by-entry validation,
 plain grid refinement, ``json.dumps`` of each record's object, per-row
 bucket grouping, record loaders that judge one line at a time,
-``scipy.stats.rankdata`` and a per-value scan of histogram edges.
-They share no code with the package beyond the standard library (numpy only
-for array plumbing, scipy only for ranking), so agreement between the two
-routes is meaningful evidence.
+``scipy.stats.rankdata``, a ``scipy.linalg`` Cholesky solve and a per-value
+scan of histogram edges.  They share no code with the package beyond the
+standard library (numpy only for array plumbing, scipy only for ranking and
+the Cholesky solve), so agreement between the two routes is meaningful
+evidence.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.stats
 
 
@@ -108,6 +110,27 @@ def ridge_by_elimination(
         w[col] = acc / A[col][col]
     intercept = y_mean - sum(x_means[j] * w[j] for j in range(d))
     return np.asarray(w), intercept
+
+
+def ridge_by_cholesky(
+    features: np.ndarray, targets: np.ndarray, alpha: float
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Ridge with an unpenalized intercept, solved by Cholesky factorization.
+
+    The same centered normal equations ``(Xc'Xc + alpha*I) w = Xc'yc`` as
+    the package, factored with ``scipy.linalg.cho_factor`` and solved with
+    ``cho_solve``.  Returns ``(weights, intercept, gram)``; the Gram matrix
+    ``Xc'Xc + alpha*I`` lets a caller scale its tolerance by its condition.
+    """
+    X = np.asarray(features, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    x_means = X.mean(axis=0)
+    y_mean = y.mean()
+    Xc = X - x_means
+    gram = Xc.T @ Xc + alpha * np.eye(X.shape[1])
+    factor = scipy.linalg.cho_factor(gram, lower=True)
+    weights = scipy.linalg.cho_solve(factor, Xc.T @ (y - y_mean))
+    return weights, float(y_mean - x_means @ weights), gram
 
 
 def auroc_by_pair_counting(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,10 +202,23 @@ def _platt_batches(draw):
 @given(_platt_batches())
 @example(_STALLED)
 def test_fit_platt_equals_the_full_newton_loop_bit_for_bit(batch):
-    with np.errstate(over="ignore"):  # exp(-u) of a far-off logit
-        model = fit_platt(*batch)
+    model = fit_platt(*batch)
+    with np.errstate(over="ignore"):  # the oracle's exp(-u) of a far-off logit
         (slope, bias), _ = platt_by_full_newton(*batch)
     assert (model.slope.hex(), model.bias.hex()) == (slope.hex(), bias.hex())
+
+
+def test_platt_past_the_exp_overflow_warns_nothing_and_keeps_its_bits():
+    # Logits below about -709 overflow exp(-u); the sigmoid's limit there, 0,
+    # is the right value, so neither the fit nor the map may warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit_platt([0.4999, 0.5001, 1e-6], [0, 1, 0])
+        out = apply_platt(model, [1e-6, 0.2])
+    assert (model.slope.hex(), model.bias.hex()) == (
+        "0x1.809f67f1257c5p+7", "0x1.00d57b8b00000p-47"
+    )
+    assert [float(v).hex() for v in out] == ["0x0.0p+0", "0x1.4c8678da805fap-385"]
 
 
 def test_fit_platt_validates_inputs():

@@ -27,7 +27,7 @@ from conscal.calibrator import (
 )
 from conscal.errors import DataError
 
-from oracles import isotonic_by_enumeration, ridge_by_elimination
+from oracles import isotonic_by_enumeration, ridge_by_cholesky, ridge_by_elimination
 
 # ---------------------------------------------------------------------------
 # scaler
@@ -102,6 +102,41 @@ def test_ridge_agrees_with_elimination_on_random_instances(n, d, alpha, seed):
     w_ref, b_ref = ridge_by_elimination(X.tolist(), y.tolist(), alpha)
     assert np.max(np.abs(model.weights - w_ref)) < 1e-7
     assert abs(model.intercept - b_ref) < 1e-7
+
+
+@st.composite
+def _ridge_problems(draw):
+    """Features in [-10, 10]; each column after the first is drawn afresh,
+    a multiple of an earlier column (collinear), or a constant."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    d = draw(st.integers(min_value=1, max_value=20))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    X = gen.uniform(-10.0, 10.0, size=(n, d))
+    for j in range(1, d):
+        kind = draw(st.sampled_from(["fresh", "multiple", "constant"]))
+        if kind == "multiple":
+            factor = draw(st.sampled_from([-1.0, -0.5, 0.5, 1.0]))
+            X[:, j] = factor * X[:, draw(st.integers(min_value=0, max_value=j - 1))]
+        elif kind == "constant":
+            X[:, j] = draw(st.floats(min_value=-10.0, max_value=10.0))
+    y = gen.uniform(0.0, 1.0, size=n)
+    return X, y, draw(st.floats(min_value=1e-2, max_value=1e3))
+
+
+@given(_ridge_problems())
+@settings(max_examples=300, deadline=None)
+def test_ridge_agrees_with_the_cholesky_solve_to_the_conditioning(problem):
+    # A backward-stable solve of the same Gram matrix differs from the
+    # Cholesky route by a few rounding errors times the condition number.
+    # The intercept ybar - xbar @ w is scaled by the size of its terms.
+    X, y, alpha = problem
+    model = fit_ridge(X, y, alpha=alpha)
+    w_ref, b_ref, gram = ridge_by_cholesky(X, y, alpha)
+    bound = 1e-14 * np.linalg.cond(gram)
+    w_scale = np.max(np.abs(w_ref))
+    assert np.max(np.abs(model.weights - w_ref)) <= bound * w_scale
+    b_scale = w_scale * (1.0 + np.sum(np.abs(X.mean(axis=0)))) + abs(b_ref)
+    assert abs(model.intercept - b_ref) <= bound * b_scale
 
 
 def test_shifting_targets_shifts_only_the_intercept():
