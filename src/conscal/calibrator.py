@@ -32,7 +32,7 @@ from .errors import DataError, is_finite_real, json_error_reason
 
 MODEL_FORMAT = "conscal-model/1"
 
-FEATURE_SOURCES = ("response_embedding", "question_embedding", "external_embedding")
+FEATURE_SOURCES = ("response_embedding", "question_embedding")
 
 
 def _as_matrix(features: Any, name: str = "features") -> np.ndarray:

@@ -153,7 +153,8 @@ def _synth_config(args: argparse.Namespace) -> synth.SynthConfig:
         kwargs["n_queries"] = args.n_queries
     if args.k is not None:
         kwargs["k"] = args.k
-    kwargs["seed"] = args.seed
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
     try:
         config = preset(**kwargs)
     except TypeError as exc:
@@ -208,7 +209,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out = _out_dir(args, config_obj)
     queries, generations, z = synth.generate(config)
     records.write_queries(os.path.join(out, "queries.jsonl"), queries)
-    records.write_generations(os.path.join(out, "generations.jsonl"), generations)
+    records.write_generations(
+        os.path.join(out, "generations.jsonl"), generations, synth.sampling_meta(config)
+    )
     records.write_labels(os.path.join(out, "labels.jsonl"), generations, z)
     truths = synth.write_truth(os.path.join(out, "truth.jsonl"), config, queries)
     _write_json(os.path.join(out, "config.json"), config_obj)
@@ -425,19 +428,15 @@ def _eval_command(args: argparse.Namespace, kind: str) -> int:
             "in_domain": evaluation.report_document(results["in_domain"], arm_echo),
             "shifted": evaluation.report_document(results["shifted"], arm_echo),
         }
-        _write_json(os.path.join(out, "report.json"), document)
-        with open(os.path.join(out, "trials.tsv"), "w", encoding="utf-8") as handle:
-            handle.write(evaluation.trial_table(results["shifted"]))
         headline = results["shifted"]
     else:
-        result = evaluation.run_trials(data, config)
+        headline = evaluation.run_trials(data, config)
         if kind == "selective":
-            result = dataclasses.replace(result, kind="selective")
-        document = evaluation.report_document(result, config_obj)
-        _write_json(os.path.join(out, "report.json"), document)
-        with open(os.path.join(out, "trials.tsv"), "w", encoding="utf-8") as handle:
-            handle.write(evaluation.trial_table(result))
-        headline = result
+            headline = dataclasses.replace(headline, kind="selective")
+        document = evaluation.report_document(headline, config_obj)
+    _write_json(os.path.join(out, "report.json"), document)
+    with open(os.path.join(out, "trials.tsv"), "w", encoding="utf-8") as handle:
+        handle.write(evaluation.trial_table(headline))
     _write_json(os.path.join(out, "config.json"), config_obj)
     summary = ", ".join(
         f"{m}: ece1={s.ece1:.4f}" for m, s in headline.methods.items()
@@ -500,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default="benchmark", help="benchmark, premise, or shift")
     p.add_argument("--n-queries", type=int, default=None)
     p.add_argument("--k", type=int, default=None, help="samples per query")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="overrides the config file's seed")
     p.add_argument("--config", default=None, help="JSON file of generator settings")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_synth)

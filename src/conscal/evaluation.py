@@ -123,7 +123,7 @@ class EvalDataset:
 
 def feature_row(sample_set: SampleSet, feature_source: str) -> Sequence[float]:
     """The feature vector a trained calibrator consumes for one query."""
-    if feature_source in ("response_embedding", "external_embedding"):
+    if feature_source == "response_embedding":
         row = sample_set.batch.embedding[sample_set.rows[0]]
         if not row.size:
             raise DataError(

@@ -14,8 +14,9 @@ Queries load as one record object per line.  Generations load into one
 columnar :class:`GenerationBatch`, their only in-memory form, and a
 :class:`SampleSet` is a query plus the positions of its rows in that batch.
 Labels load as ``z``, an ``int8`` column over the rows of the sets' shared
-batch with -1 for a row without a label.  Unknown keys are preserved (in
-``extra``) and written back on export, but carry no meaning here.
+batch with -1 for a row without a label.  A record keeps only the fields the
+pipeline reads: ``sampling_meta`` and unknown keys are checked (no ``NaN`` or
+``Infinity``; ``sampling_meta`` is an object when present), then dropped.
 
 Validation is total: every malformed line yields a diagnostic naming the
 file and line, and a loader never returns a partially constructed dataset.
@@ -33,11 +34,10 @@ import json
 import logging
 import math
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import compress
 from json.encoder import encode_basestring
-from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,6 +45,8 @@ from .errors import DataError, RecordError, is_finite_real, json_error_reason
 
 log = logging.getLogger(__name__)
 
+# The fields each loader checks itself; NaN or Infinity anywhere else in a
+# line (sampling_meta, unknown keys) is a problem of its own.
 _QUERY_FIELDS = frozenset(("query_id", "text", "group", "gold_answers", "question_embedding"))
 _GENERATION_FIELDS = frozenset(
     (
@@ -55,12 +57,8 @@ _GENERATION_FIELDS = frozenset(
         "token_logprobs",
         "answer_token_logprobs",
         "embedding",
-        "sampling_meta",
     )
 )
-# Fields each loader checks itself; NaN or Infinity anywhere else in a line
-# (unknown keys, sampling_meta) is a problem of its own.
-_CHECKED_GENERATION_FIELDS = _GENERATION_FIELDS - {"sampling_meta"}
 _LABEL_FIELDS = frozenset(("query_id", "sample_index", "z"))
 # Exact types of the numbers json.loads returns; bool, a subclass of int,
 # is not among them.
@@ -87,7 +85,6 @@ class QueryRecord:
     group: str
     gold_answers: tuple[str, ...] | None = None
     question_embedding: tuple[float, ...] | None = None
-    extra: Mapping[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +96,8 @@ class GenerationBatch:
     log-probabilities ``token_logprobs[token_offsets[i]:token_offsets[i + 1]]``,
     the answer-span ones ``answer_token_logprobs[answer_token_offsets[i]:...]``
     (an empty segment: the row has none) and the embedding ``embedding[i]``;
-    the other columns hold one entry per row, ``None`` for an absent answer
-    or ``sampling_meta``.  ``extra`` holds each row's unknown keys; rows
-    without any share :data:`NO_EXTRA`.  The arrays are read-only.
+    the other columns hold one entry per row, ``None`` for an absent answer.
+    The arrays are read-only.
     """
 
     query_ids: tuple[str, ...]
@@ -114,8 +110,6 @@ class GenerationBatch:
     answer_token_logprobs: np.ndarray
     answer_token_offsets: np.ndarray
     embedding: np.ndarray
-    sampling_meta: tuple[Mapping[str, Any] | None, ...]
-    extra: tuple[Mapping[str, Any], ...]
 
     def __post_init__(self) -> None:
         for column in fields(self):
@@ -151,10 +145,6 @@ class GenerationBatch:
         """The row's answer-span log-probabilities, or None when it has none."""
         start, stop = self.answer_token_offsets[row : row + 2]
         return self.answer_token_logprobs[start:stop] if stop > start else None
-
-
-# The ``extra`` of every generation row without unknown keys.
-NO_EXTRA: Mapping[str, Any] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -267,12 +257,6 @@ def _objects(
             yield lineno, obj, []
 
 
-def _extra_of(obj: Mapping[str, Any], known: frozenset[str]) -> dict[str, Any]:
-    if known.issuperset(obj):
-        return {}
-    return {key: obj[key] for key in obj if key not in known}
-
-
 # ---------------------------------------------------------------------------
 # queries
 # ---------------------------------------------------------------------------
@@ -324,7 +308,6 @@ def scan_queries(path: str) -> tuple[list[QueryRecord], list[Diagnostic]]:
                 group=group,
                 gold_answers=tuple(gold) if gold is not None else None,
                 question_embedding=tuple(map(float, qemb)) if qemb is not None else None,
-                extra=_extra_of(obj, _QUERY_FIELDS),
             )
         )
     return records, diagnostics + row_diagnostics
@@ -358,12 +341,10 @@ def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic
     indices: list[int] = []
     texts: list[str] = []
     answers: list[str | None] = []
-    metas: list[Mapping[str, Any] | None] = []
-    extras: list[Mapping[str, Any]] = []
     tokens, spans, embeddings = array("d"), array("d"), array("d")
     token_ends, span_ends, embedding_ends = array("q", [0]), array("q", [0]), array("q", [0])
     numbers = _NUMBER_TYPES.issuperset
-    for lineno, obj, problems in _objects(path, diagnostics, _CHECKED_GENERATION_FIELDS):
+    for lineno, obj, problems in _objects(path, diagnostics, _GENERATION_FIELDS):
         query_id = obj.get("query_id")
         if not isinstance(query_id, str) or not query_id:
             problems.append("query_id must be a nonempty string")
@@ -410,8 +391,6 @@ def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic
                 indices.append(sample_index)
                 texts.append(response_text)
                 answers.append(answer)
-                metas.append(meta)
-                extras.append(_extra_of(obj, _GENERATION_FIELDS) or NO_EXTRA)
                 continue
         problems.extend(_check_vector(token_lp, "token_logprobs", max_value=0.0))
         if ans_lp is not None:
@@ -476,8 +455,6 @@ def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic
         answer_token_logprobs=span_values,
         answer_token_offsets=span_offsets,
         embedding=embedding_values.reshape(kept, embed_dim or 0),
-        sampling_meta=tuple(compress(metas, keep)),
-        extra=tuple(compress(extras, keep)),
     )
     return batch, diagnostics + row_diagnostics
 
@@ -660,21 +637,20 @@ def load_labels(path: str, sets: Sequence[SampleSet]) -> np.ndarray:
 # writers
 # ---------------------------------------------------------------------------
 #
-# Each line is formatted from a fixed template and is the same text that
-# ``json.dumps(obj, ensure_ascii=False, separators=(",", ":"))`` writes for
-# the record's object: known fields in a fixed order, absent optional fields
-# left out, then the ``extra`` keys that no written field took, sorted.
-# json writes a string with ``encode_basestring`` and a finite float with
-# ``float.__repr__``; the writers call those directly where the types allow.
+# Every file is the text that ``json.dumps(obj, ensure_ascii=False,
+# separators=(",", ":"))`` writes for each record's object: known fields in
+# a fixed order, absent optional fields left out.  Queries go through json
+# itself.  Generation and label lines, the bulk of a dataset, are filled
+# from fixed templates: json writes a string with ``encode_basestring`` and
+# a finite float with ``float.__repr__``, and the writers call those
+# directly.
 
-# An optional field's slot holds "" or the field's comma, key and value.
-_QUERY_LINE = '{{"query_id":{},"text":{},"group":{}{}{}{}}}\n'
+# The answer and answer-span slots hold "" or the field's comma, key and value.
 _GENERATION_LINE = (
     '{{"query_id":{},"sample_index":{},"response_text":{}{},"token_logprobs":[{}]{},'
-    '"embedding":[{}]{}{}}}\n'
+    '"embedding":[{}]{}}}\n'
 )
 _LABEL_LINE = '{{"query_id":{},"sample_index":{},"z":{}}}\n'
-_FLOAT = frozenset((float,))
 
 
 def _dump(obj: Any) -> str:
@@ -687,31 +663,6 @@ def write_json_lines(path: str, objects: Iterable[Any]) -> None:
         handle.writelines(_dump(obj) + "\n" for obj in objects)
 
 
-def _json_text(value: Any) -> str:
-    kind = type(value)
-    if kind is str:
-        return encode_basestring(value)
-    if kind is int:
-        return int.__repr__(value)
-    return _dump(value)
-
-
-def _numbers(values: Sequence[Any]) -> str:
-    """The json text of a vector, without its brackets.
-
-    Finite exact floats are written with ``float.__repr__``, as json writes
-    them; any other entry sends the whole vector through json.
-    """
-    if _FLOAT.issuperset(map(type, values)):
-        try:
-            finite = math.isfinite(math.fsum(values))
-        except (OverflowError, ValueError):
-            finite = False
-        if finite:
-            return ",".join(map(float.__repr__, values))
-    return _dump(list(values))[1:-1]
-
-
 def _float_texts(values: np.ndarray) -> list[str]:
     """The json text of each entry of a float column."""
     floats = values.tolist()
@@ -720,31 +671,13 @@ def _float_texts(values: np.ndarray) -> list[str]:
     return [_dump(value) for value in floats]
 
 
-def _optional(key: str, value: Any, text: Callable[[Any], str] = _json_text) -> str:
-    return "" if value is None else f',"{key}":{text(value)}'
-
-
-def _extra_text(
-    extra: Mapping[str, Any], known: frozenset[str], values: Mapping[str, Any]
-) -> str:
-    """The ``extra`` keys that no written field took, in sorted order: the
-    unknown keys, and those of fields whose value in ``values`` is None."""
-    return "".join(
-        "," + _dump({key: extra[key]})[1:-1]
-        for key in sorted(extra)
-        if key not in known or (key in values and values[key] is None)
-    )
-
-
-def _query_line(q: QueryRecord) -> str:
-    return _QUERY_LINE.format(
-        _json_text(q.query_id),
-        _json_text(q.text),
-        _json_text(q.group),
-        _optional("gold_answers", q.gold_answers, lambda gold: _dump(list(gold))),
-        _optional("question_embedding", q.question_embedding, lambda v: f"[{_numbers(v)}]"),
-        _extra_text(q.extra, _QUERY_FIELDS, vars(q)),
-    )
+def _query_object(q: QueryRecord) -> dict[str, Any]:
+    obj: dict[str, Any] = {"query_id": q.query_id, "text": q.text, "group": q.group}
+    if q.gold_answers is not None:
+        obj["gold_answers"] = list(q.gold_answers)
+    if q.question_embedding is not None:
+        obj["question_embedding"] = list(q.question_embedding)
+    return obj
 
 
 def _segment_texts(
@@ -757,12 +690,11 @@ def _segment_texts(
     return [texts[a - base : b - base] for a, b in zip(ends, ends[1:])]
 
 
-def _batch_lines(batch: GenerationBatch) -> Iterator[list[str]]:
-    """The lines of a batch, one list per query run, formatted from its columns."""
+def _batch_lines(batch: GenerationBatch, tail: str) -> Iterator[list[str]]:
+    """The lines of a batch, one list per query run, formatted from its
+    columns; ``tail`` is the text after each line's embedding."""
     offsets = batch.query_offsets.tolist()
     dim = batch.embedding.shape[1]
-    meta: Any = None
-    meta_text = ""
     for run, query_id in enumerate(batch.query_ids):
         start, stop = offsets[run], offsets[run + 1]
         head = encode_basestring(query_id)
@@ -773,15 +705,7 @@ def _batch_lines(batch: GenerationBatch) -> Iterator[list[str]]:
         embeddings = _float_texts(batch.embedding[start:stop].ravel())
         lines = []
         for row, i in enumerate(range(start, stop)):
-            if batch.sampling_meta[i] is not meta:
-                meta = batch.sampling_meta[i]
-                meta_text = _optional("sampling_meta", meta, lambda m: _dump(dict(m)))
-            answer, span, extra = batch.answer[i], spans[row], batch.extra[i]
-            extra_text = ""
-            if extra:
-                values = {"answer": answer, "answer_token_logprobs": span or None,
-                          "sampling_meta": meta}
-                extra_text = _extra_text(extra, _GENERATION_FIELDS, values)
+            answer, span = batch.answer[i], spans[row]
             lines.append(
                 _GENERATION_LINE.format(
                     head,
@@ -791,21 +715,24 @@ def _batch_lines(batch: GenerationBatch) -> Iterator[list[str]]:
                     ",".join(tokens[row]),
                     ',"answer_token_logprobs":[' + ",".join(span) + "]" if span else "",
                     ",".join(embeddings[row * dim : (row + 1) * dim]),
-                    meta_text,
-                    extra_text,
+                    tail,
                 )
             )
         yield lines
 
 
 def write_queries(path: str, queries: Iterable[QueryRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(map(_query_line, queries))
+    write_json_lines(path, map(_query_object, queries))
 
 
-def write_generations(path: str, batch: GenerationBatch) -> None:
+def write_generations(
+    path: str, batch: GenerationBatch, sampling_meta: Mapping[str, Any] | None = None
+) -> None:
+    """Write a line for each row of ``batch``, in row order; every line ends
+    with ``sampling_meta`` when it is given."""
+    tail = "" if sampling_meta is None else ',"sampling_meta":' + _dump(dict(sampling_meta))
     with open(path, "w", encoding="utf-8") as handle:
-        for lines in _batch_lines(batch):
+        for lines in _batch_lines(batch, tail):
             handle.writelines(lines)
 
 

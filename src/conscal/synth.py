@@ -38,13 +38,13 @@ own difficulty distribution and group tag for distribution-shift studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
 from . import seeding
 from .errors import ConfigError, DataError, require_integer, require_real
-from .records import NO_EXTRA, GenerationBatch, QueryRecord, write_json_lines
+from .records import GenerationBatch, QueryRecord, write_json_lines
 
 MAIN_GROUP = "main"
 
@@ -298,7 +298,6 @@ def generate(
     token_offsets = np.zeros(total * k + 1, dtype=np.intp)
     span_offsets = np.zeros(total * k + 1, dtype=np.intp)
     embeddings = np.empty((total * k, config.embedding_dim))
-    meta = {"temperature": config.temperature, "source": "conscal-synth/1"}
     for index in range(total):
         rows = slice(index * k, (index + 1) * k)
         rng, pi, masses = _answer_distribution(config, index)
@@ -360,10 +359,13 @@ def generate(
         answer_token_logprobs=span_column[: span_offsets[-1]].copy(),
         answer_token_offsets=span_offsets,
         embedding=embeddings,
-        sampling_meta=(meta,) * (total * k),
-        extra=(NO_EXTRA,) * (total * k),
     )
     return queries, generations, z
+
+
+def sampling_meta(config: SynthConfig) -> dict[str, Any]:
+    """The ``sampling_meta`` of every generation line :func:`generate` makes."""
+    return {"temperature": config.temperature, "source": "conscal-synth/1"}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from conscal.records import NO_EXTRA, GenerationBatch, QueryRecord, SampleSet
+from conscal.records import GenerationBatch, QueryRecord, SampleSet
 
 # Model fitting inside property bodies makes per-example runtimes jittery;
 # judge examples on correctness, not wall clock.
@@ -65,8 +65,8 @@ def make_generation(
 def make_batch(rows: Sequence[Mapping]) -> GenerationBatch:
     """A batch holding ``rows`` (dicts of generation fields) in order.
 
-    ``answer``, ``answer_token_logprobs``, ``sampling_meta`` and ``extra``
-    may be left out; consecutive rows with one query id form one run.
+    ``answer`` and ``answer_token_logprobs`` may be left out; consecutive
+    rows with one query id form one run.
     """
     ids = [row["query_id"] for row in rows]
     starts = [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]]
@@ -91,8 +91,6 @@ def make_batch(rows: Sequence[Mapping]) -> GenerationBatch:
         answer_token_logprobs=spans,
         answer_token_offsets=span_offsets,
         embedding=embedding.reshape(len(rows), dim),
-        sampling_meta=tuple(row.get("sampling_meta") for row in rows),
-        extra=tuple(row.get("extra") or NO_EXTRA for row in rows),
     )
 
 

@@ -346,13 +346,6 @@ def check_vector_by_entry(
     return []
 
 
-def _object_by_fields(fields: list[tuple[str, object]], extra: dict) -> dict:
-    obj = {name: value for name, value in fields if value is not None}
-    for key in sorted(extra):
-        obj.setdefault(key, extra[key])
-    return obj
-
-
 def batch_row(batch, row: int) -> dict:
     """Row ``row`` of a generation batch as the dict of its fields.
 
@@ -365,7 +358,6 @@ def batch_row(batch, row: int) -> dict:
     tokens = batch.token_offsets.tolist()
     spans = batch.answer_token_offsets.tolist()
     span = batch.answer_token_logprobs.tolist()[spans[row] : spans[row + 1]]
-    meta = batch.sampling_meta[row]
     return {
         "query_id": batch.query_ids[run],
         "sample_index": batch.sample_index[row],
@@ -374,37 +366,30 @@ def batch_row(batch, row: int) -> dict:
         "token_logprobs": batch.token_logprobs.tolist()[tokens[row] : tokens[row + 1]],
         "answer_token_logprobs": span or None,
         "embedding": batch.embedding[row].tolist(),
-        "sampling_meta": dict(meta) if meta is not None else None,
-        "extra": dict(batch.extra[row]),
     }
 
 
-def record_line_by_json(record, row: int | None = None) -> str:
+def record_line_by_json(record, row: int | None = None, sampling_meta=None) -> str:
     """A query's or a generation row's file line, as ``json.dumps`` writes
     its object.
 
-    The object holds the known fields in file order, leaving out those that
-    are None, then each ``extra`` key in sorted order unless a known field
-    already took it.  With ``row``, ``record`` is a generation batch and the
-    line is that row's, read with :func:`batch_row`.
+    The object holds the fields in file order, leaving out those that are
+    None.  With ``row``, ``record`` is a generation batch and the line is
+    that row's, read with :func:`batch_row`, followed by ``sampling_meta``.
     """
     if row is not None:
-        fields = batch_row(record, row)
-        extra = fields.pop("extra")
-        obj = _object_by_fields(list(fields.items()), extra)
+        fields = {**batch_row(record, row), "sampling_meta": sampling_meta}
     else:
         gold = record.gold_answers
         qemb = record.question_embedding
-        obj = _object_by_fields(
-            [
-                ("query_id", record.query_id),
-                ("text", record.text),
-                ("group", record.group),
-                ("gold_answers", list(gold) if gold is not None else None),
-                ("question_embedding", list(qemb) if qemb is not None else None),
-            ],
-            record.extra,
-        )
+        fields = {
+            "query_id": record.query_id,
+            "text": record.text,
+            "group": record.group,
+            "gold_answers": list(gold) if gold is not None else None,
+            "question_embedding": list(qemb) if qemb is not None else None,
+        }
+    obj = {name: value for name, value in fields.items() if value is not None}
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
@@ -509,16 +494,16 @@ def scan_generations_by_row(path: str):
     no problem so far, the duplicate ``(query_id, sample_index)`` check
     and the embedding dimension against the first valid row's.  Returns
     ``(rows, [(line, message), ...])``: the valid rows as dicts of their
-    fields in file order, and the problems, those of lines that are not
-    JSON objects first, then the others in line order.
+    fields in file order, without ``sampling_meta`` or unknown keys, and
+    the problems, those of lines that are not JSON objects first, then the
+    others in line order.
     """
     fields = ("query_id", "sample_index", "response_text", "answer", "token_logprobs",
-              "answer_token_logprobs", "embedding", "sampling_meta")
-    checked = frozenset(fields) - {"sampling_meta"}
+              "answer_token_logprobs", "embedding")
     unreadable, problems_by_line, rows = [], [], []
     seen = set()
     embed_dim = None
-    for lineno, obj, problems in _objects_by_line(path, checked):
+    for lineno, obj, problems in _objects_by_line(path, frozenset(fields)):
         if obj is None:
             unreadable.extend((lineno, p) for p in problems)
             continue
@@ -558,9 +543,7 @@ def scan_generations_by_row(path: str):
         if problems:
             problems_by_line.extend((lineno, p) for p in problems)
             continue
-        row = {name: obj.get(name) for name in fields}
-        row["extra"] = {key: value for key, value in obj.items() if key not in fields}
-        rows.append(row)
+        rows.append({name: obj.get(name) for name in fields})
     return rows, unreadable + problems_by_line
 
 

@@ -325,12 +325,15 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
     )
 
     # Record files round-trip exactly: load -> write reproduces the bytes.
+    # Records drop sampling_meta, so the writer is given synth's again.
     rewritten = tmp_path / "queries2.jsonl"
     records.write_queries(str(rewritten), queries)
     assert rewritten.read_bytes() == (run_a / "queries.jsonl").read_bytes()
     rewritten = tmp_path / "generations2.jsonl"
     records.write_generations(
-        str(rewritten), records.load_generation_records(str(run_a / "generations.jsonl"))
+        str(rewritten),
+        records.load_generation_records(str(run_a / "generations.jsonl")),
+        synth.sampling_meta(synth.benchmark_config(n_queries=30, k=5, seed=9)),
     )
     assert rewritten.read_bytes() == (run_a / "generations.jsonl").read_bytes()
     z = records.load_labels(str(run_a / "labels.jsonl"), sets)

@@ -152,6 +152,27 @@ def test_synth_config_file_overrides_take_effect(tmp_path):
     assert _read_json(out / "config.json")["embedding_dim"] == 3
 
 
+def test_synth_seed_comes_from_the_flag_then_the_config_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 5, "n_queries": 10, "k": 3}')
+    runs = {
+        "file": ["--config", str(cfg)],
+        "flag": ["--config", str(cfg), "--seed", "7"],
+        "default": ["--n-queries", "10", "--k", "3"],
+        "zero": ["--n-queries", "10", "--k", "3", "--seed", "0"],
+    }
+    for name, flags in runs.items():
+        assert main(["synth", *flags, "--out", str(tmp_path / name)]) == 0
+    seeds = {name: _read_json(tmp_path / name / "config.json")["seed"] for name in runs}
+    assert seeds == {"file": 5, "flag": 7, "default": 0, "zero": 0}
+    for name in ("queries.jsonl", "generations.jsonl", "labels.jsonl", "truth.jsonl",
+                 "config.json"):
+        assert _read_bytes(tmp_path / "default" / name) == _read_bytes(tmp_path / "zero" / name)
+    assert _read_bytes(tmp_path / "file" / "queries.jsonl") != _read_bytes(
+        tmp_path / "default" / "queries.jsonl"
+    )
+
+
 def test_synth_rejects_malformed_group_shift(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"group_shift": {"tag": "hard", "wrong_key": 1}}')
@@ -358,6 +379,14 @@ def test_train_on_question_embeddings_sets_the_artifact_source(data_dir, tmp_pat
     assert main(["train"] + _data_flags(data_dir, labels=False)
                 + ["--feature-source", "question_embedding", "--out", str(out)]) == 0
     assert calibrator.load_model(str(out / "model.json")).feature_source == "question_embedding"
+
+
+def test_the_feature_sources_are_the_two_embeddings(data_dir, tmp_path, capsys):
+    assert calibrator.FEATURE_SOURCES == ("response_embedding", "question_embedding")
+    code = main(["train"] + _data_flags(data_dir, labels=False)
+                + ["--feature-source", "external_embedding", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "invalid choice: 'external_embedding'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

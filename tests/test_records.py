@@ -59,7 +59,7 @@ def _valid_generation(qid="q1", idx=0, **extra):
 # ---------------------------------------------------------------------------
 
 
-def test_queries_round_trip_preserves_fields_extras_and_unicode(tmp_path):
+def test_queries_round_trip_preserves_fields_and_unicode(tmp_path):
     queries = [
         QueryRecord(
             query_id="q1",
@@ -67,7 +67,6 @@ def test_queries_round_trip_preserves_fields_extras_and_unicode(tmp_path):
             group="main",
             gold_answers=("4", "four"),
             question_embedding=(0.25, -1.5),
-            extra={"difficulty": "easy", "tags": ["math"]},
         ),
         QueryRecord(query_id="q2", text="plain", group="other"),
     ]
@@ -90,8 +89,6 @@ def test_generations_round_trip_with_and_without_optional_fields(tmp_path):
                 "embedding": (1.0, 2.0),
                 "answer": "42",
                 "answer_token_logprobs": (-0.01,),
-                "sampling_meta": {"temperature": 0.7},
-                "extra": {"model": "m1"},
             },
             {
                 "query_id": "q1",
@@ -103,9 +100,10 @@ def test_generations_round_trip_with_and_without_optional_fields(tmp_path):
         ]
     )
     path = tmp_path / "generations.jsonl"
-    records.write_generations(str(path), rows)
-    loaded = records.load_generation_records(str(path))
-    assert loaded == rows
+    for meta in (None, {"temperature": 0.7}):
+        records.write_generations(str(path), rows, meta)
+        assert ('"sampling_meta"' in path.read_text(encoding="utf-8")) == (meta is not None)
+        assert records.load_generation_records(str(path)) == rows
 
 
 def test_labels_round_trip(tmp_path):
@@ -136,10 +134,10 @@ def test_on_disk_generation_key_order_is_stable(tmp_path):
                     "embedding": (0.0,),
                     "answer": "a",
                     "answer_token_logprobs": (-0.2,),
-                    "sampling_meta": {"temperature": 1.0},
                 }
             ]
         ),
+        {"temperature": 1.0},
     )
     first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
     assert list(first) == [
@@ -530,9 +528,7 @@ _JSON = st.recursive(
 )
 
 
-def _extras(known):
-    return st.dictionaries(st.sampled_from(sorted(known)) | _TEXT, _JSON, max_size=3)
-
+_METAS = st.none() | st.dictionaries(_TEXT, _JSON, max_size=3)
 
 _QUERIES = st.builds(
     QueryRecord,
@@ -541,7 +537,6 @@ _QUERIES = st.builds(
     group=_TEXT,
     gold_answers=st.none() | st.lists(_TEXT, min_size=1, max_size=3).map(tuple),
     question_embedding=st.none() | _VECTOR,
-    extra=_extras(records._QUERY_FIELDS),
 )
 _FLOAT64 = st.floats() | st.sampled_from(
     [-0.0, 5e-324, 1e-310, -2.5e-320, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
@@ -563,8 +558,6 @@ def _batches(draw):
             # An empty span is an absent one.
             "answer_token_logprobs": draw(st.lists(_FLOAT64, max_size=3)),
             "embedding": draw(st.lists(_FLOAT64, min_size=dim, max_size=dim)),
-            "sampling_meta": draw(st.none() | st.dictionaries(_TEXT, _JSON, max_size=3)),
-            "extra": draw(_extras(records._GENERATION_FIELDS)),
         }
         for query_id in query_ids
     ]
@@ -583,13 +576,19 @@ def _oracle_bytes(rows) -> bytes:
     return "".join(map(record_line_by_json, rows)).encode("utf-8")
 
 
-def _batch_oracle_bytes(batch) -> bytes:
-    return "".join(record_line_by_json(batch, i) for i in range(len(batch))).encode("utf-8")
+def _batch_oracle_bytes(batch, meta=None) -> bytes:
+    lines = (record_line_by_json(batch, i, meta) for i in range(len(batch)))
+    return "".join(lines).encode("utf-8")
+
+
+def _written_generations(batch, meta=None) -> bytes:
+    return _written(lambda path, rows: records.write_generations(path, rows, meta), batch)
 
 
 @given(
     queries=st.lists(_QUERIES, max_size=3),
     generations=_batches(),
+    meta=_METAS,
     labels=st.lists(st.sampled_from([-1, 0, 1]), max_size=6),
 )
 @example(
@@ -597,7 +596,6 @@ def _batch_oracle_bytes(batch) -> bytes:
         QueryRecord(
             query_id="q\"1\\", text="\x00\t¿\u2028", group="g", gold_answers=("a", "β"),
             question_embedding=(-0.0, 1, True, float("nan"), np.float64(0.5)),
-            extra={"gold_answers": [1], "text": "taken", "a": None},
         )
     ],
     generations=make_batch(
@@ -605,21 +603,20 @@ def _batch_oracle_bytes(batch) -> bytes:
             {
                 "query_id": "q1", "sample_index": 0, "response_text": "\\boxed{x}",
                 "token_logprobs": (-0.0, float("-inf")), "embedding": (1e-320, 1e308, 1e308),
-                "sampling_meta": {"temperature": 0.7}, "extra": {"answer": "late", "zz": [1.5]},
             },
             {
                 "query_id": "q2", "sample_index": 2**70, "response_text": "", "answer": "é",
                 "token_logprobs": (float("nan"),), "answer_token_logprobs": (-5e-324,),
                 "embedding": (float("inf"), -0.0, 0.5),
-                "extra": {"answer_token_logprobs": 1, "ключ": "значение"},
             },
         ]
     ),
+    meta={"temperature": 0.7, "ключ": [1, 1.0, None]},
     labels=[1, -1],
 )
-def test_writers_emit_the_json_oracle_lines(queries, generations, labels):
+def test_writers_emit_the_json_oracle_lines(queries, generations, meta, labels):
     assert _written(records.write_queries, queries) == _oracle_bytes(queries)
-    assert _written(records.write_generations, generations) == _batch_oracle_bytes(generations)
+    assert _written_generations(generations, meta) == _batch_oracle_bytes(generations, meta)
     z = np.array((labels + [-1] * len(generations))[: len(generations)], dtype=np.int8)
     written = _written(lambda path, batch: records.write_labels(path, batch, z), generations)
     assert written == label_lines_by_json(generations, z).encode("utf-8")
@@ -629,17 +626,20 @@ def test_a_file_of_interleaved_queries_loads_and_writes_back_byte_for_byte(tmp_p
     objects = [
         {"query_id": "q1", "sample_index": 1, "response_text": "\\boxed{x}", "answer": "x",
          "token_logprobs": [-0.5, 0.0], "answer_token_logprobs": [-0.25],
-         "embedding": [1.0, 2.0], "sampling_meta": {"t": 0.7}, "model": "m1"},
+         "embedding": [1.0, 2.0]},
         {"query_id": "q2", "sample_index": 0, "response_text": "é 你好",
          "token_logprobs": [-1.0], "embedding": [0.0, -0.0]},
         {"query_id": "q1", "sample_index": 0, "response_text": "",
          "token_logprobs": [-1e-310], "answer_token_logprobs": [-0.5, -0.125],
-         "embedding": [5e-324, 1.5], "a": None, "zz": [1, {"k": "é"}]},
+         "embedding": [5e-324, 1.5]},
         {"query_id": "q1", "sample_index": 7, "response_text": "no answer",
-         "token_logprobs": [-3.0], "embedding": [2.0, 3.0], "sampling_meta": {"t": 0.7}},
+         "token_logprobs": [-3.0], "embedding": [2.0, 3.0]},
     ]
+    meta = {"t": 0.7, "é": [1, 1.0]}
     text = "".join(
-        json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n" for obj in objects
+        json.dumps({**obj, "sampling_meta": meta}, ensure_ascii=False, separators=(",", ":"))
+        + "\n"
+        for obj in objects
     )
     path = tmp_path / "generations.jsonl"
     path.write_text(text, encoding="utf-8")
@@ -648,11 +648,38 @@ def test_a_file_of_interleaved_queries_loads_and_writes_back_byte_for_byte(tmp_p
     assert batch.query_offsets.tolist() == [0, 1, 2, 4]
     assert batch.answer == ("x", None, None, None)
     assert [batch.answer_token_row(i) is None for i in range(4)] == [False, True, False, True]
-    assert batch.extra == ({"model": "m1"}, {}, {"a": None, "zz": [1, {"k": "é"}]}, {})
-    assert batch.extra[1] is batch.extra[3] is records.NO_EXTRA
     rewritten = tmp_path / "rewritten.jsonl"
-    records.write_generations(str(rewritten), batch)
+    records.write_generations(str(rewritten), batch, meta)
     assert rewritten.read_bytes() == path.read_bytes()
+
+
+def test_a_batch_holds_only_the_columns_the_pipeline_reads():
+    assert [column.name for column in dataclasses.fields(records.GenerationBatch)] == [
+        "query_ids", "query_offsets", "sample_index", "response_text", "answer",
+        "token_logprobs", "token_offsets", "answer_token_logprobs", "answer_token_offsets",
+        "embedding",
+    ]
+    assert [column.name for column in dataclasses.fields(QueryRecord)] == [
+        "query_id", "text", "group", "gold_answers", "question_embedding",
+    ]
+
+
+def test_unknown_keys_and_sampling_meta_are_checked_then_dropped(tmp_path):
+    plain = [_valid_generation("q1", 0, answer="a"), _valid_generation("q1", 1)]
+    decorated = [
+        {**plain[0], "sampling_meta": {"temperature": 0.7}, "model": "m1"},
+        {**plain[1], "zz": [1, {"k": "é"}], "a": None, "sampling_meta": None},
+    ]
+    batches = [
+        records.load_generation_records(_write_lines(tmp_path / f"{name}.jsonl", rows))
+        for name, rows in (("plain", plain), ("decorated", decorated))
+    ]
+    assert batches[0] == batches[1] and len(batches[0]) == 2
+    queries = [
+        records.load_queries(_write_lines(tmp_path / f"{name}-queries.jsonl", [row]))
+        for name, row in (("plain", _valid_query()), ("decorated", _valid_query(tag="x")))
+    ]
+    assert queries[0] == queries[1] == [QueryRecord(query_id="q1", text="what?", group="main")]
 
 
 _CLEAN_LINES = {
@@ -747,10 +774,9 @@ def test_a_batch_writes_the_bytes_of_its_records():
         answer=(None,) + batch.answer[1:],
         answer_token_logprobs=batch.answer_token_logprobs[first_span_end:],
         answer_token_offsets=spans,
-        sampling_meta=(None, {"t": "é"}) + batch.sampling_meta[2:],
     )
-    for rows in (batch, edited):
-        assert _written(records.write_generations, rows) == _batch_oracle_bytes(rows)
+    for rows, meta in ((batch, synth.sampling_meta(_BATCH_CONFIG)), (edited, {"t": "é"})):
+        assert _written_generations(rows, meta) == _batch_oracle_bytes(rows, meta)
 
 
 _GROUPED_IDS = st.sampled_from(["q1", "q2", "q3", "ghost"])

@@ -61,9 +61,19 @@ def _row_query_ids(batch):
 def test_generation_stream_matches_the_recorded_dataset():
     # Recorded from the per-row-loop generator.  Everything drawn from the
     # random stream must match exactly; logprob rows may differ only by the
-    # summation order of their segment means.
+    # summation order of their segment means.  The recording holds each
+    # record's unknown keys ("extra", always empty) and each generation's
+    # sampling_meta, which records no longer keep: the meta is the one that
+    # synth.sampling_meta gives the writer.
     recorded = json.loads(_RECORDED.read_text(encoding="utf-8"))
-    queries, generations, labels = generate(synth.premise_config(n_queries=3, k=4, seed=0))
+    config = synth.premise_config(n_queries=3, k=4, seed=0)
+    queries, generations, labels = generate(config)
+    meta = json.loads(json.dumps(synth.sampling_meta(config)))
+    for then in recorded["queries"]:
+        assert then.pop("extra") == {}
+    for then in recorded["generations"]:
+        assert then.pop("extra") == {}
+        assert then.pop("sampling_meta") == meta
     assert _as_json(queries) == recorded["queries"]
     label_rows = zip(_row_query_ids(generations), generations.sample_index, labels.tolist())
     assert [
@@ -77,6 +87,7 @@ def test_generation_stream_matches_the_recorded_dataset():
         for name in _LOGPROB_FIELDS:
             assert len(now[name]) == len(then[name])
             assert np.max(np.abs(np.subtract(now[name], then[name]))) <= 1e-15
+        assert set(now) == set(then)
         exact = [name for name in now if name not in _LOGPROB_FIELDS]
         assert {n: now[n] for n in exact} == {n: then[n] for n in exact}
 
