@@ -28,7 +28,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from . import seeding
-from .errors import DataError, is_finite_real, json_error_reason
+from .errors import ConfigError, DataError, is_finite_real, json_error_reason, require_real
 
 MODEL_FORMAT = "conscal-model/1"
 
@@ -234,6 +234,17 @@ class CalibratorModel:
     isotonic: IsotonicModel
     feature_source: str
     training_meta: Mapping[str, Any] = field(default_factory=dict)
+
+
+def check_fit_settings(alpha: Any, split_frac: Any) -> None:
+    """Raise :class:`ConfigError` unless ``alpha`` is a positive real and
+    ``split_frac`` a real inside (0, 1), the settings :func:`fit_pipeline` takes."""
+    require_real("alpha", alpha)
+    require_real("split_frac", split_frac)
+    if alpha <= 0:
+        raise ConfigError("alpha must be a positive real")
+    if not 0.0 < split_frac < 1.0:
+        raise ConfigError(f"split_frac must be inside (0, 1), got {split_frac!r}")
 
 
 def fit_pipeline(

@@ -19,7 +19,8 @@ Every command writes its outputs under ``--out`` (default: a fresh
 ``runs/<timestamp>-<confighash>`` directory) with fixed file names, plus a
 ``config.json`` echoing the fully resolved settings.  File contents are
 deterministic given the same inputs and seed; rerunning with the same
-``--out`` reproduces byte-identical files.
+``--out`` reproduces byte-identical files.  A command computes all it writes
+before it creates the directory, so a rejected run leaves none behind.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import baselines, calibrator, consistency, evaluation, records, seeding, synth
-from .errors import ConfigError, DataError, json_error_reason
+from .errors import ConfigError, DataError, json_error_reason, require_integer
 
 _SCORE_METHODS = ("distilled", "token_prob", "answer_prob", "verbal_conf", "tt_sc")
 
@@ -126,72 +127,63 @@ def _load_labels(path: str | None, sets: Sequence[records.SampleSet]) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
+def _settings(
+    path: str | None, kind: str, cls: type, flags: dict[str, Any]
+) -> dict[str, Any]:
+    """The ``--config`` file's settings for the dataclass ``cls`` with the
+    ``flags`` that are set (not None) laid over them."""
+    settings = _read_json(path) if path else {}
+    unknown = set(settings) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {kind} config keys: {', '.join(sorted(unknown))}")
+    settings.update((name, value) for name, value in flags.items() if value is not None)
+    return settings
+
+
 def _synth_config(args: argparse.Namespace) -> synth.SynthConfig:
     preset = synth.PRESETS.get(args.preset)
     if preset is None:
         raise ConfigError(
             f"unknown preset {args.preset!r} (choose from {', '.join(sorted(synth.PRESETS))})"
         )
-    overrides: dict[str, Any] = {}
-    if args.config:
-        file_cfg = _read_json(args.config)
-        allowed = {f.name for f in dataclasses.fields(synth.SynthConfig)}
-        unknown = set(file_cfg) - allowed
-        if unknown:
-            raise ConfigError(f"unknown synth config keys: {', '.join(sorted(unknown))}")
-        shift = file_cfg.get("group_shift")
-        if shift is not None:
-            if not isinstance(shift, dict):
-                raise ConfigError("group_shift must be an object")
-            try:
-                file_cfg["group_shift"] = synth.GroupShift(**shift)
-            except TypeError as exc:
-                raise ConfigError(f"bad group_shift: {exc}") from None
-        overrides.update(file_cfg)
-    kwargs: dict[str, Any] = dict(overrides)
-    if args.n_queries is not None:
-        kwargs["n_queries"] = args.n_queries
-    if args.k is not None:
-        kwargs["k"] = args.k
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
+    settings = _settings(
+        args.config, "synth", synth.SynthConfig,
+        {"n_queries": args.n_queries, "k": args.k, "seed": args.seed},
+    )
+    shift = settings.get("group_shift")
+    if shift is not None:
+        if not isinstance(shift, dict):
+            raise ConfigError("group_shift must be an object")
+        try:
+            settings["group_shift"] = synth.GroupShift(**shift)
+        except TypeError as exc:
+            raise ConfigError(f"bad group_shift: {exc}") from None
     try:
-        config = preset(**kwargs)
+        config = preset(**settings)
     except TypeError as exc:
         raise ConfigError(f"bad synth configuration: {exc}") from None
     config.validate()
     return config
 
 
-def _trial_config(args: argparse.Namespace, **extra: Any) -> evaluation.TrialConfig:
-    base: dict[str, Any] = {}
-    if getattr(args, "config", None):
-        file_cfg = _read_json(args.config)
-        allowed = {f.name for f in dataclasses.fields(evaluation.TrialConfig)}
-        unknown = set(file_cfg) - allowed
-        if unknown:
-            raise ConfigError(f"unknown trial config keys: {', '.join(sorted(unknown))}")
-        for key in ("methods", "selective_rates"):
-            if key in file_cfg and isinstance(file_cfg[key], list):
-                file_cfg[key] = tuple(file_cfg[key])
-        base.update(file_cfg)
-    if args.trials is not None:
-        base["n_trials"] = args.trials
-    if args.cal_frac is not None:
-        base["cal_fraction"] = args.cal_frac
-    if args.bins is not None:
-        base["bins"] = args.bins
-    if args.seed is not None:
-        base["master_seed"] = args.seed
+def _trial_config(
+    args: argparse.Namespace, selective_rates: tuple[float, ...] | None
+) -> evaluation.TrialConfig:
+    methods = None
     if args.methods is not None:
-        base["methods"] = _parse_methods(args.methods, evaluation.DEFAULT_METHODS)
-    if args.feature_source is not None:
-        base["feature_source"] = args.feature_source
-    if args.k is not None:
-        base["k_subsample"] = args.k
-    base.update(extra)
+        methods = _parse_methods(args.methods, evaluation.DEFAULT_METHODS)
+    settings = _settings(
+        args.config, "trial", evaluation.TrialConfig,
+        {"n_trials": args.trials, "cal_fraction": args.cal_frac, "bins": args.bins,
+         "master_seed": args.seed, "methods": methods,
+         "feature_source": args.feature_source, "k_subsample": args.k,
+         "selective_rates": selective_rates},
+    )
+    for key in ("methods", "selective_rates"):
+        if isinstance(settings.get(key), list):
+            settings[key] = tuple(settings[key])
     try:
-        config = evaluation.TrialConfig(**base)
+        config = evaluation.TrialConfig(**settings)
     except TypeError as exc:
         raise ConfigError(f"bad trial configuration: {exc}") from None
     config.validate()
@@ -206,8 +198,8 @@ def _trial_config(args: argparse.Namespace, **extra: Any) -> evaluation.TrialCon
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _synth_config(args)
     config_obj = {"command": "synth", "preset": args.preset, **dataclasses.asdict(config)}
-    out = _out_dir(args, config_obj)
     queries, generations, z = synth.generate(config)
+    out = _out_dir(args, config_obj)
     records.write_queries(os.path.join(out, "queries.jsonl"), queries)
     records.write_generations(
         os.path.join(out, "generations.jsonl"), generations, synth.sampling_meta(config)
@@ -238,6 +230,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_targets(args: argparse.Namespace) -> int:
+    if args.k is not None:
+        require_integer("--k", args.k, 1)
     sets = _load_sets(args)
     config_obj = {
         "command": "targets",
@@ -246,7 +240,6 @@ def cmd_targets(args: argparse.Namespace) -> int:
         "k_subsample": args.k,
         "seed": args.seed,
     }
-    out = _out_dir(args, config_obj)
     targets = []
     warnings = 0
     for position, sample_set in enumerate(sets):
@@ -263,6 +256,7 @@ def cmd_targets(args: argparse.Namespace) -> int:
         except DataError as exc:
             warnings += 1
             print(f"warning: skipping {sample_set.query_id}: {exc}", file=sys.stderr)
+    out = _out_dir(args, config_obj)
     consistency.write_targets(os.path.join(out, "targets.jsonl"), targets)
     _write_json(os.path.join(out, "config.json"), config_obj)
     print(f"wrote {len(targets)} targets to {out} ({warnings} warning(s))")
@@ -270,6 +264,7 @@ def cmd_targets(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    calibrator.check_fit_settings(args.alpha, args.split_frac)
     sets = _load_sets(args)
     if args.targets:
         loaded = consistency.load_targets(args.targets)
@@ -299,7 +294,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         "split_frac": args.split_frac,
         "seed": args.seed,
     }
-    out = _out_dir(args, config_obj)
     model = calibrator.fit_pipeline(
         features,
         s_values,
@@ -308,6 +302,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         feature_source=args.feature_source,
     )
+    out = _out_dir(args, config_obj)
     calibrator.save_model(os.path.join(out, "model.json"), model)
     _write_json(os.path.join(out, "config.json"), config_obj)
     print(f"trained on {len(sets)} queries; model written to {out}")
@@ -330,7 +325,6 @@ def cmd_score(args: argparse.Namespace) -> int:
         "model": args.model,
         "methods": list(methods),
     }
-    out = _out_dir(args, config_obj)
     # The sets index one loaded batch; score rows follow set order.
     positions = [i for s in sets for i in s.rows]
     keys = [(s.query_id, s.batch.sample_index[i]) for s in sets for i in s.rows]
@@ -387,6 +381,7 @@ def cmd_score(args: argparse.Namespace) -> int:
              "confidence": confidence, "imputed": flag}
             for (query_id, sample_index), confidence, flag in zip(keys, confidences, imputed)
         )
+    out = _out_dir(args, config_obj)
     baselines.write_scores(os.path.join(out, "scores.jsonl"), rows)
     _write_json(os.path.join(out, "config.json"), config_obj)
     print(f"wrote {len(rows)} score rows ({len(methods)} methods) to {out}")
@@ -394,10 +389,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def _eval_command(args: argparse.Namespace, kind: str) -> int:
-    extra: dict[str, Any] = {}
-    if kind == "selective":
-        extra["selective_rates"] = _parse_rates(args.rates)
-    config = _trial_config(args, **extra)
+    config = _trial_config(args, _parse_rates(args.rates) if kind == "selective" else None)
     if kind in ("eval", "selective") and args.labels is None:
         raise ConfigError(f"the {kind} command needs --labels (correctness per sample)")
     sets = _load_sets(args)
@@ -415,7 +407,6 @@ def _eval_command(args: argparse.Namespace, kind: str) -> int:
         test_groups = _csv(args.test_groups)
         config_obj["train_groups"] = train_groups
         config_obj["test_groups"] = test_groups
-    out = _out_dir(args, config_obj)
     if kind == "shift":
         results = evaluation.shift_eval(data, config, train_groups, test_groups)
         arm_echo = evaluation.config_echo(
@@ -434,6 +425,7 @@ def _eval_command(args: argparse.Namespace, kind: str) -> int:
         if kind == "selective":
             headline = dataclasses.replace(headline, kind="selective")
         document = evaluation.report_document(headline, config_obj)
+    out = _out_dir(args, config_obj)
     _write_json(os.path.join(out, "report.json"), document)
     with open(os.path.join(out, "trials.tsv"), "w", encoding="utf-8") as handle:
         handle.write(evaluation.trial_table(headline))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -220,11 +220,7 @@ def subsample_targets(codes: AnswerCodes, k: int, seed: int) -> ConsistencyTarge
 
 
 def write_targets(path: str, targets: Iterable[ConsistencyTarget]) -> None:
-    write_json_lines(path, (
-        {"query_id": t.query_id, "selected_sample_index": t.selected_sample_index,
-         "answer": t.answer, "s": t.s, "k": t.k}
-        for t in targets
-    ))
+    write_json_lines(path, map(asdict, targets))
 
 
 def load_targets(path: str) -> list[ConsistencyTarget]:

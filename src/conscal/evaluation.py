@@ -32,7 +32,7 @@ Method identifiers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -46,7 +46,7 @@ from .baselines import (
     parse_verbal_confidence,
     token_prob_score,
 )
-from .calibrator import FEATURE_SOURCES, fit_pipeline, predict
+from .calibrator import FEATURE_SOURCES, check_fit_settings, fit_pipeline, predict
 from .consistency import (
     AnswerCodes,
     AnswerKey,
@@ -67,7 +67,14 @@ DEFAULT_METHODS = (
     "supervised",
     "tt_sc",
 )
-METHOD_IDS = frozenset(DEFAULT_METHODS)
+# The methods whose confidences are a precomputed EvalDataset column, and
+# that column; distilled and supervised are fit per trial instead.
+_COLUMNS = {
+    "token_prob": "token_prob",
+    "answer_prob": "answer_prob",
+    "verbal_conf": "verbal_conf",
+    "tt_sc": "targets_s",
+}
 
 # Per-trial sub-stream tags (fixed forever; changing them changes all results).
 _S_SPLIT = 1
@@ -106,19 +113,15 @@ class EvalDataset:
 
     def subset(self, indices: Sequence[int] | np.ndarray) -> "EvalDataset":
         idx = np.asarray(indices, dtype=int)
-        return EvalDataset(
-            codes=tuple(self.codes[i] for i in idx),
-            query_ids=tuple(self.query_ids[i] for i in idx),
-            groups=tuple(self.groups[i] for i in idx),
-            feature_source=self.feature_source,
-            features=self.features[idx],
-            targets_s=self.targets_s[idx],
-            token_prob=self.token_prob[idx],
-            answer_prob=None if self.answer_prob is None else self.answer_prob[idx],
-            verbal_conf=self.verbal_conf[idx],
-            deploy_correct=self.deploy_correct[idx],
-            tt_correct=self.tt_correct[idx],
-        )
+        parts: dict[str, Any] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = value[idx]
+            elif isinstance(value, tuple):
+                value = tuple(value[i] for i in idx)
+            parts[f.name] = value
+        return EvalDataset(**parts)
 
 
 def feature_row(sample_set: SampleSet, feature_source: str) -> Sequence[float]:
@@ -258,8 +261,8 @@ class TrialConfig:
         require_integer("n_trials", self.n_trials, 1)
         require_integer("master_seed", self.master_seed)
         require_integer("bins", self.bins, 1)
-        for name in ("cal_fraction", "alpha", "split_frac"):
-            require_real(name, getattr(self, name))
+        require_real("cal_fraction", self.cal_fraction)
+        check_fit_settings(self.alpha, self.split_frac)
         if not 0.0 < self.cal_fraction < 1.0:
             raise ConfigError(f"cal_fraction must be inside (0, 1), got {self.cal_fraction!r}")
         methods = self.methods
@@ -267,7 +270,7 @@ class TrialConfig:
             raise ConfigError(f"methods must be a list of method names, got {methods!r}")
         if not methods:
             raise ConfigError("methods must not be empty")
-        unknown = [m for m in methods if m not in METHOD_IDS]
+        unknown = [m for m in methods if m not in DEFAULT_METHODS]
         if unknown:
             raise ConfigError(f"unknown methods: {', '.join(sorted(unknown))}")
         if len(set(methods)) != len(methods):
@@ -276,10 +279,6 @@ class TrialConfig:
             raise ConfigError(f"unknown feature_source {self.feature_source!r}")
         if self.k_subsample is not None:
             require_integer("k_subsample", self.k_subsample, 1)
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be a positive real")
-        if not 0.0 < self.split_frac < 1.0:
-            raise ConfigError(f"split_frac must be inside (0, 1), got {self.split_frac!r}")
         if not isinstance(self.selective_rates, (list, tuple)):
             raise ConfigError(f"selective_rates must be a list, got {self.selective_rates!r}")
         for r in self.selective_rates:
@@ -422,65 +421,51 @@ class EvalResult:
     methods: dict[str, MethodSummary] = field(default_factory=dict)
 
 
-def _trial_confidences(
+def _method_trial(
     data: EvalDataset,
     config: TrialConfig,
+    method: str,
     tseed: int,
     cal_idx: np.ndarray,
     test_idx: np.ndarray,
-) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for method in config.methods:
-        if method == "distilled":
-            if config.k_subsample is None:
-                s_cal = data.targets_s[cal_idx]
-            else:
-                s_cal = np.array(
-                    [
-                        subsample_targets(
-                            data.codes[i],
-                            config.k_subsample,
-                            seed=seeding.mix(tseed, _S_SUBSAMPLE, int(i)),
-                        ).s
-                        for i in cal_idx
-                    ]
-                )
-            model = fit_pipeline(
-                data.features[cal_idx],
-                s_cal,
-                split_frac=config.split_frac,
-                seed=seeding.mix(tseed, _S_PIPELINE),
-                alpha=config.alpha,
-                feature_source=data.feature_source,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The test side's confidences under ``method`` and the correctness they
+    are judged by: the modal answer's for ``tt_sc``, the deployment
+    response's for the rest."""
+    labels = (data.tt_correct if method == "tt_sc" else data.deploy_correct)[test_idx]
+    if method == "distilled":
+        if config.k_subsample is None:
+            s_cal = data.targets_s[cal_idx]
+        else:
+            s_cal = np.array(
+                [
+                    subsample_targets(
+                        data.codes[i],
+                        config.k_subsample,
+                        seed=seeding.mix(tseed, _S_SUBSAMPLE, int(i)),
+                    ).s
+                    for i in cal_idx
+                ]
             )
-            out[method] = np.asarray(predict(model, data.features[test_idx]), dtype=float)
-        elif method == "token_prob":
-            out[method] = data.token_prob[test_idx]
-        elif method == "answer_prob":
-            if data.answer_prob is None:
-                raise ConfigError(
-                    "answer_prob requires answer-span log-probabilities on every "
-                    "deployment response"
-                )
-            out[method] = data.answer_prob[test_idx]
-        elif method == "verbal_conf":
-            out[method] = data.verbal_conf[test_idx]
-        elif method == "supervised":
-            platt = fit_platt(data.token_prob[cal_idx], data.deploy_correct[cal_idx])
-            out[method] = np.asarray(
-                apply_platt(platt, data.token_prob[test_idx]), dtype=float
-            )
-        elif method == "tt_sc":
-            out[method] = data.targets_s[test_idx]
-        else:  # pragma: no cover - guarded by TrialConfig.validate
-            raise ConfigError(f"unknown method {method!r}")
-    return out
-
-
-def _labels_for(data: EvalDataset, method: str, test_idx: np.ndarray) -> np.ndarray:
-    if method == "tt_sc":
-        return data.tt_correct[test_idx]
-    return data.deploy_correct[test_idx]
+        model = fit_pipeline(
+            data.features[cal_idx],
+            s_cal,
+            split_frac=config.split_frac,
+            seed=seeding.mix(tseed, _S_PIPELINE),
+            alpha=config.alpha,
+            feature_source=data.feature_source,
+        )
+        return np.asarray(predict(model, data.features[test_idx]), dtype=float), labels
+    if method == "supervised":
+        platt = fit_platt(data.token_prob[cal_idx], data.deploy_correct[cal_idx])
+        return np.asarray(apply_platt(platt, data.token_prob[test_idx]), dtype=float), labels
+    column = getattr(data, _COLUMNS[method])
+    if column is None:  # only answer_prob can be absent
+        raise ConfigError(
+            "answer_prob requires answer-span log-probabilities on every "
+            "deployment response"
+        )
+    return column[test_idx], labels
 
 
 def _aggregate(
@@ -488,12 +473,10 @@ def _aggregate(
     reports: list[MetricReport],
     accuracies: list[float],
     selective: list[list[SelectivePoint]],
-    bins: int,
 ) -> MethodSummary:
     aurocs = [r.auroc for r in reports if r.auroc is not None]
     reliability: list[dict[str, float]] = []
-    for pos in range(bins):
-        stats = [r.bins[pos] for r in reports]
+    for stats in zip(*(r.bins for r in reports)):
         weights = np.array([s.count for s in stats], dtype=float)
         total = weights.sum()
         reliability.append(
@@ -511,23 +494,21 @@ def _aggregate(
         float(v) for v in np.mean([r.histogram for r in reports], axis=0)
     )
     selective_rows: list[SelectiveSummary] = []
-    if selective:
-        for pos in range(len(selective[0])):
-            rows = [curve[pos] for curve in selective]
-            gains = [p.gain for p in rows if p.gain is not None]
-            accs = [p.accuracy for p in rows if p.accuracy is not None]
-            confs = [p.confidence for p in rows if p.confidence is not None]
-            abst = [p.abstained_accuracy for p in rows if p.abstained_accuracy is not None]
-            selective_rows.append(
-                SelectiveSummary(
-                    rate=rows[0].rate,
-                    answered=rows[0].answered,
-                    accuracy=float(np.mean(accs)) if accs else float("nan"),
-                    confidence=float(np.mean(confs)) if confs else float("nan"),
-                    abstained_accuracy=float(np.mean(abst)) if abst else None,
-                    gain=float(np.mean(gains)) if gains else float("nan"),
-                )
+    for rows in zip(*selective):
+        gains = [p.gain for p in rows if p.gain is not None]
+        accs = [p.accuracy for p in rows if p.accuracy is not None]
+        confs = [p.confidence for p in rows if p.confidence is not None]
+        abst = [p.abstained_accuracy for p in rows if p.abstained_accuracy is not None]
+        selective_rows.append(
+            SelectiveSummary(
+                rate=rows[0].rate,
+                answered=rows[0].answered,
+                accuracy=float(np.mean(accs)) if accs else float("nan"),
+                confidence=float(np.mean(confs)) if confs else float("nan"),
+                abstained_accuracy=float(np.mean(abst)) if abst else None,
+                gain=float(np.mean(gains)) if gains else float("nan"),
             )
+        )
     return MethodSummary(
         method=method,
         ece1=float(np.mean([r.ece1 for r in reports])),
@@ -568,25 +549,19 @@ def _evaluate(
                 f"test side has {n_test} queries but {config.bins} equal-mass bins "
                 "need at least one query each"
             )
-        confidences = _trial_confidences(data, config, tseed, cal_idx, test_idx)
+        test_ids = [data.query_ids[i] for i in test_idx] if config.selective_rates else None
         for method in config.methods:
-            labels = _labels_for(data, method, test_idx)
-            reports[method].append(
-                compute_report(confidences[method], labels, bins=config.bins)
-            )
+            confidences, labels = _method_trial(data, config, method, tseed, cal_idx, test_idx)
+            reports[method].append(compute_report(confidences, labels, bins=config.bins))
             accuracies[method].append(float(labels.mean()))
             if config.selective_rates:
                 selective[method].append(
                     selective_curve(
-                        confidences[method],
-                        labels,
-                        config.selective_rates,
-                        query_ids=[data.query_ids[i] for i in test_idx],
+                        confidences, labels, config.selective_rates, query_ids=test_ids
                     )
                 )
     summaries = {
-        m: _aggregate(m, reports[m], accuracies[m], selective[m], config.bins)
-        for m in config.methods
+        m: _aggregate(m, reports[m], accuracies[m], selective[m]) for m in config.methods
     }
     return EvalResult(
         kind=kind,
@@ -660,17 +635,7 @@ def _method_object(summary: MethodSummary) -> dict[str, Any]:
         "accuracy": summary.accuracy,
         "reliability": list(summary.reliability),
         "histogram": list(summary.histogram),
-        "selective": [
-            {
-                "rate": row.rate,
-                "answered": row.answered,
-                "accuracy": row.accuracy,
-                "confidence": row.confidence,
-                "abstained_accuracy": row.abstained_accuracy,
-                "gain": row.gain,
-            }
-            for row in summary.selective
-        ],
+        "selective": [asdict(row) for row in summary.selective],
     }
 
 
@@ -705,18 +670,11 @@ def trial_table(result: EvalResult) -> str:
 
 def config_echo(config: TrialConfig, **extra: Any) -> dict[str, Any]:
     """A JSON-friendly snapshot of the trial settings for report headers."""
-    echo: dict[str, Any] = {
-        "n_trials": config.n_trials,
-        "cal_fraction": config.cal_fraction,
-        "master_seed": config.master_seed,
-        "bins": config.bins,
-        "methods": list(config.methods),
-        "feature_source": config.feature_source,
-        "k_subsample": config.k_subsample,
-        "alpha": config.alpha,
-        "split_frac": config.split_frac,
+    echo = {
+        name: list(value) if isinstance(value, tuple) else value
+        for name, value in asdict(config).items()
     }
-    if config.selective_rates:
-        echo["selective_rates"] = list(config.selective_rates)
+    if not config.selective_rates:
+        del echo["selective_rates"]
     echo.update(extra)
     return echo

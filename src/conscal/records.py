@@ -672,11 +672,11 @@ def _float_texts(values: np.ndarray) -> list[str]:
 
 
 def _query_object(q: QueryRecord) -> dict[str, Any]:
-    obj: dict[str, Any] = {"query_id": q.query_id, "text": q.text, "group": q.group}
-    if q.gold_answers is not None:
-        obj["gold_answers"] = list(q.gold_answers)
-    if q.question_embedding is not None:
-        obj["question_embedding"] = list(q.question_embedding)
+    obj: dict[str, Any] = {}
+    for f in fields(QueryRecord):
+        value = getattr(q, f.name)
+        if value is not None:
+            obj[f.name] = list(value) if isinstance(value, tuple) else value
     return obj
 
 

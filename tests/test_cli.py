@@ -264,6 +264,15 @@ def test_subsampled_targets_match_the_recorded_files(tmp_path):
         assert (out / "targets.jsonl").read_text(encoding="utf-8") == expected
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_targets_reject_a_k_below_one_before_reading(k, data_dir, tmp_path, capsys):
+    code = main(["targets"] + _data_flags(data_dir, labels=False)
+                + ["--k", k, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: --k must be >= 1, got {k}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_targets_are_unanimous_when_difficulty_is_pinned_to_one(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"difficulty_constant": 1.0}')
@@ -372,6 +381,25 @@ def test_train_rejects_targets_for_unknown_queries(data_dir, tmp_path, capsys):
                 + ["--targets", str(bad), "--out", str(tmp_path / "x")])
     assert code == 1
     assert "targets reference 1 unknown queries (first: zzz)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (["--alpha", "0"], "alpha must be a positive real"),
+        (["--alpha", "nan"], "alpha must be a finite real, got nan"),
+        (["--split-frac", "0"], "split_frac must be inside (0, 1), got 0.0"),
+        (["--split-frac", "1.5"], "split_frac must be inside (0, 1), got 1.5"),
+    ],
+)
+def test_train_rejects_bad_fit_settings_before_creating_a_run(
+    flags, message, data_dir, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    code = main(["train"] + _data_flags(data_dir, labels=False) + flags)
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "runs").exists()
 
 
 def test_train_on_question_embeddings_sets_the_artifact_source(data_dir, tmp_path):
@@ -551,6 +579,14 @@ def test_eval_respects_the_requested_method_subset(data_dir, tmp_path):
     assert set(_read_json(out / "report.json")["methods"]) == {"tt_sc"}
 
 
+def test_eval_with_more_bins_than_test_queries_writes_nothing(data_dir, tmp_path, capsys):
+    code = main(["eval"] + _data_flags(data_dir)
+                + ["--trials", "1", "--bins", "40", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "equal-mass bins" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_eval_requires_labels(data_dir, tmp_path, capsys):
     code = main(["eval"] + _data_flags(data_dir, labels=False)
                 + ["--trials", "1", "--out", str(tmp_path / "x")])
@@ -689,6 +725,65 @@ def test_shift_rejects_overlapping_groups(shift_dir, tmp_path, capsys):
                    "--test-groups", "shifted", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "both sides" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+# ---------------------------------------------------------------------------
+# golden outputs
+# ---------------------------------------------------------------------------
+
+_CLI_DIGESTS = pathlib.Path(__file__).parent / "data" / "cli_digests_n20_k8_seed0.json"
+
+_DATA = ["--queries", "data/queries.jsonl", "--generations", "data/generations.jsonl"]
+_LABELS = ["--labels", "data/labels.jsonl"]
+_SHIFT_DATA = ["--queries", "shiftdata/queries.jsonl",
+               "--generations", "shiftdata/generations.jsonl",
+               "--labels", "shiftdata/labels.jsonl"]
+_GOLDEN_COMMANDS = {
+    "targets": ["targets", *_DATA],
+    "targets_k5": ["targets", *_DATA, "--k", "5", "--seed", "2"],
+    "train": ["train", *_DATA, "--seed", "1"],
+    "train_question": ["train", *_DATA, "--targets", "targets/targets.jsonl",
+                       "--feature-source", "question_embedding", "--alpha", "0.5",
+                       "--split-frac", "0.4"],
+    "score": ["score", *_DATA, "--model", "train/model.json"],
+    "eval": ["eval", *_DATA, *_LABELS, "--trials", "3", "--bins", "4", "--seed", "1"],
+    "eval_k4": ["eval", *_DATA, *_LABELS, "--trials", "2", "--bins", "3", "--k", "4"],
+    "eval_config": ["eval", *_DATA, *_LABELS, "--config", "trial.json", "--seed", "4"],
+    "selective": ["selective", *_DATA, *_LABELS, "--trials", "2", "--bins", "4",
+                  "--rates", "0,0.25,0.5", "--methods", "supervised,tt_sc,distilled"],
+    "shift": ["shift", *_SHIFT_DATA, "--trials", "2", "--bins", "4",
+              "--train-groups", "main", "--test-groups", "shifted"],
+}
+_TRIAL_JSON = {
+    "n_trials": 2, "bins": 4, "cal_fraction": 0.5, "alpha": 0.5, "split_frac": 0.4,
+    "methods": ["distilled", "verbal_conf", "answer_prob"],
+    "feature_source": "question_embedding",
+}
+
+
+def _golden_digests():
+    """Run every command of ``_GOLDEN_COMMANDS`` in the working directory and
+    return the sha256 of each file it wrote, keyed ``<out>/<name>``."""
+    for preset, out in (("benchmark", "data"), ("shift", "shiftdata")):
+        assert main(["synth", "--preset", preset, "--n-queries", "20", "--k", "8",
+                     "--seed", "0", "--out", out]) == 0
+    pathlib.Path("trial.json").write_text(json.dumps(_TRIAL_JSON), encoding="utf-8")
+    digests = {}
+    for out, argv in _GOLDEN_COMMANDS.items():
+        assert main([*argv, "--out", out]) == 0, out
+        for path in sorted(pathlib.Path(out).iterdir()):
+            digests[f"{out}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def test_cli_outputs_match_the_recorded_digests(tmp_path, monkeypatch, capsys):
+    # Recorded before a refactor that must keep every output byte; a declared
+    # change to any output byte re-records the file from _golden_digests()
+    # run in an empty directory.
+    monkeypatch.chdir(tmp_path)
+    assert _golden_digests() == _read_json(_CLI_DIGESTS)
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

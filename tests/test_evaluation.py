@@ -153,9 +153,14 @@ def test_subset_slices_every_array_consistently():
     data = build_dataset(sets, labels)
     sub = data.subset([3, 7, 11])
     assert sub.n == 3
-    assert sub.query_ids == tuple(data.query_ids[i] for i in (3, 7, 11))
-    assert np.array_equal(sub.features, data.features[[3, 7, 11]])
-    assert np.array_equal(sub.tt_correct, data.tt_correct[[3, 7, 11]])
+    for f in dataclasses.fields(data):
+        value, full = getattr(sub, f.name), getattr(data, f.name)
+        if isinstance(full, np.ndarray):
+            assert np.array_equal(value, full[[3, 7, 11]]), f.name
+        elif isinstance(full, tuple):
+            assert value == tuple(full[i] for i in (3, 7, 11)), f.name
+        else:
+            assert value == full, f.name
     for coded, i in zip(sub.codes, (3, 7, 11)):
         expected = consistency.answer_codes(sets[i])
         assert np.array_equal(coded.codes, expected.codes)
@@ -587,8 +592,13 @@ def test_trial_table_has_one_row_per_trial_and_method():
 
 
 def test_config_echo_omits_selective_rates_when_unused():
-    assert "selective_rates" not in config_echo(TrialConfig())
-    assert config_echo(TrialConfig(selective_rates=(0.5,)))["selective_rates"] == [0.5]
+    names = [f.name for f in dataclasses.fields(TrialConfig)]
+    echo = config_echo(TrialConfig())
+    assert list(echo) == [n for n in names if n != "selective_rates"]
+    assert echo["methods"] == list(DEFAULT_METHODS)
+    echo = config_echo(TrialConfig(selective_rates=(0.5,)))
+    assert list(echo) == names
+    assert echo["selective_rates"] == [0.5]
 
 
 def test_default_method_tuple_is_frozen():
