@@ -9,7 +9,8 @@ test side, fits whatever the scored methods need on the calibration side
 (the distilled calibrator on agreement targets, the supervised reference on
 correctness labels), scores the test side, and reports calibration metrics.
 Trials differ only in their seed-derived splits; aggregation averages the
-per-trial reports.
+per-trial reports.  Each method's trials are scored together, as the rows
+of one (trials x test queries) matrix.
 
 Correctness of a response comes from the labels file when it covers the
 (query, sample) pair and otherwise falls back to matching the extracted
@@ -56,7 +57,7 @@ from .consistency import (
     subsample_targets,
 )
 from .errors import ConfigError, DataError, require_integer, require_real
-from .metrics import REPORT_FORMAT, MetricReport, compute_report
+from .metrics import REPORT_FORMAT, ReportTable, compute_report
 from .records import SampleSet, shared_batch
 
 DEFAULT_METHODS = (
@@ -310,23 +311,25 @@ def split_cal_test(n: int, cal_fraction: float, seed: int) -> tuple[np.ndarray, 
 @dataclass(frozen=True)
 class SelectivePoint:
     """One abstention rate: counts, then mean confidence and accuracy of the
-    answered and abstained sides (absent when a side is empty)."""
+    answered and abstained sides (absent when a side is empty).  For a
+    ``(T, n)`` matrix of trials each mean is a ``(T,)`` array over the
+    trials."""
 
     rate: float
     abstained: int
     answered: int
-    accuracy: float | None
-    confidence: float | None
-    abstained_accuracy: float | None
-    abstained_confidence: float | None
-    gain: float | None
+    accuracy: float | np.ndarray | None
+    confidence: float | np.ndarray | None
+    abstained_accuracy: float | np.ndarray | None
+    abstained_confidence: float | np.ndarray | None
+    gain: float | np.ndarray | None
 
 
 def selective_curve(
     confidences: Any,
     labels: Any,
     rates: Sequence[float],
-    query_ids: Sequence[str] | None = None,
+    query_ids: Sequence[str] | np.ndarray | None = None,
 ) -> list[SelectivePoint]:
     """Accuracy among answered queries after abstaining on the least
     confident ``ceil(rate * n)``.
@@ -336,26 +339,37 @@ def selective_curve(
     answered accuracy minus the accuracy with no abstention, exactly 0.0 at
     rate 0.  Both sides' mean confidence and accuracy are recorded; empty
     sides report them as absent.
+
+    A ``(T, n)`` matrix of confidences, with labels and ``query_ids`` of the
+    same shape, scores T trials at once, and each point's means are then
+    ``(T,)`` arrays; a vector is the one-row case and gives floats.
     """
     conf = np.asarray(confidences, dtype=float)
     lab = np.asarray(labels, dtype=float)
-    if conf.ndim != 1 or conf.shape != lab.shape:
-        raise DataError("confidences and labels must be 1-d and the same length")
-    n = conf.shape[0]
+    if conf.ndim not in (1, 2) or conf.shape != lab.shape:
+        raise DataError("confidences and labels must be 1-d or (trials, n) and the same shape")
+    one_row = conf.ndim == 1
+    if one_row:
+        conf, lab = conf[None], lab[None]
+    n = conf.shape[1]
     if n == 0:
         raise DataError("selective prediction needs at least one query")
     if query_ids is None:
-        order = np.argsort(conf, kind="stable")
+        order = np.argsort(conf, axis=1, kind="stable")
     else:
-        if len(query_ids) != n:
+        ids = np.array(query_ids, dtype=str)[None] if one_row else np.asarray(query_ids)
+        if ids.shape != conf.shape:
             raise DataError("query_ids must align with confidences")
-        order = np.lexsort((np.array(query_ids, dtype=str), conf))
-    sorted_labels = lab[order]
-    sorted_conf = conf[order]
+        order = np.lexsort((ids, conf), axis=1)
+    sorted_labels = np.take_along_axis(lab, order, axis=1)
+    sorted_conf = np.take_along_axis(conf, order, axis=1)
 
-    def mean(values: np.ndarray) -> float | None:
-        # The float ndarray.mean returns, without its per-call overhead.
-        return float(values.sum()) / values.size if values.size else None
+    def mean(values: np.ndarray) -> float | np.ndarray | None:
+        # Row sums over counts: the floats ndarray.mean returns per row.
+        if not values.shape[1]:
+            return None
+        means = values.sum(axis=1) / values.shape[1]
+        return float(means[0]) if one_row else means
 
     base_accuracy = mean(sorted_labels)
     points: list[SelectivePoint] = []
@@ -363,16 +377,16 @@ def selective_curve(
         if not 0.0 <= rate < 1.0:
             raise DataError(f"abstention rate must lie in [0, 1), got {rate!r}")
         abstained = int(math.ceil(round(rate * n, 9)))
-        accuracy = mean(sorted_labels[abstained:])
+        accuracy = mean(sorted_labels[:, abstained:])
         points.append(
             SelectivePoint(
                 rate=float(rate),
                 abstained=abstained,
                 answered=n - abstained,
                 accuracy=accuracy,
-                confidence=mean(sorted_conf[abstained:]),
-                abstained_accuracy=mean(sorted_labels[:abstained]),
-                abstained_confidence=mean(sorted_conf[:abstained]),
+                confidence=mean(sorted_conf[:, abstained:]),
+                abstained_accuracy=mean(sorted_labels[:, :abstained]),
+                abstained_confidence=mean(sorted_conf[:, :abstained]),
                 gain=None if accuracy is None else accuracy - base_accuracy,
             )
         )
@@ -405,8 +419,8 @@ class MethodSummary:
     accuracy: float
     reliability: tuple[dict[str, float], ...]
     histogram: tuple[float, ...]
+    per_trial: ReportTable
     selective: tuple[SelectiveSummary, ...] = ()
-    per_trial: tuple[MetricReport, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -421,106 +435,130 @@ class EvalResult:
     methods: dict[str, MethodSummary] = field(default_factory=dict)
 
 
-def _method_trial(
+def _fitted_trial(
     data: EvalDataset,
     config: TrialConfig,
     method: str,
     tseed: int,
     cal_idx: np.ndarray,
     test_idx: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The test side's confidences under ``method`` and the correctness they
-    are judged by: the modal answer's for ``tt_sc``, the deployment
-    response's for the rest."""
-    labels = (data.tt_correct if method == "tt_sc" else data.deploy_correct)[test_idx]
-    if method == "distilled":
-        if config.k_subsample is None:
-            s_cal = data.targets_s[cal_idx]
-        else:
-            s_cal = np.array(
-                [
-                    subsample_targets(
-                        data.codes[i],
-                        config.k_subsample,
-                        seed=seeding.mix(tseed, _S_SUBSAMPLE, int(i)),
-                    ).s
-                    for i in cal_idx
-                ]
-            )
-        model = fit_pipeline(
-            data.features[cal_idx],
-            s_cal,
-            split_frac=config.split_frac,
-            seed=seeding.mix(tseed, _S_PIPELINE),
-            alpha=config.alpha,
-            feature_source=data.feature_source,
-        )
-        return np.asarray(predict(model, data.features[test_idx]), dtype=float), labels
+) -> np.ndarray:
+    """One trial's test-side confidences under ``distilled`` or
+    ``supervised``, fit on that trial's calibration side."""
     if method == "supervised":
         platt = fit_platt(data.token_prob[cal_idx], data.deploy_correct[cal_idx])
-        return np.asarray(apply_platt(platt, data.token_prob[test_idx]), dtype=float), labels
+        return apply_platt(platt, data.token_prob[test_idx])
+    if config.k_subsample is None:
+        s_cal = data.targets_s[cal_idx]
+    else:
+        s_cal = np.array(
+            [
+                subsample_targets(
+                    data.codes[i],
+                    config.k_subsample,
+                    seed=seeding.mix(tseed, _S_SUBSAMPLE, int(i)),
+                ).s
+                for i in cal_idx
+            ]
+        )
+    model = fit_pipeline(
+        data.features[cal_idx],
+        s_cal,
+        split_frac=config.split_frac,
+        seed=seeding.mix(tseed, _S_PIPELINE),
+        alpha=config.alpha,
+        feature_source=data.feature_source,
+    )
+    return predict(model, data.features[test_idx])
+
+
+def _method_trials(
+    data: EvalDataset,
+    config: TrialConfig,
+    method: str,
+    tseeds: Sequence[int],
+    sides: Sequence[tuple[np.ndarray, np.ndarray]],
+    test: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every trial's test-side confidences under ``method`` as a ``(T,
+    n_test)`` matrix, and the correctness they are judged by: the modal
+    answer's for ``tt_sc``, the deployment response's for the rest.
+
+    ``sides`` holds each trial's (cal, test) indices and ``test`` stacks
+    the test sides; a precomputed column needs only one gather."""
+    labels = (data.tt_correct if method == "tt_sc" else data.deploy_correct)[test]
+    if method in ("distilled", "supervised"):
+        rows = [
+            _fitted_trial(data, config, method, tseed, cal_idx, test_idx)
+            for tseed, (cal_idx, test_idx) in zip(tseeds, sides)
+        ]
+        return np.array(rows, dtype=float), labels
     column = getattr(data, _COLUMNS[method])
     if column is None:  # only answer_prob can be absent
         raise ConfigError(
             "answer_prob requires answer-span log-probabilities on every "
             "deployment response"
         )
-    return column[test_idx], labels
+    return column[test], labels
+
+
+def _mean(values: np.ndarray) -> float:
+    return float(np.mean(values))
 
 
 def _aggregate(
     method: str,
-    reports: list[MetricReport],
-    accuracies: list[float],
-    selective: list[list[SelectivePoint]],
+    reports: ReportTable,
+    labels: np.ndarray,
+    selective: Sequence[SelectivePoint],
 ) -> MethodSummary:
-    aurocs = [r.auroc for r in reports if r.auroc is not None]
+    """Means over the trials: ``reports`` and ``selective`` score the rows
+    of the ``(T, n_test)`` matrix ``labels``.  Each mean reads a contiguous
+    ``(T,)`` column, as ``np.mean`` of a per-trial list would."""
+    aurocs = reports.auroc[~np.isnan(reports.auroc)]
+    trials = len(reports)
     reliability: list[dict[str, float]] = []
-    for stats in zip(*(r.bins for r in reports)):
-        weights = np.array([s.count for s in stats], dtype=float)
+    for b, (lo, hi) in enumerate(reports.spans):
+        weights = np.full(trials, hi - lo, dtype=float)
         total = weights.sum()
         reliability.append(
             {
-                "lower": float(np.mean([s.lower for s in stats])),
-                "upper": float(np.mean([s.upper for s in stats])),
-                "count": float(weights.mean()),
+                "lower": float(lo),
+                "upper": float(hi),
+                "count": float(hi - lo),
                 "mean_confidence": float(
-                    np.dot(weights, [s.mean_confidence for s in stats]) / total
+                    np.dot(weights, np.ascontiguousarray(reports.mean_confidence[:, b])) / total
                 ),
-                "accuracy": float(np.dot(weights, [s.accuracy for s in stats]) / total),
+                "accuracy": float(
+                    np.dot(weights, np.ascontiguousarray(reports.accuracy[:, b])) / total
+                ),
             }
         )
-    histogram = tuple(
-        float(v) for v in np.mean([r.histogram for r in reports], axis=0)
-    )
-    selective_rows: list[SelectiveSummary] = []
-    for rows in zip(*selective):
-        gains = [p.gain for p in rows if p.gain is not None]
-        accs = [p.accuracy for p in rows if p.accuracy is not None]
-        confs = [p.confidence for p in rows if p.confidence is not None]
-        abst = [p.abstained_accuracy for p in rows if p.abstained_accuracy is not None]
-        selective_rows.append(
-            SelectiveSummary(
-                rate=rows[0].rate,
-                answered=rows[0].answered,
-                accuracy=float(np.mean(accs)) if accs else float("nan"),
-                confidence=float(np.mean(confs)) if confs else float("nan"),
-                abstained_accuracy=float(np.mean(abst)) if abst else None,
-                gain=float(np.mean(gains)) if gains else float("nan"),
-            )
+    selective_rows = tuple(
+        SelectiveSummary(
+            rate=p.rate,
+            answered=p.answered,
+            accuracy=float("nan") if p.accuracy is None else _mean(p.accuracy),
+            confidence=float("nan") if p.confidence is None else _mean(p.confidence),
+            abstained_accuracy=(
+                None if p.abstained_accuracy is None else _mean(p.abstained_accuracy)
+            ),
+            gain=float("nan") if p.gain is None else _mean(p.gain),
         )
+        for p in selective
+    )
     return MethodSummary(
         method=method,
-        ece1=float(np.mean([r.ece1 for r in reports])),
-        ece2=float(np.mean([r.ece2 for r in reports])),
-        mce=float(np.mean([r.mce for r in reports])),
-        brier=float(np.mean([r.brier for r in reports])),
-        auroc=float(np.mean(aurocs)) if aurocs else None,
-        accuracy=float(np.mean(accuracies)),
+        ece1=_mean(reports.ece1),
+        ece2=_mean(reports.ece2),
+        mce=_mean(reports.mce),
+        brier=_mean(reports.brier),
+        auroc=_mean(aurocs) if aurocs.size else None,
+        accuracy=_mean(labels.mean(axis=1)),
         reliability=tuple(reliability),
-        histogram=histogram,
-        selective=tuple(selective_rows),
-        per_trial=tuple(reports),
+        histogram=tuple(reports.histogram.mean(axis=0).tolist()),
+        per_trial=reports,
+        selective=selective_rows,
     )
 
 
@@ -530,39 +568,34 @@ def _evaluate(
     splits: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
     kind: str,
 ) -> EvalResult:
+    """Split every trial, then score each method over all trials at once."""
     config.validate()
     if data.feature_source != config.feature_source:
         raise ConfigError(
             f"dataset was built with feature_source {data.feature_source!r} but the "
             f"trial config asks for {config.feature_source!r}"
         )
-    reports: dict[str, list[MetricReport]] = {m: [] for m in config.methods}
-    accuracies: dict[str, list[float]] = {m: [] for m in config.methods}
-    selective: dict[str, list[list[SelectivePoint]]] = {m: [] for m in config.methods}
-    n_cal = n_test = 0
-    for t in range(config.n_trials):
-        tseed = seeding.mix(config.master_seed, t)
-        cal_idx, test_idx = splits(t, tseed)
-        n_cal, n_test = len(cal_idx), len(test_idx)
-        if n_test < config.bins:
-            raise DataError(
-                f"test side has {n_test} queries but {config.bins} equal-mass bins "
-                "need at least one query each"
-            )
-        test_ids = [data.query_ids[i] for i in test_idx] if config.selective_rates else None
-        for method in config.methods:
-            confidences, labels = _method_trial(data, config, method, tseed, cal_idx, test_idx)
-            reports[method].append(compute_report(confidences, labels, bins=config.bins))
-            accuracies[method].append(float(labels.mean()))
-            if config.selective_rates:
-                selective[method].append(
-                    selective_curve(
-                        confidences, labels, config.selective_rates, query_ids=test_ids
-                    )
-                )
-    summaries = {
-        m: _aggregate(m, reports[m], accuracies[m], selective[m]) for m in config.methods
-    }
+    tseeds = [seeding.mix(config.master_seed, t) for t in range(config.n_trials)]
+    sides = [splits(t, tseed) for t, tseed in enumerate(tseeds)]
+    n_cal, n_test = len(sides[0][0]), len(sides[0][1])
+    if n_test < config.bins:
+        raise DataError(
+            f"test side has {n_test} queries but {config.bins} equal-mass bins "
+            "need at least one query each"
+        )
+    test = np.stack([test_idx for _, test_idx in sides])
+    test_ids = np.array(data.query_ids, dtype=str)[test] if config.selective_rates else None
+    summaries = {}
+    for method in config.methods:
+        confidences, labels = _method_trials(data, config, method, tseeds, sides, test)
+        summaries[method] = _aggregate(
+            method,
+            compute_report(confidences, labels, bins=config.bins),
+            labels,
+            selective_curve(confidences, labels, config.selective_rates, query_ids=test_ids)
+            if config.selective_rates
+            else (),
+        )
     return EvalResult(
         kind=kind,
         n_queries=data.n,
@@ -659,11 +692,15 @@ def trial_table(result: EvalResult) -> str:
     """Per-trial metrics as a TSV table (one row per trial x method)."""
     lines = ["trial\tmethod\tece1\tece2\tmce\tbrier\tauroc"]
     for method, summary in result.methods.items():
-        for t, report in enumerate(summary.per_trial):
-            auroc = "" if report.auroc is None else f"{report.auroc:.6f}"
+        table = summary.per_trial
+        columns = zip(
+            table.ece1.tolist(), table.ece2.tolist(), table.mce.tolist(),
+            table.brier.tolist(), table.auroc.tolist(),
+        )
+        for t, (ece1, ece2, mce, brier, auroc) in enumerate(columns):
+            auroc_text = "" if math.isnan(auroc) else f"{auroc:.6f}"
             lines.append(
-                f"{t}\t{method}\t{report.ece1:.6f}\t{report.ece2:.6f}"
-                f"\t{report.mce:.6f}\t{report.brier:.6f}\t{auroc}"
+                f"{t}\t{method}\t{ece1:.6f}\t{ece2:.6f}\t{mce:.6f}\t{brier:.6f}\t{auroc_text}"
             )
     return "\n".join(lines) + "\n"
 

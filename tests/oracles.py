@@ -1,7 +1,7 @@
 """Independent reference implementations used to check the fast paths.
 
 Each oracle favors obviousness over speed: exhaustive enumeration, textbook
-elimination, quadratic pair counting, per-bin and per-row loops,
+elimination, quadratic pair counting, per-bin, per-row and per-trial loops,
 character-by-character scans, string counting, entry-by-entry validation,
 plain grid refinement, ``json.dumps`` of each record's object, per-row
 bucket grouping, record loaders that judge one line at a time,
@@ -629,3 +629,141 @@ def platt_by_full_newton(
         else:
             break
     return (float(theta[0]), float(theta[1])), iterations
+
+
+def reports_by_trial_loop(
+    confidences: np.ndarray, labels: np.ndarray, bins: int, buckets: int = 20
+) -> list[dict]:
+    """Every metric of each row of a ``(T, n)`` matrix, one row at a time.
+
+    Per row: one stable sort, a loop over the equal-mass bins that sums each
+    sorted slice, average ranks scattered back to the input order and summed
+    over the positives in index order, and a ``searchsorted`` scan of the
+    ``linspace`` histogram edges.  Each row gives a dict keyed like a metric
+    report; its bins are ``(lower, upper, count, mean_confidence, accuracy)``.
+    """
+    reports = []
+    for c, z in zip(np.asarray(confidences, dtype=float), np.asarray(labels, dtype=float)):
+        n = c.shape[0]
+        order = np.argsort(c, kind="stable")
+        c_sorted, z_sorted = c[order], z[order]
+        edges = [(b * n) // bins for b in range(bins + 1)]
+        rows = [
+            (lo, hi, hi - lo, float(c_sorted[lo:hi].sum()) / (hi - lo),
+             float(z_sorted[lo:hi].sum()) / (hi - lo))
+            for lo, hi in zip(edges, edges[1:])
+        ]
+        w = np.array([row[2] for row in rows], dtype=float) / n
+        gap = np.abs(np.array([row[4] for row in rows]) - np.array([row[3] for row in rows]))
+        n_pos = int(z.sum())
+        n_neg = n - n_pos
+        auroc = None
+        if n_pos and n_neg:
+            starts = np.flatnonzero(np.concatenate(([True], c_sorted[1:] != c_sorted[:-1])))
+            ends = np.append(starts[1:], n)
+            ranks = np.empty(n)
+            ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+            u = ranks[z == 1.0].sum() - n_pos * (n_pos + 1) / 2.0
+            auroc = float(u / (n_pos * n_neg))
+        bucket_edges = np.linspace(0.0, 1.0, buckets + 1)
+        cuts = np.searchsorted(c_sorted, bucket_edges, side="left")
+        cuts[-1] = np.searchsorted(c_sorted, bucket_edges[-1], side="right")
+        reports.append({
+            "ece1": float(np.sum(w * gap)),
+            "ece2": float(np.sqrt(np.sum(w * gap**2))),
+            "mce": float(gap.max()),
+            "brier": float(np.mean((c - z) ** 2)),
+            "auroc": auroc,
+            "bins": rows,
+            "histogram": np.diff(cuts).tolist(),
+            "n": n,
+        })
+    return reports
+
+
+def selective_by_trial_loop(
+    confidences: np.ndarray, labels: np.ndarray, rates: Sequence[float], query_ids=None
+) -> list[list[dict]]:
+    """Each row's selective curve, one row and one rate at a time.
+
+    Per row: sort by confidence, ties by ascending query id (a stable sort
+    without ids), abstain on the first ``ceil(rate * n)`` and take plain
+    means of both sides; an empty side gives None.
+    """
+    curves = []
+    for t, (c, z) in enumerate(
+        zip(np.asarray(confidences, dtype=float), np.asarray(labels, dtype=float))
+    ):
+        n = c.shape[0]
+        if query_ids is None:
+            order = np.argsort(c, kind="stable")
+        else:
+            order = np.lexsort((np.array(query_ids[t], dtype=str), c))
+        z_sorted, c_sorted = z[order], c[order]
+
+        def mean(values):
+            return float(values.sum()) / values.size if values.size else None
+
+        base = mean(z_sorted)
+        points = []
+        for rate in rates:
+            cut = int(math.ceil(round(rate * n, 9)))
+            accuracy = mean(z_sorted[cut:])
+            points.append({
+                "rate": float(rate),
+                "abstained": cut,
+                "answered": n - cut,
+                "accuracy": accuracy,
+                "confidence": mean(c_sorted[cut:]),
+                "abstained_accuracy": mean(z_sorted[:cut]),
+                "abstained_confidence": mean(c_sorted[:cut]),
+                "gain": None if accuracy is None else accuracy - base,
+            })
+        curves.append(points)
+    return curves
+
+
+def aggregate_by_trial_loop(
+    reports: list[dict], accuracies: list[float], curves: list[list[dict]]
+) -> dict:
+    """Means over trials of per-trial reports, accuracies and selective
+    curves, gathered into per-trial lists: weighted bin means by ``np.dot``
+    over the trials, AUROC over the trials where it is defined, and each
+    selective field over the trials where it is present."""
+    aurocs = [r["auroc"] for r in reports if r["auroc"] is not None]
+    reliability = []
+    for stats in zip(*(r["bins"] for r in reports)):
+        weights = np.array([s[2] for s in stats], dtype=float)
+        total = weights.sum()
+        reliability.append({
+            "lower": float(np.mean([s[0] for s in stats])),
+            "upper": float(np.mean([s[1] for s in stats])),
+            "count": float(weights.mean()),
+            "mean_confidence": float(np.dot(weights, [s[3] for s in stats]) / total),
+            "accuracy": float(np.dot(weights, [s[4] for s in stats]) / total),
+        })
+    selective = []
+    for rows in zip(*curves):
+        def over_trials(name, empty):
+            values = [p[name] for p in rows if p[name] is not None]
+            return float(np.mean(values)) if values else empty
+
+        selective.append({
+            "rate": rows[0]["rate"],
+            "answered": rows[0]["answered"],
+            "accuracy": over_trials("accuracy", float("nan")),
+            "confidence": over_trials("confidence", float("nan")),
+            "abstained_accuracy": over_trials("abstained_accuracy", None),
+            "gain": over_trials("gain", float("nan")),
+        })
+    return {
+        **{
+            name: float(np.mean([r[name] for r in reports]))
+            for name in ("ece1", "ece2", "mce", "brier")
+        },
+        "auroc": float(np.mean(aurocs)) if aurocs else None,
+        "accuracy": float(np.mean(accuracies)),
+        "reliability": reliability,
+        "histogram": [float(v) for v in np.mean([r["histogram"] for r in reports], axis=0)],
+        "selective": selective,
+    }

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conscal import consistency, evaluation, records, synth
@@ -25,10 +27,11 @@ from conscal.evaluation import (
     split_cal_test,
     trial_table,
 )
-from conscal.metrics import auroc
+from conscal.metrics import auroc, compute_report
 from conscal.records import SampleSet
 
 from conftest import make_batch, make_generation, make_query, make_set
+from oracles import aggregate_by_trial_loop, reports_by_trial_loop, selective_by_trial_loop
 
 
 def _synth_sets(n=80, k=8, seed=0, **overrides):
@@ -223,8 +226,17 @@ def test_subsampled_trials_match_the_recorded_results():
             master_seed=1,
         )
         result = run_trials(data, trial_config)
-        as_json = {m: dataclasses.asdict(s) for m, s in result.methods.items()}
+        as_json = {m: dataclasses.asdict(_with_report_rows(s)) for m, s in result.methods.items()}
         assert json.loads(json.dumps(as_json)) == methods
+
+
+def _with_report_rows(summary):
+    """The summary with its per-trial table as one report per trial, the
+    layout the results were recorded in."""
+    table = summary.per_trial
+    return dataclasses.replace(
+        summary, per_trial=tuple(table.report(t) for t in range(len(table)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +454,7 @@ def test_each_trial_depends_only_on_its_own_index():
     one = run_trials(data, dataclasses.replace(_FAST, n_trials=1))
     three = run_trials(data, dataclasses.replace(_FAST, n_trials=3))
     for method in _FAST.methods:
-        assert three.methods[method].per_trial[0] == one.methods[method].per_trial[0]
+        assert three.methods[method].per_trial.report(0) == one.methods[method].per_trial.report(0)
 
 
 def test_supervised_method_needs_a_correctness_source():
@@ -510,6 +522,143 @@ def test_selective_rates_flow_into_method_summaries():
 
 
 # ---------------------------------------------------------------------------
+# scoring all trials at once
+# ---------------------------------------------------------------------------
+
+# Histogram edges, their float neighbours, 0.0, -0.0, 1.0 and values outside [0, 1].
+_EDGES = np.linspace(0.0, 1.0, 21)
+_SPECIAL_CONFIDENCES = (
+    _EDGES.tolist() + np.nextafter(_EDGES, 2.0).tolist() + [-0.0, -0.5, 1.5, 1.0 + 2**-52]
+)
+_MEAN_FIELDS = ("accuracy", "confidence", "abstained_accuracy", "abstained_confidence", "gain")
+
+
+@st.composite
+def _trial_matrices(draw):
+    """``(confidences, labels, query_ids, bins, rates)`` for T trials of n
+    test queries.
+
+    Hypothesis draws the layout: T, the bins, n (often exactly ``bins``,
+    often not a multiple of it), a pool of tied values (edge values and
+    values outside [0, 1] among them), the share of entries taken from it,
+    which rows hold one class, and the rates (0 among them).  A drawn seed
+    fills the matrices from that layout.
+    """
+    bins = draw(st.integers(1, 12))
+    n = draw(st.one_of(st.just(bins), st.integers(bins, 160)))
+    trials = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = draw(st.lists(st.sampled_from(_SPECIAL_CONFIDENCES), min_size=1, max_size=3))
+    pool += draw(st.lists(st.floats(-0.25, 1.25), max_size=2))
+    tied = rng.choice(np.array(pool, dtype=float), size=(trials, n))
+    spread = rng.uniform(-0.25, 1.25, size=(trials, n))
+    share_tied = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    confidences = np.where(rng.random((trials, n)) < share_tied, tied, spread)
+    labels = (rng.random((trials, n)) < rng.random((trials, 1))).astype(float)
+    for t, kind in enumerate(draw(st.lists(st.sampled_from([None, 0.0, 1.0]), min_size=trials,
+                                           max_size=trials))):
+        if kind is not None:  # a one-class trial
+            labels[t] = kind
+    names = np.array([f"q{i:04d}" for i in range(2 * n)])
+    query_ids = np.stack([names[rng.permutation(2 * n)[:n]] for _ in range(trials)])
+    rates = draw(st.lists(st.floats(0.0, 0.99), max_size=3)) + [0.0]
+    return confidences, labels, query_ids, bins, rates
+
+
+def _comparable(value):
+    """``value`` with NaN spelled out, so equal results compare equal."""
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    if isinstance(value, dict):
+        return {k: _comparable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_comparable(v) for v in value]
+    return value
+
+
+@given(_trial_matrices())
+@settings(max_examples=150)
+def test_batched_scoring_equals_the_per_trial_loops_bit_for_bit(instance):
+    confidences, labels, query_ids, bins, rates = instance
+    table = compute_report(confidences, labels, bins=bins)
+    reports = reports_by_trial_loop(confidences, labels, bins)
+    for t, want in enumerate(reports):
+        got = table.report(t)
+        assert got == compute_report(confidences[t], labels[t], bins=bins)
+        assert (got.ece1, got.ece2, got.mce, got.brier, got.auroc, got.n) == tuple(
+            want[name] for name in ("ece1", "ece2", "mce", "brier", "auroc", "n")
+        )
+        assert [dataclasses.astuple(b) for b in got.bins] == want["bins"]
+        assert list(got.histogram) == want["histogram"]
+
+    points = selective_curve(confidences, labels, rates, query_ids=query_ids)
+    curves = selective_by_trial_loop(confidences, labels, rates, query_ids)
+    for t, curve in enumerate(curves):
+        rows = [
+            {
+                name: value if value is None or name not in _MEAN_FIELDS else float(value[t])
+                for name, value in dataclasses.asdict(p).items()
+            }
+            for p in points
+        ]
+        assert rows == curve
+        one = selective_curve(confidences[t], labels[t], rates, query_ids=list(query_ids[t]))
+        assert [dataclasses.asdict(p) for p in one] == curve
+
+    summary = evaluation._aggregate("m", table, labels, points)
+    want = aggregate_by_trial_loop(reports, [float(row.mean()) for row in labels], curves)
+    got = dataclasses.asdict(dataclasses.replace(summary, per_trial=None))
+    assert _comparable({name: got[name] for name in want}) == _comparable(want)
+
+
+def test_a_non_finite_confidence_or_bad_label_in_any_trial_fails_as_one_trial_does():
+    confidences = np.full((3, 6), 0.5)
+    labels = np.tile([0.0, 1.0], (3, 3))
+    for t in range(3):
+        for bad in (np.nan, np.inf, -np.inf):
+            c = confidences.copy()
+            c[t, 2] = bad
+            with pytest.raises(DataError, match="non-finite") as one:
+                compute_report(c[t], labels[t], bins=2)
+            with pytest.raises(DataError) as batched:
+                compute_report(c, labels, bins=2)
+            assert str(batched.value) == str(one.value)
+        z = labels.copy()
+        z[t, 4] = 2.0
+        with pytest.raises(DataError, match="0 or 1") as one:
+            compute_report(confidences[t], z[t], bins=2)
+        with pytest.raises(DataError) as batched:
+            compute_report(confidences, z, bins=2)
+        assert str(batched.value) == str(one.value)
+
+
+def test_a_non_finite_column_entry_fails_the_trial_run():
+    sets, labels = _synth_sets(n=30, k=4)
+    data = build_dataset(sets, labels)
+    column = data.verbal_conf.copy()
+    column[:] = np.inf  # every test side sees it
+    broken = dataclasses.replace(data, verbal_conf=column)
+    with pytest.raises(DataError, match="confidences contain non-finite entries"):
+        run_trials(broken, dataclasses.replace(_FAST, n_trials=2))
+
+
+def test_a_test_side_smaller_than_the_bins_fails_before_any_fit(monkeypatch):
+    fits = []
+    monkeypatch.setattr(evaluation, "fit_pipeline", lambda *a, **k: fits.append(a))
+    sets, labels = _synth_sets(n=12, k=3)
+    data = build_dataset(sets, labels)
+    config = dataclasses.replace(_FAST, bins=10, n_trials=3)
+    expected = "test side has 8 queries but 10 equal-mass bins need at least one query each"
+    with pytest.raises(DataError) as raised:
+        run_trials(data, config)
+    assert str(raised.value) == expected
+    fixed = (np.arange(6), np.arange(6, 12))  # a fixed split, as the shifted arm uses
+    with pytest.raises(DataError, match="test side has 6 queries but 10 equal-mass bins"):
+        evaluation._evaluate(data, config, lambda t, tseed: fixed, kind="shift")
+    assert fits == []
+
+
+# ---------------------------------------------------------------------------
 # shift protocol
 # ---------------------------------------------------------------------------
 
@@ -553,7 +702,7 @@ def test_shifted_arm_uses_the_fixed_group_split_every_trial():
     results = shift_eval(data, config, ["main"], ["hard"])
     trials = results["shifted"].methods["token_prob"].per_trial
     # token_prob needs no fitting, so identical fixed splits give identical trials.
-    assert trials[0] == trials[1]
+    assert trials.report(0) == trials.report(1)
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +738,49 @@ def test_trial_table_has_one_row_per_trial_and_method():
     lines = trial_table(result).strip().splitlines()
     assert lines[0] == "trial\tmethod\tece1\tece2\tmce\tbrier\tauroc"
     assert len(lines) == 1 + 2 * len(_FAST.methods)
+
+
+_TRIAL_DIGESTS = Path(__file__).parent / "data" / "trials_digests_n125_k100_seed1.json"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _trial_digests() -> dict[str, str]:
+    """sha256 of the report document and trial table of the benchmark's
+    ``trials`` op at 125 queries x 100 samples, seed 1, and of the shifted
+    arm of ``shift_eval`` under the same settings."""
+    config = TrialConfig(
+        n_trials=200, cal_fraction=0.4, master_seed=1,
+        selective_rates=(0.1, 0.2, 0.3, 0.5),
+    )
+    results = {
+        "trials": run_trials(_built(synth.benchmark_config(125, 100, seed=1)), config),
+        "shifted": shift_eval(
+            _built(synth.shifted_benchmark_config(125, 100, seed=1)), config,
+            ["main"], ["shifted"],
+        )["shifted"],
+    }
+    digests = {}
+    for name, result in results.items():
+        document = report_document(result, config_echo(config))
+        digests[f"{name}/report"] = _sha256(json.dumps(document, sort_keys=True))
+        digests[f"{name}/trials.tsv"] = _sha256(trial_table(result))
+    return digests
+
+
+def _built(config: synth.SynthConfig) -> evaluation.EvalDataset:
+    queries, generations, labels = synth.generate(config)
+    sets, diagnostics = records.group_generations(queries, generations)
+    assert not diagnostics
+    return build_dataset(sets, labels)
+
+
+def test_trial_reports_match_the_recorded_digests():
+    # Recorded before trial scoring was batched over the trials; a declared
+    # change to any output byte re-records the file from _trial_digests().
+    assert _trial_digests() == json.loads(_TRIAL_DIGESTS.read_text(encoding="utf-8"))
 
 
 def test_config_echo_omits_selective_rates_when_unused():
