@@ -116,12 +116,6 @@ def _load_sets(args: argparse.Namespace) -> list[records.SampleSet]:
     return records.load_generations(args.generations, queries)
 
 
-def _load_labels(path: str | None, sets: Sequence[records.SampleSet]) -> np.ndarray | None:
-    if path is None:
-        return None
-    return records.load_labels(path, sets)
-
-
 # ---------------------------------------------------------------------------
 # config assembly
 # ---------------------------------------------------------------------------
@@ -393,7 +387,7 @@ def _eval_command(args: argparse.Namespace, kind: str) -> int:
     if kind in ("eval", "selective") and args.labels is None:
         raise ConfigError(f"the {kind} command needs --labels (correctness per sample)")
     sets = _load_sets(args)
-    z = _load_labels(args.labels, sets)
+    z = None if args.labels is None else records.load_labels(args.labels, sets)
     data = evaluation.build_dataset(sets, z, feature_source=config.feature_source)
     config_obj = {
         "command": kind,
@@ -407,7 +401,6 @@ def _eval_command(args: argparse.Namespace, kind: str) -> int:
         test_groups = _csv(args.test_groups)
         config_obj["train_groups"] = train_groups
         config_obj["test_groups"] = test_groups
-    if kind == "shift":
         results = evaluation.shift_eval(data, config, train_groups, test_groups)
         arm_echo = evaluation.config_echo(
             config, train_groups=train_groups, test_groups=test_groups

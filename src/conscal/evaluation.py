@@ -57,7 +57,13 @@ from .consistency import (
     subsample_targets,
 )
 from .errors import ConfigError, DataError, require_integer, require_real
-from .metrics import REPORT_FORMAT, ReportTable, compute_report
+from .metrics import (
+    REPORT_FORMAT,
+    ReportTable,
+    _checked_confidences,
+    _checked_labels,
+    compute_report,
+)
 from .records import SampleSet, shared_batch
 
 DEFAULT_METHODS = (
@@ -311,18 +317,17 @@ def split_cal_test(n: int, cal_fraction: float, seed: int) -> tuple[np.ndarray, 
 @dataclass(frozen=True)
 class SelectivePoint:
     """One abstention rate: counts, then mean confidence and accuracy of the
-    answered and abstained sides (absent when a side is empty).  For a
-    ``(T, n)`` matrix of trials each mean is a ``(T,)`` array over the
-    trials."""
+    answered and abstained sides, each a ``(T,)`` array over the T trials
+    (absent when a side is empty)."""
 
     rate: float
     abstained: int
     answered: int
-    accuracy: float | np.ndarray | None
-    confidence: float | np.ndarray | None
-    abstained_accuracy: float | np.ndarray | None
-    abstained_confidence: float | np.ndarray | None
-    gain: float | np.ndarray | None
+    accuracy: np.ndarray | None
+    confidence: np.ndarray | None
+    abstained_accuracy: np.ndarray | None
+    abstained_confidence: np.ndarray | None
+    gain: np.ndarray | None
 
 
 def selective_curve(
@@ -340,36 +345,28 @@ def selective_curve(
     rate 0.  Both sides' mean confidence and accuracy are recorded; empty
     sides report them as absent.
 
-    A ``(T, n)`` matrix of confidences, with labels and ``query_ids`` of the
-    same shape, scores T trials at once, and each point's means are then
-    ``(T,)`` arrays; a vector is the one-row case and gives floats.
+    Scores the T trials of a ``(T, n)`` matrix of confidences, with labels
+    and ``query_ids`` of the same shape, at once: each point's means are
+    ``(T,)`` arrays.  A vector is one trial and gives ``(1,)`` arrays.
+    Confidences and labels are checked as :func:`metrics.compute_report`
+    checks them.
     """
-    conf = np.asarray(confidences, dtype=float)
-    lab = np.asarray(labels, dtype=float)
-    if conf.ndim not in (1, 2) or conf.shape != lab.shape:
-        raise DataError("confidences and labels must be 1-d or (trials, n) and the same shape")
-    one_row = conf.ndim == 1
-    if one_row:
-        conf, lab = conf[None], lab[None]
-    n = conf.shape[1]
-    if n == 0:
-        raise DataError("selective prediction needs at least one query")
+    c = _checked_confidences(confidences, rows=True)
+    z = _checked_labels(labels, c.shape)
     if query_ids is None:
-        order = np.argsort(conf, axis=1, kind="stable")
+        order = np.argsort(c, axis=-1, kind="stable")
     else:
-        ids = np.array(query_ids, dtype=str)[None] if one_row else np.asarray(query_ids)
-        if ids.shape != conf.shape:
+        ids = np.asarray(query_ids, dtype=str)
+        if ids.shape != c.shape:
             raise DataError("query_ids must align with confidences")
-        order = np.lexsort((ids, conf), axis=1)
-    sorted_labels = np.take_along_axis(lab, order, axis=1)
-    sorted_conf = np.take_along_axis(conf, order, axis=1)
+        order = np.lexsort((ids, c), axis=-1)
+    n = c.shape[-1]
+    sorted_labels = np.atleast_2d(np.take_along_axis(z, order, axis=-1))
+    sorted_conf = np.atleast_2d(np.take_along_axis(c, order, axis=-1))
 
-    def mean(values: np.ndarray) -> float | np.ndarray | None:
+    def mean(values: np.ndarray) -> np.ndarray | None:
         # Row sums over counts: the floats ndarray.mean returns per row.
-        if not values.shape[1]:
-            return None
-        means = values.sum(axis=1) / values.shape[1]
-        return float(means[0]) if one_row else means
+        return values.sum(axis=1) / values.shape[1] if values.shape[1] else None
 
     base_accuracy = mean(sorted_labels)
     points: list[SelectivePoint] = []

@@ -11,13 +11,14 @@ every bin is populated whenever ``n >= B``.  With ``w_b = n_b / n``,
 
 Brier score is the mean squared error ``mean((c - z)**2)``.  AUROC is the
 rank-based Mann-Whitney statistic with average ranks, so tied score pairs
-count 0.5; a single-class input has no defined AUROC and yields None, which
-downstream reporting propagates as absent (never 0 or 0.5).
+count 0.5; a single-class input has no defined AUROC: ``auroc()`` returns
+None for it and a report table holds NaN in its row, which downstream
+reporting propagates as absent (never 0 or 0.5).
 
 Every metric is computed for a ``(T, n)`` matrix of T evaluation sets of one
 size at once, one row per set, with the row-wise form of each reduction the
 one-set code would take; so row ``t`` holds the bits a call on that row alone
-gives.  One evaluation set is the one-row case.
+gives.  One evaluation set, a vector, is the one-row case.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, require_integer
 
 REPORT_FORMAT = "conscal-report/1"
 
@@ -58,8 +59,7 @@ def _checked_labels(labels: Any, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _bin_spans(n: int, bins: int) -> list[tuple[int, int]]:
-    if bins < 1:
-        raise DataError(f"bins must be >= 1, got {bins}")
+    require_integer("bins", bins, 1)
     if n < bins:
         raise DataError(f"need at least {bins} points for {bins} bins, got {n}")
     edges = [(b * n) // bins for b in range(bins + 1)]
@@ -69,10 +69,6 @@ def _bin_spans(n: int, bins: int) -> list[tuple[int, int]]:
 def equal_mass_bins(confidences: Any, bins: int) -> list[tuple[int, int]]:
     """Index ranges ``[lower, upper)`` into the stable-sorted order."""
     return _bin_spans(_checked_confidences(confidences).shape[0], bins)
-
-
-def _defined(value: float) -> float | None:
-    return None if math.isnan(value) else value
 
 
 def _aurocs(s_sorted: np.ndarray, z_sorted: np.ndarray) -> np.ndarray:
@@ -118,37 +114,12 @@ def _histograms(c: np.ndarray, buckets: int) -> np.ndarray:
     return np.bincount(bucket[inside], minlength=rows * buckets).reshape(rows, buckets)
 
 
-@dataclass(frozen=True)
-class BinStat:
-    """One equal-mass reliability bin over the sorted order."""
-
-    lower: int
-    upper: int
-    count: int
-    mean_confidence: float
-    accuracy: float
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """All metrics for one method on one evaluation set."""
-
-    ece1: float
-    ece2: float
-    mce: float
-    brier: float
-    auroc: float | None
-    bins: tuple[BinStat, ...]
-    histogram: tuple[int, ...]
-    n: int
-
-
 @dataclass(frozen=True, eq=False)
 class ReportTable:
     """All metrics for T evaluation sets of ``n`` pairs each, one row per
     set: ``(T,)`` columns, ``(T, bins)`` bin means over the shared ``spans``
     and ``(T, buckets)`` histogram counts.  ``auroc`` is NaN where a set has
-    one class."""
+    one class.  One evaluation set is a one-row table."""
 
     ece1: np.ndarray
     ece2: np.ndarray
@@ -171,24 +142,6 @@ class ReportTable:
         return all(
             np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
             for a, b in pairs
-        )
-
-    def report(self, t: int) -> MetricReport:
-        """Row ``t`` as the report of its evaluation set alone."""
-        return MetricReport(
-            ece1=float(self.ece1[t]),
-            ece2=float(self.ece2[t]),
-            mce=float(self.mce[t]),
-            brier=float(self.brier[t]),
-            auroc=_defined(float(self.auroc[t])),
-            bins=tuple(
-                BinStat(lower=lo, upper=hi, count=hi - lo, mean_confidence=conf, accuracy=acc)
-                for (lo, hi), conf, acc in zip(
-                    self.spans, self.mean_confidence[t].tolist(), self.accuracy[t].tolist()
-                )
-            ),
-            histogram=tuple(self.histogram[t].tolist()),
-            n=self.n,
         )
 
 
@@ -226,35 +179,34 @@ def _report_table(c: np.ndarray, z: np.ndarray, bins: int) -> ReportTable:
     )
 
 
-def compute_report(confidences: Any, labels: Any, bins: int = 12) -> MetricReport | ReportTable:
-    """Every metric for one evaluation set, from one validation and one sort.
+def compute_report(confidences: Any, labels: Any, bins: int = 12) -> ReportTable:
+    """Every metric of T evaluation sets, from one validation and one sort.
 
-    Given a ``(T, n)`` matrix of confidences and labels of the same shape,
-    scores its T rows at once and returns a :class:`ReportTable`; a vector
-    is the one-row case and gives that row's :class:`MetricReport`.
+    Scores the rows of a ``(T, n)`` matrix of confidences, with labels of the
+    same shape, at once; a vector is one evaluation set and gives a one-row
+    table.
     """
     c = _checked_confidences(confidences, rows=True)
     z = _checked_labels(labels, c.shape)
-    if c.ndim == 2:
-        return _report_table(c, z, bins)
-    return _report_table(c[None], z[None], bins).report(0)
+    return _report_table(np.atleast_2d(c), np.atleast_2d(z), bins)
 
 
-def _one_report(confidences: Any, labels: Any, bins: int) -> MetricReport:
+def _one_row(confidences: Any, labels: Any, bins: int) -> ReportTable:
+    """The one-row table of a single evaluation set; a matrix is refused."""
     return compute_report(_checked_confidences(confidences), labels, bins)
 
 
 def ece(confidences: Any, labels: Any, bins: int = 12, p: int = 1) -> float:
     """Equal-mass expected calibration error with exponent ``p``."""
-    if p not in (1, 2):
+    if isinstance(p, bool) or p not in (1, 2):
         raise DataError(f"p must be 1 or 2, got {p!r}")
-    report = _one_report(confidences, labels, bins)
-    return report.ece1 if p == 1 else report.ece2
+    table = _one_row(confidences, labels, bins)
+    return float((table.ece1 if p == 1 else table.ece2)[0])
 
 
 def mce(confidences: Any, labels: Any, bins: int = 12) -> float:
     """Maximum calibration error: the largest per-bin gap."""
-    return _one_report(confidences, labels, bins).mce
+    return float(_one_row(confidences, labels, bins).mce[0])
 
 
 def brier(confidences: Any, labels: Any) -> float:
@@ -271,17 +223,25 @@ def auroc(scores: Any, labels: Any) -> float | None:
     s = _checked_confidences(scores)
     z = _checked_labels(labels, s.shape)
     order = np.argsort(s, kind="stable")
-    return _defined(float(_aurocs(s[None, order], z[None, order])[0]))
+    value = float(_aurocs(s[None, order], z[None, order])[0])
+    return None if math.isnan(value) else value
 
 
-def reliability_data(confidences: Any, labels: Any, bins: int = 12) -> list[BinStat]:
-    """Per-bin mean confidence and accuracy for reliability diagrams."""
-    return list(_one_report(confidences, labels, bins).bins)
+def reliability_data(confidences: Any, labels: Any, bins: int = 12) -> list[dict[str, float]]:
+    """Per-bin rows for reliability diagrams: the bin's ``lower``/``upper``
+    positions in the sorted order, its ``count``, ``mean_confidence`` and
+    ``accuracy``."""
+    table = _one_row(confidences, labels, bins)
+    return [
+        {"lower": lo, "upper": hi, "count": hi - lo, "mean_confidence": conf, "accuracy": acc}
+        for (lo, hi), conf, acc in zip(
+            table.spans, table.mean_confidence[0].tolist(), table.accuracy[0].tolist()
+        )
+    ]
 
 
 def confidence_histogram(confidences: Any, buckets: int = HISTOGRAM_BUCKETS) -> list[int]:
     """Equal-width bucket counts of confidences over [0, 1]."""
     c = _checked_confidences(confidences)
-    if buckets < 1:
-        raise DataError(f"buckets must be >= 1, got {buckets}")
+    require_integer("buckets", buckets, 1)
     return _histograms(c[None], buckets)[0].tolist()

@@ -245,7 +245,7 @@ def test_criterion_09_selective_prediction_behaves(benchmark_data, benchmark_res
         labels = benchmark_data.deploy_correct[test_idx]
         ids = [benchmark_data.query_ids[i] for i in test_idx]
         points = selective_curve(labels, labels, rates, query_ids=ids)
-        gain_sums += np.array([p.gain for p in points])
+        gain_sums += np.array([p.gain[0] for p in points])
     mean_gains = gain_sums / trials
     for previous, current in zip(mean_gains, mean_gains[1:]):
         assert current >= previous - 0.01
@@ -275,8 +275,8 @@ def test_criterion_09_selective_prediction_behaves(benchmark_data, benchmark_res
         labels = benchmark_data.deploy_correct[test_idx]
         ids = [benchmark_data.query_ids[i] for i in test_idx]
         (point,) = selective_curve(confidences, labels, [0.3], query_ids=ids)
-        answered_gaps.append(abs(point.confidence - point.accuracy))
-        abstained_gaps.append(abs(point.abstained_confidence - point.abstained_accuracy))
+        answered_gaps.append(abs(point.confidence[0] - point.accuracy[0]))
+        abstained_gaps.append(abs(point.abstained_confidence[0] - point.abstained_accuracy[0]))
     assert float(np.mean(answered_gaps)) <= 0.05
     assert float(np.mean(abstained_gaps)) <= 0.05
     assert time.monotonic() - started < 120.0

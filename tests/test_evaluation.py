@@ -235,8 +235,29 @@ def _with_report_rows(summary):
     layout the results were recorded in."""
     table = summary.per_trial
     return dataclasses.replace(
-        summary, per_trial=tuple(table.report(t) for t in range(len(table)))
+        summary, per_trial=[_report_row(table, t) for t in range(len(table))]
     )
+
+
+def _report_row(table, t):
+    """Row ``t`` of a report table as plain values: a NaN AUROC as None, the
+    bins as ``lower``/``upper``/``count``/``mean_confidence``/``accuracy``."""
+    auroc_t = float(table.auroc[t])
+    return {
+        "ece1": float(table.ece1[t]),
+        "ece2": float(table.ece2[t]),
+        "mce": float(table.mce[t]),
+        "brier": float(table.brier[t]),
+        "auroc": None if math.isnan(auroc_t) else auroc_t,
+        "bins": [
+            {"lower": lo, "upper": hi, "count": hi - lo, "mean_confidence": conf, "accuracy": acc}
+            for (lo, hi), conf, acc in zip(
+                table.spans, table.mean_confidence[t].tolist(), table.accuracy[t].tolist()
+            )
+        ],
+        "histogram": table.histogram[t].tolist(),
+        "n": table.n,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +322,8 @@ def test_trial_config_defaults_are_valid():
 def test_selective_curve_reference_instance():
     points = selective_curve([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0], [0.5, 0.0])
     at_half, at_zero = points
+    # A vector is one trial: every mean is a (1,) array.
+    assert at_half.accuracy.shape == at_zero.gain.shape == (1,)
     assert at_half.abstained == 2 and at_half.answered == 2
     assert at_half.accuracy == 1.0
     assert at_half.confidence == pytest.approx(0.85)
@@ -330,6 +353,25 @@ def test_confidence_ties_break_by_query_id():
     # Ties at 0.5: "a" (label 0) sorts before "b", so only "a" is dropped.
     assert points[0].abstained == 1
     assert points[0].accuracy == 1.0
+
+
+def test_selective_curve_checks_its_input_as_compute_report_does():
+    bad = [
+        ([0.1, np.nan, 0.9, 0.5], [0, 1, 2, 1]),
+        ([0.1, 0.2, 0.9, 0.5], [0, 1, 2, 1]),
+        ([0.1, 0.2, np.inf, 0.5], [0, 1, 1, 1]),
+        ([0.1, 0.2, 0.9], [0, 1, 1, 1]),
+        (np.empty((0, 4)), np.empty((0, 4))),
+        (np.empty((3, 0)), np.empty((3, 0))),
+        (np.full((2, 2, 2), 0.5), np.ones((2, 2, 2))),
+        (np.full((2, 3), 0.5), np.ones((3, 2))),
+    ]
+    for confidences, labels in bad:
+        with pytest.raises(DataError) as reported:
+            compute_report(confidences, labels, bins=1)
+        with pytest.raises(DataError) as selective:
+            selective_curve(confidences, labels, [0.25])
+        assert str(selective.value) == str(reported.value)
 
 
 def test_selective_rates_outside_the_unit_interval_are_rejected():
@@ -454,7 +496,9 @@ def test_each_trial_depends_only_on_its_own_index():
     one = run_trials(data, dataclasses.replace(_FAST, n_trials=1))
     three = run_trials(data, dataclasses.replace(_FAST, n_trials=3))
     for method in _FAST.methods:
-        assert three.methods[method].per_trial.report(0) == one.methods[method].per_trial.report(0)
+        assert _report_row(three.methods[method].per_trial, 0) == _report_row(
+            one.methods[method].per_trial, 0
+        )
 
 
 def test_supervised_method_needs_a_correctness_source():
@@ -576,6 +620,17 @@ def _comparable(value):
     return value
 
 
+def _curve_row(points, t):
+    """Trial ``t`` of a selective curve as plain values, each mean a float."""
+    return [
+        {
+            name: value if value is None or name not in _MEAN_FIELDS else float(value[t])
+            for name, value in dataclasses.asdict(p).items()
+        }
+        for p in points
+    ]
+
+
 @given(_trial_matrices())
 @settings(max_examples=150)
 def test_batched_scoring_equals_the_per_trial_loops_bit_for_bit(instance):
@@ -583,27 +638,17 @@ def test_batched_scoring_equals_the_per_trial_loops_bit_for_bit(instance):
     table = compute_report(confidences, labels, bins=bins)
     reports = reports_by_trial_loop(confidences, labels, bins)
     for t, want in enumerate(reports):
-        got = table.report(t)
-        assert got == compute_report(confidences[t], labels[t], bins=bins)
-        assert (got.ece1, got.ece2, got.mce, got.brier, got.auroc, got.n) == tuple(
-            want[name] for name in ("ece1", "ece2", "mce", "brier", "auroc", "n")
-        )
-        assert [dataclasses.astuple(b) for b in got.bins] == want["bins"]
-        assert list(got.histogram) == want["histogram"]
+        got = _report_row(table, t)
+        assert got == _report_row(compute_report(confidences[t], labels[t], bins=bins), 0)
+        assert [tuple(b.values()) for b in got.pop("bins")] == want["bins"]
+        assert got == {name: want[name] for name in got}
 
     points = selective_curve(confidences, labels, rates, query_ids=query_ids)
     curves = selective_by_trial_loop(confidences, labels, rates, query_ids)
     for t, curve in enumerate(curves):
-        rows = [
-            {
-                name: value if value is None or name not in _MEAN_FIELDS else float(value[t])
-                for name, value in dataclasses.asdict(p).items()
-            }
-            for p in points
-        ]
-        assert rows == curve
+        assert _curve_row(points, t) == curve
         one = selective_curve(confidences[t], labels[t], rates, query_ids=list(query_ids[t]))
-        assert [dataclasses.asdict(p) for p in one] == curve
+        assert _curve_row(one, 0) == curve
 
     summary = evaluation._aggregate("m", table, labels, points)
     want = aggregate_by_trial_loop(reports, [float(row.mean()) for row in labels], curves)
@@ -702,7 +747,7 @@ def test_shifted_arm_uses_the_fixed_group_split_every_trial():
     results = shift_eval(data, config, ["main"], ["hard"])
     trials = results["shifted"].methods["token_prob"].per_trial
     # token_prob needs no fitting, so identical fixed splits give identical trials.
-    assert trials.report(0) == trials.report(1)
+    assert _report_row(trials, 0) == _report_row(trials, 1)
 
 
 # ---------------------------------------------------------------------------

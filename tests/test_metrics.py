@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conscal.errors import DataError
 from conscal.metrics import (
     HISTOGRAM_BUCKETS,
+    ReportTable,
     auroc,
     brier,
     compute_report,
@@ -54,8 +55,15 @@ def test_five_points_in_two_bins_split_two_three():
 def test_more_bins_than_points_is_an_error():
     with pytest.raises(DataError):
         equal_mass_bins([0.1, 0.2, 0.3], bins=5)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="bins must be >= 1, got 0"):
         equal_mass_bins([0.1], bins=0)
+    for bins in (2.0, True, "2", None):
+        with pytest.raises(DataError, match="bins must be an integer"):
+            equal_mass_bins([0.1, 0.2], bins=bins)
+        with pytest.raises(DataError, match="bins must be an integer"):
+            compute_report([0.1, 0.2], [0, 1], bins=bins)
+        with pytest.raises(DataError, match="bins must be an integer"):
+            ece([0.1, 0.2], [0, 1], bins=bins)
 
 
 @given(_instances(min_size=4), st.integers(min_value=1, max_value=4))
@@ -88,11 +96,12 @@ def test_four_point_instance_has_gap_point_15_everywhere():
 
 def test_reliability_rows_for_the_four_point_instance():
     rows = reliability_data(_FOUR_CONF, _FOUR_LABELS, bins=2)
-    assert [(r.lower, r.upper, r.count) for r in rows] == [(0, 2, 2), (2, 4, 2)]
-    assert rows[0].mean_confidence == pytest.approx(0.35)
-    assert rows[0].accuracy == 0.5
-    assert rows[1].mean_confidence == pytest.approx(0.85)
-    assert rows[1].accuracy == 1.0
+    assert [(r["lower"], r["upper"], r["count"]) for r in rows] == [(0, 2, 2), (2, 4, 2)]
+    assert rows[0]["mean_confidence"] == pytest.approx(0.35)
+    assert rows[0]["accuracy"] == 0.5
+    assert rows[1]["mean_confidence"] == pytest.approx(0.85)
+    assert rows[1]["accuracy"] == 1.0
+    assert all(list(r) == ["lower", "upper", "count", "mean_confidence", "accuracy"] for r in rows)
 
 
 def test_totally_wrong_and_perfect_confidence_hit_the_extremes():
@@ -104,6 +113,8 @@ def test_totally_wrong_and_perfect_confidence_hit_the_extremes():
 def test_ece_rejects_other_exponents_and_misaligned_labels():
     with pytest.raises(DataError):
         ece([0.5, 0.5], [1, 0], p=3)
+    with pytest.raises(DataError, match="p must be 1 or 2, got True"):
+        ece([0.5, 0.5], [1, 0], p=True)
     with pytest.raises(DataError):
         ece([0.5, 0.5], [1])
     with pytest.raises(DataError):
@@ -190,8 +201,11 @@ def test_histogram_buckets_cover_the_unit_interval():
 
 
 def test_histogram_rejects_bad_bucket_counts():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="buckets must be >= 1, got 0"):
         confidence_histogram([0.5], buckets=0)
+    for buckets in (2.5, 2.0, True):
+        with pytest.raises(DataError, match="buckets must be an integer"):
+            confidence_histogram([0.5], buckets=buckets)
 
 
 @given(_instances(min_size=6, max_size=60), st.integers(min_value=1, max_value=6))
@@ -200,16 +214,24 @@ def test_compute_report_is_consistent_with_the_individual_metrics(pairs, bins):
     labels = [z for _, z in pairs]
     n = len(pairs)
     report = compute_report(confidences, labels, bins=bins)
-    assert report.ece1 == ece(confidences, labels, bins=bins)
-    assert report.ece2 == ece(confidences, labels, bins=bins, p=2)
-    assert report.mce == mce(confidences, labels, bins=bins)
-    assert report.brier == brier(confidences, labels)
-    assert report.auroc == auroc(confidences, labels)
-    assert report.bins == tuple(reliability_data(confidences, labels, bins=bins))
-    assert len(report.bins) == bins
-    assert sum(b.count for b in report.bins) == n
-    assert len(report.histogram) == 20
-    assert sum(report.histogram) == n
+    assert isinstance(report, ReportTable) and len(report) == 1
+    assert report.ece1[0] == ece(confidences, labels, bins=bins)
+    assert report.ece2[0] == ece(confidences, labels, bins=bins, p=2)
+    assert report.mce[0] == mce(confidences, labels, bins=bins)
+    assert report.brier[0] == brier(confidences, labels)
+    want_auroc = auroc(confidences, labels)
+    if want_auroc is None:
+        assert np.isnan(report.auroc[0])
+    else:
+        assert report.auroc[0] == want_auroc
+    rows = reliability_data(confidences, labels, bins=bins)
+    assert [(r["lower"], r["upper"]) for r in rows] == list(report.spans)
+    assert [r["mean_confidence"] for r in rows] == report.mean_confidence[0].tolist()
+    assert [r["accuracy"] for r in rows] == report.accuracy[0].tolist()
+    assert len(report.spans) == bins
+    assert sum(r["count"] for r in rows) == n
+    assert report.histogram.shape == (1, 20)
+    assert report.histogram.sum() == n
     assert report.n == n
 
 
@@ -218,9 +240,10 @@ def test_bin_means_equal_numpy_mean_exactly(pairs, bins):
     confidences = np.array([c for c, _ in pairs])
     labels = np.array([z for _, z in pairs], dtype=float)
     order = np.argsort(confidences, kind="stable")
-    for b in compute_report(confidences, labels, bins=bins).bins:
-        assert b.mean_confidence == float(np.mean(confidences[order][b.lower : b.upper]))
-        assert b.accuracy == float(np.mean(labels[order][b.lower : b.upper]))
+    report = compute_report(confidences, labels, bins=bins)
+    for (lo, hi), conf, acc in zip(report.spans, report.mean_confidence[0], report.accuracy[0]):
+        assert conf == float(np.mean(confidences[order][lo:hi]))
+        assert acc == float(np.mean(labels[order][lo:hi]))
 
 
 @given(_instances(min_size=12, max_size=60, discrete=True), st.integers(min_value=1, max_value=12))
@@ -230,13 +253,15 @@ def test_compute_report_matches_per_bin_loops_under_heavy_ties(pairs, bins):
     labels = [z for _, z in pairs]
     ece1, ece2, worst, rows = ece_by_loops(confidences, labels, bins)
     report = compute_report(confidences, labels, bins=bins)
-    assert report.ece1 == pytest.approx(ece1, abs=1e-12)
-    assert report.ece2 == pytest.approx(ece2, abs=1e-12)
-    assert report.mce == pytest.approx(worst, abs=1e-12)
-    assert [(b.lower, b.upper, b.count) for b in report.bins] == [r[:3] for r in rows]
-    for b, (_, _, _, conf, acc) in zip(report.bins, rows):
-        assert b.mean_confidence == pytest.approx(conf, abs=1e-12)
-        assert b.accuracy == pytest.approx(acc, abs=1e-12)
+    assert report.ece1[0] == pytest.approx(ece1, abs=1e-12)
+    assert report.ece2[0] == pytest.approx(ece2, abs=1e-12)
+    assert report.mce[0] == pytest.approx(worst, abs=1e-12)
+    assert [(lo, hi, hi - lo) for lo, hi in report.spans] == [r[:3] for r in rows]
+    for got_conf, got_acc, (_, _, _, conf, acc) in zip(
+        report.mean_confidence[0], report.accuracy[0], rows
+    ):
+        assert got_conf == pytest.approx(conf, abs=1e-12)
+        assert got_acc == pytest.approx(acc, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +312,10 @@ def test_confidence_histogram_equals_the_edge_scan_exactly(instance):
 def test_compute_report_auroc_and_histogram_are_exact(instance, bins):
     values, labels, _ = instance
     report = compute_report(values, labels, bins=bins)
-    assert report.auroc == auroc_by_rankdata(values, labels)
-    assert report.histogram == tuple(histogram_by_edges(values, HISTOGRAM_BUCKETS))
-    assert all(type(count) is int for count in report.histogram)
+    want_auroc = auroc_by_rankdata(values, labels)
+    if want_auroc is None:
+        assert np.isnan(report.auroc[0])
+    else:
+        assert report.auroc[0] == want_auroc
+    assert report.histogram[0].tolist() == histogram_by_edges(values, HISTOGRAM_BUCKETS)
+    assert report.histogram.dtype.kind == "i"
