@@ -38,6 +38,7 @@ from .consistency import (
     build_target,
     extract_boxed,
     normalize_answer,
+    subsample_shares,
     subsample_targets,
 )
 from .errors import ConfigError, DataError, RecordError
@@ -117,6 +118,7 @@ __all__ = [
     "selective_curve",
     "shift_eval",
     "split_cal_test",
+    "subsample_shares",
     "subsample_targets",
     "token_prob_score",
 ]

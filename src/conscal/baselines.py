@@ -18,8 +18,8 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .consistency import boxed_groups
-from .errors import DataError, RecordError, is_finite_real
-from .records import json_lines, write_json_lines
+from .errors import DataError
+from .records import write_json_lines
 
 _DECIMAL = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)$")
 
@@ -231,29 +231,3 @@ def write_scores(path: str, rows: Iterable[dict[str, Any]]) -> None:
     """
     write_json_lines(path, map(_score_object, rows))
 
-
-def load_scores(path: str) -> list[dict[str, Any]]:
-    rows: list[dict[str, Any]] = []
-    for lineno, obj, reason in json_lines(path):
-        if reason is not None:
-            raise RecordError(f"{path}:{lineno}: invalid JSON ({reason})", path=path, line=lineno)
-        if (
-            not isinstance(obj, dict)
-            or not isinstance(obj.get("query_id"), str)
-            or not isinstance(obj.get("method"), str)
-            or not isinstance(obj.get("confidence"), (int, float))
-            or isinstance(obj.get("confidence"), bool)
-        ):
-            raise RecordError(
-                f"{path}:{lineno}: score rows need query_id, method, confidence",
-                path=path,
-                line=lineno,
-            )
-        if not is_finite_real(obj["confidence"]):
-            raise RecordError(
-                f"{path}:{lineno}: confidence must be a finite number",
-                path=path,
-                line=lineno,
-            )
-        rows.append(obj)
-    return rows

@@ -13,7 +13,11 @@ numeric canonicalization is attempted, so "0.50" and "0.5" stay distinct.
 :func:`answer_codes` is the one place answers are extracted: it turns a
 sample set into integer codes once, and every target (:func:`build_target`
 over all samples, :func:`subsample_targets` over a seeded draw) is then a
-count over those codes.
+count over those codes.  One rule draws the k samples: ``k`` of ``n``
+positions without replacement from a generator seeded for the query, or all
+``n`` positions, with no generator built, when ``k == n``.
+:func:`subsample_shares` counts many queries' draws with one ``bincount``,
+for the trial loop, which reads only the shares.
 """
 
 from __future__ import annotations
@@ -202,16 +206,68 @@ def build_target(codes: AnswerCodes) -> ConsistencyTarget:
     return _target(codes, range(codes.codes.size))
 
 
+def _draw(codes: AnswerCodes, k: int, seed: int) -> np.ndarray:
+    """Positions of ``k`` of the set's samples, drawn uniformly without
+    replacement from the stream ``seed``.
+
+    A draw of all ``n`` samples is every position, so ``k == n`` returns
+    ``range(n)`` in order and builds no generator.
+    """
+    n = codes.codes.size
+    if not 1 <= k <= n:
+        raise DataError(f"query {codes.query_id}: cannot subsample {k} of {n} samples")
+    if k == n:
+        return np.arange(n)
+    return seeding.generator(seed).choice(n, size=k, replace=False)
+
+
 def subsample_targets(codes: AnswerCodes, k: int, seed: int) -> ConsistencyTarget:
     """Target built from ``k`` samples drawn uniformly without replacement.
 
     Deterministic given ``(codes, k, seed)``.  Selected sample indices keep
     their original values.
     """
-    n = codes.codes.size
-    if not 1 <= k <= n:
-        raise DataError(f"query {codes.query_id}: cannot subsample {k} of {n} samples")
-    return _target(codes, np.sort(seeding.generator(seed).choice(n, size=k, replace=False)))
+    return _target(codes, np.sort(_draw(codes, k, seed)))
+
+
+def subsample_shares(
+    coded: Sequence[AnswerCodes], k: int, seeds: Sequence[int]
+) -> np.ndarray:
+    """``subsample_targets(c, k, seed=s).s`` for each ``c`` and ``s`` of
+    ``coded`` and ``seeds``, from the same draws, counted at once.
+
+    A loop of :func:`subsample_targets` would raise the first failing
+    query's error; so does this.
+    """
+    drawn: list[np.ndarray] = []
+    for c, seed in zip(coded, seeds, strict=True):
+        try:
+            positions = _draw(c, k, seed)
+        except DataError:
+            _modal_counts(coded, drawn, k)  # an earlier query may fail first
+            raise
+        drawn.append(c.codes[positions])
+    return _modal_counts(coded, drawn, k) / k
+
+
+def _modal_counts(coded: Sequence[AnswerCodes], drawn: list[np.ndarray], k: int) -> np.ndarray:
+    """The modal answer's count in each row of ``drawn``, the codes drawn
+    from ``coded[row]``, by one ``bincount``.
+
+    Row ``r``'s codes are shifted into ``[width * r, width * (r + 1))``, with
+    column 0 for samples without an answer.  Counts ignore order, so the
+    draws need no sort.
+    """
+    rows = len(drawn)
+    width = 1 + max((len(c.answers) for c in coded[:rows]), default=0)
+    shifted = np.array(drawn, dtype=np.intp) + 1 + width * np.arange(rows)[:, None]
+    counts = np.bincount(shifted.ravel(), minlength=rows * width).reshape(rows, width)
+    modal = counts[:, 1:].max(axis=1, initial=0)
+    if (empty := np.flatnonzero(modal == 0)).size:
+        raise DataError(
+            f"query {coded[empty[0]].query_id}: no extractable answer in any of {k} samples"
+        )
+    return modal
 
 
 # ---------------------------------------------------------------------------

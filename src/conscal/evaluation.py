@@ -54,7 +54,7 @@ from .consistency import (
     answer_codes,
     build_target,
     is_match,
-    subsample_targets,
+    subsample_shares,
 )
 from .errors import ConfigError, DataError, require_integer, require_real
 from .metrics import (
@@ -448,15 +448,10 @@ def _fitted_trial(
     if config.k_subsample is None:
         s_cal = data.targets_s[cal_idx]
     else:
-        s_cal = np.array(
-            [
-                subsample_targets(
-                    data.codes[i],
-                    config.k_subsample,
-                    seed=seeding.mix(tseed, _S_SUBSAMPLE, int(i)),
-                ).s
-                for i in cal_idx
-            ]
+        s_cal = subsample_shares(
+            [data.codes[i] for i in cal_idx],
+            config.k_subsample,
+            [seeding.mix(tseed, _S_SUBSAMPLE, int(i)) for i in cal_idx],
         )
     model = fit_pipeline(
         data.features[cal_idx],

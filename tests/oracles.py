@@ -10,6 +10,9 @@ scan of histogram edges.  They share no code with the package beyond the
 standard library (numpy only for array plumbing, scipy only for ranking and
 the Cholesky solve), so agreement between the two routes is meaningful
 evidence.
+
+:func:`load_scores` is the exception: no command reads ``scores.jsonl``
+back, so its reader lives here, on the package's line decoder.
 """
 
 from __future__ import annotations
@@ -19,11 +22,14 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.stats
+
+from conscal.errors import RecordError, is_finite_real
+from conscal.records import json_lines
 
 
 def isotonic_by_enumeration(
@@ -767,3 +773,32 @@ def aggregate_by_trial_loop(
         "histogram": [float(v) for v in np.mean([r["histogram"] for r in reports], axis=0)],
         "selective": selective,
     }
+
+
+def load_scores(path: str) -> list[dict[str, Any]]:
+    """The rows of a ``conscal score`` file; a malformed or non-finite row
+    raises a RecordError naming its line."""
+    rows: list[dict[str, Any]] = []
+    for lineno, obj, reason in json_lines(path):
+        if reason is not None:
+            raise RecordError(f"{path}:{lineno}: invalid JSON ({reason})", path=path, line=lineno)
+        if (
+            not isinstance(obj, dict)
+            or not isinstance(obj.get("query_id"), str)
+            or not isinstance(obj.get("method"), str)
+            or not isinstance(obj.get("confidence"), (int, float))
+            or isinstance(obj.get("confidence"), bool)
+        ):
+            raise RecordError(
+                f"{path}:{lineno}: score rows need query_id, method, confidence",
+                path=path,
+                line=lineno,
+            )
+        if not is_finite_real(obj["confidence"]):
+            raise RecordError(
+                f"{path}:{lineno}: confidence must be a finite number",
+                path=path,
+                line=lineno,
+            )
+        rows.append(obj)
+    return rows

@@ -17,7 +17,6 @@ from conscal.baselines import (
     apply_platt,
     fit_platt,
     impute_verbal,
-    load_scores,
     parse_verbal_confidence,
     platt_nll,
     token_prob_score,
@@ -26,7 +25,7 @@ from conscal.baselines import (
 from conscal.errors import DataError, RecordError
 from conscal.metrics import auroc
 
-from oracles import platt_by_full_newton, platt_nll_by_grid
+from oracles import load_scores, platt_by_full_newton, platt_nll_by_grid
 
 LN = math.log
 

@@ -17,6 +17,7 @@ from conscal import baselines, calibrator, consistency, evaluation, records
 from conscal.cli import build_parser, main
 
 from conftest import make_batch, make_generation, make_query
+from oracles import load_scores
 
 
 def _read_bytes(path):
@@ -428,7 +429,7 @@ def test_score_rows_match_library_computations(data_dir, model_dir, tmp_path):
                 + ["--model", str(model_dir / "model.json"),
                    "--methods", "distilled,token_prob,tt_sc", "--out", str(out)])
     assert code == 0
-    rows = baselines.load_scores(str(out / "scores.jsonl"))
+    rows = load_scores(str(out / "scores.jsonl"))
     queries = records.load_queries(str(data_dir / "queries.jsonl"))
     sets = records.load_generations(str(data_dir / "generations.jsonl"), queries)
     batch = sets[0].batch
@@ -459,7 +460,7 @@ def test_score_verbal_rows_flag_imputation(data_dir, tmp_path):
     out = tmp_path / "verbal"
     assert main(["score"] + _data_flags(data_dir, labels=False)
                 + ["--methods", "verbal_conf", "--out", str(out)]) == 0
-    rows = baselines.load_scores(str(out / "scores.jsonl"))
+    rows = load_scores(str(out / "scores.jsonl"))
     assert rows and all(isinstance(r["imputed"], bool) for r in rows)
     assert any(r["imputed"] for r in rows)  # the generator omits some statements
     assert all(0.0 <= r["confidence"] <= 1.0 for r in rows)

@@ -19,6 +19,7 @@ from conscal.consistency import (
     is_match,
     load_targets,
     normalize_answer,
+    subsample_shares,
     subsample_targets,
     write_targets,
 )
@@ -291,6 +292,77 @@ def test_targets_match_the_counter_oracle(answers, k, seed):
             subsample_targets(codes, k, seed=seed)
     else:
         assert subsample_targets(codes, k, seed=seed) == drawn
+
+
+def _coded(answer_lists):
+    return [answer_codes(make_set(a, query_id=f"q{i}")) for i, a in enumerate(answer_lists)]
+
+
+def _outcome(shares):
+    """The shares ``shares()`` returns as floats, or its DataError's message."""
+    try:
+        return [float(s) for s in shares()]
+    except DataError as error:
+        return str(error)
+
+
+# Sets of mixed sizes; k runs past the smallest so range errors are drawn too.
+@given(
+    st.lists(_answers.filter(bool), min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=10),
+    st.lists(st.integers(0, 2**64 - 1), min_size=5, max_size=5),
+)
+@example([["a", "b"], ["b", "a", "a"]], 2, [0, 1, 2, 3, 4])  # a tie, then k == n
+@example([["a"], [None, "a", None]], 1, [0, 1, 2, 3, 4])
+@example([["a", "A"], [None, None], ["b"]], 2, [5, 6, 7, 8, 9])
+@example([["a"] * 3, ["b"], ["c"] * 4], 2, [0, 0, 0, 0, 0])  # q1 is too small
+@example([[None, None], ["a"]], 2, [0, 1, 2, 3, 4])  # q0 fails before q1 is too small
+def test_subsample_shares_equal_a_loop_of_subsample_targets(answer_lists, k, seeds):
+    coded = _coded(answer_lists)
+    seeds = seeds[: len(coded)]
+    expected = _outcome(lambda: [subsample_targets(c, k, seed=s).s for c, s in zip(coded, seeds)])
+    assert _outcome(lambda: subsample_shares(coded, k, seeds)) == expected
+
+
+def test_subsample_shares_name_the_first_query_without_an_answer():
+    coded = _coded([["a", "b"], [None, None, None], [None, None]])
+    with pytest.raises(DataError) as excinfo:
+        subsample_shares(coded, 2, [3, 4, 5])
+    assert str(excinfo.value) == "query q1: no extractable answer in any of 2 samples"
+    with pytest.raises(DataError) as looped:
+        [subsample_targets(c, 2, seed=s) for c, s in zip(coded, [3, 4, 5])]
+    assert str(looped.value) == str(excinfo.value)
+
+
+def test_subsample_shares_without_any_answer_is_a_data_error():
+    # No set has an answer, so there is no answer column to take a maximum of.
+    coded = _coded([[None, None], [None]])
+    with pytest.raises(DataError, match="query q0: no extractable answer in any of 1 samples"):
+        subsample_shares(coded, 1, [0, 1])
+
+
+def test_subsample_shares_of_no_query_is_empty():
+    assert subsample_shares([], 3, []).shape == (0,)
+
+
+@pytest.mark.parametrize("k, calls", [(3, 2), (4, 0)])
+def test_subsample_draws_build_one_generator_per_query_below_the_set_size(
+    monkeypatch, k, calls
+):
+    built = []
+    generator = seeding.generator
+
+    def counting(seed, *streams):
+        built.append(seed)
+        return generator(seed, *streams)
+
+    monkeypatch.setattr(seeding, "generator", counting)
+    coded = _coded([["a", "b", "a", "c"], ["c", None, "c", "b"]])
+    shares = subsample_shares(coded, k, [11, 12])
+    assert len(built) == calls
+    del built[:]
+    assert [subsample_targets(c, k, seed=s).s for c, s in zip(coded, [11, 12])] == list(shares)
+    assert len(built) == calls
 
 
 def test_answer_codes_number_sorted_answers_and_mark_missing_ones():

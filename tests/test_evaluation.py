@@ -828,6 +828,31 @@ def test_trial_reports_match_the_recorded_digests():
     assert _trial_digests() == json.loads(_TRIAL_DIGESTS.read_text(encoding="utf-8"))
 
 
+_ABLATION_VALUES = Path(__file__).parent / "data" / "ablation_values_n125_k100_seed1.json"
+_HEADLINE = ("ece1", "ece2", "mce", "brier", "auroc", "accuracy")
+
+
+def _ablation_values() -> dict[str, dict[str, float | None]]:
+    """``distilled``'s headline fields in the benchmark's k-ablation sweep:
+    20 trials at each k, 125 queries x 100 samples, seed 1."""
+    data = _built(synth.benchmark_config(125, 100, seed=1))
+    values = {}
+    for k in (5, 10, 20, 50, 100):
+        config = TrialConfig(
+            n_trials=20, methods=("distilled",), k_subsample=k, master_seed=1
+        )
+        summary = run_trials(data, config).methods["distilled"]
+        values[str(k)] = {f: getattr(summary, f) for f in _HEADLINE}
+    return values
+
+
+def test_ablation_values_match_the_recorded_file():
+    # Recorded before the subsampled targets were counted in one batch;
+    # JSON keeps every float's repr, so equality here is bit for bit.
+    recorded = json.loads(_ABLATION_VALUES.read_text(encoding="utf-8"))
+    assert json.loads(json.dumps(_ablation_values())) == recorded
+
+
 def test_config_echo_omits_selective_rates_when_unused():
     names = [f.name for f in dataclasses.fields(TrialConfig)]
     echo = config_echo(TrialConfig())
