@@ -7,19 +7,26 @@
   ``\\boxed{p}`` group, imputed with the batch mean where absent;
 * Platt scaling: the supervised reference that refits a logistic map on top
   of the token-probability score using correctness labels.
+
+:func:`token_probs` and :func:`answer_probs` score listed rows of a
+generation batch as columns, equal bit for bit to the per-response scores;
+:func:`impute_verbal` returns a column and its imputed mask, and
+:func:`write_scores` writes a score file from such columns.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from json.encoder import encode_basestring
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .consistency import boxed_groups
 from .errors import DataError
-from .records import write_json_lines
+from .records import GenerationBatch, float_texts
 
 _DECIMAL = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)$")
 
@@ -49,6 +56,48 @@ def answer_prob_score(answer_token_logprobs: Any) -> float:
     return float(np.exp(arr.mean()))
 
 
+def _mean_probs(values: np.ndarray, offsets: np.ndarray, rows: np.ndarray, name: str) -> np.ndarray:
+    """``exp(mean)`` of each listed row's segment of ``values``.
+
+    The rows of one segment length ``L`` form one ``(rows, L)`` block,
+    summed along axis 1 and divided by ``L``, the arithmetic of ``np.mean``.
+    The first listed row that is empty, non-finite or positive raises the
+    per-response scorer's error; rows not listed are not read.
+    """
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    out = np.empty(rows.shape[0])
+    bad = lengths == 0
+    for length in np.flatnonzero(np.bincount(lengths[~bad])).tolist():
+        picked = np.flatnonzero(lengths == length)
+        block = values[starts[picked, None] + np.arange(length)]
+        ok = (np.isfinite(block) & (block <= 0.0)).all(axis=1)
+        if ok.all():
+            out[picked] = np.exp(block.sum(axis=1) / length)
+        else:
+            bad[picked[~ok]] = True
+    if bad.any():
+        first = int(rows[np.argmax(bad)])
+        _logprob_vector(values[offsets[first] : offsets[first + 1]], name)  # raises
+    return out
+
+
+def token_probs(batch: GenerationBatch, rows: Sequence[int]) -> np.ndarray:
+    """:func:`token_prob_score` of each listed row of ``batch``."""
+    picked = np.asarray(rows, dtype=np.intp)
+    return _mean_probs(batch.token_logprobs, batch.token_offsets, picked, "token_logprobs")
+
+
+def answer_probs(batch: GenerationBatch, rows: Sequence[int]) -> np.ndarray | None:
+    """:func:`answer_prob_score` of each listed row of ``batch``, or None
+    when any listed row has no answer span."""
+    picked = np.asarray(rows, dtype=np.intp)
+    offsets = batch.answer_token_offsets
+    if np.any(offsets[picked + 1] == offsets[picked]):
+        return None
+    return _mean_probs(batch.answer_token_logprobs, offsets, picked, "answer_token_logprobs")
+
+
 def parse_verbal_confidence(response_text: str) -> float | None:
     """Self-stated probability from the last numeric ``\\boxed{p}`` group.
 
@@ -64,20 +113,12 @@ def parse_verbal_confidence(response_text: str) -> float | None:
     return None
 
 
-@dataclass(frozen=True)
-class VerbalConfidence:
-    """A verbal-confidence score after batch imputation."""
-
-    value: float
-    imputed: bool
-    raw: float | None = None
-
-
-def impute_verbal(values: Sequence[float | None]) -> list[VerbalConfidence]:
+def impute_verbal(values: Sequence[float | None]) -> tuple[np.ndarray, np.ndarray]:
     """Fill missing entries with the mean of the present ones.
 
-    Present values pass through untouched.  When nothing parsed anywhere in
-    the batch, missing entries fall back to 0.5.
+    Returns the filled values and a mask of the imputed entries.  Present
+    values pass through untouched.  When nothing parsed anywhere in the
+    batch, missing entries fall back to 0.5.
     """
     if len(values) == 0:
         raise DataError("impute_verbal needs at least one entry")
@@ -86,12 +127,8 @@ def impute_verbal(values: Sequence[float | None]) -> list[VerbalConfidence]:
         if not np.isfinite(v) or not 0.0 <= v <= 1.0:
             raise DataError(f"verbal confidence {v!r} outside [0, 1]")
     fill = float(np.mean(present)) if present else 0.5
-    return [
-        VerbalConfidence(value=float(v), imputed=False, raw=float(v))
-        if v is not None
-        else VerbalConfidence(value=fill, imputed=True, raw=None)
-        for v in values
-    ]
+    filled = np.array([fill if v is None else v for v in values], dtype=float)
+    return filled, np.array([v is None for v in values], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +249,28 @@ def apply_platt(model: PlattModel, scores: Any) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 
-def _score_object(row: dict[str, Any]) -> dict[str, Any]:
-    obj: dict[str, Any] = {"query_id": row["query_id"]}
-    if "sample_index" in row:
-        obj["sample_index"] = row["sample_index"]
-    obj["method"] = row["method"]
-    obj["confidence"] = row["confidence"]
-    if row.get("imputed") is not None:
-        obj["imputed"] = bool(row["imputed"])
-    return obj
+_SCORE_LINE = '{{"query_id":{},{}"method":{},"confidence":{}{}}}\n'
+_IMPUTED = {None: "", False: ',"imputed":false', True: ',"imputed":true'}
 
 
-def write_scores(path: str, rows: Iterable[dict[str, Any]]) -> None:
-    """Write per-generation confidence rows.
+def write_scores(path: str, columns: Iterable[tuple[str, Sequence[str], Any, Any, Any]]) -> None:
+    """Write score lines from each method's columns ``(method, query_ids,
+    sample_index, confidence, imputed)``, method after method.
 
-    Each row carries ``query_id``, ``method``, ``confidence`` and optionally
-    ``sample_index`` and ``imputed``.
+    A ``sample_index`` of None (rows that score a whole query) or an
+    ``imputed`` of None (a method that imputes nothing) leaves its key out.
+    Lines are filled from a template, as the record writers fill theirs.
     """
-    write_json_lines(path, map(_score_object, rows))
-
+    with open(path, "w", encoding="utf-8") as handle:
+        for method, query_ids, sample_index, confidence, imputed in columns:
+            name = encode_basestring(method)
+            keys = (
+                repeat("") if sample_index is None
+                else (f'"sample_index":{i},' for i in sample_index)
+            )
+            flags = repeat(None) if imputed is None else np.asarray(imputed, dtype=bool).tolist()
+            texts = float_texts(np.asarray(confidence, dtype=float))
+            handle.writelines(
+                _SCORE_LINE.format(encode_basestring(query_id), key, name, text, _IMPUTED[flag])
+                for query_id, key, text, flag in zip(query_ids, keys, texts, flags)
+            )

@@ -321,64 +321,54 @@ def cmd_score(args: argparse.Namespace) -> int:
     }
     # The sets index one loaded batch; score rows follow set order.
     positions = [i for s in sets for i in s.rows]
-    keys = [(s.query_id, s.batch.sample_index[i]) for s in sets for i in s.rows]
-    rows: list[dict[str, Any]] = []
+    query_ids = [s.query_id for s in sets for _ in s.rows]
+    sample_index = [s.batch.sample_index[i] for s in sets for i in s.rows]
+    columns: list[tuple[str, list[str], Any, Any, Any]] = []
     for method in methods:
         if not positions:
             break
         batch = sets[0].batch
-        imputed: list[bool | None] = [None] * len(positions)
+        imputed = None
         if method == "distilled":
             assert model is not None
             if model.feature_source == "question_embedding":
-                features: Any = [
-                    evaluation.feature_row(s, model.feature_source)
-                    for s in sets
-                    for _ in s.rows
-                ]
+                per_query = [evaluation.feature_row(s, model.feature_source) for s in sets]
+                features = np.repeat(np.array(per_query, dtype=float), [s.k for s in sets], axis=0)
             else:
                 features = batch.embedding[positions]
                 expected = int(model.scaler.means.shape[0])
                 if features.shape[1] != expected:
                     raise DataError(
-                        f"query {keys[0][0]} sample {keys[0][1]}: embedding has "
+                        f"query {query_ids[0]} sample {sample_index[0]}: embedding has "
                         f"{features.shape[1]} dimensions, model expects {expected}"
                     )
-            confidences = [
-                float(v) for v in np.atleast_1d(calibrator.predict(model, features))
-            ]
+            confidences = calibrator.predict(model, features)
         elif method == "token_prob":
-            confidences = [baselines.token_prob_score(batch.token_row(i)) for i in positions]
+            confidences = baselines.token_probs(batch, positions)
         elif method == "answer_prob":
-            confidences = []
-            for (query_id, sample_index), i in zip(keys, positions):
-                span = batch.answer_token_row(i)
-                if span is None:
-                    raise DataError(
-                        f"query {query_id} sample {sample_index}: record lacks the "
-                        "answer-span log-probabilities needed by answer_prob"
-                    )
-                confidences.append(baselines.answer_prob_score(span))
+            confidences = baselines.answer_probs(batch, positions)
+            if confidences is None:
+                first = next(
+                    p for p, i in enumerate(positions) if batch.answer_token_row(i) is None
+                )
+                raise DataError(
+                    f"query {query_ids[first]} sample {sample_index[first]}: record lacks "
+                    "the answer-span log-probabilities needed by answer_prob"
+                )
         elif method == "verbal_conf":
-            raw = [baselines.parse_verbal_confidence(batch.response_text[i]) for i in positions]
-            verbal = baselines.impute_verbal(raw)
-            confidences = [vc.value for vc in verbal]
-            imputed = [vc.imputed for vc in verbal]
+            confidences, imputed = baselines.impute_verbal(
+                [baselines.parse_verbal_confidence(batch.response_text[i]) for i in positions]
+            )
         else:  # tt_sc
-            for s in sets:
-                share = consistency.build_target(consistency.answer_codes(s)).s
-                rows.append({"query_id": s.query_id, "method": method, "confidence": share})
+            shares = [consistency.build_target(consistency.answer_codes(s)).s for s in sets]
+            columns.append((method, [s.query_id for s in sets], None, shares, None))
             continue
-        # write_scores leaves out an "imputed" of None.
-        rows.extend(
-            {"query_id": query_id, "sample_index": sample_index, "method": method,
-             "confidence": confidence, "imputed": flag}
-            for (query_id, sample_index), confidence, flag in zip(keys, confidences, imputed)
-        )
+        columns.append((method, query_ids, sample_index, confidences, imputed))
     out = _out_dir(args, config_obj)
-    baselines.write_scores(os.path.join(out, "scores.jsonl"), rows)
+    baselines.write_scores(os.path.join(out, "scores.jsonl"), columns)
     _write_json(os.path.join(out, "config.json"), config_obj)
-    print(f"wrote {len(rows)} score rows ({len(methods)} methods) to {out}")
+    n_rows = sum(len(c[1]) for c in columns)
+    print(f"wrote {n_rows} score rows ({len(methods)} methods) to {out}")
     return 0
 
 

@@ -40,12 +40,12 @@ import numpy as np
 
 from . import seeding
 from .baselines import (
-    answer_prob_score,
+    answer_probs,
     apply_platt,
     fit_platt,
     impute_verbal,
     parse_verbal_confidence,
-    token_prob_score,
+    token_probs,
 )
 from .calibrator import FEATURE_SOURCES, check_fit_settings, fit_pipeline, predict
 from .consistency import (
@@ -174,8 +174,9 @@ def build_dataset(
 ) -> EvalDataset:
     """Precompute every per-query quantity the trial loop needs.
 
-    ``z`` holds a correctness label per row of the sets' shared batch, -1
-    where a row has none (as :func:`conscal.records.load_labels` returns).
+    The sets index one shared batch.  ``z`` holds a correctness label per
+    row of it, -1 where a row has none (as
+    :func:`conscal.records.load_labels` returns).
     """
     if len(sets) == 0:
         raise DataError("evaluation needs at least one query with generations")
@@ -184,24 +185,13 @@ def build_dataset(
     if z is not None and len(z) != len(shared_batch(sets)):
         raise DataError(f"z has {len(z)} entries for {len(sets[0].batch)} generation rows")
     rows: list[Sequence[float]] = []
-    tp: list[float] = []
-    ap: list[float] = []
-    ap_missing = False
-    vc_raw: list[float | None] = []
     codes: list[AnswerCodes] = []
     s_vals: list[float] = []
     deploy_z: list[float] = []
     tt_z: list[float] = []
     for sample_set in sets:
-        batch, deploy = sample_set.batch, sample_set.rows[0]
+        deploy = sample_set.rows[0]
         rows.append(feature_row(sample_set, feature_source))
-        tp.append(token_prob_score(batch.token_row(deploy)))
-        span = batch.answer_token_row(deploy)
-        if span is None:
-            ap_missing = True
-        elif not ap_missing:
-            ap.append(answer_prob_score(span))
-        vc_raw.append(parse_verbal_confidence(batch.response_text[deploy]))
         coded = answer_codes(sample_set)
         codes.append(coded)
         target = build_target(coded)
@@ -231,6 +221,9 @@ def build_dataset(
         raise DataError(f"inconsistent feature dimensions across queries: {exc}") from None
     if features.ndim != 2:
         raise DataError("inconsistent feature dimensions across queries")
+    batch = shared_batch(sets)
+    deploy_rows = [s.rows[0] for s in sets]
+    verbal = [parse_verbal_confidence(batch.response_text[i]) for i in deploy_rows]
     return EvalDataset(
         codes=tuple(codes),
         query_ids=tuple(s.query_id for s in sets),
@@ -238,9 +231,9 @@ def build_dataset(
         feature_source=feature_source,
         features=features,
         targets_s=np.array(s_vals, dtype=float),
-        token_prob=np.array(tp, dtype=float),
-        answer_prob=None if ap_missing else np.array(ap, dtype=float),
-        verbal_conf=np.array([v.value for v in impute_verbal(vc_raw)], dtype=float),
+        token_prob=token_probs(batch, deploy_rows),
+        answer_prob=answer_probs(batch, deploy_rows),
+        verbal_conf=impute_verbal(verbal)[0],
         deploy_correct=np.array(deploy_z, dtype=float),
         tt_correct=np.array(tt_z, dtype=float),
     )

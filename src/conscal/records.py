@@ -663,7 +663,7 @@ def write_json_lines(path: str, objects: Iterable[Any]) -> None:
         handle.writelines(_dump(obj) + "\n" for obj in objects)
 
 
-def _float_texts(values: np.ndarray) -> list[str]:
+def float_texts(values: np.ndarray) -> list[str]:
     """The json text of each entry of a float column."""
     floats = values.tolist()
     if np.isfinite(values).all():
@@ -686,7 +686,7 @@ def _segment_texts(
     """The json texts of rows ``start:stop`` of a flat float column."""
     ends = offsets[start : stop + 1].tolist()
     base = ends[0]
-    texts = _float_texts(values[base : ends[-1]])
+    texts = float_texts(values[base : ends[-1]])
     return [texts[a - base : b - base] for a, b in zip(ends, ends[1:])]
 
 
@@ -702,7 +702,7 @@ def _batch_lines(batch: GenerationBatch, tail: str) -> Iterator[list[str]]:
         spans = _segment_texts(
             batch.answer_token_logprobs, batch.answer_token_offsets, start, stop
         )
-        embeddings = _float_texts(batch.embedding[start:stop].ravel())
+        embeddings = float_texts(batch.embedding[start:stop].ravel())
         lines = []
         for row, i in enumerate(range(start, stop)):
             answer, span = batch.answer[i], spans[row]

@@ -14,17 +14,22 @@ from hypothesis import strategies as st
 from conscal.baselines import (
     PlattModel,
     answer_prob_score,
+    answer_probs,
     apply_platt,
     fit_platt,
     impute_verbal,
     parse_verbal_confidence,
     platt_nll,
     token_prob_score,
+    token_probs,
     write_scores,
 )
 from conscal.errors import DataError, RecordError
+from conscal.evaluation import build_dataset
 from conscal.metrics import auroc
+from conscal.records import SampleSet
 
+from conftest import make_batch, make_generation, make_query
 from oracles import load_scores, platt_by_full_newton, platt_nll_by_grid
 
 LN = math.log
@@ -57,6 +62,87 @@ def test_answer_prob_uses_the_answer_span():
 def test_missing_answer_span_is_an_error():
     with pytest.raises(DataError, match="answer-span"):
         answer_prob_score(None)
+
+
+# Segment lengths: short ones that collide often, and some past numpy's
+# pairwise summation block of 128.
+_SEGMENTS = (st.integers(1, 9) | st.sampled_from([16, 127, 128, 129, 300])).flatmap(
+    lambda k: st.lists(st.floats(-30.0, 0.0), min_size=k, max_size=k)
+)
+
+
+@st.composite
+def _logprob_batches(draw):
+    """A batch of mixed segment lengths, some rows without an answer span,
+    and a listing of its rows out of order and with repeats."""
+    n = draw(st.integers(1, 10))
+    rows = [
+        make_generation(
+            f"q{i}", 0, token_logprobs=tuple(draw(_SEGMENTS)),
+            answer_token_logprobs=draw(st.none() | _SEGMENTS.map(tuple)),
+        )
+        for i in range(n)
+    ]
+    listed = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    return make_batch(rows), listed
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=200)
+@given(_logprob_batches())
+def test_column_scorers_equal_the_per_response_scores_bit_for_bit(drawn):
+    batch, listed = drawn
+    assert _hex(token_probs(batch, listed)) == _hex(
+        token_prob_score(batch.token_row(i)) for i in listed
+    )
+    spans = [batch.answer_token_row(i) for i in listed]
+    column = answer_probs(batch, listed)
+    if any(span is None for span in spans):
+        assert column is None
+    else:
+        assert _hex(column) == _hex(answer_prob_score(span) for span in spans)
+    spanned = [i for i in listed if batch.answer_token_row(i) is not None]
+    assert _hex(answer_probs(batch, spanned)) == _hex(
+        answer_prob_score(batch.answer_token_row(i)) for i in spanned
+    )
+
+
+def test_column_scorers_raise_for_the_first_bad_listed_row():
+    nan = float("nan")
+    batch = make_batch([
+        make_generation("q1", 0, token_logprobs=(-0.1, 0.5)),
+        make_generation("q1", 1, token_logprobs=(nan,), answer_token_logprobs=None),
+        make_generation("q1", 2, token_logprobs=(0.2, nan)),
+        make_generation("q1", 3, token_logprobs=()),
+    ])
+    non_finite = "^token_logprobs contains non-finite entries$"
+    with pytest.raises(DataError, match=non_finite):
+        token_probs(batch, [1, 0])
+    # Row 0's length-2 block is gathered after row 1's length-1 block, but
+    # the listing decides which row is reported.
+    with pytest.raises(DataError, match="^token_logprobs contains positive log-probabilities$"):
+        token_probs(batch, [0, 1])
+    with pytest.raises(DataError, match=non_finite):  # non-finite before positive
+        token_probs(batch, [2])
+    with pytest.raises(DataError, match="^token_logprobs must be a nonempty 1-d array$"):
+        token_probs(batch, [3, 0])
+    assert answer_probs(batch, [0, 1]) is None  # a missing span outranks the checks
+    assert token_probs(batch, []).shape == (0,)
+
+
+def test_rows_outside_the_listing_are_not_checked():
+    batch = make_batch([
+        make_generation("q1", 0, answer="a"),
+        make_generation("q1", 1, answer="a", token_logprobs=(0.5,),
+                        answer_token_logprobs=(float("nan"),)),
+    ])
+    assert _hex(token_probs(batch, [0])) == _hex([token_prob_score((-0.1, -0.2))])
+    data = build_dataset([SampleSet(query=make_query("q1"), batch=batch, rows=(0, 1))])
+    assert _hex(data.token_prob) == _hex([token_prob_score((-0.1, -0.2))])
+    assert _hex(data.answer_prob) == _hex([answer_prob_score((-0.05,))])
 
 
 # ---------------------------------------------------------------------------
@@ -97,16 +183,17 @@ def test_decimal_literal_forms(literal, expected):
 
 
 def test_impute_fills_missing_entries_with_the_batch_mean():
-    out = impute_verbal([0.5, None, 0.9])
-    assert [v.value for v in out] == pytest.approx([0.5, 0.7, 0.9])
-    assert [v.imputed for v in out] == [False, True, False]
-    assert [v.raw for v in out] == [0.5, None, 0.9]
+    values, imputed = impute_verbal([0.5, None, 0.9])
+    assert values.dtype == np.float64 and imputed.dtype == np.bool_
+    assert values.tolist() == pytest.approx([0.5, 0.7, 0.9])
+    assert (values[0], values[2]) == (0.5, 0.9)
+    assert imputed.tolist() == [False, True, False]
 
 
 def test_impute_falls_back_to_half_when_nothing_parsed():
-    out = impute_verbal([None, None])
-    assert [v.value for v in out] == [0.5, 0.5]
-    assert all(v.imputed for v in out)
+    values, imputed = impute_verbal([None, None])
+    assert values.tolist() == [0.5, 0.5]
+    assert imputed.all()
 
 
 def test_impute_validates_inputs():
@@ -124,12 +211,13 @@ def test_impute_validates_inputs():
     )
 )
 def test_imputed_values_stay_inside_the_unit_interval(values):
-    out = impute_verbal(values)
-    assert len(out) == len(values)
-    for got, raw in zip(out, values):
-        assert 0.0 <= got.value <= 1.0
+    filled, imputed = impute_verbal(values)
+    assert filled.shape == imputed.shape == (len(values),)
+    for got, flag, raw in zip(filled.tolist(), imputed.tolist(), values):
+        assert 0.0 <= got <= 1.0
+        assert flag == (raw is None)
         if raw is not None:
-            assert got.value == raw and not got.imputed
+            assert got == raw
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +362,14 @@ def test_recalibration_with_positive_slope_preserves_auroc():
 
 
 def test_score_rows_round_trip_with_stable_key_order(tmp_path):
-    rows = [
-        {"query_id": "q1", "sample_index": 0, "method": "token_prob", "confidence": 0.5},
-        {"query_id": "q1", "method": "tt_sc", "confidence": 1.0},
-        {
-            "query_id": "q2",
-            "sample_index": 1,
-            "method": "verbal_conf",
-            "confidence": 0.7,
-            "imputed": True,
-        },
-    ]
     path = tmp_path / "scores.jsonl"
-    write_scores(str(path), rows)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    write_scores(str(path), [
+        ("token_prob", ["q1"], [0], np.array([0.5]), None),
+        ("tt_sc", ["q1"], None, [1.0], None),
+        ("verbal_conf", ["q2", 'q"\u00e9'], [1, 2], [0.7, 0.1 + 0.2], np.array([True, False])),
+    ])
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
     assert list(json.loads(lines[0])) == ["query_id", "sample_index", "method", "confidence"]
     assert list(json.loads(lines[1])) == ["query_id", "method", "confidence"]
     assert list(json.loads(lines[2])) == [
@@ -297,9 +379,24 @@ def test_score_rows_round_trip_with_stable_key_order(tmp_path):
         "confidence",
         "imputed",
     ]
+    # Every line is json's own compact text of its object.
+    assert text == "".join(
+        json.dumps(json.loads(line), ensure_ascii=False, separators=(",", ":")) + "\n"
+        for line in lines
+    )
     loaded = load_scores(str(path))
-    assert [r["confidence"] for r in loaded] == [0.5, 1.0, 0.7]
-    assert loaded[2]["imputed"] is True
+    assert [r["confidence"] for r in loaded] == [0.5, 1.0, 0.7, 0.1 + 0.2]
+    assert [r.get("imputed") for r in loaded] == [None, None, True, False]
+    assert loaded[3]["query_id"] == 'q"\u00e9'
+
+
+def test_write_scores_writes_non_finite_confidences_as_json_does(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    write_scores(str(path), [("distilled", ["q1", "q1"], [0, 1], [float("nan"), 0.5], None)])
+    assert path.read_text(encoding="utf-8") == (
+        '{"query_id":"q1","sample_index":0,"method":"distilled","confidence":NaN}\n'
+        '{"query_id":"q1","sample_index":1,"method":"distilled","confidence":0.5}\n'
+    )
 
 
 def test_load_scores_rejects_malformed_rows(tmp_path):

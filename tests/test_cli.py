@@ -456,6 +456,53 @@ def test_score_rows_match_library_computations(data_dir, model_dir, tmp_path):
     assert all(r["confidence"] == shares[r["query_id"]] for r in vote)
 
 
+def test_score_gives_each_sample_its_querys_question_embedding_prediction(data_dir, tmp_path):
+    model_path = tmp_path / "qmodel" / "model.json"
+    assert main(["train"] + _data_flags(data_dir, labels=False)
+                + ["--feature-source", "question_embedding", "--seed", "2",
+                   "--out", str(model_path.parent)]) == 0
+    out = tmp_path / "scores"
+    assert main(["score"] + _data_flags(data_dir, labels=False)
+                + ["--model", str(model_path), "--methods", "distilled", "--out", str(out)]) == 0
+    rows = load_scores(str(out / "scores.jsonl"))
+    queries = records.load_queries(str(data_dir / "queries.jsonl"))
+    sets = records.load_generations(str(data_dir / "generations.jsonl"), queries)
+    model = calibrator.load_model(str(model_path))
+    expected = calibrator.predict(
+        model, [evaluation.feature_row(s, "question_embedding") for s in sets for _ in s.rows]
+    )
+    assert [r["confidence"] for r in rows] == [float(v) for v in expected]
+    assert [(r["query_id"], r["sample_index"]) for r in rows] == [
+        (s.query_id, s.batch.sample_index[i]) for s in sets for i in s.rows
+    ]
+    by_query = {}
+    for r in rows:
+        by_query.setdefault(r["query_id"], set()).add(r["confidence"])
+    assert all(len(values) == 1 for values in by_query.values())
+
+
+def test_score_answer_prob_names_the_first_row_without_a_span(tmp_path, capsys):
+    queries = tmp_path / "queries.jsonl"
+    generations = tmp_path / "generations.jsonl"
+    records.write_queries(str(queries), [make_query("q1"), make_query("q2")])
+    # File order puts q2's spanless row first; set order (queries, then
+    # sample_index) reaches q1's sample 1 first.
+    records.write_generations(str(generations), make_batch([
+        make_generation("q2", 0, answer="a", answer_token_logprobs=None),
+        make_generation("q1", 1, answer="a", answer_token_logprobs=None),
+        make_generation("q1", 0, answer="a"),
+    ]))
+    out = tmp_path / "scores"
+    code = main(["score", "--queries", str(queries), "--generations", str(generations),
+                 "--methods", "token_prob,answer_prob", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: query q1 sample 1: record lacks the answer-span log-probabilities "
+        "needed by answer_prob\n"
+    )
+    assert not out.exists()
+
+
 def test_score_verbal_rows_flag_imputation(data_dir, tmp_path):
     out = tmp_path / "verbal"
     assert main(["score"] + _data_flags(data_dir, labels=False)

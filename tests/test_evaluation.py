@@ -120,6 +120,8 @@ def test_labels_must_be_a_column_over_the_sets_shared_batch():
     apart = [make_set(["a"], query_id="q1"), make_set(["a"], query_id="q2")]
     with pytest.raises(DataError, match="more than one generation batch"):
         build_dataset(apart, np.array([1], dtype=np.int8))
+    with pytest.raises(DataError, match="more than one generation batch"):
+        build_dataset(apart)
 
 
 def test_gold_fallback_judges_the_deployed_answer_apart_from_the_vote():
