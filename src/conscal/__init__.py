@@ -57,7 +57,7 @@ from .metrics import auroc, brier, compute_report, ece, equal_mass_bins, mce
 from .records import (
     GenerationBatch,
     QueryRecord,
-    SampleSet,
+    SampleSets,
     load_generations,
     load_labels,
     load_queries,
@@ -80,7 +80,7 @@ __all__ = [
     "PlattModel",
     "QueryRecord",
     "RecordError",
-    "SampleSet",
+    "SampleSets",
     "SynthConfig",
     "TrialConfig",
     "answer_codes",

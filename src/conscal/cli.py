@@ -111,7 +111,7 @@ def _parse_rates(text: str) -> tuple[float, ...]:
     return rates
 
 
-def _load_sets(args: argparse.Namespace) -> list[records.SampleSet]:
+def _load_sets(args: argparse.Namespace) -> records.SampleSets:
     queries = records.load_queries(args.queries)
     return records.load_generations(args.generations, queries)
 
@@ -236,8 +236,7 @@ def cmd_targets(args: argparse.Namespace) -> int:
     }
     targets = []
     warnings = 0
-    for position, sample_set in enumerate(sets):
-        coded = consistency.answer_codes(sample_set)
+    for position, coded in enumerate(consistency.answer_codes(sets)):
         try:
             if args.k is None:
                 targets.append(consistency.build_target(coded))
@@ -249,7 +248,7 @@ def cmd_targets(args: argparse.Namespace) -> int:
                 )
         except DataError as exc:
             warnings += 1
-            print(f"warning: skipping {sample_set.query_id}: {exc}", file=sys.stderr)
+            print(f"warning: skipping {coded.query_id}: {exc}", file=sys.stderr)
     out = _out_dir(args, config_obj)
     consistency.write_targets(os.path.join(out, "targets.jsonl"), targets)
     _write_json(os.path.join(out, "config.json"), config_obj)
@@ -263,7 +262,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.targets:
         loaded = consistency.load_targets(args.targets)
         by_query = {t.query_id: t for t in loaded}
-        known = {s.query_id for s in sets}
+        known = set(sets.query_ids)
         foreign = sorted(set(by_query) - known)
         if foreign:
             raise DataError(
@@ -274,10 +273,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise DataError(
                 f"targets missing for {len(missing)} queries (first: {missing[0]})"
             )
-        s_values = [by_query[s.query_id].s for s in sets]
+        s_values = [by_query[query_id].s for query_id in sets.query_ids]
     else:
-        s_values = [consistency.build_target(consistency.answer_codes(s)).s for s in sets]
-    features = [evaluation.feature_row(s, args.feature_source) for s in sets]
+        s_values = [consistency.build_target(c).s for c in consistency.answer_codes(sets)]
+    features = evaluation.feature_matrix(sets, args.feature_source)
     config_obj = {
         "command": "train",
         "queries": args.queries,
@@ -306,12 +305,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     """Score every generation with each method (tt_sc scores per query)."""
     methods = _parse_methods(args.methods, _SCORE_METHODS)
-    sets = _load_sets(args)
     model = None
     if "distilled" in methods:
         if not args.model:
             raise ConfigError("scoring the distilled method requires --model")
         model = calibrator.load_model(args.model)
+    sets = _load_sets(args)
     config_obj = {
         "command": "score",
         "queries": args.queries,
@@ -319,49 +318,47 @@ def cmd_score(args: argparse.Namespace) -> int:
         "model": args.model,
         "methods": list(methods),
     }
-    # The sets index one loaded batch; score rows follow set order.
-    positions = [i for s in sets for i in s.rows]
-    query_ids = [s.query_id for s in sets for _ in s.rows]
-    sample_index = [s.batch.sample_index[i] for s in sets for i in s.rows]
+    # Score rows follow the sets' rows: query by query, by sample_index.
+    batch, rows = sets.batch, sets.rows
+    query_ids = np.repeat(np.array(sets.query_ids, dtype=object), np.diff(sets.offsets)).tolist()
+    sample_index = list(map(batch.sample_index.__getitem__, rows.tolist()))
     columns: list[tuple[str, list[str], Any, Any, Any]] = []
-    for method in methods:
-        if not positions:
-            break
-        batch = sets[0].batch
+    for method in methods if len(sets) else ():  # no rows: an empty score file
         imputed = None
         if method == "distilled":
             assert model is not None
+            # One check of the gathered features; the first row names a mismatch.
             if model.feature_source == "question_embedding":
-                per_query = [evaluation.feature_row(s, model.feature_source) for s in sets]
-                features = np.repeat(np.array(per_query, dtype=float), [s.k for s in sets], axis=0)
+                per_query = evaluation.feature_matrix(sets, model.feature_source)
+                features = np.repeat(per_query, np.diff(sets.offsets), axis=0)
+                where = f"query {query_ids[0]}: question_embedding"
             else:
-                features = batch.embedding[positions]
-                expected = int(model.scaler.means.shape[0])
-                if features.shape[1] != expected:
-                    raise DataError(
-                        f"query {query_ids[0]} sample {sample_index[0]}: embedding has "
-                        f"{features.shape[1]} dimensions, model expects {expected}"
-                    )
+                features = batch.embedding[rows]
+                where = f"query {query_ids[0]} sample {sample_index[0]}: embedding"
+            expected = int(model.scaler.means.shape[0])
+            if features.shape[1] != expected:
+                raise DataError(
+                    f"{where} has {features.shape[1]} dimensions, model expects {expected}"
+                )
             confidences = calibrator.predict(model, features)
         elif method == "token_prob":
-            confidences = baselines.token_probs(batch, positions)
+            confidences = baselines.token_probs(batch, rows)
         elif method == "answer_prob":
-            confidences = baselines.answer_probs(batch, positions)
+            confidences = baselines.answer_probs(batch, rows)
             if confidences is None:
-                first = next(
-                    p for p, i in enumerate(positions) if batch.answer_token_row(i) is None
-                )
+                spans = batch.answer_token_offsets
+                first = int(np.argmax(spans[rows + 1] == spans[rows]))
                 raise DataError(
                     f"query {query_ids[first]} sample {sample_index[first]}: record lacks "
                     "the answer-span log-probabilities needed by answer_prob"
                 )
         elif method == "verbal_conf":
             confidences, imputed = baselines.impute_verbal(
-                [baselines.parse_verbal_confidence(batch.response_text[i]) for i in positions]
+                [baselines.parse_verbal_confidence(batch.response_text[i]) for i in rows.tolist()]
             )
         else:  # tt_sc
-            shares = [consistency.build_target(consistency.answer_codes(s)).s for s in sets]
-            columns.append((method, [s.query_id for s in sets], None, shares, None))
+            shares = [consistency.build_target(c).s for c in consistency.answer_codes(sets)]
+            columns.append((method, list(sets.query_ids), None, shares, None))
             continue
         columns.append((method, query_ids, sample_index, confidences, imputed))
     out = _out_dir(args, config_obj)
@@ -376,6 +373,10 @@ def _eval_command(args: argparse.Namespace, kind: str) -> int:
     config = _trial_config(args, _parse_rates(args.rates) if kind == "selective" else None)
     if kind in ("eval", "selective") and args.labels is None:
         raise ConfigError(f"the {kind} command needs --labels (correctness per sample)")
+    if kind == "shift":
+        train_groups = _csv(args.train_groups)
+        test_groups = _csv(args.test_groups)
+        evaluation.check_groups(train_groups, test_groups)
     sets = _load_sets(args)
     z = None if args.labels is None else records.load_labels(args.labels, sets)
     data = evaluation.build_dataset(sets, z, feature_source=config.feature_source)
@@ -387,8 +388,6 @@ def _eval_command(args: argparse.Namespace, kind: str) -> int:
         **evaluation.config_echo(config),
     }
     if kind == "shift":
-        train_groups = _csv(args.train_groups)
-        test_groups = _csv(args.test_groups)
         config_obj["train_groups"] = train_groups
         config_obj["test_groups"] = test_groups
         results = evaluation.shift_eval(data, config, train_groups, test_groups)

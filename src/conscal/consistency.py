@@ -10,12 +10,13 @@ calibrator without any correctness labels.  Answers are compared after a
 deliberately minimal normalization (strip edge whitespace, casefold); no
 numeric canonicalization is attempted, so "0.50" and "0.5" stay distinct.
 
-:func:`answer_codes` is the one place answers are extracted: it turns a
-sample set into integer codes once, and every target (:func:`build_target`
-over all samples, :func:`subsample_targets` over a seeded draw) is then a
-count over those codes.  One rule draws the k samples: ``k`` of ``n``
-positions without replacement from a generator seeded for the query, or all
-``n`` positions, with no generator built, when ``k == n``.
+:func:`answer_codes` is the one place answers are extracted: it turns every
+query's samples into integer codes in one pass, and every target
+(:func:`build_target` over all samples, :func:`subsample_targets` over a
+seeded draw) is then a count over those codes.  One rule draws the k
+samples: ``k`` of ``n`` positions without replacement from a generator
+seeded for the query, or all ``n`` positions, with no generator built, when
+``k == n``.
 :func:`subsample_shares` counts many queries' draws with one ``bincount``,
 for the trial loop, which reads only the shares.
 """
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import seeding
 from .errors import DataError, RecordError, is_finite_real
-from .records import GenerationBatch, SampleSet, json_lines, write_json_lines
+from .records import GenerationBatch, SampleSets, json_lines, write_json_lines
 
 log = logging.getLogger(__name__)
 
@@ -153,7 +154,7 @@ def canonical_answer(batch: GenerationBatch, row: int) -> str | None:
 
 @dataclass(frozen=True, eq=False)
 class AnswerCodes:
-    """The answers of one sample set as integer codes, from one extraction pass.
+    """One query's answers as integer codes, from one extraction pass.
 
     ``codes[j]`` is sample ``j``'s index into ``answers`` (-1 when it has no
     answer); ``answers`` holds the distinct normalized answers in sorted
@@ -168,16 +169,21 @@ class AnswerCodes:
     answers: tuple[str, ...]
 
 
-def answer_codes(sample_set: SampleSet) -> AnswerCodes:
-    """Extract and normalize each sample's answer once, as codes."""
-    batch, rows = sample_set.batch, sample_set.rows
-    answers = [canonical_answer(batch, i) for i in rows]
-    distinct = sorted({a for a in answers if a is not None})
-    index: dict[str | None, int] = {a: i for i, a in enumerate(distinct)}
-    index[None] = -1
-    sample_index = tuple(map(batch.sample_index.__getitem__, rows))
-    codes = np.array([index[a] for a in answers], dtype=np.intp)
-    return AnswerCodes(sample_set.query_id, sample_index, codes, tuple(distinct))
+def answer_codes(sets: SampleSets) -> list[AnswerCodes]:
+    """Extract and normalize every sample's answer once, then code each
+    query's answers."""
+    batch = sets.batch
+    rows, bounds = sets.rows.tolist(), sets.offsets.tolist()
+    coded = []
+    for query_id, start, stop in zip(sets.query_ids, bounds, bounds[1:]):
+        part = rows[start:stop]
+        answers = [canonical_answer(batch, i) for i in part]
+        distinct = sorted({a for a in answers if a is not None})
+        index: dict[str | None, int] = {None: -1, **{a: i for i, a in enumerate(distinct)}}
+        codes = np.array([index[a] for a in answers], dtype=np.intp)
+        indices = tuple(map(batch.sample_index.__getitem__, part))
+        coded.append(AnswerCodes(query_id, indices, codes, tuple(distinct)))
+    return coded
 
 
 def _target(coded: AnswerCodes, positions: Sequence[int]) -> ConsistencyTarget:

@@ -64,7 +64,7 @@ from .metrics import (
     _checked_labels,
     compute_report,
 )
-from .records import SampleSet, shared_batch
+from .records import GenerationBatch, SampleSets
 
 DEFAULT_METHODS = (
     "distilled",
@@ -131,103 +131,80 @@ class EvalDataset:
         return EvalDataset(**parts)
 
 
-def feature_row(sample_set: SampleSet, feature_source: str) -> Sequence[float]:
-    """The feature vector a trained calibrator consumes for one query."""
+def feature_matrix(sets: SampleSets, feature_source: str) -> np.ndarray:
+    """The ``(queries, d)`` features a trained calibrator consumes: each
+    query's deployment response embedding or its question embedding."""
     if feature_source == "response_embedding":
-        row = sample_set.batch.embedding[sample_set.rows[0]]
-        if not row.size:
-            raise DataError(
-                f"query {sample_set.query_id}: deployment response has no embedding"
-            )
-        return row
+        features = sets.batch.embedding[sets.deploy_rows]
+        if len(sets) and not features.shape[1]:
+            first = sets.queries[0].query_id
+            raise DataError(f"query {first}: deployment response has no embedding")
+        return features
     if feature_source == "question_embedding":
-        row = sample_set.query.question_embedding
-        if row is None or not row:
-            raise DataError(f"query {sample_set.query_id}: query has no question_embedding")
-        return row
+        missing = [q.query_id for q in sets.queries if not q.question_embedding]
+        if missing:
+            raise DataError(f"query {missing[0]}: query has no question_embedding")
+        try:
+            return np.array([q.question_embedding for q in sets.queries], dtype=float)
+        except ValueError as exc:
+            raise DataError(f"inconsistent feature dimensions across queries: {exc}") from None
     raise ConfigError(f"unknown feature_source {feature_source!r}")
 
 
 def _correctness(
-    z: np.ndarray | None,
-    row: int,
-    key: AnswerKey | None,
-    query_id: str,
-    sample_index: int,
+    z: np.ndarray | None, batch: GenerationBatch, row: int, key: AnswerKey | None,
     answer: str | None,
 ) -> float:
+    """Row ``row``'s label, else whether its ``answer`` matches the gold ``key``."""
     if z is not None and z[row] >= 0:
         return float(z[row])
     if key is not None:
         return float(answer is not None and is_match(answer, key))
     raise DataError(
-        f"query {query_id} sample {sample_index}: no correctness source "
-        "(provide labels or gold_answers)"
+        f"query {batch.query_id_of(row)} sample {batch.sample_index[row]}: no correctness "
+        "source (provide labels or gold_answers)"
     )
 
 
 def build_dataset(
-    sets: Sequence[SampleSet],
+    sets: SampleSets,
     z: np.ndarray | None = None,
     *,
     feature_source: str = "response_embedding",
 ) -> EvalDataset:
     """Precompute every per-query quantity the trial loop needs.
 
-    The sets index one shared batch.  ``z`` holds a correctness label per
-    row of it, -1 where a row has none (as
-    :func:`conscal.records.load_labels` returns).
+    ``z`` holds a correctness label per row of ``sets.batch``, -1 where a
+    row has none (as :func:`conscal.records.load_labels` returns).
     """
     if len(sets) == 0:
         raise DataError("evaluation needs at least one query with generations")
     if feature_source not in FEATURE_SOURCES:
         raise ConfigError(f"unknown feature_source {feature_source!r}")
-    if z is not None and len(z) != len(shared_batch(sets)):
-        raise DataError(f"z has {len(z)} entries for {len(sets[0].batch)} generation rows")
-    rows: list[Sequence[float]] = []
-    codes: list[AnswerCodes] = []
+    batch = sets.batch
+    if z is not None and len(z) != len(batch):
+        raise DataError(f"z has {len(z)} entries for {len(batch)} generation rows")
+    features = feature_matrix(sets, feature_source)
+    codes = answer_codes(sets)
+    rows = sets.rows.tolist()
     s_vals: list[float] = []
     deploy_z: list[float] = []
     tt_z: list[float] = []
-    for sample_set in sets:
-        deploy = sample_set.rows[0]
-        rows.append(feature_row(sample_set, feature_source))
-        coded = answer_codes(sample_set)
-        codes.append(coded)
+    for query, coded, start in zip(sets.queries, codes, sets.offsets.tolist()):
         target = build_target(coded)
         s_vals.append(target.s)
-        key = (
-            AnswerKey.from_gold(sample_set.query.gold_answers)
-            if sample_set.query.gold_answers
-            else None
-        )
+        key = AnswerKey.from_gold(query.gold_answers) if query.gold_answers else None
         deploy_code = int(coded.codes[0])
-        deploy_z.append(
-            _correctness(
-                z, deploy, key, sample_set.query_id, coded.sample_index[0],
-                coded.answers[deploy_code] if deploy_code >= 0 else None,
-            )
-        )
-        selected = sample_set.rows[coded.sample_index.index(target.selected_sample_index)]
-        tt_z.append(
-            _correctness(
-                z, selected, key, sample_set.query_id, target.selected_sample_index,
-                target.answer,
-            )
-        )
-    try:
-        features = np.array(rows, dtype=float)
-    except ValueError as exc:
-        raise DataError(f"inconsistent feature dimensions across queries: {exc}") from None
-    if features.ndim != 2:
-        raise DataError("inconsistent feature dimensions across queries")
-    batch = shared_batch(sets)
-    deploy_rows = [s.rows[0] for s in sets]
-    verbal = [parse_verbal_confidence(batch.response_text[i]) for i in deploy_rows]
+        deploy_answer = coded.answers[deploy_code] if deploy_code >= 0 else None
+        deploy_z.append(_correctness(z, batch, rows[start], key, deploy_answer))
+        selected = rows[start + coded.sample_index.index(target.selected_sample_index)]
+        tt_z.append(_correctness(z, batch, selected, key, target.answer))
+    deploy_rows = sets.deploy_rows
+    verbal = [parse_verbal_confidence(batch.response_text[i]) for i in deploy_rows.tolist()]
     return EvalDataset(
         codes=tuple(codes),
-        query_ids=tuple(s.query_id for s in sets),
-        groups=tuple(s.query.group for s in sets),
+        query_ids=sets.query_ids,
+        groups=tuple(q.group for q in sets.queries),
         feature_source=feature_source,
         features=features,
         targets_s=np.array(s_vals, dtype=float),
@@ -602,6 +579,17 @@ def run_trials(data: EvalDataset, config: TrialConfig) -> EvalResult:
     return _evaluate(data, config, splits, kind="eval")
 
 
+def check_groups(train_groups: Sequence[str], test_groups: Sequence[str]) -> None:
+    """Raise :class:`ConfigError` unless both sides name a group and no
+    group is on both, as :func:`shift_eval` requires."""
+    train, test = set(train_groups), set(test_groups)
+    if not train or not test:
+        raise ConfigError("train_groups and test_groups must both be nonempty")
+    overlap = train & test
+    if overlap:
+        raise ConfigError(f"groups cannot be on both sides: {', '.join(sorted(overlap))}")
+
+
 def shift_eval(
     data: EvalDataset,
     config: TrialConfig,
@@ -615,13 +603,8 @@ def shift_eval(
     keeps the group split fixed and varies only fitting randomness across
     trials.
     """
-    train = set(train_groups)
-    test = set(test_groups)
-    if not train or not test:
-        raise ConfigError("train_groups and test_groups must both be nonempty")
-    overlap = train & test
-    if overlap:
-        raise ConfigError(f"groups cannot be on both sides: {', '.join(sorted(overlap))}")
+    check_groups(train_groups, test_groups)
+    train, test = set(train_groups), set(test_groups)
     present = set(data.groups)
     missing = (train | test) - present
     if missing:

@@ -11,12 +11,12 @@ Every dataset is a set of UTF-8 text files with one JSON object per line:
     ``{"query_id", "sample_index", "z"}`` with ``z`` in ``{0, 1}``
 
 Queries load as one record object per line.  Generations load into one
-columnar :class:`GenerationBatch`, their only in-memory form, and a
-:class:`SampleSet` is a query plus the positions of its rows in that batch.
-Labels load as ``z``, an ``int8`` column over the rows of the sets' shared
-batch with -1 for a row without a label.  A record keeps only the fields the
-pipeline reads: ``sampling_meta`` and unknown keys are checked (no ``NaN`` or
-``Infinity``; ``sampling_meta`` is an object when present), then dropped.
+columnar :class:`GenerationBatch`, their only in-memory form, and one
+:class:`SampleSets` groups its rows by query.  Labels load as ``z``, an
+``int8`` column over the batch's rows with -1 for a row without a label.  A
+record keeps only the fields the pipeline reads: ``sampling_meta`` and
+unknown keys are checked (no ``NaN`` or ``Infinity``; ``sampling_meta`` is
+an object when present), then dropped.
 
 Validation is total: every malformed line yields a diagnostic naming the
 file and line, and a loader never returns a partially constructed dataset.
@@ -35,7 +35,7 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass, fields
-from itertools import compress
+from itertools import chain, compress
 from json.encoder import encode_basestring
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -147,22 +147,35 @@ class GenerationBatch:
         return self.answer_token_logprobs[start:stop] if stop > start else None
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """One query's logged generations: the positions of its rows in a shared
-    batch, ordered by sample_index.  ``rows[0]`` is the deployment response."""
+@dataclass(frozen=True, eq=False)
+class SampleSets:
+    """Queries and their logged generations, held in one batch.
 
-    query: QueryRecord
+    Query ``q``'s rows of ``batch`` are ``rows[offsets[q]:offsets[q + 1]]``,
+    ordered by sample_index; the first is its deployment response.  The
+    arrays are read-only.
+    """
+
+    queries: tuple[QueryRecord, ...]
     batch: GenerationBatch
-    rows: tuple[int, ...]
+    rows: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.rows.flags.writeable = False
+        self.offsets.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.queries)
 
     @property
-    def query_id(self) -> str:
-        return self.query.query_id
+    def query_ids(self) -> tuple[str, ...]:
+        return tuple(q.query_id for q in self.queries)
 
     @property
-    def k(self) -> int:
-        return len(self.rows)
+    def deploy_rows(self) -> np.ndarray:
+        """Each query's deployment row, the first of its rows."""
+        return self.rows[self.offsets[:-1]]
 
 
 def _check_vector(value: Any, name: str, *, max_value: float | None = None) -> list[str]:
@@ -505,19 +518,19 @@ def group_generations(
     batch: GenerationBatch,
     *,
     path: str = "<generations>",
-) -> tuple[list[SampleSet], list[Diagnostic]]:
-    """Group validated generation rows into per-query sample sets.
+) -> tuple[SampleSets, list[Diagnostic]]:
+    """Group validated generation rows by query.
 
-    Each set holds the positions of its query's rows in ``batch``, ordered
-    by ``sample_index`` (a stable sort); no row is copied.  Rows referencing
-    an unknown query are diagnostics (orphans), one per row.  Queries with
-    zero generations are dropped with a warning: partial generation logs are
-    a fact of life and should not fail a whole run.
+    Each query's row positions in ``batch`` are ordered by ``sample_index``
+    (a stable sort); no row is copied.  Rows referencing an unknown query
+    are diagnostics (orphans), one per row.  Queries with zero generations
+    are dropped with a warning: partial generation logs are a fact of life
+    and should not fail a whole run.
     """
     diagnostics: list[Diagnostic] = []
     position = {q.query_id: p for p, q in enumerate(queries)}
     offsets = batch.query_offsets.tolist()
-    rows: list[list[int]] = [[] for _ in queries]
+    buckets: list[list[int]] = [[] for _ in queries]
     for run, query_id in enumerate(batch.query_ids):
         start, stop = offsets[run], offsets[run + 1]
         p = position.get(query_id)
@@ -525,15 +538,16 @@ def group_generations(
             message = f"generation references unknown query_id {query_id!r}"
             diagnostics.extend(Diagnostic(path, None, message) for _ in range(start, stop))
         else:
-            rows[p].extend(range(start, stop))
-    sets: list[SampleSet] = []
-    dropped: list[str] = []
-    for query, query_rows in zip(queries, rows):
-        if not query_rows:
-            dropped.append(query.query_id)
-            continue
-        query_rows.sort(key=batch.sample_index.__getitem__)
-        sets.append(SampleSet(query=query, batch=batch, rows=tuple(query_rows)))
+            buckets[p].extend(range(start, stop))
+    for bucket in buckets:
+        bucket.sort(key=batch.sample_index.__getitem__)
+    sets = SampleSets(
+        queries=tuple(q for q, bucket in zip(queries, buckets) if bucket),
+        batch=batch,
+        rows=np.array(list(chain.from_iterable(buckets)), dtype=np.intp),
+        offsets=np.cumsum([0, *(len(b) for b in buckets if b)], dtype=np.intp),
+    )
+    dropped = [q.query_id for q, bucket in zip(queries, buckets) if not bucket]
     if dropped:
         preview = ", ".join(dropped[:5])
         more = "" if len(dropped) <= 5 else f" (+{len(dropped) - 5} more)"
@@ -541,12 +555,10 @@ def group_generations(
     return sets, diagnostics
 
 
-def load_generations(path: str, queries: Sequence[QueryRecord]) -> list[SampleSet]:
+def load_generations(path: str, queries: Sequence[QueryRecord]) -> SampleSets:
     batch, diagnostics = scan_generation_records(path)
-    if not diagnostics:
-        sets, diagnostics = group_generations(queries, batch, path=path)
-    else:
-        sets = []
+    _raise_if_any(diagnostics)
+    sets, diagnostics = group_generations(queries, batch, path=path)
     _raise_if_any(diagnostics)
     return sets
 
@@ -556,23 +568,13 @@ def load_generations(path: str, queries: Sequence[QueryRecord]) -> list[SampleSe
 # ---------------------------------------------------------------------------
 
 
-def shared_batch(sets: Sequence[SampleSet]) -> GenerationBatch | None:
-    """The one generation batch whose rows every set indexes (None for no sets)."""
-    if not sets:
-        return None
-    batch = sets[0].batch
-    if any(s.batch is not batch for s in sets):
-        raise DataError("the sample sets index more than one generation batch")
-    return batch
-
-
 def scan_labels(
-    path: str, sets: Sequence[SampleSet] | None = None
+    path: str, sets: SampleSets | None = None
 ) -> tuple[np.ndarray, list[Diagnostic]]:
     """Parse and validate a labels file into an ``int8`` column ``z``.
 
-    With ``sets``, ``z`` has an entry per row of their shared batch: the
-    row's label, or -1 when it has none.  A label is known only if its
+    With ``sets``, ``z`` has an entry per row of ``sets.batch``: the row's
+    label, or -1 when it has none.  A label is known only if its
     ``(query_id, sample_index)`` is a row of one of the sets, and it is a
     duplicate when its row is already labelled.  Without sets, only the
     line checks and the duplicate check run, and ``z`` is empty: there are
@@ -584,9 +586,14 @@ def scan_labels(
     seen: set[tuple[str, int]] = set()
     row_of: dict[tuple[str, int], int] | None = None
     if sets is not None:
-        batch = shared_batch(sets)
-        z = [-1] * (0 if batch is None else len(batch))
-        row_of = {(s.query_id, s.batch.sample_index[i]): i for s in sets for i in s.rows}
+        z = [-1] * len(sets.batch)
+        rows, bounds = sets.rows.tolist(), sets.offsets.tolist()
+        index = sets.batch.sample_index
+        row_of = {
+            (query_id, index[i]): i
+            for query_id, start, stop in zip(sets.query_ids, bounds, bounds[1:])
+            for i in rows[start:stop]
+        }
     for lineno, obj, problems in _objects(path, diagnostics, _LABEL_FIELDS):
         query_id = obj.get("query_id")
         if not isinstance(query_id, str) or not query_id:
@@ -617,19 +624,18 @@ def scan_labels(
     return np.array(z, dtype=np.int8), diagnostics + row_diagnostics
 
 
-def load_labels(path: str, sets: Sequence[SampleSet]) -> np.ndarray:
-    """The ``z`` column of :func:`scan_labels` over the rows of ``sets``'
-    shared batch; raises on any diagnostic."""
+def load_labels(path: str, sets: SampleSets) -> np.ndarray:
+    """The ``z`` column of :func:`scan_labels` over the rows of
+    ``sets.batch``; raises on any diagnostic."""
     z, diagnostics = scan_labels(path, sets)
     _raise_if_any(diagnostics)
-    if sets:
-        total = sum(s.k for s in sets)
-        if total:
-            labelled = int(np.count_nonzero(z >= 0))
-            log.info(
-                "label coverage: %d of %d generations (%.1f%%)",
-                labelled, total, 100.0 * labelled / total,
-            )
+    total = len(sets.rows)
+    if total:
+        labelled = int(np.count_nonzero(z >= 0))
+        log.info(
+            "label coverage: %d of %d generations (%.1f%%)",
+            labelled, total, 100.0 * labelled / total,
+        )
     return z
 
 
@@ -767,7 +773,7 @@ def validate_files(
 ) -> list[Diagnostic]:
     """Collect every diagnostic across a dataset's files."""
     queries, diagnostics = scan_queries(queries_path)
-    sets: list[SampleSet] | None = None
+    sets: SampleSets | None = None
     if generations_path is not None:
         batch, gen_diags = scan_generation_records(generations_path)
         diagnostics.extend(gen_diags)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from conscal.records import GenerationBatch, QueryRecord, SampleSet
+from conscal.records import GenerationBatch, QueryRecord, SampleSets
 
 # Model fitting inside property bodies makes per-example runtimes jittery;
 # judge examples on correctness, not wall clock.
@@ -100,13 +100,14 @@ def make_set(
     query_id: str = "q1",
     gold: tuple[str, ...] | None = ("a",),
     group: str = "main",
-) -> SampleSet:
-    """A sample set whose responses box the given answers (None = no box)."""
+) -> SampleSets:
+    """One query whose responses box the given answers (None = no box)."""
     query = make_query(query_id, gold=gold, group=group)
     batch = make_batch(
         [make_generation(query_id, j, answer=answer) for j, answer in enumerate(answers)]
     )
-    return SampleSet(query=query, batch=batch, rows=tuple(range(len(answers))))
+    rows = np.arange(len(answers), dtype=np.intp)
+    return SampleSets((query,), batch, rows, np.array([0, len(answers)], dtype=np.intp))
 
 
 @pytest.fixture

@@ -33,7 +33,7 @@ from conscal.cli import main
 from conscal.evaluation import (
     TrialConfig,
     build_dataset,
-    feature_row,
+    feature_matrix,
     run_trials,
     selective_curve,
     shift_eval,
@@ -318,7 +318,7 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
     assert resaved.read_bytes() == (model_a / "model.json").read_bytes()
     queries = records.load_queries(str(run_a / "queries.jsonl"))
     sets = records.load_generations(str(run_a / "generations.jsonl"), queries)
-    features = [feature_row(s, "response_embedding") for s in sets]
+    features = feature_matrix(sets, "response_embedding")
     reloaded = load_model(str(resaved))
     assert np.array_equal(
         np.asarray(predict(model, features)), np.asarray(predict(reloaded, features))
@@ -338,7 +338,7 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
     assert rewritten.read_bytes() == (run_a / "generations.jsonl").read_bytes()
     z = records.load_labels(str(run_a / "labels.jsonl"), sets)
     rewritten = tmp_path / "labels2.jsonl"
-    records.write_labels(str(rewritten), sets[0].batch, z)
+    records.write_labels(str(rewritten), sets.batch, z)
     assert rewritten.read_bytes() == (run_a / "labels.jsonl").read_bytes()
 
     # The JSON report is loadable and carries the format tag.

@@ -26,8 +26,8 @@ from conscal.baselines import (
 )
 from conscal.errors import DataError, RecordError
 from conscal.evaluation import build_dataset
+from conscal.records import group_generations
 from conscal.metrics import auroc
-from conscal.records import SampleSet
 
 from conftest import make_batch, make_generation, make_query
 from oracles import load_scores, platt_by_full_newton, platt_nll_by_grid
@@ -140,7 +140,8 @@ def test_rows_outside_the_listing_are_not_checked():
                         answer_token_logprobs=(float("nan"),)),
     ])
     assert _hex(token_probs(batch, [0])) == _hex([token_prob_score((-0.1, -0.2))])
-    data = build_dataset([SampleSet(query=make_query("q1"), batch=batch, rows=(0, 1))])
+    sets, _ = group_generations([make_query("q1")], batch)
+    data = build_dataset(sets)
     assert _hex(data.token_prob) == _hex([token_prob_score((-0.1, -0.2))])
     assert _hex(data.answer_prob) == _hex([answer_prob_score((-0.05,))])
 

@@ -432,8 +432,8 @@ def test_score_rows_match_library_computations(data_dir, model_dir, tmp_path):
     rows = load_scores(str(out / "scores.jsonl"))
     queries = records.load_queries(str(data_dir / "queries.jsonl"))
     sets = records.load_generations(str(data_dir / "generations.jsonl"), queries)
-    batch = sets[0].batch
-    positions = [i for s in sets for i in s.rows]
+    batch = sets.batch
+    positions = sets.rows.tolist()
 
     distilled = [r for r in rows if r["method"] == "distilled"]
     model = calibrator.load_model(str(model_dir / "model.json"))
@@ -451,8 +451,8 @@ def test_score_rows_match_library_computations(data_dir, model_dir, tmp_path):
     vote = [r for r in rows if r["method"] == "tt_sc"]
     assert len(vote) == len(sets)  # one row per query, not per sample
     assert all("sample_index" not in r for r in vote)
-    shares = dict(zip((s.query_id for s in sets),
-                      (consistency.build_target(consistency.answer_codes(s)).s for s in sets)))
+    shares = dict(zip(sets.query_ids,
+                      (consistency.build_target(c).s for c in consistency.answer_codes(sets))))
     assert all(r["confidence"] == shares[r["query_id"]] for r in vote)
 
 
@@ -468,13 +468,11 @@ def test_score_gives_each_sample_its_querys_question_embedding_prediction(data_d
     queries = records.load_queries(str(data_dir / "queries.jsonl"))
     sets = records.load_generations(str(data_dir / "generations.jsonl"), queries)
     model = calibrator.load_model(str(model_path))
-    expected = calibrator.predict(
-        model, [evaluation.feature_row(s, "question_embedding") for s in sets for _ in s.rows]
-    )
+    pairs = [(sets.batch.query_id_of(i), sets.batch.sample_index[i]) for i in sets.rows.tolist()]
+    by_id = {q.query_id: q.question_embedding for q in queries}
+    expected = calibrator.predict(model, [by_id[query_id] for query_id, _ in pairs])
     assert [r["confidence"] for r in rows] == [float(v) for v in expected]
-    assert [(r["query_id"], r["sample_index"]) for r in rows] == [
-        (s.query_id, s.batch.sample_index[i]) for s in sets for i in s.rows
-    ]
+    assert [(r["query_id"], r["sample_index"]) for r in rows] == pairs
     by_query = {}
     for r in rows:
         by_query.setdefault(r["query_id"], set()).add(r["confidence"])
@@ -520,6 +518,24 @@ def test_score_distilled_without_a_model_is_a_usage_error(data_dir, tmp_path, ca
     assert "requires --model" in capsys.readouterr().err
 
 
+def test_score_checks_the_model_before_reading_the_data(tmp_path, capsys):
+    queries = tmp_path / "queries.jsonl"
+    generations = tmp_path / "generations.jsonl"
+    records.write_queries(str(queries), [make_query("q1")])
+    generations.write_text("not json\n", encoding="utf-8")
+    model = tmp_path / "model.json"
+    model.write_text("{", encoding="utf-8")
+    base = ["score", "--queries", str(queries), "--generations", str(generations),
+            "--methods", "distilled", "--out", str(tmp_path / "x")]
+    assert main(base) == 2
+    assert capsys.readouterr().err == (
+        "usage error: scoring the distilled method requires --model\n"
+    )
+    assert main(base + ["--model", str(model)]) == 1
+    assert "invalid model artifact" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_score_rejects_methods_it_cannot_compute(data_dir, tmp_path, capsys):
     code = main(["score"] + _data_flags(data_dir, labels=False)
                 + ["--methods", "supervised", "--out", str(tmp_path / "x")])
@@ -538,6 +554,23 @@ def test_score_reports_embedding_dimension_mismatches(model_dir, tmp_path, capsy
     captured = capsys.readouterr()
     assert code == 1
     assert "query q1 sample 0: embedding has 2 dimensions, model expects 16" in captured.err
+
+
+def test_score_reports_question_embedding_dimension_mismatches(data_dir, tmp_path, capsys):
+    model = tmp_path / "qmodel"
+    assert main(["train"] + _data_flags(data_dir, labels=False)
+                + ["--feature-source", "question_embedding", "--out", str(model)]) == 0
+    queries = tmp_path / "queries.jsonl"
+    generations = tmp_path / "generations.jsonl"
+    records.write_queries(str(queries), [make_query("q1", question_embedding=(0.5, 1.0))])
+    records.write_generations(str(generations), make_batch([make_generation("q1", 0, answer="a")]))
+    code = main(["score", "--queries", str(queries), "--generations", str(generations),
+                 "--model", str(model / "model.json"),
+                 "--methods", "distilled", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: query q1: question_embedding has 2 dimensions, model expects 16\n"
+    )
 
 
 _BAD_MODELS = {
@@ -773,6 +806,27 @@ def test_shift_rejects_overlapping_groups(shift_dir, tmp_path, capsys):
                    "--test-groups", "shifted", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "both sides" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    ("groups", "message"),
+    [
+        (["--train-groups", "main", "--test-groups", "main"],
+         "groups cannot be on both sides: main"),
+        (["--train-groups", ",", "--test-groups", "shifted"],
+         "train_groups and test_groups must both be nonempty"),
+    ],
+)
+def test_shift_checks_the_groups_before_reading_the_data(groups, message, tmp_path, capsys):
+    flags = []
+    for name in ("queries", "generations", "labels"):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text("not json\n", encoding="utf-8")
+        flags += [f"--{name}", str(path)]
+    code = main(["shift", *flags, *groups, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not (tmp_path / "x").exists()
 
 

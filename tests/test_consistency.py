@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conscal import consistency, seeding
+from conscal import consistency, records, seeding
 from conscal.consistency import (
     AnswerKey,
     ConsistencyTarget,
@@ -24,7 +24,6 @@ from conscal.consistency import (
     write_targets,
 )
 from conscal.errors import DataError, RecordError
-from conscal.records import SampleSet
 
 from conftest import make_batch, make_generation, make_query, make_set
 from oracles import boxed_groups_by_scan, modal_by_counter
@@ -32,7 +31,7 @@ from oracles import boxed_groups_by_scan, modal_by_counter
 
 def target_of(answers, **kwargs):
     """The target over every sample of ``make_set(answers, **kwargs)``."""
-    return build_target(answer_codes(make_set(answers, **kwargs)))
+    return build_target(answer_codes(make_set(answers, **kwargs))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +127,9 @@ def test_answerless_samples_dilute_the_share():
 
 
 def test_empty_sample_set_is_an_error():
-    empty = SampleSet(query=make_query("q1"), batch=make_batch([]), rows=())
+    (empty,) = answer_codes(make_set([]))
     with pytest.raises(DataError):
-        build_target(answer_codes(empty))
+        build_target(empty)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +214,12 @@ def test_share_times_k_is_an_integer_count(answers):
 
 
 def test_subsample_with_full_k_reproduces_the_full_target():
-    codes = answer_codes(make_set(["a", "b", "a", "c", "a"]))
+    codes = answer_codes(make_set(["a", "b", "a", "c", "a"]))[0]
     assert subsample_targets(codes, 5, seed=7) == build_target(codes)
 
 
 def test_subsample_is_deterministic_given_the_seed():
-    codes = answer_codes(make_set(["a", "b", "a", "c", "a", "b", "b", "a"]))
+    codes = answer_codes(make_set(["a", "b", "a", "c", "a", "b", "b", "a"]))[0]
     first = subsample_targets(codes, 3, seed=11)
     again = subsample_targets(codes, 3, seed=11)
     assert first == again
@@ -228,13 +227,13 @@ def test_subsample_is_deterministic_given_the_seed():
 
 
 def test_different_seeds_can_pick_different_subsets():
-    codes = answer_codes(make_set(["a"] * 4 + ["b"] * 4))
+    codes = answer_codes(make_set(["a"] * 4 + ["b"] * 4))[0]
     results = {subsample_targets(codes, 2, seed=s).s for s in range(12)}
     assert len(results) > 1  # some seeds land on {a,a} or {b,b}, others split
 
 
 def test_subsample_k_out_of_range_is_an_error():
-    codes = answer_codes(make_set(["a", "b"]))
+    codes = answer_codes(make_set(["a", "b"]))[0]
     with pytest.raises(DataError, match="cannot subsample 0 of 2 samples"):
         subsample_targets(codes, 0, seed=0)
     with pytest.raises(DataError, match="cannot subsample 3 of 2 samples"):
@@ -242,7 +241,7 @@ def test_subsample_k_out_of_range_is_an_error():
 
 
 def test_subsample_of_unanimous_set_is_always_unanimous():
-    codes = answer_codes(make_set(["z"] * 6))
+    codes = answer_codes(make_set(["z"] * 6))[0]
     for seed in range(5):
         assert subsample_targets(codes, 3, seed=seed).s == 1.0
 
@@ -271,10 +270,10 @@ _answers = st.lists(
 @example(["10", "9", "9", "10"], 4, 0)
 def test_targets_match_the_counter_oracle(answers, k, seed):
     sample_set = make_set(answers)
-    codes = answer_codes(sample_set)
+    (codes,) = answer_codes(sample_set)
     canonical = [codes.answers[c] if c >= 0 else None for c in codes.codes]
     assert canonical == [
-        consistency.canonical_answer(sample_set.batch, i) for i in sample_set.rows
+        consistency.canonical_answer(sample_set.batch, i) for i in sample_set.rows.tolist()
     ]
     expected = _expected_target(canonical, list(range(len(answers))))
     if expected is None:
@@ -295,7 +294,7 @@ def test_targets_match_the_counter_oracle(answers, k, seed):
 
 
 def _coded(answer_lists):
-    return [answer_codes(make_set(a, query_id=f"q{i}")) for i, a in enumerate(answer_lists)]
+    return [answer_codes(make_set(a, query_id=f"q{i}"))[0] for i, a in enumerate(answer_lists)]
 
 
 def _outcome(shares):
@@ -365,9 +364,27 @@ def test_subsample_draws_build_one_generator_per_query_below_the_set_size(
     assert len(built) == calls
 
 
+def test_answer_codes_code_each_query_of_the_sets_apart():
+    queries = [make_query("q1"), make_query("q2")]
+    batch = make_batch([
+        make_generation("q2", 1, answer="b"),
+        make_generation("q1", 0, answer="c"),
+        make_generation("q2", 0, answer="a"),
+        make_generation("q1", 1),
+    ])
+    sets, _ = records.group_generations(queries, batch)
+    q1, q2 = answer_codes(sets)
+    assert (q1.query_id, q1.sample_index, q1.answers, q1.codes.tolist()) == (
+        "q1", (0, 1), ("c",), [0, -1]
+    )
+    assert (q2.query_id, q2.sample_index, q2.answers, q2.codes.tolist()) == (
+        "q2", (0, 1), ("a", "b"), [0, 1]
+    )
+
+
 def test_answer_codes_number_sorted_answers_and_mark_missing_ones():
     sample_set = make_set(["b", None, " A", "b"], query_id="q7")
-    coded = answer_codes(sample_set)
+    (coded,) = answer_codes(sample_set)
     assert coded.query_id == "q7"
     assert coded.sample_index == (0, 1, 2, 3)
     assert coded.answers == ("a", "b")

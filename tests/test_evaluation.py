@@ -28,7 +28,6 @@ from conscal.evaluation import (
     trial_table,
 )
 from conscal.metrics import auroc, compute_report
-from conscal.records import SampleSet
 
 from conftest import make_batch, make_generation, make_query, make_set
 from oracles import aggregate_by_trial_loop, reports_by_trial_loop, selective_by_trial_loop
@@ -39,11 +38,8 @@ def _synth_sets(n=80, k=8, seed=0, **overrides):
     queries, generations, labels = synth.generate(config)
     # synth writes one run of rows per query, in query order.
     assert generations.query_ids == tuple(q.query_id for q in queries)
-    offsets = generations.query_offsets.tolist()
-    sets = [
-        SampleSet(query=q, batch=generations, rows=tuple(range(start, stop)))
-        for q, start, stop in zip(queries, offsets, offsets[1:])
-    ]
+    rows = np.arange(len(generations), dtype=np.intp)
+    sets = records.SampleSets(tuple(queries), generations, rows, generations.query_offsets)
     return sets, labels
 
 
@@ -73,13 +69,13 @@ def test_build_dataset_precomputes_aligned_arrays():
 
 def test_missing_answer_spans_disable_answer_prob():
     sets, _ = _synth_sets(n=6, k=3)
-    batch = sets[0].batch
+    batch = sets.batch
     without_spans = dataclasses.replace(
         batch,
         answer_token_logprobs=np.empty(0),
         answer_token_offsets=np.zeros(len(batch) + 1, dtype=np.intp),
     )
-    stripped = [dataclasses.replace(s, batch=without_spans) for s in sets]
+    stripped = dataclasses.replace(sets, batch=without_spans)
     data = build_dataset(stripped)
     assert data.answer_prob is None
     config = TrialConfig(n_trials=1, methods=("answer_prob",), bins=2, cal_fraction=0.5)
@@ -90,24 +86,24 @@ def test_missing_answer_spans_disable_answer_prob():
 def test_question_embedding_source_reads_the_query_vector():
     sets, labels = _synth_sets(n=10, k=3)
     data = build_dataset(sets, labels, feature_source="question_embedding")
-    expected = np.array([s.query.question_embedding for s in sets])
+    expected = np.array([q.question_embedding for q in sets.queries])
     assert np.array_equal(data.features, expected)
 
 
 def test_labels_take_precedence_over_gold_answers():
     sample_set = make_set(["a", "a"], query_id="q1", gold=("a",))
     contradicting = np.array([0, 0], dtype=np.int8)
-    with_labels = build_dataset([sample_set], contradicting)
+    with_labels = build_dataset(sample_set, contradicting)
     assert with_labels.deploy_correct.tolist() == [0.0]
     assert with_labels.tt_correct.tolist() == [0.0]
-    by_gold = build_dataset([sample_set])
+    by_gold = build_dataset(sample_set)
     assert by_gold.deploy_correct.tolist() == [1.0]
 
 
 def test_partial_labels_fall_back_to_gold_per_sample():
     sample_set = make_set(["a", "b"], query_id="q1", gold=("b",))
     only_first = np.array([1, -1], dtype=np.int8)  # contradicts gold on sample 0
-    data = build_dataset([sample_set], only_first)
+    data = build_dataset(sample_set, only_first)
     assert data.deploy_correct.tolist() == [1.0]  # label wins on the deployment
     # tt target is the tie-broken modal answer "a" carried by sample 0: labeled 1.
     assert data.tt_correct.tolist() == [1.0]
@@ -117,24 +113,19 @@ def test_labels_must_be_a_column_over_the_sets_shared_batch():
     sets, z = _synth_sets(n=4, k=2)
     with pytest.raises(DataError, match="7 entries for 8 generation rows"):
         build_dataset(sets, z[:-1])
-    apart = [make_set(["a"], query_id="q1"), make_set(["a"], query_id="q2")]
-    with pytest.raises(DataError, match="more than one generation batch"):
-        build_dataset(apart, np.array([1], dtype=np.int8))
-    with pytest.raises(DataError, match="more than one generation batch"):
-        build_dataset(apart)
 
 
 def test_gold_fallback_judges_the_deployed_answer_apart_from_the_vote():
-    data = build_dataset([make_set(["b", "a", "a", None], gold=("b",))])
+    data = build_dataset(make_set(["b", "a", "a", None], gold=("b",)))
     assert (data.deploy_correct.tolist(), data.tt_correct.tolist()) == ([1.0], [0.0])
-    unanswered = build_dataset([make_set([None, "a"], gold=("a",))])
+    unanswered = build_dataset(make_set([None, "a"], gold=("a",)))
     assert (unanswered.deploy_correct.tolist(), unanswered.tt_correct.tolist()) == ([0.0], [1.0])
 
 
 def test_no_correctness_source_is_an_error():
     sample_set = make_set(["a"], gold=None)
     with pytest.raises(DataError, match="correctness"):
-        build_dataset([sample_set])
+        build_dataset(sample_set)
 
 
 def test_build_dataset_rejects_empty_input_and_bad_source():
@@ -146,11 +137,15 @@ def test_build_dataset_rejects_empty_input_and_bad_source():
 
 
 def test_inconsistent_feature_dimensions_are_reported():
-    good = make_set(["a"], query_id="q1")
-    bad_rows = make_batch([make_generation("q2", 0, answer="a", embedding=(0.0, 1.0, 2.0))])
-    bad = SampleSet(query=make_query("q2"), batch=bad_rows, rows=(0,))
-    with pytest.raises(DataError, match="dimension"):
-        build_dataset([good, bad])
+    # The loader rejects ragged question embeddings; hand-built queries can hold them.
+    queries = [
+        make_query("q1", question_embedding=(0.0, 1.0)),
+        make_query("q2", question_embedding=(0.0, 1.0, 2.0)),
+    ]
+    batch = make_batch([make_generation(q.query_id, 0, answer="a") for q in queries])
+    sets, _ = records.group_generations(queries, batch)
+    with pytest.raises(DataError, match="inconsistent feature dimensions across queries"):
+        build_dataset(sets, feature_source="question_embedding")
 
 
 def test_subset_slices_every_array_consistently():
@@ -166,8 +161,9 @@ def test_subset_slices_every_array_consistently():
             assert value == tuple(full[i] for i in (3, 7, 11)), f.name
         else:
             assert value == full, f.name
+    every = consistency.answer_codes(sets)
     for coded, i in zip(sub.codes, (3, 7, 11)):
-        expected = consistency.answer_codes(sets[i])
+        expected = every[i]
         assert np.array_equal(coded.codes, expected.codes)
         assert coded.answers == expected.answers
         assert (coded.query_id, coded.sample_index) == (expected.query_id, expected.sample_index)
@@ -180,7 +176,8 @@ def test_subsampled_trials_on_a_subset_match_a_dataset_built_from_it():
         n_trials=3, cal_fraction=0.5, bins=3, methods=("distilled", "tt_sc"), k_subsample=2
     )
     from_subset = run_trials(build_dataset(sets, labels).subset(idx), config)
-    rebuilt = run_trials(build_dataset([sets[i] for i in idx], labels), config)
+    picked, _ = records.group_generations([sets.queries[i] for i in idx], sets.batch)
+    rebuilt = run_trials(build_dataset(picked, labels), config)
     assert from_subset == rebuilt
 
 
@@ -199,11 +196,11 @@ def test_answers_are_extracted_once_per_generation(monkeypatch):
 
 def test_answer_disagreements_are_logged_once_per_build(caplog):
     sets, labels = _synth_sets(n=30, k=4)
-    answers = list(sets[0].batch.answer)
-    for i in sets[0].rows[:2]:
+    answers = list(sets.batch.answer)
+    for i in sets.rows[: sets.offsets[1]][:2].tolist():
         answers[i] = "zz"
-    edited = dataclasses.replace(sets[0].batch, answer=tuple(answers))
-    sets = [dataclasses.replace(s, batch=edited) for s in sets]
+    edited = dataclasses.replace(sets.batch, answer=tuple(answers))
+    sets = dataclasses.replace(sets, batch=edited)
     with caplog.at_level("WARNING", logger="conscal.consistency"):
         data = build_dataset(sets, labels)
         assert caplog.text.count("disagrees") == 2
@@ -507,10 +504,9 @@ def test_supervised_method_needs_a_correctness_source():
     # With neither labels nor gold answers the dataset itself cannot be built,
     # which is what ultimately guards the supervised reference.
     sets, _ = _synth_sets(n=6, k=3)
-    blind = [
-        dataclasses.replace(s, query=dataclasses.replace(s.query, gold_answers=None))
-        for s in sets
-    ]
+    blind = dataclasses.replace(
+        sets, queries=tuple(dataclasses.replace(q, gold_answers=None) for q in sets.queries)
+    )
     with pytest.raises(DataError, match="correctness"):
         build_dataset(blind)
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conscal import records, synth
 from conscal.cli import main
 from conscal.errors import DataError, RecordError
-from conscal.records import Diagnostic, QueryRecord, SampleSet
+from conscal.records import Diagnostic, QueryRecord
 
 from conftest import make_batch, make_generation, make_query, make_set
 from oracles import (
@@ -111,7 +111,7 @@ def test_labels_round_trip(tmp_path):
     z = np.array([1, 0, -1], dtype=np.int8)
     path = tmp_path / "labels.jsonl"
     records.write_labels(str(path), batch, z)
-    sets = [SampleSet(query=make_query("q1"), batch=batch, rows=(0, 1, 2))]
+    sets, _ = records.group_generations([make_query("q1")], batch)
     loaded = records.load_labels(str(path), sets)
     assert loaded.dtype == np.int8 and loaded.tolist() == [1, 0, -1]
     unaligned, diagnostics = records.scan_labels(str(path))  # without sets: no rows to fill
@@ -418,7 +418,7 @@ def test_labels_referencing_unknown_generations_need_sets_to_be_caught(tmp_path)
     # Without context the label is structurally fine.
     _, without = records.scan_labels(path)
     assert without == []
-    sets = [make_set(["a"], query_id="q1")]
+    sets = make_set(["a"], query_id="q1")
     _, with_sets = records.scan_labels(path, sets)
     assert len(with_sets) == 1
     assert "unknown generation" in with_sets[0].message
@@ -458,8 +458,9 @@ def test_group_generations_orders_samples_and_flags_orphans():
         ]
     )
     sets, diagnostics = records.group_generations(queries, rows)
-    assert [s.query_id for s in sets] == ["q1", "q2"]
-    assert [rows.sample_index[i] for i in sets[0].rows] == [0, 1]
+    assert sets.query_ids == ("q1", "q2")
+    assert sets.rows.tolist() == [1, 0, 2] and sets.offsets.tolist() == [0, 2, 3]
+    assert sets.deploy_rows.tolist() == [1, 2]
     assert len(diagnostics) == 1
     assert "unknown query_id 'ghost'" in diagnostics[0].message
 
@@ -469,7 +470,7 @@ def test_queries_with_zero_generations_are_dropped_with_a_warning(caplog):
     rows = make_batch([make_generation("q1", 0, answer="a")])
     with caplog.at_level("WARNING", logger="conscal.records"):
         sets, diagnostics = records.group_generations(queries, rows)
-    assert [s.query_id for s in sets] == ["q1"]
+    assert sets.query_ids == ("q1",)
     assert diagnostics == []
     assert "zero generations" in caplog.text
     assert "q2" in caplog.text
@@ -798,8 +799,12 @@ def test_grouping_matches_the_bucket_oracle(query_ids, rows, caplog):
     with caplog.at_level("WARNING", logger="conscal.records"):
         sets, diagnostics = records.group_generations(queries, batch)
     expected_sets, messages, warning = group_generations_by_buckets(queries, batch)
-    assert [(s.query, s.rows) for s in sets] == expected_sets
-    assert all(s.batch is batch for s in sets)
+    assert sets.queries == tuple(query for query, _ in expected_sets)
+    assert sets.batch is batch
+    assert sets.rows.dtype == sets.offsets.dtype == np.intp
+    assert sets.rows.tolist() == [i for _, rows in expected_sets for i in rows]
+    lengths = [len(rows) for _, rows in expected_sets]
+    assert sets.offsets.tolist() == np.cumsum([0, *lengths]).tolist()
     assert diagnostics == [Diagnostic("<generations>", None, m) for m in messages]
     assert [r.getMessage() for r in caplog.records] == ([warning] if warning else [])
 
@@ -936,10 +941,10 @@ def test_loaders_match_the_per_row_oracles(lines, query_ids, label_lines):
         assert [(d.line, d.message) for d in diagnostics] == expected
 
         sets, _ = records.group_generations([make_query(q) for q in sorted(query_ids)], batch)
-        row_of = {(s.query_id, batch.sample_index[i]): i for s in sets for i in s.rows}
+        row_of = {(batch.query_id_of(i), batch.sample_index[i]): i for i in sets.rows.tolist()}
         z, diagnostics = records.scan_labels(labels, sets)
         found, expected = scan_labels_by_row(labels, set(row_of))
-        column = [-1] * (len(batch) if sets else 0)
+        column = [-1] * len(batch)
         for query_id, sample_index, label in found:
             column[row_of[(query_id, sample_index)]] = label
         assert z.dtype == np.int8 and z.tolist() == column
