@@ -33,7 +33,6 @@ from .calibrator import (
 )
 from .consistency import (
     AnswerKey,
-    ConsistencyTarget,
     answer_codes,
     build_target,
     extract_boxed,
@@ -55,6 +54,7 @@ from .evaluation import (
 )
 from .metrics import auroc, brier, compute_report, ece, equal_mass_bins, mce
 from .records import (
+    ConsistencyTarget,
     GenerationBatch,
     QueryRecord,
     SampleSets,

@@ -10,25 +10,26 @@
 
 :func:`token_probs` and :func:`answer_probs` score listed rows of a
 generation batch as columns, equal bit for bit to the per-response scores;
-:func:`impute_verbal` returns a column and its imputed mask, and
-:func:`write_scores` writes a score file from such columns.
+:func:`impute_verbal` returns a column and its imputed mask.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import repeat
-from json.encoder import encode_basestring
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from .consistency import boxed_groups
 from .errors import DataError
-from .records import GenerationBatch, float_texts
+from .records import GenerationBatch
 
 _DECIMAL = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)$")
+# Platt scaling clips scores to [_CLIP, 1 - _CLIP] before the logit, and its
+# fit adds _PENALTY * (slope**2 + bias**2) to the negative log-likelihood.
+_CLIP = 1e-6
+_PENALTY = 1e-6
 
 
 def _logprob_vector(logprobs: Any, name: str) -> np.ndarray:
@@ -138,22 +139,14 @@ def impute_verbal(values: Sequence[float | None]) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True)
 class PlattModel:
-    """Logistic recalibration ``sigmoid(slope * logit(s) + bias)``.
-
-    ``input_clip`` bounds scores away from {0, 1} before the logit.
-    """
+    """Logistic recalibration ``sigmoid(slope * logit(s) + bias)``."""
 
     slope: float
     bias: float
-    input_clip: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.input_clip < 0.5:
-            raise DataError(f"input_clip must be inside (0, 0.5), got {self.input_clip!r}")
 
 
-def _logit(scores: np.ndarray, eps: float) -> np.ndarray:
-    clipped = np.clip(scores, eps, 1.0 - eps)
+def _logit(scores: np.ndarray) -> np.ndarray:
+    clipped = np.clip(scores, _CLIP, 1.0 - _CLIP)
     return np.log(clipped) - np.log1p(-clipped)
 
 
@@ -164,23 +157,16 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-u))
 
 
-def platt_nll(scores: Any, labels: Any, slope: float, bias: float, *, eps: float = 1e-6,
-              penalty: float = 1e-6) -> float:
+def platt_nll(scores: Any, labels: Any, slope: float, bias: float) -> float:
     """Penalized negative log-likelihood minimized by :func:`fit_platt`."""
     s = np.asarray(scores, dtype=float)
     z = np.asarray(labels, dtype=float)
-    u = slope * _logit(s, eps) + bias
+    u = slope * _logit(s) + bias
     nll = float(np.sum(np.logaddexp(0.0, u) - z * u))
-    return nll + penalty * (slope * slope + bias * bias)
+    return nll + _PENALTY * (slope * slope + bias * bias)
 
 
-def fit_platt(
-    scores: Any,
-    labels: Any,
-    *,
-    eps: float = 1e-6,
-    penalty: float = 1e-6,
-) -> PlattModel:
+def fit_platt(scores: Any, labels: Any) -> PlattModel:
     """Maximum-likelihood logistic fit on logit-transformed scores.
 
     Damped Newton iterations on the Bernoulli log-likelihood with a tiny
@@ -199,24 +185,22 @@ def fit_platt(
         raise DataError("scores contain non-finite entries")
     if not np.all((z == 0.0) | (z == 1.0)):
         raise DataError("labels must be 0 or 1")
-    if not 0.0 < eps < 0.5:
-        raise DataError(f"eps must be inside (0, 0.5), got {eps!r}")
-    t = _logit(s, eps)
+    t = _logit(s)
     design = np.column_stack([t, np.ones_like(t)])
     theta = np.zeros(2)
 
     def objective(th: np.ndarray) -> float:
         u = design @ th
-        return float(np.sum(np.logaddexp(0.0, u) - z * u) + penalty * (th @ th))
+        return float(np.sum(np.logaddexp(0.0, u) - z * u) + _PENALTY * (th @ th))
 
     current = objective(theta)
     for _ in range(100):
         p = _sigmoid(design @ theta)
-        grad = design.T @ (p - z) + 2.0 * penalty * theta
+        grad = design.T @ (p - z) + 2.0 * _PENALTY * theta
         if np.linalg.norm(grad) < 1e-8:
             break
         curvature = p * (1.0 - p)
-        hessian = design.T @ (design * curvature[:, None]) + 2.0 * penalty * np.eye(2)
+        hessian = design.T @ (design * curvature[:, None]) + 2.0 * _PENALTY * np.eye(2)
         step = np.linalg.solve(hessian, grad)
         # Backtrack if the full Newton step overshoots.
         scale = 1.0
@@ -231,46 +215,15 @@ def fit_platt(
         if candidate.tobytes() == theta.tobytes():
             break  # a step that rounds back to theta: every later one would too
         theta, current = candidate, value
-    return PlattModel(slope=float(theta[0]), bias=float(theta[1]), input_clip=eps)
+    return PlattModel(slope=float(theta[0]), bias=float(theta[1]))
 
 
 def apply_platt(model: PlattModel, scores: Any) -> np.ndarray | float:
     s = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(s)):
         raise DataError("scores contain non-finite entries")
-    out = _sigmoid(model.slope * _logit(s, model.input_clip) + model.bias)
+    out = _sigmoid(model.slope * _logit(s) + model.bias)
     if s.ndim == 0:
         return float(out)
     return out
 
-
-# ---------------------------------------------------------------------------
-# score export
-# ---------------------------------------------------------------------------
-
-
-_SCORE_LINE = '{{"query_id":{},{}"method":{},"confidence":{}{}}}\n'
-_IMPUTED = {None: "", False: ',"imputed":false', True: ',"imputed":true'}
-
-
-def write_scores(path: str, columns: Iterable[tuple[str, Sequence[str], Any, Any, Any]]) -> None:
-    """Write score lines from each method's columns ``(method, query_ids,
-    sample_index, confidence, imputed)``, method after method.
-
-    A ``sample_index`` of None (rows that score a whole query) or an
-    ``imputed`` of None (a method that imputes nothing) leaves its key out.
-    Lines are filled from a template, as the record writers fill theirs.
-    """
-    with open(path, "w", encoding="utf-8") as handle:
-        for method, query_ids, sample_index, confidence, imputed in columns:
-            name = encode_basestring(method)
-            keys = (
-                repeat("") if sample_index is None
-                else (f'"sample_index":{i},' for i in sample_index)
-            )
-            flags = repeat(None) if imputed is None else np.asarray(imputed, dtype=bool).tolist()
-            texts = float_texts(np.asarray(confidence, dtype=float))
-            handle.writelines(
-                _SCORE_LINE.format(encode_basestring(query_id), key, name, text, _IMPUTED[flag])
-                for query_id, key, text, flag in zip(query_ids, keys, texts, flags)
-            )

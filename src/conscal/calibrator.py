@@ -29,6 +29,7 @@ import numpy as np
 
 from . import seeding
 from .errors import ConfigError, DataError, is_finite_real, json_error_reason, require_real
+from .records import write_json
 
 MODEL_FORMAT = "conscal-model/1"
 
@@ -342,9 +343,7 @@ def model_document(model: CalibratorModel) -> dict[str, Any]:
 
 
 def save_model(path: str, model: CalibratorModel) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model_document(model), handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    write_json(path, model_document(model))
 
 
 def _require(condition: bool, message: str) -> None:

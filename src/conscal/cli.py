@@ -50,7 +50,7 @@ _SCORE_METHODS = ("distilled", "token_prob", "answer_prob", "verbal_conf", "tt_s
 def _read_json(path: str) -> dict[str, Any]:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            obj = json.load(handle)
+            obj = records.decode_json(handle.read())
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON ({exc.msg}, line {exc.lineno})") from exc
         except (ValueError, RecursionError) as exc:
@@ -58,12 +58,6 @@ def _read_json(path: str) -> dict[str, Any]:
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected a JSON object")
     return obj
-
-
-def _write_json(path: str, obj: dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=2, ensure_ascii=False)
-        handle.write("\n")
 
 
 def _out_dir(args: argparse.Namespace, config_obj: dict[str, Any]) -> str:
@@ -200,7 +194,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     records.write_labels(os.path.join(out, "labels.jsonl"), generations, z)
     truths = synth.write_truth(os.path.join(out, "truth.jsonl"), config, queries)
-    _write_json(os.path.join(out, "config.json"), config_obj)
+    records.write_json(os.path.join(out, "config.json"), config_obj)
     mean_pi = sum(t.pi for t in truths) / len(truths)
     accuracy = int(z.sum()) / len(z)
     print(
@@ -250,8 +244,8 @@ def cmd_targets(args: argparse.Namespace) -> int:
             warnings += 1
             print(f"warning: skipping {coded.query_id}: {exc}", file=sys.stderr)
     out = _out_dir(args, config_obj)
-    consistency.write_targets(os.path.join(out, "targets.jsonl"), targets)
-    _write_json(os.path.join(out, "config.json"), config_obj)
+    records.write_targets(os.path.join(out, "targets.jsonl"), targets)
+    records.write_json(os.path.join(out, "config.json"), config_obj)
     print(f"wrote {len(targets)} targets to {out} ({warnings} warning(s))")
     return 0
 
@@ -260,7 +254,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     calibrator.check_fit_settings(args.alpha, args.split_frac)
     sets = _load_sets(args)
     if args.targets:
-        loaded = consistency.load_targets(args.targets)
+        loaded = records.load_targets(args.targets)
         by_query = {t.query_id: t for t in loaded}
         known = set(sets.query_ids)
         foreign = sorted(set(by_query) - known)
@@ -297,7 +291,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     out = _out_dir(args, config_obj)
     calibrator.save_model(os.path.join(out, "model.json"), model)
-    _write_json(os.path.join(out, "config.json"), config_obj)
+    records.write_json(os.path.join(out, "config.json"), config_obj)
     print(f"trained on {len(sets)} queries; model written to {out}")
     return 0
 
@@ -362,8 +356,8 @@ def cmd_score(args: argparse.Namespace) -> int:
             continue
         columns.append((method, query_ids, sample_index, confidences, imputed))
     out = _out_dir(args, config_obj)
-    baselines.write_scores(os.path.join(out, "scores.jsonl"), columns)
-    _write_json(os.path.join(out, "config.json"), config_obj)
+    records.write_scores(os.path.join(out, "scores.jsonl"), columns)
+    records.write_json(os.path.join(out, "config.json"), config_obj)
     n_rows = sum(len(c[1]) for c in columns)
     print(f"wrote {n_rows} score rows ({len(methods)} methods) to {out}")
     return 0
@@ -408,10 +402,10 @@ def _eval_command(args: argparse.Namespace, kind: str) -> int:
             headline = dataclasses.replace(headline, kind="selective")
         document = evaluation.report_document(headline, config_obj)
     out = _out_dir(args, config_obj)
-    _write_json(os.path.join(out, "report.json"), document)
+    records.write_json(os.path.join(out, "report.json"), document)
     with open(os.path.join(out, "trials.tsv"), "w", encoding="utf-8") as handle:
         handle.write(evaluation.trial_table(headline))
-    _write_json(os.path.join(out, "config.json"), config_obj)
+    records.write_json(os.path.join(out, "config.json"), config_obj)
     summary = ", ".join(
         f"{m}: ece1={s.ece1:.4f}" for m, s in headline.methods.items()
     )

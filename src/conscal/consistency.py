@@ -18,21 +18,22 @@ samples: ``k`` of ``n`` positions without replacement from a generator
 seeded for the query, or all ``n`` positions, with no generator built, when
 ``k == n``.
 :func:`subsample_shares` counts many queries' draws with one ``bincount``,
-for the trial loop, which reads only the shares.
+for the trial loop, which reads only the shares.  A target is a
+:class:`~conscal.records.ConsistencyTarget`; :mod:`conscal.records` reads and
+writes the targets file.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import seeding
-from .errors import DataError, RecordError, is_finite_real
-from .records import GenerationBatch, SampleSets, json_lines, write_json_lines
+from .errors import DataError
+from .records import ConsistencyTarget, GenerationBatch, SampleSets
 
 log = logging.getLogger(__name__)
 
@@ -110,23 +111,6 @@ def is_match(answer: str, key: AnswerKey) -> bool:
     """True when a normalized answer equals the key or one of its aliases."""
     normalized = normalize_answer(answer)
     return normalized == key.canonical or normalized in key.aliases
-
-
-@dataclass(frozen=True)
-class ConsistencyTarget:
-    """The modal answer of a sample set and its agreement share.
-
-    ``selected_sample_index`` is the representative generation whose response
-    carries the modal answer (the lowest sample_index among them); ``s`` is
-    the modal share over all ``k`` samples, including samples that produced no
-    extractable answer (those dilute ``s`` but can never be selected).
-    """
-
-    query_id: str
-    selected_sample_index: int
-    answer: str
-    s: float
-    k: int
 
 
 def canonical_answer(batch: GenerationBatch, row: int) -> str | None:
@@ -275,58 +259,3 @@ def _modal_counts(coded: Sequence[AnswerCodes], drawn: list[np.ndarray], k: int)
         )
     return modal
 
-
-# ---------------------------------------------------------------------------
-# target file round trip
-# ---------------------------------------------------------------------------
-
-
-def write_targets(path: str, targets: Iterable[ConsistencyTarget]) -> None:
-    write_json_lines(path, map(asdict, targets))
-
-
-def load_targets(path: str) -> list[ConsistencyTarget]:
-    targets: list[ConsistencyTarget] = []
-    seen: set[str] = set()
-    for lineno, obj, reason in json_lines(path):
-        if reason is not None:
-            raise RecordError(f"{path}:{lineno}: invalid JSON ({reason})", path=path, line=lineno)
-        problems: list[str] = []
-        if not isinstance(obj, dict):
-            problems.append("record must be a JSON object")
-        else:
-            if not isinstance(obj.get("query_id"), str) or not obj.get("query_id"):
-                problems.append("query_id must be a nonempty string")
-            idx = obj.get("selected_sample_index")
-            if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
-                problems.append("selected_sample_index must be a nonnegative integer")
-            if not isinstance(obj.get("answer"), str):
-                problems.append("answer must be a string")
-            s = obj.get("s")
-            k = obj.get("k")
-            # A k too large for a float cannot be checked against s.
-            k_ok = isinstance(k, int) and is_finite_real(k) and k >= 1
-            if not k_ok:
-                problems.append("k must be a positive integer")
-            if not isinstance(s, (int, float)) or isinstance(s, bool) or not 0.0 <= s <= 1.0:
-                problems.append("s must be a number in [0, 1]")
-            elif k_ok:
-                if not math.isclose(s * k, round(s * k), abs_tol=1e-9):
-                    problems.append("s * k must be an integer sample count")
-            if isinstance(obj.get("query_id"), str):
-                if obj["query_id"] in seen:
-                    problems.append(f"duplicate target for query {obj['query_id']!r}")
-                else:
-                    seen.add(obj["query_id"])
-        if problems:
-            raise RecordError(f"{path}:{lineno}: {problems[0]}", path=path, line=lineno)
-        targets.append(
-            ConsistencyTarget(
-                query_id=obj["query_id"],
-                selected_sample_index=obj["selected_sample_index"],
-                answer=obj["answer"],
-                s=float(obj["s"]),
-                k=obj["k"],
-            )
-        )
-    return targets

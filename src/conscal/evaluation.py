@@ -362,12 +362,15 @@ def selective_curve(
 
 @dataclass(frozen=True)
 class SelectiveSummary:
+    """One abstention rate's means over the trials; an empty side's means
+    are None."""
+
     rate: float
     answered: int
-    accuracy: float
-    confidence: float
+    accuracy: float | None
+    confidence: float | None
     abstained_accuracy: float | None
-    gain: float
+    gain: float | None
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +471,10 @@ def _mean(values: np.ndarray) -> float:
     return float(np.mean(values))
 
 
+def _mean_if_any(values: np.ndarray | None) -> float | None:
+    return None if values is None else _mean(values)
+
+
 def _aggregate(
     method: str,
     reports: ReportTable,
@@ -500,12 +507,10 @@ def _aggregate(
         SelectiveSummary(
             rate=p.rate,
             answered=p.answered,
-            accuracy=float("nan") if p.accuracy is None else _mean(p.accuracy),
-            confidence=float("nan") if p.confidence is None else _mean(p.confidence),
-            abstained_accuracy=(
-                None if p.abstained_accuracy is None else _mean(p.abstained_accuracy)
-            ),
-            gain=float("nan") if p.gain is None else _mean(p.gain),
+            accuracy=_mean_if_any(p.accuracy),
+            confidence=_mean_if_any(p.confidence),
+            abstained_accuracy=_mean_if_any(p.abstained_accuracy),
+            gain=_mean_if_any(p.gain),
         )
         for p in selective
     )

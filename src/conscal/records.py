@@ -1,4 +1,4 @@
-"""Line-delimited record files for queries, generations, and labels.
+"""The record files: queries, generations, labels, targets and scores.
 
 Every dataset is a set of UTF-8 text files with one JSON object per line:
 
@@ -9,6 +9,12 @@ Every dataset is a set of UTF-8 text files with one JSON object per line:
     "token_logprobs", "answer_token_logprobs"?, "embedding", "sampling_meta"?}``
 ``labels.jsonl``
     ``{"query_id", "sample_index", "z"}`` with ``z`` in ``{0, 1}``
+``targets.jsonl``
+    ``{"query_id", "selected_sample_index", "answer", "s", "k"}``, one
+    :class:`ConsistencyTarget` per query
+``scores.jsonl``
+    ``{"query_id", "sample_index"?, "method", "confidence", "imputed"?}``,
+    written by ``conscal score``; no command reads it back
 
 Queries load as one record object per line.  Generations load into one
 columnar :class:`GenerationBatch`, their only in-memory form, and one
@@ -20,6 +26,9 @@ an object when present), then dropped.
 
 Validation is total: every malformed line yields a diagnostic naming the
 file and line, and a loader never returns a partially constructed dataset.
+A string holding an unpaired surrogate escape such as ``"\\ud800"`` makes
+its line invalid JSON: no UTF-8 file can hold it, so no writer could write
+it back.
 The generation loader checks each line's fields as it reads it, but tests
 the entries of its vector fields once per column, after the last line: a
 whole-column pass, then an entry-by-entry walk of the rows holding a bad
@@ -33,11 +42,12 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 from array import array
-from dataclasses import dataclass, fields
-from itertools import chain, compress
+from dataclasses import asdict, dataclass, fields
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -60,9 +70,12 @@ _GENERATION_FIELDS = frozenset(
     )
 )
 _LABEL_FIELDS = frozenset(("query_id", "sample_index", "z"))
+_TARGET_FIELDS = frozenset(("query_id", "selected_sample_index", "answer", "s", "k"))
 # Exact types of the numbers json.loads returns; bool, a subclass of int,
 # is not among them.
 _NUMBER_TYPES = frozenset((int, float))
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # \ud800 to \udfff, either case
 
 
 @dataclass(frozen=True)
@@ -138,14 +151,6 @@ class GenerationBatch:
     def query_id_of(self, row: int) -> str:
         return self.query_ids[int(np.searchsorted(self.query_offsets, row, side="right")) - 1]
 
-    def token_row(self, row: int) -> np.ndarray:
-        return self.token_logprobs[self.token_offsets[row] : self.token_offsets[row + 1]]
-
-    def answer_token_row(self, row: int) -> np.ndarray | None:
-        """The row's answer-span log-probabilities, or None when it has none."""
-        start, stop = self.answer_token_offsets[row : row + 2]
-        return self.answer_token_logprobs[start:stop] if stop > start else None
-
 
 @dataclass(frozen=True, eq=False)
 class SampleSets:
@@ -178,6 +183,23 @@ class SampleSets:
         return self.rows[self.offsets[:-1]]
 
 
+@dataclass(frozen=True)
+class ConsistencyTarget:
+    """The modal answer of a sample set and its agreement share.
+
+    ``selected_sample_index`` is the representative generation whose response
+    carries the modal answer (the lowest sample_index among them); ``s`` is
+    the modal share over all ``k`` samples, including samples that produced no
+    extractable answer (those dilute ``s`` but can never be selected).
+    """
+
+    query_id: str
+    selected_sample_index: int
+    answer: str
+    s: float
+    k: int
+
+
 def _check_vector(value: Any, name: str, *, max_value: float | None = None) -> list[str]:
     if not isinstance(value, list) or not value:
         return [f"{name} must be a nonempty array of numbers"]
@@ -189,25 +211,65 @@ def _check_vector(value: Any, name: str, *, max_value: float | None = None) -> l
     return []
 
 
-def json_lines(
-    path: str, constants: list[str] | None = None
-) -> Iterator[tuple[int, Any, str | None]]:
+def _query_id(obj: dict, problems: list[str]) -> Any:
+    """The record's ``query_id``, noting a problem unless it is a nonempty string."""
+    query_id = obj.get("query_id")
+    if not isinstance(query_id, str) or not query_id:
+        problems.append("query_id must be a nonempty string")
+    return query_id
+
+
+def _index(obj: dict, name: str, problems: list[str]) -> Any:
+    """The record's ``name``, noting a problem unless it is a nonnegative integer."""
+    value = obj.get(name)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        problems.append(f"{name} must be a nonnegative integer")
+    return value
+
+
+def _scalars(value: Any) -> Iterator[Any]:
+    """Every scalar of a decoded JSON value, object keys included."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack.extend(item)
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+        else:
+            yield item
+
+
+def decode_json(text: str, decode: Callable[[str], Any] = json.loads) -> Any:
+    """``decode(text)``, raising ``json.JSONDecodeError`` with the reason
+    ``unpaired surrogate escape`` for a string that holds one; only text
+    holding a surrogate escape is walked."""
+    value = decode(text)
+    escape = _SURROGATE_ESCAPE.search(text)
+    if escape and any(type(item) is str and _SURROGATE.search(item) for item in _scalars(value)):
+        raise json.JSONDecodeError("unpaired surrogate escape", text, escape.start())
+    return value
+
+
+def json_lines(path: str, constants: list[str]) -> Iterator[tuple[int, Any, str | None]]:
     """Decode each line of a JSONL file: ``(lineno, value, None)``, or
     ``(lineno, None, reason)`` for a line that is not JSON.
 
     Lines split as in text mode (``\\n``, ``\\r\\n`` or a lone ``\\r``).  A line
     holding bytes that are not UTF-8 gets the reason ``not UTF-8 text`` and
-    reading goes on with the next line.  When ``constants`` is given, it
-    holds the ``NaN``, ``Infinity`` and ``-Infinity`` tokens of the line last
-    decoded; they still decode to floats.
+    reading goes on with the next line; so does a line holding an unpaired
+    surrogate escape (see :func:`decode_json`).  ``constants`` holds the
+    ``NaN``, ``Infinity`` and ``-Infinity`` tokens of the line last decoded;
+    they still decode to floats.
     """
 
     def constant(token: str) -> float:
-        constants.append(token)  # type: ignore[union-attr]
+        constants.append(token)
         return float(token)
 
     # One decoder for the file: json.loads with a hook would build one a line.
-    decode = json.JSONDecoder(parse_constant=None if constants is None else constant).decode
+    decode = json.JSONDecoder(parse_constant=constant).decode
     # surrogateescape turns each undecodable byte into a lone surrogate,
     # which text decoded from UTF-8 never holds and which cannot be encoded.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
@@ -221,23 +283,11 @@ def json_lines(
                         raise json.JSONDecodeError(
                             "Unexpected UTF-8 BOM (decode using utf-8-sig)", raw, 0
                         )
-                value = decode(raw.rstrip("\n"))
+                value = decode_json(raw, decode)  # JSON reads the "\n" as whitespace
             except (ValueError, RecursionError) as exc:
                 yield lineno, None, json_error_reason(exc)
                 continue
             yield lineno, value, None
-
-
-def _holds_non_finite(value: Any) -> bool:
-    """True when a decoded JSON value holds a NaN or infinite float anywhere."""
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, float) and not math.isfinite(item):
-            return True
-        if isinstance(item, (dict, list)):
-            stack.extend(item.values() if isinstance(item, dict) else item)
-    return False
 
 
 def _objects(
@@ -264,7 +314,8 @@ def _objects(
             yield lineno, obj, [
                 f"{key} contains NaN or Infinity"
                 for key, value in obj.items()
-                if key not in checked and _holds_non_finite(value)
+                if key not in checked
+                and any(type(item) is float and not math.isfinite(item) for item in _scalars(value))
             ]
         else:
             yield lineno, obj, []
@@ -283,9 +334,7 @@ def scan_queries(path: str) -> tuple[list[QueryRecord], list[Diagnostic]]:
     seen: set[str] = set()
     embed_dim: int | None = None
     for lineno, obj, problems in _objects(path, diagnostics, _QUERY_FIELDS):
-        query_id = obj.get("query_id")
-        if not isinstance(query_id, str) or not query_id:
-            problems.append("query_id must be a nonempty string")
+        query_id = _query_id(obj, problems)
         text = obj.get("text")
         if not isinstance(text, str):
             problems.append("text must be a string")
@@ -299,7 +348,7 @@ def scan_queries(path: str) -> tuple[list[QueryRecord], list[Diagnostic]]:
         qemb = obj.get("question_embedding")
         if qemb is not None:
             problems.extend(_check_vector(qemb, "question_embedding"))
-        if not problems and isinstance(query_id, str):
+        if not problems:
             if query_id in seen:
                 problems.append(f"duplicate query_id {query_id!r}")
             else:
@@ -358,12 +407,8 @@ def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic
     token_ends, span_ends, embedding_ends = array("q", [0]), array("q", [0]), array("q", [0])
     numbers = _NUMBER_TYPES.issuperset
     for lineno, obj, problems in _objects(path, diagnostics, _GENERATION_FIELDS):
-        query_id = obj.get("query_id")
-        if not isinstance(query_id, str) or not query_id:
-            problems.append("query_id must be a nonempty string")
-        sample_index = obj.get("sample_index")
-        if not isinstance(sample_index, int) or isinstance(sample_index, bool) or sample_index < 0:
-            problems.append("sample_index must be a nonnegative integer")
+        query_id = _query_id(obj, problems)
+        sample_index = _index(obj, "sample_index", problems)
         response_text = obj.get("response_text")
         if not isinstance(response_text, str):
             problems.append("response_text must be a string")
@@ -595,12 +640,8 @@ def scan_labels(
             for i in rows[start:stop]
         }
     for lineno, obj, problems in _objects(path, diagnostics, _LABEL_FIELDS):
-        query_id = obj.get("query_id")
-        if not isinstance(query_id, str) or not query_id:
-            problems.append("query_id must be a nonempty string")
-        sample_index = obj.get("sample_index")
-        if not isinstance(sample_index, int) or isinstance(sample_index, bool) or sample_index < 0:
-            problems.append("sample_index must be a nonnegative integer")
+        query_id = _query_id(obj, problems)
+        sample_index = _index(obj, "sample_index", problems)
         label = obj.get("z")
         if not isinstance(label, int) or isinstance(label, bool) or label not in (0, 1):
             problems.append("z must be 0 or 1")
@@ -640,16 +681,56 @@ def load_labels(path: str, sets: SampleSets) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# targets
+# ---------------------------------------------------------------------------
+
+
+def load_targets(path: str) -> list[ConsistencyTarget]:
+    """Parse and validate a targets file, at most one target per query;
+    raises on any diagnostic."""
+    diagnostics: list[Diagnostic] = []
+    row_diagnostics: list[Diagnostic] = []
+    targets: list[ConsistencyTarget] = []
+    seen: set[str] = set()
+    for lineno, obj, problems in _objects(path, diagnostics, _TARGET_FIELDS):
+        query_id = _query_id(obj, problems)
+        selected = _index(obj, "selected_sample_index", problems)
+        answer = obj.get("answer")
+        if not isinstance(answer, str):
+            problems.append("answer must be a string")
+        s, k = obj.get("s"), obj.get("k")
+        # A k too large for a float cannot be checked against s.
+        k_ok = isinstance(k, int) and is_finite_real(k) and k >= 1
+        if not k_ok:
+            problems.append("k must be a positive integer")
+        if not is_finite_real(s) or not 0.0 <= s <= 1.0:
+            problems.append("s must be a number in [0, 1]")
+        elif k_ok and not math.isclose(s * k, round(s * k), abs_tol=1e-9):
+            problems.append("s * k must be an integer sample count")
+        if not problems:
+            if query_id in seen:
+                problems.append(f"duplicate target for query {query_id!r}")
+            else:
+                seen.add(query_id)
+        if problems:
+            row_diagnostics.extend(Diagnostic(path, lineno, p) for p in problems)
+            continue
+        targets.append(ConsistencyTarget(query_id, selected, answer, float(s), k))
+    _raise_if_any(diagnostics + row_diagnostics)
+    return targets
+
+
+# ---------------------------------------------------------------------------
 # writers
 # ---------------------------------------------------------------------------
 #
 # Every file is the text that ``json.dumps(obj, ensure_ascii=False,
 # separators=(",", ":"))`` writes for each record's object: known fields in
-# a fixed order, absent optional fields left out.  Queries go through json
-# itself.  Generation and label lines, the bulk of a dataset, are filled
-# from fixed templates: json writes a string with ``encode_basestring`` and
-# a finite float with ``float.__repr__``, and the writers call those
-# directly.
+# a fixed order, absent optional fields left out.  Queries and targets go
+# through json itself.  Generation, label and score lines, the bulk of the
+# files, are filled from fixed templates: json writes a string with
+# ``encode_basestring`` and a finite float with ``float.__repr__``, and the
+# writers call those directly.
 
 # The answer and answer-span slots hold "" or the field's comma, key and value.
 _GENERATION_LINE = (
@@ -657,6 +738,8 @@ _GENERATION_LINE = (
     '"embedding":[{}]{}}}\n'
 )
 _LABEL_LINE = '{{"query_id":{},"sample_index":{},"z":{}}}\n'
+_SCORE_LINE = '{{"query_id":{},{}"method":{},"confidence":{}{}}}\n'
+_IMPUTED = {None: "", False: ',"imputed":false', True: ',"imputed":true'}
 
 
 def _dump(obj: Any) -> str:
@@ -669,7 +752,14 @@ def write_json_lines(path: str, objects: Iterable[Any]) -> None:
         handle.writelines(_dump(obj) + "\n" for obj in objects)
 
 
-def float_texts(values: np.ndarray) -> list[str]:
+def write_json(path: str, obj: Any) -> None:
+    """Write one JSON document, indented by 2, with a final newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(obj, handle, indent=2, ensure_ascii=False)
+        handle.write("\n")
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
     """The json text of each entry of a float column."""
     floats = values.tolist()
     if np.isfinite(values).all():
@@ -692,7 +782,7 @@ def _segment_texts(
     """The json texts of rows ``start:stop`` of a flat float column."""
     ends = offsets[start : stop + 1].tolist()
     base = ends[0]
-    texts = float_texts(values[base : ends[-1]])
+    texts = _float_texts(values[base : ends[-1]])
     return [texts[a - base : b - base] for a, b in zip(ends, ends[1:])]
 
 
@@ -708,7 +798,7 @@ def _batch_lines(batch: GenerationBatch, tail: str) -> Iterator[list[str]]:
         spans = _segment_texts(
             batch.answer_token_logprobs, batch.answer_token_offsets, start, stop
         )
-        embeddings = float_texts(batch.embedding[start:stop].ravel())
+        embeddings = _float_texts(batch.embedding[start:stop].ravel())
         lines = []
         for row, i in enumerate(range(start, stop)):
             answer, span = batch.answer[i], spans[row]
@@ -755,6 +845,32 @@ def write_labels(path: str, batch: GenerationBatch, z: np.ndarray) -> None:
                 _LABEL_LINE.format(head, batch.sample_index[i], labels[i])
                 for i in range(offsets[run], offsets[run + 1])
                 if labels[i] >= 0
+            )
+
+
+def write_targets(path: str, targets: Iterable[ConsistencyTarget]) -> None:
+    write_json_lines(path, map(asdict, targets))
+
+
+def write_scores(path: str, columns: Iterable[tuple[str, Sequence[str], Any, Any, Any]]) -> None:
+    """Write score lines from each method's columns ``(method, query_ids,
+    sample_index, confidence, imputed)``, method after method.
+
+    A ``sample_index`` of None (rows that score a whole query) or an
+    ``imputed`` of None (a method that imputes nothing) leaves its key out.
+    """
+    with open(path, "w", encoding="utf-8") as handle:
+        for method, query_ids, sample_index, confidence, imputed in columns:
+            name = encode_basestring(method)
+            keys = (
+                repeat("") if sample_index is None
+                else (f'"sample_index":{i},' for i in sample_index)
+            )
+            flags = repeat(None) if imputed is None else np.asarray(imputed, dtype=bool).tolist()
+            texts = _float_texts(np.asarray(confidence, dtype=float))
+            handle.writelines(
+                _SCORE_LINE.format(encode_basestring(query_id), key, name, text, _IMPUTED[flag])
+                for query_id, key, text, flag in zip(query_ids, keys, texts, flags)
             )
 
 

@@ -375,6 +375,17 @@ def batch_row(batch, row: int) -> dict:
     }
 
 
+def token_row(batch, row: int) -> np.ndarray:
+    """Row ``row``'s token log-probabilities, a slice of the batch's column."""
+    return batch.token_logprobs[batch.token_offsets[row] : batch.token_offsets[row + 1]]
+
+
+def answer_token_row(batch, row: int) -> np.ndarray | None:
+    """Row ``row``'s answer-span log-probabilities, or None when it has none."""
+    start, stop = batch.answer_token_offsets[row : row + 2]
+    return batch.answer_token_logprobs[start:stop] if stop > start else None
+
+
 def record_line_by_json(record, row: int | None = None, sampling_meta=None) -> str:
     """A query's or a generation row's file line, as ``json.dumps`` writes
     its object.
@@ -469,6 +480,11 @@ def _objects_by_line(path: str, checked: frozenset):
                 obj = json.loads(line, parse_constant=constant)
             except json.JSONDecodeError as exc:
                 yield lineno, None, [f"invalid JSON ({exc.msg})"]
+                continue
+            try:  # UTF-8 cannot encode a surrogate that is not part of a pair
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                yield lineno, None, ["invalid JSON (unpaired surrogate escape)"]
                 continue
             if not isinstance(obj, dict):
                 yield lineno, None, ["record must be a JSON object"]
@@ -750,17 +766,17 @@ def aggregate_by_trial_loop(
         })
     selective = []
     for rows in zip(*curves):
-        def over_trials(name, empty):
+        def over_trials(name):
             values = [p[name] for p in rows if p[name] is not None]
-            return float(np.mean(values)) if values else empty
+            return float(np.mean(values)) if values else None
 
         selective.append({
             "rate": rows[0]["rate"],
             "answered": rows[0]["answered"],
-            "accuracy": over_trials("accuracy", float("nan")),
-            "confidence": over_trials("confidence", float("nan")),
-            "abstained_accuracy": over_trials("abstained_accuracy", None),
-            "gain": over_trials("gain", float("nan")),
+            "accuracy": over_trials("accuracy"),
+            "confidence": over_trials("confidence"),
+            "abstained_accuracy": over_trials("abstained_accuracy"),
+            "gain": over_trials("gain"),
         })
     return {
         **{
@@ -779,7 +795,7 @@ def load_scores(path: str) -> list[dict[str, Any]]:
     """The rows of a ``conscal score`` file; a malformed or non-finite row
     raises a RecordError naming its line."""
     rows: list[dict[str, Any]] = []
-    for lineno, obj, reason in json_lines(path):
+    for lineno, obj, reason in json_lines(path, []):
         if reason is not None:
             raise RecordError(f"{path}:{lineno}: invalid JSON ({reason})", path=path, line=lineno)
         if (

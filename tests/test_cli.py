@@ -17,7 +17,7 @@ from conscal import baselines, calibrator, consistency, evaluation, records
 from conscal.cli import build_parser, main
 
 from conftest import make_batch, make_generation, make_query
-from oracles import load_scores
+from oracles import load_scores, token_row
 
 
 def _read_bytes(path):
@@ -26,6 +26,18 @@ def _read_bytes(path):
 
 def _read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def _read_strict_json(path):
+    """The values of a .json file or of each line of a .jsonl file, read as
+    strict JSON: UTF-8, and no NaN or Infinity."""
+    text = path.read_bytes().decode("utf-8")
+    lines = text.splitlines() if path.suffix == ".jsonl" else [text]
+    return [json.loads(line, parse_constant=_no_constant) for line in lines]
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +236,43 @@ def test_validate_diagnoses_integers_too_large_for_a_float(tmp_path, capsys):
     assert captured.out == "FAIL: 1 problem(s) found\n"
 
 
+def _with_surrogate(source, target, key):
+    """``source`` with the unpaired surrogate escape \\ud800 put at the start of
+    the first line's ``key`` string."""
+    first, rest = source.read_text(encoding="utf-8").split("\n", 1)
+    target.write_text(first.replace(f'"{key}":"', f'"{key}":"\\ud800', 1) + "\n" + rest,
+                      encoding="utf-8")
+    return str(target)
+
+
+def test_an_unpaired_surrogate_escape_stops_every_command_before_it_writes(
+    data_dir, tmp_path, capsys
+):
+    queries = _with_surrogate(data_dir / "queries.jsonl", tmp_path / "q.jsonl", "text")
+    generations = _with_surrogate(
+        data_dir / "generations.jsonl", tmp_path / "g.jsonl", "response_text"
+    )
+    assert main(["validate", "--queries", queries]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{queries}:1: invalid JSON (unpaired surrogate escape)\n"
+    assert captured.out == "FAIL: 1 problem(s) found\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"group_shift": {"tag": "sh\\ud800"}}', encoding="utf-8")
+    runs = {
+        "targets": ["targets", "--queries", queries,
+                    "--generations", str(data_dir / "generations.jsonl")],
+        "score": ["score", "--queries", str(data_dir / "queries.jsonl"),
+                  "--generations", generations, "--methods", "token_prob"],
+        "synth": ["synth", "--config", str(cfg), "--n-queries", "4"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unpaired surrogate escape" in err, name
+        assert not (tmp_path / name).exists(), name
+    assert err == f"error: {cfg}: invalid JSON (unpaired surrogate escape, line 1)\n"
+
+
 def test_validate_missing_file_is_a_usage_error(tmp_path, capsys):
     code = main(["validate", "--queries", str(tmp_path / "absent.jsonl")])
     assert code == 2
@@ -242,7 +291,7 @@ def test_targets_full_and_subsampled_at_full_k_agree(data_dir, tmp_path, capsys)
     assert main(base + ["--out", str(full)]) == 0
     assert main(base + ["--k", "6", "--seed", "0", "--out", str(sub)]) == 0
     assert _read_bytes(full / "targets.jsonl") == _read_bytes(sub / "targets.jsonl")
-    targets = consistency.load_targets(str(full / "targets.jsonl"))
+    targets = records.load_targets(str(full / "targets.jsonl"))
     assert len(targets) == 40
     for t in targets:
         assert t.k == 6
@@ -284,7 +333,7 @@ def test_targets_are_unanimous_when_difficulty_is_pinned_to_one(tmp_path):
     assert main(["targets", "--queries", str(data / "queries.jsonl"),
                  "--generations", str(data / "generations.jsonl"),
                  "--out", str(out)]) == 0
-    assert all(t.s == 1.0 for t in consistency.load_targets(str(out / "targets.jsonl")))
+    assert all(t.s == 1.0 for t in records.load_targets(str(out / "targets.jsonl")))
 
 
 def test_targets_skip_boxless_queries_with_a_warning(tmp_path, capsys):
@@ -308,7 +357,7 @@ def test_targets_skip_boxless_queries_with_a_warning(tmp_path, capsys):
     assert code == 0
     assert "wrote 1 targets" in captured.out and "1 warning(s)" in captured.out
     assert "skipping q2" in captured.err
-    (target,) = consistency.load_targets(str(out / "targets.jsonl"))
+    (target,) = records.load_targets(str(out / "targets.jsonl"))
     assert target.query_id == "q1" and target.s == 1.0
 
 
@@ -376,8 +425,8 @@ def test_train_from_a_targets_file_matches_training_from_scratch(
 
 def test_train_rejects_targets_for_unknown_queries(data_dir, tmp_path, capsys):
     bad = tmp_path / "targets.jsonl"
-    rows = [consistency.ConsistencyTarget("zzz", 0, "a", 1.0, 6)]
-    consistency.write_targets(str(bad), rows)
+    rows = [records.ConsistencyTarget("zzz", 0, "a", 1.0, 6)]
+    records.write_targets(str(bad), rows)
     code = main(["train"] + _data_flags(data_dir, labels=False)
                 + ["--targets", str(bad), "--out", str(tmp_path / "x")])
     assert code == 1
@@ -445,7 +494,7 @@ def test_score_rows_match_library_computations(data_dir, model_dir, tmp_path):
 
     token = [r for r in rows if r["method"] == "token_prob"]
     assert [r["confidence"] for r in token] == [
-        baselines.token_prob_score(batch.token_row(i)) for i in positions
+        baselines.token_prob_score(token_row(batch, i)) for i in positions
     ]
 
     vote = [r for r in rows if r["method"] == "tt_sc"]
@@ -751,6 +800,20 @@ def test_selective_reports_zero_gain_at_rate_zero(data_dir, tmp_path):
         assert summary["selective"][0]["abstained_accuracy"] is None
 
 
+def test_selective_writes_null_for_the_answered_side_when_every_query_abstains(
+    data_dir, tmp_path
+):
+    out = tmp_path / "sel"
+    assert main(["selective"] + _data_flags(data_dir)
+                + ["--trials", "2", "--rates", "0.99", "--methods", "token_prob",
+                   "--out", str(out)]) == 0
+    (report,) = _read_strict_json(out / "report.json")
+    (row,) = report["methods"]["token_prob"]["selective"]
+    assert row["answered"] == 0
+    assert row["accuracy"] is row["confidence"] is row["gain"] is None
+    assert 0.0 <= row["abstained_accuracy"] <= 1.0
+
+
 def test_selective_rejects_unparseable_and_out_of_range_rates(data_dir, tmp_path, capsys):
     base = ["selective"] + _data_flags(data_dir) + ["--trials", "1"]
     assert main(base + ["--rates", "0.2,oops", "--out", str(tmp_path / "x")]) == 2
@@ -886,6 +949,11 @@ def test_cli_outputs_match_the_recorded_digests(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert _golden_digests() == _read_json(_CLI_DIGESTS)
     capsys.readouterr()
+    # Every JSON file the commands wrote, the two datasets included, is strict JSON.
+    written = sorted(tmp_path.glob("*/*.json*"))
+    assert len(written) == 30
+    for path in written:
+        assert _read_strict_json(path), path
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,17 @@ from hypothesis import strategies as st
 from conscal import consistency, records, seeding
 from conscal.consistency import (
     AnswerKey,
-    ConsistencyTarget,
     answer_codes,
     boxed_groups,
     build_target,
     extract_boxed,
     is_match,
-    load_targets,
     normalize_answer,
     subsample_shares,
     subsample_targets,
-    write_targets,
 )
 from conscal.errors import DataError, RecordError
+from conscal.records import ConsistencyTarget, load_targets, write_targets
 
 from conftest import make_batch, make_generation, make_query, make_set
 from oracles import boxed_groups_by_scan, modal_by_counter
@@ -436,6 +434,28 @@ def test_load_targets_names_a_line_that_is_not_utf8(tmp_path):
     with pytest.raises(RecordError) as excinfo:
         load_targets(str(path))
     assert str(excinfo.value) == f"{path}:1: invalid JSON (not UTF-8 text)"
+    assert excinfo.value.line == 1
+
+
+def test_load_targets_reports_every_bad_line_json_problems_first(tmp_path):
+    row = '{"query_id":"q%d","selected_sample_index":0,"answer":"a","s":%s,"k":2%s}\n'
+    path = _write_raw(
+        tmp_path / "targets.jsonl",
+        row % (1, "1.0", "") + row % (2, "0.5", ',"note":NaN') + row % (3, "2", "") + "[]\n",
+    )
+    with pytest.raises(RecordError) as excinfo:
+        load_targets(path)
+    assert str(excinfo.value) == f"{path}:4: record must be a JSON object (+2 more)"
+    two = _write_raw(
+        tmp_path / "two.jsonl", row % (1, "1.5", "") + row % (2, "0.5", ',"x":[-Infinity]')
+    )
+    with pytest.raises(RecordError) as excinfo:
+        load_targets(two)
+    assert str(excinfo.value) == f"{two}:1: s must be a number in [0, 1] (+1 more)"
+    nan = _write_raw(tmp_path / "nan.jsonl", row % (1, "1.0", ',"note":NaN'))
+    with pytest.raises(RecordError) as excinfo:
+        load_targets(nan)
+    assert str(excinfo.value) == f"{nan}:1: note contains NaN or Infinity"
     assert excinfo.value.line == 1
 
 

@@ -20,6 +20,7 @@ from conscal.records import Diagnostic, QueryRecord
 
 from conftest import make_batch, make_generation, make_query, make_set
 from oracles import (
+    answer_token_row,
     check_vector_by_entry,
     group_generations_by_buckets,
     label_lines_by_json,
@@ -312,6 +313,39 @@ def test_bytes_that_are_not_utf8_are_diagnosed_and_reading_goes_on(tmp_path):
     assert [(d.line, d.message) for d in diagnostics] == [
         (2, "invalid JSON (not UTF-8 text)"),
         (4, "record must be a JSON object"),
+    ]
+
+
+def test_an_unpaired_surrogate_escape_makes_a_line_invalid_json(tmp_path):
+    # json.dumps escapes each surrogate: "\ud800" alone, "\ud83d\ude00" as a pair.
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(
+        "".join(
+            json.dumps(obj) + "\n"
+            for obj in (
+                _valid_query("q1", text="x\ud800"),
+                _valid_query("q2", text="\U0001f600"),
+                _valid_query("q3", notes={"\udfff": 1}),
+                _valid_query("q4", notes=["ok", ["\udc00"]]),
+            )
+        ),
+        encoding="utf-8",
+    )
+    found, diagnostics = records.scan_queries(str(queries))
+    assert [(q.query_id, q.text) for q in found] == [("q2", "\U0001f600")]
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (line, "invalid JSON (unpaired surrogate escape)") for line in (1, 3, 4)
+    ]
+    generations = tmp_path / "generations.jsonl"
+    generations.write_text(
+        json.dumps(_valid_generation(response_text="\\boxed{\udbff}")) + "\n"
+        + json.dumps(_valid_generation(idx=1, answer="\U0001f600")) + "\n",
+        encoding="utf-8",
+    )
+    batch, diagnostics = records.scan_generation_records(str(generations))
+    assert batch.answer == ("\U0001f600",)
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (1, "invalid JSON (unpaired surrogate escape)")
     ]
 
 
@@ -648,7 +682,7 @@ def test_a_file_of_interleaved_queries_loads_and_writes_back_byte_for_byte(tmp_p
     assert batch.query_ids == ("q1", "q2", "q1")
     assert batch.query_offsets.tolist() == [0, 1, 2, 4]
     assert batch.answer == ("x", None, None, None)
-    assert [batch.answer_token_row(i) is None for i in range(4)] == [False, True, False, True]
+    assert [answer_token_row(batch, i) is None for i in range(4)] == [False, True, False, True]
     rewritten = tmp_path / "rewritten.jsonl"
     records.write_generations(str(rewritten), batch, meta)
     assert rewritten.read_bytes() == path.read_bytes()
@@ -857,14 +891,15 @@ def _generation_line(draw):
         [
             ("query_id", pick(['"q1"', '"q2"', '"q3"'], ['""', "5"])),
             ("sample_index", pick(["0", "1", "2"], ["-1", "true", "1.0"])),
-            ("response_text", pick(['"t"', '"\\boxed{a}"'], ["null"])),
+            ("response_text", pick(['"t"', '"\\boxed{a}"', '"\\ud83d\\ude00"'],
+                                   ["null", '"\\ud800"'])),
             ("answer", pick([None, '"a"'], ["3"])),
             ("token_logprobs", draw(tokens if clean else tokens | st.none())),
             ("answer_token_logprobs", draw(st.none() | tokens)),
             ("embedding", draw(embeddings if clean else embeddings | st.none())),
             ("sampling_meta", pick([None, '{"t":0.7}', '{"t":1e999}', '{"ok":false}'],
                                    ['{"t":NaN}', '"m"'])),
-            ("note", pick([None, '"n"', "1e999", "true"], ["[Infinity]"])),
+            ("note", pick([None, '"n"', "1e999", "true"], ["[Infinity]", '["\\udc00"]'])),
         ]
     )
 

@@ -23,7 +23,7 @@ from conscal.synth import (
     write_truth,
 )
 
-from oracles import batch_row, segmented_logprobs_by_loop
+from oracles import answer_token_row, batch_row, segmented_logprobs_by_loop
 
 _SMALL = SynthConfig(n_queries=12, k=6, embedding_dim=5, seed=3)
 
@@ -132,7 +132,7 @@ def test_dataset_shape_matches_the_config():
         assert len(query.question_embedding) == 5
         assert query.gold_answers == (f"{query.query_id}a",)
     assert generations.embedding.shape == (12 * 6, 5)
-    assert all(generations.answer_token_row(i) is not None for i in range(12 * 6))
+    assert all(answer_token_row(generations, i) is not None for i in range(12 * 6))
     assert np.all(generations.token_logprobs <= 0.0)
     assert np.all(generations.answer_token_logprobs <= 0.0)
 
