@@ -32,10 +32,10 @@ from .calibrator import (
     save_model,
 )
 from .consistency import (
-    AnswerKey,
     answer_codes,
     build_target,
     extract_boxed,
+    gold_set,
     normalize_answer,
     subsample_shares,
     subsample_targets,
@@ -67,7 +67,6 @@ from .synth import GroupShift, SynthConfig, generate, query_truth
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnswerKey",
     "CalibratorModel",
     "ConfigError",
     "ConsistencyTarget",
@@ -101,6 +100,7 @@ __all__ = [
     "fit_ridge",
     "fit_scaler",
     "generate",
+    "gold_set",
     "impute_verbal",
     "isotonic_predict",
     "load_generations",

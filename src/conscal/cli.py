@@ -60,6 +60,17 @@ def _read_json(path: str) -> dict[str, Any]:
     return obj
 
 
+def _check_utf8(args: argparse.Namespace) -> None:
+    """Reject an argument that is not UTF-8 (the OS hands such bytes over as
+    lone surrogates), which the JSON writers could not echo."""
+    for name, value in vars(args).items():
+        try:
+            if isinstance(value, str):
+                value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"--{name.replace('_', '-')} is not UTF-8: {value!r}") from None
+
+
 def _out_dir(args: argparse.Namespace, config_obj: dict[str, Any]) -> str:
     if args.out:
         out = args.out
@@ -146,20 +157,13 @@ def _synth_config(args: argparse.Namespace) -> synth.SynthConfig:
             settings["group_shift"] = synth.GroupShift(**shift)
         except TypeError as exc:
             raise ConfigError(f"bad group_shift: {exc}") from None
-    try:
-        config = preset(**settings)
-    except TypeError as exc:
-        raise ConfigError(f"bad synth configuration: {exc}") from None
-    config.validate()
-    return config
+    return preset(**settings)
 
 
 def _trial_config(
     args: argparse.Namespace, selective_rates: tuple[float, ...] | None
 ) -> evaluation.TrialConfig:
-    methods = None
-    if args.methods is not None:
-        methods = _parse_methods(args.methods, evaluation.DEFAULT_METHODS)
+    methods = None if args.methods is None else _csv(args.methods)
     settings = _settings(
         args.config, "trial", evaluation.TrialConfig,
         {"n_trials": args.trials, "cal_fraction": args.cal_frac, "bins": args.bins,
@@ -170,12 +174,7 @@ def _trial_config(
     for key in ("methods", "selective_rates"):
         if isinstance(settings.get(key), list):
             settings[key] = tuple(settings[key])
-    try:
-        config = evaluation.TrialConfig(**settings)
-    except TypeError as exc:
-        raise ConfigError(f"bad trial configuration: {exc}") from None
-    config.validate()
-    return config
+    return evaluation.TrialConfig(**settings)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +538,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_utf8(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -18,9 +18,10 @@ samples: ``k`` of ``n`` positions without replacement from a generator
 seeded for the query, or all ``n`` positions, with no generator built, when
 ``k == n``.
 :func:`subsample_shares` counts many queries' draws with one ``bincount``,
-for the trial loop, which reads only the shares.  A target is a
+for the trial loop, which reads only the shares; one target is the same
+count over one row.  A target is a
 :class:`~conscal.records.ConsistencyTarget`; :mod:`conscal.records` reads and
-writes the targets file.
+writes the targets file.  A query's gold answers are one :func:`gold_set`.
 """
 
 from __future__ import annotations
@@ -90,27 +91,11 @@ def normalize_answer(raw: str) -> str:
     return raw.strip().casefold()
 
 
-@dataclass(frozen=True)
-class AnswerKey:
-    """A gold answer with acceptable aliases, all normalized."""
-
-    canonical: str
-    aliases: tuple[str, ...] = ()
-
-    @classmethod
-    def from_gold(cls, gold_answers: Sequence[str]) -> "AnswerKey":
-        if not gold_answers:
-            raise DataError("gold_answers must be nonempty to build an answer key")
-        normalized = [normalize_answer(a) for a in gold_answers]
-        canonical = normalized[0]
-        aliases = tuple(dict.fromkeys(a for a in normalized[1:] if a != canonical))
-        return cls(canonical=canonical, aliases=aliases)
-
-
-def is_match(answer: str, key: AnswerKey) -> bool:
-    """True when a normalized answer equals the key or one of its aliases."""
-    normalized = normalize_answer(answer)
-    return normalized == key.canonical or normalized in key.aliases
+def gold_set(gold_answers: Sequence[str]) -> frozenset[str]:
+    """A query's gold answers, normalized.  An answer from
+    :func:`canonical_answer` is already normalized, so it is correct when it
+    is a member."""
+    return frozenset(map(normalize_answer, gold_answers))
 
 
 def canonical_answer(batch: GenerationBatch, row: int) -> str | None:
@@ -173,19 +158,13 @@ def answer_codes(sets: SampleSets) -> list[AnswerCodes]:
 def _target(coded: AnswerCodes, positions: Sequence[int]) -> ConsistencyTarget:
     """Modal answer among the samples of ``coded`` at ``positions``."""
     codes = coded.codes[positions]
-    counts = np.bincount(codes[codes >= 0])
-    if counts.size == 0:
-        raise DataError(
-            f"query {coded.query_id}: no extractable answer in any of {codes.size} samples"
-        )
-    # argmax takes the first maximum: ties go to the smallest answer string.
-    modal = int(counts.argmax())
+    (modal,), (count,) = _modal_counts([coded], [codes], codes.size)
     first = positions[int((codes == modal).argmax())]
     return ConsistencyTarget(
         query_id=coded.query_id,
         selected_sample_index=coded.sample_index[first],
         answer=coded.answers[modal],
-        s=int(counts[modal]) / codes.size,
+        s=int(count) / codes.size,
         k=codes.size,
     )
 
@@ -237,25 +216,29 @@ def subsample_shares(
             _modal_counts(coded, drawn, k)  # an earlier query may fail first
             raise
         drawn.append(c.codes[positions])
-    return _modal_counts(coded, drawn, k) / k
+    return _modal_counts(coded, drawn, k)[1] / k
 
 
-def _modal_counts(coded: Sequence[AnswerCodes], drawn: list[np.ndarray], k: int) -> np.ndarray:
-    """The modal answer's count in each row of ``drawn``, the codes drawn
-    from ``coded[row]``, by one ``bincount``.
+def _modal_counts(
+    coded: Sequence[AnswerCodes], drawn: list[np.ndarray], k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The modal code of each row of ``drawn``, the ``k`` codes drawn from
+    ``coded[row]``, and its count, by one ``bincount``.
 
     Row ``r``'s codes are shifted into ``[width * r, width * (r + 1))``, with
-    column 0 for samples without an answer.  Counts ignore order, so the
-    draws need no sort.
+    column 0 for samples without an answer, which never vote.  ``argmax``
+    takes the first maximum, so ties go to the smallest answer string.
+    Counts ignore order, so the draws need no sort.
     """
     rows = len(drawn)
     width = 1 + max((len(c.answers) for c in coded[:rows]), default=0)
     shifted = np.array(drawn, dtype=np.intp) + 1 + width * np.arange(rows)[:, None]
     counts = np.bincount(shifted.ravel(), minlength=rows * width).reshape(rows, width)
-    modal = counts[:, 1:].max(axis=1, initial=0)
-    if (empty := np.flatnonzero(modal == 0)).size:
+    counts[:, 0] = 0
+    modal = counts.argmax(axis=1)
+    count = counts[np.arange(rows), modal]
+    if (empty := np.flatnonzero(count == 0)).size:
         raise DataError(
             f"query {coded[empty[0]].query_id}: no extractable answer in any of {k} samples"
         )
-    return modal
-
+    return modal - 1, count

@@ -13,8 +13,10 @@ per-trial reports.  Each method's trials are scored together, as the rows
 of one (trials x test queries) matrix.
 
 Correctness of a response comes from the labels file when it covers the
-(query, sample) pair and otherwise falls back to matching the extracted
-answer against the query's gold answers; having neither is an error.
+(query, sample) pair and otherwise falls back to whether the extracted
+answer is one of the query's normalized gold answers.  A deployment response
+with neither is an error; the modal-answer sample that ``tt_sc`` is judged
+by needs one only when ``tt_sc`` is scored.
 
 Method identifiers:
 
@@ -50,10 +52,9 @@ from .baselines import (
 from .calibrator import FEATURE_SOURCES, check_fit_settings, fit_pipeline, predict
 from .consistency import (
     AnswerCodes,
-    AnswerKey,
     answer_codes,
     build_target,
-    is_match,
+    gold_set,
     subsample_shares,
 )
 from .errors import ConfigError, DataError, require_integer, require_real
@@ -64,7 +65,7 @@ from .metrics import (
     _checked_labels,
     compute_report,
 )
-from .records import GenerationBatch, SampleSets
+from .records import SampleSets
 
 DEFAULT_METHODS = (
     "distilled",
@@ -112,7 +113,7 @@ class EvalDataset:
     answer_prob: np.ndarray | None
     verbal_conf: np.ndarray
     deploy_correct: np.ndarray
-    tt_correct: np.ndarray
+    tt_correct: np.ndarray  # NaN where the modal sample has no correctness source
 
     @property
     def n(self) -> int:
@@ -152,18 +153,16 @@ def feature_matrix(sets: SampleSets, feature_source: str) -> np.ndarray:
 
 
 def _correctness(
-    z: np.ndarray | None, batch: GenerationBatch, row: int, key: AnswerKey | None,
-    answer: str | None,
+    z: np.ndarray | None, row: int, gold: frozenset[str] | None, answer: str | None
 ) -> float:
-    """Row ``row``'s label, else whether its ``answer`` matches the gold ``key``."""
+    """Row ``row``'s label, else whether its normalized ``answer`` is a gold
+    answer, else NaN: unknown."""
     if z is not None and z[row] >= 0:
         return float(z[row])
-    if key is not None:
-        return float(answer is not None and is_match(answer, key))
-    raise DataError(
-        f"query {batch.query_id_of(row)} sample {batch.sample_index[row]}: no correctness "
-        "source (provide labels or gold_answers)"
-    )
+    return math.nan if gold is None else float(answer in gold)
+
+
+_NO_SOURCE = "query {} sample {}: no correctness source (provide labels or gold_answers)"
 
 
 def build_dataset(
@@ -193,12 +192,14 @@ def build_dataset(
     for query, coded, start in zip(sets.queries, codes, sets.offsets.tolist()):
         target = build_target(coded)
         s_vals.append(target.s)
-        key = AnswerKey.from_gold(query.gold_answers) if query.gold_answers else None
+        gold = gold_set(query.gold_answers) if query.gold_answers else None
         deploy_code = int(coded.codes[0])
         deploy_answer = coded.answers[deploy_code] if deploy_code >= 0 else None
-        deploy_z.append(_correctness(z, batch, rows[start], key, deploy_answer))
+        deploy_z.append(_correctness(z, rows[start], gold, deploy_answer))
+        if math.isnan(deploy_z[-1]):
+            raise DataError(_NO_SOURCE.format(query.query_id, coded.sample_index[0]))
         selected = rows[start + coded.sample_index.index(target.selected_sample_index)]
-        tt_z.append(_correctness(z, batch, selected, key, target.answer))
+        tt_z.append(_correctness(z, selected, gold, target.answer))
     deploy_rows = sets.deploy_rows
     verbal = [parse_verbal_confidence(batch.response_text[i]) for i in deploy_rows.tolist()]
     return EvalDataset(
@@ -223,6 +224,9 @@ def build_dataset(
 
 @dataclass(frozen=True)
 class TrialConfig:
+    """Trial settings, valid once constructed: an impossible value raises
+    :class:`ConfigError` from the constructor."""
+
     n_trials: int = 200
     cal_fraction: float = 0.4
     master_seed: int = 0
@@ -234,7 +238,7 @@ class TrialConfig:
     split_frac: float = 0.5
     selective_rates: tuple[float, ...] = ()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_integer("n_trials", self.n_trials, 1)
         require_integer("master_seed", self.master_seed)
         require_integer("bins", self.bins, 1)
@@ -249,7 +253,10 @@ class TrialConfig:
             raise ConfigError("methods must not be empty")
         unknown = [m for m in methods if m not in DEFAULT_METHODS]
         if unknown:
-            raise ConfigError(f"unknown methods: {', '.join(sorted(unknown))}")
+            raise ConfigError(
+                f"unknown methods: {', '.join(sorted(unknown))} "
+                f"(choose from {', '.join(DEFAULT_METHODS)})"
+            )
         if len(set(methods)) != len(methods):
             raise ConfigError("methods contains duplicates")
         if self.feature_source not in FEATURE_SOURCES:
@@ -451,6 +458,10 @@ def _method_trials(
 
     ``sides`` holds each trial's (cal, test) indices and ``test`` stacks
     the test sides; a precomputed column needs only one gather."""
+    if method == "tt_sc" and np.isnan(data.tt_correct).any():
+        i = int(np.isnan(data.tt_correct).argmax())
+        sample = build_target(data.codes[i]).selected_sample_index
+        raise DataError(_NO_SOURCE.format(data.query_ids[i], sample))
     labels = (data.tt_correct if method == "tt_sc" else data.deploy_correct)[test]
     if method in ("distilled", "supervised"):
         rows = [
@@ -536,7 +547,6 @@ def _evaluate(
     kind: str,
 ) -> EvalResult:
     """Split every trial, then score each method over all trials at once."""
-    config.validate()
     if data.feature_source != config.feature_source:
         raise ConfigError(
             f"dataset was built with feature_source {data.feature_source!r} but the "

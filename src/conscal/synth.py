@@ -81,6 +81,9 @@ class GroupShift:
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """Generator settings, valid once constructed: an impossible value
+    raises :class:`ConfigError` from the constructor."""
+
     n_queries: int = 1000
     k: int = 20
     difficulty_alpha: float = 0.45
@@ -95,7 +98,7 @@ class SynthConfig:
     temperature: float = 0.7
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("n_queries", "k", "distractor_count", "embedding_dim"):
             require_integer(name, getattr(self, name), 1)
         require_integer("seed", self.seed)
@@ -216,7 +219,6 @@ def query_truth(config: SynthConfig, query: QueryRecord) -> QueryTruth:
     ``modal_prob`` is the probability that one fresh sample equals the
     modal-by-mass answer, i.e. the largest answer mass.
     """
-    config.validate()
     qid = query.query_id
     index = _query_index(qid)
     if index is None:
@@ -281,7 +283,6 @@ def generate(
     ``int8`` column over the generation rows, 1 where the sampled answer is
     the gold one.
     """
-    config.validate()
     direction = seeding.generator(config.seed, _STREAM_DIRECTION).normal(
         size=config.embedding_dim
     )

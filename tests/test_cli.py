@@ -193,6 +193,31 @@ def test_synth_rejects_malformed_group_shift(tmp_path, capsys):
     assert "bad group_shift" in capsys.readouterr().err
 
 
+def test_a_config_file_that_is_not_an_object_is_a_data_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: expected a JSON object\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_an_argument_that_is_not_utf8_is_a_usage_error_before_any_output(
+    data_dir, tmp_path, monkeypatch, capsys
+):
+    # The OS hands over a non-UTF-8 byte such as 0xff as the lone surrogate \udcff.
+    monkeypatch.chdir(tmp_path)
+    queries = str(tmp_path / "q\udcff.jsonl")
+    code = main(["targets", "--queries", queries,
+                 "--generations", str(data_dir / "generations.jsonl"),
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: --queries is not UTF-8: {queries!r}\n"
+    assert main(["eval", *_data_flags(data_dir), "--labels", str(tmp_path / "\udcff")]) == 2
+    assert "--labels is not UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    assert not (tmp_path / "runs").exists()
+
+
 def test_synth_without_out_creates_a_runs_directory(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["synth", "--n-queries", "4", "--k", "2"]) == 0
@@ -433,6 +458,22 @@ def test_train_rejects_targets_for_unknown_queries(data_dir, tmp_path, capsys):
     assert "targets reference 1 unknown queries (first: zzz)" in capsys.readouterr().err
 
 
+def test_train_rejects_targets_missing_a_query(data_dir, tmp_path, capsys):
+    targets_out = tmp_path / "targets"
+    assert main(["targets"] + _data_flags(data_dir, labels=False)
+                + ["--out", str(targets_out)]) == 0
+    capsys.readouterr()
+    partial = tmp_path / "partial.jsonl"
+    partial.write_text(
+        "".join((targets_out / "targets.jsonl").read_text().splitlines(keepends=True)[1:])
+    )
+    code = main(["train"] + _data_flags(data_dir, labels=False)
+                + ["--targets", str(partial), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "targets missing for 1 queries (first: q000000)" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize(
     ("flags", "message"),
     [
@@ -590,6 +631,13 @@ def test_score_rejects_methods_it_cannot_compute(data_dir, tmp_path, capsys):
                 + ["--methods", "supervised", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "unknown or unavailable methods: supervised" in capsys.readouterr().err
+    for methods, message in ((",", "--methods must name at least one method"),
+                             ("token_prob,token_prob", "--methods contains duplicates")):
+        code = main(["score"] + _data_flags(data_dir, labels=False)
+                    + ["--methods", methods, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_score_reports_embedding_dimension_mismatches(model_dir, tmp_path, capsys):
@@ -724,6 +772,71 @@ def test_eval_requires_labels(data_dir, tmp_path, capsys):
     assert "needs --labels" in capsys.readouterr().err
 
 
+def test_eval_trial_methods_are_checked_by_the_trial_config(data_dir, tmp_path, capsys):
+    code = main(["eval"] + _data_flags(data_dir)
+                + ["--methods", "bogus,tt_sc", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "usage error: unknown methods: bogus (choose from distilled, token_prob, "
+        "answer_prob, verbal_conf, supervised, tt_sc)\n"
+    )
+    assert not (tmp_path / "x").exists()
+
+
+def _without_field(source, target, field):
+    """The JSONL file ``source`` with ``field`` dropped from every line."""
+    rows = [json.loads(line) for line in source.read_text(encoding="utf-8").splitlines()]
+    target.write_text("".join(
+        json.dumps({k: v for k, v in row.items() if k != field}) + "\n" for row in rows
+    ))
+    return str(target)
+
+
+def test_eval_on_question_embeddings_needs_them_on_every_query(data_dir, tmp_path, capsys):
+    queries = _without_field(
+        data_dir / "queries.jsonl", tmp_path / "queries.jsonl", "question_embedding"
+    )
+    code = main(["eval", "--queries", queries,
+                 "--generations", str(data_dir / "generations.jsonl"),
+                 "--labels", str(data_dir / "labels.jsonl"),
+                 "--feature-source", "question_embedding", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: query q000000: query has no question_embedding\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_only_tt_sc_needs_a_correctness_source_for_the_modal_sample(
+    data_dir, tmp_path, capsys
+):
+    # Labels on each deployment response only, and no gold answers to fall back on.
+    queries = _without_field(data_dir / "queries.jsonl", tmp_path / "queries.jsonl",
+                             "gold_answers")
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text("".join(
+        line for line in (data_dir / "labels.jsonl").read_text().splitlines(keepends=True)
+        if json.loads(line)["sample_index"] == 0
+    ))
+    flags = ["--queries", queries, "--generations", str(data_dir / "generations.jsonl"),
+             "--labels", str(labels), "--trials", "2", "--bins", "4"]
+    out = tmp_path / "deployed"
+    assert main(["eval", *flags, "--methods", "distilled,token_prob", "--out", str(out)]) == 0
+    labelled = tmp_path / "labelled"
+    assert main(["eval", *_data_flags(data_dir), "--trials", "2", "--bins", "4",
+                 "--methods", "distilled,token_prob", "--out", str(labelled)]) == 0
+    # The same scores as with every label: only the echoed paths differ.
+    assert _read_bytes(out / "trials.tsv") == _read_bytes(labelled / "trials.tsv")
+    assert _read_json(out / "report.json")["methods"] == (
+        _read_json(labelled / "report.json")["methods"]
+    )
+    capsys.readouterr()
+    assert main(["eval", *flags, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: query q0000") and err.endswith(
+        ": no correctness source (provide labels or gold_answers)\n"
+    )
+    assert not (tmp_path / "x").exists()
+
+
 def test_eval_config_file_merges_under_flag_overrides(data_dir, tmp_path):
     cfg = tmp_path / "trial.json"
     cfg.write_text('{"n_trials": 9, "bins": 4, "methods": ["token_prob"]}')
@@ -763,6 +876,8 @@ _SHIFT = {"tag": "hard", "difficulty_alpha": 0.3, "difficulty_beta": 0.6}
          "group_shift difficulty_alpha must be a positive real, got -1"),
         ("synth", json.dumps({"group_shift": {**_SHIFT, "tag": 5}}),
          "group_shift tag must be a nonempty string that differs from the main tag"),
+        ("synth", '{"group_shift": 3}', "group_shift must be an object"),
+        ("synth", '{"noise_scale": -1}', "noise_scale must be a nonnegative real"),
     ],
 )
 def test_config_values_of_the_wrong_type_are_usage_errors(
@@ -820,6 +935,10 @@ def test_selective_rejects_unparseable_and_out_of_range_rates(data_dir, tmp_path
     assert "--rates" in capsys.readouterr().err
     assert main(base + ["--rates", "1.0", "--out", str(tmp_path / "y")]) == 2
     assert "abstention rate" in capsys.readouterr().err
+    assert main(base + ["--rates", ",", "--out", str(tmp_path / "z")]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: --rates must name at least one abstention rate\n"
+    )
 
 
 @pytest.fixture(scope="module")

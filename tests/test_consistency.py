@@ -10,17 +10,17 @@ from hypothesis import strategies as st
 
 from conscal import consistency, records, seeding
 from conscal.consistency import (
-    AnswerKey,
     answer_codes,
     boxed_groups,
     build_target,
     extract_boxed,
-    is_match,
+    gold_set,
     normalize_answer,
     subsample_shares,
     subsample_targets,
 )
 from conscal.errors import DataError, RecordError
+from conscal.evaluation import build_dataset
 from conscal.records import ConsistencyTarget, load_targets, write_targets
 
 from conftest import make_batch, make_generation, make_query, make_set
@@ -102,17 +102,17 @@ def test_normalize_is_idempotent(raw):
 
 
 def test_answer_key_builds_from_gold_with_deduped_aliases():
-    key = AnswerKey.from_gold(["Four", "4", "four", "FOUR"])
-    assert key.canonical == "four"
-    assert key.aliases == ("4",)
-    assert is_match("  fOUr ", key)
-    assert is_match("4", key)
-    assert not is_match("5", key)
+    key = gold_set(["Four", "4", "four", "FOUR"])
+    assert key == frozenset({"four", "4"})
+    assert normalize_answer("  fOUr ") in key
+    assert "4" in key
+    assert "5" not in key
 
 
 def test_answer_key_requires_at_least_one_gold_answer():
-    with pytest.raises(DataError):
-        AnswerKey.from_gold([])
+    # An empty gold list is no correctness source at all.
+    with pytest.raises(DataError, match="q1 sample 0: no correctness source"):
+        build_dataset(make_set(["a"], gold=()))
 
 
 # ---------------------------------------------------------------------------
@@ -475,3 +475,13 @@ def test_load_targets_rejects_duplicates_and_bad_ranges(tmp_path):
     bad_json = _write_raw(tmp_path / "bad.jsonl", "{nope\n")
     with pytest.raises(RecordError, match="invalid JSON"):
         load_targets(bad_json)
+
+
+def test_load_targets_rejects_an_answer_that_is_not_a_string(tmp_path):
+    path = _write_raw(
+        tmp_path / "targets.jsonl",
+        '{"query_id":"q1","selected_sample_index":0,"answer":5,"s":1.0,"k":2}\n',
+    )
+    with pytest.raises(RecordError) as excinfo:
+        load_targets(path)
+    assert str(excinfo.value) == f"{path}:1: answer must be a string"

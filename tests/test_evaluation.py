@@ -306,11 +306,11 @@ def test_split_is_deterministic_per_seed():
 )
 def test_trial_config_validation_rejects_bad_settings(kwargs):
     with pytest.raises(ConfigError):
-        TrialConfig(**kwargs).validate()
+        TrialConfig(**kwargs)
 
 
 def test_trial_config_defaults_are_valid():
-    TrialConfig().validate()
+    TrialConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +509,30 @@ def test_supervised_method_needs_a_correctness_source():
     )
     with pytest.raises(DataError, match="correctness"):
         build_dataset(blind)
+
+
+def test_tt_sc_alone_needs_a_correctness_source_for_the_modal_sample():
+    sets, labels = _synth_sets(n=20, k=4)
+    blind = dataclasses.replace(
+        sets, queries=tuple(dataclasses.replace(q, gold_answers=None) for q in sets.queries)
+    )
+    deployed_only = np.where(np.arange(len(labels)) % 4 == 0, labels, -1).astype(np.int8)
+    data = build_dataset(blind, deployed_only)
+    full = build_dataset(sets, labels)
+    assert data.deploy_correct.tolist() == full.deploy_correct.tolist()
+    known = ~np.isnan(data.tt_correct)
+    assert data.tt_correct[known].tolist() == full.tt_correct[known].tolist()
+    first = int(np.flatnonzero(~known)[0])
+    config = dataclasses.replace(_FAST, methods=("distilled", "token_prob"), n_trials=2)
+    assert run_trials(data, config) == run_trials(full, config)
+    selected = consistency.build_target(data.codes[first]).selected_sample_index
+    with pytest.raises(DataError) as excinfo:
+        run_trials(data, dataclasses.replace(config, methods=("token_prob", "tt_sc")))
+    assert str(excinfo.value) == (
+        f"query {data.query_ids[first]} sample {selected}: no correctness source "
+        "(provide labels or gold_answers)"
+    )
+    assert selected != 0  # the deployment response is labelled
 
 
 def test_supervised_runs_on_gold_fallback_when_labels_are_absent():

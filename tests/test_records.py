@@ -316,6 +316,16 @@ def test_bytes_that_are_not_utf8_are_diagnosed_and_reading_goes_on(tmp_path):
     ]
 
 
+def test_a_line_starting_with_a_byte_order_mark_is_invalid_json(tmp_path):
+    path = tmp_path / "queries.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(_valid_query("q1")).encode() + b"\n")
+    found, diagnostics = records.scan_queries(str(path))
+    assert found == []
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (1, "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))")
+    ]
+
+
 def test_an_unpaired_surrogate_escape_makes_a_line_invalid_json(tmp_path):
     # json.dumps escapes each surrogate: "\ud800" alone, "\ud83d\ude00" as a pair.
     queries = tmp_path / "queries.jsonl"

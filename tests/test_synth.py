@@ -324,25 +324,26 @@ def test_group_shift_appends_a_second_tagged_block():
 
 def test_config_validation_rejects_impossible_settings():
     with pytest.raises(ConfigError):
-        SynthConfig(n_queries=0).validate()
+        SynthConfig(n_queries=0)
     with pytest.raises(ConfigError):
-        SynthConfig(k=0).validate()
+        SynthConfig(k=0)
     with pytest.raises(ConfigError):
-        SynthConfig(stick_concentration=0.0).validate()
+        SynthConfig(stick_concentration=0.0)
     with pytest.raises(ConfigError):
-        SynthConfig(difficulty_constant=1.5).validate()
+        SynthConfig(difficulty_constant=1.5)
     with pytest.raises(ConfigError):
-        SynthConfig(distractor_count=0).validate()
+        SynthConfig(distractor_count=0)
     with pytest.raises(ConfigError):
-        SynthConfig(embedding_dim=0).validate()
+        SynthConfig(embedding_dim=0)
     with pytest.raises(ConfigError):
         SynthConfig(
             group_shift=GroupShift(tag="main", difficulty_alpha=1.0, difficulty_beta=1.0)
-        ).validate()
+        )
 
 
 def test_presets_cover_the_three_study_regimes():
     assert set(synth.PRESETS) == {"benchmark", "premise", "shift"}
+    # A settings object is checked as it is constructed: all three are valid.
     benchmark = synth.PRESETS["benchmark"]()
     assert benchmark.group_shift is None
     premise = synth.PRESETS["premise"]()
@@ -351,8 +352,6 @@ def test_presets_cover_the_three_study_regimes():
     shifted = synth.PRESETS["shift"]()
     assert shifted.group_shift is not None
     assert shifted.group_shift.tag == "shifted"
-    for preset in (benchmark, premise, shifted):
-        preset.validate()
 
 
 def test_preset_overrides_flow_through():
