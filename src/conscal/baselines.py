@@ -89,14 +89,15 @@ def token_probs(batch: GenerationBatch, rows: Sequence[int]) -> np.ndarray:
     return _mean_probs(batch.token_logprobs, batch.token_offsets, picked, "token_logprobs")
 
 
-def answer_probs(batch: GenerationBatch, rows: Sequence[int]) -> np.ndarray | None:
-    """:func:`answer_prob_score` of each listed row of ``batch``, or None
-    when any listed row has no answer span."""
+def answer_probs(batch: GenerationBatch, rows: Sequence[int]) -> np.ndarray:
+    """:func:`answer_prob_score` of each listed row of ``batch``, NaN for a
+    row without an answer span."""
     picked = np.asarray(rows, dtype=np.intp)
-    offsets = batch.answer_token_offsets
-    if np.any(offsets[picked + 1] == offsets[picked]):
-        return None
-    return _mean_probs(batch.answer_token_logprobs, offsets, picked, "answer_token_logprobs")
+    values, offsets = batch.answer_token_logprobs, batch.answer_token_offsets
+    spanned = offsets[picked + 1] > offsets[picked]
+    out = np.full(picked.shape[0], np.nan)
+    out[spanned] = _mean_probs(values, offsets, picked[spanned], "answer_token_logprobs")
+    return out
 
 
 def parse_verbal_confidence(response_text: str) -> float | None:

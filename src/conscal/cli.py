@@ -36,10 +36,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import baselines, calibrator, consistency, evaluation, records, seeding, synth
+from . import calibrator, consistency, evaluation, records, seeding, synth
 from .errors import ConfigError, DataError, json_error_reason, require_integer
-
-_SCORE_METHODS = ("distilled", "token_prob", "answer_prob", "verbal_conf", "tt_sc")
 
 
 # ---------------------------------------------------------------------------
@@ -87,23 +85,6 @@ def _out_dir(args: argparse.Namespace, config_obj: dict[str, Any]) -> str:
 def _csv(text: str) -> list[str]:
     items = [part.strip() for part in text.split(",")]
     return [part for part in items if part]
-
-
-def _parse_methods(text: str | None, allowed: Sequence[str]) -> tuple[str, ...]:
-    if text is None:
-        return tuple(allowed)
-    names = _csv(text)
-    if not names:
-        raise ConfigError("--methods must name at least one method")
-    unknown = [m for m in names if m not in allowed]
-    if unknown:
-        raise ConfigError(
-            f"unknown or unavailable methods: {', '.join(unknown)} "
-            f"(choose from {', '.join(allowed)})"
-        )
-    if len(set(names)) != len(names):
-        raise ConfigError("--methods contains duplicates")
-    return tuple(names)
 
 
 def _parse_rates(text: str) -> tuple[float, ...]:
@@ -171,9 +152,6 @@ def _trial_config(
          "feature_source": args.feature_source, "k_subsample": args.k,
          "selective_rates": selective_rates},
     )
-    for key in ("methods", "selective_rates"):
-        if isinstance(settings.get(key), list):
-            settings[key] = tuple(settings[key])
     return evaluation.TrialConfig(**settings)
 
 
@@ -297,7 +275,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     """Score every generation with each method (tt_sc scores per query)."""
-    methods = _parse_methods(args.methods, _SCORE_METHODS)
+    names = evaluation.SCORE_METHODS if args.methods is None else _csv(args.methods)
+    methods = evaluation.check_methods(names, evaluation.SCORE_METHODS)
     model = None
     if "distilled" in methods:
         if not args.model:
@@ -317,8 +296,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     sample_index = list(map(batch.sample_index.__getitem__, rows.tolist()))
     columns: list[tuple[str, list[str], Any, Any, Any]] = []
     for method in methods if len(sets) else ():  # no rows: an empty score file
-        imputed = None
-        if method == "distilled":
+        if method == "tt_sc":
+            shares = [consistency.build_target(c).s for c in consistency.answer_codes(sets)]
+            columns.append((method, list(sets.query_ids), None, shares, None))
+        elif method == "distilled":
             assert model is not None
             # One check of the gathered features; the first row names a mismatch.
             if model.feature_source == "question_embedding":
@@ -334,26 +315,11 @@ def cmd_score(args: argparse.Namespace) -> int:
                     f"{where} has {features.shape[1]} dimensions, model expects {expected}"
                 )
             confidences = calibrator.predict(model, features)
-        elif method == "token_prob":
-            confidences = baselines.token_probs(batch, rows)
-        elif method == "answer_prob":
-            confidences = baselines.answer_probs(batch, rows)
-            if confidences is None:
-                spans = batch.answer_token_offsets
-                first = int(np.argmax(spans[rows + 1] == spans[rows]))
-                raise DataError(
-                    f"query {query_ids[first]} sample {sample_index[first]}: record lacks "
-                    "the answer-span log-probabilities needed by answer_prob"
-                )
-        elif method == "verbal_conf":
-            confidences, imputed = baselines.impute_verbal(
-                [baselines.parse_verbal_confidence(batch.response_text[i]) for i in rows.tolist()]
-            )
-        else:  # tt_sc
-            shares = [consistency.build_target(c).s for c in consistency.answer_codes(sets)]
-            columns.append((method, list(sets.query_ids), None, shares, None))
-            continue
-        columns.append((method, query_ids, sample_index, confidences, imputed))
+            columns.append((method, query_ids, sample_index, confidences, None))
+        else:
+            confidences, imputed = evaluation.SINGLE_PASS[method](batch, rows)
+            evaluation.require_spans(confidences, query_ids, sample_index)
+            columns.append((method, query_ids, sample_index, confidences, imputed))
     out = _out_dir(args, config_obj)
     records.write_scores(os.path.join(out, "scores.jsonl"), columns)
     records.write_json(os.path.join(out, "config.json"), config_obj)
@@ -502,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--methods",
         default=None,
-        help=f"comma-separated subset of: {', '.join(_SCORE_METHODS)}",
+        help=f"comma-separated subset of: {', '.join(evaluation.SCORE_METHODS)}",
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_score)

@@ -101,23 +101,23 @@ def gold_set(gold_answers: Sequence[str]) -> frozenset[str]:
 def canonical_answer(batch: GenerationBatch, row: int) -> str | None:
     """Normalized answer of generation ``row`` of ``batch``, or None if none.
 
-    A pre-extracted ``answer`` wins over in-text extraction; when both
-    exist and disagree a warning is logged, since that usually means the
-    upstream extractor and this one diverge.
+    A pre-extracted ``answer`` wins over in-text extraction.  Where both
+    exist and disagree, which usually means the upstream extractor and this
+    one diverge, :func:`answer_codes` counts the row in its one warning.
     """
+    return _answer(batch, row, [])
+
+
+def _answer(batch: GenerationBatch, row: int, disagreeing: list[int]) -> str | None:
+    """:func:`canonical_answer`, appending ``row`` to ``disagreeing`` where
+    the two answers disagree."""
     given = batch.answer[row]
     extracted = extract_boxed(batch.response_text[row])
     if given is None:
         return normalize_answer(extracted) if extracted is not None else None
     answer = normalize_answer(given)
     if extracted is not None and answer != normalize_answer(extracted):
-        log.warning(
-            "query %s sample %d: pre-extracted answer %r disagrees with boxed %r",
-            batch.query_id_of(row),
-            batch.sample_index[row],
-            given,
-            extracted,
-        )
+        disagreeing.append(row)
     return answer
 
 
@@ -140,18 +140,29 @@ class AnswerCodes:
 
 def answer_codes(sets: SampleSets) -> list[AnswerCodes]:
     """Extract and normalize every sample's answer once, then code each
-    query's answers."""
+    query's answers.  The samples whose pre-extracted answer disagrees with
+    the boxed one are logged in one warning."""
     batch = sets.batch
     rows, bounds = sets.rows.tolist(), sets.offsets.tolist()
     coded = []
+    disagreeing: list[int] = []
     for query_id, start, stop in zip(sets.query_ids, bounds, bounds[1:]):
         part = rows[start:stop]
-        answers = [canonical_answer(batch, i) for i in part]
+        answers = [_answer(batch, i, disagreeing) for i in part]
         distinct = sorted({a for a in answers if a is not None})
         index: dict[str | None, int] = {None: -1, **{a: i for i, a in enumerate(distinct)}}
         codes = np.array([index[a] for a in answers], dtype=np.intp)
         indices = tuple(map(batch.sample_index.__getitem__, part))
         coded.append(AnswerCodes(query_id, indices, codes, tuple(distinct)))
+    if disagreeing:
+        preview = ", ".join(
+            f"{batch.query_id_of(i)}/{batch.sample_index[i]}" for i in disagreeing[:5]
+        )
+        more = "" if len(disagreeing) <= 5 else f" (+{len(disagreeing) - 5} more)"
+        log.warning(
+            "%d pre-extracted answers disagree with the boxed answer: %s%s",
+            len(disagreeing), preview, more,
+        )
     return coded
 
 

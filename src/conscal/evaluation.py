@@ -18,18 +18,20 @@ answer is one of the query's normalized gold answers.  A deployment response
 with neither is an error; the modal-answer sample that ``tt_sc`` is judged
 by needs one only when ``tt_sc`` is scored.
 
-Method identifiers:
+Methods (this module's table, which ``conscal score`` shares):
 
-* ``distilled``     — the trained feature calibrator, scored on deployment
-                      responses;
-* ``token_prob``    — exponentiated mean token log-probability;
-* ``answer_prob``   — the same, restricted to the answer span;
-* ``verbal_conf``   — self-stated confidence with batch-mean imputation;
-* ``supervised``    — logistic recalibration of ``token_prob`` fit on
-                      calibration-side correctness labels (a supervised
-                      reference point, not an unsupervised competitor);
-* ``tt_sc``         — test-time majority vote: confidence is the modal
-                      answer's share, correctness is the modal answer's.
+* ``distilled`` — the trained feature calibrator on deployment responses;
+* ``token_prob``, ``answer_prob``, ``verbal_conf`` — the single-pass
+  baselines of :data:`SINGLE_PASS`: the geometric-mean token probability,
+  the same over the answer span, and self-stated confidence with batch-mean
+  imputation.  A missing answer span is an error only if ``answer_prob`` is
+  scored;
+* ``supervised`` — logistic recalibration of ``token_prob`` on
+  calibration-side correctness labels (a reference, not a competitor);
+* ``tt_sc`` — test-time majority vote: the modal answer's share, judged by
+  the modal answer's correctness.
+
+:func:`check_methods` checks a method list against the table.
 """
 
 from __future__ import annotations
@@ -65,24 +67,56 @@ from .metrics import (
     _checked_labels,
     compute_report,
 )
-from .records import SampleSets
+from .records import GenerationBatch, SampleSets
 
-DEFAULT_METHODS = (
-    "distilled",
-    "token_prob",
-    "answer_prob",
-    "verbal_conf",
-    "supervised",
-    "tt_sc",
-)
-# The methods whose confidences are a precomputed EvalDataset column, and
-# that column; distilled and supervised are fit per trial instead.
-_COLUMNS = {
-    "token_prob": "token_prob",
-    "answer_prob": "answer_prob",
-    "verbal_conf": "verbal_conf",
-    "tt_sc": "targets_s",
+# The single-pass methods: a column scorer over ``(batch, rows)`` each, giving
+# the rows' confidences (NaN without an answer span; see require_spans) and,
+# for a method that imputes, the imputed mask.  ``build_dataset`` scores the
+# deployment rows with them, ``conscal score`` every row.
+SINGLE_PASS: dict[str, Callable[[GenerationBatch, np.ndarray], tuple[np.ndarray, Any]]] = {
+    "token_prob": lambda batch, rows: (token_probs(batch, rows), None),
+    "answer_prob": lambda batch, rows: (answer_probs(batch, rows), None),
+    "verbal_conf": lambda batch, rows: impute_verbal(
+        [parse_verbal_confidence(batch.response_text[i]) for i in rows.tolist()]
+    ),
 }
+# Every method, in report order; distilled and supervised are fit per trial.
+DEFAULT_METHODS = ("distilled", *SINGLE_PASS, "supervised", "tt_sc")
+# supervised fits on correctness labels, which ``conscal score`` does not read.
+SCORE_METHODS = tuple(m for m in DEFAULT_METHODS if m != "supervised")
+
+
+def check_methods(methods: Any, allowed: Sequence[str] = DEFAULT_METHODS) -> tuple[str, ...]:
+    """``methods`` as a tuple; :class:`ConfigError` unless it is a nonempty
+    list of distinct names from ``allowed``."""
+    if not isinstance(methods, (list, tuple)) or not all(isinstance(m, str) for m in methods):
+        raise ConfigError(f"methods must be a list of method names, got {methods!r}")
+    if not methods:
+        raise ConfigError("methods must not be empty")
+    unknown = sorted(set(methods) - set(allowed))
+    if unknown:
+        raise ConfigError(
+            f"unknown or unavailable methods: {', '.join(unknown)} "
+            f"(choose from {', '.join(allowed)})"
+        )
+    if len(set(methods)) != len(methods):
+        raise ConfigError("methods contains duplicates")
+    return tuple(methods)
+
+
+def require_spans(
+    confidences: np.ndarray, query_ids: Sequence[str], sample_index: Sequence[int]
+) -> None:
+    """Raise :class:`DataError` for the first NaN of a single-pass column:
+    that row, named by ``query_ids`` and ``sample_index``, has no answer span."""
+    missing = np.isnan(confidences)
+    if missing.any():
+        i = int(missing.argmax())
+        raise DataError(
+            f"query {query_ids[i]} sample {sample_index[i]}: record lacks the "
+            "answer-span log-probabilities needed by answer_prob"
+        )
+
 
 # Per-trial sub-stream tags (fixed forever; changing them changes all results).
 _S_SPLIT = 1
@@ -109,8 +143,9 @@ class EvalDataset:
     feature_source: str
     features: np.ndarray
     targets_s: np.ndarray  # modal-answer share: distilled targets and tt_sc confidence
+    # One column per SINGLE_PASS method, named for it.
     token_prob: np.ndarray
-    answer_prob: np.ndarray | None
+    answer_prob: np.ndarray  # NaN where the deployment response has no answer span
     verbal_conf: np.ndarray
     deploy_correct: np.ndarray
     tt_correct: np.ndarray  # NaN where the modal sample has no correctness source
@@ -201,7 +236,6 @@ def build_dataset(
         selected = rows[start + coded.sample_index.index(target.selected_sample_index)]
         tt_z.append(_correctness(z, selected, gold, target.answer))
     deploy_rows = sets.deploy_rows
-    verbal = [parse_verbal_confidence(batch.response_text[i]) for i in deploy_rows.tolist()]
     return EvalDataset(
         codes=tuple(codes),
         query_ids=sets.query_ids,
@@ -209,9 +243,7 @@ def build_dataset(
         feature_source=feature_source,
         features=features,
         targets_s=np.array(s_vals, dtype=float),
-        token_prob=token_probs(batch, deploy_rows),
-        answer_prob=answer_probs(batch, deploy_rows),
-        verbal_conf=impute_verbal(verbal)[0],
+        **{method: score(batch, deploy_rows)[0] for method, score in SINGLE_PASS.items()},
         deploy_correct=np.array(deploy_z, dtype=float),
         tt_correct=np.array(tt_z, dtype=float),
     )
@@ -225,7 +257,8 @@ def build_dataset(
 @dataclass(frozen=True)
 class TrialConfig:
     """Trial settings, valid once constructed: an impossible value raises
-    :class:`ConfigError` from the constructor."""
+    :class:`ConfigError` from the constructor.  ``methods`` and
+    ``selective_rates`` are kept as tuples, so a config is hashable."""
 
     n_trials: int = 200
     cal_fraction: float = 0.4
@@ -246,25 +279,14 @@ class TrialConfig:
         check_fit_settings(self.alpha, self.split_frac)
         if not 0.0 < self.cal_fraction < 1.0:
             raise ConfigError(f"cal_fraction must be inside (0, 1), got {self.cal_fraction!r}")
-        methods = self.methods
-        if not isinstance(methods, (list, tuple)) or not all(isinstance(m, str) for m in methods):
-            raise ConfigError(f"methods must be a list of method names, got {methods!r}")
-        if not methods:
-            raise ConfigError("methods must not be empty")
-        unknown = [m for m in methods if m not in DEFAULT_METHODS]
-        if unknown:
-            raise ConfigError(
-                f"unknown methods: {', '.join(sorted(unknown))} "
-                f"(choose from {', '.join(DEFAULT_METHODS)})"
-            )
-        if len(set(methods)) != len(methods):
-            raise ConfigError("methods contains duplicates")
+        object.__setattr__(self, "methods", check_methods(self.methods))
         if self.feature_source not in FEATURE_SOURCES:
             raise ConfigError(f"unknown feature_source {self.feature_source!r}")
         if self.k_subsample is not None:
             require_integer("k_subsample", self.k_subsample, 1)
         if not isinstance(self.selective_rates, (list, tuple)):
             raise ConfigError(f"selective_rates must be a list, got {self.selective_rates!r}")
+        object.__setattr__(self, "selective_rates", tuple(self.selective_rates))
         for r in self.selective_rates:
             require_real("abstention rate", r)
             if not 0.0 <= r < 1.0:
@@ -457,25 +479,24 @@ def _method_trials(
     answer's for ``tt_sc``, the deployment response's for the rest.
 
     ``sides`` holds each trial's (cal, test) indices and ``test`` stacks
-    the test sides; a precomputed column needs only one gather."""
-    if method == "tt_sc" and np.isnan(data.tt_correct).any():
-        i = int(np.isnan(data.tt_correct).argmax())
-        sample = build_target(data.codes[i]).selected_sample_index
-        raise DataError(_NO_SOURCE.format(data.query_ids[i], sample))
-    labels = (data.tt_correct if method == "tt_sc" else data.deploy_correct)[test]
-    if method in ("distilled", "supervised"):
-        rows = [
-            _fitted_trial(data, config, method, tseed, cal_idx, test_idx)
-            for tseed, (cal_idx, test_idx) in zip(tseeds, sides)
-        ]
-        return np.array(rows, dtype=float), labels
-    column = getattr(data, _COLUMNS[method])
-    if column is None:  # only answer_prob can be absent
-        raise ConfigError(
-            "answer_prob requires answer-span log-probabilities on every "
-            "deployment response"
-        )
-    return column[test], labels
+    the test sides; a precomputed column needs only one gather, and is
+    checked whole, so that a missing answer span raises whatever the splits."""
+    if method == "tt_sc":
+        if np.isnan(data.tt_correct).any():
+            i = int(np.isnan(data.tt_correct).argmax())
+            sample = build_target(data.codes[i]).selected_sample_index
+            raise DataError(_NO_SOURCE.format(data.query_ids[i], sample))
+        return data.targets_s[test], data.tt_correct[test]
+    labels = data.deploy_correct[test]
+    if method in SINGLE_PASS:
+        column = getattr(data, method)
+        require_spans(column, data.query_ids, [c.sample_index[0] for c in data.codes])
+        return column[test], labels
+    rows = [
+        _fitted_trial(data, config, method, tseed, cal_idx, test_idx)
+        for tseed, (cal_idx, test_idx) in zip(tseeds, sides)
+    ]
+    return np.array(rows, dtype=float), labels
 
 
 def _mean(values: np.ndarray) -> float:

@@ -104,11 +104,9 @@ def test_column_scorers_equal_the_per_response_scores_bit_for_bit(drawn):
         token_prob_score(token_row(batch, i)) for i in listed
     )
     spans = [answer_token_row(batch, i) for i in listed]
-    column = answer_probs(batch, listed)
-    if any(span is None for span in spans):
-        assert column is None
-    else:
-        assert _hex(column) == _hex(answer_prob_score(span) for span in spans)
+    assert _hex(answer_probs(batch, listed)) == _hex(
+        math.nan if span is None else answer_prob_score(span) for span in spans
+    )
     spanned = [i for i in listed if answer_token_row(batch, i) is not None]
     assert _hex(answer_probs(batch, spanned)) == _hex(
         answer_prob_score(answer_token_row(batch, i)) for i in spanned
@@ -134,7 +132,8 @@ def test_column_scorers_raise_for_the_first_bad_listed_row():
         token_probs(batch, [2])
     with pytest.raises(DataError, match="^token_logprobs must be a nonempty 1-d array$"):
         token_probs(batch, [3, 0])
-    assert answer_probs(batch, [0, 1]) is None  # a missing span outranks the checks
+    # A missing span scores NaN, not an error; only the rows with a span are checked.
+    assert _hex(answer_probs(batch, [0, 1])) == _hex([answer_prob_score((-0.05,)), math.nan])
     assert token_probs(batch, []).shape == (0,)
 
 

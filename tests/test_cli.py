@@ -591,6 +591,30 @@ def test_score_answer_prob_names_the_first_row_without_a_span(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_missing_answer_span_is_one_data_error_in_eval_and_score(data_dir, tmp_path, capsys):
+    # Strip the answer span from one deployment response (sample 0 of q000002).
+    lines = (data_dir / "generations.jsonl").read_text(encoding="utf-8").splitlines()
+    rows = [json.loads(line) for line in lines]
+    (target,) = [r for r in rows if (r["query_id"], r["sample_index"]) == ("q000002", 0)]
+    del target["answer_token_logprobs"]
+    generations = tmp_path / "generations.jsonl"
+    generations.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    flags = ["--queries", str(data_dir / "queries.jsonl"), "--generations", str(generations)]
+    labels = ["--labels", str(data_dir / "labels.jsonl"), "--trials", "2", "--bins", "4"]
+    message = (
+        "error: query q000002 sample 0: record lacks the answer-span log-probabilities "
+        "needed by answer_prob\n"
+    )
+    for command in (["eval", *flags, *labels], ["score", *flags]):
+        out = tmp_path / command[0]
+        assert main([*command, "--methods", "answer_prob", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+    out = tmp_path / "token_prob"
+    assert main(["eval", *flags, *labels, "--methods", "token_prob", "--out", str(out)]) == 0
+    assert (out / "report.json").exists()
+
+
 def test_score_verbal_rows_flag_imputation(data_dir, tmp_path):
     out = tmp_path / "verbal"
     assert main(["score"] + _data_flags(data_dir, labels=False)
@@ -630,9 +654,12 @@ def test_score_rejects_methods_it_cannot_compute(data_dir, tmp_path, capsys):
     code = main(["score"] + _data_flags(data_dir, labels=False)
                 + ["--methods", "supervised", "--out", str(tmp_path / "x")])
     assert code == 2
-    assert "unknown or unavailable methods: supervised" in capsys.readouterr().err
-    for methods, message in ((",", "--methods must name at least one method"),
-                             ("token_prob,token_prob", "--methods contains duplicates")):
+    assert capsys.readouterr().err == (
+        "usage error: unknown or unavailable methods: supervised (choose from distilled, "
+        "token_prob, answer_prob, verbal_conf, tt_sc)\n"
+    )
+    for methods, message in ((",", "methods must not be empty"),
+                             ("token_prob,token_prob", "methods contains duplicates")):
         code = main(["score"] + _data_flags(data_dir, labels=False)
                     + ["--methods", methods, "--out", str(tmp_path / "x")])
         assert code == 2
@@ -777,8 +804,8 @@ def test_eval_trial_methods_are_checked_by_the_trial_config(data_dir, tmp_path, 
                 + ["--methods", "bogus,tt_sc", "--out", str(tmp_path / "x")])
     assert code == 2
     assert capsys.readouterr().err == (
-        "usage error: unknown methods: bogus (choose from distilled, token_prob, "
-        "answer_prob, verbal_conf, supervised, tt_sc)\n"
+        "usage error: unknown or unavailable methods: bogus (choose from distilled, "
+        "token_prob, answer_prob, verbal_conf, supervised, tt_sc)\n"
     )
     assert not (tmp_path / "x").exists()
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -167,10 +168,19 @@ def test_answerless_samples_are_never_selected_but_still_dilute():
 
 
 def test_provided_answer_field_wins_over_boxed_text(caplog):
-    generation = make_batch([{**make_generation("q1", 0, text=r"\boxed{b}"), "answer": "c"}])
+    batch = make_batch(
+        [{**make_generation("q1", j, text=r"\boxed{b}"), "answer": "c"} for j in range(7)]
+    )
+    sets = records.SampleSets((make_query("q1"),), batch, np.arange(7), np.array([0, 7]))
     with caplog.at_level("WARNING", logger="conscal.consistency"):
-        assert consistency.canonical_answer(generation, 0) == "c"
-    assert "query q1 sample 0: pre-extracted answer 'c' disagrees" in caplog.text
+        assert consistency.canonical_answer(batch, 0) == "c"
+        assert not caplog.records  # the extraction pass logs, once
+        (codes,) = answer_codes(sets)
+    assert codes.answers == ("c",)
+    assert [r.getMessage() for r in caplog.records] == [
+        "7 pre-extracted answers disagree with the boxed answer: "
+        "q1/0, q1/1, q1/2, q1/3, q1/4 (+2 more)"
+    ]
 
 
 def test_majority_vote_shares_match_the_target_builder():

@@ -77,10 +77,16 @@ def test_missing_answer_spans_disable_answer_prob():
     )
     stripped = dataclasses.replace(sets, batch=without_spans)
     data = build_dataset(stripped)
-    assert data.answer_prob is None
+    assert np.isnan(data.answer_prob).all()
     config = TrialConfig(n_trials=1, methods=("answer_prob",), bins=2, cal_fraction=0.5)
-    with pytest.raises(ConfigError, match="answer_prob"):
+    with pytest.raises(DataError) as raised:
         run_trials(data, config)
+    assert not isinstance(raised.value, ConfigError)
+    assert str(raised.value) == (
+        "query q000000 sample 0: record lacks the answer-span log-probabilities "
+        "needed by answer_prob"
+    )
+    run_trials(data, dataclasses.replace(config, methods=("token_prob",)))
 
 
 def test_question_embedding_source_reads_the_query_vector():
@@ -203,9 +209,12 @@ def test_answer_disagreements_are_logged_once_per_build(caplog):
     sets = dataclasses.replace(sets, batch=edited)
     with caplog.at_level("WARNING", logger="conscal.consistency"):
         data = build_dataset(sets, labels)
-        assert caplog.text.count("disagrees") == 2
+        expected = [
+            "2 pre-extracted answers disagree with the boxed answer: q000000/0, q000000/1"
+        ]
+        assert [r.getMessage() for r in caplog.records] == expected
         run_trials(data, dataclasses.replace(_FAST, n_trials=2, k_subsample=3))
-        assert caplog.text.count("disagrees") == 2
+        assert [r.getMessage() for r in caplog.records] == expected
 
 
 _RECORDED = Path(__file__).parent / "data" / "subsample_n40_k20_seed0.json"
@@ -311,6 +320,14 @@ def test_trial_config_validation_rejects_bad_settings(kwargs):
 
 def test_trial_config_defaults_are_valid():
     TrialConfig()
+
+
+def test_trial_config_keeps_lists_as_tuples_and_is_hashable():
+    config = TrialConfig(methods=["distilled"], selective_rates=[0.1, 0.5])
+    built = TrialConfig(methods=("distilled",), selective_rates=(0.1, 0.5))
+    assert config == built
+    assert hash(config) == hash(built)
+    assert config.methods == ("distilled",) and config.selective_rates == (0.1, 0.5)
 
 
 # ---------------------------------------------------------------------------
