@@ -11,6 +11,8 @@
 :func:`token_probs` and :func:`answer_probs` score listed rows of a
 generation batch as columns, equal bit for bit to the per-response scores;
 :func:`impute_verbal` returns a column and its imputed mask.
+:func:`fit_platt_rows` fits the rows of a matrix in one Newton loop, each
+row with the bits :func:`fit_platt` gives it alone.
 """
 
 from __future__ import annotations
@@ -167,6 +169,78 @@ def platt_nll(scores: Any, labels: Any, slope: float, bias: float) -> float:
     return nll + _PENALTY * (slope * slope + bias * bias)
 
 
+def _platt_objectives(design: np.ndarray, z: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """:func:`platt_nll` of each row: ``design`` is ``(T, n, 2)``, ``theta``
+    ``(T, 2, 1)``; every product is a per-row ``np.matmul``."""
+    u = (design @ theta)[:, :, 0]
+    data = (np.logaddexp(0.0, u) - z * u).sum(axis=1)
+    return data + _PENALTY * (theta.transpose(0, 2, 1) @ theta)[:, 0, 0]
+
+
+def fit_platt_rows(scores: Any, labels: Any) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`fit_platt` of each row of ``(T, n)`` scores and labels, as
+    ``(slopes, biases)``, two ``(T,)`` arrays.
+
+    One damped Newton loop runs every row at once; a row that stops leaves
+    the active set.  Each product is a per-row ``np.matmul`` over stacks
+    shaped like the one-row products, each solve one ``np.linalg.solve``
+    over a stack, and each sum a row sum, so every row gets the bits a fit
+    of that row alone gets.
+    """
+    s = np.asarray(scores, dtype=float)
+    z = np.asarray(labels, dtype=float)
+    if s.ndim != 2 or s.shape[1] == 0:
+        raise DataError("scores must be a nonempty 2-d array")
+    if s.shape != z.shape:
+        raise DataError("scores and labels must have the same shape")
+    if not np.all(np.isfinite(s)):
+        raise DataError("scores contain non-finite entries")
+    if not np.all((z == 0.0) | (z == 1.0)):
+        raise DataError("labels must be 0 or 1")
+    t = _logit(s)
+    design = np.stack([t, np.ones_like(t)], axis=2)
+    theta = np.zeros((s.shape[0], 2, 1))
+    current = _platt_objectives(design, z, theta)
+    active = np.arange(s.shape[0])
+    for _ in range(100):
+        if not active.size:
+            break
+        d, zz, th = design[active], z[active], theta[active]
+        dt = d.transpose(0, 2, 1)
+        p = _sigmoid((d @ th)[:, :, 0])
+        grad = dt @ (p - zz)[:, :, None] + 2.0 * _PENALTY * th
+        # The gradient norm as np.linalg.norm takes it: sqrt of a dot.
+        moving = ~(np.sqrt((grad.transpose(0, 2, 1) @ grad)[:, 0, 0]) < 1e-8)
+        active, d, dt, zz, th, p, grad = (
+            a[moving] for a in (active, d, dt, zz, th, p, grad)
+        )
+        curvature = p * (1.0 - p)
+        hessian = dt @ (d * curvature[:, :, None]) + 2.0 * _PENALTY * np.eye(2)
+        step = np.linalg.solve(hessian, grad)
+        # Backtrack each row whose full Newton step overshoots.
+        candidate = np.empty_like(th)
+        value = np.empty(active.shape[0])
+        accepted = np.zeros(active.shape[0], dtype=bool)
+        searching = np.arange(active.shape[0])
+        scale = 1.0
+        for _ in range(50):
+            trial = th[searching] - scale * step[searching]
+            trial_value = _platt_objectives(d[searching], zz[searching], trial)
+            ok = trial_value <= current[active[searching]]
+            done = searching[ok]
+            candidate[done], value[done], accepted[done] = trial[ok], trial_value[ok], True
+            searching = searching[~ok]
+            if not searching.size:
+                break
+            scale *= 0.5
+        # A step that rounds back to theta would repeat forever: compare bytes.
+        moved = ~(candidate.view(np.int64) == th.view(np.int64)).all(axis=(1, 2))
+        keep = accepted & moved
+        active = active[keep]
+        theta[active], current[active] = candidate[keep], value[keep]
+    return theta[:, 0, 0], theta[:, 1, 0]
+
+
 def fit_platt(scores: Any, labels: Any) -> PlattModel:
     """Maximum-likelihood logistic fit on logit-transformed scores.
 
@@ -174,7 +248,7 @@ def fit_platt(scores: Any, labels: Any) -> PlattModel:
     quadratic penalty that keeps one-class and separable batches finite.
     Convergence: gradient norm below 1e-8, 100 iterations, or an accepted
     step that leaves ``theta`` bit for bit where it was (every later
-    iteration would repeat it).
+    iteration would repeat it).  The one-row case of :func:`fit_platt_rows`.
     """
     s = np.asarray(scores, dtype=float)
     z = np.asarray(labels, dtype=float)
@@ -182,41 +256,8 @@ def fit_platt(scores: Any, labels: Any) -> PlattModel:
         raise DataError("scores must be a nonempty 1-d array")
     if s.shape != z.shape:
         raise DataError("scores and labels must have the same length")
-    if not np.all(np.isfinite(s)):
-        raise DataError("scores contain non-finite entries")
-    if not np.all((z == 0.0) | (z == 1.0)):
-        raise DataError("labels must be 0 or 1")
-    t = _logit(s)
-    design = np.column_stack([t, np.ones_like(t)])
-    theta = np.zeros(2)
-
-    def objective(th: np.ndarray) -> float:
-        u = design @ th
-        return float(np.sum(np.logaddexp(0.0, u) - z * u) + _PENALTY * (th @ th))
-
-    current = objective(theta)
-    for _ in range(100):
-        p = _sigmoid(design @ theta)
-        grad = design.T @ (p - z) + 2.0 * _PENALTY * theta
-        if np.linalg.norm(grad) < 1e-8:
-            break
-        curvature = p * (1.0 - p)
-        hessian = design.T @ (design * curvature[:, None]) + 2.0 * _PENALTY * np.eye(2)
-        step = np.linalg.solve(hessian, grad)
-        # Backtrack if the full Newton step overshoots.
-        scale = 1.0
-        for _ in range(50):
-            candidate = theta - scale * step
-            value = objective(candidate)
-            if value <= current:
-                break
-            scale *= 0.5
-        else:
-            break
-        if candidate.tobytes() == theta.tobytes():
-            break  # a step that rounds back to theta: every later one would too
-        theta, current = candidate, value
-    return PlattModel(slope=float(theta[0]), bias=float(theta[1]))
+    slopes, biases = fit_platt_rows(s[None], z[None])
+    return PlattModel(slope=float(slopes[0]), bias=float(biases[0]))
 
 
 def apply_platt(model: PlattModel, scores: Any) -> np.ndarray | float:
@@ -227,4 +268,13 @@ def apply_platt(model: PlattModel, scores: Any) -> np.ndarray | float:
     if s.ndim == 0:
         return float(out)
     return out
+
+
+def apply_platt_rows(slopes: np.ndarray, biases: np.ndarray, scores: Any) -> np.ndarray:
+    """:func:`apply_platt` of each row of ``(T, m)`` scores under its own
+    slope and bias, as :func:`fit_platt_rows` returns them."""
+    s = np.asarray(scores, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise DataError("scores contain non-finite entries")
+    return _sigmoid(slopes[:, None] * _logit(s) + biases[:, None])
 

@@ -17,13 +17,17 @@ Each stage is deliberately plain:
   in the input scores pre-pooled to their target mean, fitted values clipped
   to [0, 1]; prediction interpolates linearly between knots and clamps to the
   first/last knot output outside the fitted range.
+
+:func:`fit_pipeline_rows` and :func:`predict_rows` run the scaler and ridge
+stages of many fits as one stack, each fit with the bits it has alone;
+:func:`fit_pipeline` is the one-fit case.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -65,6 +69,15 @@ class ScalerParams:
     scales: np.ndarray
 
 
+def _scaler_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and scales of each ``(n, d)`` slice of a ``(T, n, d)``
+    stack, as two ``(T, d)`` arrays."""
+    means = X.mean(axis=1)
+    scales = X.std(axis=1)
+    scales[scales == 0.0] = 1.0
+    return means, scales
+
+
 def fit_scaler(features: Any) -> ScalerParams:
     """Column means and population standard deviations (ddof=0).
 
@@ -73,10 +86,8 @@ def fit_scaler(features: Any) -> ScalerParams:
     X = _as_matrix(features)
     if X.shape[0] < 2:
         raise DataError(f"fit_scaler needs at least 2 rows, got {X.shape[0]}")
-    means = X.mean(axis=0)
-    scales = X.std(axis=0)
-    scales = np.where(scales == 0.0, 1.0, scales)
-    return ScalerParams(means=means, scales=scales)
+    means, scales = _scaler_rows(X[None])
+    return ScalerParams(means=means[0], scales=scales[0])
 
 
 def apply_scaler(params: ScalerParams, features: Any) -> np.ndarray:
@@ -101,6 +112,29 @@ class RidgeModel:
     alpha: float
 
 
+def _ridge_rows(X: np.ndarray, y: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ridge weights ``(T, d)`` and intercepts ``(T,)`` of each slice of a
+    ``(T, n, d)`` stack against its row of ``(T, n)`` targets.
+
+    Every product is a per-row ``np.matmul`` and the solve one
+    ``np.linalg.solve`` over the stack, so each row has the bits of a
+    one-row fit.
+    """
+    x_means = X.mean(axis=1)
+    y_mean = y.mean(axis=1)
+    Xc = X - x_means[:, None]
+    yc = y - y_mean[:, None]
+    Xct = Xc.transpose(0, 2, 1)
+    gram = Xct @ Xc + alpha * np.eye(X.shape[2])
+    weights = np.linalg.solve(gram, Xct @ yc[:, :, None])[:, :, 0]
+    return weights, y_mean - (x_means[:, None, :] @ weights[:, :, None])[:, 0, 0]
+
+
+def _check_alpha(alpha: float) -> None:
+    if not np.isfinite(alpha) or alpha <= 0.0:
+        raise DataError(f"alpha must be a positive real, got {alpha!r}")
+
+
 def fit_ridge(features: Any, targets: Any, alpha: float = 1.0) -> RidgeModel:
     """Ridge regression with an unpenalized intercept.
 
@@ -113,16 +147,9 @@ def fit_ridge(features: Any, targets: Any, alpha: float = 1.0) -> RidgeModel:
         raise DataError(f"features have {X.shape[0]} rows but targets have {y.shape[0]}")
     if X.shape[0] < 2:
         raise DataError(f"fit_ridge needs at least 2 rows, got {X.shape[0]}")
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        raise DataError(f"alpha must be a positive real, got {alpha!r}")
-    x_means = X.mean(axis=0)
-    y_mean = y.mean()
-    Xc = X - x_means
-    yc = y - y_mean
-    gram = Xc.T @ Xc + alpha * np.eye(X.shape[1])
-    weights = np.linalg.solve(gram, Xc.T @ yc)
-    intercept = float(y_mean - x_means @ weights)
-    return RidgeModel(weights=weights, intercept=intercept, alpha=float(alpha))
+    _check_alpha(alpha)
+    weights, intercepts = _ridge_rows(X[None], y[None], alpha)
+    return RidgeModel(weights=weights[0], intercept=float(intercepts[0]), alpha=float(alpha))
 
 
 def ridge_predict(model: RidgeModel, features: Any) -> np.ndarray:
@@ -262,17 +289,67 @@ def fit_pipeline(
     Rows are partitioned by a seeded shuffle: floor(split_frac * n) rows form
     the isotonic half B, the rest form half A for the scaler and ridge.  Both
     halves must keep at least two rows.  Ridge predictions on half B paired
-    with B's targets fit the isotonic stage.
+    with B's targets fit the isotonic stage.  The one-row case of
+    :func:`fit_pipeline_rows`.
     """
     X = _as_matrix(features)
     y = _as_vector(targets, "targets")
     if X.shape[0] != y.shape[0]:
         raise DataError(f"features have {X.shape[0]} rows but targets have {y.shape[0]}")
+    (model,) = fit_pipeline_rows(
+        X,
+        np.arange(X.shape[0])[None],
+        y[None],
+        split_frac=split_frac,
+        seeds=[seed],
+        alpha=alpha,
+        feature_source=feature_source,
+    )
+    return model
+
+
+def _decisions(
+    Z: np.ndarray,
+    means: np.ndarray,
+    scales: np.ndarray,
+    weights: np.ndarray,
+    intercepts: np.ndarray,
+) -> np.ndarray:
+    """Standardize + ridge of each slice of a fresh ``(T, m, d)`` stack,
+    which is overwritten, under its row's ``(T, d)`` parameters: ``(T, m)``."""
+    Z -= means[:, None]
+    Z /= scales[:, None]
+    return (Z @ weights[:, :, None])[:, :, 0] + intercepts[:, None]
+
+
+def fit_pipeline_rows(
+    features: Any,
+    rows: Any,
+    targets: Any,
+    *,
+    split_frac: float = 0.5,
+    seeds: Sequence[int],
+    alpha: float = 1.0,
+    feature_source: str = "response_embedding",
+) -> list[CalibratorModel]:
+    """:func:`fit_pipeline` of each row of a ``(T, n)`` index matrix: row t
+    fits on ``features[rows[t]]`` and ``targets[t]``, split by ``seeds[t]``.
+
+    The scaler and ridge stages run over all T half-A stacks at once, with
+    the bits of T separate fits; each isotonic stage is fitted alone.
+    """
+    X = _as_matrix(features)
+    picks = np.asarray(rows, dtype=np.intp)
+    y = np.asarray(targets, dtype=float)
+    if y.ndim != 2 or y.shape != picks.shape or len(seeds) != y.shape[0]:
+        raise DataError("targets, rows and seeds must align: one row and one seed per fit")
+    if not np.all(np.isfinite(y)):
+        raise DataError("targets contains non-finite entries")
     if np.any((y < 0.0) | (y > 1.0)):
         raise DataError("targets must lie in [0, 1]")
     if feature_source not in FEATURE_SOURCES:
         raise DataError(f"unknown feature_source {feature_source!r}")
-    n = X.shape[0]
+    n = y.shape[1]
     if n < 4:
         raise DataError(f"fit_pipeline needs at least 4 rows, got {n}")
     if not 0.0 < split_frac < 1.0:
@@ -283,21 +360,31 @@ def fit_pipeline(
         raise DataError(
             f"split_frac {split_frac!r} underfills one half ({n_a} vs {n_b} rows of {n})"
         )
-    perm = seeding.generator(seed).permutation(n)
-    b_idx = perm[:n_b]
-    a_idx = perm[n_b:]
-    scaler = fit_scaler(X[a_idx])
-    ridge = fit_ridge(apply_scaler(scaler, X[a_idx]), y[a_idx], alpha=alpha)
-    preds_b = ridge_predict(ridge, apply_scaler(scaler, X[b_idx]))
-    isotonic = fit_isotonic(preds_b, y[b_idx])
-    meta = {"split_frac": float(split_frac), "seed": int(seed), "n_targets": int(n)}
-    return CalibratorModel(
-        scaler=scaler,
-        ridge=ridge,
-        isotonic=isotonic,
-        feature_source=feature_source,
-        training_meta=meta,
+    _check_alpha(alpha)
+    perms = np.array([seeding.generator(seed).permutation(n) for seed in seeds])
+    b_pos, a_pos = perms[:, :n_b], perms[:, n_b:]
+    XA = X[np.take_along_axis(picks, a_pos, axis=1)]
+    means, scales = _scaler_rows(XA)
+    XA -= means[:, None]
+    XA /= scales[:, None]
+    weights, intercepts = _ridge_rows(XA, np.take_along_axis(y, a_pos, axis=1), alpha)
+    del XA
+    preds_b = _decisions(
+        X[np.take_along_axis(picks, b_pos, axis=1)], means, scales, weights, intercepts
     )
+    y_b = np.take_along_axis(y, b_pos, axis=1)
+    return [
+        CalibratorModel(
+            scaler=ScalerParams(means=means[t], scales=scales[t]),
+            ridge=RidgeModel(
+                weights=weights[t], intercept=float(intercepts[t]), alpha=float(alpha)
+            ),
+            isotonic=fit_isotonic(preds_b[t], y_b[t]),
+            feature_source=feature_source,
+            training_meta={"split_frac": float(split_frac), "seed": int(seed), "n_targets": int(n)},
+        )
+        for t, seed in enumerate(seeds)
+    ]
 
 
 def decision_score(model: CalibratorModel, features: Any) -> np.ndarray | float:
@@ -314,6 +401,25 @@ def predict(model: CalibratorModel, features: Any) -> np.ndarray | float:
     """Confidence in [0, 1] for one feature vector or a stack of them."""
     scores = decision_score(model, features)
     return isotonic_predict(model.isotonic, scores)
+
+
+def predict_rows(models: Sequence[CalibratorModel], features: Any, rows: Any) -> np.ndarray:
+    """:func:`predict` of each model on the features its row of a ``(T, m)``
+    index matrix picks, as a ``(T, m)`` matrix."""
+    X = _as_matrix(features)
+    means = np.stack([m.scaler.means for m in models])
+    if X.shape[1] != means.shape[1]:
+        raise DataError(
+            f"feature dimension {X.shape[1]} does not match model dimension {means.shape[1]}"
+        )
+    scores = _decisions(
+        X[np.asarray(rows, dtype=np.intp)],
+        means,
+        np.stack([m.scaler.scales for m in models]),
+        np.stack([m.ridge.weights for m in models]),
+        np.array([m.ridge.intercept for m in models]),
+    )
+    return np.array([isotonic_predict(m.isotonic, row) for m, row in zip(models, scores)])
 
 
 # ---------------------------------------------------------------------------

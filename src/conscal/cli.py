@@ -206,7 +206,7 @@ def cmd_targets(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     targets = []
-    warnings = 0
+    skipped = 0
     for position, coded in enumerate(consistency.answer_codes(sets)):
         try:
             if args.k is None:
@@ -218,12 +218,12 @@ def cmd_targets(args: argparse.Namespace) -> int:
                     )
                 )
         except DataError as exc:
-            warnings += 1
+            skipped += 1
             print(f"warning: skipping {coded.query_id}: {exc}", file=sys.stderr)
     out = _out_dir(args, config_obj)
     records.write_targets(os.path.join(out, "targets.jsonl"), targets)
     records.write_json(os.path.join(out, "config.json"), config_obj)
-    print(f"wrote {len(targets)} targets to {out} ({warnings} warning(s))")
+    print(f"wrote {len(targets)} targets to {out} (skipped {skipped} queries)")
     return 0
 
 

@@ -10,7 +10,8 @@ test side, fits whatever the scored methods need on the calibration side
 correctness labels), scores the test side, and reports calibration metrics.
 Trials differ only in their seed-derived splits; aggregation averages the
 per-trial reports.  Each method's trials are scored together, as the rows
-of one (trials x test queries) matrix.
+of one (trials x test queries) matrix, and a trained method is fit for
+every trial at once.
 
 Correctness of a response comes from the labels file when it covers the
 (query, sample) pair and otherwise falls back to whether the extracted
@@ -45,13 +46,13 @@ import numpy as np
 from . import seeding
 from .baselines import (
     answer_probs,
-    apply_platt,
-    fit_platt,
+    apply_platt_rows,
+    fit_platt_rows,
     impute_verbal,
     parse_verbal_confidence,
     token_probs,
 )
-from .calibrator import FEATURE_SOURCES, check_fit_settings, fit_pipeline, predict
+from .calibrator import FEATURE_SOURCES, check_fit_settings, fit_pipeline_rows, predict_rows
 from .consistency import (
     AnswerCodes,
     answer_codes,
@@ -434,36 +435,39 @@ class EvalResult:
     methods: dict[str, MethodSummary] = field(default_factory=dict)
 
 
-def _fitted_trial(
-    data: EvalDataset,
-    config: TrialConfig,
-    method: str,
-    tseed: int,
-    cal_idx: np.ndarray,
-    test_idx: np.ndarray,
+def _require_sources(data: EvalDataset, methods: Sequence[str]) -> None:
+    """Raise :class:`DataError` unless every column the methods score is
+    whole: an answer span for each deployment response under ``answer_prob``,
+    a correctness source for each modal sample under ``tt_sc``.  Checked over
+    every query, so the error does not depend on the splits."""
+    for method in methods:
+        if method in SINGLE_PASS:
+            column = getattr(data, method)
+            require_spans(column, data.query_ids, [c.sample_index[0] for c in data.codes])
+    if "tt_sc" in methods and np.isnan(data.tt_correct).any():
+        i = int(np.isnan(data.tt_correct).argmax())
+        sample = build_target(data.codes[i]).selected_sample_index
+        raise DataError(_NO_SOURCE.format(data.query_ids[i], sample))
+
+
+def _distilled_targets(
+    data: EvalDataset, config: TrialConfig, tseeds: Sequence[int], cal: np.ndarray
 ) -> np.ndarray:
-    """One trial's test-side confidences under ``distilled`` or
-    ``supervised``, fit on that trial's calibration side."""
-    if method == "supervised":
-        platt = fit_platt(data.token_prob[cal_idx], data.deploy_correct[cal_idx])
-        return apply_platt(platt, data.token_prob[test_idx])
+    """Each trial's calibration-side targets as a ``(T, n_cal)`` matrix: the
+    modal shares, or under ``k_subsample`` the shares among k samples drawn
+    per query and trial."""
     if config.k_subsample is None:
-        s_cal = data.targets_s[cal_idx]
-    else:
-        s_cal = subsample_shares(
-            [data.codes[i] for i in cal_idx],
-            config.k_subsample,
-            [seeding.mix(tseed, _S_SUBSAMPLE, int(i)) for i in cal_idx],
-        )
-    model = fit_pipeline(
-        data.features[cal_idx],
-        s_cal,
-        split_frac=config.split_frac,
-        seed=seeding.mix(tseed, _S_PIPELINE),
-        alpha=config.alpha,
-        feature_source=data.feature_source,
+        return data.targets_s[cal]
+    return np.array(
+        [
+            subsample_shares(
+                [data.codes[i] for i in cal_idx],
+                config.k_subsample,
+                [seeding.mix(tseed, _S_SUBSAMPLE, int(i)) for i in cal_idx],
+            )
+            for tseed, cal_idx in zip(tseeds, cal)
+        ]
     )
-    return predict(model, data.features[test_idx])
 
 
 def _method_trials(
@@ -471,32 +475,34 @@ def _method_trials(
     config: TrialConfig,
     method: str,
     tseeds: Sequence[int],
-    sides: Sequence[tuple[np.ndarray, np.ndarray]],
+    cal: np.ndarray,
     test: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every trial's test-side confidences under ``method`` as a ``(T,
     n_test)`` matrix, and the correctness they are judged by: the modal
     answer's for ``tt_sc``, the deployment response's for the rest.
 
-    ``sides`` holds each trial's (cal, test) indices and ``test`` stacks
-    the test sides; a precomputed column needs only one gather, and is
-    checked whole, so that a missing answer span raises whatever the splits."""
+    ``cal`` and ``test`` stack the trials' calibration and test sides; a
+    precomputed column needs one gather, and a trained method one batched
+    fit over every trial's calibration side."""
     if method == "tt_sc":
-        if np.isnan(data.tt_correct).any():
-            i = int(np.isnan(data.tt_correct).argmax())
-            sample = build_target(data.codes[i]).selected_sample_index
-            raise DataError(_NO_SOURCE.format(data.query_ids[i], sample))
         return data.targets_s[test], data.tt_correct[test]
     labels = data.deploy_correct[test]
     if method in SINGLE_PASS:
-        column = getattr(data, method)
-        require_spans(column, data.query_ids, [c.sample_index[0] for c in data.codes])
-        return column[test], labels
-    rows = [
-        _fitted_trial(data, config, method, tseed, cal_idx, test_idx)
-        for tseed, (cal_idx, test_idx) in zip(tseeds, sides)
-    ]
-    return np.array(rows, dtype=float), labels
+        return getattr(data, method)[test], labels
+    if method == "supervised":
+        slopes, biases = fit_platt_rows(data.token_prob[cal], data.deploy_correct[cal])
+        return apply_platt_rows(slopes, biases, data.token_prob[test]), labels
+    models = fit_pipeline_rows(
+        data.features,
+        cal,
+        _distilled_targets(data, config, tseeds, cal),
+        split_frac=config.split_frac,
+        seeds=[seeding.mix(tseed, _S_PIPELINE) for tseed in tseeds],
+        alpha=config.alpha,
+        feature_source=data.feature_source,
+    )
+    return predict_rows(models, data.features, test), labels
 
 
 def _mean(values: np.ndarray) -> float:
@@ -567,7 +573,8 @@ def _evaluate(
     splits: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
     kind: str,
 ) -> EvalResult:
-    """Split every trial, then score each method over all trials at once."""
+    """Split every trial, check every method's data, then score each method
+    over all trials at once."""
     if data.feature_source != config.feature_source:
         raise ConfigError(
             f"dataset was built with feature_source {data.feature_source!r} but the "
@@ -581,11 +588,13 @@ def _evaluate(
             f"test side has {n_test} queries but {config.bins} equal-mass bins "
             "need at least one query each"
         )
+    _require_sources(data, config.methods)
+    cal = np.stack([cal_idx for cal_idx, _ in sides])
     test = np.stack([test_idx for _, test_idx in sides])
     test_ids = np.array(data.query_ids, dtype=str)[test] if config.selective_rates else None
     summaries = {}
     for method in config.methods:
-        confidences, labels = _method_trials(data, config, method, tseeds, sides, test)
+        confidences, labels = _method_trials(data, config, method, tseeds, cal, test)
         summaries[method] = _aggregate(
             method,
             compute_report(confidences, labels, bins=config.bins),

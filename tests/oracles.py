@@ -13,6 +13,9 @@ evidence.
 
 :func:`load_scores` is the exception: no command reads ``scores.jsonl``
 back, so its reader lives here, on the package's line decoder.
+:func:`distilled_trial_by_fit` takes the package's seeded streams, targets
+and isotonic stage, which it does not re-derive; its own part is the linear
+stage as one trial's 2-d products.
 """
 
 from __future__ import annotations
@@ -651,6 +654,46 @@ def platt_by_full_newton(
         else:
             break
     return (float(theta[0]), float(theta[1])), iterations
+
+
+def distilled_trial_by_fit(data, config, tseed: int, cal_idx, test_idx) -> np.ndarray:
+    """One trial's ``distilled`` test-side confidences, fit on that trial alone.
+
+    The calibration side's targets are the modal shares, or under
+    ``k_subsample`` the shares among k samples drawn per query.  A seeded
+    shuffle splits the side into halves; half A's scaler and ridge are 2-d
+    products of that trial's rows, and half B's ridge outputs fit the
+    isotonic stage that maps the test side.
+    """
+    from conscal import evaluation, seeding
+    from conscal.calibrator import fit_isotonic, isotonic_predict
+    from conscal.consistency import subsample_shares
+
+    if config.k_subsample is None:
+        y = data.targets_s[cal_idx]
+    else:
+        y = subsample_shares(
+            [data.codes[i] for i in cal_idx],
+            config.k_subsample,
+            [seeding.mix(tseed, evaluation._S_SUBSAMPLE, int(i)) for i in cal_idx],
+        )
+    X = data.features[cal_idx]
+    n_b = int(np.floor(config.split_frac * len(cal_idx)))
+    perm = seeding.generator(seeding.mix(tseed, evaluation._S_PIPELINE)).permutation(len(cal_idx))
+    half_a, half_b = perm[n_b:], perm[:n_b]
+    means = X[half_a].mean(axis=0)
+    scales = X[half_a].std(axis=0)
+    scales = np.where(scales == 0.0, 1.0, scales)
+    standardized = (X[half_a] - means) / scales
+    x_means = standardized.mean(axis=0)
+    y_mean = y[half_a].mean()
+    Xc = standardized - x_means
+    gram = Xc.T @ Xc + config.alpha * np.eye(X.shape[1])
+    weights = np.linalg.solve(gram, Xc.T @ (y[half_a] - y_mean))
+    intercept = float(y_mean - x_means @ weights)
+    isotonic = fit_isotonic(((X[half_b] - means) / scales) @ weights + intercept, y[half_b])
+    test = (data.features[test_idx] - means) / scales
+    return isotonic_predict(isotonic, test @ weights + intercept)
 
 
 def reports_by_trial_loop(

@@ -16,7 +16,9 @@ from conscal.baselines import (
     answer_prob_score,
     answer_probs,
     apply_platt,
+    apply_platt_rows,
     fit_platt,
+    fit_platt_rows,
     impute_verbal,
     parse_verbal_confidence,
     platt_nll,
@@ -293,6 +295,88 @@ def test_fit_platt_equals_the_full_newton_loop_bit_for_bit(batch):
     with np.errstate(over="ignore"):  # the oracle's exp(-u) of a far-off logit
         (slope, bias), _ = platt_by_full_newton(*batch)
     assert (model.slope.hex(), model.bias.hex()) == (slope.hex(), bias.hex())
+
+
+# Rows of one width, each an edge of the Newton loop: the stalled fixture,
+# which runs to the cap; a row whose exp(-u) overflows; one-class rows; scores
+# of exactly 0 and 1; and a row that converges in a few steps.
+_OVERFLOW = ([0.4999, 0.5001, 1e-6, 0.5, 0.5, 0.5], [0, 1, 0, 0, 1, 1])
+_EDGE_ROWS = (
+    _STALLED,
+    _OVERFLOW,
+    ([0.2, 0.5, 0.8, 0.3, 0.6, 0.9], [1, 1, 1, 1, 1, 1]),
+    ([0.2, 0.5, 0.8, 0.3, 0.6, 0.9], [0, 0, 0, 0, 0, 0]),
+    ([0.0, 1.0, 0.0, 1.0, 0.5, 0.5], [0, 1, 1, 0, 1, 0]),
+    ([0.1, 0.9, 0.35, 0.6, 0.5, 0.45], [0, 1, 0, 1, 1, 0]),
+)
+
+
+@st.composite
+def _platt_matrices(draw):
+    n = draw(st.integers(1, 14))
+    rows = draw(st.integers(1, 6))
+    kinds = st.sampled_from(["free", "one_class", "ends"])
+    scores, labels = [], []
+    for _ in range(rows):
+        kind = draw(kinds)
+        grid = st.sampled_from([0.0, 1.0]) if kind == "ends" else _GRID | st.floats(0.0, 1.0)
+        scores.append(draw(st.lists(grid, min_size=n, max_size=n)))
+        if kind == "one_class":
+            labels.append([draw(st.sampled_from([0, 1]))] * n)
+        else:
+            labels.append(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)))
+    return scores, labels
+
+
+def _rows(*batches):
+    return [list(b[0]) for b in batches], [list(b[1]) for b in batches]
+
+
+@settings(max_examples=300)
+@given(_platt_matrices())
+@example(_rows(_STALLED))
+@example(_rows(*_EDGE_ROWS))
+@example(_rows(_OVERFLOW, _STALLED))
+def test_each_batched_platt_row_equals_the_full_newton_loop_bit_for_bit(matrix):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the batched fit warns nothing either
+        slopes, biases = fit_platt_rows(*matrix)
+    for t, row in enumerate(zip(*matrix)):
+        with np.errstate(over="ignore"):  # the oracle's exp(-u) of a far-off logit
+            (slope, bias), _ = platt_by_full_newton(*row)
+        assert (float(slopes[t]).hex(), float(biases[t]).hex()) == (slope.hex(), bias.hex())
+
+
+def test_the_edge_rows_stop_at_different_iterations():
+    # One batch in which rows leave the active set at different times.
+    with np.errstate(over="ignore"):
+        counts = [platt_by_full_newton(*row)[1] for row in _EDGE_ROWS]
+    assert counts[0] == 100 and len(set(counts)) >= 3
+
+
+def test_platt_rows_map_each_row_under_its_own_fit():
+    scores, labels = _rows(*_EDGE_ROWS)
+    slopes, biases = fit_platt_rows(scores, labels)
+    test = np.array(scores)[:, ::-1]
+    mapped = apply_platt_rows(slopes, biases, test)
+    for t, row in enumerate(test):
+        want = apply_platt(PlattModel(float(slopes[t]), float(biases[t])), row)
+        assert mapped[t].tobytes() == want.tobytes()
+
+
+def test_fit_platt_rows_validates_inputs():
+    with pytest.raises(DataError, match="2-d"):
+        fit_platt_rows([0.5, 0.6], [0, 1])
+    with pytest.raises(DataError, match="2-d"):
+        fit_platt_rows(np.empty((2, 0)), np.empty((2, 0)))
+    with pytest.raises(DataError, match="same shape"):
+        fit_platt_rows([[0.5, 0.6]], [[0, 1], [1, 0]])
+    with pytest.raises(DataError, match="non-finite"):
+        fit_platt_rows([[0.5, np.nan]], [[0, 1]])
+    with pytest.raises(DataError, match="0 or 1"):
+        fit_platt_rows([[0.5, 0.6]], [[0, 2]])
+    with pytest.raises(DataError, match="non-finite"):
+        apply_platt_rows(np.zeros(1), np.zeros(1), [[np.inf]])
 
 
 def test_platt_past_the_exp_overflow_warns_nothing_and_keeps_its_bits():

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conscal.calibrator import (
@@ -14,6 +14,7 @@ from conscal.calibrator import (
     decision_score,
     fit_isotonic,
     fit_pipeline,
+    fit_pipeline_rows,
     fit_ridge,
     fit_scaler,
     apply_scaler,
@@ -22,6 +23,7 @@ from conscal.calibrator import (
     model_document,
     pava,
     predict,
+    predict_rows,
     ridge_predict,
     save_model,
 )
@@ -312,6 +314,54 @@ def test_pipeline_validates_targets_split_and_source():
         fit_pipeline(X, np.linspace(0, 1, 8), split_frac=1.0, seed=0)
     with pytest.raises(DataError, match="feature_source"):
         fit_pipeline(X, np.linspace(0, 1, 8), feature_source="nope", seed=0)
+
+
+def _bits(model):
+    return json.dumps(model_document(model), sort_keys=True)
+
+
+@given(
+    trials=st.integers(1, 6),
+    n=st.integers(4, 30),
+    d=st.integers(1, 5),
+    split_frac=st.sampled_from([0.3, 0.5, 0.7]),
+    alpha=st.sampled_from([1e-3, 1.0, 50.0]),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=80, deadline=None)
+def test_each_pipeline_row_equals_a_fit_of_that_row_alone(trials, n, d, split_frac, alpha, seed):
+    n_b = int(np.floor(split_frac * n))
+    assume(n_b >= 2 and n - n_b >= 2)
+    gen = np.random.default_rng(seed)
+    X = gen.normal(size=(n + 7, d))
+    X[:, 0] = 0.25  # a constant column takes the unit scale
+    rows = np.stack([gen.permutation(n + 7)[:n] for _ in range(trials)])
+    targets = np.round(gen.uniform(size=(trials, n)), 1)  # ties for the isotonic stage
+    seeds = gen.integers(0, 2**32, size=trials).tolist()
+    models = fit_pipeline_rows(X, rows, targets, split_frac=split_frac, seeds=seeds, alpha=alpha)
+    picked = np.stack([gen.permutation(n + 7)[:5] for _ in range(trials)])
+    predictions = predict_rows(models, X, picked)
+    for t, model in enumerate(models):
+        alone = fit_pipeline(
+            X[rows[t]], targets[t], split_frac=split_frac, seed=seeds[t], alpha=alpha
+        )
+        assert _bits(model) == _bits(alone)
+        assert predictions[t].tobytes() == np.asarray(predict(alone, X[picked[t]])).tobytes()
+
+
+def test_pipeline_rows_check_their_alignment_and_the_feature_dimension():
+    X = np.random.default_rng(0).normal(size=(10, 3))
+    rows = np.stack([np.arange(8), np.arange(2, 10)])
+    targets = np.full((2, 8), 0.5)
+    with pytest.raises(DataError, match="align"):
+        fit_pipeline_rows(X, rows, targets[:, :6], seeds=[0, 1])
+    with pytest.raises(DataError, match="align"):
+        fit_pipeline_rows(X, rows, targets, seeds=[0])
+    with pytest.raises(DataError, match="non-finite"):
+        fit_pipeline_rows(X, rows, np.full((2, 8), np.nan), seeds=[0, 1])
+    models = fit_pipeline_rows(X, rows, targets, seeds=[0, 1])
+    with pytest.raises(DataError, match="feature dimension 2 does not match model dimension 3"):
+        predict_rows(models, X[:, :2], rows)
 
 
 def test_same_seed_reproduces_the_model_different_seed_may_not():

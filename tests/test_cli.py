@@ -380,10 +380,29 @@ def test_targets_skip_boxless_queries_with_a_warning(tmp_path, capsys):
                  "--generations", str(generations), "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 0
-    assert "wrote 1 targets" in captured.out and "1 warning(s)" in captured.out
+    assert captured.out == f"wrote 1 targets to {out} (skipped 1 queries)\n"
     assert "skipping q2" in captured.err
     (target,) = records.load_targets(str(out / "targets.jsonl"))
     assert target.query_id == "q1" and target.s == 1.0
+
+
+def test_targets_summary_counts_skipped_queries_apart_from_disagreements(
+    tmp_path, capsys, caplog
+):
+    queries = tmp_path / "queries.jsonl"
+    generations = tmp_path / "generations.jsonl"
+    records.write_queries(str(queries), [make_query("q1")])
+    disagreeing = {**make_generation("q1", 1, answer="a"), "answer": "b"}
+    records.write_generations(
+        str(generations), make_batch([make_generation("q1", 0, answer="a"), disagreeing])
+    )
+    out = tmp_path / "targets"
+    code = main(["targets", "--queries", str(queries),
+                 "--generations", str(generations), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "1 pre-extracted answers disagree with the boxed answer: q1/1" in caplog.text
+    assert captured.out == f"wrote 1 targets to {out} (skipped 0 queries)\n"
 
 
 def test_sample_indices_beyond_int64_survive_targets_and_trials(tmp_path):

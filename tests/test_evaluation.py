@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conscal import consistency, evaluation, records, synth
+from conscal import consistency, evaluation, records, seeding, synth
+from conscal.baselines import PlattModel, apply_platt
 from conscal.errors import ConfigError, DataError
 from conscal.evaluation import (
     DEFAULT_METHODS,
@@ -30,7 +32,13 @@ from conscal.evaluation import (
 from conscal.metrics import auroc, compute_report
 
 from conftest import make_batch, make_generation, make_query, make_set
-from oracles import aggregate_by_trial_loop, reports_by_trial_loop, selective_by_trial_loop
+from oracles import (
+    aggregate_by_trial_loop,
+    distilled_trial_by_fit,
+    platt_by_full_newton,
+    reports_by_trial_loop,
+    selective_by_trial_loop,
+)
 
 
 def _synth_sets(n=80, k=8, seed=0, **overrides):
@@ -726,9 +734,29 @@ def test_a_non_finite_column_entry_fails_the_trial_run():
         run_trials(broken, dataclasses.replace(_FAST, n_trials=2))
 
 
+class _Fitted(Exception):
+    """Raised by a stubbed fit kernel: the run reached a fit."""
+
+
+def _stub_fits(monkeypatch) -> list[str]:
+    """Replace the trial loop's two fit kernels with stubs that record the
+    call and stop the run; returns the record."""
+    fits: list[str] = []
+
+    def stub(name):
+        def fit(*args, **kwargs):
+            fits.append(name)
+            raise _Fitted(name)
+
+        return fit
+
+    monkeypatch.setattr(evaluation, "fit_pipeline_rows", stub("distilled"))
+    monkeypatch.setattr(evaluation, "fit_platt_rows", stub("supervised"))
+    return fits
+
+
 def test_a_test_side_smaller_than_the_bins_fails_before_any_fit(monkeypatch):
-    fits = []
-    monkeypatch.setattr(evaluation, "fit_pipeline", lambda *a, **k: fits.append(a))
+    fits = _stub_fits(monkeypatch)
     sets, labels = _synth_sets(n=12, k=3)
     data = build_dataset(sets, labels)
     config = dataclasses.replace(_FAST, bins=10, n_trials=3)
@@ -740,6 +768,86 @@ def test_a_test_side_smaller_than_the_bins_fails_before_any_fit(monkeypatch):
     with pytest.raises(DataError, match="test side has 6 queries but 10 equal-mass bins"):
         evaluation._evaluate(data, config, lambda t, tseed: fixed, kind="shift")
     assert fits == []
+    # The stubs sit where the trial loop fits: with bins that fit, it reaches them.
+    for method in ("distilled", "supervised"):
+        with pytest.raises(_Fitted):
+            run_trials(data, dataclasses.replace(config, bins=2, methods=(method,)))
+    assert fits == ["distilled", "supervised"]
+
+
+def test_a_data_fault_of_any_method_fails_before_any_fit(monkeypatch):
+    fits = _stub_fits(monkeypatch)
+    sets, labels = _synth_sets(n=30, k=4)
+    data = build_dataset(sets, labels)
+    spanless = data.answer_prob.copy()
+    spanless[7] = np.nan
+    broken = dataclasses.replace(data, answer_prob=spanless)
+    config = dataclasses.replace(_FAST, methods=("distilled", "supervised", "answer_prob"))
+    with pytest.raises(DataError) as raised:
+        run_trials(broken, config)
+    assert str(raised.value) == (
+        f"query {data.query_ids[7]} sample 0: record lacks the answer-span "
+        "log-probabilities needed by answer_prob"
+    )
+    unsourced = data.tt_correct.copy()
+    unsourced[4] = np.nan
+    broken = dataclasses.replace(data, tt_correct=unsourced)
+    config = dataclasses.replace(_FAST, methods=("supervised", "distilled", "tt_sc"))
+    selected = consistency.build_target(data.codes[4]).selected_sample_index
+    with pytest.raises(DataError) as raised:
+        run_trials(broken, config)
+    assert str(raised.value) == (
+        f"query {data.query_ids[4]} sample {selected}: no correctness source "
+        "(provide labels or gold_answers)"
+    )
+    assert fits == []
+
+
+@functools.lru_cache(maxsize=None)
+def _trial_data(seed: int) -> evaluation.EvalDataset:
+    sets, labels = _synth_sets(n=40, k=6, seed=seed)
+    return build_dataset(sets, labels)
+
+
+@given(
+    seed=st.integers(0, 2),
+    master_seed=st.integers(0, 2**32),
+    n_trials=st.integers(1, 5),
+    cal_fraction=st.sampled_from([0.2, 0.4, 0.7]),
+    split_frac=st.sampled_from([0.3, 0.5, 0.7]),
+    alpha=st.sampled_from([1e-3, 1.0, 50.0]),
+    k_subsample=st.sampled_from([None, 1, 3, 6]),
+    fixed=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_trained_rows_equal_the_per_trial_fits_bit_for_bit(
+    seed, master_seed, n_trials, cal_fraction, split_frac, alpha, k_subsample, fixed
+):
+    data = _trial_data(seed)
+    config = dataclasses.replace(
+        _FAST, n_trials=n_trials, master_seed=master_seed, cal_fraction=cal_fraction,
+        split_frac=split_frac, alpha=alpha, k_subsample=k_subsample,
+    )
+    tseeds = [seeding.mix(master_seed, t) for t in range(n_trials)]
+    if fixed:  # shift's fixed group split: only the fit's seeds vary
+        sides = [(np.arange(0, 40, 2), np.arange(1, 40, 2))] * n_trials
+    else:
+        sides = [
+            split_cal_test(data.n, cal_fraction, seeding.mix(tseed, evaluation._S_SPLIT))
+            for tseed in tseeds
+        ]
+    cal = np.stack([c for c, _ in sides])
+    test = np.stack([t for _, t in sides])
+    distilled, _ = evaluation._method_trials(data, config, "distilled", tseeds, cal, test)
+    supervised, _ = evaluation._method_trials(data, config, "supervised", tseeds, cal, test)
+    for t, (tseed, (cal_idx, test_idx)) in enumerate(zip(tseeds, sides)):
+        want = distilled_trial_by_fit(data, config, tseed, cal_idx, test_idx)
+        assert distilled[t].tobytes() == want.tobytes()
+        (slope, bias), _ = platt_by_full_newton(
+            data.token_prob[cal_idx], data.deploy_correct[cal_idx]
+        )
+        want = apply_platt(PlattModel(slope, bias), data.token_prob[test_idx])
+        assert supervised[t].tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
