@@ -261,18 +261,16 @@ def fit_platt(scores: Any, labels: Any) -> PlattModel:
 
 
 def apply_platt(model: PlattModel, scores: Any) -> np.ndarray | float:
+    """The fitted map of a score or an array of them: the one-row case of
+    :func:`apply_platt_rows`."""
     s = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise DataError("scores contain non-finite entries")
-    out = _sigmoid(model.slope * _logit(s) + model.bias)
-    if s.ndim == 0:
-        return float(out)
-    return out
+    out = apply_platt_rows(np.array([model.slope]), np.array([model.bias]), s.reshape(1, -1))
+    return float(out[0, 0]) if s.ndim == 0 else out[0].reshape(s.shape)
 
 
 def apply_platt_rows(slopes: np.ndarray, biases: np.ndarray, scores: Any) -> np.ndarray:
-    """:func:`apply_platt` of each row of ``(T, m)`` scores under its own
-    slope and bias, as :func:`fit_platt_rows` returns them."""
+    """``sigmoid(slope * logit(s) + bias)`` of each row of ``(T, m)`` scores
+    under its own slope and bias, as :func:`fit_platt_rows` returns them."""
     s = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(s)):
         raise DataError("scores contain non-finite entries")

@@ -20,7 +20,8 @@ Each stage is deliberately plain:
 
 :func:`fit_pipeline_rows` and :func:`predict_rows` run the scaler and ridge
 stages of many fits as one stack, each fit with the bits it has alone;
-:func:`fit_pipeline` is the one-fit case.
+:func:`fit_pipeline` is the one-fit case, and :func:`decision_score` (so
+:func:`predict`) the one-model case of the stacked scores.
 """
 
 from __future__ import annotations
@@ -90,14 +91,26 @@ def fit_scaler(features: Any) -> ScalerParams:
     return ScalerParams(means=means[0], scales=scales[0])
 
 
+def _standardize_rows(Z: np.ndarray, means: np.ndarray, scales: np.ndarray) -> None:
+    """Standardize each slice of a ``(T, m, d)`` stack in place under its
+    row of ``(T, d)`` means and scales."""
+    Z -= means[:, None]
+    Z /= scales[:, None]
+
+
+def _check_dimension(X: np.ndarray, dim: int, stage: str) -> None:
+    if X.shape[1] != dim:
+        raise DataError(f"feature dimension {X.shape[1]} does not match {stage} dimension {dim}")
+
+
 def apply_scaler(params: ScalerParams, features: Any) -> np.ndarray:
+    """Standardized features: the one-row case of the stacked standardize."""
     X = _as_matrix(features)
-    if X.shape[1] != params.means.shape[0]:
-        raise DataError(
-            f"feature dimension {X.shape[1]} does not match scaler dimension "
-            f"{params.means.shape[0]}"
-        )
-    return (X - params.means) / params.scales
+    _check_dimension(X, params.means.shape[0], "scaler")
+    # order="K" keeps the input's layout, which matmul's summation follows.
+    Z = X[None].copy(order="K")
+    _standardize_rows(Z, params.means[None], params.scales[None])
+    return Z[0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +165,17 @@ def fit_ridge(features: Any, targets: Any, alpha: float = 1.0) -> RidgeModel:
     return RidgeModel(weights=weights[0], intercept=float(intercepts[0]), alpha=float(alpha))
 
 
+def _ridge_outputs(Z: np.ndarray, weights: np.ndarray, intercepts: np.ndarray) -> np.ndarray:
+    """Ridge outputs ``(T, m)`` of each slice of a ``(T, m, d)`` stack under
+    its row of ``(T, d)`` weights and ``(T,)`` intercepts."""
+    return (Z @ weights[:, :, None])[:, :, 0] + intercepts[:, None]
+
+
 def ridge_predict(model: RidgeModel, features: Any) -> np.ndarray:
+    """Ridge outputs: the one-row case of the stacked ridge outputs."""
     X = _as_matrix(features)
-    if X.shape[1] != model.weights.shape[0]:
-        raise DataError(
-            f"feature dimension {X.shape[1]} does not match ridge dimension "
-            f"{model.weights.shape[0]}"
-        )
-    return X @ model.weights + model.intercept
+    _check_dimension(X, model.weights.shape[0], "ridge")
+    return _ridge_outputs(X[None], model.weights[None], np.array([model.intercept]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +333,8 @@ def _decisions(
 ) -> np.ndarray:
     """Standardize + ridge of each slice of a fresh ``(T, m, d)`` stack,
     which is overwritten, under its row's ``(T, d)`` parameters: ``(T, m)``."""
-    Z -= means[:, None]
-    Z /= scales[:, None]
-    return (Z @ weights[:, :, None])[:, :, 0] + intercepts[:, None]
+    _standardize_rows(Z, means, scales)
+    return _ridge_outputs(Z, weights, intercepts)
 
 
 def fit_pipeline_rows(
@@ -365,8 +380,7 @@ def fit_pipeline_rows(
     b_pos, a_pos = perms[:, :n_b], perms[:, n_b:]
     XA = X[np.take_along_axis(picks, a_pos, axis=1)]
     means, scales = _scaler_rows(XA)
-    XA -= means[:, None]
-    XA /= scales[:, None]
+    _standardize_rows(XA, means, scales)
     weights, intercepts = _ridge_rows(XA, np.take_along_axis(y, a_pos, axis=1), alpha)
     del XA
     preds_b = _decisions(
@@ -388,12 +402,19 @@ def fit_pipeline_rows(
 
 
 def decision_score(model: CalibratorModel, features: Any) -> np.ndarray | float:
-    """The pre-isotonic linear score (standardize + ridge)."""
+    """The pre-isotonic linear score (standardize + ridge): the one-row case
+    of :func:`predict_rows`' scores."""
     X = np.asarray(features, dtype=float)
     squeeze = X.ndim == 1
-    if squeeze:
-        X = X[None, :]
-    out = ridge_predict(model.ridge, apply_scaler(model.scaler, X))
+    X = _as_matrix(X[None, :] if squeeze else X)
+    _check_dimension(X, model.scaler.means.shape[0], "scaler")
+    (out,) = _decisions(
+        X[None].copy(order="K"),  # as in apply_scaler
+        model.scaler.means[None],
+        model.scaler.scales[None],
+        model.ridge.weights[None],
+        np.array([model.ridge.intercept]),
+    )
     return float(out[0]) if squeeze else out
 
 
@@ -408,10 +429,7 @@ def predict_rows(models: Sequence[CalibratorModel], features: Any, rows: Any) ->
     index matrix picks, as a ``(T, m)`` matrix."""
     X = _as_matrix(features)
     means = np.stack([m.scaler.means for m in models])
-    if X.shape[1] != means.shape[1]:
-        raise DataError(
-            f"feature dimension {X.shape[1]} does not match model dimension {means.shape[1]}"
-        )
+    _check_dimension(X, means.shape[1], "scaler")
     scores = _decisions(
         X[np.asarray(rows, dtype=np.intp)],
         means,

@@ -439,15 +439,16 @@ def _require_sources(data: EvalDataset, methods: Sequence[str]) -> None:
     """Raise :class:`DataError` unless every column the methods score is
     whole: an answer span for each deployment response under ``answer_prob``,
     a correctness source for each modal sample under ``tt_sc``.  Checked over
-    every query, so the error does not depend on the splits."""
+    every query, so the error does not depend on the splits.  The methods
+    are checked in their listed order, so the first faulty one is named."""
     for method in methods:
         if method in SINGLE_PASS:
             column = getattr(data, method)
             require_spans(column, data.query_ids, [c.sample_index[0] for c in data.codes])
-    if "tt_sc" in methods and np.isnan(data.tt_correct).any():
-        i = int(np.isnan(data.tt_correct).argmax())
-        sample = build_target(data.codes[i]).selected_sample_index
-        raise DataError(_NO_SOURCE.format(data.query_ids[i], sample))
+        elif method == "tt_sc" and np.isnan(data.tt_correct).any():
+            i = int(np.isnan(data.tt_correct).argmax())
+            sample = build_target(data.codes[i]).selected_sample_index
+            raise DataError(_NO_SOURCE.format(data.query_ids[i], sample))
 
 
 def _distilled_targets(

@@ -252,6 +252,19 @@ def test_apply_platt_handles_arrays_and_rejects_non_finite():
         apply_platt(model, [float("nan")])
 
 
+@pytest.mark.parametrize("shape", [(), (0,), (5,), (3, 4)])
+def test_apply_platt_keeps_the_shape_and_the_plain_formula(shape):
+    model = PlattModel(slope=1.7, bias=-0.3)
+    s = np.random.default_rng(0).uniform(size=shape)
+    clipped = np.clip(s, 1e-6, 1.0 - 1e-6)
+    want = 1.0 / (1.0 + np.exp(-(1.7 * (np.log(clipped) - np.log1p(-clipped)) - 0.3)))
+    out = apply_platt(model, s)
+    if shape:
+        assert out.shape == shape and out.tobytes() == want.tobytes()
+    else:
+        assert isinstance(out, float) and out == float(want)
+
+
 def test_constant_scores_recover_the_base_rate():
     model = fit_platt([0.4] * 10, [1, 1, 1, 1, 1, 1, 1, 0, 0, 0])
     assert apply_platt(model, 0.4) == pytest.approx(0.7, abs=1e-3)

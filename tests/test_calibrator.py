@@ -296,6 +296,31 @@ def test_predictions_are_monotone_in_the_decision_score():
     assert np.all(np.diff(preds[order]) >= -1e-12)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "column stride", "row stride"])
+def test_the_one_row_scores_equal_the_plain_formulas_in_any_layout(layout):
+    X, y = _monotone_data(n=60)
+    model = fit_pipeline(X, y, seed=2)
+    base = np.random.default_rng(3).normal(size=(40, 3 * X.shape[1]))
+    Q = {
+        "C": np.ascontiguousarray(base[:17, : X.shape[1]]),
+        "F": np.asfortranarray(base[:17, : X.shape[1]]),
+        "column stride": base[:17, 1::3],
+        "row stride": base[::2, : X.shape[1]],
+    }[layout]
+    # Both formulas follow the input's layout, as matmul's summation does.
+    def score_of(features):
+        standardized = (features - model.scaler.means) / model.scaler.scales
+        return standardized, standardized @ model.ridge.weights + model.ridge.intercept
+
+    standardized, score = score_of(Q)
+    assert apply_scaler(model.scaler, Q).tobytes() == standardized.tobytes()
+    assert ridge_predict(model.ridge, Q).tobytes() == (
+        Q @ model.ridge.weights + model.ridge.intercept
+    ).tobytes()
+    assert np.asarray(decision_score(model, Q)).tobytes() == score.tobytes()
+    assert decision_score(model, Q[3]) == float(score_of(Q[3][None])[1][0])
+
+
 def test_pipeline_requires_enough_rows_for_both_halves():
     X = np.zeros((3, 2))
     with pytest.raises(DataError):
@@ -360,7 +385,7 @@ def test_pipeline_rows_check_their_alignment_and_the_feature_dimension():
     with pytest.raises(DataError, match="non-finite"):
         fit_pipeline_rows(X, rows, np.full((2, 8), np.nan), seeds=[0, 1])
     models = fit_pipeline_rows(X, rows, targets, seeds=[0, 1])
-    with pytest.raises(DataError, match="feature dimension 2 does not match model dimension 3"):
+    with pytest.raises(DataError, match="feature dimension 2 does not match scaler dimension 3"):
         predict_rows(models, X[:, :2], rows)
 
 

@@ -794,12 +794,22 @@ def test_a_data_fault_of_any_method_fails_before_any_fit(monkeypatch):
     broken = dataclasses.replace(data, tt_correct=unsourced)
     config = dataclasses.replace(_FAST, methods=("supervised", "distilled", "tt_sc"))
     selected = consistency.build_target(data.codes[4]).selected_sample_index
-    with pytest.raises(DataError) as raised:
-        run_trials(broken, config)
-    assert str(raised.value) == (
+    no_source = (
         f"query {data.query_ids[4]} sample {selected}: no correctness source "
         "(provide labels or gold_answers)"
     )
+    with pytest.raises(DataError) as raised:
+        run_trials(broken, config)
+    assert str(raised.value) == no_source
+    # With both faults, the first listed method's fault is reported.
+    broken = dataclasses.replace(broken, answer_prob=spanless)
+    for methods, want in (
+        (("tt_sc", "answer_prob"), no_source),
+        (("answer_prob", "tt_sc"), f"query {data.query_ids[7]} sample 0: record lacks"),
+    ):
+        with pytest.raises(DataError) as raised:
+            run_trials(broken, dataclasses.replace(_FAST, methods=methods))
+        assert str(raised.value).startswith(want)
     assert fits == []
 
 
