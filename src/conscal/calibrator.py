@@ -18,9 +18,12 @@ Each stage is deliberately plain:
   to [0, 1]; prediction interpolates linearly between knots and clamps to the
   first/last knot output outside the fitted range.
 
-:func:`fit_pipeline_rows` and :func:`predict_rows` run the scaler and ridge
-stages of many fits as one stack, each fit with the bits it has alone;
-:func:`fit_pipeline` is the one-fit case, and :func:`decision_score` (so
+:func:`fit_pipeline_rows` and :func:`predict_rows` run the stages of many
+fits as one stack, each fit with the bits it has alone: the scaler and ridge
+stages as stacked products, the isotonic stages through
+:func:`fit_isotonic_rows`, which pools the ties of every fit in one pass and
+runs one PAVA loop per fit.  :func:`fit_pipeline`, :func:`fit_isotonic` and
+:func:`pava` are the one-fit cases, and :func:`decision_score` (so
 :func:`predict`) the one-model case of the stacked scores.
 """
 
@@ -212,13 +215,21 @@ def pava(values: Any, weights: Any | None = None) -> np.ndarray:
             raise DataError("weights must align with values")
         if np.any(w <= 0):
             raise DataError("weights must be positive")
+    means, sizes = _pava_blocks(v.tolist(), w.tolist())
+    return np.repeat(np.asarray(means), np.asarray(sizes, dtype=int))
+
+
+def _pava_blocks(
+    values: list[float], weights: list[float] | list[int]
+) -> tuple[list[float], list[int]]:
+    """The PAVA loop over Python numbers, which step faster than numpy
+    scalars: the mean and length of each maximal block of the nondecreasing
+    fit, in order."""
     # Each stack entry is one maximal block: (mean, weight, count).
     means: list[float] = []
     sizes: list[int] = []
     wsums: list[float] = []
-    for i in range(v.shape[0]):
-        mean = float(v[i])
-        wsum = float(w[i])
+    for mean, wsum in zip(values, weights):
         count = 1
         while means and means[-1] > mean:
             prev_w = wsums.pop()
@@ -231,35 +242,72 @@ def pava(values: Any, weights: Any | None = None) -> np.ndarray:
         means.append(mean)
         wsums.append(wsum)
         sizes.append(count)
-    return np.repeat(np.asarray(means), np.asarray(sizes, dtype=int))
+    return means, sizes
 
 
 def fit_isotonic(scores: Any, targets: Any) -> IsotonicModel:
     """Isotonic regression of targets on scores, ties pre-pooled.
 
     Rows sharing a score are replaced by one weighted point at their target
-    mean before running PAVA; fitted values are clipped to [0, 1].
+    mean before running PAVA; fitted values are clipped to [0, 1].  The
+    one-row case of :func:`fit_isotonic_rows`.
     """
     s = _as_vector(scores, "scores")
     t = _as_vector(targets, "targets")
     if s.shape != t.shape:
         raise DataError("scores and targets must have the same length")
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order]
-    t_sorted = t[order]
-    distinct, start = np.unique(s_sorted, return_index=True)
-    counts = np.diff(np.append(start, s_sorted.shape[0]))
-    pooled = np.add.reduceat(t_sorted, start) / counts
-    fitted = pava(pooled, weights=counts)
-    fitted = np.clip(fitted, 0.0, 1.0)
-    return IsotonicModel(knot_inputs=distinct, knot_outputs=fitted)
+    (model,) = fit_isotonic_rows(s[None], t[None])
+    return model
+
+
+def fit_isotonic_rows(scores: Any, targets: Any) -> list[IsotonicModel]:
+    """:func:`fit_isotonic` of each row of ``(T, n)`` scores and targets.
+
+    The ties of every row are pooled in one pass: one stable row sort, one
+    mask of run starts and one ``np.add.reduceat`` over the flattened
+    targets, which reduces each run as a one-row fit does.  PAVA then runs
+    once per row, so every model has the bits of a fit of its row alone.
+    """
+    S = _as_matrix(scores, "scores")
+    Y = _as_matrix(targets, "targets")
+    if S.shape != Y.shape:
+        raise DataError("scores and targets must have the same shape")
+    order = np.argsort(S, axis=1, kind="stable")
+    s = np.take_along_axis(S, order, axis=1)
+    t = np.take_along_axis(Y, order, axis=1)
+    new = np.ones(s.shape, dtype=bool)
+    np.not_equal(s[:, 1:], s[:, :-1], out=new[:, 1:])
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=s.size)
+    pooled = np.add.reduceat(t.ravel(), starts) / counts
+    ends = np.cumsum(new.sum(axis=1)).tolist()
+    means: list[float] = []
+    sizes: list[int] = []
+    lo = 0
+    for hi in ends:
+        # Row by row, so few Python floats live at once; the integer counts
+        # convert exactly wherever they meet a float.
+        row_means, row_sizes = _pava_blocks(pooled[lo:hi].tolist(), counts[lo:hi].tolist())
+        means += row_means
+        sizes += row_sizes
+        lo = hi
+    fitted = np.clip(np.repeat(np.asarray(means), np.asarray(sizes, dtype=int)), 0.0, 1.0)
+    cuts = ends[:-1]
+    return [
+        IsotonicModel(knot_inputs=inputs, knot_outputs=outputs)
+        for inputs, outputs in zip(np.split(s[new], cuts), np.split(fitted, cuts))
+    ]
+
+
+def _check_scores(scores: np.ndarray) -> None:
+    if not np.all(np.isfinite(scores)):
+        raise DataError("scores contain non-finite entries")
 
 
 def isotonic_predict(model: IsotonicModel, scores: Any) -> np.ndarray | float:
     """Linear interpolation between knots; clamped to edge outputs outside."""
     s = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise DataError("scores contain non-finite entries")
+    _check_scores(s)
     out = np.interp(s, model.knot_inputs, model.knot_outputs)
     if s.ndim == 0:
         return float(out)
@@ -350,8 +398,9 @@ def fit_pipeline_rows(
     """:func:`fit_pipeline` of each row of a ``(T, n)`` index matrix: row t
     fits on ``features[rows[t]]`` and ``targets[t]``, split by ``seeds[t]``.
 
-    The scaler and ridge stages run over all T half-A stacks at once, with
-    the bits of T separate fits; each isotonic stage is fitted alone.
+    The scaler and ridge stages run over all T half-A stacks at once, and
+    the isotonic stages over all T half-B score rows at once
+    (:func:`fit_isotonic_rows`), with the bits of T separate fits.
     """
     X = _as_matrix(features)
     picks = np.asarray(rows, dtype=np.intp)
@@ -386,18 +435,18 @@ def fit_pipeline_rows(
     preds_b = _decisions(
         X[np.take_along_axis(picks, b_pos, axis=1)], means, scales, weights, intercepts
     )
-    y_b = np.take_along_axis(y, b_pos, axis=1)
+    isotonics = fit_isotonic_rows(preds_b, np.take_along_axis(y, b_pos, axis=1))
     return [
         CalibratorModel(
             scaler=ScalerParams(means=means[t], scales=scales[t]),
             ridge=RidgeModel(
                 weights=weights[t], intercept=float(intercepts[t]), alpha=float(alpha)
             ),
-            isotonic=fit_isotonic(preds_b[t], y_b[t]),
+            isotonic=isotonic,
             feature_source=feature_source,
             training_meta={"split_frac": float(split_frac), "seed": int(seed), "n_targets": int(n)},
         )
-        for t, seed in enumerate(seeds)
+        for t, (seed, isotonic) in enumerate(zip(seeds, isotonics))
     ]
 
 
@@ -437,7 +486,15 @@ def predict_rows(models: Sequence[CalibratorModel], features: Any, rows: Any) ->
         np.stack([m.ridge.weights for m in models]),
         np.array([m.ridge.intercept for m in models]),
     )
-    return np.array([isotonic_predict(m.isotonic, row) for m, row in zip(models, scores)])
+    _check_scores(scores)
+    # Row by row: np.interp's compiled kernel may fuse its multiply-add,
+    # which separate numpy operations would not.
+    return np.array(
+        [
+            np.interp(row, m.isotonic.knot_inputs, m.isotonic.knot_outputs)
+            for m, row in zip(models, scores)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ evidence.
 
 :func:`load_scores` is the exception: no command reads ``scores.jsonl``
 back, so its reader lives here, on the package's line decoder.
-:func:`distilled_trial_by_fit` takes the package's seeded streams, targets
-and isotonic stage, which it does not re-derive; its own part is the linear
-stage as one trial's 2-d products.
+:func:`distilled_trial_by_fit` takes the package's seeded streams and
+targets, which it does not re-derive; its own part is the linear stage as
+one trial's 2-d products and the isotonic stage as :func:`isotonic_by_pava`.
 """
 
 from __future__ import annotations
@@ -76,6 +76,48 @@ def isotonic_by_enumeration(
             best_fit = fit
     assert best_fit is not None
     return np.asarray([float(x) for x in best_fit])
+
+
+def isotonic_by_pava(
+    scores: Sequence[float], targets: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Isotonic ``(knot_inputs, knot_outputs)`` of one score vector, fitted alone.
+
+    Ties are pooled to their target mean after one stable sort, with
+    ``np.unique`` finding the runs and one ``np.add.reduceat`` summing them;
+    PAVA then runs over numpy scalars one point at a time, and the fit is
+    clipped to [0, 1].  The arithmetic and its order are those of a one-row
+    fit, so a fit of many rows at once must match it bit for bit.
+    """
+    s = np.asarray(scores, dtype=float)
+    t = np.asarray(targets, dtype=float)
+    order = np.argsort(s, kind="stable")
+    s_sorted = s[order]
+    t_sorted = t[order]
+    distinct, start = np.unique(s_sorted, return_index=True)
+    counts = np.diff(np.append(start, s_sorted.shape[0]))
+    pooled = np.add.reduceat(t_sorted, start) / counts
+    w = np.asarray(counts, dtype=float)
+    means: list[float] = []
+    sizes: list[int] = []
+    wsums: list[float] = []
+    for i in range(pooled.shape[0]):
+        mean = float(pooled[i])
+        wsum = float(w[i])
+        count = 1
+        while means and means[-1] > mean:
+            prev_w = wsums.pop()
+            prev_m = means.pop()
+            prev_c = sizes.pop()
+            total = prev_w + wsum
+            mean = (prev_m * prev_w + mean * wsum) / total
+            wsum = total
+            count += prev_c
+        means.append(mean)
+        wsums.append(wsum)
+        sizes.append(count)
+    fitted = np.repeat(np.asarray(means), np.asarray(sizes, dtype=int))
+    return distinct, np.clip(fitted, 0.0, 1.0)
 
 
 def ridge_by_elimination(
@@ -666,7 +708,6 @@ def distilled_trial_by_fit(data, config, tseed: int, cal_idx, test_idx) -> np.nd
     isotonic stage that maps the test side.
     """
     from conscal import evaluation, seeding
-    from conscal.calibrator import fit_isotonic, isotonic_predict
     from conscal.consistency import subsample_shares
 
     if config.k_subsample is None:
@@ -691,9 +732,11 @@ def distilled_trial_by_fit(data, config, tseed: int, cal_idx, test_idx) -> np.nd
     gram = Xc.T @ Xc + config.alpha * np.eye(X.shape[1])
     weights = np.linalg.solve(gram, Xc.T @ (y[half_a] - y_mean))
     intercept = float(y_mean - x_means @ weights)
-    isotonic = fit_isotonic(((X[half_b] - means) / scales) @ weights + intercept, y[half_b])
+    knot_inputs, knot_outputs = isotonic_by_pava(
+        ((X[half_b] - means) / scales) @ weights + intercept, y[half_b]
+    )
     test = (data.features[test_idx] - means) / scales
-    return isotonic_predict(isotonic, test @ weights + intercept)
+    return np.interp(test @ weights + intercept, knot_inputs, knot_outputs)
 
 
 def reports_by_trial_loop(

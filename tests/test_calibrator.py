@@ -10,9 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conscal.calibrator import (
+    CalibratorModel,
     IsotonicModel,
+    RidgeModel,
+    ScalerParams,
     decision_score,
     fit_isotonic,
+    fit_isotonic_rows,
     fit_pipeline,
     fit_pipeline_rows,
     fit_ridge,
@@ -29,7 +33,12 @@ from conscal.calibrator import (
 )
 from conscal.errors import DataError
 
-from oracles import isotonic_by_enumeration, ridge_by_cholesky, ridge_by_elimination
+from oracles import (
+    isotonic_by_enumeration,
+    isotonic_by_pava,
+    ridge_by_cholesky,
+    ridge_by_elimination,
+)
 
 # ---------------------------------------------------------------------------
 # scaler
@@ -239,6 +248,75 @@ def test_identity_like_data_keeps_its_knots():
     assert model.knot_outputs.tolist() == pytest.approx([0.1, 0.2, 0.3])
 
 
+def _same_bits(model, scores, targets):
+    knot_inputs, knot_outputs = isotonic_by_pava(scores, targets)
+    assert model.knot_inputs.tobytes() == knot_inputs.tobytes()
+    assert model.knot_outputs.tobytes() == knot_outputs.tobytes()
+
+
+# Signed zeros tie with each other; the knot keeps the sign of the run's first.
+_SCORE_POOL = np.array([-0.0, 0.0, -1.5, 0.1, 0.2, 0.30000000000000004, 1e-300, 3.0])
+
+
+def _tied_rows(gen, trials, n):
+    """Rows of n scores with 1..n distinct values each, drawn with ties."""
+    rows = []
+    for _ in range(trials):
+        pool = np.concatenate([_SCORE_POOL, gen.normal(size=n)])
+        distinct = gen.choice(pool, size=gen.integers(1, n + 1), replace=False)
+        rows.append(gen.choice(distinct, size=n))
+    return np.array(rows)
+
+
+@given(trials=st.integers(1, 6), n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+@example(trials=1, n=2, seed=0)
+def test_each_isotonic_row_equals_a_fit_of_that_row_alone(trials, n, seed):
+    gen = np.random.default_rng(seed)
+    scores = _tied_rows(gen, trials, n)
+    targets = np.round(gen.uniform(size=(trials, n)), int(gen.integers(0, 4)))
+    models = fit_isotonic_rows(scores, targets)
+    assert len(models) == trials
+    for model, s, y in zip(models, scores, targets):
+        _same_bits(model, s, y)
+
+
+def test_isotonic_rows_pool_long_runs_signed_zeros_and_all_tied_rows_bit_for_bit():
+    gen = np.random.default_rng(7)
+    scores = np.array(
+        [
+            [0.5] * 20,  # all tied: one knot
+            [0.0, -0.0] * 10,  # signed zeros tie
+            [-0.0] + [0.0] * 11 + [1.0] * 8,  # runs of 12 and 8
+            gen.permutation(np.repeat([0.25, -1.0, 2.0, 0.75], [9, 1, 8, 2])),
+        ]
+    )
+    targets = gen.uniform(size=scores.shape)
+    models = fit_isotonic_rows(scores, targets)
+    assert [m.knot_inputs.size for m in models] == [1, 1, 2, 4]
+    assert np.signbit([m.knot_inputs[0] for m in models[1:3]]).tolist() == [False, True]
+    for model, s, y in zip(models, scores, targets):
+        _same_bits(model, s, y)
+
+
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_fit_isotonic_clips_like_a_fit_alone_for_targets_outside_the_unit_interval(n, seed):
+    gen = np.random.default_rng(seed)
+    scores = _tied_rows(gen, 1, n)[0]
+    targets = gen.uniform(-1.0, 2.0, size=n)
+    _same_bits(fit_isotonic(scores, targets), scores, targets)
+
+
+def test_isotonic_rows_check_their_shapes_and_values():
+    with pytest.raises(DataError, match="same shape"):
+        fit_isotonic_rows(np.zeros((2, 3)), np.zeros((2, 4)))
+    with pytest.raises(DataError, match="2-d"):
+        fit_isotonic_rows(np.zeros(3), np.zeros(3))
+    with pytest.raises(DataError, match="scores contains non-finite"):
+        fit_isotonic_rows(np.array([[0.0, np.inf]]), np.zeros((1, 2)))
+
+
 def test_isotonic_predict_interpolates_and_clamps():
     model = IsotonicModel(
         knot_inputs=np.array([0.0, 1.0]), knot_outputs=np.array([0.0, 1.0])
@@ -387,6 +465,26 @@ def test_pipeline_rows_check_their_alignment_and_the_feature_dimension():
     models = fit_pipeline_rows(X, rows, targets, seeds=[0, 1])
     with pytest.raises(DataError, match="feature dimension 2 does not match scaler dimension 3"):
         predict_rows(models, X[:, :2], rows)
+
+
+def test_predict_and_predict_rows_reject_an_overflowing_score_alike():
+    model = CalibratorModel(
+        scaler=ScalerParams(means=np.zeros(2), scales=np.ones(2)),
+        ridge=RidgeModel(weights=np.full(2, 1e300), intercept=0.0, alpha=1.0),
+        isotonic=IsotonicModel(
+            knot_inputs=np.array([0.0, 1.0]), knot_outputs=np.array([0.2, 0.8])
+        ),
+        feature_source="response_embedding",
+    )
+    X = np.array([[1.0, -1.0], [1e10, 1e10]])
+    assert predict_rows([model], X, [[0]]).tolist() == [[0.2]]
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.asarray(decision_score(model, X))).tolist() == [False, True]
+        with pytest.raises(DataError) as alone:
+            predict(model, X)
+        with pytest.raises(DataError) as rows:
+            predict_rows([model, model], X, [[0, 0], [0, 1]])
+    assert str(alone.value) == str(rows.value) == "scores contain non-finite entries"
 
 
 def test_same_seed_reproduces_the_model_different_seed_may_not():
