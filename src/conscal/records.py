@@ -39,15 +39,22 @@ checked in full before the next was read.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
+import os
 import re
+import shutil
+import signal
+import tempfile
 from array import array
 from dataclasses import asdict, dataclass, fields
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO,
+)
 
 import numpy as np
 
@@ -740,6 +747,14 @@ _GENERATION_LINE = (
 _LABEL_LINE = '{{"query_id":{},"sample_index":{},"z":{}}}\n'
 _SCORE_LINE = '{{"query_id":{},{}"method":{},"confidence":{}{}}}\n'
 _IMPUTED = {None: "", False: ',"imputed":false', True: ',"imputed":true'}
+# write_generations forks a child for each part past the first.  On a
+# 2-CPU x86-64 host a fork takes 1-2 ms and appending a 6 MB part 1.5 ms,
+# the time of about 100 rows at 22-34 us a row, and a child formats its
+# rows some 20% slower than a lone process (copy-on-write page faults).
+# A part of 1,000 rows saves ten times its fixed cost.
+_ROWS_PER_PART = 1000
+_MAX_PARTS = 8
+_COPY_CHUNK = 1 << 16  # bytes per copy when a part is appended
 
 
 def _dump(obj: Any) -> str:
@@ -786,14 +801,15 @@ def _segment_texts(
     return [texts[a - base : b - base] for a, b in zip(ends, ends[1:])]
 
 
-def _batch_lines(batch: GenerationBatch, tail: str) -> Iterator[list[str]]:
-    """The lines of a batch, one list per query run, formatted from its
-    columns; ``tail`` is the text after each line's embedding."""
+def _batch_lines(batch: GenerationBatch, tail: str, runs: range) -> Iterator[list[str]]:
+    """The lines of the query runs ``runs`` of a batch, one list per run,
+    formatted from its columns; ``tail`` is the text after each line's
+    embedding."""
     offsets = batch.query_offsets.tolist()
     dim = batch.embedding.shape[1]
-    for run, query_id in enumerate(batch.query_ids):
+    for run in runs:
         start, stop = offsets[run], offsets[run + 1]
-        head = encode_basestring(query_id)
+        head = encode_basestring(batch.query_ids[run])
         tokens = _segment_texts(batch.token_logprobs, batch.token_offsets, start, stop)
         spans = _segment_texts(
             batch.answer_token_logprobs, batch.answer_token_offsets, start, stop
@@ -825,11 +841,123 @@ def write_generations(
     path: str, batch: GenerationBatch, sampling_meta: Mapping[str, Any] | None = None
 ) -> None:
     """Write a line for each row of ``batch``, in row order; every line ends
-    with ``sampling_meta`` when it is given."""
+    with ``sampling_meta`` when it is given.
+
+    Where ``os.fork`` exists, the rows are formatted in parts at once, one
+    per usable CPU (see :func:`_part_count`); the bytes do not depend on the
+    number of parts.  A part that fails in its child raises ``OSError``
+    with the child's error text.
+    """
+    _write_generation_parts(path, batch, sampling_meta, _part_count(batch))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _part_count(batch: GenerationBatch) -> int:
+    """One part per usable CPU, but no more than ``_MAX_PARTS``, the batch's
+    query runs, or one per ``_ROWS_PER_PART`` rows; one where ``os.fork``
+    does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    parts = min(_usable_cpus(), _MAX_PARTS, len(batch.query_ids), len(batch) // _ROWS_PER_PART)
+    return max(parts, 1)
+
+
+def _part_runs(offsets: Sequence[int], parts: int) -> list[range]:
+    """Up to ``parts`` contiguous, nonempty ranges of query runs with about
+    equal row counts, each cut where a run starts (one empty range for a
+    batch without runs).  ``offsets`` are the batch's ``query_offsets``."""
+    runs = len(offsets) - 1
+    cuts = np.searchsorted(offsets, [offsets[-1] * p // parts for p in range(1, parts)])
+    bounds = [0, *sorted({cut for cut in cuts.tolist() if 0 < cut < runs}), runs]
+    return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+def _write_runs(handle: TextIO, batch: GenerationBatch, tail: str, runs: range) -> None:
+    for lines in _batch_lines(batch, tail, runs):
+        handle.writelines(lines)
+
+
+def _write_generation_parts(
+    path: str, batch: GenerationBatch, sampling_meta: Mapping[str, Any] | None, parts: int
+) -> None:
+    """:func:`write_generations` in at most ``parts`` parts.
+
+    This process formats the first part straight into ``path``.  Each other
+    part is formatted at the same time by a forked child into an anonymous
+    temporary file in ``path``'s directory, then appended in order.  Every
+    child is reaped before this returns or raises; one still running when
+    something here fails is killed first.
+    """
     tail = "" if sampling_meta is None else ',"sampling_meta":' + _dump(dict(sampling_meta))
-    with open(path, "w", encoding="utf-8") as handle:
-        for lines in _batch_lines(batch, tail):
-            handle.writelines(lines)
+    first, *rest = _part_runs(batch.query_offsets.tolist(), parts)
+    directory = os.path.dirname(path) or os.curdir
+    running: list[int] = []
+    with contextlib.ExitStack() as stack:
+        stack.callback(_stop, running)
+        handle = stack.enter_context(open(path, "w", encoding="utf-8"))
+        children = [_fork_part(stack, running, directory, batch, tail, runs) for runs in rest]
+        _write_runs(handle, batch, tail, first)
+        handle.flush()
+        for pid, errors, part in children:
+            reason = errors.read().decode("utf-8", "replace")  # read to the child's exit
+            status = os.waitpid(pid, 0)[1]
+            running.remove(pid)
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise OSError(f"{path}: {reason or f'a part writer ended with code {code}'}")
+            part.seek(0)
+            shutil.copyfileobj(part, handle.buffer, _COPY_CHUNK)
+
+
+def _fork_part(
+    stack: contextlib.ExitStack, running: list[int], directory: str,
+    batch: GenerationBatch, tail: str, runs: range,
+) -> tuple[int, BinaryIO, BinaryIO]:
+    """Fork a child that formats ``runs`` into an anonymous temporary file
+    in ``directory``, and add its pid to ``running``.  Returns the pid, the
+    read end of a pipe that carries the child's error text, and the file;
+    ``stack`` closes both."""
+    part = stack.enter_context(tempfile.TemporaryFile(dir=directory))
+    read_end, write_end = os.pipe()
+    errors = stack.enter_context(open(read_end, "rb"))
+    report = stack.enter_context(open(write_end, "wb", buffering=0))
+    pid = os.fork()
+    if pid == 0:
+        _format_part(report, part, batch, tail, runs)
+    running.append(pid)
+    report.close()  # the child holds the last write end: errors reads to its exit
+    return pid, errors, part
+
+
+def _format_part(
+    report: BinaryIO, part: BinaryIO, batch: GenerationBatch, tail: str, runs: range
+) -> NoReturn:
+    """A forked child's whole work: format ``runs`` into ``part``, or write
+    its error text to ``report``.  It leaves through ``os._exit`` only, so it
+    never flushes the caller's buffers or returns into the caller.  It runs
+    Python and element-wise numpy only, so no lock that another thread of
+    the parent held at the fork is taken."""
+    code = 1
+    try:
+        with open(part.fileno(), "w", encoding="utf-8", closefd=False) as handle:
+            _write_runs(handle, batch, tail, runs)
+        code = 0
+    except BaseException as exc:
+        report.write(f"{type(exc).__name__}: {exc}".encode("utf-8", "backslashreplace"))
+    finally:
+        os._exit(code)
+
+
+def _stop(pids: list[int]) -> None:
+    """Kill and reap the children ``pids``, the part writers not yet reaped."""
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def write_labels(path: str, batch: GenerationBatch, z: np.ndarray) -> None:

@@ -824,6 +824,113 @@ def test_a_batch_writes_the_bytes_of_its_records():
         assert _written_generations(rows, meta) == _batch_oracle_bytes(rows, meta)
 
 
+# Part writers are forked processes, which only POSIX hosts have.
+_FORKS = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork does not exist here")
+# Uneven query runs starting at rows 0, 1, 4, 8, 10 and 15 of 16.
+_RUN_SIZES = (1, 3, 4, 2, 5, 1)
+_ODD_FLOATS = (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e-310)
+
+
+def _parts_batch():
+    """Rows with and without an answer or a span, non-ASCII text, and every
+    float that json writes by hand (NaN, ±inf) or that repr makes odd
+    (-0.0, subnormals) in runs that land in different parts."""
+    rows = []
+    for run, size in enumerate(_RUN_SIZES):
+        for j in range(size):
+            i = len(rows)
+            odd = _ODD_FLOATS[i % len(_ODD_FLOATS)]
+            rows.append({
+                "query_id": f"q{run}é" if run % 2 else f"q{run}",
+                "sample_index": j,
+                "response_text": f"ответ {i} \\boxed{{{i}}}\n\"你好\"",
+                "answer": None if i % 3 == 0 else f"β{i}",
+                "token_logprobs": (-0.1 * i, odd)[: 1 + i % 2],
+                "answer_token_logprobs": None if i % 4 == 1 else (odd, -1e-5 * i),
+                "embedding": (odd, 0.1 * i, -(3.0**-i)),
+            })
+    return make_batch(rows)
+
+
+def test_part_runs_cut_at_run_starts_into_about_equal_rows():
+    offsets = _parts_batch().query_offsets.tolist()
+    assert offsets == [0, 1, 4, 8, 10, 15, 16]
+    assert records._part_runs(offsets, 1) == [range(0, 6)]
+    assert records._part_runs(offsets, 2) == [range(0, 3), range(3, 6)]  # row 8 exactly
+    assert records._part_runs(offsets, 3) == [range(0, 3), range(3, 4), range(4, 6)]
+    assert records._part_runs(offsets, 4) == [range(0, 2), range(2, 3), range(3, 5), range(5, 6)]
+    one_run_each = [range(run, run + 1) for run in range(6)]
+    assert records._part_runs(offsets, 10) == records._part_runs(offsets, 50) == one_run_each
+    assert records._part_runs([0], 3) == [range(0, 0)]  # no rows: one empty part
+
+
+@_FORKS
+@pytest.mark.parametrize("parts", [1, 2, 3, 4, 10])
+@pytest.mark.parametrize("meta", [None, {"temperature": 0.7, "ключ": [1, 1.0, None]}])
+def test_every_part_count_writes_the_json_oracle_bytes(tmp_path, parts, meta):
+    batch = _parts_batch()
+    path = tmp_path / "generations.jsonl"
+    records._write_generation_parts(str(path), batch, meta, parts)
+    assert path.read_bytes() == _batch_oracle_bytes(batch, meta)
+    assert os.listdir(tmp_path) == ["generations.jsonl"]
+    with pytest.raises(ChildProcessError):  # every part writer was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@_FORKS
+def test_the_part_count_follows_cpus_rows_and_runs(monkeypatch):
+    _, batch, _ = synth.generate(synth.SynthConfig(n_queries=40, k=100, seed=0))
+    monkeypatch.setattr(records, "_usable_cpus", lambda: 16)
+    assert records._part_count(batch) == 4  # 4,000 rows
+    monkeypatch.setattr(records, "_ROWS_PER_PART", 10)
+    assert records._part_count(batch) == records._MAX_PARTS
+    monkeypatch.setattr(records, "_usable_cpus", lambda: 1)
+    assert records._part_count(batch) == 1
+    assert records._part_count(_parts_batch()) == 1  # 16 rows
+
+
+def _fail_in(side: str, monkeypatch) -> None:
+    """Make formatting raise ``OSError("disk on fire")`` in this process
+    (``side`` "parent") or in every forked part writer ("child")."""
+    parent, original = os.getpid(), records._batch_lines
+
+    def faulty(*args):
+        if (os.getpid() == parent) == (side == "parent"):
+            raise OSError("disk on fire")
+        return original(*args)
+
+    monkeypatch.setattr(records, "_batch_lines", faulty)
+
+
+@_FORKS
+@pytest.mark.parametrize("side", ["child", "parent"])
+def test_a_failing_part_raises_and_leaves_no_child_and_no_stray_file(tmp_path, monkeypatch, side):
+    _fail_in(side, monkeypatch)
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(OSError, match="disk on fire"):
+        records._write_generation_parts(str(out / "generations.jsonl"), _parts_batch(), None, 3)
+    # A part writer that returned into this test would run this line too.
+    with open(tmp_path / "after.txt", "a", encoding="utf-8") as handle:
+        handle.write(f"{os.getpid()}\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(out) == ["generations.jsonl"]
+    assert (tmp_path / "after.txt").read_text(encoding="utf-8").split() == [str(os.getpid())]
+
+
+@_FORKS
+def test_synth_reports_a_failing_part_writer_as_an_io_error(tmp_path, monkeypatch, capsys):
+    _fail_in("child", monkeypatch)
+    monkeypatch.setattr(records, "_usable_cpus", lambda: 2)
+    argv = ["synth", "--n-queries", "40", "--k", "100", "--seed", "0", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error:") and "OSError: disk on fire" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 _GROUPED_IDS = st.sampled_from(["q1", "q2", "q3", "ghost"])
 
 
