@@ -29,15 +29,14 @@ runs one PAVA loop per fit.  :func:`fit_pipeline`, :func:`fit_isotonic` and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from . import seeding
-from .errors import ConfigError, DataError, is_finite_real, json_error_reason, require_real
-from .records import write_json
+from .errors import ConfigError, DataError, is_finite_real, require_real
+from .records import read_json, write_json
 
 MODEL_FORMAT = "conscal-model/1"
 
@@ -546,14 +545,7 @@ def _finite_vector(section: dict[str, Any], key: str, message: str) -> np.ndarra
 
 
 def load_model(path: str) -> CalibratorModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except (ValueError, RecursionError) as exc:
-            raise DataError(
-                f"invalid model artifact: invalid JSON ({json_error_reason(exc)})"
-            ) from exc
-    _require(isinstance(doc, dict), "not a JSON object")
+    doc = read_json(path, "invalid model artifact")
     _require(doc.get("format") == MODEL_FORMAT, f"format tag must be {MODEL_FORMAT!r}")
     _require(doc.get("feature_source") in FEATURE_SOURCES, "unknown feature_source")
     scaler_doc = _section(doc, "scaler")

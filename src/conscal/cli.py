@@ -20,42 +20,32 @@ Every command writes its outputs under ``--out`` (default: a fresh
 ``config.json`` echoing the fully resolved settings.  File contents are
 deterministic given the same inputs and seed; rerunning with the same
 ``--out`` reproduces byte-identical files.  A command computes all it writes
-before it creates the directory, so a rejected run leaves none behind.
+before it creates the directory, so a rejected run leaves none behind, and
+a failed write leaves none of the command's file names (see :func:`_publish`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
+import pathlib
 import sys
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import calibrator, consistency, evaluation, records, seeding, synth
-from .errors import ConfigError, DataError, json_error_reason, require_integer
+from .errors import ConfigError, DataError, require_integer
 
 
 # ---------------------------------------------------------------------------
 # small helpers
 # ---------------------------------------------------------------------------
-
-
-def _read_json(path: str) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = records.decode_json(handle.read())
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON ({exc.msg}, line {exc.lineno})") from exc
-        except (ValueError, RecursionError) as exc:
-            raise DataError(f"{path}: invalid JSON ({json_error_reason(exc)})") from exc
-    if not isinstance(obj, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    return obj
 
 
 def _check_utf8(args: argparse.Namespace) -> None:
@@ -69,16 +59,34 @@ def _check_utf8(args: argparse.Namespace) -> None:
             raise ConfigError(f"--{name.replace('_', '-')} is not UTF-8: {value!r}") from None
 
 
-def _out_dir(args: argparse.Namespace, config_obj: dict[str, Any]) -> str:
-    if args.out:
-        out = args.out
-    else:
+def _publish(
+    args: argparse.Namespace, config_obj: dict[str, Any], writers: dict[str, Callable[[str], Any]]
+) -> str:
+    """Into ``--out`` (default: a fresh ``runs/<timestamp>-<confighash>``),
+    call each writer of ``writers`` with the path of its file name, then write
+    ``config.json``; return the directory.  If a writer raises, every file of
+    those names goes, and so does the directory if this call created it."""
+    out = args.out
+    if not out:
         digest = hashlib.sha256(
             json.dumps(config_obj, sort_keys=True).encode("utf-8")
         ).hexdigest()[:8]
         stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
         out = os.path.join("runs", f"{stamp}-{digest}")
+    created = not os.path.isdir(out)
     os.makedirs(out, exist_ok=True)
+    writers = {**writers, "config.json": lambda path: records.write_json(path, config_obj)}
+    try:
+        for name, write in writers.items():
+            write(os.path.join(out, name))
+    except BaseException:
+        for name in writers:
+            with contextlib.suppress(OSError):  # a directory, say, is not ours to remove
+                os.remove(os.path.join(out, name))
+        if created:
+            with contextlib.suppress(OSError):
+                os.rmdir(out)
+        raise
     return out
 
 
@@ -112,7 +120,7 @@ def _settings(
 ) -> dict[str, Any]:
     """The ``--config`` file's settings for the dataclass ``cls`` with the
     ``flags`` that are set (not None) laid over them."""
-    settings = _read_json(path) if path else {}
+    settings = records.read_json(path) if path else {}
     unknown = set(settings) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {kind} config keys: {', '.join(sorted(unknown))}")
@@ -164,14 +172,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config = _synth_config(args)
     config_obj = {"command": "synth", "preset": args.preset, **dataclasses.asdict(config)}
     queries, generations, z = synth.generate(config)
-    out = _out_dir(args, config_obj)
-    records.write_queries(os.path.join(out, "queries.jsonl"), queries)
-    records.write_generations(
-        os.path.join(out, "generations.jsonl"), generations, synth.sampling_meta(config)
-    )
-    records.write_labels(os.path.join(out, "labels.jsonl"), generations, z)
-    truths = synth.write_truth(os.path.join(out, "truth.jsonl"), config, queries)
-    records.write_json(os.path.join(out, "config.json"), config_obj)
+    truths: list[synth.QueryTruth] = []
+    out = _publish(args, config_obj, {
+        "queries.jsonl": lambda path: records.write_queries(path, queries),
+        "generations.jsonl": lambda path: records.write_generations(
+            path, generations, synth.sampling_meta(config)
+        ),
+        "labels.jsonl": lambda path: records.write_labels(path, generations, z),
+        "truth.jsonl": lambda path: truths.extend(synth.write_truth(path, config, queries)),
+    })
     mean_pi = sum(t.pi for t in truths) / len(truths)
     accuracy = int(z.sum()) / len(z)
     print(
@@ -220,9 +229,8 @@ def cmd_targets(args: argparse.Namespace) -> int:
         except DataError as exc:
             skipped += 1
             print(f"warning: skipping {coded.query_id}: {exc}", file=sys.stderr)
-    out = _out_dir(args, config_obj)
-    records.write_targets(os.path.join(out, "targets.jsonl"), targets)
-    records.write_json(os.path.join(out, "config.json"), config_obj)
+    out = _publish(args, config_obj,
+                   {"targets.jsonl": lambda path: records.write_targets(path, targets)})
     print(f"wrote {len(targets)} targets to {out} (skipped {skipped} queries)")
     return 0
 
@@ -266,9 +274,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         feature_source=args.feature_source,
     )
-    out = _out_dir(args, config_obj)
-    calibrator.save_model(os.path.join(out, "model.json"), model)
-    records.write_json(os.path.join(out, "config.json"), config_obj)
+    out = _publish(args, config_obj,
+                   {"model.json": lambda path: calibrator.save_model(path, model)})
     print(f"trained on {len(sets)} queries; model written to {out}")
     return 0
 
@@ -320,15 +327,16 @@ def cmd_score(args: argparse.Namespace) -> int:
             confidences, imputed = evaluation.SINGLE_PASS[method](batch, rows)
             evaluation.require_spans(confidences, query_ids, sample_index)
             columns.append((method, query_ids, sample_index, confidences, imputed))
-    out = _out_dir(args, config_obj)
-    records.write_scores(os.path.join(out, "scores.jsonl"), columns)
-    records.write_json(os.path.join(out, "config.json"), config_obj)
+    out = _publish(args, config_obj,
+                   {"scores.jsonl": lambda path: records.write_scores(path, columns)})
     n_rows = sum(len(c[1]) for c in columns)
     print(f"wrote {n_rows} score rows ({len(methods)} methods) to {out}")
     return 0
 
 
-def _eval_command(args: argparse.Namespace, kind: str) -> int:
+def cmd_trials(args: argparse.Namespace) -> int:
+    """``eval``, ``selective`` or ``shift``, the command named by ``args``."""
+    kind = args.command
     config = _trial_config(args, _parse_rates(args.rates) if kind == "selective" else None)
     if kind in ("eval", "selective") and args.labels is None:
         raise ConfigError(f"the {kind} command needs --labels (correctness per sample)")
@@ -366,29 +374,17 @@ def _eval_command(args: argparse.Namespace, kind: str) -> int:
         if kind == "selective":
             headline = dataclasses.replace(headline, kind="selective")
         document = evaluation.report_document(headline, config_obj)
-    out = _out_dir(args, config_obj)
-    records.write_json(os.path.join(out, "report.json"), document)
-    with open(os.path.join(out, "trials.tsv"), "w", encoding="utf-8") as handle:
-        handle.write(evaluation.trial_table(headline))
-    records.write_json(os.path.join(out, "config.json"), config_obj)
+    table = evaluation.trial_table(headline)
+    out = _publish(args, config_obj, {
+        "report.json": lambda path: records.write_json(path, document),
+        "trials.tsv": lambda path: pathlib.Path(path).write_text(table, encoding="utf-8"),
+    })
     summary = ", ".join(
         f"{m}: ece1={s.ece1:.4f}" for m, s in headline.methods.items()
     )
     print(f"{kind} over {headline.n_trials} trials ({headline.n_queries} queries) -> {out}")
     print(summary)
     return 0
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
-    return _eval_command(args, "eval")
-
-
-def cmd_selective(args: argparse.Namespace) -> int:
-    return _eval_command(args, "selective")
-
-
-def cmd_shift(args: argparse.Namespace) -> int:
-    return _eval_command(args, "shift")
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +400,8 @@ def _add_data_flags(parser: argparse.ArgumentParser, *, labels: bool = True) -> 
 
 
 def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags every command run by :func:`cmd_trials` takes."""
+    _add_data_flags(parser)
     parser.add_argument("--config", default=None, help="JSON file of trial settings")
     parser.add_argument("--trials", type=int, default=None, help="number of trials")
     parser.add_argument("--cal-frac", type=float, default=None, help="calibration fraction")
@@ -419,6 +417,8 @@ def _add_trial_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--k", type=int, default=None, help="subsample each query to k samples for targets"
     )
+    parser.add_argument("--out", default=None)
+    parser.set_defaults(func=cmd_trials)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,26 +473,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("eval", help="repeated-trial benchmark")
-    _add_data_flags(p)
-    _add_trial_flags(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval)
+    _add_trial_flags(sub.add_parser("eval", help="repeated-trial benchmark"))
 
     p = sub.add_parser("selective", help="abstention curves averaged over trials")
-    _add_data_flags(p)
     _add_trial_flags(p)
     p.add_argument("--rates", default="0.1,0.2,0.3,0.5", help="comma-separated rates in [0,1)")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_selective)
 
     p = sub.add_parser("shift", help="calibrate on some groups, test on others")
-    _add_data_flags(p)
     _add_trial_flags(p)
     p.add_argument("--train-groups", required=True, help="comma-separated group names")
     p.add_argument("--test-groups", required=True, help="comma-separated group names")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_shift)
 
     return parser
 

@@ -259,6 +259,23 @@ def decode_json(text: str, decode: Callable[[str], Any] = json.loads) -> Any:
     return value
 
 
+def read_json(path: str, name: str | None = None) -> dict[str, Any]:
+    """The JSON object in the UTF-8 file ``path``, decoded as by
+    :func:`decode_json`.  A file holding anything else raises
+    :class:`DataError` whose message starts with ``name`` (default: ``path``)."""
+    name = path if name is None else name
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            obj = decode_json(handle.read())
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{name}: invalid JSON ({exc.msg}, line {exc.lineno})") from exc
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{name}: invalid JSON ({json_error_reason(exc)})") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{name}: expected a JSON object")
+    return obj
+
+
 def json_lines(path: str, constants: list[str]) -> Iterator[tuple[int, Any, str | None]]:
     """Decode each line of a JSONL file: ``(lineno, value, None)``, or
     ``(lineno, None, reason)`` for a line that is not JSON.

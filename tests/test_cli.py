@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
@@ -718,12 +719,14 @@ def test_score_reports_question_embedding_dimension_mismatches(data_dir, tmp_pat
 
 _BAD_MODELS = {
     "truncated": ('{"format": "conscal-model/1", "scaler": {"means": [0.1, ',
-                  "invalid JSON (Expecting value)"),
+                  "invalid JSON (Expecting value, line 1)"),
     "not_utf8": (b'{"format": "\xff"}', "invalid JSON (not UTF-8 text)"),
     "deep": ("[" * 100_000 + "]" * 100_000, "invalid JSON (nested too deeply)"),
     "scaler_list": (lambda d: d.update(scaler=[1, 2]), "scaler must be an object"),
     "string_means": (lambda d: d["scaler"].update(means=["a"]), "bad scaler means"),
     "huge_intercept": (lambda d: d["ridge"].update(intercept=10**400), "bad intercept"),
+    "surrogate": (lambda d: d["training_meta"].update(note="\ud800"),
+                  "invalid JSON (unpaired surrogate escape, line 1)"),
 }
 
 
@@ -793,6 +796,18 @@ def test_eval_reruns_are_byte_identical(data_dir, tmp_path):
     assert main(argv) == 0
     for name, blob in first.items():
         assert _read_bytes(out / name) == blob, name
+
+
+def test_eval_whose_write_fails_leaves_none_of_its_files(data_dir, tmp_path, capsys):
+    out = tmp_path / "eval"
+    argv = ["eval", *_data_flags(data_dir), "--trials", "2", "--bins", "4", "--out", str(out)]
+    assert main(argv) == 0
+    (out / "trials.tsv").unlink()
+    (out / "trials.tsv").mkdir()  # the rerun writes report.json, then cannot write this
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and "trials.tsv" in err
+    assert os.listdir(out) == ["trials.tsv"]
 
 
 def test_eval_respects_the_requested_method_subset(data_dir, tmp_path):
@@ -1119,6 +1134,152 @@ def test_cli_outputs_match_the_recorded_digests(tmp_path, monkeypatch, capsys):
     assert len(written) == 30
     for path in written:
         assert _read_strict_json(path), path
+
+
+# ---------------------------------------------------------------------------
+# output names, and the exit codes of malformed input
+# ---------------------------------------------------------------------------
+
+# Each writing command's file names, config.json aside.
+_OUTPUT_NAMES = {
+    "synth": ["generations.jsonl", "labels.jsonl", "queries.jsonl", "truth.jsonl"],
+    "targets": ["targets.jsonl"],
+    "train": ["model.json"],
+    "score": ["scores.jsonl"],
+    "eval": ["report.json", "trials.tsv"],
+    "selective": ["report.json", "trials.tsv"],
+    "shift": ["report.json", "trials.tsv"],
+}
+
+
+def _contract_argv(base):
+    """Every command's arguments, but --out, over the files in ``base``."""
+    data = ["--queries", str(base / "queries.jsonl"),
+            "--generations", str(base / "generations.jsonl")]
+    labels = ["--labels", str(base / "labels.jsonl")]
+    trial = [*data, *labels, "--config", str(base / "trial.json")]
+    return {
+        "synth": ["synth", "--preset", "shift", "--n-queries", "40", "--k", "4",
+                  "--config", str(base / "synth.json")],
+        "validate": ["validate", *data, *labels],
+        "targets": ["targets", *data],
+        "train": ["train", *data, "--targets", str(base / "targets.jsonl")],
+        "score": ["score", *data, "--model", str(base / "model.json")],
+        "eval": ["eval", *trial],
+        "selective": ["selective", *trial],
+        "shift": ["shift", *trial, "--train-groups", "main", "--test-groups", "shifted"],
+    }
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    """40x4 shift-preset records with their targets, model and scores, and a
+    synth and a trial --config file."""
+    base = tmp_path_factory.mktemp("contract")
+    assert main(["synth", "--preset", "shift", "--n-queries", "40", "--k", "4",
+                 "--seed", "0", "--out", str(base)]) == 0
+    (base / "synth.json").write_text(json.dumps(
+        {"n_queries": 40, "k": 4, "seed": 1, "group_shift": _SHIFT}), encoding="utf-8")
+    (base / "trial.json").write_text(json.dumps(
+        {"n_trials": 2, "bins": 4, "methods": ["distilled", "token_prob", "tt_sc"]}),
+        encoding="utf-8")
+    argv = _contract_argv(base)
+    for command in ("targets", "train", "score"):
+        assert main([*argv[command], "--out", str(base)]) == 0, command
+    return base
+
+
+@pytest.mark.parametrize("command", sorted(_OUTPUT_NAMES))
+def test_a_command_writes_its_file_names_and_config_json_only(
+    contract_dir, tmp_path, capsys, command
+):
+    out = tmp_path / "out"
+    assert main([*_contract_argv(contract_dir)[command], "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted([*_OUTPUT_NAMES[command], "config.json"])
+    capsys.readouterr()
+
+
+# Values a swap puts in place of a field or entry, and byte strings a splice
+# inserts; sizes past what a run can hold are not among them.
+_SWAPS = [None, True, -1, 0.5, "x", "\ud800", [], {}, [1.5], float("inf")]
+_SPLICES = [b"\xff", b'"', b"{", b"]", b",", b"\\ud800", b"NaN", b"1e400", b"\r", b"\x00",
+            b"9" * 400]
+
+
+def _containers(value):
+    """Every dict and list in the JSON value ``value``, ``value`` first."""
+    if isinstance(value, dict):
+        items = list(value.values())
+    elif isinstance(value, list):
+        items = value
+    else:
+        return []
+    return [value, *(found for item in items for found in _containers(item))]
+
+
+def _mutate(blob, kind, rng, jsonl):
+    """``blob``, the bytes of a JSONL file (``jsonl``) or a JSON file, with
+    one mutation of ``kind`` where ``rng`` picks: a byte string spliced into
+    a line, or a field or entry of one line's value or of the document
+    swapped, deleted or added."""
+    lines = blob.splitlines(keepends=True)
+    if kind == "splice":
+        row = rng.randrange(len(lines))
+        at = rng.randrange(len(lines[row]))
+        lines[row] = lines[row][:at] + rng.choice(_SPLICES) + lines[row][at:]
+        return b"".join(lines)
+    row = rng.randrange(len(lines)) if jsonl else None
+    value = json.loads(lines[row] if jsonl else blob)
+    if kind == "add":
+        target = rng.choice([c for c in _containers(value) if isinstance(c, dict)])
+        target["unknown_key"] = rng.choice(_SWAPS)
+    else:
+        target = rng.choice([c for c in _containers(value) if c])
+        key = rng.choice(list(target) if isinstance(target, dict) else range(len(target)))
+        if kind == "delete":
+            del target[key]
+        else:
+            target[key] = rng.choice(_SWAPS)
+    text = json.dumps(value).encode("utf-8")
+    if not jsonl:
+        return text
+    lines[row] = text + b"\n"
+    return b"".join(lines)
+
+
+@pytest.mark.parametrize("source", [
+    "queries.jsonl", "generations.jsonl", "labels.jsonl", "targets.jsonl", "scores.jsonl",
+    "model.json", "synth.json", "trial.json",
+])
+def test_malformed_input_ends_in_an_exit_code_and_leaves_no_output(
+    contract_dir, tmp_path, capsys, source
+):
+    # No command reads scores.jsonl: it goes where the labels go.
+    slot = str(contract_dir / ("labels.jsonl" if source == "scores.jsonl" else source))
+    rng = random.Random(source)
+    blob = (contract_dir / source).read_bytes()
+    for case, kind in enumerate(("splice", "swap", "delete", "add") * 2):
+        mutated = tmp_path / f"{case}-{kind}-{source}"
+        mutated.write_bytes(_mutate(blob, kind, rng, source.endswith(".jsonl")))
+        for command, argv in _contract_argv(contract_dir).items():
+            if slot not in argv:
+                continue
+            argv = [str(mutated) if arg == slot else arg for arg in argv]
+            out = tmp_path / f"{case}-{command}"
+            if command != "validate":
+                argv += ["--out", str(out)]
+            try:
+                code = main(argv)
+            except (Exception, SystemExit) as exc:
+                pytest.fail(f"{command} on {mutated.name}: {exc!r} escaped main")
+            assert code in (0, 1, 2), (command, mutated.name)
+            if code:
+                assert not out.exists(), (command, mutated.name)
+            elif command != "validate":
+                for path in out.iterdir():
+                    if path.suffix in (".json", ".jsonl"):
+                        _read_strict_json(path)
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

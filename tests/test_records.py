@@ -921,14 +921,24 @@ def test_a_failing_part_raises_and_leaves_no_child_and_no_stray_file(tmp_path, m
 
 @_FORKS
 def test_synth_reports_a_failing_part_writer_as_an_io_error(tmp_path, monkeypatch, capsys):
-    _fail_in("child", monkeypatch)
+    argv = ["synth", "--n-queries", "40", "--k", "100", "--seed", "0", "--out"]
+    rerun = tmp_path / "rerun"
+    rerun.mkdir()
+    (rerun / "notes.txt").write_text("mine", encoding="utf-8")
     monkeypatch.setattr(records, "_usable_cpus", lambda: 2)
-    argv = ["synth", "--n-queries", "40", "--k", "100", "--seed", "0", "--out", str(tmp_path)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("io error:") and "OSError: disk on fire" in err
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    for side in ("child", "parent"):
+        assert main([*argv, str(rerun)]) == 0  # a complete earlier run
+        with monkeypatch.context() as patch:
+            _fail_in(side, patch)
+            for out in (tmp_path / "fresh", rerun):
+                assert main([*argv, str(out)]) == 2
+                where = f"{out / 'generations.jsonl'}: OSError: " if side == "child" else ""
+                assert capsys.readouterr().err == f"io error: {where}disk on fire\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # No output name is left behind, and no directory the failed run made.
+        assert sorted(os.listdir(tmp_path)) == ["rerun"]
+        assert os.listdir(rerun) == ["notes.txt"]
 
 
 _GROUPED_IDS = st.sampled_from(["q1", "q2", "q3", "ghost"])
