@@ -40,7 +40,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import calibrator, consistency, evaluation, records, seeding, synth
-from .errors import ConfigError, DataError, require_integer
+from .errors import ConfigError, DataError, require_size
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +90,16 @@ def _publish(
     return out
 
 
+def _check_size_flags(args: argparse.Namespace, *names: str) -> None:
+    """Raise :class:`ConfigError` naming the flag for each of ``names`` that
+    is set to a size outside 1 to ``MAX_SIZE`` (the config it fills checks
+    the same bound, but names the setting)."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None:
+            require_size(f"--{name.replace('_', '-')}", value)
+
+
 def _csv(text: str) -> list[str]:
     items = [part.strip() for part in text.split(",")]
     return [part for part in items if part]
@@ -129,6 +139,7 @@ def _settings(
 
 
 def _synth_config(args: argparse.Namespace) -> synth.SynthConfig:
+    _check_size_flags(args, "n_queries", "k")
     preset = synth.PRESETS.get(args.preset)
     if preset is None:
         raise ConfigError(
@@ -152,6 +163,7 @@ def _synth_config(args: argparse.Namespace) -> synth.SynthConfig:
 def _trial_config(
     args: argparse.Namespace, selective_rates: tuple[float, ...] | None
 ) -> evaluation.TrialConfig:
+    _check_size_flags(args, "trials", "bins", "k")
     methods = None if args.methods is None else _csv(args.methods)
     settings = _settings(
         args.config, "trial", evaluation.TrialConfig,
@@ -204,8 +216,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_targets(args: argparse.Namespace) -> int:
-    if args.k is not None:
-        require_integer("--k", args.k, 1)
+    _check_size_flags(args, "k")
     sets = _load_sets(args)
     config_obj = {
         "command": "targets",

@@ -53,6 +53,13 @@ def is_finite_real(value: Any) -> bool:
         return False
 
 
+# The largest count or dimension a setting may ask for.  With every size at
+# most this, the largest array a run builds, queries x samples x embedding
+# dimension x 2 groups, has at most 2**61 entries, fewer than numpy can index
+# on a 64-bit host (2**63 - 1).
+MAX_SIZE = 2**20
+
+
 def require_integer(name: str, value: Any, minimum: int | None = None) -> None:
     """Raise :class:`ConfigError` unless the setting ``name`` is an int (not a
     bool) and, when ``minimum`` is given, at least ``minimum``."""
@@ -60,6 +67,14 @@ def require_integer(name: str, value: Any, minimum: int | None = None) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+def require_size(name: str, value: Any) -> None:
+    """Raise :class:`ConfigError` unless the setting ``name``, a count or a
+    dimension, is an int from 1 to :data:`MAX_SIZE`."""
+    require_integer(name, value, 1)
+    if value > MAX_SIZE:
+        raise ConfigError(f"{name} must be <= {MAX_SIZE}, got {value}")
 
 
 def require_real(name: str, value: Any) -> None:

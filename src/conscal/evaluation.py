@@ -60,7 +60,7 @@ from .consistency import (
     gold_set,
     subsample_shares,
 )
-from .errors import ConfigError, DataError, require_integer, require_real
+from .errors import ConfigError, DataError, require_integer, require_real, require_size
 from .metrics import (
     REPORT_FORMAT,
     ReportTable,
@@ -273,9 +273,9 @@ class TrialConfig:
     selective_rates: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        require_integer("n_trials", self.n_trials, 1)
+        require_size("n_trials", self.n_trials)
         require_integer("master_seed", self.master_seed)
-        require_integer("bins", self.bins, 1)
+        require_size("bins", self.bins)
         require_real("cal_fraction", self.cal_fraction)
         check_fit_settings(self.alpha, self.split_frac)
         if not 0.0 < self.cal_fraction < 1.0:
@@ -284,7 +284,7 @@ class TrialConfig:
         if self.feature_source not in FEATURE_SOURCES:
             raise ConfigError(f"unknown feature_source {self.feature_source!r}")
         if self.k_subsample is not None:
-            require_integer("k_subsample", self.k_subsample, 1)
+            require_size("k_subsample", self.k_subsample)
         if not isinstance(self.selective_rates, (list, tuple)):
             raise ConfigError(f"selective_rates must be a list, got {self.selective_rates!r}")
         object.__setattr__(self, "selective_rates", tuple(self.selective_rates))

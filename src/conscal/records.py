@@ -29,21 +29,29 @@ file and line, and a loader never returns a partially constructed dataset.
 A string holding an unpaired surrogate escape such as ``"\\ud800"`` makes
 its line invalid JSON: no UTF-8 file can hold it, so no writer could write
 it back.
-The generation loader checks each line's fields as it reads it, but tests
-the entries of its vector fields once per column, after the last line: a
-whole-column pass, then an entry-by-entry walk of the rows holding a bad
-entry only.  The duplicate and dimension checks run after that pass, so a
-row is judged against the valid rows before it, as if every line had been
-checked in full before the next was read.
+The generation loader runs in two stages.  The per-line stage reads a
+byte range of whole lines: it decodes each line, checks its fields, and
+adds the rows that pass to candidate columns, leaving the entries of their
+vector fields untested.  The serial finish, over every range's candidates
+in line order, tests those entries once per column: a whole-column pass,
+then an entry-by-entry walk of the rows holding a bad entry only.  Then it
+checks duplicates and the embedding dimension, and builds the query runs,
+so a row is judged against the valid rows before it, as if every line had
+been checked in full before the next was read.  A large file is cut into
+ranges that forked children read at once (see
+:func:`scan_generation_records`); the batch and the diagnostics, in text
+and in order, do not depend on the number of ranges.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import logging
 import math
 import os
+import pickle
 import re
 import shutil
 import signal
@@ -276,7 +284,9 @@ def read_json(path: str, name: str | None = None) -> dict[str, Any]:
     return obj
 
 
-def json_lines(path: str, constants: list[str]) -> Iterator[tuple[int, Any, str | None]]:
+def json_lines(
+    path: str, constants: list[str], start: int = 0, stop: int | None = None
+) -> Iterator[tuple[int, Any, str | None]]:
     """Decode each line of a JSONL file: ``(lineno, value, None)``, or
     ``(lineno, None, reason)`` for a line that is not JSON.
 
@@ -285,7 +295,9 @@ def json_lines(path: str, constants: list[str]) -> Iterator[tuple[int, Any, str 
     reading goes on with the next line; so does a line holding an unpaired
     surrogate escape (see :func:`decode_json`).  ``constants`` holds the
     ``NaN``, ``Infinity`` and ``-Infinity`` tokens of the line last decoded;
-    they still decode to floats.
+    they still decode to floats.  Only the lines of bytes ``start:stop``
+    are read (default: the whole file), numbered from 1; ``start`` and
+    ``stop`` must each be 0, the end or an offset just past a ``\\n``.
     """
 
     def constant(token: str) -> float:
@@ -294,30 +306,56 @@ def json_lines(path: str, constants: list[str]) -> Iterator[tuple[int, Any, str 
 
     # One decoder for the file: json.loads with a hook would build one a line.
     decode = json.JSONDecoder(parse_constant=constant).decode
-    # surrogateescape turns each undecodable byte into a lone surrogate,
-    # which text decoded from UTF-8 never holds and which cannot be encoded.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            if constants:
-                constants.clear()
-            try:
-                if not raw.isascii():
-                    raw.encode("utf-8")
-                    if raw.startswith("\ufeff"):  # which json.loads rejects
-                        raise json.JSONDecodeError(
-                            "Unexpected UTF-8 BOM (decode using utf-8-sig)", raw, 0
-                        )
-                value = decode_json(raw, decode)  # JSON reads the "\n" as whitespace
-            except (ValueError, RecursionError) as exc:
-                yield lineno, None, json_error_reason(exc)
-                continue
-            yield lineno, value, None
+    with open(path, "rb", buffering=0) as file:
+        if start:
+            file.seek(start)
+        stream = io.BufferedReader(_ByteRange(file, None if stop is None else stop - start))
+        # surrogateescape turns each undecodable byte into a lone surrogate,
+        # which text decoded from UTF-8 never holds and which cannot be encoded.
+        with io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                if constants:
+                    constants.clear()
+                try:
+                    if not raw.isascii():
+                        raw.encode("utf-8")
+                        if raw.startswith("\ufeff"):  # which json.loads rejects
+                            raise json.JSONDecodeError(
+                                "Unexpected UTF-8 BOM (decode using utf-8-sig)", raw, 0
+                            )
+                    value = decode_json(raw, decode)  # JSON reads the "\n" as whitespace
+                except (ValueError, RecursionError) as exc:
+                    yield lineno, None, json_error_reason(exc)
+                    continue
+                yield lineno, value, None
+
+
+class _ByteRange(io.RawIOBase):
+    """The next ``size`` bytes of the unbuffered binary file ``file`` (None:
+    the rest of it) as a raw stream, so that text mode reads a byte range.
+    Closing it leaves ``file`` open."""
+
+    def __init__(self, file: io.RawIOBase, size: int | None) -> None:
+        super().__init__()
+        self._file, self._left = file, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer: Any) -> int:
+        if self._left is None:
+            return self._file.readinto(buffer)
+        count = self._file.readinto(memoryview(buffer)[: self._left])
+        self._left -= count
+        return count
 
 
 def _objects(
-    path: str, diagnostics: list[Diagnostic], checked: frozenset[str]
+    path: str, diagnostics: list[Diagnostic], checked: frozenset[str],
+    start: int = 0, stop: int | None = None,
 ) -> Iterator[tuple[int, dict, list[str]]]:
-    """Yield each line that decodes to a JSON object, diagnosing the others.
+    """Yield each line that decodes to a JSON object, diagnosing the others;
+    ``start`` and ``stop`` are as for :func:`json_lines`.
 
     Each object comes with its first problems: one for every top-level field
     outside ``checked`` (the fields the caller validates itself) that holds
@@ -329,7 +367,7 @@ def _objects(
     Callers hold their row diagnostics apart and report them after these.
     """
     constants: list[str] = []
-    for lineno, obj, reason in json_lines(path, constants):
+    for lineno, obj, reason in json_lines(path, constants, start, stop):
         if reason is not None:
             diagnostics.append(Diagnostic(path, lineno, f"invalid JSON ({reason})"))
         elif not isinstance(obj, dict):
@@ -410,6 +448,46 @@ def load_queries(path: str) -> list[QueryRecord]:
 # ---------------------------------------------------------------------------
 
 
+class _LineScan:
+    """The per-line stage's output over a range of lines of a generations file.
+
+    ``unreadable`` holds the diagnostics of the lines that are not JSON
+    objects, and ``problems`` those of the other lines that fail a field
+    check.  The rest are candidates, held as columns: line numbers, fields,
+    and the flat, untested entries of the vector fields with each row's
+    entry count.  ``count`` is the number of lines read.
+    """
+
+    _COLUMNS = (
+        "ids", "indices", "texts", "answers", "tokens", "spans", "embeddings",
+        "token_lengths", "span_lengths", "embedding_lengths",
+    )
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.unreadable: list[Diagnostic] = []
+        self.problems: list[Diagnostic] = []
+        self.lines = array("q")
+        self.ids: list[str] = []
+        self.indices: list[int] = []
+        self.texts: list[str] = []
+        self.answers: list[str | None] = []
+        self.tokens, self.spans, self.embeddings = array("d"), array("d"), array("d")
+        self.token_lengths, self.span_lengths = array("q"), array("q")
+        self.embedding_lengths = array("q")
+
+    def extend(self, part: _LineScan) -> None:
+        """Append ``part``, the scan of the lines that follow these,
+        renumbering its lines to follow on."""
+        shift = self.count
+        for mine, theirs in ((self.unreadable, part.unreadable), (self.problems, part.problems)):
+            mine.extend(Diagnostic(d.path, d.line + shift, d.message) for d in theirs)
+        self.lines.extend(line + shift for line in part.lines)
+        for name in self._COLUMNS:
+            getattr(self, name).extend(getattr(part, name))
+        self.count += part.count
+
+
 def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic]]:
     """Row-level parse of a generations file (no query cross-checks).
 
@@ -418,19 +496,86 @@ def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic
     other fields pass are tested a column at a time after the last line
     (see the module docstring), and only then are those rows checked for
     duplicates and embedding dimension, in line order.
+
+    Where ``os.fork`` exists, a large file is read in parts at once, up to
+    one per usable CPU (see :func:`_read_part_count`); the batch and the
+    diagnostics do not depend on the number of parts.  A part that fails in
+    its child raises ``OSError`` with the child's error text.
     """
-    diagnostics: list[Diagnostic] = []
-    row_diagnostics: list[Diagnostic] = []
-    # Rows whose fields pass the line checks ("candidates"), as columns.
-    lines = array("q")
-    ids: list[str] = []
-    indices: list[int] = []
-    texts: list[str] = []
-    answers: list[str | None] = []
-    tokens, spans, embeddings = array("d"), array("d"), array("d")
-    token_ends, span_ends, embedding_ends = array("q", [0]), array("q", [0]), array("q", [0])
+    return _scan_generation_parts(path, _read_part_count(os.stat(path).st_size))
+
+
+def _read_part_count(size: int) -> int:
+    """The parts to read a file of ``size`` bytes in: one per usable CPU,
+    but no more than ``_MAX_PARTS`` or one per ``_BYTES_PER_PART`` bytes;
+    one where ``os.fork`` does not exist."""
+    return _parts_within(size // _BYTES_PER_PART)
+
+
+def _scan_generation_parts(path: str, parts: int) -> tuple[GenerationBatch, list[Diagnostic]]:
+    """:func:`scan_generation_records` over at most ``parts`` byte ranges
+    of ``path`` (see :func:`_line_ranges`).
+
+    This process runs the per-line stage over the first range while a
+    forked child runs it over each other one and pickles its
+    :class:`_LineScan` into an anonymous temporary file.  The scans are
+    merged in order, then finished here.
+    """
+    (start, stop), *rest = _line_ranges(path, parts)
+    scan = _LineScan()
+    _run_parts(
+        path,
+        None,
+        lambda: _scan_lines(scan, path, start, stop),
+        [lambda part, bounds=bounds: _pickle_scan(part, path, *bounds) for bounds in rest],
+        lambda part: scan.extend(pickle.load(part)),
+    )
+    return _finish_scan(path, scan)
+
+
+def _line_ranges(path: str, parts: int) -> list[tuple[int, int | None]]:
+    """Up to ``parts`` byte ranges ``(start, stop)`` of whole lines that
+    cover the file ``path`` in order; the last one's ``stop`` is None, the
+    end of the file.  Cut ``i`` falls just past the first ``\\n`` at or
+    after byte ``size * i // parts``; a cut that does not pass the one
+    before it, or that reaches the end, is dropped."""
+    cuts = [0]
+    if parts > 1:
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            for i in range(1, parts):
+                handle.seek(size * i // parts)
+                handle.readline()
+                cut = handle.tell()
+                if cuts[-1] < cut < size:
+                    cuts.append(cut)
+    return list(zip(cuts, [*cuts[1:], None]))
+
+
+def _pickle_scan(part: BinaryIO, path: str, start: int, stop: int | None) -> None:
+    """A part reader's work: the per-line stage over bytes ``start:stop`` of
+    ``path``, pickled into ``part``."""
+    scan = _LineScan()
+    _scan_lines(scan, path, start, stop)
+    pickle.dump(scan, part, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _scan_lines(scan: _LineScan, path: str, start: int, stop: int | None) -> None:
+    """The per-line stage: read the lines of bytes ``start:stop`` of a
+    generations file into ``scan``, an empty scan, numbered from 1."""
+    diagnose = scan.problems.extend
+    lines, ids, indices, texts, answers = (
+        scan.lines, scan.ids, scan.indices, scan.texts, scan.answers
+    )
+    tokens, spans, embeddings = scan.tokens, scan.spans, scan.embeddings
+    token_lengths, span_lengths, embedding_lengths = (
+        scan.token_lengths, scan.span_lengths, scan.embedding_lengths
+    )
     numbers = _NUMBER_TYPES.issuperset
-    for lineno, obj, problems in _objects(path, diagnostics, _GENERATION_FIELDS):
+    lineno = 0
+    for lineno, obj, problems in _objects(
+        path, scan.unreadable, _GENERATION_FIELDS, start, stop
+    ):
         query_id = _query_id(obj, problems)
         sample_index = _index(obj, "sample_index", problems)
         response_text = obj.get("response_text")
@@ -457,17 +602,18 @@ def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic
             and type(embedding) is list and embedding and numbers(map(type, embedding))
             and (meta is None or isinstance(meta, dict))
         ):
+            marks = len(tokens), len(spans)
             try:
                 tokens.fromlist(token_lp)
                 spans.fromlist(ans_lp or [])
                 embeddings.fromlist(embedding)
             except OverflowError:  # an integer too large for a float
                 # The failing fromlist left its column unchanged.
-                del tokens[token_ends[-1] :], spans[span_ends[-1] :]
+                del tokens[marks[0] :], spans[marks[1] :]
             else:
-                token_ends.append(len(tokens))
-                span_ends.append(len(spans))
-                embedding_ends.append(len(embeddings))
+                token_lengths.append(len(token_lp))
+                span_lengths.append(len(ans_lp or ()))
+                embedding_lengths.append(len(embedding))
                 lines.append(lineno)
                 ids.append(query_id)
                 indices.append(sample_index)
@@ -480,23 +626,35 @@ def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic
         problems.extend(_check_vector(embedding, "embedding"))
         if meta is not None and not isinstance(meta, dict):
             problems.append("sampling_meta must be an object when present")
-        row_diagnostics.extend(Diagnostic(path, lineno, p) for p in problems)
+        diagnose(Diagnostic(path, lineno, p) for p in problems)
+    # Each line read was yielded above or diagnosed as unreadable.
+    scan.count = max(lineno, scan.unreadable[-1].line if scan.unreadable else 0)
+
+
+def _finish_scan(path: str, scan: _LineScan) -> tuple[GenerationBatch, list[Diagnostic]]:
+    """The serial finish over the candidates of a whole file: the column
+    pass over the vector entries, then duplicates, dimensions and query
+    runs in line order, then the batch and every diagnostic."""
+    token_ends, span_ends = _offsets(scan.token_lengths), _offsets(scan.span_lengths)
+    embedding_ends = _offsets(scan.embedding_lengths)
     columns = (
-        (tokens, token_ends, "token_logprobs", 0.0),
-        (spans, span_ends, "answer_token_logprobs", 0.0),
-        (embeddings, embedding_ends, "embedding", None),
+        (scan.tokens, token_ends, "token_logprobs", 0.0),
+        (scan.spans, span_ends, "answer_token_logprobs", 0.0),
+        (scan.embeddings, embedding_ends, "embedding", None),
     )
     failing = set().union(
         *(_failing_rows(values, ends, max_value) for values, ends, _, max_value in columns)
     )
     # Duplicates, dimensions and query runs, judged over the rows that passed.
+    row_diagnostics = scan.problems
     seen: set[tuple[str, int]] = set()
     embed_dim: int | None = None
     keep: list[bool] = []
     query_ids: list[str] = []
     run_starts: list[int] = []
     kept = 0
-    for c, (lineno, query_id, sample_index) in enumerate(zip(lines, ids, indices)):
+    rows = zip(scan.lines, scan.ids, scan.indices, scan.embedding_lengths)
+    for c, (lineno, query_id, sample_index, dim) in enumerate(rows):
         if c in failing:
             problems = _walked_problems(columns, c)
         else:
@@ -506,7 +664,6 @@ def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic
                 problems.append(f"duplicate (query_id, sample_index) {pair!r}")
             else:
                 seen.add(pair)
-                dim = embedding_ends[c + 1] - embedding_ends[c]
                 if embed_dim is None:
                     embed_dim = dim
                 elif dim != embed_dim:
@@ -523,25 +680,32 @@ def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic
         kept += 1
     row_diagnostics.sort(key=lambda d: d.line)
     mask = np.array(keep, dtype=bool)
-    token_values, token_offsets = _kept_segments(tokens, token_ends, mask)
-    span_values, span_offsets = _kept_segments(spans, span_ends, mask)
-    embedding_values, _ = _kept_segments(embeddings, embedding_ends, mask)
+    token_values, token_offsets = _kept_segments(scan.tokens, token_ends, mask)
+    span_values, span_offsets = _kept_segments(scan.spans, span_ends, mask)
+    embedding_values, _ = _kept_segments(scan.embeddings, embedding_ends, mask)
     batch = GenerationBatch(
         query_ids=tuple(query_ids),
         query_offsets=np.array(run_starts + [kept], dtype=np.intp),
-        sample_index=tuple(compress(indices, keep)),
-        response_text=tuple(compress(texts, keep)),
-        answer=tuple(compress(answers, keep)),
+        sample_index=tuple(compress(scan.indices, keep)),
+        response_text=tuple(compress(scan.texts, keep)),
+        answer=tuple(compress(scan.answers, keep)),
         token_logprobs=token_values,
         token_offsets=token_offsets,
         answer_token_logprobs=span_values,
         answer_token_offsets=span_offsets,
         embedding=embedding_values.reshape(kept, embed_dim or 0),
     )
-    return batch, diagnostics + row_diagnostics
+    return batch, scan.unreadable + row_diagnostics
 
 
-def _failing_rows(values: array, ends: array, max_value: float | None) -> set[int]:
+def _offsets(lengths: Sequence[int]) -> np.ndarray:
+    """The row offsets of a flat column whose rows hold ``lengths`` entries."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _failing_rows(values: array, ends: np.ndarray, max_value: float | None) -> set[int]:
     """The rows of a flat column holding an entry that is not finite or is
     above ``max_value``."""
     column = np.frombuffer(values, dtype=float)
@@ -552,7 +716,7 @@ def _failing_rows(values: array, ends: array, max_value: float | None) -> set[in
 
 
 def _walked_problems(
-    columns: Sequence[tuple[array, array, str, float | None]], row: int
+    columns: Sequence[tuple[array, np.ndarray, str, float | None]], row: int
 ) -> list[str]:
     """The problems of one row's vector fields, found entry by entry."""
     problems = []
@@ -564,16 +728,14 @@ def _walked_problems(
 
 
 def _kept_segments(
-    values: array, ends: array, keep: np.ndarray
+    values: array, offsets: np.ndarray, keep: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """A flat column and its row offsets, reduced to the rows ``keep`` marks."""
     column = np.frombuffer(values, dtype=float)
-    offsets = np.array(ends, dtype=np.intp)
     if keep.all():
         return column, offsets
     lengths = np.diff(offsets)
-    kept = np.concatenate(([0], np.cumsum(lengths[keep]))).astype(np.intp)
-    return column[np.repeat(keep, lengths)], kept
+    return column[np.repeat(keep, lengths)], _offsets(lengths[keep])
 
 
 def load_generation_records(path: str) -> GenerationBatch:
@@ -771,6 +933,12 @@ _IMPUTED = {None: "", False: ',"imputed":false', True: ',"imputed":true'}
 # A part of 1,000 rows saves ten times its fixed cost.
 _ROWS_PER_PART = 1000
 _MAX_PARTS = 8
+# scan_generation_records reads in parts too, each after the first in a
+# forked child that pickles its columns back.  On the same host a part
+# scans at about 40 ms a MB; pickling, unpickling and merging it take about
+# 3.5 ms a MB more, after a 1-2 ms fork.  A part of 1 MB moves some 40 ms of
+# work to another CPU for about 5 ms.
+_BYTES_PER_PART = 1 << 20
 _COPY_CHUNK = 1 << 16  # bytes per copy when a part is appended
 
 
@@ -875,13 +1043,18 @@ def _usable_cpus() -> int:
 
 
 def _part_count(batch: GenerationBatch) -> int:
-    """One part per usable CPU, but no more than ``_MAX_PARTS``, the batch's
-    query runs, or one per ``_ROWS_PER_PART`` rows; one where ``os.fork``
-    does not exist."""
+    """The parts to write a batch in: one per usable CPU, but no more than
+    ``_MAX_PARTS``, the batch's query runs, or one per ``_ROWS_PER_PART``
+    rows; one where ``os.fork`` does not exist."""
+    return _parts_within(len(batch.query_ids), len(batch) // _ROWS_PER_PART)
+
+
+def _parts_within(*limits: int) -> int:
+    """One part per usable CPU, but no more than ``_MAX_PARTS`` or any of
+    ``limits``, and at least one; one where ``os.fork`` does not exist."""
     if not hasattr(os, "fork"):
         return 1
-    parts = min(_usable_cpus(), _MAX_PARTS, len(batch.query_ids), len(batch) // _ROWS_PER_PART)
-    return max(parts, 1)
+    return max(min(_usable_cpus(), _MAX_PARTS, *limits), 1)
 
 
 def _part_runs(offsets: Sequence[int], parts: int) -> list[range]:
@@ -904,39 +1077,71 @@ def _write_generation_parts(
 ) -> None:
     """:func:`write_generations` in at most ``parts`` parts.
 
-    This process formats the first part straight into ``path``.  Each other
-    part is formatted at the same time by a forked child into an anonymous
-    temporary file in ``path``'s directory, then appended in order.  Every
-    child is reaped before this returns or raises; one still running when
-    something here fails is killed first.
+    This process formats the first part straight into ``path`` while a
+    forked child formats each other one into an anonymous temporary file
+    in ``path``'s directory; the parts are appended in order.
     """
     tail = "" if sampling_meta is None else ',"sampling_meta":' + _dump(dict(sampling_meta))
     first, *rest = _part_runs(batch.query_offsets.tolist(), parts)
-    directory = os.path.dirname(path) or os.curdir
+    with open(path, "w", encoding="utf-8") as handle:
+
+        def here() -> None:
+            _write_runs(handle, batch, tail, first)
+            handle.flush()
+
+        _run_parts(
+            path,
+            os.path.dirname(path) or os.curdir,
+            here,
+            [lambda part, runs=runs: _write_part(part, batch, tail, runs) for runs in rest],
+            lambda part: shutil.copyfileobj(part, handle.buffer, _COPY_CHUNK),
+        )
+
+
+def _write_part(part: BinaryIO, batch: GenerationBatch, tail: str, runs: range) -> None:
+    """A part writer's work: format ``runs`` into ``part``."""
+    with open(part.fileno(), "w", encoding="utf-8", closefd=False) as handle:
+        _write_runs(handle, batch, tail, runs)
+
+
+def _run_parts(
+    path: str,
+    directory: str | None,
+    here: Callable[[], None],
+    forked: Sequence[Callable[[BinaryIO], None]],
+    take: Callable[[BinaryIO], None],
+) -> None:
+    """Call ``here`` in this process while a forked child calls each of
+    ``forked`` with an anonymous temporary file in ``directory`` (None: the
+    system's temporary directory) to write to; then call ``take`` with each
+    child's file, rewound, in order.
+
+    A child that fails raises ``OSError`` naming ``path``, with the child's
+    error text.  Every child is reaped before this returns or raises; one
+    still running when something here fails is killed first.
+    """
     running: list[int] = []
     with contextlib.ExitStack() as stack:
         stack.callback(_stop, running)
-        handle = stack.enter_context(open(path, "w", encoding="utf-8"))
-        children = [_fork_part(stack, running, directory, batch, tail, runs) for runs in rest]
-        _write_runs(handle, batch, tail, first)
-        handle.flush()
+        children = [_fork_part(stack, running, directory, work) for work in forked]
+        here()
         for pid, errors, part in children:
             reason = errors.read().decode("utf-8", "replace")  # read to the child's exit
             status = os.waitpid(pid, 0)[1]
             running.remove(pid)
             if status:
                 code = os.waitstatus_to_exitcode(status)
-                raise OSError(f"{path}: {reason or f'a part writer ended with code {code}'}")
+                raise OSError(f"{path}: {reason or f'a part ended with code {code}'}")
             part.seek(0)
-            shutil.copyfileobj(part, handle.buffer, _COPY_CHUNK)
+            take(part)
 
 
 def _fork_part(
-    stack: contextlib.ExitStack, running: list[int], directory: str,
-    batch: GenerationBatch, tail: str, runs: range,
+    stack: contextlib.ExitStack, running: list[int], directory: str | None,
+    work: Callable[[BinaryIO], None],
 ) -> tuple[int, BinaryIO, BinaryIO]:
-    """Fork a child that formats ``runs`` into an anonymous temporary file
-    in ``directory``, and add its pid to ``running``.  Returns the pid, the
+    """Fork a child that calls ``work`` with an anonymous temporary file in
+    ``directory``, and add its pid to ``running``.  Returns the pid, the
     read end of a pipe that carries the child's error text, and the file;
     ``stack`` closes both."""
     part = stack.enter_context(tempfile.TemporaryFile(dir=directory))
@@ -945,24 +1150,23 @@ def _fork_part(
     report = stack.enter_context(open(write_end, "wb", buffering=0))
     pid = os.fork()
     if pid == 0:
-        _format_part(report, part, batch, tail, runs)
+        _run_part(report, part, work)
     running.append(pid)
     report.close()  # the child holds the last write end: errors reads to its exit
     return pid, errors, part
 
 
-def _format_part(
-    report: BinaryIO, part: BinaryIO, batch: GenerationBatch, tail: str, runs: range
-) -> NoReturn:
-    """A forked child's whole work: format ``runs`` into ``part``, or write
-    its error text to ``report``.  It leaves through ``os._exit`` only, so it
-    never flushes the caller's buffers or returns into the caller.  It runs
-    Python and element-wise numpy only, so no lock that another thread of
-    the parent held at the fork is taken."""
+def _run_part(report: BinaryIO, part: BinaryIO, work: Callable[[BinaryIO], None]) -> NoReturn:
+    """A forked child's whole life: ``work(part)``, then ``part`` flushed,
+    or its error text written to ``report``.  It leaves through
+    ``os._exit`` only, so it never flushes the caller's buffers or returns
+    into the caller.  A part's work runs Python and element-wise numpy
+    only, so no lock that another thread of the parent held at the fork is
+    taken."""
     code = 1
     try:
-        with open(part.fileno(), "w", encoding="utf-8", closefd=False) as handle:
-            _write_runs(handle, batch, tail, runs)
+        work(part)
+        part.flush()
         code = 0
     except BaseException as exc:
         report.write(f"{type(exc).__name__}: {exc}".encode("utf-8", "backslashreplace"))
@@ -971,7 +1175,7 @@ def _format_part(
 
 
 def _stop(pids: list[int]) -> None:
-    """Kill and reap the children ``pids``, the part writers not yet reaped."""
+    """Kill and reap the children ``pids``, the part children not yet reaped."""
     for pid in pids:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)

@@ -43,7 +43,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from . import seeding
-from .errors import ConfigError, DataError, require_integer, require_real
+from .errors import ConfigError, DataError, require_integer, require_real, require_size
 from .records import GenerationBatch, QueryRecord, write_json_lines
 
 MAIN_GROUP = "main"
@@ -100,7 +100,7 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_queries", "k", "distractor_count", "embedding_dim"):
-            require_integer(name, getattr(self, name), 1)
+            require_size(name, getattr(self, name))
         require_integer("seed", self.seed)
         positive = [
             ("difficulty_alpha", self.difficulty_alpha),

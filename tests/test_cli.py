@@ -14,8 +14,9 @@ import sys
 
 import pytest
 
-from conscal import baselines, calibrator, consistency, evaluation, records
+from conscal import baselines, calibrator, consistency, evaluation, records, synth
 from conscal.cli import build_parser, main
+from conscal.errors import MAX_SIZE
 
 from conftest import make_batch, make_generation, make_query
 from oracles import load_scores, token_row
@@ -953,6 +954,54 @@ def test_config_values_of_the_wrong_type_are_usage_errors(
     assert not (tmp_path / "x").exists()
 
 
+_HUGE = 10**29
+
+
+@pytest.mark.parametrize(
+    ("command", "setting"),
+    [("synth", "n_queries"), ("synth", "k"), ("synth", "distractor_count"),
+     ("synth", "embedding_dim"), ("eval", "n_trials"), ("eval", "bins"),
+     ("eval", "k_subsample")],
+)
+def test_a_size_setting_past_the_bound_is_a_usage_error(
+    command, setting, data_dir, tmp_path, capsys
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({setting: _HUGE}))
+    flags = _data_flags(data_dir) if command == "eval" else []
+    code = main([command, *flags, "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert code == 2
+    message = f"{setting} must be <= {MAX_SIZE}, got {_HUGE}"
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    ("command", "flag"),
+    [("synth", "--n-queries"), ("synth", "--k"), ("targets", "--k"), ("eval", "--trials"),
+     ("eval", "--bins"), ("eval", "--k"), ("selective", "--trials"), ("shift", "--k")],
+)
+@pytest.mark.parametrize("value", [0, MAX_SIZE + 1, _HUGE])
+def test_a_size_flag_out_of_range_is_a_usage_error_naming_the_flag(
+    command, flag, value, data_dir, tmp_path, capsys
+):
+    flags = [] if command == "synth" else _data_flags(data_dir, labels=command != "targets")
+    if command == "shift":
+        flags += ["--train-groups", "main", "--test-groups", "shifted"]
+    code = main([command, *flags, flag, str(value), "--out", str(tmp_path / "x")])
+    assert code == 2
+    bound = ">= 1" if value < 1 else f"<= {MAX_SIZE}"
+    assert capsys.readouterr().err == f"usage error: {flag} must be {bound}, got {value}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_sizes_up_to_the_bound_are_valid_settings():
+    assert synth.SynthConfig(n_queries=MAX_SIZE, k=MAX_SIZE, distractor_count=MAX_SIZE,
+                             embedding_dim=MAX_SIZE).k == MAX_SIZE
+    assert evaluation.TrialConfig(n_trials=MAX_SIZE, bins=MAX_SIZE,
+                                  k_subsample=MAX_SIZE).n_trials == MAX_SIZE
+
+
 def test_config_with_an_integer_too_long_to_parse_is_a_data_error(data_dir, tmp_path, capsys):
     cfg = tmp_path / "trial.json"
     cfg.write_text('{"n_trials": ' + "9" * 5000 + "}")
@@ -1136,6 +1185,17 @@ def test_cli_outputs_match_the_recorded_digests(tmp_path, monkeypatch, capsys):
         assert _read_strict_json(path), path
 
 
+def test_cli_outputs_keep_their_digests_when_generations_are_read_in_parts(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(records, "_BYTES_PER_PART", 4096)
+    monkeypatch.setattr(records, "_usable_cpus", lambda: 3)
+    assert records._read_part_count(20 * 8 * 500) == (3 if hasattr(os, "fork") else 1)
+    assert _golden_digests() == _read_json(_CLI_DIGESTS)
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # output names, and the exit codes of malformed input
 # ---------------------------------------------------------------------------
@@ -1199,9 +1259,9 @@ def test_a_command_writes_its_file_names_and_config_json_only(
     capsys.readouterr()
 
 
-# Values a swap puts in place of a field or entry, and byte strings a splice
-# inserts; sizes past what a run can hold are not among them.
-_SWAPS = [None, True, -1, 0.5, "x", "\ud800", [], {}, [1.5], float("inf")]
+# Values a swap puts in place of a field or entry, among them a size past
+# what a run can hold, and byte strings a splice inserts.
+_SWAPS = [None, True, -1, 0.5, "x", "\ud800", [], {}, [1.5], float("inf"), 10**29]
 _SPLICES = [b"\xff", b'"', b"{", b"]", b",", b"\\ud800", b"NaN", b"1e400", b"\r", b"\x00",
             b"9" * 400]
 

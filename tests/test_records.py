@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -889,17 +890,18 @@ def test_the_part_count_follows_cpus_rows_and_runs(monkeypatch):
     assert records._part_count(_parts_batch()) == 1  # 16 rows
 
 
-def _fail_in(side: str, monkeypatch) -> None:
-    """Make formatting raise ``OSError("disk on fire")`` in this process
-    (``side`` "parent") or in every forked part writer ("child")."""
-    parent, original = os.getpid(), records._batch_lines
+def _fail_in(side: str, monkeypatch, name: str = "_batch_lines") -> None:
+    """Make ``records.<name>`` (default: formatting) raise
+    ``OSError("disk on fire")`` in this process (``side`` "parent") or in
+    every forked part ("child")."""
+    parent, original = os.getpid(), getattr(records, name)
 
     def faulty(*args):
         if (os.getpid() == parent) == (side == "parent"):
             raise OSError("disk on fire")
         return original(*args)
 
-    monkeypatch.setattr(records, "_batch_lines", faulty)
+    monkeypatch.setattr(records, name, faulty)
 
 
 @_FORKS
@@ -939,6 +941,195 @@ def test_synth_reports_a_failing_part_writer_as_an_io_error(tmp_path, monkeypatc
         # No output name is left behind, and no directory the failed run made.
         assert sorted(os.listdir(tmp_path)) == ["rerun"]
         assert os.listdir(rerun) == ["notes.txt"]
+
+
+# ---------------------------------------------------------------------------
+# the generation reader in parts
+# ---------------------------------------------------------------------------
+
+# Lines cut anywhere between them must scan as the whole file does: a BOM,
+# bytes that are not UTF-8, CRLF and lone-CR line ends, NaN and Infinity
+# tokens, an integer too large for a float, a duplicate, a dimension change
+# and rows that only the column pass rejects, inside one q1 query run that
+# every cut splits, and a last line without a line end.
+_ROW = b'{"query_id":"%s","sample_index":%d,"response_text":"t","token_logprobs":[%s],'
+_CUT_LINES = [
+    b"\xef\xbb\xbf" + _ROW % (b"q1", 0, b"-0.1") + b'"embedding":[1,2]}\n',
+    _ROW % (b"q1", 0, b"-0.1") + b'"embedding":[1,2]}\n',
+    _ROW % (b"q\xff", 0, b"-0.1") + b'"embedding":[1,2]}\n',
+    _ROW % (b"q1", 1, b"-0.2") + b'"embedding":[3,4]}\r\n',
+    _ROW % (b"q1", 2, b"-0.3") + b'"answer_token_logprobs":[-0.3],"embedding":[5,6]}\r',
+    _ROW % (b"q1", 3, b"-0.1,NaN") + b'"embedding":[1,2]}\n',
+    _ROW % (b"q1", 4, b"-0.1") + b'"embedding":[1,2],"sampling_meta":{"t":Infinity}}\n',
+    _ROW % (b"q1", 1, b"-0.1") + b'"embedding":[1,2]}\n',
+    _ROW % (b"q1", 5, b"-0.1") + b'"embedding":[1,2,3]}\n',
+    b"not json{\r\n",
+    _ROW % (b"q1", 6, b"-0.1") + b'"answer_token_logprobs":[-1,1' + b"0" * 400
+    + b'],"embedding":[1,2]}\n',
+    _ROW % (b"q2", 0, b"0.5") + b'"embedding":[1,2]}\n',
+    _ROW.replace(b'"t"', '"é"'.encode()) % (b"q1", 7, b"-0.4") + b'"embedding":[7,8]}\n',
+    _ROW % (b"q2", 0, b"-Infinity") + b'"embedding":[1,2]}\n',
+    _ROW % (b"q2", 0, b"-0.5") + b'"embedding":[9,10]}\n',
+    b"[1]\n",
+    _ROW % (b"q2", 1, b"-0.6") + b'"embedding":[11,12]}',
+]
+_CUT_DIAGNOSTICS = [
+    (1, "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    (3, "invalid JSON (not UTF-8 text)"),
+    (10, "invalid JSON (Expecting value)"),
+    (16, "record must be a JSON object"),
+    (6, "token_logprobs contains a non-finite or non-numeric entry"),
+    (7, "sampling_meta contains NaN or Infinity"),
+    (8, "duplicate (query_id, sample_index) ('q1', 1)"),
+    (9, "query q1: embedding dimension 3 differs from 2"),
+    (11, "answer_token_logprobs contains a non-finite or non-numeric entry"),
+    (12, "token_logprobs contains an entry above 0"),
+    (14, "token_logprobs contains a non-finite or non-numeric entry"),
+]
+
+
+def _cut_file(tmp_path):
+    path = tmp_path / "generations.jsonl"
+    path.write_bytes(b"".join(_CUT_LINES))
+    return str(path)
+
+
+def test_the_cut_lines_scan_to_the_expected_rows_and_diagnostics(tmp_path):
+    path = _cut_file(tmp_path)
+    batch, diagnostics = records.scan_generation_records(path)
+    assert [(d.line, d.message) for d in diagnostics] == _CUT_DIAGNOSTICS
+    assert {d.path for d in diagnostics} == {path}
+    rows = [
+        make_generation("q1", 0, text="t", token_logprobs=(-0.1,), answer_token_logprobs=None,
+                        embedding=(1, 2)),
+        make_generation("q1", 1, text="t", token_logprobs=(-0.2,), answer_token_logprobs=None,
+                        embedding=(3, 4)),
+        make_generation("q1", 2, text="t", token_logprobs=(-0.3,),
+                        answer_token_logprobs=(-0.3,), embedding=(5, 6)),
+        make_generation("q1", 7, text="é", token_logprobs=(-0.4,), answer_token_logprobs=None,
+                        embedding=(7, 8)),
+        make_generation("q2", 0, text="t", token_logprobs=(-0.5,), answer_token_logprobs=None,
+                        embedding=(9, 10)),
+        make_generation("q2", 1, text="t", token_logprobs=(-0.6,), answer_token_logprobs=None,
+                        embedding=(11, 12)),
+    ]
+    assert batch == make_batch(rows)
+
+
+def _line_ends(path):
+    """Every byte offset just past a ``\\n`` of the file ``path``: where a cut may fall."""
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    return [at + 1 for at in range(len(blob)) if blob[at : at + 1] == b"\n"]
+
+
+def _scan_cut_at(path, cut):
+    """The scan of a generations file read as two parts, cut at byte ``cut``,
+    in this process."""
+    scan, tail = records._LineScan(), records._LineScan()
+    records._scan_lines(scan, path, 0, cut)
+    records._scan_lines(tail, path, cut, None)
+    scan.extend(tail)
+    return records._finish_scan(path, scan)
+
+
+def test_scans_merged_at_every_cut_equal_the_whole_scan(tmp_path):
+    path = _cut_file(tmp_path)
+    whole = records._scan_generation_parts(path, 1)
+    cuts = _line_ends(path)
+    assert len(cuts) == 15
+    for cut in cuts:
+        assert _scan_cut_at(path, cut) == whole, cut
+
+
+@_FORKS
+@pytest.mark.parametrize(("parts", "ranges"), [(1, 1), (2, 2), (3, 3), (40, 15)])
+def test_every_read_part_count_equals_the_whole_scan(tmp_path, parts, ranges):
+    path = _cut_file(tmp_path)
+    # More parts than lines: a part per line end past each share, 15 of 17 lines.
+    assert len(records._line_ranges(path, parts)) == ranges
+    batch, diagnostics = records._scan_generation_parts(path, parts)
+    assert (batch, diagnostics) == records._scan_generation_parts(path, 1)
+    assert os.listdir(tmp_path) == ["generations.jsonl"]
+    with pytest.raises(ChildProcessError):  # every part reader was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_line_ranges_cut_past_the_first_newline_at_each_share(tmp_path):
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(b"aaaa\nbb\r\ncccccc\nd")  # 17 bytes
+    assert records._line_ranges(str(path), 1) == [(0, None)]
+    assert records._line_ranges(str(path), 2) == [(0, 9), (9, None)]  # byte 8 ends "\r\n"
+    assert records._line_ranges(str(path), 3) == [(0, 9), (9, 16), (16, None)]
+    every_line = [(0, 5), (5, 9), (9, 16), (16, None)]
+    assert records._line_ranges(str(path), 4) == every_line
+    assert records._line_ranges(str(path), 17) == every_line  # "d" has no \n: no cut
+    path.write_bytes(b"")
+    assert records._line_ranges(str(path), 3) == [(0, None)]
+
+
+def test_the_read_part_count_follows_cpus_and_the_byte_floor(monkeypatch):
+    floor = records._BYTES_PER_PART
+    monkeypatch.setattr(records, "_usable_cpus", lambda: 16)
+    if hasattr(os, "fork"):
+        assert records._read_part_count(0) == records._read_part_count(floor - 1) == 1
+        assert records._read_part_count(3 * floor + floor // 2) == 3
+        assert records._read_part_count(100 * floor) == records._MAX_PARTS
+        monkeypatch.setattr(records, "_usable_cpus", lambda: 2)
+        assert records._read_part_count(100 * floor) == 2
+        # The 40 x 100 dataset of the CI's CPU-count check reads in 2 parts.
+        _, batch, _ = synth.generate(synth.SynthConfig(n_queries=40, k=100, seed=0))
+        assert records._read_part_count(len(_written_generations(batch, None))) == 2
+        monkeypatch.delattr(os, "fork")
+    assert records._read_part_count(100 * floor) == 1
+
+
+@_FORKS
+@pytest.mark.parametrize("side", ["child", "parent"])
+def test_a_failing_read_part_raises_and_leaves_no_child_and_no_stray_file(
+    tmp_path, monkeypatch, side
+):
+    data, temp = tmp_path / "data", tmp_path / "tmp"
+    data.mkdir()
+    temp.mkdir()
+    path = _cut_file(data)
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    _fail_in(side, monkeypatch, "_scan_lines")
+    where = f"{path}: OSError: " if side == "child" else ""
+    with pytest.raises(OSError, match=f"^{re.escape(where)}disk on fire$"):
+        records._scan_generation_parts(path, 3)
+    # A part reader that returned into this test would run this line too.
+    with open(tmp_path / "after.txt", "a", encoding="utf-8") as handle:
+        handle.write(f"{os.getpid()}\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(data) == ["generations.jsonl"]
+    assert os.listdir(temp) == []
+    assert (tmp_path / "after.txt").read_text(encoding="utf-8").split() == [str(os.getpid())]
+
+
+@_FORKS
+@pytest.mark.parametrize("command", ["validate", "eval"])
+def test_a_failing_read_part_is_an_io_error(tmp_path, monkeypatch, capsys, command):
+    data = tmp_path / "data"
+    assert main(["synth", "--n-queries", "20", "--k", "8", "--seed", "0", "--out", str(data)]) == 0
+    generations = data / "generations.jsonl"
+    argv = [command, "--queries", str(data / "queries.jsonl"), "--generations",
+            str(generations), "--labels", str(data / "labels.jsonl")]
+    if command == "eval":
+        argv += ["--trials", "2", "--bins", "4", "--out"]
+    monkeypatch.setattr(records, "_BYTES_PER_PART", 4096)
+    monkeypatch.setattr(records, "_usable_cpus", lambda: 3)
+    assert records._read_part_count(generations.stat().st_size) == 3
+    assert main([*argv, str(tmp_path / "ok")] if command == "eval" else argv) == 0
+    capsys.readouterr()
+    _fail_in("child", monkeypatch, "_scan_lines")
+    out = tmp_path / "failed"
+    assert main([*argv, str(out)] if command == "eval" else argv) == 2
+    assert capsys.readouterr() == ("", f"io error: {generations}: OSError: disk on fire\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not out.exists()
 
 
 _GROUPED_IDS = st.sampled_from(["q1", "q2", "q3", "ghost"])
@@ -1096,6 +1287,8 @@ def test_loaders_match_the_per_row_oracles(lines, query_ids, label_lines):
         assert [(d.path, d.line, d.message) for d in diagnostics] == [
             (generations, line, message) for line, message in expected
         ]
+        for cut in _line_ends(generations):  # read in two parts, the same scan
+            assert _scan_cut_at(generations, cut) == (batch, diagnostics)
 
         z, diagnostics = records.scan_labels(labels)
         _, expected = scan_labels_by_row(labels)
