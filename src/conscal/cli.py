@@ -19,9 +19,10 @@ Every command writes its outputs under ``--out`` (default: a fresh
 ``runs/<timestamp>-<confighash>`` directory) with fixed file names, plus a
 ``config.json`` echoing the fully resolved settings.  File contents are
 deterministic given the same inputs and seed; rerunning with the same
-``--out`` reproduces byte-identical files.  A command computes all it writes
-before it creates the directory, so a rejected run leaves none behind, and
-a failed write leaves none of the command's file names (see :func:`_publish`).
+``--out`` reproduces byte-identical files.  A command checks its settings
+and reads its inputs before it creates the directory, so a rejected run
+leaves none behind; ``synth`` draws its dataset as it writes it.  A failed
+write leaves none of the command's file names (see :func:`_publish`).
 """
 
 from __future__ import annotations
@@ -60,12 +61,15 @@ def _check_utf8(args: argparse.Namespace) -> None:
 
 
 def _publish(
-    args: argparse.Namespace, config_obj: dict[str, Any], writers: dict[str, Callable[[str], Any]]
+    args: argparse.Namespace,
+    config_obj: dict[str, Any],
+    writers: dict[str | tuple[str, ...], Callable[..., Any]],
 ) -> str:
     """Into ``--out`` (default: a fresh ``runs/<timestamp>-<confighash>``),
-    call each writer of ``writers`` with the path of its file name, then write
-    ``config.json``; return the directory.  If a writer raises, every file of
-    those names goes, and so does the directory if this call created it."""
+    call each writer of ``writers`` with the path of its file name, or of
+    each of its tuple of names, then write ``config.json``; return the
+    directory.  If a writer raises, every file of those names goes, and so
+    does the directory if this call created it."""
     out = args.out
     if not out:
         digest = hashlib.sha256(
@@ -75,14 +79,20 @@ def _publish(
         out = os.path.join("runs", f"{stamp}-{digest}")
     created = not os.path.isdir(out)
     os.makedirs(out, exist_ok=True)
-    writers = {**writers, "config.json": lambda path: records.write_json(path, config_obj)}
+    named = [
+        ((names,) if isinstance(names, str) else names, write)
+        for names, write in {
+            **writers, "config.json": lambda path: records.write_json(path, config_obj)
+        }.items()
+    ]
     try:
-        for name, write in writers.items():
-            write(os.path.join(out, name))
+        for names, write in named:
+            write(*(os.path.join(out, name) for name in names))
     except BaseException:
-        for name in writers:
-            with contextlib.suppress(OSError):  # a directory, say, is not ours to remove
-                os.remove(os.path.join(out, name))
+        for names, _ in named:
+            for name in names:
+                with contextlib.suppress(OSError):  # a directory, say, is not ours to remove
+                    os.remove(os.path.join(out, name))
         if created:
             with contextlib.suppress(OSError):
                 os.rmdir(out)
@@ -183,20 +193,15 @@ def _trial_config(
 def cmd_synth(args: argparse.Namespace) -> int:
     config = _synth_config(args)
     config_obj = {"command": "synth", "preset": args.preset, **dataclasses.asdict(config)}
-    queries, generations, z = synth.generate(config)
-    truths: list[synth.QueryTruth] = []
+    written: list[tuple[list[float], int]] = []
     out = _publish(args, config_obj, {
-        "queries.jsonl": lambda path: records.write_queries(path, queries),
-        "generations.jsonl": lambda path: records.write_generations(
-            path, generations, synth.sampling_meta(config)
-        ),
-        "labels.jsonl": lambda path: records.write_labels(path, generations, z),
-        "truth.jsonl": lambda path: truths.extend(synth.write_truth(path, config, queries)),
+        synth.DATASET_FILES: lambda *paths: written.append(synth.write_dataset(config, *paths)),
     })
-    mean_pi = sum(t.pi for t in truths) / len(truths)
-    accuracy = int(z.sum()) / len(z)
+    [(pis, correct)] = written
+    mean_pi = sum(pis) / len(pis)
+    accuracy = correct / (len(pis) * config.k)
     print(
-        f"wrote {len(queries)} queries x {config.k} samples to {out} "
+        f"wrote {len(pis)} queries x {config.k} samples to {out} "
         f"(mean pi {mean_pi:.4f}, sample accuracy {accuracy:.4f})"
     )
     return 0

@@ -517,18 +517,17 @@ def _scan_generation_parts(path: str, parts: int) -> tuple[GenerationBatch, list
     of ``path`` (see :func:`_line_ranges`).
 
     This process runs the per-line stage over the first range while a
-    forked child runs it over each other one and pickles its
-    :class:`_LineScan` into an anonymous temporary file.  The scans are
-    merged in order, then finished here.
+    forked child runs it over each other one and sends its
+    :class:`_LineScan` back (see :func:`_run_parts`).  The scans are merged
+    in order, then finished here.
     """
     (start, stop), *rest = _line_ranges(path, parts)
     scan = _LineScan()
     _run_parts(
         path,
-        None,
         lambda: _scan_lines(scan, path, start, stop),
-        [lambda part, bounds=bounds: _pickle_scan(part, path, *bounds) for bounds in rest],
-        lambda part: scan.extend(pickle.load(part)),
+        [lambda _, bounds=bounds: _scanned(path, *bounds) for bounds in rest],
+        lambda part, _: scan.extend(part),
     )
     return _finish_scan(path, scan)
 
@@ -552,12 +551,11 @@ def _line_ranges(path: str, parts: int) -> list[tuple[int, int | None]]:
     return list(zip(cuts, [*cuts[1:], None]))
 
 
-def _pickle_scan(part: BinaryIO, path: str, start: int, stop: int | None) -> None:
-    """A part reader's work: the per-line stage over bytes ``start:stop`` of
-    ``path``, pickled into ``part``."""
+def _scanned(path: str, start: int, stop: int | None) -> _LineScan:
+    """The per-line stage over bytes ``start:stop`` of ``path``."""
     scan = _LineScan()
     _scan_lines(scan, path, start, stop)
-    pickle.dump(scan, part, protocol=pickle.HIGHEST_PROTOCOL)
+    return scan
 
 
 def _scan_lines(scan: _LineScan, path: str, start: int, stop: int | None) -> None:
@@ -926,12 +924,15 @@ _GENERATION_LINE = (
 _LABEL_LINE = '{{"query_id":{},"sample_index":{},"z":{}}}\n'
 _SCORE_LINE = '{{"query_id":{},{}"method":{},"confidence":{}{}}}\n'
 _IMPUTED = {None: "", False: ',"imputed":false', True: ',"imputed":true'}
-# write_generations forks a child for each part past the first.  On a
-# 2-CPU x86-64 host a fork takes 1-2 ms and appending a 6 MB part 1.5 ms,
-# the time of about 100 rows at 22-34 us a row, and a child formats its
-# rows some 20% slower than a lone process (copy-on-write page faults).
-# A part of 1,000 rows saves ten times its fixed cost.
+# A part run (see write_parts) forks a child for each part past the first.
+# On a 2-CPU x86-64 host a fork takes 1-2 ms and appending a 6 MB part
+# 1.5 ms, the time of about 100 generation rows at 22-34 us a row, and a
+# child formats its rows some 20% slower than a lone process (copy-on-write
+# page faults).  A part of 1,000 rows saves ten times its fixed cost.  A
+# score line takes 2.4-3 us and 100 bytes, so a part of 5,000 lines moves
+# 12-15 ms of work for some 2 ms.
 _ROWS_PER_PART = 1000
+_SCORE_LINES_PER_PART = 5000
 _MAX_PARTS = 8
 # scan_generation_records reads in parts too, each after the first in a
 # forked child that pickles its columns back.  On the same host a part
@@ -940,16 +941,28 @@ _MAX_PARTS = 8
 # work to another CPU for about 5 ms.
 _BYTES_PER_PART = 1 << 20
 _COPY_CHUNK = 1 << 16  # bytes per copy when a part is appended
+# The first byte a part child sends back: its work's pickled value follows,
+# or its error text.
+_VALUE, _ERROR = b"V", b"E"
 
 
 def _dump(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(lines)
+
+
+def object_lines(objects: Iterable[Any]) -> Iterator[str]:
+    """Each object as one compact JSON line, the format of every JSONL file."""
+    return (_dump(obj) + "\n" for obj in objects)
+
+
 def write_json_lines(path: str, objects: Iterable[Any]) -> None:
     """Write each object as one compact JSON line, the format of every JSONL file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(_dump(obj) + "\n" for obj in objects)
+    _write_lines(path, object_lines(objects))
 
 
 def write_json(path: str, obj: Any) -> None:
@@ -986,9 +999,9 @@ def _segment_texts(
     return [texts[a - base : b - base] for a, b in zip(ends, ends[1:])]
 
 
-def _batch_lines(batch: GenerationBatch, tail: str, runs: range) -> Iterator[list[str]]:
-    """The lines of the query runs ``runs`` of a batch, one list per run,
-    formatted from its columns; ``tail`` is the text after each line's
+def _batch_lines(batch: GenerationBatch, tail: str, runs: range) -> Iterator[str]:
+    """The lines of the query runs ``runs`` of a batch, formatted from its
+    columns a run at a time; ``tail`` is the text after each line's
     embedding."""
     offsets = batch.query_offsets.tolist()
     dim = batch.embedding.shape[1]
@@ -1015,11 +1028,29 @@ def _batch_lines(batch: GenerationBatch, tail: str, runs: range) -> Iterator[lis
                     tail,
                 )
             )
-        yield lines
+        yield from lines
+
+
+def query_lines(queries: Iterable[QueryRecord]) -> Iterator[str]:
+    """The line of each query, in order."""
+    return object_lines(map(_query_object, queries))
 
 
 def write_queries(path: str, queries: Iterable[QueryRecord]) -> None:
-    write_json_lines(path, map(_query_object, queries))
+    _write_lines(path, query_lines(queries))
+
+
+def _meta_tail(sampling_meta: Mapping[str, Any] | None) -> str:
+    """The text after each generation line's embedding."""
+    return "" if sampling_meta is None else ',"sampling_meta":' + _dump(dict(sampling_meta))
+
+
+def generation_lines(
+    batch: GenerationBatch, sampling_meta: Mapping[str, Any] | None = None
+) -> Iterator[str]:
+    """The line of each row of ``batch``, in row order, formatted in this
+    process; every line ends with ``sampling_meta`` when it is given."""
+    return _batch_lines(batch, _meta_tail(sampling_meta), range(len(batch.query_ids)))
 
 
 def write_generations(
@@ -1029,9 +1060,8 @@ def write_generations(
     with ``sampling_meta`` when it is given.
 
     Where ``os.fork`` exists, the rows are formatted in parts at once, one
-    per usable CPU (see :func:`_part_count`); the bytes do not depend on the
-    number of parts.  A part that fails in its child raises ``OSError``
-    with the child's error text.
+    per usable CPU (see :func:`_part_count` and :func:`write_parts`); the
+    bytes do not depend on the number of parts.
     """
     _write_generation_parts(path, batch, sampling_meta, _part_count(batch))
 
@@ -1047,6 +1077,15 @@ def _part_count(batch: GenerationBatch) -> int:
     ``_MAX_PARTS``, the batch's query runs, or one per ``_ROWS_PER_PART``
     rows; one where ``os.fork`` does not exist."""
     return _parts_within(len(batch.query_ids), len(batch) // _ROWS_PER_PART)
+
+
+def part_ranges(offsets: Sequence[int]) -> list[range]:
+    """The ranges of runs to write rows in, one per part, where run ``r``
+    holds rows ``offsets[r]:offsets[r + 1]``: as many parts as
+    :func:`_part_count` gives a batch of those runs, cut where a run starts
+    into about equal rows (see :func:`_part_runs`)."""
+    runs, rows = len(offsets) - 1, offsets[-1]
+    return _part_runs(offsets, _parts_within(runs, rows // _ROWS_PER_PART))
 
 
 def _parts_within(*limits: int) -> int:
@@ -1067,111 +1106,170 @@ def _part_runs(offsets: Sequence[int], parts: int) -> list[range]:
     return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
-def _write_runs(handle: TextIO, batch: GenerationBatch, tail: str, runs: range) -> None:
-    for lines in _batch_lines(batch, tail, runs):
-        handle.writelines(lines)
-
-
 def _write_generation_parts(
     path: str, batch: GenerationBatch, sampling_meta: Mapping[str, Any] | None, parts: int
 ) -> None:
-    """:func:`write_generations` in at most ``parts`` parts.
+    """:func:`write_generations` in at most ``parts`` parts, cut at query runs."""
+    tail = _meta_tail(sampling_meta)
+    write_parts(
+        [path],
+        _part_runs(batch.query_offsets.tolist(), parts),
+        lambda runs: ([lambda handle: handle.writelines(_batch_lines(batch, tail, runs))], None),
+    )
 
-    This process formats the first part straight into ``path`` while a
-    forked child formats each other one into an anonymous temporary file
-    in ``path``'s directory; the parts are appended in order.
+
+def write_parts(
+    paths: Sequence[str],
+    cuts: Sequence[Any],
+    format_part: Callable[[Any], tuple[Sequence[Callable[[TextIO], None]], Any]],
+) -> list[Any]:
+    """Write the files ``paths`` in one part for each of ``cuts``, part
+    after part, and return each part's value in order.
+
+    ``format_part(cut)`` returns a writer for each path, which writes the
+    part's lines of that file into a text handle, and a small picklable
+    value.  This process writes the first part straight into ``paths``
+    while a forked child writes each other one into anonymous temporary
+    files in the first path's directory; each child's files are appended
+    in order.  A part that fails in its child raises ``OSError`` with the
+    child's error text, naming the file that its writer was writing (the
+    first path, before any writer ran).
     """
-    tail = "" if sampling_meta is None else ',"sampling_meta":' + _dump(dict(sampling_meta))
-    first, *rest = _part_runs(batch.query_offsets.tolist(), parts)
-    with open(path, "w", encoding="utf-8") as handle:
+    values: list[Any] = []
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(path, "w", encoding="utf-8")) for path in paths]
 
         def here() -> None:
-            _write_runs(handle, batch, tail, first)
-            handle.flush()
+            writers, value = format_part(cuts[0])
+            for write, handle in zip(writers, handles):
+                write(handle)
+                handle.flush()
+            values.append(value)
+
+        def forked(part: _Part, cut: Any) -> Any:
+            writers, value = format_part(cut)
+            for path, write, file in zip(paths, writers, part.files):
+                part.name = path
+                with open(file.fileno(), "w", encoding="utf-8", closefd=False) as handle:
+                    write(handle)
+            return value
+
+        def take(value: Any, files: list[BinaryIO]) -> None:
+            for file, handle in zip(files, handles):
+                shutil.copyfileobj(file, handle.buffer, _COPY_CHUNK)
+            values.append(value)
 
         _run_parts(
-            path,
-            os.path.dirname(path) or os.curdir,
+            paths[0],
             here,
-            [lambda part, runs=runs: _write_part(part, batch, tail, runs) for runs in rest],
-            lambda part: shutil.copyfileobj(part, handle.buffer, _COPY_CHUNK),
+            [lambda part, cut=cut: forked(part, cut) for cut in cuts[1:]],
+            take,
+            files=len(paths),
+            directory=os.path.dirname(paths[0]) or os.curdir,
         )
+    return values
 
 
-def _write_part(part: BinaryIO, batch: GenerationBatch, tail: str, runs: range) -> None:
-    """A part writer's work: format ``runs`` into ``part``."""
-    with open(part.fileno(), "w", encoding="utf-8", closefd=False) as handle:
-        _write_runs(handle, batch, tail, runs)
+class _Part:
+    """A forked part's anonymous temporary files, and the name its failure
+    reports: the part run's, or the file its work says it is writing."""
+
+    def __init__(self, name: str, files: list[BinaryIO]) -> None:
+        self.name, self.files = name, files
 
 
 def _run_parts(
-    path: str,
-    directory: str | None,
+    name: str,
     here: Callable[[], None],
-    forked: Sequence[Callable[[BinaryIO], None]],
-    take: Callable[[BinaryIO], None],
+    forked: Sequence[Callable[[_Part], Any]],
+    take: Callable[[Any, list[BinaryIO]], None],
+    *,
+    files: int = 0,
+    directory: str | None = None,
 ) -> None:
     """Call ``here`` in this process while a forked child calls each of
-    ``forked`` with an anonymous temporary file in ``directory`` (None: the
-    system's temporary directory) to write to; then call ``take`` with each
-    child's file, rewound, in order.
+    ``forked`` with a :class:`_Part` of ``files`` anonymous temporary files
+    in ``directory``; then call ``take`` with each child's return value and
+    its files, rewound, in order.
 
-    A child that fails raises ``OSError`` naming ``path``, with the child's
-    error text.  Every child is reaped before this returns or raises; one
-    still running when something here fails is killed first.
+    A child sends its value back pickled, over the pipe that carries its
+    error text when it fails, and this process unpickles it as it comes,
+    so a part that writes no file makes none.  A
+    child that fails raises ``OSError`` with its error text, which names
+    its part's name.  Every child is reaped before this returns or raises;
+    one still running when something here fails is killed first.
     """
     running: list[int] = []
     with contextlib.ExitStack() as stack:
         stack.callback(_stop, running)
-        children = [_fork_part(stack, running, directory, work) for work in forked]
+        children = []
+        for work in forked:
+            part = _Part(name, [
+                stack.enter_context(tempfile.TemporaryFile(dir=directory)) for _ in range(files)
+            ])
+            children.append(_fork_part(stack, running, part, work))
         here()
-        for pid, errors, part in children:
-            reason = errors.read().decode("utf-8", "replace")  # read to the child's exit
+        for pid, channel, part in children:
+            tag, failure = channel.read(1), None
+            try:  # straight from the pipe: the value's bytes are never held whole
+                value = pickle.load(channel) if tag == _VALUE else None
+            except Exception as exc:  # a value cut short, if the child ended while sending it
+                failure = exc
+            rest = channel.read()  # to the child's exit
             status = os.waitpid(pid, 0)[1]
             running.remove(pid)
             if status:
                 code = os.waitstatus_to_exitcode(status)
-                raise OSError(f"{path}: {reason or f'a part ended with code {code}'}")
-            part.seek(0)
-            take(part)
+                reason = rest.decode("utf-8", "replace") if tag == _ERROR else ""
+                raise OSError(reason or f"{name}: a part ended with code {code}")
+            if failure is not None:
+                raise failure
+            for file in part.files:
+                file.seek(0)
+            take(value, part.files)
 
 
 def _fork_part(
-    stack: contextlib.ExitStack, running: list[int], directory: str | None,
-    work: Callable[[BinaryIO], None],
-) -> tuple[int, BinaryIO, BinaryIO]:
-    """Fork a child that calls ``work`` with an anonymous temporary file in
-    ``directory``, and add its pid to ``running``.  Returns the pid, the
-    read end of a pipe that carries the child's error text, and the file;
-    ``stack`` closes both."""
-    part = stack.enter_context(tempfile.TemporaryFile(dir=directory))
+    stack: contextlib.ExitStack, running: list[int], part: _Part, work: Callable[[_Part], Any]
+) -> tuple[int, BinaryIO, _Part]:
+    """Fork a child that calls ``work(part)``, and add its pid to
+    ``running``.  Returns the pid, the read end of the pipe that carries
+    the child's value or error text, and ``part``; ``stack`` closes the
+    pipe."""
     read_end, write_end = os.pipe()
-    errors = stack.enter_context(open(read_end, "rb"))
-    report = stack.enter_context(open(write_end, "wb", buffering=0))
+    channel = stack.enter_context(open(read_end, "rb"))
+    report = stack.enter_context(open(write_end, "wb"))
     pid = os.fork()
     if pid == 0:
         _run_part(report, part, work)
     running.append(pid)
-    report.close()  # the child holds the last write end: errors reads to its exit
-    return pid, errors, part
+    report.close()  # the child holds the last write end: channel reads to its exit
+    return pid, channel, part
 
 
-def _run_part(report: BinaryIO, part: BinaryIO, work: Callable[[BinaryIO], None]) -> NoReturn:
-    """A forked child's whole life: ``work(part)``, then ``part`` flushed,
-    or its error text written to ``report``.  It leaves through
+def _run_part(report: BinaryIO, part: _Part, work: Callable[[_Part], Any]) -> NoReturn:
+    """A forked child's whole life: ``work(part)``, then ``part``'s files
+    flushed and the value pickled into ``report`` after ``_VALUE``; or
+    ``_ERROR`` and the error text, after ``part.name``.  It leaves through
     ``os._exit`` only, so it never flushes the caller's buffers or returns
     into the caller.  A part's work runs Python and element-wise numpy
     only, so no lock that another thread of the parent held at the fork is
     taken."""
-    code = 1
+    code, message = 1, _ERROR
     try:
-        work(part)
-        part.flush()
-        code = 0
+        value = work(part)
+        for file in part.files:
+            file.flush()
+        message, code = _VALUE + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL), 0
     except BaseException as exc:
-        report.write(f"{type(exc).__name__}: {exc}".encode("utf-8", "backslashreplace"))
+        text = f"{part.name}: {type(exc).__name__}: {exc}"
+        message = _ERROR + text.encode("utf-8", "backslashreplace")
     finally:
-        os._exit(code)
+        try:
+            report.write(message)
+            report.flush()
+        finally:
+            os._exit(code)
 
 
 def _stop(pids: list[int]) -> None:
@@ -1181,20 +1279,23 @@ def _stop(pids: list[int]) -> None:
         os.waitpid(pid, 0)
 
 
-def write_labels(path: str, batch: GenerationBatch, z: np.ndarray) -> None:
-    """Write a line for each labelled row of ``batch`` (``z`` 0 or 1), in row order."""
+def label_lines(batch: GenerationBatch, z: np.ndarray) -> Iterator[str]:
+    """The line of each labelled row of ``batch`` (``z`` 0 or 1), in row order."""
     if len(z) != len(batch):
         raise DataError(f"z has {len(z)} entries for a batch of {len(batch)} rows")
     labels = np.asarray(z).tolist()
     offsets = batch.query_offsets.tolist()
-    with open(path, "w", encoding="utf-8") as handle:
-        for run, query_id in enumerate(batch.query_ids):
-            head = encode_basestring(query_id)
-            handle.writelines(
-                _LABEL_LINE.format(head, batch.sample_index[i], labels[i])
-                for i in range(offsets[run], offsets[run + 1])
-                if labels[i] >= 0
-            )
+    return (
+        _LABEL_LINE.format(head, batch.sample_index[i], labels[i])
+        for run, head in enumerate(map(encode_basestring, batch.query_ids))
+        for i in range(offsets[run], offsets[run + 1])
+        if labels[i] >= 0
+    )
+
+
+def write_labels(path: str, batch: GenerationBatch, z: np.ndarray) -> None:
+    """Write a line for each labelled row of ``batch`` (``z`` 0 or 1), in row order."""
+    _write_lines(path, label_lines(batch, z))
 
 
 def write_targets(path: str, targets: Iterable[ConsistencyTarget]) -> None:
@@ -1207,20 +1308,55 @@ def write_scores(path: str, columns: Iterable[tuple[str, Sequence[str], Any, Any
 
     A ``sample_index`` of None (rows that score a whole query) or an
     ``imputed`` of None (a method that imputes nothing) leaves its key out.
+    Where ``os.fork`` exists, the lines are formatted in parts at once, one
+    per usable CPU but no more than one per ``_SCORE_LINES_PER_PART`` lines
+    (see :func:`write_parts`); the bytes do not depend on the number of
+    parts.
     """
-    with open(path, "w", encoding="utf-8") as handle:
-        for method, query_ids, sample_index, confidence, imputed in columns:
-            name = encode_basestring(method)
-            keys = (
-                repeat("") if sample_index is None
-                else (f'"sample_index":{i},' for i in sample_index)
-            )
-            flags = repeat(None) if imputed is None else np.asarray(imputed, dtype=bool).tolist()
-            texts = _float_texts(np.asarray(confidence, dtype=float))
-            handle.writelines(
-                _SCORE_LINE.format(encode_basestring(query_id), key, name, text, _IMPUTED[flag])
-                for query_id, key, text, flag in zip(query_ids, keys, texts, flags)
-            )
+    columns = list(columns)
+    lines = sum(len(column[1]) for column in columns)
+    _write_score_parts(path, columns, _parts_within(lines // _SCORE_LINES_PER_PART))
+
+
+def _write_score_parts(
+    path: str, columns: Sequence[tuple[str, Sequence[str], Any, Any, Any]], parts: int
+) -> None:
+    """:func:`write_scores` in at most ``parts`` parts, cut into nonempty
+    ranges of about equal line counts across the method columns (one empty
+    range for no lines)."""
+    total = sum(len(column[1]) for column in columns)
+    bounds = [0, *sorted({total * p // parts for p in range(1, parts)} - {0}), total]
+    write_parts(
+        [path],
+        [range(start, stop) for start, stop in zip(bounds, bounds[1:])],
+        lambda lines: ([lambda handle: handle.writelines(_score_lines(columns, lines))], None),
+    )
+
+
+def _score_lines(
+    columns: Sequence[tuple[str, Sequence[str], Any, Any, Any]], lines: range
+) -> Iterator[str]:
+    """The score lines ``lines`` of the method columns, numbered across them."""
+    first = 0
+    for method, query_ids, sample_index, confidence, imputed in columns:
+        start, stop = max(lines.start - first, 0), min(lines.stop - first, len(query_ids))
+        first += len(query_ids)
+        if start >= stop:
+            continue
+        name = encode_basestring(method)
+        keys = (
+            repeat("") if sample_index is None
+            else (f'"sample_index":{i},' for i in sample_index[start:stop])
+        )
+        flags = (
+            repeat(None) if imputed is None
+            else np.asarray(imputed, dtype=bool)[start:stop].tolist()
+        )
+        texts = _float_texts(np.asarray(confidence, dtype=float)[start:stop])
+        yield from (
+            _SCORE_LINE.format(encode_basestring(query_id), key, name, text, _IMPUTED[flag])
+            for query_id, key, text, flag in zip(query_ids[start:stop], keys, texts, flags)
+        )
 
 
 def _raise_if_any(diagnostics: Sequence[Diagnostic]) -> None:

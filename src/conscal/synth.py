@@ -38,11 +38,11 @@ own difficulty distribution and group tag for distribution-shift studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from . import seeding
+from . import records, seeding
 from .errors import ConfigError, DataError, require_integer, require_real, require_size
 from .records import GenerationBatch, QueryRecord, write_json_lines
 
@@ -274,33 +274,41 @@ def _append_rows(
 
 
 def generate(
-    config: SynthConfig,
+    config: SynthConfig, indices: range | None = None
 ) -> tuple[list[QueryRecord], GenerationBatch, np.ndarray]:
-    """Generate a full dataset: queries, generations, and their labels ``z``.
+    """Generate a dataset: queries, generations, and their labels ``z``.
 
     Deterministic given ``config``; single sequential pass over queries.
     The generations stay in the columns they are drawn into; ``z`` is an
     ``int8`` column over the generation rows, 1 where the sampled answer is
-    the gold one.
+    the gold one.  ``indices``, a range of query indices of step 1 (default:
+    every query), limits the dataset to those queries: each query draws
+    from a stream of its own, so they are the same queries, generation rows
+    and labels as that slice of the whole dataset's, bit for bit.
     """
+    total, k = _total_queries(config), config.k
+    if indices is None:
+        indices = range(total)
+    elif indices.step != 1 or not 0 <= indices.start <= indices.stop <= total:
+        raise ValueError(f"{indices!r} is not a range of step 1 within range(0, {total})")
     direction = seeding.generator(config.seed, _STREAM_DIRECTION).normal(
         size=config.embedding_dim
     )
     direction /= np.linalg.norm(direction)
-    total, k = _total_queries(config), config.k
+    n = len(indices)
     queries: list[QueryRecord] = []
-    z = np.empty(total * k, dtype=np.int8)
+    z = np.empty(n * k, dtype=np.int8)
     texts: list[str] = []
     sampled: list[str] = []
     # Rows are shorter than their count range's upper end, so these columns
     # have room for every row; the batch keeps the filled prefix.
-    token_column = np.empty(total * k * (_TOKEN_COUNT[1] - 1))
-    span_column = np.empty(total * k * (_ANSWER_TOKEN_COUNT[1] - 1))
-    token_offsets = np.zeros(total * k + 1, dtype=np.intp)
-    span_offsets = np.zeros(total * k + 1, dtype=np.intp)
-    embeddings = np.empty((total * k, config.embedding_dim))
-    for index in range(total):
-        rows = slice(index * k, (index + 1) * k)
+    token_column = np.empty(n * k * (_TOKEN_COUNT[1] - 1))
+    span_column = np.empty(n * k * (_ANSWER_TOKEN_COUNT[1] - 1))
+    token_offsets = np.zeros(n * k + 1, dtype=np.intp)
+    span_offsets = np.zeros(n * k + 1, dtype=np.intp)
+    embeddings = np.empty((n * k, config.embedding_dim))
+    for position, index in enumerate(indices):
+        rows = slice(position * k, (position + 1) * k)
         rng, pi, masses = _answer_distribution(config, index)
         group, *_ = _group_of(config, index)
         qid = _query_id(index)
@@ -351,8 +359,8 @@ def generate(
             sampled.append(answer)
     generations = GenerationBatch(
         query_ids=tuple(q.query_id for q in queries),
-        query_offsets=np.arange(0, total * k + 1, k),
-        sample_index=tuple(range(k)) * total,
+        query_offsets=np.arange(0, n * k + 1, k),
+        sample_index=tuple(range(k)) * n,
         response_text=tuple(texts),
         answer=tuple(sampled),
         token_logprobs=token_column[: token_offsets[-1]].copy(),
@@ -431,6 +439,13 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 
 
+def _truth_objects(
+    queries: Iterable[QueryRecord], truths: Iterable[QueryTruth]
+) -> Iterator[dict[str, Any]]:
+    for query, truth in zip(queries, truths):
+        yield {"query_id": query.query_id, "pi": truth.pi, "modal_prob": truth.modal_prob}
+
+
 def write_truth(
     path: str, config: SynthConfig, queries: Iterable[QueryRecord]
 ) -> list[QueryTruth]:
@@ -440,9 +455,46 @@ def write_truth(
     """
     queries = list(queries)
     truths = [query_truth(config, query) for query in queries]
-    write_json_lines(path, (
-        {"query_id": query.query_id, "pi": truth.pi, "modal_prob": truth.modal_prob}
-        for query, truth in zip(queries, truths)
-    ))
+    write_json_lines(path, _truth_objects(queries, truths))
     return truths
 
+
+# ---------------------------------------------------------------------------
+# the dataset files
+# ---------------------------------------------------------------------------
+
+DATASET_FILES = ("queries.jsonl", "generations.jsonl", "labels.jsonl", "truth.jsonl")
+
+
+def write_dataset(config: SynthConfig, *paths: str) -> tuple[list[float], int]:
+    """Write the dataset of ``config`` into ``paths``, one for each of
+    :data:`DATASET_FILES`: its queries, generations, labels and truth.
+
+    Returns each query's ``pi``, in query order, and the count of samples
+    whose answer is the gold one.  Where ``os.fork`` exists, the queries
+    are cut into ranges of about equal rows, one per usable CPU (see
+    :func:`records.part_ranges`); each range is generated and formatted in
+    a part of its own (see :func:`records.write_parts`), so the bytes do not
+    depend on the number of parts.
+    """
+    k = config.k
+    ranges = records.part_ranges(range(0, _total_queries(config) * k + 1, k))
+    values = records.write_parts(paths, ranges, lambda indices: _dataset_part(config, indices))
+    pis = [pi for part_pis, _ in values for pi in part_pis]
+    return pis, sum(correct for _, correct in values)
+
+
+def _dataset_part(
+    config: SynthConfig, indices: range
+) -> tuple[list[Callable[[TextIO], None]], tuple[list[float], int]]:
+    """The queries ``indices`` of the dataset: a writer for each of its
+    files, and their ``pi`` values with the count of gold samples."""
+    queries, batch, z = generate(config, indices)
+    truths = [query_truth(config, query) for query in queries]
+    writers = [
+        lambda handle: handle.writelines(records.query_lines(queries)),
+        lambda handle: handle.writelines(records.generation_lines(batch, sampling_meta(config))),
+        lambda handle: handle.writelines(records.label_lines(batch, z)),
+        lambda handle: handle.writelines(records.object_lines(_truth_objects(queries, truths))),
+    ]
+    return writers, ([truth.pi for truth in truths], int(z.sum()))

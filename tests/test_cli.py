@@ -127,6 +127,53 @@ def test_synth_output_matches_the_recorded_digests(preset, tmp_path, capsys):
     assert digests == recorded["files"]
 
 
+def _synth_parts(preset, n_queries, k):
+    """The query ranges that ``conscal synth`` writes in parts."""
+    total = n_queries * (2 if preset == "shift" else 1)
+    return records.part_ranges(range(0, total * k + 1, k))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork does not exist here")
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+@pytest.mark.parametrize("preset", ["benchmark", "premise", "shift"])
+def test_synth_output_matches_the_recorded_digests_in_parts(
+    preset, cpus, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(records, "_ROWS_PER_PART", 1)
+    monkeypatch.setattr(records, "_usable_cpus", lambda: cpus)
+    parts = _synth_parts(preset, 20, 8)
+    assert len(parts) == cpus
+    if preset == "shift":
+        # Two parts cut at the group boundary, query 20; three cut inside both groups.
+        cuts = [part.start for part in parts[1:]]
+        assert cuts == {2: [20], 3: [14, 27], 8: [5, 10, 15, 20, 25, 30, 35]}[cpus]
+    test_synth_output_matches_the_recorded_digests(preset, tmp_path, capsys)
+    with pytest.raises(ChildProcessError):  # every part was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork does not exist here")
+@pytest.mark.parametrize("preset", ["benchmark", "premise", "shift"])
+def test_synth_writes_the_same_bytes_in_every_part_count(preset, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(records, "_ROWS_PER_PART", 1)
+    argv = ["synth", "--preset", preset, "--n-queries", "3", "--k", "4", "--seed", "2"]
+    outputs = {}
+    # 8 CPUs are more than the 3 queries (6 with the shifted group).
+    for cpus in (1, 2, 3, 8):
+        monkeypatch.setattr(records, "_usable_cpus", lambda: cpus)
+        out = tmp_path / str(cpus)
+        assert main([*argv, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "{out}")
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        outputs[len(_synth_parts(preset, 3, 4))] = (stdout, files)
+    total = 6 if preset == "shift" else 3
+    assert sorted(outputs) == sorted({1, 2, 3, total})
+    first = outputs[1]
+    assert list(first[1]) == ["config.json", *sorted(synth.DATASET_FILES)]
+    for parts, output in outputs.items():
+        assert output == first, parts
+
+
 def test_synth_headline_reports_sizes(tmp_path, capsys):
     out = tmp_path / "tiny"
     assert main(["synth", "--n-queries", "5", "--k", "2", "--out", str(out)]) == 0

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import re
 import tempfile
 
@@ -890,18 +891,18 @@ def test_the_part_count_follows_cpus_rows_and_runs(monkeypatch):
     assert records._part_count(_parts_batch()) == 1  # 16 rows
 
 
-def _fail_in(side: str, monkeypatch, name: str = "_batch_lines") -> None:
-    """Make ``records.<name>`` (default: formatting) raise
-    ``OSError("disk on fire")`` in this process (``side`` "parent") or in
-    every forked part ("child")."""
-    parent, original = os.getpid(), getattr(records, name)
+def _fail_in(side: str, monkeypatch, name: str = "_batch_lines", module=records) -> None:
+    """Make ``<module>.<name>`` (default: ``records._batch_lines``, formatting)
+    raise ``OSError("disk on fire")`` in this process (``side`` "parent") or
+    in every forked part ("child")."""
+    parent, original = os.getpid(), getattr(module, name)
 
     def faulty(*args):
         if (os.getpid() == parent) == (side == "parent"):
             raise OSError("disk on fire")
         return original(*args)
 
-    monkeypatch.setattr(records, name, faulty)
+    monkeypatch.setattr(module, name, faulty)
 
 
 @_FORKS
@@ -941,6 +942,115 @@ def test_synth_reports_a_failing_part_writer_as_an_io_error(tmp_path, monkeypatc
         # No output name is left behind, and no directory the failed run made.
         assert sorted(os.listdir(tmp_path)) == ["rerun"]
         assert os.listdir(rerun) == ["notes.txt"]
+
+
+@_FORKS
+@pytest.mark.parametrize("side", ["child", "parent"])
+@pytest.mark.parametrize(
+    ("module", "name", "file"),
+    [(records, "label_lines", "labels.jsonl"), (synth, "_truth_objects", "truth.jsonl")],
+)
+def test_synth_reports_a_failing_labels_or_truth_writer_as_an_io_error(
+    tmp_path, monkeypatch, capsys, side, module, name, file
+):
+    monkeypatch.setattr(records, "_usable_cpus", lambda: 2)
+    _fail_in(side, monkeypatch, name, module)
+    out = tmp_path / "out"
+    argv = ["synth", "--n-queries", "40", "--k", "100", "--seed", "0", "--out", str(out)]
+    assert main(argv) == 2
+    where = f"{out / file}: OSError: " if side == "child" else ""
+    assert capsys.readouterr() == ("", f"io error: {where}disk on fire\n")
+    with open(tmp_path / "after.txt", "a", encoding="utf-8") as handle:
+        handle.write(f"{os.getpid()}\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(tmp_path) == ["after.txt"]
+    assert (tmp_path / "after.txt").read_text(encoding="utf-8").split() == [str(os.getpid())]
+
+
+@_FORKS
+def test_part_values_come_back_in_order_past_the_pipe_buffer():
+    values = [bytes([i]) * (1 << 20) for i in range(3)]
+    taken = []
+    records._run_parts(
+        "name", lambda: None, [lambda part, v=v: v for v in values],
+        lambda value, files: taken.append((value, files)),
+    )
+    assert taken == [(value, []) for value in values]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@_FORKS
+def test_a_part_that_ends_without_a_word_names_its_exit_code():
+    with pytest.raises(OSError, match="^name: a part ended with code 3$"):
+        records._run_parts("name", lambda: None, [lambda part: os._exit(3)], None)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@_FORKS
+def test_a_value_cut_short_by_the_child_s_end_names_its_exit_code(monkeypatch):
+    def cut_short(report, part, work):
+        report.write(records._VALUE + pickle.dumps(list(range(1000)))[:100])
+        report.flush()
+        os._exit(5)
+
+    monkeypatch.setattr(records, "_run_part", cut_short)
+    with pytest.raises(OSError, match="^name: a part ended with code 5$"):
+        records._run_parts("name", lambda: None, [lambda part: None], None)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_SCORE_COLUMNS = [
+    ("token_prob", ["q1", "q2é", "q2é"], [0, 0, 1], np.array([0.5, -0.0, 5e-324]), None),
+    ("tt_sc", ("q1", "q2é"), None, [1.0, 0.1 + 0.2], None),
+    ("answer_prob", [], [], np.array([]), None),
+    (
+        "verbal_conf", ["q1", "q2é", 'q"3'], np.array([0, 1, 2]),
+        [float("nan"), 0.7, float("-inf")], np.array([True, False, True]),
+    ),
+]
+
+
+def _score_oracle_bytes(columns) -> bytes:
+    lines = []
+    for method, query_ids, sample_index, confidence, imputed in columns:
+        for row, query_id in enumerate(query_ids):
+            obj = {"query_id": query_id}
+            if sample_index is not None:
+                obj["sample_index"] = int(sample_index[row])
+            obj.update(method=method, confidence=float(confidence[row]))
+            if imputed is not None:
+                obj["imputed"] = bool(imputed[row])
+            lines.append(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+@_FORKS
+@pytest.mark.parametrize("parts", [1, 2, 3, 5, 40])  # 40: more parts than the 8 lines
+def test_every_score_part_count_writes_the_json_oracle_bytes(tmp_path, parts):
+    path = tmp_path / "scores.jsonl"
+    records._write_score_parts(str(path), _SCORE_COLUMNS, parts)
+    assert path.read_bytes() == _score_oracle_bytes(_SCORE_COLUMNS)
+    records._write_score_parts(str(path), [], parts)
+    assert path.read_bytes() == b""
+    assert os.listdir(tmp_path) == ["scores.jsonl"]
+    with pytest.raises(ChildProcessError):  # every part writer was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_score_part_count_follows_cpus_and_the_line_floor(monkeypatch, tmp_path):
+    counts = []
+    monkeypatch.setattr(records, "_usable_cpus", lambda: 16)
+    monkeypatch.setattr(
+        records, "_write_score_parts", lambda path, columns, parts: counts.append(parts)
+    )
+    floor = records._SCORE_LINES_PER_PART
+    for lines in (0, floor - 1, 3 * floor, 100 * floor):
+        records.write_scores(str(tmp_path / "scores.jsonl"), [("m", ["q"] * lines, None, [], None)])
+    assert counts == ([1, 1, 3, records._MAX_PARTS] if hasattr(os, "fork") else [1, 1, 1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -1106,6 +1216,19 @@ def test_a_failing_read_part_raises_and_leaves_no_child_and_no_stray_file(
     assert os.listdir(data) == ["generations.jsonl"]
     assert os.listdir(temp) == []
     assert (tmp_path / "after.txt").read_text(encoding="utf-8").split() == [str(os.getpid())]
+
+
+@_FORKS
+def test_reading_in_parts_needs_no_temporary_directory(tmp_path, monkeypatch):
+    path = _cut_file(tmp_path)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    assert records._scan_generation_parts(path, 3) == records._scan_generation_parts(path, 1)
+    _fail_in("child", monkeypatch, "_scan_lines")
+    with pytest.raises(OSError, match=f"^{re.escape(path)}: OSError: disk on fire$"):
+        records._scan_generation_parts(path, 3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(tmp_path) == ["generations.jsonl"]
 
 
 @_FORKS

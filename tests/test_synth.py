@@ -117,6 +117,63 @@ def test_segmented_logprobs_match_the_per_row_loop(seed, ln_gm, count_range):
         assert max(row) <= 0.0
 
 
+# The presets, and k = 1, at sizes whose full run is drawn once per test session.
+_RANGE_CONFIGS = {
+    "benchmark": synth.benchmark_config(n_queries=9, k=5, seed=4),
+    "premise": synth.premise_config(n_queries=9, k=4, seed=5),
+    "shift": synth.shifted_benchmark_config(n_queries=5, k=3, seed=6),
+    "k=1": SynthConfig(n_queries=9, k=1, embedding_dim=3, seed=7),
+}
+_FULL_RUNS: dict[str, tuple] = {}
+
+
+def _batch_slice(batch, start, stop):
+    """Query runs ``start:stop`` of a generation batch, every column cut to them."""
+    rows = slice(batch.query_offsets[start], batch.query_offsets[stop])
+    tokens = batch.token_offsets[rows.start : rows.stop + 1]
+    spans = batch.answer_token_offsets[rows.start : rows.stop + 1]
+    return records.GenerationBatch(
+        query_ids=batch.query_ids[start:stop],
+        query_offsets=batch.query_offsets[start : stop + 1] - rows.start,
+        sample_index=batch.sample_index[rows],
+        response_text=batch.response_text[rows],
+        answer=batch.answer[rows],
+        token_logprobs=batch.token_logprobs[tokens[0] : tokens[-1]],
+        token_offsets=tokens - tokens[0],
+        answer_token_logprobs=batch.answer_token_logprobs[spans[0] : spans[-1]],
+        answer_token_offsets=spans - spans[0],
+        embedding=batch.embedding[rows],
+    )
+
+
+@given(
+    name=st.sampled_from(sorted(_RANGE_CONFIGS)),
+    bounds=st.lists(st.integers(0, 18), min_size=2, max_size=2),
+)
+def test_a_query_range_generates_the_slice_of_the_whole_dataset(name, bounds):
+    config = _RANGE_CONFIGS[name]
+    if name not in _FULL_RUNS:
+        _FULL_RUNS[name] = generate(config)
+    queries, batch, z = _FULL_RUNS[name]
+    start, stop = sorted(min(bound, len(queries)) for bound in bounds)
+    part_queries, part_batch, part_z = generate(config, range(start, stop))
+    assert part_queries == queries[start:stop]
+    expected = _batch_slice(batch, start, stop)
+    assert part_batch == expected
+    # Bit for bit: == holds -0.0 equal to 0.0.
+    for column in ("token_logprobs", "answer_token_logprobs", "embedding"):
+        assert getattr(part_batch, column).tobytes() == getattr(expected, column).tobytes()
+    assert part_z.dtype == np.int8
+    assert part_z.tobytes() == z[start * config.k : stop * config.k].tobytes()
+
+
+def test_generate_refuses_a_range_outside_the_queries():
+    assert len(generate(_SMALL, range(12, 12))[1]) == 0
+    for indices in (range(0, 13), range(-1, 3), range(0, 12, 2), range(5, 3)):
+        with pytest.raises(ValueError, match="is not a range of step 1 within range"):
+            generate(_SMALL, indices)
+
+
 def test_different_seeds_give_different_data():
     queries_a, _, _ = generate(_SMALL)
     queries_b, _, _ = generate(dataclasses.replace(_SMALL, seed=4))
