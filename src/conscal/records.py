@@ -29,6 +29,7 @@ file and line, and a loader never returns a partially constructed dataset.
 A string holding an unpaired surrogate escape such as ``"\\ud800"`` makes
 its line invalid JSON: no UTF-8 file can hold it, so no writer could write
 it back.
+
 The generation loader runs in two stages.  The per-line stage reads a
 byte range of whole lines: it decodes each line, checks its fields, and
 adds the rows that pass to candidate columns, leaving the entries of their
@@ -57,6 +58,7 @@ import shutil
 import signal
 import tempfile
 from array import array
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from itertools import chain, compress, repeat
 from json.encoder import encode_basestring
@@ -497,39 +499,26 @@ def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic
     (see the module docstring), and only then are those rows checked for
     duplicates and embedding dimension, in line order.
 
-    Where ``os.fork`` exists, a large file is read in parts at once, up to
-    one per usable CPU (see :func:`_read_part_count`); the batch and the
-    diagnostics do not depend on the number of parts.  A part that fails in
-    its child raises ``OSError`` with the child's error text.
+    The file is cut into byte ranges of whole lines, one per part (see
+    :func:`_part_count`, with a floor of ``_BYTES_PER_PART`` bytes, and
+    :func:`_line_ranges`); a pipe, whose size reads 0, is one part.  This
+    process runs the per-line stage over the first range while a forked
+    child runs it over each other one and sends its :class:`_LineScan` back
+    (see :func:`_run_parts`).  The scans are merged in order, then finished
+    here, so the batch and the diagnostics do not depend on the number of
+    parts.  A part that fails in its child raises ``OSError`` with the
+    child's error text.
     """
-    return _scan_generation_parts(path, _read_part_count(os.stat(path).st_size))
-
-
-def _read_part_count(size: int) -> int:
-    """The parts to read a file of ``size`` bytes in: one per usable CPU,
-    but no more than ``_MAX_PARTS`` or one per ``_BYTES_PER_PART`` bytes;
-    one where ``os.fork`` does not exist."""
-    return _parts_within(size // _BYTES_PER_PART)
-
-
-def _scan_generation_parts(path: str, parts: int) -> tuple[GenerationBatch, list[Diagnostic]]:
-    """:func:`scan_generation_records` over at most ``parts`` byte ranges
-    of ``path`` (see :func:`_line_ranges`).
-
-    This process runs the per-line stage over the first range while a
-    forked child runs it over each other one and sends its
-    :class:`_LineScan` back (see :func:`_run_parts`).  The scans are merged
-    in order, then finished here.
-    """
+    parts = _part_count(os.stat(path).st_size, _BYTES_PER_PART)
     (start, stop), *rest = _line_ranges(path, parts)
-    scan = _LineScan()
+    scans: list[_LineScan] = []
     _run_parts(
         path,
-        lambda: _scan_lines(scan, path, start, stop),
-        [lambda _, bounds=bounds: _scanned(path, *bounds) for bounds in rest],
-        lambda part, _: scan.extend(part),
+        lambda: scans.append(_scan_lines(path, start, stop)),
+        [lambda _, bounds=bounds: _scan_lines(path, *bounds) for bounds in rest],
+        lambda part, _: scans[0].extend(part),
     )
-    return _finish_scan(path, scan)
+    return _finish_scan(path, scans[0])
 
 
 def _line_ranges(path: str, parts: int) -> list[tuple[int, int | None]]:
@@ -551,16 +540,10 @@ def _line_ranges(path: str, parts: int) -> list[tuple[int, int | None]]:
     return list(zip(cuts, [*cuts[1:], None]))
 
 
-def _scanned(path: str, start: int, stop: int | None) -> _LineScan:
-    """The per-line stage over bytes ``start:stop`` of ``path``."""
+def _scan_lines(path: str, start: int, stop: int | None) -> _LineScan:
+    """The per-line stage: the scan of the lines of bytes ``start:stop`` of
+    a generations file, numbered from 1."""
     scan = _LineScan()
-    _scan_lines(scan, path, start, stop)
-    return scan
-
-
-def _scan_lines(scan: _LineScan, path: str, start: int, stop: int | None) -> None:
-    """The per-line stage: read the lines of bytes ``start:stop`` of a
-    generations file into ``scan``, an empty scan, numbered from 1."""
     diagnose = scan.problems.extend
     lines, ids, indices, texts, answers = (
         scan.lines, scan.ids, scan.indices, scan.texts, scan.answers
@@ -627,6 +610,7 @@ def _scan_lines(scan: _LineScan, path: str, start: int, stop: int | None) -> Non
         diagnose(Diagnostic(path, lineno, p) for p in problems)
     # Each line read was yielded above or diagnosed as unreadable.
     scan.count = max(lineno, scan.unreadable[-1].line if scan.unreadable else 0)
+    return scan
 
 
 def _finish_scan(path: str, scan: _LineScan) -> tuple[GenerationBatch, list[Diagnostic]]:
@@ -999,15 +983,27 @@ def _segment_texts(
     return [texts[a - base : b - base] for a, b in zip(ends, ends[1:])]
 
 
-def _batch_lines(batch: GenerationBatch, tail: str, runs: range) -> Iterator[str]:
-    """The lines of the query runs ``runs`` of a batch, formatted from its
-    columns a run at a time; ``tail`` is the text after each line's
-    embedding."""
+def query_lines(queries: Iterable[QueryRecord]) -> Iterator[str]:
+    """The line of each query, in order."""
+    return object_lines(map(_query_object, queries))
+
+
+def write_queries(path: str, queries: Iterable[QueryRecord]) -> None:
+    _write_lines(path, query_lines(queries))
+
+
+def generation_lines(
+    batch: GenerationBatch, sampling_meta: Mapping[str, Any] | None = None
+) -> Iterator[str]:
+    """The line of each row of ``batch``, in row order, formatted from its
+    columns a query run at a time; every line ends with ``sampling_meta``
+    when it is given."""
+    tail = "" if sampling_meta is None else ',"sampling_meta":' + _dump(dict(sampling_meta))
     offsets = batch.query_offsets.tolist()
     dim = batch.embedding.shape[1]
-    for run in runs:
+    for run, query_id in enumerate(batch.query_ids):
         start, stop = offsets[run], offsets[run + 1]
-        head = encode_basestring(batch.query_ids[run])
+        head = encode_basestring(query_id)
         tokens = _segment_texts(batch.token_logprobs, batch.token_offsets, start, stop)
         spans = _segment_texts(
             batch.answer_token_logprobs, batch.answer_token_offsets, start, stop
@@ -1031,39 +1027,12 @@ def _batch_lines(batch: GenerationBatch, tail: str, runs: range) -> Iterator[str
         yield from lines
 
 
-def query_lines(queries: Iterable[QueryRecord]) -> Iterator[str]:
-    """The line of each query, in order."""
-    return object_lines(map(_query_object, queries))
-
-
-def write_queries(path: str, queries: Iterable[QueryRecord]) -> None:
-    _write_lines(path, query_lines(queries))
-
-
-def _meta_tail(sampling_meta: Mapping[str, Any] | None) -> str:
-    """The text after each generation line's embedding."""
-    return "" if sampling_meta is None else ',"sampling_meta":' + _dump(dict(sampling_meta))
-
-
-def generation_lines(
-    batch: GenerationBatch, sampling_meta: Mapping[str, Any] | None = None
-) -> Iterator[str]:
-    """The line of each row of ``batch``, in row order, formatted in this
-    process; every line ends with ``sampling_meta`` when it is given."""
-    return _batch_lines(batch, _meta_tail(sampling_meta), range(len(batch.query_ids)))
-
-
 def write_generations(
     path: str, batch: GenerationBatch, sampling_meta: Mapping[str, Any] | None = None
 ) -> None:
     """Write a line for each row of ``batch``, in row order; every line ends
-    with ``sampling_meta`` when it is given.
-
-    Where ``os.fork`` exists, the rows are formatted in parts at once, one
-    per usable CPU (see :func:`_part_count` and :func:`write_parts`); the
-    bytes do not depend on the number of parts.
-    """
-    _write_generation_parts(path, batch, sampling_meta, _part_count(batch))
+    with ``sampling_meta`` when it is given."""
+    _write_lines(path, generation_lines(batch, sampling_meta))
 
 
 def _usable_cpus() -> int:
@@ -1072,50 +1041,30 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _part_count(batch: GenerationBatch) -> int:
-    """The parts to write a batch in: one per usable CPU, but no more than
-    ``_MAX_PARTS``, the batch's query runs, or one per ``_ROWS_PER_PART``
-    rows; one where ``os.fork`` does not exist."""
-    return _parts_within(len(batch.query_ids), len(batch) // _ROWS_PER_PART)
-
-
-def part_ranges(offsets: Sequence[int]) -> list[range]:
-    """The ranges of runs to write rows in, one per part, where run ``r``
-    holds rows ``offsets[r]:offsets[r + 1]``: as many parts as
-    :func:`_part_count` gives a batch of those runs, cut where a run starts
-    into about equal rows (see :func:`_part_runs`)."""
-    runs, rows = len(offsets) - 1, offsets[-1]
-    return _part_runs(offsets, _parts_within(runs, rows // _ROWS_PER_PART))
-
-
-def _parts_within(*limits: int) -> int:
-    """One part per usable CPU, but no more than ``_MAX_PARTS`` or any of
-    ``limits``, and at least one; one where ``os.fork`` does not exist."""
+def _part_count(work: int, floor: int) -> int:
+    """The parts to split ``work`` in: one per usable CPU, but no more than
+    ``_MAX_PARTS`` or one per ``floor`` of work, and at least one; one where
+    ``os.fork`` does not exist."""
     if not hasattr(os, "fork"):
         return 1
-    return max(min(_usable_cpus(), _MAX_PARTS, *limits), 1)
+    return max(min(_usable_cpus(), _MAX_PARTS, work // floor), 1)
 
 
-def _part_runs(offsets: Sequence[int], parts: int) -> list[range]:
-    """Up to ``parts`` contiguous, nonempty ranges of query runs with about
-    equal row counts, each cut where a run starts (one empty range for a
-    batch without runs).  ``offsets`` are the batch's ``query_offsets``."""
-    runs = len(offsets) - 1
-    cuts = np.searchsorted(offsets, [offsets[-1] * p // parts for p in range(1, parts)])
-    bounds = [0, *sorted({cut for cut in cuts.tolist() if 0 < cut < runs}), runs]
+def part_ranges(offsets: Sequence[int], floor: int) -> list[range]:
+    """Contiguous, nonempty ranges of runs to work in, one per part, where
+    run ``r`` holds items ``offsets[r]:offsets[r + 1]`` (one empty range
+    for no runs).
+
+    For P parts of the items (see :func:`_part_count`, with at least
+    ``floor`` items a part), cut ``p`` falls at the first run that starts at
+    or past item ``total * p // P``; a cut that repeats another or falls at
+    either end is dropped, so there are never more parts than runs.
+    """
+    runs, total = len(offsets) - 1, offsets[-1]
+    parts = _part_count(total, floor)
+    cuts = {bisect_left(offsets, total * p // parts) for p in range(1, parts)}
+    bounds = [0, *sorted(cut for cut in cuts if 0 < cut < runs), runs]
     return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
-
-
-def _write_generation_parts(
-    path: str, batch: GenerationBatch, sampling_meta: Mapping[str, Any] | None, parts: int
-) -> None:
-    """:func:`write_generations` in at most ``parts`` parts, cut at query runs."""
-    tail = _meta_tail(sampling_meta)
-    write_parts(
-        [path],
-        _part_runs(batch.query_offsets.tolist(), parts),
-        lambda runs: ([lambda handle: handle.writelines(_batch_lines(batch, tail, runs))], None),
-    )
 
 
 def write_parts(
@@ -1308,27 +1257,17 @@ def write_scores(path: str, columns: Iterable[tuple[str, Sequence[str], Any, Any
 
     A ``sample_index`` of None (rows that score a whole query) or an
     ``imputed`` of None (a method that imputes nothing) leaves its key out.
-    Where ``os.fork`` exists, the lines are formatted in parts at once, one
-    per usable CPU but no more than one per ``_SCORE_LINES_PER_PART`` lines
-    (see :func:`write_parts`); the bytes do not depend on the number of
-    parts.
+    The lines, numbered across the method columns, are cut into ranges of
+    about equal size (see :func:`part_ranges`, with at least
+    ``_SCORE_LINES_PER_PART`` lines a part), each formatted in a part of
+    its own (see :func:`write_parts`); the bytes do not depend on the
+    number of parts.
     """
     columns = list(columns)
-    lines = sum(len(column[1]) for column in columns)
-    _write_score_parts(path, columns, _parts_within(lines // _SCORE_LINES_PER_PART))
-
-
-def _write_score_parts(
-    path: str, columns: Sequence[tuple[str, Sequence[str], Any, Any, Any]], parts: int
-) -> None:
-    """:func:`write_scores` in at most ``parts`` parts, cut into nonempty
-    ranges of about equal line counts across the method columns (one empty
-    range for no lines)."""
     total = sum(len(column[1]) for column in columns)
-    bounds = [0, *sorted({total * p // parts for p in range(1, parts)} - {0}), total]
     write_parts(
         [path],
-        [range(start, stop) for start, stop in zip(bounds, bounds[1:])],
+        part_ranges(range(total + 1), _SCORE_LINES_PER_PART),
         lambda lines: ([lambda handle: handle.writelines(_score_lines(columns, lines))], None),
     )
 

@@ -471,14 +471,15 @@ def write_dataset(config: SynthConfig, *paths: str) -> tuple[list[float], int]:
     :data:`DATASET_FILES`: its queries, generations, labels and truth.
 
     Returns each query's ``pi``, in query order, and the count of samples
-    whose answer is the gold one.  Where ``os.fork`` exists, the queries
-    are cut into ranges of about equal rows, one per usable CPU (see
-    :func:`records.part_ranges`); each range is generated and formatted in
-    a part of its own (see :func:`records.write_parts`), so the bytes do not
-    depend on the number of parts.
+    whose answer is the gold one.  The queries are cut into ranges of
+    about equal rows (see :func:`records.part_ranges`, with at least
+    ``records._ROWS_PER_PART`` rows a part); each range is generated and
+    formatted in a part of its own (see :func:`records.write_parts`), so
+    the bytes do not depend on the number of parts.
     """
     k = config.k
-    ranges = records.part_ranges(range(0, _total_queries(config) * k + 1, k))
+    rows = range(0, _total_queries(config) * k + 1, k)
+    ranges = records.part_ranges(rows, records._ROWS_PER_PART)
     values = records.write_parts(paths, ranges, lambda indices: _dataset_part(config, indices))
     pis = [pi for part_pis, _ in values for pi in part_pis]
     return pis, sum(correct for _, correct in values)

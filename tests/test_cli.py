@@ -130,7 +130,7 @@ def test_synth_output_matches_the_recorded_digests(preset, tmp_path, capsys):
 def _synth_parts(preset, n_queries, k):
     """The query ranges that ``conscal synth`` writes in parts."""
     total = n_queries * (2 if preset == "shift" else 1)
-    return records.part_ranges(range(0, total * k + 1, k))
+    return records.part_ranges(range(0, total * k + 1, k), records._ROWS_PER_PART)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork does not exist here")
@@ -1238,7 +1238,8 @@ def test_cli_outputs_keep_their_digests_when_generations_are_read_in_parts(
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(records, "_BYTES_PER_PART", 4096)
     monkeypatch.setattr(records, "_usable_cpus", lambda: 3)
-    assert records._read_part_count(20 * 8 * 500) == (3 if hasattr(os, "fork") else 1)
+    parts = records._part_count(20 * 8 * 500, records._BYTES_PER_PART)
+    assert parts == (3 if hasattr(os, "fork") else 1)
     assert _golden_digests() == _read_json(_CLI_DIGESTS)
     capsys.readouterr()
 

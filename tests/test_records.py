@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -9,6 +10,7 @@ import os
 import pickle
 import re
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -854,25 +856,55 @@ def _parts_batch():
     return make_batch(rows)
 
 
-def test_part_runs_cut_at_run_starts_into_about_equal_rows():
+def _use_parts(monkeypatch, parts: int) -> None:
+    """Make every part rule give ``parts`` parts wherever the work has that
+    many items: that many usable CPUs, no lower cap, and floors of one item."""
+    monkeypatch.setattr(records, "_usable_cpus", lambda: parts)
+    monkeypatch.setattr(records, "_MAX_PARTS", max(parts, records._MAX_PARTS))
+    for floor in ("_ROWS_PER_PART", "_SCORE_LINES_PER_PART", "_BYTES_PER_PART"):
+        monkeypatch.setattr(records, floor, 1)
+
+
+def _write_in_parts(path, batch, meta=None) -> list:
+    """Write ``generation_lines(batch, meta)`` through ``write_parts``, one
+    part for each of the ``part_ranges`` of the batch's query runs; each
+    part formats the lines in its own process.  Returns the parts' values."""
+    offsets = batch.query_offsets.tolist()
+
+    def format_part(runs):
+        lines = list(records.generation_lines(batch, meta))
+        part = lines[offsets[runs.start] : offsets[runs.stop]]
+        return [lambda handle: handle.writelines(part)], None
+
+    return records.write_parts([str(path)], records.part_ranges(offsets, 1), format_part)
+
+
+@_FORKS
+def test_part_runs_cut_at_run_starts_into_about_equal_rows(monkeypatch):
     offsets = _parts_batch().query_offsets.tolist()
     assert offsets == [0, 1, 4, 8, 10, 15, 16]
-    assert records._part_runs(offsets, 1) == [range(0, 6)]
-    assert records._part_runs(offsets, 2) == [range(0, 3), range(3, 6)]  # row 8 exactly
-    assert records._part_runs(offsets, 3) == [range(0, 3), range(3, 4), range(4, 6)]
-    assert records._part_runs(offsets, 4) == [range(0, 2), range(2, 3), range(3, 5), range(5, 6)]
+
+    def cut(parts, offsets=offsets):
+        _use_parts(monkeypatch, parts)
+        return records.part_ranges(offsets, 1)
+
+    assert cut(1) == [range(0, 6)]
+    assert cut(2) == [range(0, 3), range(3, 6)]  # row 8 exactly
+    assert cut(3) == [range(0, 3), range(3, 4), range(4, 6)]
+    assert cut(4) == [range(0, 2), range(2, 3), range(3, 5), range(5, 6)]
     one_run_each = [range(run, run + 1) for run in range(6)]
-    assert records._part_runs(offsets, 10) == records._part_runs(offsets, 50) == one_run_each
-    assert records._part_runs([0], 3) == [range(0, 0)]  # no rows: one empty part
+    assert cut(10) == cut(50) == one_run_each
+    assert cut(3, [0]) == [range(0, 0)]  # no rows: one empty part
 
 
 @_FORKS
 @pytest.mark.parametrize("parts", [1, 2, 3, 4, 10])
 @pytest.mark.parametrize("meta", [None, {"temperature": 0.7, "ключ": [1, 1.0, None]}])
-def test_every_part_count_writes_the_json_oracle_bytes(tmp_path, parts, meta):
+def test_every_part_count_writes_the_json_oracle_bytes(tmp_path, monkeypatch, parts, meta):
     batch = _parts_batch()
     path = tmp_path / "generations.jsonl"
-    records._write_generation_parts(str(path), batch, meta, parts)
+    _use_parts(monkeypatch, parts)
+    assert len(_write_in_parts(path, batch, meta)) == min(parts, 6)  # 6 query runs
     assert path.read_bytes() == _batch_oracle_bytes(batch, meta)
     assert os.listdir(tmp_path) == ["generations.jsonl"]
     with pytest.raises(ChildProcessError):  # every part writer was reaped
@@ -882,17 +914,20 @@ def test_every_part_count_writes_the_json_oracle_bytes(tmp_path, parts, meta):
 @_FORKS
 def test_the_part_count_follows_cpus_rows_and_runs(monkeypatch):
     _, batch, _ = synth.generate(synth.SynthConfig(n_queries=40, k=100, seed=0))
+    offsets, small = batch.query_offsets.tolist(), _parts_batch().query_offsets.tolist()
+    floor = records._ROWS_PER_PART
     monkeypatch.setattr(records, "_usable_cpus", lambda: 16)
-    assert records._part_count(batch) == 4  # 4,000 rows
-    monkeypatch.setattr(records, "_ROWS_PER_PART", 10)
-    assert records._part_count(batch) == records._MAX_PARTS
+    assert len(records.part_ranges(offsets, floor)) == 4  # 4,000 rows
+    assert len(records.part_ranges(offsets, 10)) == records._MAX_PARTS
+    assert len(records.part_ranges(small, floor)) == 1  # 16 rows
+    # 8 shares of 2 rows each start at one of 4 run starts: 5 parts for 6 runs.
+    assert records.part_ranges(small, 1) == [range(0, 2), *(range(r, r + 1) for r in range(2, 6))]
     monkeypatch.setattr(records, "_usable_cpus", lambda: 1)
-    assert records._part_count(batch) == 1
-    assert records._part_count(_parts_batch()) == 1  # 16 rows
+    assert len(records.part_ranges(offsets, 10)) == 1
 
 
-def _fail_in(side: str, monkeypatch, name: str = "_batch_lines", module=records) -> None:
-    """Make ``<module>.<name>`` (default: ``records._batch_lines``, formatting)
+def _fail_in(side: str, monkeypatch, name: str = "generation_lines", module=records) -> None:
+    """Make ``<module>.<name>`` (default: ``records.generation_lines``, formatting)
     raise ``OSError("disk on fire")`` in this process (``side`` "parent") or
     in every forked part ("child")."""
     parent, original = os.getpid(), getattr(module, name)
@@ -909,10 +944,11 @@ def _fail_in(side: str, monkeypatch, name: str = "_batch_lines", module=records)
 @pytest.mark.parametrize("side", ["child", "parent"])
 def test_a_failing_part_raises_and_leaves_no_child_and_no_stray_file(tmp_path, monkeypatch, side):
     _fail_in(side, monkeypatch)
+    _use_parts(monkeypatch, 3)
     out = tmp_path / "out"
     out.mkdir()
     with pytest.raises(OSError, match="disk on fire"):
-        records._write_generation_parts(str(out / "generations.jsonl"), _parts_batch(), None, 3)
+        _write_in_parts(out / "generations.jsonl", _parts_batch())
     # A part writer that returned into this test would run this line too.
     with open(tmp_path / "after.txt", "a", encoding="utf-8") as handle:
         handle.write(f"{os.getpid()}\n")
@@ -1030,27 +1066,39 @@ def _score_oracle_bytes(columns) -> bytes:
 
 @_FORKS
 @pytest.mark.parametrize("parts", [1, 2, 3, 5, 40])  # 40: more parts than the 8 lines
-def test_every_score_part_count_writes_the_json_oracle_bytes(tmp_path, parts):
+def test_every_score_part_count_writes_the_json_oracle_bytes(tmp_path, monkeypatch, parts):
     path = tmp_path / "scores.jsonl"
-    records._write_score_parts(str(path), _SCORE_COLUMNS, parts)
+    _use_parts(monkeypatch, parts)
+    cuts, write_parts = [], records.write_parts
+
+    def spy(paths, ranges, format_part):
+        cuts.append(list(ranges))
+        return write_parts(paths, ranges, format_part)
+
+    monkeypatch.setattr(records, "write_parts", spy)
+    records.write_scores(str(path), _SCORE_COLUMNS)
     assert path.read_bytes() == _score_oracle_bytes(_SCORE_COLUMNS)
-    records._write_score_parts(str(path), [], parts)
+    records.write_scores(str(path), [])
     assert path.read_bytes() == b""
+    assert [len(ranges) for ranges in cuts] == [min(parts, 8), 1]
     assert os.listdir(tmp_path) == ["scores.jsonl"]
     with pytest.raises(ChildProcessError):  # every part writer was reaped
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_the_score_part_count_follows_cpus_and_the_line_floor(monkeypatch, tmp_path):
-    counts = []
+    cuts = []
     monkeypatch.setattr(records, "_usable_cpus", lambda: 16)
     monkeypatch.setattr(
-        records, "_write_score_parts", lambda path, columns, parts: counts.append(parts)
+        records, "write_parts", lambda paths, ranges, format_part: cuts.append(ranges)
     )
     floor = records._SCORE_LINES_PER_PART
     for lines in (0, floor - 1, 3 * floor, 100 * floor):
         records.write_scores(str(tmp_path / "scores.jsonl"), [("m", ["q"] * lines, None, [], None)])
+    counts = [len(ranges) for ranges in cuts]
     assert counts == ([1, 1, 3, records._MAX_PARTS] if hasattr(os, "fork") else [1, 1, 1, 1])
+    # The parts cover the lines in order, with about equal line counts.
+    assert cuts[2] == [range(0, floor), range(floor, 2 * floor), range(2 * floor, 3 * floor)]
 
 
 # ---------------------------------------------------------------------------
@@ -1136,16 +1184,14 @@ def _line_ends(path):
 def _scan_cut_at(path, cut):
     """The scan of a generations file read as two parts, cut at byte ``cut``,
     in this process."""
-    scan, tail = records._LineScan(), records._LineScan()
-    records._scan_lines(scan, path, 0, cut)
-    records._scan_lines(tail, path, cut, None)
-    scan.extend(tail)
+    scan = records._scan_lines(path, 0, cut)
+    scan.extend(records._scan_lines(path, cut, None))
     return records._finish_scan(path, scan)
 
 
 def test_scans_merged_at_every_cut_equal_the_whole_scan(tmp_path):
     path = _cut_file(tmp_path)
-    whole = records._scan_generation_parts(path, 1)
+    whole = records.scan_generation_records(path)  # one part: the file is under the floor
     cuts = _line_ends(path)
     assert len(cuts) == 15
     for cut in cuts:
@@ -1154,12 +1200,14 @@ def test_scans_merged_at_every_cut_equal_the_whole_scan(tmp_path):
 
 @_FORKS
 @pytest.mark.parametrize(("parts", "ranges"), [(1, 1), (2, 2), (3, 3), (40, 15)])
-def test_every_read_part_count_equals_the_whole_scan(tmp_path, parts, ranges):
+def test_every_read_part_count_equals_the_whole_scan(tmp_path, monkeypatch, parts, ranges):
     path = _cut_file(tmp_path)
+    whole = records.scan_generation_records(path)
+    _use_parts(monkeypatch, parts)
+    assert records._part_count(os.path.getsize(path), records._BYTES_PER_PART) == parts
     # More parts than lines: a part per line end past each share, 15 of 17 lines.
     assert len(records._line_ranges(path, parts)) == ranges
-    batch, diagnostics = records._scan_generation_parts(path, parts)
-    assert (batch, diagnostics) == records._scan_generation_parts(path, 1)
+    assert records.scan_generation_records(path) == whole
     assert os.listdir(tmp_path) == ["generations.jsonl"]
     with pytest.raises(ChildProcessError):  # every part reader was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -1180,18 +1228,22 @@ def test_line_ranges_cut_past_the_first_newline_at_each_share(tmp_path):
 
 def test_the_read_part_count_follows_cpus_and_the_byte_floor(monkeypatch):
     floor = records._BYTES_PER_PART
+
+    def read_parts(size):
+        return records._part_count(size, floor)
+
     monkeypatch.setattr(records, "_usable_cpus", lambda: 16)
     if hasattr(os, "fork"):
-        assert records._read_part_count(0) == records._read_part_count(floor - 1) == 1
-        assert records._read_part_count(3 * floor + floor // 2) == 3
-        assert records._read_part_count(100 * floor) == records._MAX_PARTS
+        assert read_parts(0) == read_parts(floor - 1) == 1
+        assert read_parts(3 * floor + floor // 2) == 3
+        assert read_parts(100 * floor) == records._MAX_PARTS
         monkeypatch.setattr(records, "_usable_cpus", lambda: 2)
-        assert records._read_part_count(100 * floor) == 2
+        assert read_parts(100 * floor) == 2
         # The 40 x 100 dataset of the CI's CPU-count check reads in 2 parts.
         _, batch, _ = synth.generate(synth.SynthConfig(n_queries=40, k=100, seed=0))
-        assert records._read_part_count(len(_written_generations(batch, None))) == 2
+        assert read_parts(len(_written_generations(batch, None))) == 2
         monkeypatch.delattr(os, "fork")
-    assert records._read_part_count(100 * floor) == 1
+    assert read_parts(100 * floor) == 1
 
 
 @_FORKS
@@ -1204,10 +1256,11 @@ def test_a_failing_read_part_raises_and_leaves_no_child_and_no_stray_file(
     temp.mkdir()
     path = _cut_file(data)
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    _use_parts(monkeypatch, 3)
     _fail_in(side, monkeypatch, "_scan_lines")
     where = f"{path}: OSError: " if side == "child" else ""
     with pytest.raises(OSError, match=f"^{re.escape(where)}disk on fire$"):
-        records._scan_generation_parts(path, 3)
+        records.scan_generation_records(path)
     # A part reader that returned into this test would run this line too.
     with open(tmp_path / "after.txt", "a", encoding="utf-8") as handle:
         handle.write(f"{os.getpid()}\n")
@@ -1221,14 +1274,45 @@ def test_a_failing_read_part_raises_and_leaves_no_child_and_no_stray_file(
 @_FORKS
 def test_reading_in_parts_needs_no_temporary_directory(tmp_path, monkeypatch):
     path = _cut_file(tmp_path)
+    whole = records.scan_generation_records(path)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-    assert records._scan_generation_parts(path, 3) == records._scan_generation_parts(path, 1)
+    _use_parts(monkeypatch, 3)
+    assert records.scan_generation_records(path) == whole
     _fail_in("child", monkeypatch, "_scan_lines")
     with pytest.raises(OSError, match=f"^{re.escape(path)}: OSError: disk on fire$"):
-        records._scan_generation_parts(path, 3)
+        records.scan_generation_records(path)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert os.listdir(tmp_path) == ["generations.jsonl"]
+
+
+@_FORKS
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo does not exist here")
+def test_generations_read_through_a_pipe_equal_the_file(tmp_path, monkeypatch):
+    path = _cut_file(tmp_path)
+    batch, diagnostics = records.scan_generation_records(path)
+    pipe = str(tmp_path / "pipe")
+    os.mkfifo(pipe)
+    # A pipe's size reads 0, so even at a floor of 1 byte it is one part.
+    _use_parts(monkeypatch, 3)
+    assert records._part_count(os.stat(pipe).st_size, records._BYTES_PER_PART) == 1
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(pipe, "wb") as handle:
+            handle.write(b"".join(_CUT_LINES))
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        piped, piped_diagnostics = records.scan_generation_records(pipe)
+    finally:
+        if writer.is_alive():  # a reader that failed before it opened the pipe
+            os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert piped == batch
+    assert [(d.line, d.message) for d in piped_diagnostics] == _CUT_DIAGNOSTICS
+    assert {d.path for d in piped_diagnostics} == {pipe}
 
 
 @_FORKS
@@ -1243,7 +1327,7 @@ def test_a_failing_read_part_is_an_io_error(tmp_path, monkeypatch, capsys, comma
         argv += ["--trials", "2", "--bins", "4", "--out"]
     monkeypatch.setattr(records, "_BYTES_PER_PART", 4096)
     monkeypatch.setattr(records, "_usable_cpus", lambda: 3)
-    assert records._read_part_count(generations.stat().st_size) == 3
+    assert records._part_count(generations.stat().st_size, records._BYTES_PER_PART) == 3
     assert main([*argv, str(tmp_path / "ok")] if command == "eval" else argv) == 0
     capsys.readouterr()
     _fail_in("child", monkeypatch, "_scan_lines")
