@@ -360,8 +360,8 @@ def cmd_trials(args: argparse.Namespace) -> int:
         train_groups = _csv(args.train_groups)
         test_groups = _csv(args.test_groups)
         evaluation.check_groups(train_groups, test_groups)
-    sets = _load_sets(args)
-    z = None if args.labels is None else records.load_labels(args.labels, sets)
+    queries = records.load_queries(args.queries)
+    sets, z = records.load_generations_and_labels(args.generations, queries, args.labels)
     data = evaluation.build_dataset(sets, z, feature_source=config.feature_source)
     config_obj = {
         "command": kind,

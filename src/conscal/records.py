@@ -39,9 +39,26 @@ then an entry-by-entry walk of the rows holding a bad entry only.  Then it
 checks duplicates and the embedding dimension, and builds the query runs,
 so a row is judged against the valid rows before it, as if every line had
 been checked in full before the next was read.  A large file is cut into
-ranges that forked children read at once (see
-:func:`scan_generation_records`); the batch and the diagnostics, in text
-and in order, do not depend on the number of ranges.
+ranges that forked children read at once (see :func:`_scan_parts`); the
+batch and the diagnostics, in text and in order, do not depend on the
+number of ranges.
+
+The label loader has the same two stages: the per-line stage checks each
+line's fields into columns, and the serial finish aligns each label with
+its row in line order, diagnosing unknown generations and duplicates.  The
+commands that read both files read the labels in the generation read's
+ranges, cut at the same fractions of the file (see
+:func:`load_generations_and_labels` and :func:`validate_files`).
+
+Both per-line stages keep their cost near the decoder's own.  The C
+scanner alone decodes a line it reads up to its final newline, and any
+other line is decoded again in full, so every value and error is json's;
+only a line holding ``\\u`` is searched for an unpaired surrogate escape;
+a row whose fields have the exact types json gives a valid row skips the
+field-by-field checks, which still judge every other row; and the types of
+its vector entries are tested only on a line holding the text ``true`` or
+``false``, since the float columns refuse every other value that is no
+number.
 """
 
 from __future__ import annotations
@@ -60,8 +77,10 @@ import tempfile
 from array import array
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring
+from operator import ne
+from sys import intern
 from typing import (
     Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO,
 )
@@ -258,15 +277,21 @@ def _scalars(value: Any) -> Iterator[Any]:
             yield item
 
 
-def decode_json(text: str, decode: Callable[[str], Any] = json.loads) -> Any:
-    """``decode(text)``, raising ``json.JSONDecodeError`` with the reason
-    ``unpaired surrogate escape`` for a string that holds one; only text
-    holding a surrogate escape is walked."""
-    value = decode(text)
+def decode_json(text: str) -> Any:
+    """``json.loads(text)``, raising ``json.JSONDecodeError`` with the reason
+    ``unpaired surrogate escape`` for a string that holds one."""
+    value = json.loads(text)
+    _refuse_surrogates(text, value)
+    return value
+
+
+def _refuse_surrogates(text: str, value: Any) -> None:
+    """Raise ``json.JSONDecodeError`` (``unpaired surrogate escape``) if a
+    string of ``value``, decoded from ``text``, holds a lone surrogate; only
+    text holding a surrogate escape is walked."""
     escape = _SURROGATE_ESCAPE.search(text)
     if escape and any(type(item) is str and _SURROGATE.search(item) for item in _scalars(value)):
         raise json.JSONDecodeError("unpaired surrogate escape", text, escape.start())
-    return value
 
 
 def read_json(path: str, name: str | None = None) -> dict[str, Any]:
@@ -288,9 +313,10 @@ def read_json(path: str, name: str | None = None) -> dict[str, Any]:
 
 def json_lines(
     path: str, constants: list[str], start: int = 0, stop: int | None = None
-) -> Iterator[tuple[int, Any, str | None]]:
-    """Decode each line of a JSONL file: ``(lineno, value, None)``, or
-    ``(lineno, None, reason)`` for a line that is not JSON.
+) -> Iterator[tuple[int, Any, str | None, str]]:
+    """Decode each line of a JSONL file: ``(lineno, value, None, text)``, or
+    ``(lineno, None, reason, text)`` for a line that is not JSON, where
+    ``text`` is the line as read.
 
     Lines split as in text mode (``\\n``, ``\\r\\n`` or a lone ``\\r``).  A line
     holding bytes that are not UTF-8 gets the reason ``not UTF-8 text`` and
@@ -307,7 +333,8 @@ def json_lines(
         return float(token)
 
     # One decoder for the file: json.loads with a hook would build one a line.
-    decode = json.JSONDecoder(parse_constant=constant).decode
+    decoder = json.JSONDecoder(parse_constant=constant)
+    decode, scan = decoder.decode, decoder.scan_once
     with open(path, "rb", buffering=0) as file:
         if start:
             file.seek(start)
@@ -325,11 +352,23 @@ def json_lines(
                             raise json.JSONDecodeError(
                                 "Unexpected UTF-8 BOM (decode using utf-8-sig)", raw, 0
                             )
-                    value = decode_json(raw, decode)  # JSON reads the "\n" as whitespace
+                    # The C scanner alone decodes a line that it reads up to
+                    # its final "\n".  Any other line, and any the scanner
+                    # stops on, is decoded again in full, so that every value
+                    # and error is json's own.
+                    try:
+                        value, end = scan(raw, 0)
+                    except StopIteration:
+                        value = decode(raw)
+                    else:
+                        if end != len(raw) - 1 or raw[end] != "\n":
+                            value = decode(raw)
+                    if "\\u" in raw:
+                        _refuse_surrogates(raw, value)
                 except (ValueError, RecursionError) as exc:
-                    yield lineno, None, json_error_reason(exc)
+                    yield lineno, None, json_error_reason(exc), raw
                     continue
-                yield lineno, value, None
+                yield lineno, value, None, raw
 
 
 class _ByteRange(io.RawIOBase):
@@ -355,9 +394,10 @@ class _ByteRange(io.RawIOBase):
 def _objects(
     path: str, diagnostics: list[Diagnostic], checked: frozenset[str],
     start: int = 0, stop: int | None = None,
-) -> Iterator[tuple[int, dict, list[str]]]:
+) -> Iterator[tuple[int, dict, list[str], str]]:
     """Yield each line that decodes to a JSON object, diagnosing the others;
-    ``start`` and ``stop`` are as for :func:`json_lines`.
+    ``start``, ``stop`` and the line's text, last, are as for
+    :func:`json_lines`.
 
     Each object comes with its first problems: one for every top-level field
     outside ``checked`` (the fields the caller validates itself) that holds
@@ -369,7 +409,7 @@ def _objects(
     Callers hold their row diagnostics apart and report them after these.
     """
     constants: list[str] = []
-    for lineno, obj, reason in json_lines(path, constants, start, stop):
+    for lineno, obj, reason, text in json_lines(path, constants, start, stop):
         if reason is not None:
             diagnostics.append(Diagnostic(path, lineno, f"invalid JSON ({reason})"))
         elif not isinstance(obj, dict):
@@ -380,9 +420,9 @@ def _objects(
                 for key, value in obj.items()
                 if key not in checked
                 and any(type(item) is float and not math.isfinite(item) for item in _scalars(value))
-            ]
+            ], text
         else:
-            yield lineno, obj, []
+            yield lineno, obj, [], text
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +437,7 @@ def scan_queries(path: str) -> tuple[list[QueryRecord], list[Diagnostic]]:
     records: list[QueryRecord] = []
     seen: set[str] = set()
     embed_dim: int | None = None
-    for lineno, obj, problems in _objects(path, diagnostics, _QUERY_FIELDS):
+    for lineno, obj, problems, _ in _objects(path, diagnostics, _QUERY_FIELDS):
         query_id = _query_id(obj, problems)
         text = obj.get("text")
         if not isinstance(text, str):
@@ -450,35 +490,25 @@ def load_queries(path: str) -> list[QueryRecord]:
 # ---------------------------------------------------------------------------
 
 
-class _LineScan:
-    """The per-line stage's output over a range of lines of a generations file.
+class _Scan:
+    """The per-line stage's output over a range of lines of a record file.
 
     ``unreadable`` holds the diagnostics of the lines that are not JSON
     objects, and ``problems`` those of the other lines that fail a field
-    check.  The rest are candidates, held as columns: line numbers, fields,
-    and the flat, untested entries of the vector fields with each row's
-    entry count.  ``count`` is the number of lines read.
+    check.  The rest are candidates: their line numbers in ``lines`` and
+    their fields in the columns that ``_COLUMNS`` names.  ``count`` is the
+    number of lines read.
     """
 
-    _COLUMNS = (
-        "ids", "indices", "texts", "answers", "tokens", "spans", "embeddings",
-        "token_lengths", "span_lengths", "embedding_lengths",
-    )
+    _COLUMNS: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.count = 0
         self.unreadable: list[Diagnostic] = []
         self.problems: list[Diagnostic] = []
         self.lines = array("q")
-        self.ids: list[str] = []
-        self.indices: list[int] = []
-        self.texts: list[str] = []
-        self.answers: list[str | None] = []
-        self.tokens, self.spans, self.embeddings = array("d"), array("d"), array("d")
-        self.token_lengths, self.span_lengths = array("q"), array("q")
-        self.embedding_lengths = array("q")
 
-    def extend(self, part: _LineScan) -> None:
+    def extend(self, part: _Scan) -> None:
         """Append ``part``, the scan of the lines that follow these,
         renumbering its lines to follow on."""
         shift = self.count
@@ -490,6 +520,27 @@ class _LineScan:
         self.count += part.count
 
 
+class _LineScan(_Scan):
+    """A scan of generation lines.  The candidates' columns hold their
+    fields, and the flat, untested entries of their vector fields with each
+    row's entry count."""
+
+    _COLUMNS = (
+        "ids", "indices", "texts", "answers", "tokens", "spans", "embeddings",
+        "token_lengths", "span_lengths", "embedding_lengths",
+    )
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ids: list[str] = []
+        self.indices: list[int] = []
+        self.texts: list[str] = []
+        self.answers: list[str | None] = []
+        self.tokens, self.spans, self.embeddings = array("d"), array("d"), array("d")
+        self.token_lengths, self.span_lengths = array("q"), array("q")
+        self.embedding_lengths = array("q")
+
+
 def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic]]:
     """Row-level parse of a generations file (no query cross-checks).
 
@@ -497,47 +548,100 @@ def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic
     wherever the query id changes.  The vector entries of the rows whose
     other fields pass are tested a column at a time after the last line
     (see the module docstring), and only then are those rows checked for
-    duplicates and embedding dimension, in line order.
+    duplicates and embedding dimension, in line order.  The file is read in
+    parts (see :func:`_scan_parts`).
+    """
+    batch, diagnostics, _ = _scan_parts(path)
+    return batch, diagnostics
 
-    The file is cut into byte ranges of whole lines, one per part (see
-    :func:`_part_count`, with a floor of ``_BYTES_PER_PART`` bytes, and
-    :func:`_line_ranges`); a pipe, whose size reads 0, is one part.  This
-    process runs the per-line stage over the first range while a forked
-    child runs it over each other one and sends its :class:`_LineScan` back
-    (see :func:`_run_parts`).  The scans are merged in order, then finished
-    here, so the batch and the diagnostics do not depend on the number of
-    parts.  A part that fails in its child raises ``OSError`` with the
-    child's error text.
+
+def _scan_parts(
+    path: str, labels_path: str | None = None
+) -> tuple[GenerationBatch, list[Diagnostic], _LabelScan | None]:
+    """The per-line stage of a generations file, and of a labels file when
+    ``labels_path`` is given, in one part run; then the generations' serial
+    finish.  Returns the batch, its diagnostics and the labels' scan, for
+    :func:`_finish_labels`.
+
+    The generations file alone sets the number of parts, P (see
+    :func:`_part_count`, with a floor of ``_BYTES_PER_PART`` bytes), and
+    both files are cut into P byte ranges of whole lines at the same
+    fractions of their sizes (see :func:`_line_cuts`); a pipe, whose size
+    reads 0, is read whole in the first part.  Part ``i`` scans range ``i``
+    of each file; a part whose ranges are all empty is dropped.  This
+    process runs the first part while a forked child runs each other one
+    and sends its scans back (see :func:`_run_parts`).  The scans are
+    merged in order, then finished, so the batch, ``z`` and the
+    diagnostics do not depend on the number of parts.  A part that fails in
+    its child raises ``OSError`` with the child's error text, which names
+    the file it was reading.
+
+    A labels file that cannot be opened to be cut is not read here, and
+    its scan is None: :func:`_finish_labels` reads it, so the file's own
+    error is raised there, after the generations' diagnostics, as in a read
+    of one file after the other.
     """
     parts = _part_count(os.stat(path).st_size, _BYTES_PER_PART)
-    (start, stop), *rest = _line_ranges(path, parts)
-    scans: list[_LineScan] = []
+    names, cuts = [path], [_line_cuts(path, parts)]
+    if labels_path is not None:
+        with contextlib.suppress(OSError):
+            cuts.append(_line_cuts(labels_path, parts))
+            names.append(labels_path)
+    first, *rest = [
+        bounds for bounds in zip(*(zip(c, c[1:]) for c in cuts))
+        if any(start != stop for start, stop in bounds)
+    ]
+    scans: list[Any] = []  # a _LineScan, then a _LabelScan if the labels are cut
+
+    def take(part: list[_Scan], _: list[BinaryIO]) -> None:
+        for scan, following in zip(scans, part):
+            scan.extend(following)
+
     _run_parts(
         path,
-        lambda: scans.append(_scan_lines(path, start, stop)),
-        [lambda _, bounds=bounds: _scan_lines(path, *bounds) for bounds in rest],
-        lambda part, _: scans[0].extend(part),
+        lambda: scans.extend(_scan_part(names, first)),
+        [lambda part, bounds=bounds: _scan_part(names, bounds, part) for bounds in rest],
+        take,
     )
-    return _finish_scan(path, scans[0])
+    lines, *labels = scans
+    batch, diagnostics = _finish_scan(path, lines)
+    return batch, diagnostics, labels[0] if labels else None
 
 
-def _line_ranges(path: str, parts: int) -> list[tuple[int, int | None]]:
-    """Up to ``parts`` byte ranges ``(start, stop)`` of whole lines that
-    cover the file ``path`` in order; the last one's ``stop`` is None, the
-    end of the file.  Cut ``i`` falls just past the first ``\\n`` at or
-    after byte ``size * i // parts``; a cut that does not pass the one
-    before it, or that reaches the end, is dropped."""
-    cuts = [0]
-    if parts > 1:
+def _scan_part(
+    names: Sequence[str], bounds: Sequence[tuple[int | None, int | None]],
+    part: _Part | None = None,
+) -> list[_Scan]:
+    """The per-line stage over range ``bounds[0]`` of the generations file
+    ``names[0]`` and, when there is one, range ``bounds[1]`` of the labels
+    file ``names[1]``; an empty range is not read.  A forked ``part``
+    names the file being read, for its error text."""
+    scans: list[_Scan] = []
+    for name, (start, stop), scan_range, empty in zip(
+        names, bounds, (_scan_lines, _scan_label_lines), (_LineScan, _LabelScan)
+    ):
+        if part is not None:
+            part.name = name
+        scans.append(empty() if start == stop else scan_range(name, start, stop))
+    return scans
+
+
+def _line_cuts(path: str, parts: int) -> list[int | None]:
+    """``parts + 1`` offsets that cut the file ``path`` into ``parts`` byte
+    ranges of whole lines, some maybe empty: 0, then cut ``i`` just past
+    the first ``\\n`` at or after byte ``size * i // parts``, then the end.
+    The end is None, and so is a cut that reaches it.  A file whose size
+    reads 0, such as a pipe, is not opened."""
+    size = os.stat(path).st_size
+    cuts: list[int | None] = [0]
+    if parts > 1 and size:
         with open(path, "rb") as handle:
-            size = os.fstat(handle.fileno()).st_size
             for i in range(1, parts):
                 handle.seek(size * i // parts)
                 handle.readline()
                 cut = handle.tell()
-                if cuts[-1] < cut < size:
-                    cuts.append(cut)
-    return list(zip(cuts, [*cuts[1:], None]))
+                cuts.append(cut if cut < size else None)
+    return cuts + [None] * (parts + 1 - len(cuts))
 
 
 def _scan_lines(path: str, start: int, stop: int | None) -> _LineScan:
@@ -554,41 +658,42 @@ def _scan_lines(path: str, start: int, stop: int | None) -> _LineScan:
     )
     numbers = _NUMBER_TYPES.issuperset
     lineno = 0
-    for lineno, obj, problems in _objects(
+    for lineno, obj, problems, text in _objects(
         path, scan.unreadable, _GENERATION_FIELDS, start, stop
     ):
-        query_id = _query_id(obj, problems)
-        sample_index = _index(obj, "sample_index", problems)
-        response_text = obj.get("response_text")
-        if not isinstance(response_text, str):
-            problems.append("response_text must be a string")
-        answer = obj.get("answer")
-        if answer is not None and not isinstance(answer, str):
-            problems.append("answer must be a string when present")
-        token_lp = obj.get("token_logprobs")
-        ans_lp = obj.get("answer_token_logprobs")
-        embedding = obj.get("embedding")
-        meta = obj.get("sampling_meta")
-        # A row whose vectors are nonempty lists of JSON numbers (booleans
-        # excluded) and whose other fields pass goes into the columns; its
-        # entries are tested there after the last line.  Any other row is
-        # checked in full here.
+        get = obj.get
+        query_id, sample_index = get("query_id"), get("sample_index")
+        response_text, answer = get("response_text"), get("answer")
+        token_lp, ans_lp = get("token_logprobs"), get("answer_token_logprobs")
+        embedding, meta = get("embedding"), get("sampling_meta")
+        # A row whose fields have the exact types json gives a valid row,
+        # with nonempty vectors of JSON numbers (booleans excluded), goes
+        # into the columns; its vector entries are tested there after the
+        # last line.  Any other row is checked field by field here.  An
+        # entry that is no number makes fromlist fail, but for a boolean,
+        # which only a line holding the text true or false can hold: the
+        # entry types of such a line are tested first.
         if (
             not problems
-            and type(token_lp) is list and token_lp and numbers(map(type, token_lp))
+            and type(query_id) is str and query_id
+            and type(sample_index) is int and sample_index >= 0
+            and type(response_text) is str
+            and (answer is None or type(answer) is str)
+            and type(token_lp) is list and token_lp
+            and (ans_lp is None or type(ans_lp) is list and ans_lp)
+            and type(embedding) is list and embedding
+            and (meta is None or type(meta) is dict)
             and (
-                ans_lp is None
-                or type(ans_lp) is list and ans_lp and numbers(map(type, ans_lp))
+                "true" not in text and "false" not in text
+                or numbers(map(type, chain(token_lp, ans_lp or (), embedding)))
             )
-            and type(embedding) is list and embedding and numbers(map(type, embedding))
-            and (meta is None or isinstance(meta, dict))
         ):
             marks = len(tokens), len(spans)
             try:
                 tokens.fromlist(token_lp)
                 spans.fromlist(ans_lp or [])
                 embeddings.fromlist(embedding)
-            except OverflowError:  # an integer too large for a float
+            except (OverflowError, TypeError):  # too large for a float, or no number
                 # The failing fromlist left its column unchanged.
                 del tokens[marks[0] :], spans[marks[1] :]
             else:
@@ -596,11 +701,19 @@ def _scan_lines(path: str, start: int, stop: int | None) -> _LineScan:
                 span_lengths.append(len(ans_lp or ()))
                 embedding_lengths.append(len(embedding))
                 lines.append(lineno)
-                ids.append(query_id)
+                # Interned, an id or an answer that many rows share is one
+                # string, held once and sent back from a part once.
+                ids.append(intern(query_id))
                 indices.append(sample_index)
                 texts.append(response_text)
-                answers.append(answer)
+                answers.append(answer if answer is None else intern(answer))
                 continue
+        _query_id(obj, problems)
+        _index(obj, "sample_index", problems)
+        if not isinstance(response_text, str):
+            problems.append("response_text must be a string")
+        if answer is not None and not isinstance(answer, str):
+            problems.append("answer must be a string when present")
         problems.extend(_check_vector(token_lp, "token_logprobs", max_value=0.0))
         if ans_lp is not None:
             problems.extend(_check_vector(ans_lp, "answer_token_logprobs", max_value=0.0))
@@ -627,39 +740,41 @@ def _finish_scan(path: str, scan: _LineScan) -> tuple[GenerationBatch, list[Diag
     failing = set().union(
         *(_failing_rows(values, ends, max_value) for values, ends, _, max_value in columns)
     )
-    # Duplicates, dimensions and query runs, judged over the rows that passed.
+    # Duplicates and dimensions, judged over the rows that passed, in line
+    # order.  With no failing row, no repeated pair and one dimension, every
+    # row passes, and none needs judging.
     row_diagnostics = scan.problems
-    seen: set[tuple[str, int]] = set()
-    embed_dim: int | None = None
-    keep: list[bool] = []
-    query_ids: list[str] = []
-    run_starts: list[int] = []
-    kept = 0
-    rows = zip(scan.lines, scan.ids, scan.indices, scan.embedding_lengths)
-    for c, (lineno, query_id, sample_index, dim) in enumerate(rows):
-        if c in failing:
-            problems = _walked_problems(columns, c)
-        else:
-            problems = []
-            pair = (query_id, sample_index)
-            if pair in seen:
-                problems.append(f"duplicate (query_id, sample_index) {pair!r}")
+    dims = set(scan.embedding_lengths)
+    embed_dim: int | None = next(iter(dims), None)
+    keep = [True] * len(scan.ids)
+    if failing or len(dims) > 1 or len(set(zip(scan.ids, scan.indices))) < len(keep):
+        seen: set[tuple[str, int]] = set()
+        embed_dim = None
+        rows = zip(scan.lines, scan.ids, scan.indices, scan.embedding_lengths)
+        for c, (lineno, query_id, sample_index, dim) in enumerate(rows):
+            if c in failing:
+                problems = _walked_problems(columns, c)
             else:
-                seen.add(pair)
-                if embed_dim is None:
-                    embed_dim = dim
-                elif dim != embed_dim:
-                    problems.append(
-                        f"query {query_id}: embedding dimension {dim} differs from {embed_dim}"
-                    )
-        keep.append(not problems)
-        if problems:
-            row_diagnostics.extend(Diagnostic(path, lineno, p) for p in problems)
-            continue
-        if not query_ids or query_ids[-1] != query_id:
-            query_ids.append(query_id)
-            run_starts.append(kept)
-        kept += 1
+                problems = []
+                pair = (query_id, sample_index)
+                if pair in seen:
+                    problems.append(f"duplicate (query_id, sample_index) {pair!r}")
+                else:
+                    seen.add(pair)
+                    if embed_dim is None:
+                        embed_dim = dim
+                    elif dim != embed_dim:
+                        problems.append(
+                            f"query {query_id}: embedding dimension {dim} differs from {embed_dim}"
+                        )
+            if problems:
+                keep[c] = False
+                row_diagnostics.extend(Diagnostic(path, lineno, p) for p in problems)
+    # A query run starts at the first kept row and wherever the query id changes.
+    kept_ids = list(compress(scan.ids, keep))
+    kept = len(kept_ids)
+    run_starts = [0, *compress(count(1), map(ne, kept_ids, kept_ids[1:]))] if kept else []
+    query_ids = [kept_ids[start] for start in run_starts]
     row_diagnostics.sort(key=lambda d: d.line)
     mask = np.array(keep, dtype=bool)
     token_values, token_offsets = _kept_segments(scan.tokens, token_ends, mask)
@@ -769,11 +884,27 @@ def group_generations(
 
 
 def load_generations(path: str, queries: Sequence[QueryRecord]) -> SampleSets:
-    batch, diagnostics = scan_generation_records(path)
+    sets, _ = load_generations_and_labels(path, queries)
+    return sets
+
+
+def load_generations_and_labels(
+    path: str, queries: Sequence[QueryRecord], labels_path: str | None = None
+) -> tuple[SampleSets, np.ndarray | None]:
+    """The generations of ``queries``, grouped, and the ``z`` column of the
+    labels file ``labels_path`` over their rows (None without one), read in
+    one part run (see :func:`_scan_parts`).  Raises on the first file's
+    first diagnostic: generations, grouping, then labels."""
+    batch, diagnostics, labels = _scan_parts(path, labels_path)
     _raise_if_any(diagnostics)
     sets, diagnostics = group_generations(queries, batch, path=path)
     _raise_if_any(diagnostics)
-    return sets
+    if labels_path is None:
+        return sets, None
+    z, diagnostics = _finish_labels(labels_path, labels, sets)
+    _raise_if_any(diagnostics)
+    _log_coverage(z, sets)
+    return sets, z
 
 
 # ---------------------------------------------------------------------------
@@ -792,45 +923,106 @@ def scan_labels(
     duplicate when its row is already labelled.  Without sets, only the
     line checks and the duplicate check run, and ``z`` is empty: there are
     no rows to align the labels with.
+
+    Like the generation loader, it runs in two stages: the per-line stage
+    (:func:`_scan_label_lines`) checks each line's fields, and the serial
+    finish (:func:`_finish_labels`) aligns the candidates with the rows in
+    line order.  Read on its own, the file is one part; the CLI reads it in
+    the generations' parts (see :func:`load_generations_and_labels`).
     """
-    diagnostics: list[Diagnostic] = []
-    row_diagnostics: list[Diagnostic] = []
-    z: list[int] = []
-    seen: set[tuple[str, int]] = set()
-    row_of: dict[tuple[str, int], int] | None = None
-    if sets is not None:
-        z = [-1] * len(sets.batch)
-        rows, bounds = sets.rows.tolist(), sets.offsets.tolist()
-        index = sets.batch.sample_index
-        row_of = {
-            (query_id, index[i]): i
+    return _finish_labels(path, None, sets)
+
+
+class _LabelScan(_Scan):
+    """A scan of label lines.  The candidates' columns hold their query
+    ids, sample indices and labels."""
+
+    _COLUMNS = ("ids", "indices", "z")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ids: list[str] = []
+        self.indices: list[int] = []
+        self.z = array("b")
+
+
+def _scan_label_lines(path: str, start: int, stop: int | None) -> _LabelScan:
+    """The per-line stage: the scan of the lines of bytes ``start:stop`` of
+    a labels file, numbered from 1."""
+    scan = _LabelScan()
+    diagnose = scan.problems.extend
+    lines, ids, indices, labels = scan.lines, scan.ids, scan.indices, scan.z
+    lineno = 0
+    for lineno, obj, problems, _ in _objects(path, scan.unreadable, _LABEL_FIELDS, start, stop):
+        query_id, sample_index, label = obj.get("query_id"), obj.get("sample_index"), obj.get("z")
+        # A row whose fields have the exact types json gives a valid row
+        # skips the field-by-field checks.
+        if (
+            problems
+            or type(query_id) is not str or not query_id
+            or type(sample_index) is not int or sample_index < 0
+            or type(label) is not int or label not in (0, 1)
+        ):
+            _query_id(obj, problems)
+            _index(obj, "sample_index", problems)
+            if not isinstance(label, int) or isinstance(label, bool) or label not in (0, 1):
+                problems.append("z must be 0 or 1")
+            if problems:
+                diagnose(Diagnostic(path, lineno, p) for p in problems)
+                continue
+        lines.append(lineno)
+        ids.append(intern(query_id))  # one string for all the labels of a query
+        indices.append(sample_index)
+        labels.append(label)
+    # Each line read was yielded above or diagnosed as unreadable.
+    scan.count = max(lineno, scan.unreadable[-1].line if scan.unreadable else 0)
+    return scan
+
+
+def _finish_labels(
+    path: str, scan: _LabelScan | None, sets: SampleSets | None
+) -> tuple[np.ndarray, list[Diagnostic]]:
+    """The serial finish over the candidates of a whole labels file (None:
+    the file is scanned here first): each label goes to its row of
+    ``sets.batch`` in line order, or is diagnosed as unknown or a
+    duplicate; then ``z`` and every diagnostic (see :func:`scan_labels`)."""
+    if scan is None:
+        scan = _scan_label_lines(path, 0, None)
+    rows: list[Any]
+    if sets is None:  # no rows to align with: each pair stands for its own
+        rows = list(zip(scan.ids, scan.indices))
+    else:
+        members, bounds = sets.rows.tolist(), sets.offsets.tolist()
+        index = sets.batch.sample_index.__getitem__
+        row_of = {  # query id -> sample_index -> row
+            query_id: dict(zip(map(index, members[start:stop]), members[start:stop]))
             for query_id, start, stop in zip(sets.query_ids, bounds, bounds[1:])
-            for i in rows[start:stop]
         }
-    for lineno, obj, problems in _objects(path, diagnostics, _LABEL_FIELDS):
-        query_id = _query_id(obj, problems)
-        sample_index = _index(obj, "sample_index", problems)
-        label = obj.get("z")
-        if not isinstance(label, int) or isinstance(label, bool) or label not in (0, 1):
-            problems.append("z must be 0 or 1")
-        if not problems:
+        unknown: dict[int, int] = {}
+        rows = [row_of.get(q, unknown).get(i) for q, i in zip(scan.ids, scan.indices)]
+    row_diagnostics = scan.problems
+    kept = [True] * len(rows)
+    if None in rows or len(set(rows)) < len(rows):  # a label to diagnose
+        labelled = set()
+        for c, (lineno, query_id, sample_index, row) in enumerate(
+            zip(scan.lines, scan.ids, scan.indices, rows)
+        ):
             pair = (query_id, sample_index)
-            if row_of is None:
-                if pair in seen:
-                    problems.append(f"duplicate label for {pair!r}")
-                else:
-                    seen.add(pair)
+            if row is None:
+                message = f"label references unknown generation {pair!r}"
+            elif row in labelled:
+                message = f"duplicate label for {pair!r}"
             else:
-                row = row_of.get(pair)
-                if row is None:
-                    problems.append(f"label references unknown generation {pair!r}")
-                elif z[row] >= 0:
-                    problems.append(f"duplicate label for {pair!r}")
-                else:
-                    z[row] = label
-        if problems:
-            row_diagnostics.extend(Diagnostic(path, lineno, p) for p in problems)
-    return np.array(z, dtype=np.int8), diagnostics + row_diagnostics
+                labelled.add(row)
+                continue
+            kept[c] = False
+            row_diagnostics.append(Diagnostic(path, lineno, message))
+    row_diagnostics.sort(key=lambda d: d.line)
+    z = np.empty(0, dtype=np.int8)
+    if sets is not None:
+        z = np.full(len(sets.batch), -1, dtype=np.int8)
+        z[list(compress(rows, kept))] = list(compress(scan.z, kept))
+    return z, scan.unreadable + row_diagnostics
 
 
 def load_labels(path: str, sets: SampleSets) -> np.ndarray:
@@ -838,6 +1030,11 @@ def load_labels(path: str, sets: SampleSets) -> np.ndarray:
     ``sets.batch``; raises on any diagnostic."""
     z, diagnostics = scan_labels(path, sets)
     _raise_if_any(diagnostics)
+    _log_coverage(z, sets)
+    return z
+
+
+def _log_coverage(z: np.ndarray, sets: SampleSets) -> None:
     total = len(sets.rows)
     if total:
         labelled = int(np.count_nonzero(z >= 0))
@@ -845,7 +1042,6 @@ def load_labels(path: str, sets: SampleSets) -> np.ndarray:
             "label coverage: %d of %d generations (%.1f%%)",
             labelled, total, 100.0 * labelled / total,
         )
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +1056,7 @@ def load_targets(path: str) -> list[ConsistencyTarget]:
     row_diagnostics: list[Diagnostic] = []
     targets: list[ConsistencyTarget] = []
     seen: set[str] = set()
-    for lineno, obj, problems in _objects(path, diagnostics, _TARGET_FIELDS):
+    for lineno, obj, problems, _ in _objects(path, diagnostics, _TARGET_FIELDS):
         query_id = _query_id(obj, problems)
         selected = _index(obj, "selected_sample_index", problems)
         answer = obj.get("answer")
@@ -1311,16 +1507,18 @@ def validate_files(
     generations_path: str | None = None,
     labels_path: str | None = None,
 ) -> list[Diagnostic]:
-    """Collect every diagnostic across a dataset's files."""
+    """Collect every diagnostic across a dataset's files; the generations
+    and labels are read in one part run (see :func:`_scan_parts`)."""
     queries, diagnostics = scan_queries(queries_path)
     sets: SampleSets | None = None
+    labels: _LabelScan | None = None
     if generations_path is not None:
-        batch, gen_diags = scan_generation_records(generations_path)
+        batch, gen_diags, labels = _scan_parts(generations_path, labels_path)
         diagnostics.extend(gen_diags)
         if not gen_diags:
             sets, group_diags = group_generations(queries, batch, path=generations_path)
             diagnostics.extend(group_diags)
     if labels_path is not None:
-        _, label_diags = scan_labels(labels_path, sets)
+        _, label_diags = _finish_labels(labels_path, labels, sets)
         diagnostics.extend(label_diags)
     return diagnostics

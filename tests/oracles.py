@@ -881,7 +881,7 @@ def load_scores(path: str) -> list[dict[str, Any]]:
     """The rows of a ``conscal score`` file; a malformed or non-finite row
     raises a RecordError naming its line."""
     rows: list[dict[str, Any]] = []
-    for lineno, obj, reason in json_lines(path, []):
+    for lineno, obj, reason, _ in json_lines(path, []):
         if reason is not None:
             raise RecordError(f"{path}:{lineno}: invalid JSON ({reason})", path=path, line=lineno)
         if (

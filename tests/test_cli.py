@@ -881,6 +881,21 @@ def test_eval_requires_labels(data_dir, tmp_path, capsys):
     assert "needs --labels" in capsys.readouterr().err
 
 
+def test_eval_logs_its_label_coverage_once(data_dir, tmp_path, caplog):
+    labels = tmp_path / "deploy_labels.jsonl"
+    lines = (data_dir / "labels.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    labels.write_text(
+        "".join(line for line in lines if json.loads(line)["sample_index"] == 0),
+        encoding="utf-8",
+    )
+    argv = ["eval", *_data_flags(data_dir, labels=False), "--labels", str(labels),
+            "--methods", "distilled,token_prob", "--trials", "2", "--out", str(tmp_path / "out")]
+    with caplog.at_level("INFO", logger="conscal.records"):
+        assert main(argv) == 0
+    coverage = [r.getMessage() for r in caplog.records if "label coverage" in r.getMessage()]
+    assert coverage == ["label coverage: 40 of 240 generations (16.7%)"]
+
+
 def test_eval_trial_methods_are_checked_by_the_trial_config(data_dir, tmp_path, capsys):
     code = main(["eval"] + _data_flags(data_dir)
                 + ["--methods", "bogus,tt_sc", "--out", str(tmp_path / "x")])

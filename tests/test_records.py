@@ -263,6 +263,33 @@ def test_non_finite_and_non_numeric_vector_entries_are_rejected(tmp_path):
     ]
 
 
+def test_booleans_and_other_values_in_vectors_are_not_numbers(tmp_path):
+    # A boolean is the one value that is no number yet reads into a float
+    # column, in any vector field; "true" in a line's text alone is fine.
+    path = _write_lines(
+        tmp_path / "generations.jsonl",
+        [
+            _valid_generation("q1", 0, embedding=[True, 1.0]),
+            _valid_generation("q2", 0, token_logprobs=[-0.1, False]),
+            _valid_generation("q3", 0, answer_token_logprobs=[-0.1, True]),
+            _valid_generation("q4", 0, response_text="true or false?"),
+            _valid_generation("q5", 0, token_logprobs=[-0.1, [-0.2]]),
+            _valid_generation("q6", 0, embedding=[0.5, {}]),
+            _valid_generation("q7", 0, sampling_meta={"greedy": False}, embedding=[0.5, "1"]),
+        ],
+    )
+    batch, diagnostics = records.scan_generation_records(path)
+    assert [(d.line, d.message) for d in diagnostics] == [
+        (1, "embedding contains a non-finite or non-numeric entry"),
+        (2, "token_logprobs contains a non-finite or non-numeric entry"),
+        (3, "answer_token_logprobs contains a non-finite or non-numeric entry"),
+        (5, "token_logprobs contains a non-finite or non-numeric entry"),
+        (6, "embedding contains a non-finite or non-numeric entry"),
+        (7, "embedding contains a non-finite or non-numeric entry"),
+    ]
+    assert batch.query_ids == ("q4",)
+
+
 def test_integers_too_large_for_a_float_are_diagnosed(tmp_path):
     huge = -(10**400)
     path = _write_lines(
@@ -865,6 +892,18 @@ def _use_parts(monkeypatch, parts: int) -> None:
         monkeypatch.setattr(records, floor, 1)
 
 
+def _spy_parts(monkeypatch) -> list[int]:
+    """Record the number of parts of each part run."""
+    counts, original = [], records._run_parts
+
+    def run_parts(name, here, forked, take, **kwargs):
+        counts.append(1 + len(forked))
+        return original(name, here, forked, take, **kwargs)
+
+    monkeypatch.setattr(records, "_run_parts", run_parts)
+    return counts
+
+
 def _write_in_parts(path, batch, meta=None) -> list:
     """Write ``generation_lines(batch, meta)`` through ``write_parts``, one
     part for each of the ``part_ranges`` of the batch's query runs; each
@@ -1205,9 +1244,10 @@ def test_every_read_part_count_equals_the_whole_scan(tmp_path, monkeypatch, part
     whole = records.scan_generation_records(path)
     _use_parts(monkeypatch, parts)
     assert records._part_count(os.path.getsize(path), records._BYTES_PER_PART) == parts
-    # More parts than lines: a part per line end past each share, 15 of 17 lines.
-    assert len(records._line_ranges(path, parts)) == ranges
+    counts = _spy_parts(monkeypatch)
     assert records.scan_generation_records(path) == whole
+    # More parts than lines: a part per line end past each share, 15 of 17 lines.
+    assert counts == [ranges]
     assert os.listdir(tmp_path) == ["generations.jsonl"]
     with pytest.raises(ChildProcessError):  # every part reader was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -1216,14 +1256,15 @@ def test_every_read_part_count_equals_the_whole_scan(tmp_path, monkeypatch, part
 def test_line_ranges_cut_past_the_first_newline_at_each_share(tmp_path):
     path = tmp_path / "lines.jsonl"
     path.write_bytes(b"aaaa\nbb\r\ncccccc\nd")  # 17 bytes
-    assert records._line_ranges(str(path), 1) == [(0, None)]
-    assert records._line_ranges(str(path), 2) == [(0, 9), (9, None)]  # byte 8 ends "\r\n"
-    assert records._line_ranges(str(path), 3) == [(0, 9), (9, 16), (16, None)]
-    every_line = [(0, 5), (5, 9), (9, 16), (16, None)]
-    assert records._line_ranges(str(path), 4) == every_line
-    assert records._line_ranges(str(path), 17) == every_line  # "d" has no \n: no cut
+    assert records._line_cuts(str(path), 1) == [0, None]
+    assert records._line_cuts(str(path), 2) == [0, 9, None]  # byte 8 ends "\r\n"
+    assert records._line_cuts(str(path), 3) == [0, 9, 16, None]
+    assert records._line_cuts(str(path), 4) == [0, 5, 9, 16, None]  # a range a line
+    # More parts than lines: repeated cuts leave empty ranges, and "d",
+    # which has no \n, gets no cut of its own.
+    assert records._line_cuts(str(path), 17) == [0, *[5] * 4, *[9] * 4, *[16] * 7, None, None]
     path.write_bytes(b"")
-    assert records._line_ranges(str(path), 3) == [(0, None)]
+    assert records._line_cuts(str(path), 3) == [0, None, None, None]
 
 
 def test_the_read_part_count_follows_cpus_and_the_byte_floor(monkeypatch):
@@ -1315,6 +1356,210 @@ def test_generations_read_through_a_pipe_equal_the_file(tmp_path, monkeypatch):
     assert {d.path for d in piped_diagnostics} == {pipe}
 
 
+# ---------------------------------------------------------------------------
+# the labels, read in the generation reader's parts
+# ---------------------------------------------------------------------------
+
+# Labels cut anywhere between them must scan as the whole file does: lines
+# that are not JSON objects or fail a field check on either side of every
+# cut, duplicates of lines 1 and 4 further on, an unknown generation, a NaN
+# token, whitespace padding, a blank line, an escaped query id and an
+# unpaired surrogate escape in an otherwise valid line.
+_LABEL_CUT_LINES = [
+    '{"query_id":"q1","sample_index":0,"z":1}',
+    "not json{",
+    '{"query_id":"q1","sample_index":1,"z":2}',
+    ' \t{"query_id":"q\\u0031","sample_index":1,"z":0}  ',
+    '{"query_id":"ghost","sample_index":0,"z":1}',
+    "",
+    '{"query_id":"q1","sample_index":0,"z":0}',
+    '{"query_id":"q2","sample_index":0,"z":1,"note":NaN}',
+    '{"query_id":"q2","sample_index":0,"z":true}',
+    '{"query_id":"q2","sample_index":0,"z":1}',
+    '{"query_id":"q1","sample_index":1,"z":1}',
+    '{"query_id":"q2","sample_index":1,"z":0,"note":"\\ud800"}',
+]
+_LABEL_CUT_DIAGNOSTICS = [
+    (2, "invalid JSON (Expecting value)"),
+    (6, "invalid JSON (Expecting value)"),
+    (12, "invalid JSON (unpaired surrogate escape)"),
+    (3, "z must be 0 or 1"),
+    (5, "label references unknown generation ('ghost', 0)"),
+    (7, "duplicate label for ('q1', 0)"),
+    (8, "note contains NaN or Infinity"),
+    (9, "z must be 0 or 1"),
+    (11, "duplicate label for ('q1', 1)"),
+]
+
+
+def _label_cut_files(tmp_path, label_lines=_LABEL_CUT_LINES):
+    """A queries file (q1, q2), a clean generations file of their samples 0
+    to 2 and a labels file of ``label_lines``; returns their paths."""
+    queries = _write_lines(tmp_path / "queries.jsonl", [_valid_query("q1"), _valid_query("q2")])
+    generations = _write_lines(
+        tmp_path / "generations.jsonl",
+        [_valid_generation(q, i) for q in ("q1", "q2") for i in range(3)],
+    )
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text("".join(line + "\n" for line in label_lines), encoding="utf-8")
+    return queries, generations, str(labels)
+
+
+def _labels_read_in_parts(queries, generations, labels):
+    """``z`` and the label diagnostics, as ``(line, message)``, of a read of
+    ``labels`` in the part run of ``generations``, aligned with its sets."""
+    batch, diagnostics, scan = records._scan_parts(generations, labels)
+    assert diagnostics == []
+    sets, _ = records.group_generations(records.load_queries(queries), batch)
+    z, diagnostics = records._finish_labels(labels, scan, sets)
+    return z.tolist(), [(d.line, d.message) for d in diagnostics]
+
+
+def _serial_labels(queries, generations, labels):
+    """``z`` and the label diagnostics of :func:`records.scan_labels` read
+    after the generations, and the same pair from the per-row oracle."""
+    sets = records.load_generations(generations, records.load_queries(queries))
+    z, diagnostics = records.scan_labels(labels, sets)
+    batch = sets.batch
+    row_of = {(batch.query_id_of(i), batch.sample_index[i]): i for i in sets.rows.tolist()}
+    found, expected = scan_labels_by_row(labels, set(row_of))
+    column = [-1] * len(batch)
+    for query_id, sample_index, label in found:
+        column[row_of[(query_id, sample_index)]] = label
+    return (z.tolist(), [(d.line, d.message) for d in diagnostics]), (column, expected)
+
+
+def test_the_label_cut_lines_scan_to_the_expected_labels_and_diagnostics(tmp_path):
+    files = _label_cut_files(tmp_path)
+    serial, oracle = _serial_labels(*files)
+    assert serial == oracle == ([1, 0, -1, 1, -1, -1], _LABEL_CUT_DIAGNOSTICS)
+
+
+def test_label_scans_merged_at_every_cut_equal_the_whole_scan(tmp_path):
+    _, _, labels = _label_cut_files(tmp_path)
+    sets = make_set(["a"] * 3, query_id="q1")
+    for with_sets in (None, sets):
+        z, diagnostics = records.scan_labels(labels, with_sets)
+        cuts = _line_ends(labels)
+        assert len(cuts) == len(_LABEL_CUT_LINES)
+        for cut in cuts:
+            scan = records._scan_label_lines(labels, 0, cut)
+            scan.extend(records._scan_label_lines(labels, cut, None))
+            merged, merged_diagnostics = records._finish_labels(labels, scan, with_sets)
+            assert merged.tolist() == z.tolist() and merged_diagnostics == diagnostics, cut
+
+
+@_FORKS
+@pytest.mark.parametrize(
+    ("parts", "label_lines", "runs"),
+    [
+        (1, _LABEL_CUT_LINES, 1),
+        (2, _LABEL_CUT_LINES, 2),
+        (3, _LABEL_CUT_LINES, 3),
+        # More parts than lines: 6 generation lines and 12 label lines cut
+        # at 40 shares.  15 parts hold a line of one file or of both; the
+        # others, whose two ranges are empty, are dropped.
+        (40, _LABEL_CUT_LINES, 15),
+        # Fewer label lines than generation parts: empty label ranges.
+        (3, _LABEL_CUT_LINES[:1], 3),
+    ],
+)
+def test_labels_read_in_the_generation_parts_equal_the_serial_read_and_the_oracle(
+    tmp_path, monkeypatch, parts, label_lines, runs
+):
+    files = _label_cut_files(tmp_path, label_lines)
+    serial, oracle = _serial_labels(*files)
+    assert serial == oracle
+    expected = records.validate_files(*files)
+    _use_parts(monkeypatch, parts)
+    counts = _spy_parts(monkeypatch)
+    assert _labels_read_in_parts(*files) == serial
+    assert records.validate_files(*files) == expected
+    assert counts == [runs, runs]
+    if len(label_lines) < parts:  # some of the labels' ranges are empty
+        cuts = records._line_cuts(files[2], parts)
+        assert len(set(cuts)) < len(cuts)
+    with pytest.raises(ChildProcessError):  # every part reader was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@_FORKS
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo does not exist here")
+def test_labels_read_through_a_pipe_equal_the_file(tmp_path, monkeypatch):
+    queries, generations, labels = _label_cut_files(tmp_path)
+    _use_parts(monkeypatch, 3)
+    expected = _labels_read_in_parts(queries, generations, labels)
+    pipe = str(tmp_path / "pipe")
+    os.mkfifo(pipe)
+    # A pipe's size reads 0: it is never opened to be cut, and the first
+    # part, in this process, reads it whole while the generations are read
+    # in 3 parts.
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipe was opened to be cut")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(records, "open", refuse, raising=False)
+        assert records._line_cuts(pipe, 3) == [0, None, None, None]
+    counts = _spy_parts(monkeypatch)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(pipe, "wb") as handle:
+            handle.write(open(labels, "rb").read())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        piped = _labels_read_in_parts(queries, generations, pipe)
+    finally:
+        if writer.is_alive():  # a reader that failed before it opened the pipe
+            os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert counts == [3]
+    assert piped == expected
+
+
+@_FORKS
+@pytest.mark.parametrize("command", ["validate", "eval"])
+def test_a_failing_label_read_part_is_an_io_error_naming_the_labels(
+    tmp_path, monkeypatch, capsys, command
+):
+    data = tmp_path / "data"
+    assert main(["synth", "--n-queries", "20", "--k", "8", "--seed", "0", "--out", str(data)]) == 0
+    labels = data / "labels.jsonl"
+    argv = [command, "--queries", str(data / "queries.jsonl"), "--generations",
+            str(data / "generations.jsonl"), "--labels", str(labels)]
+    if command == "eval":
+        argv += ["--trials", "2", "--bins", "4", "--out", str(tmp_path / "failed")]
+    monkeypatch.setattr(records, "_BYTES_PER_PART", 4096)
+    monkeypatch.setattr(records, "_usable_cpus", lambda: 3)
+    _fail_in("child", monkeypatch, "_scan_label_lines")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"io error: {labels}: OSError: disk on fire\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / "failed").exists()
+
+
+def test_a_labels_file_that_cannot_be_read_fails_after_the_generations(tmp_path, capsys):
+    queries, generations, _ = _label_cut_files(tmp_path)
+    missing = str(tmp_path / "missing.jsonl")
+    argv = ["eval", "--queries", queries, "--generations", generations, "--labels", missing,
+            "--trials", "2", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"io error: [Errno 2] No such file or directory: {missing!r}\n"
+    )
+    # A generations file with a bad line is reported first, as when the
+    # files are read one after the other.
+    with open(generations, "a", encoding="utf-8") as handle:
+        handle.write("not json{\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {generations}:7: invalid JSON")
+
+
 @_FORKS
 @pytest.mark.parametrize("command", ["validate", "eval"])
 def test_a_failing_read_part_is_an_io_error(tmp_path, monkeypatch, capsys, command):
@@ -1402,7 +1647,9 @@ def _object_text(fields):
 def _generation_line(draw):
     kind = draw(st.integers(0, 15))
     if kind == 0:
-        return draw(st.sampled_from(["not json{", "[1]", '"row"', "", '{"query_id":"q1",}']))
+        return draw(st.sampled_from(
+            ["not json{", "[1]", '"row"', "", '{"query_id":"q1",}', '{"query_id":"q1"} x']
+        ))
     # About half of the rows have well-formed fields, so that duplicates and
     # dimension changes meet rows that only the column pass rejects.
     clean = kind > 7
@@ -1416,7 +1663,7 @@ def _generation_line(draw):
         [
             ("query_id", pick(['"q1"', '"q2"', '"q3"'], ['""', "5"])),
             ("sample_index", pick(["0", "1", "2"], ["-1", "true", "1.0"])),
-            ("response_text", pick(['"t"', '"\\boxed{a}"', '"\\ud83d\\ude00"'],
+            ("response_text", pick(['"t"', '"\\boxed{a}"', '"\\ud83d\\ude00"', '"caf\\u00e9"'],
                                    ["null", '"\\ud800"'])),
             ("answer", pick([None, '"a"'], ["3"])),
             ("token_logprobs", draw(tokens if clean else tokens | st.none())),
@@ -1424,7 +1671,8 @@ def _generation_line(draw):
             ("embedding", draw(embeddings if clean else embeddings | st.none())),
             ("sampling_meta", pick([None, '{"t":0.7}', '{"t":1e999}', '{"ok":false}'],
                                    ['{"t":NaN}', '"m"'])),
-            ("note", pick([None, '"n"', "1e999", "true"], ["[Infinity]", '["\\udc00"]'])),
+            ("note", pick([None, '"n"', "1e999", "true", '"\\ud800"'],
+                          ["[Infinity]", '["\\udc00"]'])),
         ]
     )
 
@@ -1432,15 +1680,24 @@ def _generation_line(draw):
 @st.composite
 def _label_line(draw):
     if draw(st.integers(0, 15)) == 0:
-        return draw(st.sampled_from(["not json{", "[1]", "null"]))
+        return draw(st.sampled_from(["not json{", "[1]", "null", "", "{}{}"]))
     return _object_text(
         [
-            ("query_id", draw(st.sampled_from(['"q1"', '"q2"', '"q3"', '"ghost"', '""', "7"]))),
+            ("query_id", draw(st.sampled_from(
+                ['"q1"', '"q2"', '"q3"', '"q\\u0031"', '"ghost"', '""', "7"]
+            ))),
             ("sample_index", draw(st.sampled_from(["0", "1", "2", "5", "-1", "true"]))),
             ("z", draw(st.sampled_from(["0", "1", "2", "true", "1.0", "NaN", None]))),
-            ("note", draw(st.sampled_from([None, "-Infinity", '"n"']))),
+            ("note", draw(st.sampled_from([None, "-Infinity", '"n"', '"\\ud800"']))),
         ]
     )
+
+
+def _padded(lines):
+    """Lines as drawn, or padded with JSON whitespace, which the C scanner
+    alone does not read: such a line is decoded in full."""
+    pads = st.sampled_from(["", "", "", " ", "\t", " \t "])
+    return st.tuples(pads, lines, pads).map("".join)
 
 
 # Duplicates and dimension changes before and after rows whose only fault is
@@ -1466,9 +1723,9 @@ _TRAP_LINES = [
 
 @settings(max_examples=200)
 @given(
-    lines=st.lists(_generation_line(), max_size=12),
+    lines=st.lists(_padded(_generation_line()), max_size=12),
     query_ids=st.sets(st.sampled_from(["q1", "q2", "q3"])),
-    label_lines=st.lists(_label_line(), max_size=8),
+    label_lines=st.lists(_padded(_label_line()), max_size=8),
 )
 @example(
     lines=_TRAP_LINES,
@@ -1501,6 +1758,11 @@ def test_loaders_match_the_per_row_oracles(lines, query_ids, label_lines):
         _, expected = scan_labels_by_row(labels)
         assert z.dtype == np.int8 and z.size == 0
         assert [(d.line, d.message) for d in diagnostics] == expected
+        for cut in _line_ends(labels):  # read in two parts, the same labels
+            scan = records._scan_label_lines(labels, 0, cut)
+            scan.extend(records._scan_label_lines(labels, cut, None))
+            merged, merged_diagnostics = records._finish_labels(labels, scan, None)
+            assert merged.size == 0 and merged_diagnostics == diagnostics
 
         sets, _ = records.group_generations([make_query(q) for q in sorted(query_ids)], batch)
         row_of = {(batch.query_id_of(i), batch.sample_index[i]): i for i in sets.rows.tolist()}
