@@ -424,7 +424,7 @@ def fit_pipeline_rows(
             f"split_frac {split_frac!r} underfills one half ({n_a} vs {n_b} rows of {n})"
         )
     _check_alpha(alpha)
-    perms = np.array([seeding.generator(seed).permutation(n) for seed in seeds])
+    perms = np.array([rng.permutation(n) for rng in seeding.generators(seeds)])
     b_pos, a_pos = perms[:, :n_b], perms[:, n_b:]
     XA = X[np.take_along_axis(picks, a_pos, axis=1)]
     means, scales = _scaler_rows(XA)

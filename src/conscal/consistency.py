@@ -14,12 +14,16 @@ numeric canonicalization is attempted, so "0.50" and "0.5" stay distinct.
 query's samples into integer codes in one pass, and every target
 (:func:`build_target` over all samples, :func:`subsample_targets` over a
 seeded draw) is then a count over those codes.  One rule draws the k
-samples: ``k`` of ``n`` positions without replacement from a generator
-seeded for the query, or all ``n`` positions, with no generator built, when
-``k == n``.
+samples: ``k`` of ``n`` positions without replacement from the query's
+generator, or all ``n`` positions, taking no generator, when ``k == n``.
+A query's generator starts in the state ``seeding.generator(seed)`` starts
+in: one target builds it, and many queries' draws reseed one generator in
+place through :func:`seeding.generators`, bit for bit the same streams.
 :func:`subsample_shares` counts many queries' draws with one ``bincount``,
 for the trial loop, which reads only the shares; one target is the same
-count over one row.  A target is a
+count over one row.  :func:`drawn_shares` counts them from generators
+given, so that a loop over many calls hashes all its seeds at once.  A
+target is a
 :class:`~conscal.records.ConsistencyTarget`; :mod:`conscal.records` reads and
 writes the targets file.  A query's gold answers are one :func:`gold_set`.
 """
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -186,19 +190,20 @@ def build_target(codes: AnswerCodes) -> ConsistencyTarget:
     return _target(codes, range(codes.codes.size))
 
 
-def _draw(codes: AnswerCodes, k: int, seed: int) -> np.ndarray:
+def _draw(codes: AnswerCodes, k: int, rngs: Iterator[np.random.Generator]) -> np.ndarray:
     """Positions of ``k`` of the set's samples, drawn uniformly without
-    replacement from the stream ``seed``.
+    replacement by the next generator of ``rngs``.
 
     A draw of all ``n`` samples is every position, so ``k == n`` returns
-    ``range(n)`` in order and builds no generator.
+    ``range(n)`` in order and takes no generator: ``rngs`` holds one for
+    each set larger than ``k``.
     """
     n = codes.codes.size
     if not 1 <= k <= n:
         raise DataError(f"query {codes.query_id}: cannot subsample {k} of {n} samples")
     if k == n:
         return np.arange(n)
-    return seeding.generator(seed).choice(n, size=k, replace=False)
+    return next(rngs).choice(n, size=k, replace=False)
 
 
 def subsample_targets(codes: AnswerCodes, k: int, seed: int) -> ConsistencyTarget:
@@ -207,11 +212,12 @@ def subsample_targets(codes: AnswerCodes, k: int, seed: int) -> ConsistencyTarge
     Deterministic given ``(codes, k, seed)``.  Selected sample indices keep
     their original values.
     """
-    return _target(codes, np.sort(_draw(codes, k, seed)))
+    # Built lazily: a draw of all n samples builds none.
+    return _target(codes, np.sort(_draw(codes, k, map(seeding.generator, [seed]))))
 
 
 def subsample_shares(
-    coded: Sequence[AnswerCodes], k: int, seeds: Sequence[int]
+    coded: Sequence[AnswerCodes], k: int, seeds: Sequence[int] | np.ndarray
 ) -> np.ndarray:
     """``subsample_targets(c, k, seed=s).s`` for each ``c`` and ``s`` of
     ``coded`` and ``seeds``, from the same draws, counted at once.
@@ -219,10 +225,20 @@ def subsample_shares(
     A loop of :func:`subsample_targets` would raise the first failing
     query's error; so does this.
     """
+    drawing = [seed for c, seed in zip(coded, seeds, strict=True) if c.codes.size > k]
+    return drawn_shares(coded, k, seeding.generators(drawing))
+
+
+def drawn_shares(
+    coded: Sequence[AnswerCodes], k: int, rngs: Iterator[np.random.Generator]
+) -> np.ndarray:
+    """:func:`subsample_shares` with the draws' generators given: ``rngs``
+    yields one for each set of ``coded`` larger than ``k``, in order, in its
+    query's starting state.  The rest take none."""
     drawn: list[np.ndarray] = []
-    for c, seed in zip(coded, seeds, strict=True):
+    for c in coded:
         try:
-            positions = _draw(c, k, seed)
+            positions = _draw(c, k, rngs)
         except DataError:
             _modal_counts(coded, drawn, k)  # an earlier query may fail first
             raise

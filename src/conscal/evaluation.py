@@ -57,8 +57,8 @@ from .consistency import (
     AnswerCodes,
     answer_codes,
     build_target,
+    drawn_shares,
     gold_set,
-    subsample_shares,
 )
 from .errors import ConfigError, DataError, require_integer, require_real, require_size
 from .metrics import (
@@ -457,18 +457,15 @@ def _distilled_targets(
     """Each trial's calibration-side targets as a ``(T, n_cal)`` matrix: the
     modal shares, or under ``k_subsample`` the shares among k samples drawn
     per query and trial."""
-    if config.k_subsample is None:
+    k = config.k_subsample
+    if k is None:
         return data.targets_s[cal]
-    return np.array(
-        [
-            subsample_shares(
-                [data.codes[i] for i in cal_idx],
-                config.k_subsample,
-                [seeding.mix(tseed, _S_SUBSAMPLE, int(i)) for i in cal_idx],
-            )
-            for tseed, cal_idx in zip(tseeds, cal)
-        ]
-    )
+    # Every (trial, query) seed in one fold, trial-major, and one reseeder
+    # for the draws of the sets larger than k; drawn and counted per trial.
+    seeds = seeding.mix_each(np.array(tseeds, dtype=np.uint64)[:, None], _S_SUBSAMPLE, cal)
+    sizes = np.array([c.codes.size for c in data.codes])
+    rngs = seeding.generators(seeds[sizes[cal] > k])
+    return np.array([drawn_shares([data.codes[i] for i in cal_idx], k, rngs) for cal_idx in cal])
 
 
 def _method_trials(

@@ -356,20 +356,28 @@ def test_subsample_shares_of_no_query_is_empty():
 def test_subsample_draws_build_one_generator_per_query_below_the_set_size(
     monkeypatch, k, calls
 ):
-    built = []
-    generator = seeding.generator
+    # Shares reseed one generator per query with more than k samples;
+    # a target builds its query's generator under the same rule.
+    reseeded, built = [], []
+    generators, generator = seeding.generators, seeding.generator
 
-    def counting(seed, *streams):
+    def counting_reseeds(seeds):
+        for rng in generators(seeds):
+            reseeded.append(rng.bit_generator.state)
+            yield rng
+
+    def counting_builds(seed, *streams):
         built.append(seed)
         return generator(seed, *streams)
 
-    monkeypatch.setattr(seeding, "generator", counting)
+    monkeypatch.setattr(seeding, "generators", counting_reseeds)
+    monkeypatch.setattr(seeding, "generator", counting_builds)
     coded = _coded([["a", "b", "a", "c"], ["c", None, "c", "b"]])
     shares = subsample_shares(coded, k, [11, 12])
-    assert len(built) == calls
-    del built[:]
+    assert (len(reseeded), built) == (calls, [])
     assert [subsample_targets(c, k, seed=s).s for c, s in zip(coded, [11, 12])] == list(shares)
-    assert len(built) == calls
+    assert built == [11, 12][:calls]
+    assert reseeded == [generator(s).bit_generator.state for s in built]
 
 
 def test_answer_codes_code_each_query_of_the_sets_apart():

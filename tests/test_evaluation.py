@@ -601,6 +601,84 @@ def test_k_subsample_larger_than_k_fails_inside_the_trial():
         run_trials(data, dataclasses.replace(_FAST, n_trials=1, k_subsample=9))
 
 
+def _with_codes(data, replaced):
+    """``data`` with the answer codes of query ``i`` replaced by
+    ``replaced[i]``, one code per sample (-1 where it has no answer)."""
+    codes = list(data.codes)
+    for i, row in replaced.items():
+        answers = tuple(f"answer {j}" for j in range(max(row) + 1))
+        codes[i] = consistency.AnswerCodes(
+            codes[i].query_id, tuple(range(len(row))), np.array(row, dtype=np.intp), answers
+        )
+    return dataclasses.replace(data, codes=tuple(codes))
+
+
+def _subsample_failure(data, config):
+    with pytest.raises(DataError) as excinfo:
+        run_trials(data, config)
+    assert type(excinfo.value) is DataError
+    return str(excinfo.value)
+
+
+def test_subsampled_trials_raise_the_first_failing_trial_and_query():
+    data = build_dataset(*_synth_sets(n=30, k=4))
+    config = dataclasses.replace(_FAST, n_trials=2, methods=("distilled",), k_subsample=3)
+    cal0, cal1 = (
+        split_cal_test(
+            data.n, config.cal_fraction,
+            seeding.mix(seeding.mix(config.master_seed, t), evaluation._S_SPLIT),
+        )[0].tolist()
+        for t in range(2)
+    )
+    only0, only1 = sorted(set(cal0) - set(cal1)), sorted(set(cal1) - set(cal0))
+    empty, short = [-1, -1, -1, -1], [0, 0]
+
+    def failure(replaced):
+        return _subsample_failure(_with_codes(data, replaced), config)
+
+    def no_answer(i):
+        return f"query {data.query_ids[i]}: no extractable answer in any of 3 samples"
+
+    def too_few(i):
+        return f"query {data.query_ids[i]}: cannot subsample 3 of 2 samples"
+
+    # Across trials: trial 0's empty draw wins over trial 1's k > n draw,
+    # and trial 0's k > n over trial 1's empty draw.
+    assert failure({only0[0]: empty, only1[0]: short}) == no_answer(only0[0])
+    assert failure({only0[0]: short, only1[0]: empty}) == too_few(only0[0])
+    assert failure({only1[0]: short}) == too_few(only1[0])
+    # Within one trial, the earlier query's failure wins, though a k > n draw
+    # fails before an empty draw is counted.
+    first, later = only0[0], only0[1]
+    assert failure({first: empty, later: short}) == no_answer(first)
+    assert failure({first: short, later: empty}) == too_few(first)
+
+
+def test_subsampled_targets_draw_each_query_from_its_own_stream_beside_sets_of_exactly_k():
+    # Every third set holds 3 samples, so its draw of 3 takes no generator
+    # while the sets around it each take one; which 3 of the others' 4 are
+    # drawn changes their shares.
+    data = build_dataset(*_synth_sets(n=30, k=4))
+    rows = {i: [0, 1, 1] if i % 3 == 0 else np.roll([0, 0, 1, 2], i).tolist() for i in range(30)}
+    data = _with_codes(data, rows)
+    config = dataclasses.replace(_FAST, n_trials=3, k_subsample=3)
+    tseeds = [seeding.mix(config.master_seed, t) for t in range(3)]
+    cal = np.stack([
+        split_cal_test(data.n, config.cal_fraction, seeding.mix(t, evaluation._S_SPLIT))[0]
+        for t in tseeds
+    ])
+    want = [
+        [
+            consistency.subsample_targets(
+                data.codes[i], 3, seed=seeding.mix(tseed, evaluation._S_SUBSAMPLE, int(i))
+            ).s
+            for i in row
+        ]
+        for tseed, row in zip(tseeds, cal)
+    ]
+    assert evaluation._distilled_targets(data, config, tseeds, cal).tolist() == want
+
+
 def test_selective_rates_flow_into_method_summaries():
     sets, labels = _synth_sets(n=60, k=6)
     data = build_dataset(sets, labels)
