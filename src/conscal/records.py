@@ -38,10 +38,12 @@ in line order, tests those entries once per column: a whole-column pass,
 then an entry-by-entry walk of the rows holding a bad entry only.  Then it
 checks duplicates and the embedding dimension, and builds the query runs,
 so a row is judged against the valid rows before it, as if every line had
-been checked in full before the next was read.  A large file is cut into
-ranges that forked children read at once (see :func:`_scan_parts`); the
-batch and the diagnostics, in text and in order, do not depend on the
-number of ranges.
+been checked in full before the next was read.  A file of at least
+``_BYTES_PER_PART`` bytes a part is cut into ranges that forked children
+read at once (see :func:`_scan_parts` and :mod:`conscal.parts`); the batch
+and the diagnostics, in text and in order, do not depend on the number of
+ranges.  :func:`write_scores` writes in parts of at least
+``_SCORE_LINES_PER_PART`` lines the same way.
 
 The label loader has the same two stages: the per-line stage checks each
 line's fields into columns, and the serial finish aligns each label with
@@ -69,24 +71,19 @@ import json
 import logging
 import math
 import os
-import pickle
 import re
-import shutil
-import signal
-import tempfile
 from array import array
-from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring
 from operator import ne
 from sys import intern
-from typing import (
-    Any, BinaryIO, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence, TextIO,
-)
+from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import parts
 from .errors import DataError, RecordError, is_finite_real, json_error_reason
 
 log = logging.getLogger(__name__)
@@ -564,13 +561,12 @@ def _scan_parts(
     :func:`_finish_labels`.
 
     The generations file alone sets the number of parts, P (see
-    :func:`_part_count`, with a floor of ``_BYTES_PER_PART`` bytes), and
-    both files are cut into P byte ranges of whole lines at the same
-    fractions of their sizes (see :func:`_line_cuts`); a pipe, whose size
-    reads 0, is read whole in the first part.  Part ``i`` scans range ``i``
-    of each file; a part whose ranges are all empty is dropped.  This
-    process runs the first part while a forked child runs each other one
-    and sends its scans back (see :func:`_run_parts`).  The scans are
+    :func:`conscal.parts.part_count`, with a floor of ``_BYTES_PER_PART``
+    bytes), and both files are cut into P byte ranges of whole lines at the
+    same fractions of their sizes (see :func:`_line_cuts`); a pipe, whose
+    size reads 0, is read whole in the first part.  Part ``i`` scans range
+    ``i`` of each file; a part whose ranges are all empty is dropped.  The
+    parts run through :func:`conscal.parts.run`, and their scans are
     merged in order, then finished, so the batch, ``z`` and the
     diagnostics do not depend on the number of parts.  A part that fails in
     its child raises ``OSError`` with the child's error text, which names
@@ -581,28 +577,26 @@ def _scan_parts(
     error is raised there, after the generations' diagnostics, as in a read
     of one file after the other.
     """
-    parts = _part_count(os.stat(path).st_size, _BYTES_PER_PART)
-    names, cuts = [path], [_line_cuts(path, parts)]
+    n_parts = parts.part_count(os.stat(path).st_size, _BYTES_PER_PART)
+    names, cuts = [path], [_line_cuts(path, n_parts)]
     if labels_path is not None:
         with contextlib.suppress(OSError):
-            cuts.append(_line_cuts(labels_path, parts))
+            cuts.append(_line_cuts(labels_path, n_parts))
             names.append(labels_path)
-    first, *rest = [
+    ranges = [
         bounds for bounds in zip(*(zip(c, c[1:]) for c in cuts))
         if any(start != stop for start, stop in bounds)
     ]
     scans: list[Any] = []  # a _LineScan, then a _LabelScan if the labels are cut
 
     def take(part: list[_Scan], _: list[BinaryIO]) -> None:
-        for scan, following in zip(scans, part):
-            scan.extend(following)
+        if not scans:  # the first part's
+            scans.extend(part)
+        else:
+            for scan, following in zip(scans, part):
+                scan.extend(following)
 
-    _run_parts(
-        path,
-        lambda: scans.extend(_scan_part(names, first)),
-        [lambda part, bounds=bounds: _scan_part(names, bounds, part) for bounds in rest],
-        take,
-    )
+    parts.run(path, ranges, partial(_scan_part, names), take)
     lines, *labels = scans
     batch, diagnostics = _finish_scan(path, lines)
     return batch, diagnostics, labels[0] if labels else None
@@ -610,7 +604,7 @@ def _scan_parts(
 
 def _scan_part(
     names: Sequence[str], bounds: Sequence[tuple[int | None, int | None]],
-    part: _Part | None = None,
+    part: parts.Part | None,
 ) -> list[_Scan]:
     """The per-line stage over range ``bounds[0]`` of the generations file
     ``names[0]`` and, when there is one, range ``bounds[1]`` of the labels
@@ -626,22 +620,22 @@ def _scan_part(
     return scans
 
 
-def _line_cuts(path: str, parts: int) -> list[int | None]:
-    """``parts + 1`` offsets that cut the file ``path`` into ``parts`` byte
-    ranges of whole lines, some maybe empty: 0, then cut ``i`` just past
-    the first ``\\n`` at or after byte ``size * i // parts``, then the end.
-    The end is None, and so is a cut that reaches it.  A file whose size
-    reads 0, such as a pipe, is not opened."""
+def _line_cuts(path: str, n_parts: int) -> list[int | None]:
+    """``n_parts + 1`` offsets that cut the file ``path`` into ``n_parts``
+    byte ranges of whole lines, some maybe empty: 0, then cut ``i`` just
+    past the first ``\\n`` at or after byte ``size * i // n_parts``, then
+    the end.  The end is None, and so is a cut that reaches it.  A file
+    whose size reads 0, such as a pipe, is not opened."""
     size = os.stat(path).st_size
     cuts: list[int | None] = [0]
-    if parts > 1 and size:
+    if n_parts > 1 and size:
         with open(path, "rb") as handle:
-            for i in range(1, parts):
-                handle.seek(size * i // parts)
+            for i in range(1, n_parts):
+                handle.seek(size * i // n_parts)
                 handle.readline()
                 cut = handle.tell()
                 cuts.append(cut if cut < size else None)
-    return cuts + [None] * (parts + 1 - len(cuts))
+    return cuts + [None] * (n_parts + 1 - len(cuts))
 
 
 def _scan_lines(path: str, start: int, stop: int | None) -> _LineScan:
@@ -1104,26 +1098,14 @@ _GENERATION_LINE = (
 _LABEL_LINE = '{{"query_id":{},"sample_index":{},"z":{}}}\n'
 _SCORE_LINE = '{{"query_id":{},{}"method":{},"confidence":{}{}}}\n'
 _IMPUTED = {None: "", False: ',"imputed":false', True: ',"imputed":true'}
-# A part run (see write_parts) forks a child for each part past the first.
-# On a 2-CPU x86-64 host a fork takes 1-2 ms and appending a 6 MB part
-# 1.5 ms, the time of about 100 generation rows at 22-34 us a row, and a
-# child formats its rows some 20% slower than a lone process (copy-on-write
-# page faults).  A part of 1,000 rows saves ten times its fixed cost.  A
-# score line takes 2.4-3 us and 100 bytes, so a part of 5,000 lines moves
-# 12-15 ms of work for some 2 ms.
-_ROWS_PER_PART = 1000
+# The floors of the part runs (see conscal.parts), on a 2-CPU x86-64 host.
+# A score line takes 2.4-3 us and 100 bytes, so a part of 5,000 lines moves
+# 12-15 ms of work for some 2 ms of fork and append.  A read part scans at
+# about 40 ms a MB; pickling, unpickling and merging it take about 3.5 ms a
+# MB more, after a 1-2 ms fork, so a part of 1 MB moves some 40 ms of work
+# to another CPU for about 5 ms.
 _SCORE_LINES_PER_PART = 5000
-_MAX_PARTS = 8
-# scan_generation_records reads in parts too, each after the first in a
-# forked child that pickles its columns back.  On the same host a part
-# scans at about 40 ms a MB; pickling, unpickling and merging it take about
-# 3.5 ms a MB more, after a 1-2 ms fork.  A part of 1 MB moves some 40 ms of
-# work to another CPU for about 5 ms.
 _BYTES_PER_PART = 1 << 20
-_COPY_CHUNK = 1 << 16  # bytes per copy when a part is appended
-# The first byte a part child sends back: its work's pickled value follows,
-# or its error text.
-_VALUE, _ERROR = b"V", b"E"
 
 
 def _dump(obj: Any) -> str:
@@ -1231,199 +1213,6 @@ def write_generations(
     _write_lines(path, generation_lines(batch, sampling_meta))
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _part_count(work: int, floor: int) -> int:
-    """The parts to split ``work`` in: one per usable CPU, but no more than
-    ``_MAX_PARTS`` or one per ``floor`` of work, and at least one; one where
-    ``os.fork`` does not exist."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(min(_usable_cpus(), _MAX_PARTS, work // floor), 1)
-
-
-def part_ranges(offsets: Sequence[int], floor: int) -> list[range]:
-    """Contiguous, nonempty ranges of runs to work in, one per part, where
-    run ``r`` holds items ``offsets[r]:offsets[r + 1]`` (one empty range
-    for no runs).
-
-    For P parts of the items (see :func:`_part_count`, with at least
-    ``floor`` items a part), cut ``p`` falls at the first run that starts at
-    or past item ``total * p // P``; a cut that repeats another or falls at
-    either end is dropped, so there are never more parts than runs.
-    """
-    runs, total = len(offsets) - 1, offsets[-1]
-    parts = _part_count(total, floor)
-    cuts = {bisect_left(offsets, total * p // parts) for p in range(1, parts)}
-    bounds = [0, *sorted(cut for cut in cuts if 0 < cut < runs), runs]
-    return [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
-
-
-def write_parts(
-    paths: Sequence[str],
-    cuts: Sequence[Any],
-    format_part: Callable[[Any], tuple[Sequence[Callable[[TextIO], None]], Any]],
-) -> list[Any]:
-    """Write the files ``paths`` in one part for each of ``cuts``, part
-    after part, and return each part's value in order.
-
-    ``format_part(cut)`` returns a writer for each path, which writes the
-    part's lines of that file into a text handle, and a small picklable
-    value.  This process writes the first part straight into ``paths``
-    while a forked child writes each other one into anonymous temporary
-    files in the first path's directory; each child's files are appended
-    in order.  A part that fails in its child raises ``OSError`` with the
-    child's error text, naming the file that its writer was writing (the
-    first path, before any writer ran).
-    """
-    values: list[Any] = []
-    with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(open(path, "w", encoding="utf-8")) for path in paths]
-
-        def here() -> None:
-            writers, value = format_part(cuts[0])
-            for write, handle in zip(writers, handles):
-                write(handle)
-                handle.flush()
-            values.append(value)
-
-        def forked(part: _Part, cut: Any) -> Any:
-            writers, value = format_part(cut)
-            for path, write, file in zip(paths, writers, part.files):
-                part.name = path
-                with open(file.fileno(), "w", encoding="utf-8", closefd=False) as handle:
-                    write(handle)
-            return value
-
-        def take(value: Any, files: list[BinaryIO]) -> None:
-            for file, handle in zip(files, handles):
-                shutil.copyfileobj(file, handle.buffer, _COPY_CHUNK)
-            values.append(value)
-
-        _run_parts(
-            paths[0],
-            here,
-            [lambda part, cut=cut: forked(part, cut) for cut in cuts[1:]],
-            take,
-            files=len(paths),
-            directory=os.path.dirname(paths[0]) or os.curdir,
-        )
-    return values
-
-
-class _Part:
-    """A forked part's anonymous temporary files, and the name its failure
-    reports: the part run's, or the file its work says it is writing."""
-
-    def __init__(self, name: str, files: list[BinaryIO]) -> None:
-        self.name, self.files = name, files
-
-
-def _run_parts(
-    name: str,
-    here: Callable[[], None],
-    forked: Sequence[Callable[[_Part], Any]],
-    take: Callable[[Any, list[BinaryIO]], None],
-    *,
-    files: int = 0,
-    directory: str | None = None,
-) -> None:
-    """Call ``here`` in this process while a forked child calls each of
-    ``forked`` with a :class:`_Part` of ``files`` anonymous temporary files
-    in ``directory``; then call ``take`` with each child's return value and
-    its files, rewound, in order.
-
-    A child sends its value back pickled, over the pipe that carries its
-    error text when it fails, and this process unpickles it as it comes,
-    so a part that writes no file makes none.  A
-    child that fails raises ``OSError`` with its error text, which names
-    its part's name.  Every child is reaped before this returns or raises;
-    one still running when something here fails is killed first.
-    """
-    running: list[int] = []
-    with contextlib.ExitStack() as stack:
-        stack.callback(_stop, running)
-        children = []
-        for work in forked:
-            part = _Part(name, [
-                stack.enter_context(tempfile.TemporaryFile(dir=directory)) for _ in range(files)
-            ])
-            children.append(_fork_part(stack, running, part, work))
-        here()
-        for pid, channel, part in children:
-            tag, failure = channel.read(1), None
-            try:  # straight from the pipe: the value's bytes are never held whole
-                value = pickle.load(channel) if tag == _VALUE else None
-            except Exception as exc:  # a value cut short, if the child ended while sending it
-                failure = exc
-            rest = channel.read()  # to the child's exit
-            status = os.waitpid(pid, 0)[1]
-            running.remove(pid)
-            if status:
-                code = os.waitstatus_to_exitcode(status)
-                reason = rest.decode("utf-8", "replace") if tag == _ERROR else ""
-                raise OSError(reason or f"{name}: a part ended with code {code}")
-            if failure is not None:
-                raise failure
-            for file in part.files:
-                file.seek(0)
-            take(value, part.files)
-
-
-def _fork_part(
-    stack: contextlib.ExitStack, running: list[int], part: _Part, work: Callable[[_Part], Any]
-) -> tuple[int, BinaryIO, _Part]:
-    """Fork a child that calls ``work(part)``, and add its pid to
-    ``running``.  Returns the pid, the read end of the pipe that carries
-    the child's value or error text, and ``part``; ``stack`` closes the
-    pipe."""
-    read_end, write_end = os.pipe()
-    channel = stack.enter_context(open(read_end, "rb"))
-    report = stack.enter_context(open(write_end, "wb"))
-    pid = os.fork()
-    if pid == 0:
-        _run_part(report, part, work)
-    running.append(pid)
-    report.close()  # the child holds the last write end: channel reads to its exit
-    return pid, channel, part
-
-
-def _run_part(report: BinaryIO, part: _Part, work: Callable[[_Part], Any]) -> NoReturn:
-    """A forked child's whole life: ``work(part)``, then ``part``'s files
-    flushed and the value pickled into ``report`` after ``_VALUE``; or
-    ``_ERROR`` and the error text, after ``part.name``.  It leaves through
-    ``os._exit`` only, so it never flushes the caller's buffers or returns
-    into the caller.  A part's work runs Python and element-wise numpy
-    only, so no lock that another thread of the parent held at the fork is
-    taken."""
-    code, message = 1, _ERROR
-    try:
-        value = work(part)
-        for file in part.files:
-            file.flush()
-        message, code = _VALUE + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL), 0
-    except BaseException as exc:
-        text = f"{part.name}: {type(exc).__name__}: {exc}"
-        message = _ERROR + text.encode("utf-8", "backslashreplace")
-    finally:
-        try:
-            report.write(message)
-            report.flush()
-        finally:
-            os._exit(code)
-
-
-def _stop(pids: list[int]) -> None:
-    """Kill and reap the children ``pids``, the part children not yet reaped."""
-    for pid in pids:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
 def label_lines(batch: GenerationBatch, z: np.ndarray) -> Iterator[str]:
     """The line of each labelled row of ``batch`` (``z`` 0 or 1), in row order."""
     if len(z) != len(batch):
@@ -1454,16 +1243,16 @@ def write_scores(path: str, columns: Iterable[tuple[str, Sequence[str], Any, Any
     A ``sample_index`` of None (rows that score a whole query) or an
     ``imputed`` of None (a method that imputes nothing) leaves its key out.
     The lines, numbered across the method columns, are cut into ranges of
-    about equal size (see :func:`part_ranges`, with at least
+    about equal size (see :func:`conscal.parts.part_ranges`, with at least
     ``_SCORE_LINES_PER_PART`` lines a part), each formatted in a part of
-    its own (see :func:`write_parts`); the bytes do not depend on the
-    number of parts.
+    its own (see :func:`conscal.parts.write_parts`); the bytes do not
+    depend on the number of parts.
     """
     columns = list(columns)
     total = sum(len(column[1]) for column in columns)
-    write_parts(
+    parts.write_parts(
         [path],
-        part_ranges(range(total + 1), _SCORE_LINES_PER_PART),
+        parts.part_ranges(range(total + 1), _SCORE_LINES_PER_PART),
         lambda lines: ([lambda handle: handle.writelines(_score_lines(columns, lines))], None),
     )
 

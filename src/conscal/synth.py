@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from . import records, seeding
+from . import parts, records, seeding
 from .errors import ConfigError, DataError, require_integer, require_real, require_size
 from .records import GenerationBatch, QueryRecord, write_json_lines
 
@@ -464,6 +464,10 @@ def write_truth(
 # ---------------------------------------------------------------------------
 
 DATASET_FILES = ("queries.jsonl", "generations.jsonl", "labels.jsonl", "truth.jsonl")
+# A dataset part holds at least this many generation rows.  A row takes
+# 22-34 us to draw and format, so a fork and the append of a 6 MB part (see
+# conscal.parts) cost about 100 rows' time: 1,000 rows are ten times that.
+_ROWS_PER_PART = 1000
 
 
 def write_dataset(config: SynthConfig, *paths: str) -> tuple[list[float], int]:
@@ -472,15 +476,15 @@ def write_dataset(config: SynthConfig, *paths: str) -> tuple[list[float], int]:
 
     Returns each query's ``pi``, in query order, and the count of samples
     whose answer is the gold one.  The queries are cut into ranges of
-    about equal rows (see :func:`records.part_ranges`, with at least
-    ``records._ROWS_PER_PART`` rows a part); each range is generated and
-    formatted in a part of its own (see :func:`records.write_parts`), so
-    the bytes do not depend on the number of parts.
+    about equal rows (see :func:`conscal.parts.part_ranges`, with at least
+    ``_ROWS_PER_PART`` rows a part); each range is generated and formatted
+    in a part of its own (see :func:`conscal.parts.write_parts`), so the
+    bytes do not depend on the number of parts.
     """
     k = config.k
     rows = range(0, _total_queries(config) * k + 1, k)
-    ranges = records.part_ranges(rows, records._ROWS_PER_PART)
-    values = records.write_parts(paths, ranges, lambda indices: _dataset_part(config, indices))
+    ranges = parts.part_ranges(rows, _ROWS_PER_PART)
+    values = parts.write_parts(paths, ranges, lambda indices: _dataset_part(config, indices))
     pis = [pi for part_pis, _ in values for pi in part_pis]
     return pis, sum(correct for _, correct in values)
 

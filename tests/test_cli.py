@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from conscal import baselines, calibrator, consistency, evaluation, records, synth
+from conscal import baselines, calibrator, consistency, evaluation, parts, records, synth
 from conscal.cli import build_parser, main
 from conscal.errors import MAX_SIZE
 
@@ -130,7 +130,7 @@ def test_synth_output_matches_the_recorded_digests(preset, tmp_path, capsys):
 def _synth_parts(preset, n_queries, k):
     """The query ranges that ``conscal synth`` writes in parts."""
     total = n_queries * (2 if preset == "shift" else 1)
-    return records.part_ranges(range(0, total * k + 1, k), records._ROWS_PER_PART)
+    return parts.part_ranges(range(0, total * k + 1, k), synth._ROWS_PER_PART)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork does not exist here")
@@ -139,13 +139,13 @@ def _synth_parts(preset, n_queries, k):
 def test_synth_output_matches_the_recorded_digests_in_parts(
     preset, cpus, tmp_path, monkeypatch, capsys
 ):
-    monkeypatch.setattr(records, "_ROWS_PER_PART", 1)
-    monkeypatch.setattr(records, "_usable_cpus", lambda: cpus)
-    parts = _synth_parts(preset, 20, 8)
-    assert len(parts) == cpus
+    monkeypatch.setattr(synth, "_ROWS_PER_PART", 1)
+    monkeypatch.setattr(parts, "_usable_cpus", lambda: cpus)
+    ranges = _synth_parts(preset, 20, 8)
+    assert len(ranges) == cpus
     if preset == "shift":
         # Two parts cut at the group boundary, query 20; three cut inside both groups.
-        cuts = [part.start for part in parts[1:]]
+        cuts = [part.start for part in ranges[1:]]
         assert cuts == {2: [20], 3: [14, 27], 8: [5, 10, 15, 20, 25, 30, 35]}[cpus]
     test_synth_output_matches_the_recorded_digests(preset, tmp_path, capsys)
     with pytest.raises(ChildProcessError):  # every part was reaped
@@ -155,12 +155,12 @@ def test_synth_output_matches_the_recorded_digests_in_parts(
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork does not exist here")
 @pytest.mark.parametrize("preset", ["benchmark", "premise", "shift"])
 def test_synth_writes_the_same_bytes_in_every_part_count(preset, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(records, "_ROWS_PER_PART", 1)
+    monkeypatch.setattr(synth, "_ROWS_PER_PART", 1)
     argv = ["synth", "--preset", preset, "--n-queries", "3", "--k", "4", "--seed", "2"]
     outputs = {}
     # 8 CPUs are more than the 3 queries (6 with the shifted group).
     for cpus in (1, 2, 3, 8):
-        monkeypatch.setattr(records, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parts, "_usable_cpus", lambda: cpus)
         out = tmp_path / str(cpus)
         assert main([*argv, "--out", str(out)]) == 0
         stdout = capsys.readouterr().out.replace(str(out), "{out}")
@@ -170,8 +170,8 @@ def test_synth_writes_the_same_bytes_in_every_part_count(preset, tmp_path, monke
     assert sorted(outputs) == sorted({1, 2, 3, total})
     first = outputs[1]
     assert list(first[1]) == ["config.json", *sorted(synth.DATASET_FILES)]
-    for parts, output in outputs.items():
-        assert output == first, parts
+    for count, output in outputs.items():
+        assert output == first, count
 
 
 def test_synth_headline_reports_sizes(tmp_path, capsys):
@@ -1252,9 +1252,9 @@ def test_cli_outputs_keep_their_digests_when_generations_are_read_in_parts(
 ):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(records, "_BYTES_PER_PART", 4096)
-    monkeypatch.setattr(records, "_usable_cpus", lambda: 3)
-    parts = records._part_count(20 * 8 * 500, records._BYTES_PER_PART)
-    assert parts == (3 if hasattr(os, "fork") else 1)
+    monkeypatch.setattr(parts, "_usable_cpus", lambda: 3)
+    count = parts.part_count(20 * 8 * 500, records._BYTES_PER_PART)
+    assert count == (3 if hasattr(os, "fork") else 1)
     assert _golden_digests() == _read_json(_CLI_DIGESTS)
     capsys.readouterr()
 

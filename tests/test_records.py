@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conscal import records, synth
+from conscal import parts, records, synth
 from conscal.cli import main
 from conscal.errors import DataError, RecordError
 from conscal.records import Diagnostic, QueryRecord
@@ -883,24 +883,25 @@ def _parts_batch():
     return make_batch(rows)
 
 
-def _use_parts(monkeypatch, parts: int) -> None:
-    """Make every part rule give ``parts`` parts wherever the work has that
+def _use_parts(monkeypatch, count: int) -> None:
+    """Make every part rule give ``count`` parts wherever the work has that
     many items: that many usable CPUs, no lower cap, and floors of one item."""
-    monkeypatch.setattr(records, "_usable_cpus", lambda: parts)
-    monkeypatch.setattr(records, "_MAX_PARTS", max(parts, records._MAX_PARTS))
-    for floor in ("_ROWS_PER_PART", "_SCORE_LINES_PER_PART", "_BYTES_PER_PART"):
+    monkeypatch.setattr(parts, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(parts, "_MAX_PARTS", max(count, parts._MAX_PARTS))
+    monkeypatch.setattr(synth, "_ROWS_PER_PART", 1)
+    for floor in ("_SCORE_LINES_PER_PART", "_BYTES_PER_PART"):
         monkeypatch.setattr(records, floor, 1)
 
 
 def _spy_parts(monkeypatch) -> list[int]:
     """Record the number of parts of each part run."""
-    counts, original = [], records._run_parts
+    counts, original = [], parts.run
 
-    def run_parts(name, here, forked, take, **kwargs):
-        counts.append(1 + len(forked))
-        return original(name, here, forked, take, **kwargs)
+    def run(name, cuts, work, take, **kwargs):
+        counts.append(len(cuts))
+        return original(name, cuts, work, take, **kwargs)
 
-    monkeypatch.setattr(records, "_run_parts", run_parts)
+    monkeypatch.setattr(parts, "run", run)
     return counts
 
 
@@ -915,7 +916,7 @@ def _write_in_parts(path, batch, meta=None) -> list:
         part = lines[offsets[runs.start] : offsets[runs.stop]]
         return [lambda handle: handle.writelines(part)], None
 
-    return records.write_parts([str(path)], records.part_ranges(offsets, 1), format_part)
+    return parts.write_parts([str(path)], parts.part_ranges(offsets, 1), format_part)
 
 
 @_FORKS
@@ -923,9 +924,9 @@ def test_part_runs_cut_at_run_starts_into_about_equal_rows(monkeypatch):
     offsets = _parts_batch().query_offsets.tolist()
     assert offsets == [0, 1, 4, 8, 10, 15, 16]
 
-    def cut(parts, offsets=offsets):
-        _use_parts(monkeypatch, parts)
-        return records.part_ranges(offsets, 1)
+    def cut(count, offsets=offsets):
+        _use_parts(monkeypatch, count)
+        return parts.part_ranges(offsets, 1)
 
     assert cut(1) == [range(0, 6)]
     assert cut(2) == [range(0, 3), range(3, 6)]  # row 8 exactly
@@ -937,13 +938,13 @@ def test_part_runs_cut_at_run_starts_into_about_equal_rows(monkeypatch):
 
 
 @_FORKS
-@pytest.mark.parametrize("parts", [1, 2, 3, 4, 10])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 10])
 @pytest.mark.parametrize("meta", [None, {"temperature": 0.7, "ключ": [1, 1.0, None]}])
-def test_every_part_count_writes_the_json_oracle_bytes(tmp_path, monkeypatch, parts, meta):
+def test_every_part_count_writes_the_json_oracle_bytes(tmp_path, monkeypatch, count, meta):
     batch = _parts_batch()
     path = tmp_path / "generations.jsonl"
-    _use_parts(monkeypatch, parts)
-    assert len(_write_in_parts(path, batch, meta)) == min(parts, 6)  # 6 query runs
+    _use_parts(monkeypatch, count)
+    assert len(_write_in_parts(path, batch, meta)) == min(count, 6)  # 6 query runs
     assert path.read_bytes() == _batch_oracle_bytes(batch, meta)
     assert os.listdir(tmp_path) == ["generations.jsonl"]
     with pytest.raises(ChildProcessError):  # every part writer was reaped
@@ -954,15 +955,23 @@ def test_every_part_count_writes_the_json_oracle_bytes(tmp_path, monkeypatch, pa
 def test_the_part_count_follows_cpus_rows_and_runs(monkeypatch):
     _, batch, _ = synth.generate(synth.SynthConfig(n_queries=40, k=100, seed=0))
     offsets, small = batch.query_offsets.tolist(), _parts_batch().query_offsets.tolist()
-    floor = records._ROWS_PER_PART
-    monkeypatch.setattr(records, "_usable_cpus", lambda: 16)
-    assert len(records.part_ranges(offsets, floor)) == 4  # 4,000 rows
-    assert len(records.part_ranges(offsets, 10)) == records._MAX_PARTS
-    assert len(records.part_ranges(small, floor)) == 1  # 16 rows
+    floor = synth._ROWS_PER_PART
+    monkeypatch.setattr(parts, "_usable_cpus", lambda: 16)
+    assert len(parts.part_ranges(offsets, floor)) == 4  # 4,000 rows
+    assert len(parts.part_ranges(offsets, 10)) == parts._MAX_PARTS
+    assert len(parts.part_ranges(small, floor)) == 1  # 16 rows
     # 8 shares of 2 rows each start at one of 4 run starts: 5 parts for 6 runs.
-    assert records.part_ranges(small, 1) == [range(0, 2), *(range(r, r + 1) for r in range(2, 6))]
-    monkeypatch.setattr(records, "_usable_cpus", lambda: 1)
-    assert len(records.part_ranges(offsets, 10)) == 1
+    assert parts.part_ranges(small, 1) == [range(0, 2), *(range(r, r + 1) for r in range(2, 6))]
+    monkeypatch.setattr(parts, "_usable_cpus", lambda: 1)
+    assert len(parts.part_ranges(offsets, 10)) == 1
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count_then_to_one(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert parts._usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert parts._usable_cpus() == 1
 
 
 def _fail_in(side: str, monkeypatch, name: str = "generation_lines", module=records) -> None:
@@ -1003,7 +1012,7 @@ def test_synth_reports_a_failing_part_writer_as_an_io_error(tmp_path, monkeypatc
     rerun = tmp_path / "rerun"
     rerun.mkdir()
     (rerun / "notes.txt").write_text("mine", encoding="utf-8")
-    monkeypatch.setattr(records, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parts, "_usable_cpus", lambda: 2)
     for side in ("child", "parent"):
         assert main([*argv, str(rerun)]) == 0  # a complete earlier run
         with monkeypatch.context() as patch:
@@ -1028,7 +1037,7 @@ def test_synth_reports_a_failing_part_writer_as_an_io_error(tmp_path, monkeypatc
 def test_synth_reports_a_failing_labels_or_truth_writer_as_an_io_error(
     tmp_path, monkeypatch, capsys, side, module, name, file
 ):
-    monkeypatch.setattr(records, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parts, "_usable_cpus", lambda: 2)
     _fail_in(side, monkeypatch, name, module)
     out = tmp_path / "out"
     argv = ["synth", "--n-queries", "40", "--k", "100", "--seed", "0", "--out", str(out)]
@@ -1045,12 +1054,9 @@ def test_synth_reports_a_failing_labels_or_truth_writer_as_an_io_error(
 
 @_FORKS
 def test_part_values_come_back_in_order_past_the_pipe_buffer():
-    values = [bytes([i]) * (1 << 20) for i in range(3)]
+    values = [bytes([i]) * (1 << 20) for i in range(4)]  # the first is this process's
     taken = []
-    records._run_parts(
-        "name", lambda: None, [lambda part, v=v: v for v in values],
-        lambda value, files: taken.append((value, files)),
-    )
+    parts.run("name", values, lambda value, part: value, lambda *each: taken.append(each))
     assert taken == [(value, []) for value in values]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -1059,7 +1065,7 @@ def test_part_values_come_back_in_order_past_the_pipe_buffer():
 @_FORKS
 def test_a_part_that_ends_without_a_word_names_its_exit_code():
     with pytest.raises(OSError, match="^name: a part ended with code 3$"):
-        records._run_parts("name", lambda: None, [lambda part: os._exit(3)], None)
+        parts.run("name", [0, 3], lambda code, part: part and os._exit(code), lambda *_: None)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1067,13 +1073,13 @@ def test_a_part_that_ends_without_a_word_names_its_exit_code():
 @_FORKS
 def test_a_value_cut_short_by_the_child_s_end_names_its_exit_code(monkeypatch):
     def cut_short(report, part, work):
-        report.write(records._VALUE + pickle.dumps(list(range(1000)))[:100])
+        report.write(parts._VALUE + pickle.dumps(list(range(1000)))[:100])
         report.flush()
         os._exit(5)
 
-    monkeypatch.setattr(records, "_run_part", cut_short)
+    monkeypatch.setattr(parts, "_run_part", cut_short)
     with pytest.raises(OSError, match="^name: a part ended with code 5$"):
-        records._run_parts("name", lambda: None, [lambda part: None], None)
+        parts.run("name", [None, None], lambda cut, part: None, lambda *_: None)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1104,22 +1110,22 @@ def _score_oracle_bytes(columns) -> bytes:
 
 
 @_FORKS
-@pytest.mark.parametrize("parts", [1, 2, 3, 5, 40])  # 40: more parts than the 8 lines
-def test_every_score_part_count_writes_the_json_oracle_bytes(tmp_path, monkeypatch, parts):
+@pytest.mark.parametrize("count", [1, 2, 3, 5, 40])  # 40: more parts than the 8 lines
+def test_every_score_part_count_writes_the_json_oracle_bytes(tmp_path, monkeypatch, count):
     path = tmp_path / "scores.jsonl"
-    _use_parts(monkeypatch, parts)
-    cuts, write_parts = [], records.write_parts
+    _use_parts(monkeypatch, count)
+    cuts, write_parts = [], parts.write_parts
 
     def spy(paths, ranges, format_part):
         cuts.append(list(ranges))
         return write_parts(paths, ranges, format_part)
 
-    monkeypatch.setattr(records, "write_parts", spy)
+    monkeypatch.setattr(parts, "write_parts", spy)
     records.write_scores(str(path), _SCORE_COLUMNS)
     assert path.read_bytes() == _score_oracle_bytes(_SCORE_COLUMNS)
     records.write_scores(str(path), [])
     assert path.read_bytes() == b""
-    assert [len(ranges) for ranges in cuts] == [min(parts, 8), 1]
+    assert [len(ranges) for ranges in cuts] == [min(count, 8), 1]
     assert os.listdir(tmp_path) == ["scores.jsonl"]
     with pytest.raises(ChildProcessError):  # every part writer was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -1127,15 +1133,15 @@ def test_every_score_part_count_writes_the_json_oracle_bytes(tmp_path, monkeypat
 
 def test_the_score_part_count_follows_cpus_and_the_line_floor(monkeypatch, tmp_path):
     cuts = []
-    monkeypatch.setattr(records, "_usable_cpus", lambda: 16)
+    monkeypatch.setattr(parts, "_usable_cpus", lambda: 16)
     monkeypatch.setattr(
-        records, "write_parts", lambda paths, ranges, format_part: cuts.append(ranges)
+        parts, "write_parts", lambda paths, ranges, format_part: cuts.append(ranges)
     )
     floor = records._SCORE_LINES_PER_PART
     for lines in (0, floor - 1, 3 * floor, 100 * floor):
         records.write_scores(str(tmp_path / "scores.jsonl"), [("m", ["q"] * lines, None, [], None)])
     counts = [len(ranges) for ranges in cuts]
-    assert counts == ([1, 1, 3, records._MAX_PARTS] if hasattr(os, "fork") else [1, 1, 1, 1])
+    assert counts == ([1, 1, 3, parts._MAX_PARTS] if hasattr(os, "fork") else [1, 1, 1, 1])
     # The parts cover the lines in order, with about equal line counts.
     assert cuts[2] == [range(0, floor), range(floor, 2 * floor), range(2 * floor, 3 * floor)]
 
@@ -1238,12 +1244,12 @@ def test_scans_merged_at_every_cut_equal_the_whole_scan(tmp_path):
 
 
 @_FORKS
-@pytest.mark.parametrize(("parts", "ranges"), [(1, 1), (2, 2), (3, 3), (40, 15)])
-def test_every_read_part_count_equals_the_whole_scan(tmp_path, monkeypatch, parts, ranges):
+@pytest.mark.parametrize(("count", "ranges"), [(1, 1), (2, 2), (3, 3), (40, 15)])
+def test_every_read_part_count_equals_the_whole_scan(tmp_path, monkeypatch, count, ranges):
     path = _cut_file(tmp_path)
     whole = records.scan_generation_records(path)
-    _use_parts(monkeypatch, parts)
-    assert records._part_count(os.path.getsize(path), records._BYTES_PER_PART) == parts
+    _use_parts(monkeypatch, count)
+    assert parts.part_count(os.path.getsize(path), records._BYTES_PER_PART) == count
     counts = _spy_parts(monkeypatch)
     assert records.scan_generation_records(path) == whole
     # More parts than lines: a part per line end past each share, 15 of 17 lines.
@@ -1271,14 +1277,14 @@ def test_the_read_part_count_follows_cpus_and_the_byte_floor(monkeypatch):
     floor = records._BYTES_PER_PART
 
     def read_parts(size):
-        return records._part_count(size, floor)
+        return parts.part_count(size, floor)
 
-    monkeypatch.setattr(records, "_usable_cpus", lambda: 16)
+    monkeypatch.setattr(parts, "_usable_cpus", lambda: 16)
     if hasattr(os, "fork"):
         assert read_parts(0) == read_parts(floor - 1) == 1
         assert read_parts(3 * floor + floor // 2) == 3
-        assert read_parts(100 * floor) == records._MAX_PARTS
-        monkeypatch.setattr(records, "_usable_cpus", lambda: 2)
+        assert read_parts(100 * floor) == parts._MAX_PARTS
+        monkeypatch.setattr(parts, "_usable_cpus", lambda: 2)
         assert read_parts(100 * floor) == 2
         # The 40 x 100 dataset of the CI's CPU-count check reads in 2 parts.
         _, batch, _ = synth.generate(synth.SynthConfig(n_queries=40, k=100, seed=0))
@@ -1336,7 +1342,7 @@ def test_generations_read_through_a_pipe_equal_the_file(tmp_path, monkeypatch):
     os.mkfifo(pipe)
     # A pipe's size reads 0, so even at a floor of 1 byte it is one part.
     _use_parts(monkeypatch, 3)
-    assert records._part_count(os.stat(pipe).st_size, records._BYTES_PER_PART) == 1
+    assert parts.part_count(os.stat(pipe).st_size, records._BYTES_PER_PART) == 1
 
     def feed():
         with contextlib.suppress(BrokenPipeError), open(pipe, "wb") as handle:
@@ -1451,7 +1457,7 @@ def test_label_scans_merged_at_every_cut_equal_the_whole_scan(tmp_path):
 
 @_FORKS
 @pytest.mark.parametrize(
-    ("parts", "label_lines", "runs"),
+    ("count", "label_lines", "runs"),
     [
         (1, _LABEL_CUT_LINES, 1),
         (2, _LABEL_CUT_LINES, 2),
@@ -1465,19 +1471,19 @@ def test_label_scans_merged_at_every_cut_equal_the_whole_scan(tmp_path):
     ],
 )
 def test_labels_read_in_the_generation_parts_equal_the_serial_read_and_the_oracle(
-    tmp_path, monkeypatch, parts, label_lines, runs
+    tmp_path, monkeypatch, count, label_lines, runs
 ):
     files = _label_cut_files(tmp_path, label_lines)
     serial, oracle = _serial_labels(*files)
     assert serial == oracle
     expected = records.validate_files(*files)
-    _use_parts(monkeypatch, parts)
+    _use_parts(monkeypatch, count)
     counts = _spy_parts(monkeypatch)
     assert _labels_read_in_parts(*files) == serial
     assert records.validate_files(*files) == expected
     assert counts == [runs, runs]
-    if len(label_lines) < parts:  # some of the labels' ranges are empty
-        cuts = records._line_cuts(files[2], parts)
+    if len(label_lines) < count:  # some of the labels' ranges are empty
+        cuts = records._line_cuts(files[2], count)
         assert len(set(cuts)) < len(cuts)
     with pytest.raises(ChildProcessError):  # every part reader was reaped
         os.waitpid(-1, os.WNOHANG)
@@ -1521,6 +1527,33 @@ def test_labels_read_through_a_pipe_equal_the_file(tmp_path, monkeypatch):
 
 
 @_FORKS
+def test_without_fork_the_writers_and_the_reader_run_one_part_with_the_same_output(
+    tmp_path, monkeypatch
+):
+    _use_parts(monkeypatch, 3)
+    files = _label_cut_files(tmp_path)
+    config = synth.SynthConfig(n_queries=6, k=2, seed=0)
+
+    def outputs(name):
+        out = tmp_path / name
+        out.mkdir()
+        values = synth.write_dataset(config, *(str(out / file) for file in synth.DATASET_FILES))
+        records.write_scores(str(out / "scores.jsonl"), _SCORE_COLUMNS)
+        read = records.scan_generation_records(files[1]), _labels_read_in_parts(*files)
+        written = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        return values, read, records.validate_files(*files), written
+
+    counts = _spy_parts(monkeypatch)
+    forked = outputs("forked")
+    assert counts == [3] * 5
+    counts.clear()
+    # Where os.fork does not exist, each part run is one part, in this process.
+    monkeypatch.delattr(os, "fork")
+    assert outputs("unforked") == forked
+    assert counts == [1] * 5
+
+
+@_FORKS
 @pytest.mark.parametrize("command", ["validate", "eval"])
 def test_a_failing_label_read_part_is_an_io_error_naming_the_labels(
     tmp_path, monkeypatch, capsys, command
@@ -1533,7 +1566,7 @@ def test_a_failing_label_read_part_is_an_io_error_naming_the_labels(
     if command == "eval":
         argv += ["--trials", "2", "--bins", "4", "--out", str(tmp_path / "failed")]
     monkeypatch.setattr(records, "_BYTES_PER_PART", 4096)
-    monkeypatch.setattr(records, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(parts, "_usable_cpus", lambda: 3)
     _fail_in("child", monkeypatch, "_scan_label_lines")
     capsys.readouterr()
     assert main(argv) == 2
@@ -1571,8 +1604,8 @@ def test_a_failing_read_part_is_an_io_error(tmp_path, monkeypatch, capsys, comma
     if command == "eval":
         argv += ["--trials", "2", "--bins", "4", "--out"]
     monkeypatch.setattr(records, "_BYTES_PER_PART", 4096)
-    monkeypatch.setattr(records, "_usable_cpus", lambda: 3)
-    assert records._part_count(generations.stat().st_size, records._BYTES_PER_PART) == 3
+    monkeypatch.setattr(parts, "_usable_cpus", lambda: 3)
+    assert parts.part_count(generations.stat().st_size, records._BYTES_PER_PART) == 3
     assert main([*argv, str(tmp_path / "ok")] if command == "eval" else argv) == 0
     capsys.readouterr()
     _fail_in("child", monkeypatch, "_scan_lines")
