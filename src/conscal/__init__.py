@@ -39,6 +39,7 @@ from .consistency import (
     normalize_answer,
     subsample_shares,
     subsample_targets,
+    subsample_targets_each,
 )
 from .errors import ConfigError, DataError, RecordError
 from .evaluation import (
@@ -120,5 +121,6 @@ __all__ = [
     "split_cal_test",
     "subsample_shares",
     "subsample_targets",
+    "subsample_targets_each",
     "token_prob_score",
 ]

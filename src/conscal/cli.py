@@ -220,6 +220,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _target_or_error(coded: consistency.AnswerCodes) -> records.ConsistencyTarget | DataError:
+    try:
+        return consistency.build_target(coded)
+    except DataError as error:
+        return error
+
+
 def cmd_targets(args: argparse.Namespace) -> int:
     _check_size_flags(args, "k")
     sets = _load_sets(args)
@@ -230,21 +237,19 @@ def cmd_targets(args: argparse.Namespace) -> int:
         "k_subsample": args.k,
         "seed": args.seed,
     }
+    coded = consistency.answer_codes(sets)
+    if args.k is None:
+        outcomes = [_target_or_error(c) for c in coded]
+    else:
+        seeds = seeding.mix_each(args.seed, np.arange(len(coded)))
+        outcomes = consistency.subsample_targets_each(coded, args.k, seeds)
     targets = []
-    skipped = 0
-    for position, coded in enumerate(consistency.answer_codes(sets)):
-        try:
-            if args.k is None:
-                targets.append(consistency.build_target(coded))
-            else:
-                targets.append(
-                    consistency.subsample_targets(
-                        coded, args.k, seed=seeding.mix(args.seed, position)
-                    )
-                )
-        except DataError as exc:
-            skipped += 1
-            print(f"warning: skipping {coded.query_id}: {exc}", file=sys.stderr)
+    for c, outcome in zip(coded, outcomes):
+        if isinstance(outcome, DataError):
+            print(f"warning: skipping {c.query_id}: {outcome}", file=sys.stderr)
+        else:
+            targets.append(outcome)
+    skipped = len(coded) - len(targets)
     out = _publish(args, config_obj,
                    {"targets.jsonl": lambda path: records.write_targets(path, targets)})
     print(f"wrote {len(targets)} targets to {out} (skipped {skipped} queries)")

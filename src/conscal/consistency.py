@@ -14,16 +14,15 @@ numeric canonicalization is attempted, so "0.50" and "0.5" stay distinct.
 query's samples into integer codes in one pass, and every target
 (:func:`build_target` over all samples, :func:`subsample_targets` over a
 seeded draw) is then a count over those codes.  One rule draws the k
-samples: ``k`` of ``n`` positions without replacement from the query's
-generator, or all ``n`` positions, taking no generator, when ``k == n``.
-A query's generator starts in the state ``seeding.generator(seed)`` starts
-in: one target builds it, and many queries' draws reseed one generator in
-place through :func:`seeding.generators`, bit for bit the same streams.
+samples: the set ``seeding.generator(seed).choice(n, k, replace=False)``
+draws, or all ``n`` positions, taking no generator, when ``k == n``.
+:func:`seeding.choice_sets` draws every query's set in one call, from the
+raw words of one generator reseeded in place: the same sets, not in
+``choice``'s order.
 :func:`subsample_shares` counts many queries' draws with one ``bincount``,
 for the trial loop, which reads only the shares; one target is the same
-count over one row.  :func:`drawn_shares` counts them from generators
-given, so that a loop over many calls hashes all its seeds at once.  A
-target is a
+count over one row, and :func:`subsample_targets_each` builds many targets
+from one call's draws.  A target is a
 :class:`~conscal.records.ConsistencyTarget`; :mod:`conscal.records` reads and
 writes the targets file.  A query's gold answers are one :func:`gold_set`.
 """
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -170,10 +169,21 @@ def answer_codes(sets: SampleSets) -> list[AnswerCodes]:
     return coded
 
 
+def _range_error(coded: AnswerCodes, k: int) -> DataError:
+    return DataError(f"query {coded.query_id}: cannot subsample {k} of {coded.codes.size} samples")
+
+
+def _no_answer(coded: AnswerCodes, k: int) -> DataError:
+    return DataError(f"query {coded.query_id}: no extractable answer in any of {k} samples")
+
+
 def _target(coded: AnswerCodes, positions: Sequence[int]) -> ConsistencyTarget:
-    """Modal answer among the samples of ``coded`` at ``positions``."""
+    """Modal answer among the samples of ``coded`` at ``positions``, which
+    ascend."""
     codes = coded.codes[positions]
-    (modal,), (count,) = _modal_counts([coded], [codes], codes.size)
+    (modal,), (count,) = _modal_counts(codes[None], 1 + len(coded.answers))
+    if count == 0:
+        raise _no_answer(coded, codes.size)
     first = positions[int((codes == modal).argmax())]
     return ConsistencyTarget(
         query_id=coded.query_id,
@@ -190,20 +200,36 @@ def build_target(codes: AnswerCodes) -> ConsistencyTarget:
     return _target(codes, range(codes.codes.size))
 
 
-def _draw(codes: AnswerCodes, k: int, rngs: Iterator[np.random.Generator]) -> np.ndarray:
-    """Positions of ``k`` of the set's samples, drawn uniformly without
-    replacement by the next generator of ``rngs``.
+def _draws(
+    sizes: np.ndarray, k: int, seeds: Sequence[int] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which sets, of ``sizes`` samples each, a draw of ``k`` fits (``1 <=
+    k <= n``), and the positions drawn from each that it fits, as the rows
+    of a ``(fits, k)`` matrix: the set that
+    ``seeding.generator(seed).choice(n, k, replace=False)`` draws, in no
+    particular order."""
+    fits = sizes >= k if k >= 1 else np.zeros(sizes.size, dtype=bool)
+    return fits, seeding.choice_sets(sizes[fits], max(k, 0), seeding.words(seeds)[fits])
 
-    A draw of all ``n`` samples is every position, so ``k == n`` returns
-    ``range(n)`` in order and takes no generator: ``rngs`` holds one for
-    each set larger than ``k``.
-    """
-    n = codes.codes.size
-    if not 1 <= k <= n:
-        raise DataError(f"query {codes.query_id}: cannot subsample {k} of {n} samples")
-    if k == n:
-        return np.arange(n)
-    return next(rngs).choice(n, size=k, replace=False)
+
+def subsample_targets_each(
+    coded: Sequence[AnswerCodes], k: int, seeds: Sequence[int] | np.ndarray
+) -> list[ConsistencyTarget | DataError]:
+    """``subsample_targets(c, k, seed=s)`` for each ``c`` and ``s`` of
+    ``coded`` and ``seeds``, or the :class:`DataError` it raises, from one
+    draw of every set."""
+    fits, positions = _draws(np.array([c.codes.size for c in coded], dtype=np.int64), k, seeds)
+    drawn = iter(np.sort(positions, axis=1))
+    outcomes: list[ConsistencyTarget | DataError] = []
+    for c, fit in zip(coded, fits.tolist()):
+        if not fit:
+            outcomes.append(_range_error(c, k))
+            continue
+        try:
+            outcomes.append(_target(c, next(drawn)))
+        except DataError as error:
+            outcomes.append(error)
+    return outcomes
 
 
 def subsample_targets(codes: AnswerCodes, k: int, seed: int) -> ConsistencyTarget:
@@ -212,8 +238,10 @@ def subsample_targets(codes: AnswerCodes, k: int, seed: int) -> ConsistencyTarge
     Deterministic given ``(codes, k, seed)``.  Selected sample indices keep
     their original values.
     """
-    # Built lazily: a draw of all n samples builds none.
-    return _target(codes, np.sort(_draw(codes, k, map(seeding.generator, [seed]))))
+    (outcome,) = subsample_targets_each([codes], k, [seed])
+    if isinstance(outcome, DataError):
+        raise outcome
+    return outcome
 
 
 def subsample_shares(
@@ -225,47 +253,42 @@ def subsample_shares(
     A loop of :func:`subsample_targets` would raise the first failing
     query's error; so does this.
     """
-    drawing = [seed for c, seed in zip(coded, seeds, strict=True) if c.codes.size > k]
-    return drawn_shares(coded, k, seeding.generators(drawing))
+    if not coded:
+        return np.zeros(0)
+    # The codes of each distinct set once: the trial loop passes every set
+    # once per trial.
+    sets = list({id(c): c for c in coded}.values())
+    slot = {id(c): i for i, c in enumerate(sets)}
+    rows = np.array([slot[id(c)] for c in coded], dtype=np.intp)
+    sizes = np.array([c.codes.size for c in sets], dtype=np.int64)
+    fits, drawn = _draws(sizes[rows], k, seeds)
+    # Positions, then flat indices into the sets' codes, then codes: one
+    # rows x k matrix at a time.
+    drawn += (np.cumsum(sizes) - sizes)[rows[fits], None]
+    drawn = np.concatenate([c.codes for c in sets])[drawn]
+    count = _modal_counts(drawn, 1 + max(len(c.answers) for c in sets))[1]
+    failing = ~fits
+    failing[fits] = count == 0
+    if failing.any():
+        first = int(failing.argmax())
+        c = coded[first]
+        raise _no_answer(c, k) if fits[first] else _range_error(c, k)
+    return count / k
 
 
-def drawn_shares(
-    coded: Sequence[AnswerCodes], k: int, rngs: Iterator[np.random.Generator]
-) -> np.ndarray:
-    """:func:`subsample_shares` with the draws' generators given: ``rngs``
-    yields one for each set of ``coded`` larger than ``k``, in order, in its
-    query's starting state.  The rest take none."""
-    drawn: list[np.ndarray] = []
-    for c in coded:
-        try:
-            positions = _draw(c, k, rngs)
-        except DataError:
-            _modal_counts(coded, drawn, k)  # an earlier query may fail first
-            raise
-        drawn.append(c.codes[positions])
-    return _modal_counts(coded, drawn, k)[1] / k
-
-
-def _modal_counts(
-    coded: Sequence[AnswerCodes], drawn: list[np.ndarray], k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The modal code of each row of ``drawn``, the ``k`` codes drawn from
-    ``coded[row]``, and its count, by one ``bincount``.
+def _modal_counts(codes: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The modal code of each row of ``codes``, a matrix of answer codes
+    below ``width - 1``, and its count, by one ``bincount``; a row without
+    an answer counts 0.
 
     Row ``r``'s codes are shifted into ``[width * r, width * (r + 1))``, with
     column 0 for samples without an answer, which never vote.  ``argmax``
     takes the first maximum, so ties go to the smallest answer string.
     Counts ignore order, so the draws need no sort.
     """
-    rows = len(drawn)
-    width = 1 + max((len(c.answers) for c in coded[:rows]), default=0)
-    shifted = np.array(drawn, dtype=np.intp) + 1 + width * np.arange(rows)[:, None]
+    rows = codes.shape[0]
+    shifted = codes + (1 + width * np.arange(rows))[:, None]
     counts = np.bincount(shifted.ravel(), minlength=rows * width).reshape(rows, width)
     counts[:, 0] = 0
     modal = counts.argmax(axis=1)
-    count = counts[np.arange(rows), modal]
-    if (empty := np.flatnonzero(count == 0)).size:
-        raise DataError(
-            f"query {coded[empty[0]].query_id}: no extractable answer in any of {k} samples"
-        )
-    return modal - 1, count
+    return modal - 1, counts[np.arange(rows), modal]

@@ -57,8 +57,8 @@ from .consistency import (
     AnswerCodes,
     answer_codes,
     build_target,
-    drawn_shares,
     gold_set,
+    subsample_shares,
 )
 from .errors import ConfigError, DataError, require_integer, require_real, require_size
 from .metrics import (
@@ -460,12 +460,11 @@ def _distilled_targets(
     k = config.k_subsample
     if k is None:
         return data.targets_s[cal]
-    # Every (trial, query) seed in one fold, trial-major, and one reseeder
-    # for the draws of the sets larger than k; drawn and counted per trial.
+    # Every (trial, query) seed in one fold and every draw in one call,
+    # trial-major, so the first failing trial, then query, names the error.
     seeds = seeding.mix_each(np.array(tseeds, dtype=np.uint64)[:, None], _S_SUBSAMPLE, cal)
-    sizes = np.array([c.codes.size for c in data.codes])
-    rngs = seeding.generators(seeds[sizes[cal] > k])
-    return np.array([drawn_shares([data.codes[i] for i in cal_idx], k, rngs) for cal_idx in cal])
+    rows = [data.codes[i] for i in cal.ravel().tolist()]
+    return subsample_shares(rows, k, seeds.ravel()).reshape(cal.shape)
 
 
 def _method_trials(

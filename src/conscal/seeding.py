@@ -10,6 +10,8 @@ A loop that draws once from each of many streams reseeds one generator in
 place through :func:`generators`: each stream starts in the state
 :func:`generator` starts in, bit for bit, without building a generator per
 stream.  :func:`mix_each` derives such a loop's seeds in one vectorised fold.
+:func:`choice_sets` draws a ``choice`` without replacement from each of many
+streams at once, reading the streams' raw words.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ _U64_MULT1, _U64_MULT2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB1331
 _U64_27, _U64_30, _U64_31, _U64_32 = np.uint64(27), np.uint64(30), np.uint64(31), np.uint64(32)
 
 
-def _words(values: int | Sequence[int] | np.ndarray) -> np.ndarray:
+def words(values: int | Sequence[int] | np.ndarray) -> np.ndarray:
     """Integers reduced modulo 2**64, as a ``uint64`` array of their shape."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         return values.astype(np.uint64)
@@ -88,11 +90,11 @@ def mix_each(
     column of seeds against a matrix of tags folds each row from its own
     seed.
     """
-    words = np.broadcast_arrays(*map(_words, (seed, *streams)))
-    state = _splitmix64_words(words[0].ravel())
-    for tag in words[1:]:
+    seeds, *tags = np.broadcast_arrays(*map(words, (seed, *streams)))
+    state = _splitmix64_words(seeds.ravel())
+    for tag in tags:
         state = _splitmix64_words(state ^ tag.ravel())
-    return state.reshape(words[0].shape)
+    return state.reshape(seeds.shape)
 
 
 # numpy's SeedSequence with its default pool of four 32-bit words.  Its hash
@@ -147,9 +149,9 @@ def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
     for src, dst, constants in _CROSS:
         mixed = _U32_MIX_L * pool[dst] - _U32_MIX_R * _hashmix(pool[src], constants)
         pool[dst] = mixed ^ (mixed >> _U32_16)
-    words = _hashmix(np.concatenate([pool, pool]), _OUT)
+    hashed = _hashmix(np.concatenate([pool, pool]), _OUT)
     # Pairs of 32-bit words read as little-endian 64-bit words, as numpy does.
-    return np.ascontiguousarray(words.T).astype("<u4").view("<u8").astype(np.uint64)
+    return np.ascontiguousarray(hashed.T).astype("<u4").view("<u8").astype(np.uint64)
 
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -165,7 +167,7 @@ def generators(seeds: Sequence[int] | np.ndarray) -> Iterator[np.random.Generato
     once when the first generator is taken, and a seed's reseed happens
     only when its generator is taken.
     """
-    states = _seed_sequence_states(_splitmix64_words(_words(seeds).ravel()))
+    states = _seed_sequence_states(_splitmix64_words(words(seeds).ravel()))
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
     for state_high, state_low, seq_high, seq_low in states.tolist():
@@ -181,3 +183,57 @@ def generators(seeds: Sequence[int] | np.ndarray) -> Iterator[np.random.Generato
         }
         yield rng
 
+
+# numpy's Generator.choice(n, k, replace=False) draws by Floyd's algorithm
+# unless n > 10000 and k > n // 50, where it shuffles a tail of range(n)
+# instead.  Floyd's steps j = n - k ... n - 1 each draw a value in [0, j] by
+# Lemire's method from one 32-bit word, a PCG64 output's low half first,
+# and a value already drawn becomes j.  A final shuffle orders the draws; it
+# moves no value in or out of the set, and each stream serves one draw, so
+# it is not replayed.
+_TAIL_FROM, _TAIL_DIVISOR = 10000, 50
+_U64_LOW32, _U64_2_32 = np.uint64(0xFFFFFFFF), np.uint64(1 << 32)
+
+
+def choice_sets(sizes: np.ndarray, k: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The set ``generator(s).choice(n, k, replace=False)`` draws, for each
+    ``n`` of ``sizes`` and ``s`` of ``seeds``, as the rows of a ``(rows,
+    k)`` matrix; the order within a row is not ``choice``'s.  Every ``n`` is
+    at least ``k`` and at most 2**32, where ``choice`` draws 32-bit values.
+
+    A set of exactly ``k`` is ``range(k)`` and takes no stream.  The rest
+    read ``ceil(k / 2)`` words each from :func:`generators` and take their
+    ``k`` steps together, one bool per sample marking the values drawn.  A
+    row that needs the tail shuffle, or whose words a Lemire step rejects
+    (with probability below ``k * n / 2**32``), draws through ``choice``.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    seeds = words(seeds)
+    sets = np.empty((sizes.size, k), dtype=np.intp)
+    sets[:] = np.arange(k)
+    drawing = sizes > k
+    tail = drawing & (sizes > _TAIL_FROM) & (k > sizes // _TAIL_DIVISOR)
+    floyd = np.flatnonzero(drawing & ~tail)
+    n = sizes[floyd]
+    raw = np.empty((floyd.size, (k + 1) // 2), dtype=np.uint64)
+    for row, rng in zip(raw, generators(seeds[floyd])):
+        row[:] = rng.bit_generator.random_raw(raw.shape[1])
+    starts = np.cumsum(n) - n
+    taken = np.zeros(int(n.sum()), dtype=bool)
+    rejected = np.zeros(floyd.size, dtype=bool)
+    for step in range(k):
+        word = raw[:, step // 2]
+        draw = word & _U64_LOW32 if step % 2 == 0 else word >> _U64_32
+        j = n - (k - step)
+        bound = (j + 1).astype(np.uint64)
+        scaled = draw * bound
+        # Lemire's threshold is 2**32 mod bound; numpy redraws below it.
+        rejected |= (scaled & _U64_LOW32) < _U64_2_32 % bound
+        value = (scaled >> _U64_32).astype(np.intp)
+        seen = taken[starts + value]
+        value[seen] = j[seen]
+        taken[starts + value] = True
+        sets[floyd, step] = value
+    for row in np.concatenate([floyd[rejected], np.flatnonzero(tail)]).tolist():
+        sets[row] = generator(int(seeds[row])).choice(int(sizes[row]), k, replace=False)
+    return sets

@@ -13,6 +13,8 @@ evidence.
 
 :func:`load_scores` is the exception: no command reads ``scores.jsonl``
 back, so its reader lives here, on the package's line decoder.
+:func:`drawn_by_choice` draws through numpy's own ``choice`` from one
+stream of the package's, built alone.
 :func:`distilled_trial_by_fit` takes the package's seeded streams and
 targets, which it does not re-derive; its own part is the linear stage as
 one trial's 2-d products and the isotonic stage as :func:`isotonic_by_pava`.
@@ -696,6 +698,14 @@ def platt_by_full_newton(
         else:
             break
     return (float(theta[0]), float(theta[1])), iterations
+
+
+def drawn_by_choice(n: int, k: int, seed: int) -> list[int]:
+    """The set ``seeding.generator(seed).choice(n, k, replace=False)`` draws,
+    sorted: numpy's own draw from one generator built for one stream."""
+    from conscal import seeding
+
+    return sorted(seeding.generator(seed).choice(n, k, replace=False).tolist())
 
 
 def distilled_trial_by_fit(data, config, tseed: int, cal_idx, test_idx) -> np.ndarray:

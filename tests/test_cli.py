@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from conscal import baselines, calibrator, consistency, evaluation, parts, records, synth
+from conscal import baselines, calibrator, consistency, evaluation, parts, records, seeding, synth
 from conscal.cli import build_parser, main
 from conscal.errors import MAX_SIZE
 
@@ -433,6 +433,34 @@ def test_targets_skip_boxless_queries_with_a_warning(tmp_path, capsys):
     assert "skipping q2" in captured.err
     (target,) = records.load_targets(str(out / "targets.jsonl"))
     assert target.query_id == "q1" and target.s == 1.0
+
+
+def test_subsampled_targets_skip_small_and_answerless_queries_in_order(tmp_path, capsys):
+    # One draw for every query; each skipped query still warns in its turn,
+    # and each target is the one its query's own draw gives.
+    answers = {"q1": ["a", "b", "a"], "q2": ["a"], "q3": [None, None], "q4": ["b", "b", "a"]}
+    queries = tmp_path / "queries.jsonl"
+    generations = tmp_path / "generations.jsonl"
+    records.write_queries(str(queries), [make_query(q) for q in answers])
+    records.write_generations(str(generations), make_batch([
+        make_generation(q, j, answer=a) for q, row in answers.items() for j, a in enumerate(row)
+    ]))
+    out = tmp_path / "targets"
+    code = main(["targets", "--queries", str(queries), "--generations", str(generations),
+                 "--k", "2", "--seed", "5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == (
+        "warning: skipping q2: query q2: cannot subsample 2 of 1 samples\n"
+        "warning: skipping q3: query q3: no extractable answer in any of 2 samples\n"
+    )
+    assert captured.out == f"wrote 2 targets to {out} (skipped 2 queries)\n"
+    coded = consistency.answer_codes(
+        records.load_generations(str(generations), records.load_queries(str(queries)))
+    )
+    assert records.load_targets(str(out / "targets.jsonl")) == [
+        consistency.subsample_targets(coded[i], 2, seed=seeding.mix(5, i)) for i in (0, 3)
+    ]
 
 
 def test_targets_summary_counts_skipped_queries_apart_from_disagreements(

@@ -356,8 +356,8 @@ def test_subsample_shares_of_no_query_is_empty():
 def test_subsample_draws_build_one_generator_per_query_below_the_set_size(
     monkeypatch, k, calls
 ):
-    # Shares reseed one generator per query with more than k samples;
-    # a target builds its query's generator under the same rule.
+    # Shares reseed one generator per query with more than k samples, and
+    # a target reseeds its query's under the same rule; neither builds one.
     reseeded, built = [], []
     generators, generator = seeding.generators, seeding.generator
 
@@ -376,8 +376,8 @@ def test_subsample_draws_build_one_generator_per_query_below_the_set_size(
     shares = subsample_shares(coded, k, [11, 12])
     assert (len(reseeded), built) == (calls, [])
     assert [subsample_targets(c, k, seed=s).s for c, s in zip(coded, [11, 12])] == list(shares)
-    assert built == [11, 12][:calls]
-    assert reseeded == [generator(s).bit_generator.state for s in built]
+    assert built == []
+    assert reseeded == [generator(s).bit_generator.state for s in [11, 12][:calls]] * 2
 
 
 def test_answer_codes_code_each_query_of_the_sets_apart():

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conscal import seeding
+
+from oracles import drawn_by_choice
 
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -142,3 +145,66 @@ def test_mix_each_folds_each_row_of_tags_from_its_own_seed():
         [seeding.mix(int(s), 3, int(t)) for t in row] for s, row in zip(seeds, tags)
     ]
     assert seeding.mix_each(5).tolist() == seeding.mix(5)
+
+
+# ---------------------------------------------------------------------------
+# batch draws without replacement
+# ---------------------------------------------------------------------------
+
+
+def _sets(sizes, k, seeds):
+    return [sorted(row) for row in seeding.choice_sets(np.array(sizes), k, seeds).tolist()]
+
+
+@st.composite
+def _draws(draw):
+    """Sets of mixed sizes, a k up to the smallest, and a seed for each set."""
+    sizes = draw(st.lists(st.integers(1, 60), min_size=1, max_size=6))
+    k = draw(st.integers(1, min(sizes)))
+    seed = _SEEDS | st.sampled_from(_EDGE_SEEDS)
+    return sizes, k, draw(st.lists(seed, min_size=len(sizes), max_size=len(sizes)))
+
+
+@given(_draws())
+@example(([1, 2, 7], 1, [0, 2**64 - 1, -1]))  # k = n, then n - 1, then inside
+@example(([5, 4, 9], 4, [0, 2**64 - 1, -1]))  # k = n - 1, then n
+@example(([60] * 3, 59, [0, 2**64 - 1, -1]))
+def test_batch_draws_are_the_sets_choice_draws(draws):
+    sizes, k, seeds = draws
+    assert _sets(sizes, k, seeds) == [drawn_by_choice(n, k, s) for n, s in zip(sizes, seeds)]
+
+
+def _drawing_through_choice(monkeypatch):
+    """The seeds of the rows ``choice_sets`` hands to ``choice``."""
+    built, generator = [], seeding.generator
+
+    def counting_builds(seed, *streams):
+        built.append(seed)
+        return generator(seed, *streams)
+
+    monkeypatch.setattr(seeding, "generator", counting_builds)
+    return built
+
+
+def test_rows_whose_words_a_lemire_step_rejects_draw_through_choice(monkeypatch):
+    # Drawing 5000 of 10000, a step rejects with probability about 1/500
+    # per row; of seeds 0-399, these two rows reject.
+    seeds = list(range(400))
+    want = [drawn_by_choice(10000, 5000, s) for s in seeds]
+    built = _drawing_through_choice(monkeypatch)
+    assert _sets([10000] * 400, 5000, seeds) == want
+    assert built == [137, 376]
+
+
+@pytest.mark.parametrize("n, k, tail", [
+    (10001, 200, False), (10001, 201, True), (20000, 400, False), (20000, 401, True),
+    (20000, 1000, True),
+])
+def test_rows_past_choices_tail_shuffle_bound_draw_through_choice(monkeypatch, n, k, tail):
+    # choice shuffles a tail of range(n) when n > 10000 and k > n // 50.
+    # The rows' seeds reach choice reduced modulo 2**64.
+    seeds = [0, -1]
+    want = [drawn_by_choice(n, k, s) for s in seeds]
+    built = _drawing_through_choice(monkeypatch)
+    assert _sets([n, n], k, seeds) == want
+    assert built == ([0, 2**64 - 1] if tail else [])
