@@ -320,8 +320,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     }
     # Score rows follow the sets' rows: query by query, by sample_index.
     batch, rows = sets.batch, sets.rows
-    query_ids = np.repeat(np.array(sets.query_ids, dtype=object), np.diff(sets.offsets)).tolist()
-    sample_index = list(map(batch.sample_index.__getitem__, rows.tolist()))
+    positions = rows.tolist()
+    query_ids = list(map(batch.query_id.__getitem__, positions))
+    sample_index = list(map(batch.sample_index.__getitem__, positions))
     columns: list[tuple[str, list[str], Any, Any, Any]] = []
     for method in methods if len(sets) else ():  # no rows: an empty score file
         if method == "tt_sc":

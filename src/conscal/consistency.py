@@ -159,7 +159,7 @@ def answer_codes(sets: SampleSets) -> list[AnswerCodes]:
         coded.append(AnswerCodes(query_id, indices, codes, tuple(distinct)))
     if disagreeing:
         preview = ", ".join(
-            f"{batch.query_id_of(i)}/{batch.sample_index[i]}" for i in disagreeing[:5]
+            f"{batch.query_id[i]}/{batch.sample_index[i]}" for i in disagreeing[:5]
         )
         more = "" if len(disagreeing) <= 5 else f" (+{len(disagreeing) - 5} more)"
         log.warning(

@@ -458,7 +458,9 @@ def _distilled_targets(
     modal shares, or under ``k_subsample`` the shares among k samples drawn
     per query and trial."""
     k = config.k_subsample
-    if k is None:
+    # A draw of k from a set of k samples is the whole set, and build_dataset
+    # refused every set without an answer, so no such draw can fail.
+    if k is None or all(c.codes.size == k for c in data.codes):
         return data.targets_s[cal]
     # Every (trial, query) seed in one fold and every draw in one call,
     # trial-major, so the first failing trial, then query, names the error.

@@ -36,9 +36,9 @@ adds the rows that pass to candidate columns, leaving the entries of their
 vector fields untested.  The serial finish, over every range's candidates
 in line order, tests those entries once per column: a whole-column pass,
 then an entry-by-entry walk of the rows holding a bad entry only.  Then it
-checks duplicates and the embedding dimension, and builds the query runs,
-so a row is judged against the valid rows before it, as if every line had
-been checked in full before the next was read.  A file of at least
+checks duplicates and the embedding dimension in line order, so a row is
+judged against the valid rows before it, as if every line had been checked
+in full before the next was read.  A file of at least
 ``_BYTES_PER_PART`` bytes a part is cut into ranges that forked children
 read at once (see :func:`_scan_parts` and :mod:`conscal.parts`); the batch
 and the diagnostics, in text and in order, do not depend on the number of
@@ -75,9 +75,8 @@ import re
 from array import array
 from dataclasses import asdict, dataclass, fields
 from functools import partial
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, groupby, repeat
 from json.encoder import encode_basestring
-from operator import ne
 from sys import intern
 from typing import Any, BinaryIO, Iterable, Iterator, Mapping, Sequence
 
@@ -137,17 +136,15 @@ class QueryRecord:
 class GenerationBatch:
     """Generation rows held as columns.
 
-    Rows ``query_offsets[r]:query_offsets[r + 1]`` are a run of consecutive
-    rows that share the query id ``query_ids[r]``.  Row ``i`` has the token
-    log-probabilities ``token_logprobs[token_offsets[i]:token_offsets[i + 1]]``,
-    the answer-span ones ``answer_token_logprobs[answer_token_offsets[i]:...]``
+    Row ``i`` has the token log-probabilities
+    ``token_logprobs[token_offsets[i]:token_offsets[i + 1]]``, the
+    answer-span ones ``answer_token_logprobs[answer_token_offsets[i]:...]``
     (an empty segment: the row has none) and the embedding ``embedding[i]``;
     the other columns hold one entry per row, ``None`` for an absent answer.
     The arrays are read-only.
     """
 
-    query_ids: tuple[str, ...]
-    query_offsets: np.ndarray
+    query_id: tuple[str, ...]
     sample_index: tuple[int, ...]
     response_text: tuple[str, ...]
     answer: tuple[str | None, ...]
@@ -179,10 +176,7 @@ class GenerationBatch:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"GenerationBatch({len(self.query_ids)} query runs, {len(self)} rows)"
-
-    def query_id_of(self, row: int) -> str:
-        return self.query_ids[int(np.searchsorted(self.query_offsets, row, side="right")) - 1]
+        return f"GenerationBatch({len(self)} rows)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,12 +535,11 @@ class _LineScan(_Scan):
 def scan_generation_records(path: str) -> tuple[GenerationBatch, list[Diagnostic]]:
     """Row-level parse of a generations file (no query cross-checks).
 
-    Valid rows fill the batch in file order; a new query run starts
-    wherever the query id changes.  The vector entries of the rows whose
-    other fields pass are tested a column at a time after the last line
-    (see the module docstring), and only then are those rows checked for
-    duplicates and embedding dimension, in line order.  The file is read in
-    parts (see :func:`_scan_parts`).
+    Valid rows fill the batch in file order.  The vector entries of the
+    rows whose other fields pass are tested a column at a time after the
+    last line (see the module docstring), and only then are those rows
+    checked for duplicates and embedding dimension, in line order.  The
+    file is read in parts (see :func:`_scan_parts`).
     """
     batch, diagnostics, _ = _scan_parts(path)
     return batch, diagnostics
@@ -722,8 +715,8 @@ def _scan_lines(path: str, start: int, stop: int | None) -> _LineScan:
 
 def _finish_scan(path: str, scan: _LineScan) -> tuple[GenerationBatch, list[Diagnostic]]:
     """The serial finish over the candidates of a whole file: the column
-    pass over the vector entries, then duplicates, dimensions and query
-    runs in line order, then the batch and every diagnostic."""
+    pass over the vector entries, then duplicates and dimensions in line
+    order, then the batch and every diagnostic."""
     token_ends, span_ends = _offsets(scan.token_lengths), _offsets(scan.span_lengths)
     embedding_ends = _offsets(scan.embedding_lengths)
     columns = (
@@ -764,19 +757,14 @@ def _finish_scan(path: str, scan: _LineScan) -> tuple[GenerationBatch, list[Diag
             if problems:
                 keep[c] = False
                 row_diagnostics.extend(Diagnostic(path, lineno, p) for p in problems)
-    # A query run starts at the first kept row and wherever the query id changes.
-    kept_ids = list(compress(scan.ids, keep))
-    kept = len(kept_ids)
-    run_starts = [0, *compress(count(1), map(ne, kept_ids, kept_ids[1:]))] if kept else []
-    query_ids = [kept_ids[start] for start in run_starts]
+    query_id = tuple(compress(scan.ids, keep))
     row_diagnostics.sort(key=lambda d: d.line)
     mask = np.array(keep, dtype=bool)
     token_values, token_offsets = _kept_segments(scan.tokens, token_ends, mask)
     span_values, span_offsets = _kept_segments(scan.spans, span_ends, mask)
     embedding_values, _ = _kept_segments(scan.embeddings, embedding_ends, mask)
     batch = GenerationBatch(
-        query_ids=tuple(query_ids),
-        query_offsets=np.array(run_starts + [kept], dtype=np.intp),
+        query_id=query_id,
         sample_index=tuple(compress(scan.indices, keep)),
         response_text=tuple(compress(scan.texts, keep)),
         answer=tuple(compress(scan.answers, keep)),
@@ -784,7 +772,7 @@ def _finish_scan(path: str, scan: _LineScan) -> tuple[GenerationBatch, list[Diag
         token_offsets=token_offsets,
         answer_token_logprobs=span_values,
         answer_token_offsets=span_offsets,
-        embedding=embedding_values.reshape(kept, embed_dim or 0),
+        embedding=embedding_values.reshape(len(query_id), embed_dim or 0),
     )
     return batch, scan.unreadable + row_diagnostics
 
@@ -829,12 +817,6 @@ def _kept_segments(
     return column[np.repeat(keep, lengths)], _offsets(lengths[keep])
 
 
-def load_generation_records(path: str) -> GenerationBatch:
-    batch, diagnostics = scan_generation_records(path)
-    _raise_if_any(diagnostics)
-    return batch
-
-
 def group_generations(
     queries: Sequence[QueryRecord],
     batch: GenerationBatch,
@@ -851,16 +833,13 @@ def group_generations(
     """
     diagnostics: list[Diagnostic] = []
     position = {q.query_id: p for p, q in enumerate(queries)}
-    offsets = batch.query_offsets.tolist()
     buckets: list[list[int]] = [[] for _ in queries]
-    for run, query_id in enumerate(batch.query_ids):
-        start, stop = offsets[run], offsets[run + 1]
-        p = position.get(query_id)
+    for row, p in enumerate(map(position.get, batch.query_id)):
         if p is None:
-            message = f"generation references unknown query_id {query_id!r}"
-            diagnostics.extend(Diagnostic(path, None, message) for _ in range(start, stop))
+            message = f"generation references unknown query_id {batch.query_id[row]!r}"
+            diagnostics.append(Diagnostic(path, None, message))
         else:
-            buckets[p].extend(range(start, stop))
+            buckets[p].append(row)
     for bucket in buckets:
         bucket.sort(key=batch.sample_index.__getitem__)
     sets = SampleSets(
@@ -1174,13 +1153,13 @@ def generation_lines(
     batch: GenerationBatch, sampling_meta: Mapping[str, Any] | None = None
 ) -> Iterator[str]:
     """The line of each row of ``batch``, in row order, formatted from its
-    columns a query run at a time; every line ends with ``sampling_meta``
-    when it is given."""
+    columns a run of consecutive rows with one query id at a time; every
+    line ends with ``sampling_meta`` when it is given."""
     tail = "" if sampling_meta is None else ',"sampling_meta":' + _dump(dict(sampling_meta))
-    offsets = batch.query_offsets.tolist()
     dim = batch.embedding.shape[1]
-    for run, query_id in enumerate(batch.query_ids):
-        start, stop = offsets[run], offsets[run + 1]
+    stop = 0
+    for query_id, run in groupby(batch.query_id):
+        start, stop = stop, stop + sum(1 for _ in run)
         head = encode_basestring(query_id)
         tokens = _segment_texts(batch.token_logprobs, batch.token_offsets, start, stop)
         spans = _segment_texts(
@@ -1217,13 +1196,12 @@ def label_lines(batch: GenerationBatch, z: np.ndarray) -> Iterator[str]:
     """The line of each labelled row of ``batch`` (``z`` 0 or 1), in row order."""
     if len(z) != len(batch):
         raise DataError(f"z has {len(z)} entries for a batch of {len(batch)} rows")
-    labels = np.asarray(z).tolist()
-    offsets = batch.query_offsets.tolist()
     return (
-        _LABEL_LINE.format(head, batch.sample_index[i], labels[i])
-        for run, head in enumerate(map(encode_basestring, batch.query_ids))
-        for i in range(offsets[run], offsets[run + 1])
-        if labels[i] >= 0
+        _LABEL_LINE.format(encode_basestring(query_id), sample_index, label)
+        for query_id, sample_index, label in zip(
+            batch.query_id, batch.sample_index, np.asarray(z).tolist()
+        )
+        if label >= 0
     )
 
 

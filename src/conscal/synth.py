@@ -358,8 +358,7 @@ def generate(
             texts.append(text)
             sampled.append(answer)
     generations = GenerationBatch(
-        query_ids=tuple(q.query_id for q in queries),
-        query_offsets=np.arange(0, n * k + 1, k),
+        query_id=tuple(q.query_id for q in queries for _ in range(k)),
         sample_index=tuple(range(k)) * n,
         response_text=tuple(texts),
         answer=tuple(sampled),

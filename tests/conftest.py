@@ -65,11 +65,8 @@ def make_generation(
 def make_batch(rows: Sequence[Mapping]) -> GenerationBatch:
     """A batch holding ``rows`` (dicts of generation fields) in order.
 
-    ``answer`` and ``answer_token_logprobs`` may be left out; consecutive
-    rows with one query id form one run.
+    ``answer`` and ``answer_token_logprobs`` may be left out.
     """
-    ids = [row["query_id"] for row in rows]
-    starts = [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]]
 
     def flat(name: str) -> tuple[np.ndarray, np.ndarray]:
         parts = [row.get(name) or () for row in rows]
@@ -81,8 +78,7 @@ def make_batch(rows: Sequence[Mapping]) -> GenerationBatch:
     dim = len(rows[0]["embedding"]) if rows else 0
     embedding = np.array([row["embedding"] for row in rows], dtype=float)
     return GenerationBatch(
-        query_ids=tuple(ids[i] for i in starts),
-        query_offsets=np.array(starts + [len(rows)]),
+        query_id=tuple(row["query_id"] for row in rows),
         sample_index=tuple(row["sample_index"] for row in rows),
         response_text=tuple(row["response_text"] for row in rows),
         answer=tuple(row.get("answer") for row in rows),

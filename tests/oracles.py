@@ -402,17 +402,14 @@ def check_vector_by_entry(
 def batch_row(batch, row: int) -> dict:
     """Row ``row`` of a generation batch as the dict of its fields.
 
-    Reads each column at the row on its own: the query run whose offsets
-    hold the row gives the query id, an empty answer-span segment gives
-    None, and the vectors come back as lists of floats.
+    Reads each column at the row on its own: an empty answer-span segment
+    gives None, and the vectors come back as lists of floats.
     """
-    offsets = batch.query_offsets.tolist()
-    run = next(r for r in range(len(batch.query_ids)) if offsets[r] <= row < offsets[r + 1])
     tokens = batch.token_offsets.tolist()
     spans = batch.answer_token_offsets.tolist()
     span = batch.answer_token_logprobs.tolist()[spans[row] : spans[row + 1]]
     return {
-        "query_id": batch.query_ids[run],
+        "query_id": batch.query_id[row],
         "sample_index": batch.sample_index[row],
         "response_text": batch.response_text[row],
         "answer": batch.answer[row],

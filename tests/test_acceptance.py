@@ -330,11 +330,10 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
     records.write_queries(str(rewritten), queries)
     assert rewritten.read_bytes() == (run_a / "queries.jsonl").read_bytes()
     rewritten = tmp_path / "generations2.jsonl"
-    records.write_generations(
-        str(rewritten),
-        records.load_generation_records(str(run_a / "generations.jsonl")),
-        synth.sampling_meta(synth.benchmark_config(n_queries=30, k=5, seed=9)),
-    )
+    batch, diagnostics = records.scan_generation_records(str(run_a / "generations.jsonl"))
+    assert diagnostics == []
+    meta = synth.sampling_meta(synth.benchmark_config(n_queries=30, k=5, seed=9))
+    records.write_generations(str(rewritten), batch, meta)
     assert rewritten.read_bytes() == (run_a / "generations.jsonl").read_bytes()
     z = records.load_labels(str(run_a / "labels.jsonl"), sets)
     rewritten = tmp_path / "labels2.jsonl"

@@ -626,7 +626,7 @@ def test_score_rows_match_library_computations(data_dir, model_dir, tmp_path):
     expected = calibrator.predict(model, [batch.embedding[i] for i in positions])
     assert [r["confidence"] for r in distilled] == [float(v) for v in expected]
     assert [(r["query_id"], r["sample_index"]) for r in distilled] == [
-        (batch.query_id_of(i), batch.sample_index[i]) for i in positions
+        (batch.query_id[i], batch.sample_index[i]) for i in positions
     ]
 
     token = [r for r in rows if r["method"] == "token_prob"]
@@ -654,7 +654,7 @@ def test_score_gives_each_sample_its_querys_question_embedding_prediction(data_d
     queries = records.load_queries(str(data_dir / "queries.jsonl"))
     sets = records.load_generations(str(data_dir / "generations.jsonl"), queries)
     model = calibrator.load_model(str(model_path))
-    pairs = [(sets.batch.query_id_of(i), sets.batch.sample_index[i]) for i in sets.rows.tolist()]
+    pairs = [(sets.batch.query_id[i], sets.batch.sample_index[i]) for i in sets.rows.tolist()]
     by_id = {q.query_id: q.question_embedding for q in queries}
     expected = calibrator.predict(model, [by_id[query_id] for query_id, _ in pairs])
     assert [r["confidence"] for r in rows] == [float(v) for v in expected]
@@ -1285,6 +1285,45 @@ def test_cli_outputs_keep_their_digests_when_generations_are_read_in_parts(
     assert count == (3 if hasattr(os, "fork") else 1)
     assert _golden_digests() == _read_json(_CLI_DIGESTS)
     capsys.readouterr()
+
+
+def test_interleaved_queries_give_the_same_outputs_in_every_part_count(
+    data_dir, model_dir, tmp_path, monkeypatch, capsys
+):
+    original = data_dir / "generations.jsonl"
+    lines = original.read_text(encoding="utf-8").splitlines(keepends=True)
+    # Ordered by (sample_index, query_id), no two rows of a query are adjacent.
+    keys = [(row["sample_index"], row["query_id"]) for row in map(json.loads, lines)]
+    interleaved = tmp_path / "interleaved.jsonl"
+    interleaved.write_text("".join(line for _, line in sorted(zip(keys, lines))), "utf-8")
+    assert len({query_id for _, query_id in sorted(keys)[:40]}) == 40
+    monkeypatch.setattr(records, "_BYTES_PER_PART", 4096)
+    outputs = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(parts, "_usable_cpus", lambda: cpus)
+        count = parts.part_count(interleaved.stat().st_size, records._BYTES_PER_PART)
+        assert count == (cpus if hasattr(os, "fork") else 1)
+        for generations in (original, interleaved):
+            flags = ["--queries", str(data_dir / "queries.jsonl"),
+                     "--generations", str(generations)]
+            out = tmp_path / f"{generations.stem}-{cpus}"
+            assert main(["eval", *flags, "--labels", str(data_dir / "labels.jsonl"),
+                         "--trials", "3", "--bins", "4", "--seed", "2",
+                         "--out", str(out / "eval")]) == 0
+            assert main(["score", *flags, "--model", str(model_dir / "model.json"),
+                         "--out", str(out / "score")]) == 0
+            outputs[generations.stem, cpus] = [
+                (out / "eval" / "trials.tsv").read_bytes(),
+                (out / "score" / "scores.jsonl").read_bytes(),
+                (out / "eval" / "report.json").read_bytes().replace(
+                    str(generations).encode(), b"{generations}"
+                ),
+            ]
+    capsys.readouterr()
+    first = outputs["generations", 1]
+    assert b"{generations}" in first[2]
+    for key, output in outputs.items():
+        assert output == first, key
 
 
 # ---------------------------------------------------------------------------

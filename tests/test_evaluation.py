@@ -44,10 +44,11 @@ from oracles import (
 def _synth_sets(n=80, k=8, seed=0, **overrides):
     config = synth.SynthConfig(n_queries=n, k=k, embedding_dim=5, seed=seed, **overrides)
     queries, generations, labels = synth.generate(config)
-    # synth writes one run of rows per query, in query order.
-    assert generations.query_ids == tuple(q.query_id for q in queries)
+    # synth writes each query's k rows in a run, in query order.
+    assert generations.query_id == tuple(q.query_id for q in queries for _ in range(k))
     rows = np.arange(len(generations), dtype=np.intp)
-    sets = records.SampleSets(tuple(queries), generations, rows, generations.query_offsets)
+    offsets = np.arange(0, len(generations) + 1, k, dtype=np.intp)
+    sets = records.SampleSets(tuple(queries), generations, rows, offsets)
     return sets, labels
 
 
@@ -193,6 +194,25 @@ def test_subsampled_trials_on_a_subset_match_a_dataset_built_from_it():
     picked, _ = records.group_generations([sets.queries[i] for i in idx], sets.batch)
     rebuilt = run_trials(build_dataset(picked, labels), config)
     assert from_subset == rebuilt
+
+
+def test_a_subsample_of_every_sample_takes_the_modal_shares_without_a_draw(monkeypatch):
+    sets, labels = _synth_sets(n=40, k=6)
+    data = build_dataset(sets, labels)
+    config = TrialConfig(n_trials=3, cal_fraction=0.5, bins=3, methods=("distilled", "tt_sc"))
+    whole = run_trials(data, config)
+    original, calls = consistency.subsample_shares, []
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (consistency, evaluation):
+        monkeypatch.setattr(module, "subsample_shares", spy)
+    assert run_trials(data, dataclasses.replace(config, k_subsample=6)) == whole
+    assert calls == []
+    run_trials(data, dataclasses.replace(config, k_subsample=5))  # the spy sees real draws
+    assert len(calls) == 1
 
 
 def test_answers_are_extracted_once_per_generation(monkeypatch):

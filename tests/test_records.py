@@ -41,6 +41,13 @@ def _write_lines(path, rows):
     return str(path)
 
 
+def _scan_clean(path):
+    """The batch of a generations file, which must read without a diagnostic."""
+    batch, diagnostics = records.scan_generation_records(str(path))
+    assert diagnostics == []
+    return batch
+
+
 def _valid_query(qid="q1", **extra):
     obj = {"query_id": qid, "text": "what?", "group": "main"}
     obj.update(extra)
@@ -108,7 +115,7 @@ def test_generations_round_trip_with_and_without_optional_fields(tmp_path):
     for meta in (None, {"temperature": 0.7}):
         records.write_generations(str(path), rows, meta)
         assert ('"sampling_meta"' in path.read_text(encoding="utf-8")) == (meta is not None)
-        assert records.load_generation_records(str(path)) == rows
+        assert _scan_clean(path) == rows
 
 
 def test_labels_round_trip(tmp_path):
@@ -287,7 +294,7 @@ def test_booleans_and_other_values_in_vectors_are_not_numbers(tmp_path):
         (6, "embedding contains a non-finite or non-numeric entry"),
         (7, "embedding contains a non-finite or non-numeric entry"),
     ]
-    assert batch.query_ids == ("q4",)
+    assert batch.query_id == ("q4",)
 
 
 def test_integers_too_large_for_a_float_are_diagnosed(tmp_path):
@@ -302,7 +309,7 @@ def test_integers_too_large_for_a_float_are_diagnosed(tmp_path):
         ],
     )
     found, diagnostics = records.scan_generation_records(path)
-    assert found.query_ids == ("q1",) and len(found) == 1
+    assert found.query_id == ("q1",)
     assert [(d.line, d.message) for d in diagnostics] == [
         (2, "token_logprobs contains a non-finite or non-numeric entry"),
         (3, "answer_token_logprobs contains a non-finite or non-numeric entry"),
@@ -719,9 +726,8 @@ def test_a_file_of_interleaved_queries_loads_and_writes_back_byte_for_byte(tmp_p
     )
     path = tmp_path / "generations.jsonl"
     path.write_text(text, encoding="utf-8")
-    batch = records.load_generation_records(str(path))
-    assert batch.query_ids == ("q1", "q2", "q1")
-    assert batch.query_offsets.tolist() == [0, 1, 2, 4]
+    batch = _scan_clean(path)
+    assert batch.query_id == ("q1", "q2", "q1", "q1")
     assert batch.answer == ("x", None, None, None)
     assert [answer_token_row(batch, i) is None for i in range(4)] == [False, True, False, True]
     rewritten = tmp_path / "rewritten.jsonl"
@@ -731,7 +737,7 @@ def test_a_file_of_interleaved_queries_loads_and_writes_back_byte_for_byte(tmp_p
 
 def test_a_batch_holds_only_the_columns_the_pipeline_reads():
     assert [column.name for column in dataclasses.fields(records.GenerationBatch)] == [
-        "query_ids", "query_offsets", "sample_index", "response_text", "answer",
+        "query_id", "sample_index", "response_text", "answer",
         "token_logprobs", "token_offsets", "answer_token_logprobs", "answer_token_offsets",
         "embedding",
     ]
@@ -747,7 +753,7 @@ def test_unknown_keys_and_sampling_meta_are_checked_then_dropped(tmp_path):
         {**plain[1], "zz": [1, {"k": "é"}], "a": None, "sampling_meta": None},
     ]
     batches = [
-        records.load_generation_records(_write_lines(tmp_path / f"{name}.jsonl", rows))
+        _scan_clean(_write_lines(tmp_path / f"{name}.jsonl", rows))
         for name, rows in (("plain", plain), ("decorated", decorated))
     ]
     assert batches[0] == batches[1] and len(batches[0]) == 2
@@ -830,7 +836,7 @@ def test_a_written_batch_loads_back_as_its_records(tmp_path):
     _, batch, _ = synth.generate(_BATCH_CONFIG)
     path = str(tmp_path / "generations.jsonl")
     records.write_generations(path, batch)
-    assert records.load_generation_records(path) == batch
+    assert _scan_clean(path) == batch
 
 
 def test_a_batch_writes_the_bytes_of_its_records():
@@ -883,6 +889,13 @@ def _parts_batch():
     return make_batch(rows)
 
 
+def _run_offsets(batch) -> list[int]:
+    """The offsets of the runs of consecutive rows of ``batch`` that share a
+    query id: run ``r`` is rows ``offsets[r]:offsets[r + 1]``."""
+    ids = batch.query_id
+    return [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]] + [len(ids)]
+
+
 def _use_parts(monkeypatch, count: int) -> None:
     """Make every part rule give ``count`` parts wherever the work has that
     many items: that many usable CPUs, no lower cap, and floors of one item."""
@@ -909,7 +922,7 @@ def _write_in_parts(path, batch, meta=None) -> list:
     """Write ``generation_lines(batch, meta)`` through ``write_parts``, one
     part for each of the ``part_ranges`` of the batch's query runs; each
     part formats the lines in its own process.  Returns the parts' values."""
-    offsets = batch.query_offsets.tolist()
+    offsets = _run_offsets(batch)
 
     def format_part(runs):
         lines = list(records.generation_lines(batch, meta))
@@ -921,7 +934,7 @@ def _write_in_parts(path, batch, meta=None) -> list:
 
 @_FORKS
 def test_part_runs_cut_at_run_starts_into_about_equal_rows(monkeypatch):
-    offsets = _parts_batch().query_offsets.tolist()
+    offsets = _run_offsets(_parts_batch())
     assert offsets == [0, 1, 4, 8, 10, 15, 16]
 
     def cut(count, offsets=offsets):
@@ -954,7 +967,7 @@ def test_every_part_count_writes_the_json_oracle_bytes(tmp_path, monkeypatch, co
 @_FORKS
 def test_the_part_count_follows_cpus_rows_and_runs(monkeypatch):
     _, batch, _ = synth.generate(synth.SynthConfig(n_queries=40, k=100, seed=0))
-    offsets, small = batch.query_offsets.tolist(), _parts_batch().query_offsets.tolist()
+    offsets, small = _run_offsets(batch), _run_offsets(_parts_batch())
     floor = synth._ROWS_PER_PART
     monkeypatch.setattr(parts, "_usable_cpus", lambda: 16)
     assert len(parts.part_ranges(offsets, floor)) == 4  # 4,000 rows
@@ -1427,7 +1440,7 @@ def _serial_labels(queries, generations, labels):
     sets = records.load_generations(generations, records.load_queries(queries))
     z, diagnostics = records.scan_labels(labels, sets)
     batch = sets.batch
-    row_of = {(batch.query_id_of(i), batch.sample_index[i]): i for i in sets.rows.tolist()}
+    row_of = {(batch.query_id[i], batch.sample_index[i]): i for i in sets.rows.tolist()}
     found, expected = scan_labels_by_row(labels, set(row_of))
     column = [-1] * len(batch)
     for query_id, sample_index, label in found:
@@ -1798,7 +1811,7 @@ def test_loaders_match_the_per_row_oracles(lines, query_ids, label_lines):
             assert merged.size == 0 and merged_diagnostics == diagnostics
 
         sets, _ = records.group_generations([make_query(q) for q in sorted(query_ids)], batch)
-        row_of = {(batch.query_id_of(i), batch.sample_index[i]): i for i in sets.rows.tolist()}
+        row_of = {(batch.query_id[i], batch.sample_index[i]): i for i in sets.rows.tolist()}
         z, diagnostics = records.scan_labels(labels, sets)
         found, expected = scan_labels_by_row(labels, set(row_of))
         column = [-1] * len(batch)
@@ -1820,8 +1833,8 @@ def test_a_row_with_a_bad_entry_counts_for_nothing_after_it(tmp_path):
         (7, "duplicate (query_id, sample_index) ('q1', 1)"),
     ]
     # Line 2 is no duplicate of line 1 and sets the dimension; line 3's huge
-    # integer leaves no entry behind; q2's rows start no query run.
-    assert batch.query_ids == ("q1",)
+    # integer leaves no entry behind; no row of q2 is kept.
+    assert batch.query_id == ("q1", "q1")
     assert batch.sample_index == (0, 1)
     assert batch.token_logprobs.tolist() == [-0.5, -0.25]
     assert batch.answer_token_logprobs.tolist() == [-1.0]

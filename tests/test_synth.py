@@ -48,16 +48,6 @@ def _as_json(rows):
     return json.loads(json.dumps([dataclasses.asdict(row) for row in rows]))
 
 
-def _row_query_ids(batch):
-    """Each row's query id, read from the batch's query runs."""
-    offsets = batch.query_offsets.tolist()
-    return [
-        query_id
-        for query_id, start, stop in zip(batch.query_ids, offsets, offsets[1:])
-        for _ in range(start, stop)
-    ]
-
-
 def test_generation_stream_matches_the_recorded_dataset():
     # Recorded from the per-row-loop generator.  Everything drawn from the
     # random stream must match exactly; logprob rows may differ only by the
@@ -75,7 +65,7 @@ def test_generation_stream_matches_the_recorded_dataset():
         assert then.pop("extra") == {}
         assert then.pop("sampling_meta") == meta
     assert _as_json(queries) == recorded["queries"]
-    label_rows = zip(_row_query_ids(generations), generations.sample_index, labels.tolist())
+    label_rows = zip(generations.query_id, generations.sample_index, labels.tolist())
     assert [
         {"query_id": query_id, "sample_index": sample_index, "z": z}
         for query_id, sample_index, z in label_rows
@@ -127,14 +117,12 @@ _RANGE_CONFIGS = {
 _FULL_RUNS: dict[str, tuple] = {}
 
 
-def _batch_slice(batch, start, stop):
-    """Query runs ``start:stop`` of a generation batch, every column cut to them."""
-    rows = slice(batch.query_offsets[start], batch.query_offsets[stop])
+def _batch_slice(batch, rows):
+    """The rows ``rows`` (a slice) of a generation batch, every column cut to them."""
     tokens = batch.token_offsets[rows.start : rows.stop + 1]
     spans = batch.answer_token_offsets[rows.start : rows.stop + 1]
     return records.GenerationBatch(
-        query_ids=batch.query_ids[start:stop],
-        query_offsets=batch.query_offsets[start : stop + 1] - rows.start,
+        query_id=batch.query_id[rows],
         sample_index=batch.sample_index[rows],
         response_text=batch.response_text[rows],
         answer=batch.answer[rows],
@@ -158,7 +146,7 @@ def test_a_query_range_generates_the_slice_of_the_whole_dataset(name, bounds):
     start, stop = sorted(min(bound, len(queries)) for bound in bounds)
     part_queries, part_batch, part_z = generate(config, range(start, stop))
     assert part_queries == queries[start:stop]
-    expected = _batch_slice(batch, start, stop)
+    expected = _batch_slice(batch, slice(start * config.k, stop * config.k))
     assert part_batch == expected
     # Bit for bit: == holds -0.0 equal to 0.0.
     for column in ("token_logprobs", "answer_token_logprobs", "embedding"):
@@ -197,9 +185,9 @@ def test_dataset_shape_matches_the_config():
 def test_labels_agree_with_recomputing_gold_matches():
     queries, generations, labels = generate(_SMALL)
     gold = {q.query_id: q.gold_answers[0] for q in queries}
-    by_pair = dict(zip(zip(_row_query_ids(generations), generations.sample_index), labels))
+    by_pair = dict(zip(zip(generations.query_id, generations.sample_index), labels))
     columns = zip(
-        _row_query_ids(generations),
+        generations.query_id,
         generations.sample_index,
         generations.answer,
         generations.response_text,
@@ -230,12 +218,11 @@ def test_written_files_pass_validation(tmp_path):
 def test_sampled_answer_frequencies_match_the_recorded_masses():
     config = SynthConfig(n_queries=3, k=10_000, embedding_dim=3, seed=0)
     queries, generations, _ = generate(config)
-    row_query_ids = _row_query_ids(generations)
     for query in queries:
         truth = query_truth(config, query)
         drawn = [
             answer
-            for query_id, answer in zip(row_query_ids, generations.answer)
+            for query_id, answer in zip(generations.query_id, generations.answer)
             if query_id == query.query_id
         ]
         names = [query.gold_answers[0]] + [
@@ -350,7 +337,7 @@ def test_embeddings_carry_a_linear_difficulty_signal():
     pis = np.array([query_truth(config, q).pi for q in queries])
     deploy = {
         query_id: generations.embedding[i]
-        for i, query_id in enumerate(_row_query_ids(generations))
+        for i, query_id in enumerate(generations.query_id)
         if generations.sample_index[i] == 0
     }
     X = np.array([deploy[q.query_id] for q in queries])
