@@ -43,6 +43,8 @@ import numpy as np
 from . import calibrator, consistency, evaluation, records, seeding, synth
 from .errors import ConfigError, DataError, require_size
 
+_SELECTIVE_RATES = (0.1, 0.2, 0.3, 0.5)
+
 
 # ---------------------------------------------------------------------------
 # small helpers
@@ -170,9 +172,12 @@ def _synth_config(args: argparse.Namespace) -> synth.SynthConfig:
     return preset(**settings)
 
 
-def _trial_config(
-    args: argparse.Namespace, selective_rates: tuple[float, ...] | None
-) -> evaluation.TrialConfig:
+def _trial_config(args: argparse.Namespace) -> evaluation.TrialConfig:
+    """The trial config of ``eval``, ``selective`` or ``shift``.  ``selective``
+    scores ``--rates`` if given, else the ``--config`` file's nonempty
+    ``selective_rates``, else ``_SELECTIVE_RATES``."""
+    selective = args.command == "selective"
+    rates = _parse_rates(args.rates) if selective and args.rates is not None else None
     _check_size_flags(args, "trials", "bins", "k")
     methods = None if args.methods is None else _csv(args.methods)
     settings = _settings(
@@ -180,8 +185,10 @@ def _trial_config(
         {"n_trials": args.trials, "cal_fraction": args.cal_frac, "bins": args.bins,
          "master_seed": args.seed, "methods": methods,
          "feature_source": args.feature_source, "k_subsample": args.k,
-         "selective_rates": selective_rates},
+         "selective_rates": rates},
     )
+    if selective and settings.get("selective_rates") in (None, []):
+        settings["selective_rates"] = _SELECTIVE_RATES
     return evaluation.TrialConfig(**settings)
 
 
@@ -359,7 +366,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_trials(args: argparse.Namespace) -> int:
     """``eval``, ``selective`` or ``shift``, the command named by ``args``."""
     kind = args.command
-    config = _trial_config(args, _parse_rates(args.rates) if kind == "selective" else None)
+    config = _trial_config(args)
     if kind in ("eval", "selective") and args.labels is None:
         raise ConfigError(f"the {kind} command needs --labels (correctness per sample)")
     if kind == "shift":
@@ -499,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selective", help="abstention curves averaged over trials")
     _add_trial_flags(p)
-    p.add_argument("--rates", default="0.1,0.2,0.3,0.5", help="comma-separated rates in [0,1)")
+    p.add_argument("--rates", help="comma-separated rates in [0,1) (default: the --config "
+                   f"file's selective_rates, else {','.join(map(str, _SELECTIVE_RATES))})")
 
     p = sub.add_parser("shift", help="calibrate on some groups, test on others")
     _add_trial_flags(p)

@@ -37,6 +37,7 @@ own difficulty distribution and group tag for distribution-shift studies.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
@@ -261,18 +262,6 @@ def _band_logmeans(rng: np.random.Generator, pi: float, k: int, lo: float, hi: f
     return np.log(lo + (hi - lo) * level)
 
 
-def _append_rows(
-    column: np.ndarray, offsets: np.ndarray, row: int, values: np.ndarray, lengths: np.ndarray
-) -> None:
-    """Write rows ``row, row + 1, ...`` of a flat column after row ``row - 1``.
-
-    ``values`` are the rows end to end; their ends go into ``offsets``.
-    """
-    start = offsets[row]
-    offsets[row + 1 : row + 1 + lengths.size] = start + np.cumsum(lengths)
-    column[start : start + values.size] = values
-
-
 def generate(
     config: SynthConfig, indices: range | None = None
 ) -> tuple[list[QueryRecord], GenerationBatch, np.ndarray]:
@@ -300,10 +289,9 @@ def generate(
     z = np.empty(n * k, dtype=np.int8)
     texts: list[str] = []
     sampled: list[str] = []
-    # Rows are shorter than their count range's upper end, so these columns
-    # have room for every row; the batch keeps the filled prefix.
-    token_column = np.empty(n * k * (_TOKEN_COUNT[1] - 1))
-    span_column = np.empty(n * k * (_ANSWER_TOKEN_COUNT[1] - 1))
+    token_column, span_column = array("d"), array("d")
+    # Each row's length goes in after its row's start; summed once, the
+    # lengths become the columns' offsets.
     token_offsets = np.zeros(n * k + 1, dtype=np.intp)
     span_offsets = np.zeros(n * k + 1, dtype=np.intp)
     embeddings = np.empty((n * k, config.embedding_dim))
@@ -316,18 +304,18 @@ def generate(
         answers = [gold] + [_distractor_answer(index, j) for j in range(config.distractor_count)]
         drawn = rng.choice(len(answers), size=k, p=masses)
         z[rows] = drawn == 0
-        tokens = _segmented_logprobs(
+        tokens, token_offsets[1:][rows] = _segmented_logprobs(
             rng,
             _band_logmeans(rng, pi, k, TP_LO, TP_HI, TP_NOISE),
             _TOKEN_COUNT,
         )
-        _append_rows(token_column, token_offsets, rows.start, *tokens)
-        spans = _segmented_logprobs(
+        token_column.frombytes(tokens.tobytes())
+        spans, span_offsets[1:][rows] = _segmented_logprobs(
             rng,
             _band_logmeans(rng, pi, k, ANS_LO, ANS_HI, ANS_NOISE),
             _ANSWER_TOKEN_COUNT,
         )
-        _append_rows(span_column, span_offsets, rows.start, *spans)
+        span_column.frombytes(spans.tobytes())
         stated = np.round(np.exp(_band_logmeans(rng, pi, k, VC_LO, VC_HI, VC_NOISE)), 2)
         vc_omitted = rng.random(size=k) < VC_OMIT
         signal = config.signal_strength * pi * direction
@@ -357,14 +345,16 @@ def generate(
                 )
             texts.append(text)
             sampled.append(answer)
+    np.cumsum(token_offsets, out=token_offsets)
+    np.cumsum(span_offsets, out=span_offsets)
     generations = GenerationBatch(
         query_id=tuple(q.query_id for q in queries for _ in range(k)),
         sample_index=tuple(range(k)) * n,
         response_text=tuple(texts),
         answer=tuple(sampled),
-        token_logprobs=token_column[: token_offsets[-1]].copy(),
+        token_logprobs=np.frombuffer(token_column),
         token_offsets=token_offsets,
-        answer_token_logprobs=span_column[: span_offsets[-1]].copy(),
+        answer_token_logprobs=np.frombuffer(span_column),
         answer_token_offsets=span_offsets,
         embedding=embeddings,
     )

@@ -1141,6 +1141,60 @@ def test_selective_rejects_unparseable_and_out_of_range_rates(data_dir, tmp_path
     )
 
 
+def test_selective_names_the_rate_it_cannot_parse(data_dir, tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["selective"] + _data_flags(data_dir)
+                + ["--rates", "0.1,x", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "usage error: --rates must be comma-separated numbers: "
+        "could not convert string to float: 'x'\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("file_rates", "flag", "scored"),
+    [
+        ([0.25], ["--rates", "0.4,0.05"], [0.4, 0.05]),
+        ([0.25], [], [0.25]),
+        ([], [], [0.1, 0.2, 0.3, 0.5]),
+        (None, [], [0.1, 0.2, 0.3, 0.5]),
+    ],
+    ids=["the flag over the file", "the file", "the default, for an empty list",
+         "the default, with no file"],
+)
+def test_selective_scores_the_flag_then_the_config_file_then_the_default_rates(
+    data_dir, tmp_path, file_rates, flag, scored
+):
+    config = []
+    if file_rates is not None:
+        cfg = tmp_path / "trial.json"
+        cfg.write_text(json.dumps({"selective_rates": file_rates}))
+        config = ["--config", str(cfg)]
+    out = tmp_path / "sel"
+    assert main(["selective"] + _data_flags(data_dir) + config + flag
+                + ["--trials", "1", "--methods", "token_prob", "--out", str(out)]) == 0
+    report = _read_json(out / "report.json")
+    assert [row["rate"] for row in report["methods"]["token_prob"]["selective"]] == scored
+    assert _read_json(out / "config.json")["selective_rates"] == scored
+
+
+def test_eval_names_a_cal_fraction_that_leaves_too_few_queries(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["synth", "--n-queries", "20", "--k", "4", "--seed", "0",
+                 "--out", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "report"
+    code = main(["eval"] + _data_flags(data) + ["--cal-frac", "0.05", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: cal_fraction 0.05 leaves too little data (1 cal / 19 test of 20); "
+        "both sides need at least 2 queries\n"
+    )
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def shift_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "shiftdata"

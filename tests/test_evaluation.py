@@ -603,6 +603,17 @@ def test_mismatched_feature_source_is_rejected():
         run_trials(data, _FAST)
 
 
+def test_a_default_trial_config_names_both_feature_sources():
+    sets, labels = _synth_sets(n=12, k=3)
+    data = build_dataset(sets, labels, feature_source="question_embedding")
+    with pytest.raises(ConfigError) as excinfo:
+        run_trials(data, TrialConfig())
+    assert str(excinfo.value) == (
+        "dataset was built with feature_source 'question_embedding' but the trial "
+        "config asks for 'response_embedding'"
+    )
+
+
 def test_subsampled_targets_change_the_distilled_fit_only():
     sets, labels = _synth_sets(n=60, k=8)
     data = build_dataset(sets, labels)
