@@ -16,9 +16,9 @@ query's samples into integer codes in one pass, and every target
 seeded draw) is then a count over those codes.  One rule draws the k
 samples: the set ``seeding.generator(seed).choice(n, k, replace=False)``
 draws, or all ``n`` positions, taking no generator, when ``k == n``.
-:func:`seeding.choice_sets` draws every query's set in one call, from the
-raw words of one generator reseeded in place: the same sets, not in
-``choice``'s order.
+:func:`seeding.choice_sets` draws every query's set in one call, from
+every query's raw PCG64 words replayed at once in arrays: the same sets,
+not in ``choice``'s order.
 :func:`subsample_shares` counts many queries' draws with one ``bincount``,
 for the trial loop, which reads only the shares; one target is the same
 count over one row, and :func:`subsample_targets_each` builds many targets

@@ -10,8 +10,11 @@ A loop that draws once from each of many streams reseeds one generator in
 place through :func:`generators`: each stream starts in the state
 :func:`generator` starts in, bit for bit, without building a generator per
 stream.  :func:`mix_each` derives such a loop's seeds in one vectorised fold.
-:func:`choice_sets` draws a ``choice`` without replacement from each of many
-streams at once, reading the streams' raw words.
+:func:`pcg64_words` replays the raw PCG64 words of many streams at once in
+``uint64`` arrays, with no generator at all, and :func:`choice_sets` draws a
+``choice`` without replacement from each of many streams from those words.
+Both seed every stream in one array step: numpy's ``SeedSequence`` hash,
+then PCG64's seeding.
 """
 
 from __future__ import annotations
@@ -154,8 +157,61 @@ def _seed_sequence_states(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(hashed.T).astype("<u4").view("<u8").astype(np.uint64)
 
 
+# PCG64 on 128-bit words held as (high, low) pairs of uint64 arrays.  A step
+# is state * MULT + inc modulo 2**128, with an odd increment; the high word
+# of the low limbs' product is built from 32-bit partial products.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_U64_LOW32 = np.uint64(0xFFFFFFFF)
+_U64_MULT_HIGH, _U64_MULT_LOW = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
+_U64_MULT_LOW1, _U64_MULT_LOW0 = _U64_MULT_LOW >> _U64_32, _U64_MULT_LOW & _U64_LOW32
+_U64_1, _U64_58, _U64_63, _U64_64 = np.uint64(1), np.uint64(58), np.uint64(63), np.uint64(64)
+
+
+def _pcg64_step(
+    high: np.ndarray, low: np.ndarray, inc_high: np.ndarray, inc_low: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One PCG64 step of each 128-bit state ``(high, low)``."""
+    # The high word of low * MULT_LOW, as Hacker's Delight's mulhu: no
+    # partial sum passes 2**64.
+    low0, low1 = low & _U64_LOW32, low >> _U64_32
+    cross = low1 * _U64_MULT_LOW0 + (low0 * _U64_MULT_LOW0 >> _U64_32)
+    middle = (cross & _U64_LOW32) + low0 * _U64_MULT_LOW1
+    carried = low1 * _U64_MULT_LOW1 + (cross >> _U64_32) + (middle >> _U64_32)
+    high = carried + high * _U64_MULT_LOW + low * _U64_MULT_HIGH + inc_high
+    low = low * _U64_MULT_LOW + inc_low
+    return high + (low < inc_low), low
+
+
+def _pcg64_seeded(seeds: Sequence[int] | np.ndarray) -> tuple[np.ndarray, ...]:
+    """The PCG64 state and increment ``generator(s)`` starts in, for each of
+    ``seeds``, as the 1-d ``uint64`` arrays ``state_high, state_low,
+    inc_high, inc_low``."""
+    states = _seed_sequence_states(_splitmix64_words(words(seeds).ravel()))
+    init_high, init_low, seq_high, seq_low = np.ascontiguousarray(states.T)
+    # PCG64's seeding: inc = seq << 1 | 1, then from state 0, one step, add
+    # the initial state, one more step.
+    inc_high = seq_high << _U64_1 | seq_low >> _U64_63
+    inc_low = seq_low << _U64_1 | _U64_1
+    low = inc_low + init_low
+    high = inc_high + init_high + (low < init_low)
+    return (*_pcg64_step(high, low, inc_high, inc_low), inc_high, inc_low)
+
+
+def pcg64_words(seeds: Sequence[int] | np.ndarray, count: int) -> np.ndarray:
+    """``generator(s).bit_generator.random_raw(count)`` for each of
+    ``seeds``, as the rows of a ``(rows, count)`` ``uint64`` matrix.
+
+    Every stream takes its steps together, one column at a time: a step
+    and PCG64's XSL-RR output (the xor of the state's words, rotated right
+    by its top six bits) on each row at once.
+    """
+    high, low, inc_high, inc_low = _pcg64_seeded(seeds)
+    raw = np.empty((count, high.size), dtype=np.uint64)
+    for column in raw:
+        high, low = _pcg64_step(high, low, inc_high, inc_low)
+        xsl, rotation = high ^ low, high >> _U64_58
+        np.bitwise_or(xsl >> rotation, xsl << ((_U64_64 - rotation) & _U64_63), out=column)
+    return raw.T
 
 
 def generators(seeds: Sequence[int] | np.ndarray) -> Iterator[np.random.Generator]:
@@ -163,21 +219,18 @@ def generators(seeds: Sequence[int] | np.ndarray) -> Iterator[np.random.Generato
 
     Each yield is in the state ``generator(s)`` starts in, bit for bit,
     including an empty uint32 buffer.  It is the same object every time, so
-    a draw must be taken before the next seed's.  Every seed is hashed at
-    once when the first generator is taken, and a seed's reseed happens
-    only when its generator is taken.
+    a draw must be taken before the next seed's.  Every stream's state is
+    computed at once, by the seeding step :func:`pcg64_words` starts from,
+    when the first generator is taken, and set only when its generator is
+    taken.
     """
-    states = _seed_sequence_states(_splitmix64_words(words(seeds).ravel()))
+    seeded = [part.tolist() for part in _pcg64_seeded(seeds)]
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
-    for state_high, state_low, seq_high, seq_low in states.tolist():
-        # PCG64's seeding: from state 0, one step, add the initial state, one
-        # more step; a step is state * MULT + inc with an odd increment.
-        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
-        state = ((inc + (state_high << 64 | state_low)) * _PCG_MULT + inc) & _MASK128
+    for state_high, state_low, inc_high, inc_low in zip(*seeded):
         bit_generator.state = {
             "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
+            "state": {"state": state_high << 64 | state_low, "inc": inc_high << 64 | inc_low},
             "has_uint32": 0,
             "uinteger": 0,
         }
@@ -192,7 +245,7 @@ def generators(seeds: Sequence[int] | np.ndarray) -> Iterator[np.random.Generato
 # moves no value in or out of the set, and each stream serves one draw, so
 # it is not replayed.
 _TAIL_FROM, _TAIL_DIVISOR = 10000, 50
-_U64_LOW32, _U64_2_32 = np.uint64(0xFFFFFFFF), np.uint64(1 << 32)
+_U64_2_32 = np.uint64(1 << 32)
 
 
 def choice_sets(sizes: np.ndarray, k: int, seeds: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -202,10 +255,11 @@ def choice_sets(sizes: np.ndarray, k: int, seeds: Sequence[int] | np.ndarray) ->
     at least ``k`` and at most 2**32, where ``choice`` draws 32-bit values.
 
     A set of exactly ``k`` is ``range(k)`` and takes no stream.  The rest
-    read ``ceil(k / 2)`` words each from :func:`generators` and take their
-    ``k`` steps together, one bool per sample marking the values drawn.  A
-    row that needs the tail shuffle, or whose words a Lemire step rejects
-    (with probability below ``k * n / 2**32``), draws through ``choice``.
+    replay ``ceil(k / 2)`` words each through :func:`pcg64_words`, every
+    row at once, and take their ``k`` steps together, one bool per sample
+    marking the values drawn.  A row that needs the tail shuffle, or whose
+    words a Lemire step rejects (with probability below ``k * n / 2**32``),
+    draws through ``choice``.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     seeds = words(seeds)
@@ -215,9 +269,7 @@ def choice_sets(sizes: np.ndarray, k: int, seeds: Sequence[int] | np.ndarray) ->
     tail = drawing & (sizes > _TAIL_FROM) & (k > sizes // _TAIL_DIVISOR)
     floyd = np.flatnonzero(drawing & ~tail)
     n = sizes[floyd]
-    raw = np.empty((floyd.size, (k + 1) // 2), dtype=np.uint64)
-    for row, rng in zip(raw, generators(seeds[floyd])):
-        row[:] = rng.bit_generator.random_raw(raw.shape[1])
+    raw = pcg64_words(seeds[floyd], (k + 1) // 2)
     starts = np.cumsum(n) - n
     taken = np.zeros(int(n.sum()), dtype=bool)
     rejected = np.zeros(floyd.size, dtype=bool)

@@ -13,8 +13,9 @@ evidence.
 
 :func:`load_scores` is the exception: no command reads ``scores.jsonl``
 back, so its reader lives here, on the package's line decoder.
-:func:`drawn_by_choice` draws through numpy's own ``choice`` from one
-stream of the package's, built alone.
+:func:`drawn_by_choice` draws through numpy's own ``choice``, and
+:func:`raw_words_by_generator` reads numpy's own raw words, from one stream
+of the package's at a time, each built alone.
 :func:`distilled_trial_by_fit` takes the package's seeded streams and
 targets, which it does not re-derive; its own part is the linear stage as
 one trial's 2-d products and the isotonic stage as :func:`isotonic_by_pava`.
@@ -703,6 +704,16 @@ def drawn_by_choice(n: int, k: int, seed: int) -> list[int]:
     from conscal import seeding
 
     return sorted(seeding.generator(seed).choice(n, k, replace=False).tolist())
+
+
+def raw_words_by_generator(seeds, count: int) -> np.ndarray:
+    """``seeding.generator(s).bit_generator.random_raw(count)`` for each of
+    ``seeds``, as the rows of a ``(rows, count)`` ``uint64`` matrix: numpy's
+    own PCG64 words from one generator built per stream."""
+    from conscal import seeding
+
+    rows = [seeding.generator(int(s)).bit_generator.random_raw(count) for s in seeds]
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), count)
 
 
 def distilled_trial_by_fit(data, config, tseed: int, cal_idx, test_idx) -> np.ndarray:

@@ -353,31 +353,30 @@ def test_subsample_shares_of_no_query_is_empty():
 
 
 @pytest.mark.parametrize("k, calls", [(3, 2), (4, 0)])
-def test_subsample_draws_build_one_generator_per_query_below_the_set_size(
+def test_subsample_draws_replay_one_stream_per_query_below_the_set_size(
     monkeypatch, k, calls
 ):
-    # Shares reseed one generator per query with more than k samples, and
-    # a target reseeds its query's under the same rule; neither builds one.
-    reseeded, built = [], []
-    generators, generator = seeding.generators, seeding.generator
+    # Shares replay one stream's raw words per query with more than k
+    # samples, and a target replays its query's under the same rule;
+    # neither builds nor reseeds a generator.
+    replayed = []
+    pcg64_words = seeding.pcg64_words
 
-    def counting_reseeds(seeds):
-        for rng in generators(seeds):
-            reseeded.append(rng.bit_generator.state)
-            yield rng
+    def counting_replays(seeds, count):
+        replayed.extend(seeding.words(seeds).tolist())
+        return pcg64_words(seeds, count)
 
-    def counting_builds(seed, *streams):
-        built.append(seed)
-        return generator(seed, *streams)
+    def no_generator(*args):
+        raise AssertionError("a draw took a generator")
 
-    monkeypatch.setattr(seeding, "generators", counting_reseeds)
-    monkeypatch.setattr(seeding, "generator", counting_builds)
+    monkeypatch.setattr(seeding, "pcg64_words", counting_replays)
+    monkeypatch.setattr(seeding, "generator", no_generator)
+    monkeypatch.setattr(seeding, "generators", no_generator)
     coded = _coded([["a", "b", "a", "c"], ["c", None, "c", "b"]])
     shares = subsample_shares(coded, k, [11, 12])
-    assert (len(reseeded), built) == (calls, [])
+    assert replayed == [11, 12][:calls]
     assert [subsample_targets(c, k, seed=s).s for c, s in zip(coded, [11, 12])] == list(shares)
-    assert built == []
-    assert reseeded == [generator(s).bit_generator.state for s in [11, 12][:calls]] * 2
+    assert replayed == [11, 12][:calls] * 2
 
 
 def test_answer_codes_code_each_query_of_the_sets_apart():

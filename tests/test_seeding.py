@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conscal import seeding
 
-from oracles import drawn_by_choice
+from oracles import drawn_by_choice, raw_words_by_generator
 
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -122,6 +122,35 @@ def test_a_generator_is_reseeded_only_when_taken():
     assert first.bit_generator.state == seeding.generator(4).bit_generator.state
     assert list(rngs) == []
     assert list(seeding.generators([])) == []
+
+
+@given(
+    seeds=st.lists(_SEEDS | st.sampled_from(_EDGE_SEEDS), max_size=12),
+    count=st.sampled_from([0, 1, 50]) | st.integers(0, 60),
+)
+@example(seeds=[], count=3)
+@example(seeds=_EDGE_SEEDS, count=0)
+@example(seeds=_EDGE_SEEDS, count=1)
+@example(seeds=_EDGE_SEEDS, count=3)
+@example(seeds=_EDGE_SEEDS, count=50)
+def test_replayed_words_are_the_built_generators_raw_words(seeds, count):
+    want = raw_words_by_generator(seeds, count)
+    replayed = seeding.pcg64_words(seeds, count)
+    assert replayed.dtype == np.uint64 and replayed.shape == (len(seeds), count)
+    assert replayed.tolist() == want.tolist()
+    # The same seeds reduced modulo 2**64, as a uint64 array.
+    words = np.array([s % 2**64 for s in seeds], dtype=np.uint64)
+    assert seeding.pcg64_words(words, count).tolist() == want.tolist()
+
+
+def test_reseeds_and_replayed_words_start_from_the_same_states():
+    # generators sets each state from pcg64_words' seeding step: a yielded
+    # generator is in the built generator's state and reads the replay's words.
+    seeds = _EDGE_SEEDS + np.random.default_rng(5).integers(0, 2**63, 200).tolist()
+    replayed = seeding.pcg64_words(seeds, 7).tolist()
+    for seed, rng, words in zip(seeds, seeding.generators(seeds), replayed, strict=True):
+        assert rng.bit_generator.state == seeding.generator(seed).bit_generator.state
+        assert rng.bit_generator.random_raw(7).tolist() == words
 
 
 @given(
