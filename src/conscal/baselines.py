@@ -177,6 +177,51 @@ def _platt_objectives(design: np.ndarray, z: np.ndarray, theta: np.ndarray) -> n
     return data + _PENALTY * (theta.transpose(0, 2, 1) @ theta)[:, 0, 0]
 
 
+# A Newton step backtracks over the scales 2**-i, i = 0 ... 49: the full
+# step first, then the halvings _BLOCK at a time.
+_HALVINGS = 50
+_BLOCK = 8
+
+
+def _backtrack(
+    design: np.ndarray, z: np.ndarray, theta: np.ndarray, step: np.ndarray, current: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's first trial ``theta - 2**-i * step`` whose objective does
+    not exceed ``current``, as ``(candidate, value, accepted)``; a row that
+    finds none is not accepted.
+
+    Every row tries the full step in one call.  The rows it overshoots try
+    the other scales in blocks: each searching row's block of trials is
+    stacked into one :func:`_platt_objectives` call.  A trial's objective
+    depends on its own row and theta alone, so it has the bits a call on
+    that one trial gives, and the scale accepted is the one a search of one
+    scale a call accepts.
+    """
+    candidate = theta - step
+    value = _platt_objectives(design, z, candidate)
+    accepted = value <= current
+    searching = np.flatnonzero(~accepted)
+    for first in range(1, _HALVINGS, _BLOCK):
+        if not searching.size:
+            break
+        scales = np.ldexp(1.0, -np.arange(first, min(first + _BLOCK, _HALVINGS)))
+        width = scales.size
+        trials = theta[searching, None] - scales[:, None, None] * step[searching, None]
+        values = _platt_objectives(
+            np.repeat(design[searching], width, axis=0),
+            np.repeat(z[searching], width, axis=0),
+            trials.reshape(-1, 2, 1),
+        ).reshape(-1, width)
+        ok = values <= current[searching, None]
+        found = ok.any(axis=1)
+        rows, first_ok = np.flatnonzero(found), ok.argmax(axis=1)[found]
+        done = searching[rows]
+        candidate[done], value[done] = trials[rows, first_ok], values[rows, first_ok]
+        accepted[done] = True
+        searching = searching[~found]
+    return candidate, value, accepted
+
+
 def fit_platt_rows(scores: Any, labels: Any) -> tuple[np.ndarray, np.ndarray]:
     """:func:`fit_platt` of each row of ``(T, n)`` scores and labels, as
     ``(slopes, biases)``, two ``(T,)`` arrays.
@@ -185,7 +230,10 @@ def fit_platt_rows(scores: Any, labels: Any) -> tuple[np.ndarray, np.ndarray]:
     the active set.  Each product is a per-row ``np.matmul`` over stacks
     shaped like the one-row products, each solve one ``np.linalg.solve``
     over a stack, and each sum a row sum, so every row gets the bits a fit
-    of that row alone gets.
+    of that row alone gets.  An iteration's backtracking tries the full
+    step on every row in one objective call, then the halvings eight
+    scales a call on the rows still searching (:func:`_backtrack`): at
+    most eight calls an iteration.
     """
     s = np.asarray(scores, dtype=float)
     z = np.asarray(labels, dtype=float)
@@ -217,22 +265,7 @@ def fit_platt_rows(scores: Any, labels: Any) -> tuple[np.ndarray, np.ndarray]:
         curvature = p * (1.0 - p)
         hessian = dt @ (d * curvature[:, :, None]) + 2.0 * _PENALTY * np.eye(2)
         step = np.linalg.solve(hessian, grad)
-        # Backtrack each row whose full Newton step overshoots.
-        candidate = np.empty_like(th)
-        value = np.empty(active.shape[0])
-        accepted = np.zeros(active.shape[0], dtype=bool)
-        searching = np.arange(active.shape[0])
-        scale = 1.0
-        for _ in range(50):
-            trial = th[searching] - scale * step[searching]
-            trial_value = _platt_objectives(d[searching], zz[searching], trial)
-            ok = trial_value <= current[active[searching]]
-            done = searching[ok]
-            candidate[done], value[done], accepted[done] = trial[ok], trial_value[ok], True
-            searching = searching[~ok]
-            if not searching.size:
-                break
-            scale *= 0.5
+        candidate, value, accepted = _backtrack(d, zz, th, step, current[active])
         # A step that rounds back to theta would repeat forever: compare bytes.
         moved = ~(candidate.view(np.int64) == th.view(np.int64)).all(axis=(1, 2))
         keep = accepted & moved

@@ -294,8 +294,18 @@ class TrialConfig:
                 raise ConfigError(f"abstention rate must lie in [0, 1), got {r!r}")
 
 
-def split_cal_test(n: int, cal_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded disjoint split over ``range(n)``; both sides sorted, size >= 2."""
+def split_cal_test_rows(
+    n: int, cal_fraction: float, seeds: Sequence[int] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One seeded disjoint split over ``range(n)`` per seed, as the rows of a
+    ``(T, n_cal)`` and a ``(T, n_test)`` matrix; each row sorted, each side
+    at least 2 wide.
+
+    Row t splits by ``seeding.generator(seeds[t]).permutation(n)``, drawn
+    from one generator reseeded per row (:func:`seeding.generators`) as
+    ``permutation`` draws it, by shuffling ``arange(n)`` in place; one row
+    sort per side then orders every row at once.
+    """
     if not 0.0 < cal_fraction < 1.0:
         raise DataError(f"cal_fraction must be inside (0, 1), got {cal_fraction!r}")
     n_cal = int(np.floor(cal_fraction * n))
@@ -305,8 +315,18 @@ def split_cal_test(n: int, cal_fraction: float, seed: int) -> tuple[np.ndarray, 
             f"cal_fraction {cal_fraction!r} leaves too little data ({n_cal} cal / "
             f"{n_test} test of {n}); both sides need at least 2 queries"
         )
-    perm = seeding.generator(seed).permutation(n)
-    return np.sort(perm[:n_cal]), np.sort(perm[n_cal:])
+    perms = np.empty((len(seeds), n), dtype=np.intp)
+    perms[:] = np.arange(n)
+    for row, rng in zip(perms, seeding.generators(seeds)):
+        rng.shuffle(row)
+    return np.sort(perms[:, :n_cal], axis=1), np.sort(perms[:, n_cal:], axis=1)
+
+
+def split_cal_test(n: int, cal_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded disjoint split over ``range(n)``; both sides sorted, size >= 2.
+    The one-row case of :func:`split_cal_test_rows`."""
+    cal, test = split_cal_test_rows(n, cal_fraction, [seed])
+    return cal[0], test[0]
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +350,14 @@ class SelectivePoint:
     gain: np.ndarray | None
 
 
+def _ranks(values: Sequence[Any]) -> np.ndarray:
+    """Each value's position in the stable sort of ``values``, by Python's
+    own comparisons."""
+    ranks = np.empty(len(values), dtype=np.intp)
+    ranks[sorted(range(len(values)), key=values.__getitem__)] = np.arange(len(values))
+    return ranks
+
+
 def selective_curve(
     confidences: Any,
     labels: Any,
@@ -340,7 +368,10 @@ def selective_curve(
     confident ``ceil(rate * n)``.
 
     Ties in confidence break by ascending ``query_ids`` (original order when
-    ids are not given) so the abstention set is deterministic.  ``gain`` is
+    ids are not given) so the abstention set is deterministic: strings in
+    Python's ``str`` order, through their ranks (numpy's ``str`` dtype would
+    drop trailing NULs), and an integer array numerically, so a caller may
+    pass ranks it took once (as :func:`run_trials` does).  ``gain`` is
     answered accuracy minus the accuracy with no abstention, exactly 0.0 at
     rate 0.  Both sides' mean confidence and accuracy are recorded; empty
     sides report them as absent.
@@ -356,10 +387,13 @@ def selective_curve(
     if query_ids is None:
         order = np.argsort(c, axis=-1, kind="stable")
     else:
-        ids = np.asarray(query_ids, dtype=str)
-        if ids.shape != c.shape:
+        keys = query_ids
+        if not (isinstance(keys, np.ndarray) and keys.dtype.kind in "iu"):
+            ids = np.asarray(query_ids, dtype=object)
+            keys = _ranks(ids.ravel().tolist()).reshape(ids.shape)
+        if keys.shape != c.shape:
             raise DataError("query_ids must align with confidences")
-        order = np.lexsort((ids, c), axis=-1)
+        order = np.lexsort((keys, c), axis=-1)
     n = c.shape[-1]
     sorted_labels = np.atleast_2d(np.take_along_axis(z, order, axis=-1))
     sorted_conf = np.atleast_2d(np.take_along_axis(c, order, axis=-1))
@@ -452,7 +486,7 @@ def _require_sources(data: EvalDataset, methods: Sequence[str]) -> None:
 
 
 def _distilled_targets(
-    data: EvalDataset, config: TrialConfig, tseeds: Sequence[int], cal: np.ndarray
+    data: EvalDataset, config: TrialConfig, tseeds: Sequence[int] | np.ndarray, cal: np.ndarray
 ) -> np.ndarray:
     """Each trial's calibration-side targets as a ``(T, n_cal)`` matrix: the
     modal shares, or under ``k_subsample`` the shares among k samples drawn
@@ -464,7 +498,7 @@ def _distilled_targets(
         return data.targets_s[cal]
     # Every (trial, query) seed in one fold and every draw in one call,
     # trial-major, so the first failing trial, then query, names the error.
-    seeds = seeding.mix_each(np.array(tseeds, dtype=np.uint64)[:, None], _S_SUBSAMPLE, cal)
+    seeds = seeding.mix_each(seeding.words(tseeds)[:, None], _S_SUBSAMPLE, cal)
     rows = [data.codes[i] for i in cal.ravel().tolist()]
     return subsample_shares(rows, k, seeds.ravel()).reshape(cal.shape)
 
@@ -473,7 +507,7 @@ def _method_trials(
     data: EvalDataset,
     config: TrialConfig,
     method: str,
-    tseeds: Sequence[int],
+    tseeds: Sequence[int] | np.ndarray,
     cal: np.ndarray,
     test: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -497,7 +531,7 @@ def _method_trials(
         cal,
         _distilled_targets(data, config, tseeds, cal),
         split_frac=config.split_frac,
-        seeds=[seeding.mix(tseed, _S_PIPELINE) for tseed in tseeds],
+        seeds=seeding.mix_each(tseeds, _S_PIPELINE),
         alpha=config.alpha,
         feature_source=data.feature_source,
     )
@@ -566,31 +600,30 @@ def _aggregate(
     )
 
 
+def _trial_seeds(config: TrialConfig) -> np.ndarray:
+    """Trial t's seed ``mix(master_seed, t)`` for every trial, in one fold."""
+    return seeding.mix_each(config.master_seed, np.arange(config.n_trials))
+
+
 def _evaluate(
-    data: EvalDataset,
-    config: TrialConfig,
-    splits: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
-    kind: str,
+    data: EvalDataset, config: TrialConfig, cal: np.ndarray, test: np.ndarray, kind: str
 ) -> EvalResult:
-    """Split every trial, check every method's data, then score each method
-    over all trials at once."""
-    if data.feature_source != config.feature_source:
-        raise ConfigError(
-            f"dataset was built with feature_source {data.feature_source!r} but the "
-            f"trial config asks for {config.feature_source!r}"
-        )
-    tseeds = [seeding.mix(config.master_seed, t) for t in range(config.n_trials)]
-    sides = [splits(t, tseed) for t, tseed in enumerate(tseeds)]
-    n_cal, n_test = len(sides[0][0]), len(sides[0][1])
+    """Check every method's data, then score each method over all trials at
+    once.  Row t of ``cal`` and ``test`` is trial t's calibration and test
+    side; the fits seed from the trials' seeds, :func:`_trial_seeds`.
+
+    The selective curves break confidence ties by query id: the ids are
+    ranked once, in Python's ``str`` order, and the test sides' ranks are
+    passed as integer keys."""
+    n_cal, n_test = cal.shape[1], test.shape[1]
     if n_test < config.bins:
         raise DataError(
             f"test side has {n_test} queries but {config.bins} equal-mass bins "
             "need at least one query each"
         )
     _require_sources(data, config.methods)
-    cal = np.stack([cal_idx for cal_idx, _ in sides])
-    test = np.stack([test_idx for _, test_idx in sides])
-    test_ids = np.array(data.query_ids, dtype=str)[test] if config.selective_rates else None
+    tseeds = _trial_seeds(config)
+    test_ids = _ranks(data.query_ids)[test] if config.selective_rates else None
     summaries = {}
     for method in config.methods:
         confidences, labels = _method_trials(data, config, method, tseeds, cal, test)
@@ -615,12 +648,20 @@ def _evaluate(
 
 
 def run_trials(data: EvalDataset, config: TrialConfig) -> EvalResult:
-    """The main protocol: seeded random cal/test splits, retrained per trial."""
+    """The main protocol: seeded random cal/test splits, retrained per trial.
 
-    def splits(t: int, tseed: int) -> tuple[np.ndarray, np.ndarray]:
-        return split_cal_test(data.n, config.cal_fraction, seeding.mix(tseed, _S_SPLIT))
-
-    return _evaluate(data, config, splits, kind="eval")
+    Trial t splits by the seed ``mix(mix(master_seed, t), _S_SPLIT)``; every
+    trial's seed comes from one fold and every split from
+    :func:`split_cal_test_rows`."""
+    if data.feature_source != config.feature_source:
+        raise ConfigError(
+            f"dataset was built with feature_source {data.feature_source!r} but the "
+            f"trial config asks for {config.feature_source!r}"
+        )
+    cal, test = split_cal_test_rows(
+        data.n, config.cal_fraction, seeding.mix_each(_trial_seeds(config), _S_SPLIT)
+    )
+    return _evaluate(data, config, cal, test, kind="eval")
 
 
 def check_groups(train_groups: Sequence[str], test_groups: Sequence[str]) -> None:
@@ -656,12 +697,10 @@ def shift_eval(
     train_idx = np.array([i for i, g in enumerate(data.groups) if g in train], dtype=int)
     test_idx = np.array([i for i, g in enumerate(data.groups) if g in test], dtype=int)
 
+    # run_trials checks the feature source, which the shifted arm shares.
     in_domain = run_trials(data.subset(train_idx), config)
-
-    def splits(t: int, tseed: int) -> tuple[np.ndarray, np.ndarray]:
-        return train_idx, test_idx
-
-    shifted = _evaluate(data, config, splits, kind="shift")
+    fixed = [np.broadcast_to(idx, (config.n_trials, idx.size)) for idx in (train_idx, test_idx)]
+    shifted = _evaluate(data, config, *fixed, kind="shift")
     return {"in_domain": in_domain, "shifted": shifted}
 
 

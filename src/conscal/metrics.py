@@ -103,11 +103,19 @@ def _histograms(c: np.ndarray, buckets: int) -> np.ndarray:
     Bucket ``i`` is ``[e_i, e_{i+1})`` for the ``linspace`` edges ``e``, the
     last one is closed, and values outside [0, 1] fall in none, as with
     ``np.histogram(c, buckets, range=(0, 1))``.
+
+    A value's bucket is ``floor(c * buckets)`` of ``c`` clipped to [0, 1],
+    at most the last bucket, then moved one step up where ``c`` reaches the
+    next edge, or one step down where it lies below the bucket's own.  The
+    rounded product and the rounded edges differ by less than one bucket,
+    so one step is the whole correction, and the bucket is the one a
+    ``searchsorted`` of the edges gives.
     """
     rows = c.shape[0]
     edges = np.linspace(0.0, 1.0, buckets + 1)
-    bucket = np.searchsorted(edges, c, side="right") - 1
-    bucket[c == edges[-1]] = buckets - 1
+    bucket = np.minimum(np.floor(np.clip(c, 0.0, 1.0) * buckets), buckets - 1).astype(np.intp)
+    bucket += (c >= edges[bucket + 1]) & (bucket < buckets - 1)
+    bucket -= c < edges[bucket]
     # Row t counts into slots [t * buckets, (t + 1) * buckets) of one bincount.
     bucket += np.arange(rows)[:, None] * buckets
     inside = (c >= edges[0]) & (c <= edges[-1])

@@ -5,11 +5,11 @@ elimination, quadratic pair counting, per-bin, per-row and per-trial loops,
 character-by-character scans, string counting, entry-by-entry validation,
 plain grid refinement, ``json.dumps`` of each record's object, per-row
 bucket grouping, record loaders that judge one line at a time,
-``scipy.stats.rankdata``, a ``scipy.linalg`` Cholesky solve and a per-value
-scan of histogram edges.  They share no code with the package beyond the
-standard library (numpy only for array plumbing, scipy only for ranking and
-the Cholesky solve), so agreement between the two routes is meaningful
-evidence.
+``scipy.stats.rankdata``, a ``scipy.linalg`` Cholesky solve, a per-value
+scan of histogram edges and a ``searchsorted`` of them.  They share no code
+with the package beyond the standard library (numpy only for array
+plumbing, scipy only for ranking and the Cholesky solve), so agreement
+between the two routes is meaningful evidence.
 
 :func:`load_scores` is the exception: no command reads ``scores.jsonl``
 back, so its reader lives here, on the package's line decoder.
@@ -19,6 +19,8 @@ of the package's at a time, each built alone.
 :func:`distilled_trial_by_fit` takes the package's seeded streams and
 targets, which it does not re-derive; its own part is the linear stage as
 one trial's 2-d products and the isotonic stage as :func:`isotonic_by_pava`.
+:func:`backtrack_by_scale` takes the objective it searches with, so only
+its search over the scales, one a call, is its own.
 """
 
 from __future__ import annotations
@@ -235,6 +237,21 @@ def histogram_by_edges(values: Sequence[float], buckets: int) -> list[int]:
             if edges[i] <= value < edges[i + 1] or (i == buckets - 1 and value == edges[i + 1]):
                 counts[i] += 1
                 break
+    return counts
+
+
+def histogram_by_searchsorted(values: np.ndarray, buckets: int) -> np.ndarray:
+    """Row-wise bucket counts of a ``(T, n)`` matrix by a ``searchsorted`` of
+    the ``linspace(0, 1, buckets + 1)`` edges: a value's bucket is the last
+    edge at or below it, ``1.0`` goes in the last bucket, and values outside
+    [0, 1] are dropped."""
+    edges = np.linspace(0.0, 1.0, buckets + 1)
+    counts = np.zeros((values.shape[0], buckets), dtype=np.intp)
+    for row, c in zip(counts, np.asarray(values, dtype=float)):
+        bucket = np.searchsorted(edges, c, side="right") - 1
+        bucket[c == edges[-1]] = buckets - 1
+        inside = (c >= edges[0]) & (c <= edges[-1])
+        np.add.at(row, bucket[inside], 1)
     return counts
 
 
@@ -698,6 +715,32 @@ def platt_by_full_newton(
     return (float(theta[0]), float(theta[1])), iterations
 
 
+def backtrack_by_scale(objective, design, z, theta, step, current):
+    """Each row's first trial ``theta - 2**-i * step``, i = 0 ... 49, whose
+    ``objective`` does not exceed ``current``, as ``(candidate, value,
+    accepted, calls)``: one scale a call over the rows still searching,
+    halving the scale after each call.  ``objective`` takes the stacked
+    ``(rows, n, 2)`` design, ``(rows, n)`` labels and ``(rows, 2, 1)``
+    thetas; ``calls`` counts its calls."""
+    candidate = np.empty_like(theta)
+    value = np.empty(theta.shape[0])
+    accepted = np.zeros(theta.shape[0], dtype=bool)
+    searching = np.arange(theta.shape[0])
+    scale, calls = 1.0, 0
+    for _ in range(50):
+        trial = theta[searching] - scale * step[searching]
+        trial_value = objective(design[searching], z[searching], trial)
+        calls += 1
+        ok = trial_value <= current[searching]
+        done = searching[ok]
+        candidate[done], value[done], accepted[done] = trial[ok], trial_value[ok], True
+        searching = searching[~ok]
+        if not searching.size:
+            break
+        scale *= 0.5
+    return candidate, value, accepted, calls
+
+
 def drawn_by_choice(n: int, k: int, seed: int) -> list[int]:
     """The set ``seeding.generator(seed).choice(n, k, replace=False)`` draws,
     sorted: numpy's own draw from one generator built for one stream."""
@@ -812,9 +855,10 @@ def selective_by_trial_loop(
 ) -> list[list[dict]]:
     """Each row's selective curve, one row and one rate at a time.
 
-    Per row: sort by confidence, ties by ascending query id (a stable sort
-    without ids), abstain on the first ``ceil(rate * n)`` and take plain
-    means of both sides; an empty side gives None.
+    Per row: sort by confidence, ties by ascending query id in Python's
+    ``str`` order (a stable sort without ids), abstain on the first
+    ``ceil(rate * n)`` and take plain means of both sides; an empty side
+    gives None.
     """
     curves = []
     for t, (c, z) in enumerate(
@@ -824,7 +868,8 @@ def selective_by_trial_loop(
         if query_ids is None:
             order = np.argsort(c, kind="stable")
         else:
-            order = np.lexsort((np.array(query_ids[t], dtype=str), c))
+            ids = [str(i) for i in query_ids[t]]
+            order = np.array(sorted(range(n), key=lambda i: (c[i], ids[i])), dtype=np.intp)
         z_sorted, c_sorted = z[order], c[order]
 
         def mean(values):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conscal import baselines
 from conscal.baselines import (
     PlattModel,
     answer_prob_score,
@@ -33,6 +34,7 @@ from conscal.metrics import auroc
 from conftest import make_batch, make_generation, make_query
 from oracles import (
     answer_token_row,
+    backtrack_by_scale,
     load_scores,
     platt_by_full_newton,
     platt_nll_by_grid,
@@ -375,6 +377,96 @@ def test_platt_rows_map_each_row_under_its_own_fit():
     for t, row in enumerate(test):
         want = apply_platt(PlattModel(float(slopes[t]), float(biases[t])), row)
         assert mapped[t].tobytes() == want.tobytes()
+
+
+def _same_search(got, want) -> None:
+    """The two line searches accept the same rows with the same bits."""
+    (candidate, value, accepted), (want_candidate, want_value, want_accepted) = got, want
+    assert accepted.tolist() == want_accepted.tolist()
+    assert candidate[accepted].tobytes() == want_candidate[accepted].tobytes()
+    assert value[accepted].tobytes() == want_value[accepted].tobytes()
+
+
+def _checked_searches(monkeypatch) -> list[int]:
+    """Check every line search of the fits that follow against the search of
+    one scale a call; returns each search's objective calls, as they come."""
+    objectives, backtrack = baselines._platt_objectives, baselines._backtrack
+    calls: list[int] = []
+    total = [0]
+
+    def counted(*args):
+        total[0] += 1
+        return objectives(*args)
+
+    def checked(design, z, theta, step, current):
+        before = total[0]
+        got = backtrack(design, z, theta, step, current)
+        calls.append(total[0] - before)
+        *want, _ = backtrack_by_scale(objectives, design, z, theta, step, current)
+        _same_search(got, want)
+        return got
+
+    monkeypatch.setattr(baselines, "_platt_objectives", counted)
+    monkeypatch.setattr(baselines, "_backtrack", checked)
+    return calls
+
+
+# Rows of width 6 of every kind: separable, one-class, constant scores, and
+# three stragglers, whose searches near the optimum halve the step 20 to 30
+# times before the objective stops rising.
+_STRAGGLERS = (
+    ([0.2763, 0.9007, 0.5866, 0.8965, 0.3508, 0.5459], [0, 1, 1, 0, 1, 0]),
+    ([0.5286, 0.2953, 0.6808, 0.9962, 0.4656, 0.1191], [0, 0, 1, 0, 0, 0]),
+    ([0.9304, 0.5973, 0.8188, 0.9444, 0.6361, 0.6198], [1, 0, 0, 1, 1, 1]),
+)
+_KINDS = (
+    ([0.1, 0.2, 0.3, 0.7, 0.8, 0.9], [0, 0, 0, 1, 1, 1]),
+    ([0.1, 0.2, 0.3, 0.7, 0.8, 0.9], [1, 1, 1, 0, 0, 0]),
+    ([0.2, 0.5, 0.8, 0.3, 0.6, 0.9], [1, 1, 1, 1, 1, 1]),
+    ([0.5] * 6, [0, 1, 1, 0, 1, 0]),
+    ([0.5] * 6, [0, 0, 0, 0, 0, 0]),
+    *_STRAGGLERS,
+    *_EDGE_ROWS,
+)
+
+
+def test_blocked_backtracking_keeps_every_rows_bits_in_fewer_calls(monkeypatch):
+    calls = _checked_searches(monkeypatch)
+    with np.errstate(over="ignore"):
+        slopes, biases = fit_platt_rows(*_rows(*_KINDS))
+        for t, row in enumerate(_KINDS):
+            (slope, bias), _ = platt_by_full_newton(*row)
+            assert (float(slopes[t]).hex(), float(biases[t]).hex()) == (slope.hex(), bias.hex())
+    # The full step, then at most seven blocks of eight halvings.
+    assert calls and max(calls) <= 8
+    for row in _STRAGGLERS:  # each one alone searches past its first block
+        calls.clear()
+        fit_platt_rows(*_rows(row))
+        assert max(calls) >= 3
+
+
+@st.composite
+def _line_searches(draw):
+    """``(design, z, theta, step, current)`` of a drawn stack of rows, with
+    steps from tiny to huge, downhill and uphill, so some rows accept the
+    full step, some a deep halving and some no step at all."""
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.normal(0.0, 3.0, (rows, n))
+    design = np.stack([t, np.ones_like(t)], axis=2)
+    z = (rng.random((rows, n)) < 0.5).astype(float)
+    theta = rng.normal(0.0, 2.0, (rows, 2, 1))
+    step = rng.normal(0.0, 1.0, (rows, 2, 1)) * 10.0 ** rng.integers(-12, 6, (rows, 1, 1))
+    return design, z, theta, step, baselines._platt_objectives(design, z, theta)
+
+
+@settings(max_examples=300)
+@given(_line_searches())
+def test_blocked_backtracking_equals_the_search_of_one_scale_a_call(search):
+    with np.errstate(over="ignore"):
+        got = baselines._backtrack(*search)
+        *want, _ = backtrack_by_scale(baselines._platt_objectives, *search)
+    _same_search(got, want)
 
 
 def test_fit_platt_rows_validates_inputs():

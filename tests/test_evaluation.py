@@ -27,6 +27,7 @@ from conscal.evaluation import (
     selective_curve,
     shift_eval,
     split_cal_test,
+    split_cal_test_rows,
     trial_table,
 )
 from conscal.metrics import auroc, compute_report
@@ -322,6 +323,48 @@ def test_split_is_deterministic_per_seed():
     assert split_cal_test(30, 0.4, seed=1)[0].tolist() != split_cal_test(30, 0.4, 2)[0].tolist()
 
 
+@given(
+    n=st.integers(4, 500),
+    cal_fraction=st.sampled_from([0.001, 0.2, 0.4, 0.5, 0.7, 0.999]) | st.floats(0.0001, 0.9999),
+    seeds=st.lists(st.integers(-(2**63), 2**64 - 1), min_size=1, max_size=6),
+)
+@settings(max_examples=200)
+def test_split_rows_are_the_one_row_splits_of_each_seed(n, cal_fraction, seeds):
+    try:
+        want = [split_cal_test(n, cal_fraction, seed) for seed in seeds]
+    except DataError as one:
+        with pytest.raises(DataError, match="leaves too little data") as rows:
+            split_cal_test_rows(n, cal_fraction, seeds)
+        assert str(rows.value) == str(one)
+        return
+    cal, test = split_cal_test_rows(n, cal_fraction, seeds)
+    assert cal.shape == (len(seeds), want[0][0].size)
+    assert test.shape == (len(seeds), want[0][1].size)
+    for t, (seed, (cal_idx, test_idx)) in enumerate(zip(seeds, want)):
+        assert cal[t].tolist() == cal_idx.tolist() and test[t].tolist() == test_idx.tolist()
+        # Each row is the split of a generator built for its seed alone.
+        perm = seeding.generator(seed).permutation(n)
+        assert cal[t].tolist() == sorted(perm[: cal_idx.size].tolist())
+        assert test[t].tolist() == sorted(perm[cal_idx.size :].tolist())
+
+
+def test_run_trials_takes_no_per_trial_seed_or_generator(monkeypatch):
+    # Without k_subsample, every trial's seeds come from array folds and its
+    # split and fit from reseeded generators: no mix and no built generator.
+    data = build_dataset(*_synth_sets(n=30, k=4))
+    config = dataclasses.replace(
+        _FAST, n_trials=4, methods=DEFAULT_METHODS, selective_rates=(0.0, 0.3)
+    )
+    want = report_document(run_trials(data, config), {})
+
+    def refuse(*args):
+        raise AssertionError(f"per-trial seeding call {args}")
+
+    monkeypatch.setattr(seeding, "generator", refuse)
+    monkeypatch.setattr(seeding, "mix", refuse)
+    assert report_document(run_trials(data, config), {}) == want
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -397,6 +440,51 @@ def test_confidence_ties_break_by_query_id():
     # Ties at 0.5: "a" (label 0) sorts before "b", so only "a" is dropped.
     assert points[0].abstained == 1
     assert points[0].accuracy == 1.0
+
+
+def test_confidence_ties_break_by_python_order_where_numpy_strings_drop_nuls():
+    # numpy's str dtype drops trailing NULs, so "q" and "q\x00" compare
+    # equal there; in Python "q" sorts first and is the one dropped.
+    (point,) = selective_curve([0.5, 0.5], [1, 0], [0.5], query_ids=["q\x00", "q"])
+    assert point.accuracy.tolist() == [1.0]
+    ids = [["q\x00", "q"], ["q", "q\x00"]]
+    (point,) = selective_curve([[0.5, 0.5]] * 2, [[1, 0], [0, 1]], [0.5], query_ids=ids)
+    assert point.accuracy.tolist() == [1.0, 1.0]
+    # Integer keys sort numerically, not as their decimal strings.
+    (point,) = selective_curve([0.5, 0.5], [1, 0], [0.5], query_ids=np.array([9, 10]))
+    assert point.accuracy.tolist() == [0.0]
+
+
+def test_run_trials_breaks_selective_ties_by_python_order_of_the_ids():
+    # Every query's token_prob ties, so the abstained queries are the test
+    # side's first by id.  Each pair of ids differs by a trailing NUL, the
+    # NUL one first in the dataset's order.
+    data = build_dataset(*_synth_sets(n=40, k=4))
+    ids = tuple(f"q{i // 2:02d}" + "\x00" * (1 - i % 2) for i in range(data.n))
+    data = dataclasses.replace(data, query_ids=ids, token_prob=np.full(data.n, 0.5))
+    rates = (0.25, 0.5)
+    config = dataclasses.replace(_FAST, n_trials=6, methods=("token_prob",), selective_rates=rates)
+    got = run_trials(data, config).methods["token_prob"].selective
+    tseeds = [seeding.mix(config.master_seed, t) for t in range(config.n_trials)]
+    tests = [
+        split_cal_test(data.n, config.cal_fraction, seeding.mix(tseed, evaluation._S_SPLIT))[1]
+        for tseed in tseeds
+    ]
+
+    def answered_accuracy(key):
+        """Each rate's answered accuracy, the test sides sorted by ``key``."""
+        return [
+            float(np.mean([
+                data.deploy_correct[sorted(test, key=key)[math.ceil(rate * test.size):]].mean()
+                for test in tests
+            ]))
+            for rate in rates
+        ]
+
+    want = answered_accuracy(lambda i: ids[i])
+    assert [row.accuracy for row in got] == want
+    # numpy's order, which keeps dataset order within each pair, differs.
+    assert want != answered_accuracy(lambda i: (ids[i].rstrip("\x00"), i))
 
 
 def test_selective_curve_checks_its_input_as_compute_report_does():
@@ -759,7 +847,9 @@ def _trial_matrices(draw):
                                            max_size=trials))):
         if kind is not None:  # a one-class trial
             labels[t] = kind
-    names = np.array([f"q{i:04d}" for i in range(2 * n)])
+    # Python strings in an object array: pairs of ids that differ by a
+    # trailing NUL, which numpy's str dtype would drop.
+    names = np.array([f"q{i // 2:04d}" + "\x00" * (i % 2) for i in range(2 * n)], dtype=object)
     query_ids = np.stack([names[rng.permutation(2 * n)[:n]] for _ in range(trials)])
     rates = draw(st.lists(st.floats(0.0, 0.99), max_size=3)) + [0.0]
     return confidences, labels, query_ids, bins, rates
@@ -873,9 +963,10 @@ def test_a_test_side_smaller_than_the_bins_fails_before_any_fit(monkeypatch):
     with pytest.raises(DataError) as raised:
         run_trials(data, config)
     assert str(raised.value) == expected
-    fixed = (np.arange(6), np.arange(6, 12))  # a fixed split, as the shifted arm uses
+    # A fixed split broadcast over the trials, as the shifted arm passes it.
+    cal, test = (np.broadcast_to(idx, (3, 6)) for idx in (np.arange(6), np.arange(6, 12)))
     with pytest.raises(DataError, match="test side has 6 queries but 10 equal-mass bins"):
-        evaluation._evaluate(data, config, lambda t, tseed: fixed, kind="shift")
+        evaluation._evaluate(data, config, cal, test, kind="shift")
     assert fits == []
     # The stubs sit where the trial loop fits: with bins that fit, it reaches them.
     for method in ("distilled", "supervised"):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conscal import metrics
 from conscal.errors import DataError
 from conscal.metrics import (
     HISTOGRAM_BUCKETS,
@@ -21,7 +24,13 @@ from conscal.metrics import (
     reliability_data,
 )
 
-from oracles import auroc_by_pair_counting, auroc_by_rankdata, ece_by_loops, histogram_by_edges
+from oracles import (
+    auroc_by_pair_counting,
+    auroc_by_rankdata,
+    ece_by_loops,
+    histogram_by_edges,
+    histogram_by_searchsorted,
+)
 
 # A strategy for aligned (confidences, labels) with at least `bins` points.
 def _instances(min_size=2, max_size=40, discrete=False):
@@ -319,3 +328,35 @@ def test_compute_report_auroc_and_histogram_are_exact(instance, bins):
         assert report.auroc[0] == want_auroc
     assert report.histogram[0].tolist() == histogram_by_edges(values, HISTOGRAM_BUCKETS)
     assert report.histogram.dtype.kind == "i"
+
+
+def _every_edge(buckets):
+    """Every ``linspace`` edge of ``buckets`` buckets, its float neighbours,
+    0.0, -0.0, 1.0, subnormals and values outside [0, 1] out to the
+    largest finite floats."""
+    edges = np.linspace(0.0, 1.0, buckets + 1)
+    exact = [k / buckets for k in range(buckets + 1)]
+    extremes = [0.0, -0.0, 1.0, 5e-324, -5e-324, -0.25, 1.25, 1.0 + 2**-52, 1e308, -1e308]
+    neighbours = [np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)]
+    return np.concatenate([edges, *neighbours, exact, extremes])
+
+
+def test_histogram_buckets_by_arithmetic_equal_the_searchsorted_formula_at_every_edge():
+    rng = np.random.default_rng(0)
+    for buckets in [*range(1, 65), 100, 127, 1000, 4099]:
+        values = _every_edge(buckets)
+        matrix = np.stack([values, rng.permutation(values), rng.uniform(-0.1, 1.1, values.size)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow from the largest values
+            counts = metrics._histograms(matrix, buckets)
+        assert counts.tolist() == histogram_by_searchsorted(matrix, buckets).tolist(), buckets
+
+
+@given(st.lists(_edge_instances(min_size=1), min_size=1, max_size=4))
+@settings(max_examples=200)
+def test_histogram_rows_equal_the_searchsorted_formula_exactly(instances):
+    buckets = instances[0][2]
+    width = min(len(values) for values, _, _ in instances)
+    matrix = np.array([values[:width] for values, _, _ in instances])
+    counts = metrics._histograms(matrix, buckets)
+    assert counts.tolist() == histogram_by_searchsorted(matrix, buckets).tolist()
