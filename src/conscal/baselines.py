@@ -105,11 +105,12 @@ def answer_probs(batch: GenerationBatch, rows: Sequence[int]) -> np.ndarray:
 def parse_verbal_confidence(response_text: str) -> float | None:
     """Self-stated probability from the last numeric ``\\boxed{p}`` group.
 
-    Scans the balanced boxed groups from the end and takes the first whose
-    content is a plain decimal literal; a value outside [0, 1] yields None
-    rather than continuing the scan.
+    Takes the balanced boxed groups as :func:`~conscal.consistency.boxed_groups`
+    yields them, from the last backwards, and stops at the first whose
+    stripped content is a plain decimal literal: its value, or None for a
+    value outside [0, 1], with no earlier group tried.
     """
-    for content in reversed(boxed_groups(response_text)):
+    for content in boxed_groups(response_text):
         stripped = content.strip()
         if _DECIMAL.match(stripped):
             value = float(stripped)

@@ -10,19 +10,23 @@ calibrator without any correctness labels.  Answers are compared after a
 deliberately minimal normalization (strip edge whitespace, casefold); no
 numeric canonicalization is attempted, so "0.50" and "0.5" stay distinct.
 
-:func:`answer_codes` is the one place answers are extracted: it turns every
-query's samples into integer codes in one pass, and every target
-(:func:`build_target` over all samples, :func:`subsample_targets` over a
-seeded draw) is then a count over those codes.  One rule draws the k
-samples: the set ``seeding.generator(seed).choice(n, k, replace=False)``
+:func:`boxed_groups` is the one scan for boxed groups: it yields them
+from the last marker backwards, found as they are asked for.
+:func:`extract_boxed` takes its first group, and
+:func:`conscal.baselines.parse_verbal_confidence` reads on to the first
+decimal one.  :func:`answer_codes` is the one place answers are extracted:
+it turns every query's samples into integer codes in one pass, and every
+target (:func:`build_target` over all samples, :func:`subsample_targets`
+over a seeded draw) is then a count over those codes.  One rule draws the
+k samples: the set ``seeding.generator(seed).choice(n, k, replace=False)``
 draws, or all ``n`` positions, taking no generator, when ``k == n``.
 :func:`seeding.choice_sets` draws every query's set in one call, from
 every query's raw PCG64 words replayed at once in arrays: the same sets,
-not in ``choice``'s order.
-:func:`subsample_shares` counts many queries' draws with one ``bincount``,
-for the trial loop, which reads only the shares; one target is the same
-count over one row, and :func:`subsample_targets_each` builds many targets
-from one call's draws.  A target is a
+not in ``choice``'s order.  :func:`subsample_shares` counts the draws of
+many rows, each an index into one list of coded sets, with one
+``bincount``, for the trial loop, which reads only the shares; one target
+is the same count over one row, and :func:`subsample_targets_each` builds
+many targets from one call's draws.  A target is a
 :class:`~conscal.records.ConsistencyTarget`; :mod:`conscal.records` reads and
 writes the targets file.  A query's gold answers are one :func:`gold_set`.
 """
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -57,36 +61,27 @@ def _group_content(text: str, start: int) -> str | None:
     return None
 
 
-def boxed_groups(text: str) -> list[str]:
-    """Contents of every balanced ``\\boxed{...}`` group, in start order.
+def boxed_groups(text: str) -> Iterator[str]:
+    """Contents of every balanced ``\\boxed{...}`` group, from the last
+    marker backwards: the groups in start order, reversed.
 
     Braces nest: ``\\boxed{\\frac{1}{2}}`` yields ``\\frac{1}{2}``.  A group
-    whose braces never balance is skipped.
-    """
-    groups: list[str] = []
-    start = text.find(_BOX_MARKER)
-    while start != -1:
-        content = _group_content(text, start)
-        if content is not None:
-            groups.append(content)
-        start = text.find(_BOX_MARKER, start + 1)
-    return groups
-
-
-def extract_boxed(text: str) -> str | None:
-    """Return the content of the last balanced ``\\boxed{...}`` group.
-
-    "Last" is in start order, as in :func:`boxed_groups`: markers are tried
-    from the end of the text backwards and the first one that balances wins.
+    whose braces never balance is skipped.  The groups are found as they
+    are asked for, so a caller that stops early scans no further back.
     """
     start = text.rfind(_BOX_MARKER)
     while start != -1:
         content = _group_content(text, start)
         if content is not None:
-            return content
+            yield content
         # The marker cannot overlap itself, so every earlier one ends by ``start``.
         start = text.rfind(_BOX_MARKER, 0, start)
-    return None
+
+
+def extract_boxed(text: str) -> str | None:
+    """Return the content of the last balanced ``\\boxed{...}`` group in
+    start order, the first that :func:`boxed_groups` yields."""
+    return next(boxed_groups(text), None)
 
 
 def normalize_answer(raw: str) -> str:
@@ -95,25 +90,20 @@ def normalize_answer(raw: str) -> str:
 
 
 def gold_set(gold_answers: Sequence[str]) -> frozenset[str]:
-    """A query's gold answers, normalized.  An answer from
-    :func:`canonical_answer` is already normalized, so it is correct when it
+    """A query's gold answers, normalized.  A coded answer (see
+    :func:`answer_codes`) is already normalized, so it is correct when it
     is a member."""
     return frozenset(map(normalize_answer, gold_answers))
 
 
-def canonical_answer(batch: GenerationBatch, row: int) -> str | None:
+def _answer(batch: GenerationBatch, row: int, disagreeing: list[int]) -> str | None:
     """Normalized answer of generation ``row`` of ``batch``, or None if none.
 
     A pre-extracted ``answer`` wins over in-text extraction.  Where both
     exist and disagree, which usually means the upstream extractor and this
-    one diverge, :func:`answer_codes` counts the row in its one warning.
+    one diverge, ``row`` is appended to ``disagreeing``, which
+    :func:`answer_codes` counts in its one warning.
     """
-    return _answer(batch, row, [])
-
-
-def _answer(batch: GenerationBatch, row: int, disagreeing: list[int]) -> str | None:
-    """:func:`canonical_answer`, appending ``row`` to ``disagreeing`` where
-    the two answers disagree."""
     given = batch.answer[row]
     extracted = extract_boxed(batch.response_text[row])
     if given is None:
@@ -245,33 +235,34 @@ def subsample_targets(codes: AnswerCodes, k: int, seed: int) -> ConsistencyTarge
 
 
 def subsample_shares(
-    coded: Sequence[AnswerCodes], k: int, seeds: Sequence[int] | np.ndarray
+    coded: Sequence[AnswerCodes],
+    rows: Sequence[int] | np.ndarray,
+    k: int,
+    seeds: Sequence[int] | np.ndarray,
 ) -> np.ndarray:
-    """``subsample_targets(c, k, seed=s).s`` for each ``c`` and ``s`` of
-    ``coded`` and ``seeds``, from the same draws, counted at once.
+    """``subsample_targets(coded[r], k, seed=s).s`` for each ``r`` and ``s``
+    of ``rows`` and ``seeds``, from the same draws, counted at once.
 
-    A loop of :func:`subsample_targets` would raise the first failing
-    query's error; so does this.
+    ``rows`` indexes the sets of ``coded`` and may repeat them: the trial
+    loop passes each trial's calibration queries.  A loop of
+    :func:`subsample_targets` would raise the first failing row's error; so
+    does this.
     """
-    if not coded:
+    rows = np.asarray(rows, dtype=np.intp)
+    if not rows.size:
         return np.zeros(0)
-    # The codes of each distinct set once: the trial loop passes every set
-    # once per trial.
-    sets = list({id(c): c for c in coded}.values())
-    slot = {id(c): i for i, c in enumerate(sets)}
-    rows = np.array([slot[id(c)] for c in coded], dtype=np.intp)
-    sizes = np.array([c.codes.size for c in sets], dtype=np.int64)
+    sizes = np.array([c.codes.size for c in coded], dtype=np.int64)
     fits, drawn = _draws(sizes[rows], k, seeds)
     # Positions, then flat indices into the sets' codes, then codes: one
     # rows x k matrix at a time.
     drawn += (np.cumsum(sizes) - sizes)[rows[fits], None]
-    drawn = np.concatenate([c.codes for c in sets])[drawn]
-    count = _modal_counts(drawn, 1 + max(len(c.answers) for c in sets))[1]
+    drawn = np.concatenate([c.codes for c in coded])[drawn]
+    count = _modal_counts(drawn, 1 + max(len(c.answers) for c in coded))[1]
     failing = ~fits
     failing[fits] = count == 0
     if failing.any():
         first = int(failing.argmax())
-        c = coded[first]
+        c = coded[rows[first]]
         raise _no_answer(c, k) if fits[first] else _range_error(c, k)
     return count / k
 

@@ -499,8 +499,7 @@ def _distilled_targets(
     # Every (trial, query) seed in one fold and every draw in one call,
     # trial-major, so the first failing trial, then query, names the error.
     seeds = seeding.mix_each(seeding.words(tseeds)[:, None], _S_SUBSAMPLE, cal)
-    rows = [data.codes[i] for i in cal.ravel().tolist()]
-    return subsample_shares(rows, k, seeds.ravel()).reshape(cal.shape)
+    return subsample_shares(data.codes, cal.ravel(), k, seeds.ravel()).reshape(cal.shape)
 
 
 def _method_trials(

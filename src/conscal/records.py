@@ -52,9 +52,13 @@ commands that read both files read the labels in the generation read's
 ranges, cut at the same fractions of the file (see
 :func:`load_generations_and_labels` and :func:`validate_files`).
 
-Both per-line stages keep their cost near the decoder's own.  The C
-scanner alone decodes a line it reads up to its final newline, and any
-other line is decoded again in full, so every value and error is json's;
+Every loader reads its lines through one generator, :func:`_objects`: one
+loop decodes each line and sorts it into invalid JSON, a value that is no
+object, or an object with a problem for each field outside the loader's
+own that holds ``NaN`` or ``Infinity``.  Both per-line stages keep their
+cost near the decoder's own.  The C scanner alone decodes a line it reads
+up to its final newline, and any other line is decoded again in full, so
+every value and error is json's;
 only a line holding ``\\u`` is searched for an unpaired surrogate escape;
 a row whose fields have the exact types json gives a valid row skips the
 field-by-field checks, which still judge every other row; and the types of
@@ -302,66 +306,6 @@ def read_json(path: str, name: str | None = None) -> dict[str, Any]:
     return obj
 
 
-def json_lines(
-    path: str, constants: list[str], start: int = 0, stop: int | None = None
-) -> Iterator[tuple[int, Any, str | None, str]]:
-    """Decode each line of a JSONL file: ``(lineno, value, None, text)``, or
-    ``(lineno, None, reason, text)`` for a line that is not JSON, where
-    ``text`` is the line as read.
-
-    Lines split as in text mode (``\\n``, ``\\r\\n`` or a lone ``\\r``).  A line
-    holding bytes that are not UTF-8 gets the reason ``not UTF-8 text`` and
-    reading goes on with the next line; so does a line holding an unpaired
-    surrogate escape (see :func:`decode_json`).  ``constants`` holds the
-    ``NaN``, ``Infinity`` and ``-Infinity`` tokens of the line last decoded;
-    they still decode to floats.  Only the lines of bytes ``start:stop``
-    are read (default: the whole file), numbered from 1; ``start`` and
-    ``stop`` must each be 0, the end or an offset just past a ``\\n``.
-    """
-
-    def constant(token: str) -> float:
-        constants.append(token)
-        return float(token)
-
-    # One decoder for the file: json.loads with a hook would build one a line.
-    decoder = json.JSONDecoder(parse_constant=constant)
-    decode, scan = decoder.decode, decoder.scan_once
-    with open(path, "rb", buffering=0) as file:
-        if start:
-            file.seek(start)
-        stream = io.BufferedReader(_ByteRange(file, None if stop is None else stop - start))
-        # surrogateescape turns each undecodable byte into a lone surrogate,
-        # which text decoded from UTF-8 never holds and which cannot be encoded.
-        with io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                if constants:
-                    constants.clear()
-                try:
-                    if not raw.isascii():
-                        raw.encode("utf-8")
-                        if raw.startswith("\ufeff"):  # which json.loads rejects
-                            raise json.JSONDecodeError(
-                                "Unexpected UTF-8 BOM (decode using utf-8-sig)", raw, 0
-                            )
-                    # The C scanner alone decodes a line that it reads up to
-                    # its final "\n".  Any other line, and any the scanner
-                    # stops on, is decoded again in full, so that every value
-                    # and error is json's own.
-                    try:
-                        value, end = scan(raw, 0)
-                    except StopIteration:
-                        value = decode(raw)
-                    else:
-                        if end != len(raw) - 1 or raw[end] != "\n":
-                            value = decode(raw)
-                    if "\\u" in raw:
-                        _refuse_surrogates(raw, value)
-                except (ValueError, RecursionError) as exc:
-                    yield lineno, None, json_error_reason(exc), raw
-                    continue
-                yield lineno, value, None, raw
-
-
 class _ByteRange(io.RawIOBase):
     """The next ``size`` bytes of the unbuffered binary file ``file`` (None:
     the rest of it) as a raw stream, so that text mode reads a byte range.
@@ -386,34 +330,85 @@ def _objects(
     path: str, diagnostics: list[Diagnostic], checked: frozenset[str],
     start: int = 0, stop: int | None = None,
 ) -> Iterator[tuple[int, dict, list[str], str]]:
-    """Yield each line that decodes to a JSON object, diagnosing the others;
-    ``start``, ``stop`` and the line's text, last, are as for
-    :func:`json_lines`.
+    """Decode each line of a JSONL file and yield ``(lineno, obj, problems,
+    text)`` for each that is a JSON object, where ``text`` is the line as
+    read; every other line gets a diagnostic.
+
+    Lines split as in text mode (``\\n``, ``\\r\\n`` or a lone ``\\r``).  A line
+    holding bytes that are not UTF-8 is invalid JSON (``not UTF-8 text``) and
+    reading goes on with the next line; so is a line holding an unpaired
+    surrogate escape (see :func:`decode_json`).  Only the lines of bytes
+    ``start:stop`` are read (default: the whole file), numbered from 1;
+    ``start`` and ``stop`` must each be 0, the end or an offset just past a
+    ``\\n``.
 
     Each object comes with its first problems: one for every top-level field
     outside ``checked`` (the fields the caller validates itself) that holds
-    ``NaN`` or ``Infinity``, which JSON does not allow.  Only lines holding
-    such a token are walked.
+    ``NaN`` or ``Infinity``, which JSON does not allow but json decodes to
+    floats.  Only lines holding such a token are walked.
 
     Lines are read one at a time, so a caller that validates and converts
     each object before asking for the next keeps one decoded row alive.
     Callers hold their row diagnostics apart and report them after these.
     """
-    constants: list[str] = []
-    for lineno, obj, reason, text in json_lines(path, constants, start, stop):
-        if reason is not None:
-            diagnostics.append(Diagnostic(path, lineno, f"invalid JSON ({reason})"))
-        elif not isinstance(obj, dict):
-            diagnostics.append(Diagnostic(path, lineno, "record must be a JSON object"))
-        elif constants:
-            yield lineno, obj, [
-                f"{key} contains NaN or Infinity"
-                for key, value in obj.items()
-                if key not in checked
-                and any(type(item) is float and not math.isfinite(item) for item in _scalars(value))
-            ], text
-        else:
-            yield lineno, obj, [], text
+    constant_seen = False
+
+    def constant(token: str) -> float:
+        nonlocal constant_seen
+        constant_seen = True
+        return float(token)
+
+    # One decoder for the file: json.loads with a hook would build one a line.
+    decoder = json.JSONDecoder(parse_constant=constant)
+    decode, scan = decoder.decode, decoder.scan_once
+    with open(path, "rb", buffering=0) as file:
+        if start:
+            file.seek(start)
+        stream = io.BufferedReader(_ByteRange(file, None if stop is None else stop - start))
+        # surrogateescape turns each undecodable byte into a lone surrogate,
+        # which text decoded from UTF-8 never holds and which cannot be encoded.
+        with io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                constant_seen = False
+                try:
+                    if not raw.isascii():
+                        raw.encode("utf-8")
+                        if raw.startswith("\ufeff"):  # which json.loads rejects
+                            raise json.JSONDecodeError(
+                                "Unexpected UTF-8 BOM (decode using utf-8-sig)", raw, 0
+                            )
+                    # The C scanner alone decodes a line that it reads up to
+                    # its final "\n".  Any other line, and any the scanner
+                    # stops on, is decoded again in full, so that every value
+                    # and error is json's own.
+                    try:
+                        obj, end = scan(raw, 0)
+                    except StopIteration:
+                        obj = decode(raw)
+                    else:
+                        if end != len(raw) - 1 or raw[end] != "\n":
+                            obj = decode(raw)
+                    if "\\u" in raw:
+                        _refuse_surrogates(raw, obj)
+                except (ValueError, RecursionError) as exc:
+                    diagnostics.append(
+                        Diagnostic(path, lineno, f"invalid JSON ({json_error_reason(exc)})")
+                    )
+                    continue
+                if not isinstance(obj, dict):
+                    diagnostics.append(Diagnostic(path, lineno, "record must be a JSON object"))
+                elif constant_seen:
+                    yield lineno, obj, [
+                        f"{key} contains NaN or Infinity"
+                        for key, value in obj.items()
+                        if key not in checked
+                        and any(
+                            type(item) is float and not math.isfinite(item)
+                            for item in _scalars(value)
+                        )
+                    ], raw
+                else:
+                    yield lineno, obj, [], raw
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,7 @@ import numpy as np
 import scipy.linalg
 import scipy.stats
 
-from conscal.errors import RecordError, is_finite_real
-from conscal.records import json_lines
+from conscal.errors import RecordError, is_finite_real, json_error_reason
 
 
 def isotonic_by_enumeration(
@@ -373,6 +372,24 @@ def boxed_groups_by_scan(text: str) -> list[str]:
         if depth == 0:
             groups.append(text[start + len(marker) : i - 1])
     return groups
+
+
+def verbal_confidence_by_scan(text: str) -> float | None:
+    """The value of the last group of :func:`boxed_groups_by_scan`, in start
+    order, whose stripped content is a decimal literal, or None when there is
+    none or that value is outside [0, 1].
+
+    A decimal literal is an optional sign, then decimal digits with at most
+    one point among them and at least one digit.
+    """
+    for content in reversed(boxed_groups_by_scan(text)):
+        literal = content.strip()
+        unsigned = literal[1:] if literal.startswith(("+", "-")) else literal
+        whole, _, fraction = unsigned.partition(".")
+        if (whole + fraction).isdecimal():  # False for no digit at all
+            value = float(literal)
+            return value if 0.0 <= value <= 1.0 else None
+    return None
 
 
 def modal_by_counter(answers: Sequence[str | None]) -> tuple[str, int, int] | None:
@@ -775,7 +792,8 @@ def distilled_trial_by_fit(data, config, tseed: int, cal_idx, test_idx) -> np.nd
         y = data.targets_s[cal_idx]
     else:
         y = subsample_shares(
-            [data.codes[i] for i in cal_idx],
+            data.codes,
+            cal_idx,
             config.k_subsample,
             [seeding.mix(tseed, evaluation._S_SUBSAMPLE, int(i)) for i in cal_idx],
         )
@@ -944,26 +962,40 @@ def load_scores(path: str) -> list[dict[str, Any]]:
     """The rows of a ``conscal score`` file; a malformed or non-finite row
     raises a RecordError naming its line."""
     rows: list[dict[str, Any]] = []
-    for lineno, obj, reason, _ in json_lines(path, []):
-        if reason is not None:
-            raise RecordError(f"{path}:{lineno}: invalid JSON ({reason})", path=path, line=lineno)
-        if (
-            not isinstance(obj, dict)
-            or not isinstance(obj.get("query_id"), str)
-            or not isinstance(obj.get("method"), str)
-            or not isinstance(obj.get("confidence"), (int, float))
-            or isinstance(obj.get("confidence"), bool)
-        ):
-            raise RecordError(
-                f"{path}:{lineno}: score rows need query_id, method, confidence",
-                path=path,
-                line=lineno,
-            )
-        if not is_finite_real(obj["confidence"]):
-            raise RecordError(
-                f"{path}:{lineno}: confidence must be a finite number",
-                path=path,
-                line=lineno,
-            )
-        rows.append(obj)
+    # surrogateescape turns each byte that is not UTF-8 into a lone surrogate.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            reason = None
+            try:
+                line.encode("utf-8")
+                obj = json.loads(line)
+                # UTF-8 cannot encode a surrogate that is not part of a pair.
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                reason = "not UTF-8 text" if exc.object is line else "unpaired surrogate escape"
+            except (ValueError, RecursionError) as exc:
+                reason = json_error_reason(exc)
+            if reason is not None:
+                raise RecordError(
+                    f"{path}:{lineno}: invalid JSON ({reason})", path=path, line=lineno
+                )
+            if (
+                not isinstance(obj, dict)
+                or not isinstance(obj.get("query_id"), str)
+                or not isinstance(obj.get("method"), str)
+                or not isinstance(obj.get("confidence"), (int, float))
+                or isinstance(obj.get("confidence"), bool)
+            ):
+                raise RecordError(
+                    f"{path}:{lineno}: score rows need query_id, method, confidence",
+                    path=path,
+                    line=lineno,
+                )
+            if not is_finite_real(obj["confidence"]):
+                raise RecordError(
+                    f"{path}:{lineno}: confidence must be a finite number",
+                    path=path,
+                    line=lineno,
+                )
+            rows.append(obj)
     return rows

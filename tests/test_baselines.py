@@ -26,6 +26,7 @@ from conscal.baselines import (
     token_prob_score,
     token_probs,
 )
+from conscal.consistency import extract_boxed
 from conscal.errors import DataError, RecordError
 from conscal.evaluation import build_dataset
 from conscal.records import group_generations, write_scores
@@ -35,10 +36,12 @@ from conftest import make_batch, make_generation, make_query
 from oracles import (
     answer_token_row,
     backtrack_by_scale,
+    boxed_groups_by_scan,
     load_scores,
     platt_by_full_newton,
     platt_nll_by_grid,
     token_row,
+    verbal_confidence_by_scan,
 )
 
 LN = math.log
@@ -189,6 +192,28 @@ def test_non_numeric_boxes_are_skipped_while_scanning_backward():
 )
 def test_decimal_literal_forms(literal, expected):
     assert parse_verbal_confidence(rf"take \boxed{{{literal}}}") == expected
+
+
+# Fragments that make nested, unbalanced and adjacent groups common, with
+# signs, points, whitespace and several decimal contents in and out of [0, 1].
+_verbal_texts = st.lists(
+    st.sampled_from(
+        ["\\boxed{", "\\boxed{0.5}", "\\boxed{ 1.5 }", "{", "}", "0", "1", "7", ".",
+         "+", "-", " ", "\n", "e", "x"]
+    ),
+    max_size=24,
+).map("".join)
+
+
+@given(_verbal_texts)
+@example("\\boxed{0.3} then \\boxed{1.5}")
+@example("\\boxed{0.4} and \\boxed{x+1}")
+@example("\\boxed{ -0 } \\boxed{\\boxed{.5}} \\boxed{+.}")
+@example("\\boxed{1.} \\boxed{\n+1 } \\boxed{ 0.5")
+def test_verbal_confidence_is_the_last_decimal_group_of_a_character_scan(text):
+    assert parse_verbal_confidence(text) == verbal_confidence_by_scan(text)
+    groups = boxed_groups_by_scan(text)
+    assert extract_boxed(text) == (groups[-1] if groups else None)
 
 
 def test_impute_fills_missing_entries_with_the_batch_mean():

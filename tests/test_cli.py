@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -18,6 +17,7 @@ from conscal import baselines, calibrator, consistency, evaluation, parts, recor
 from conscal.cli import build_parser, main
 from conscal.errors import MAX_SIZE
 
+import golden
 from conftest import make_batch, make_generation, make_query
 from oracles import load_scores, token_row
 
@@ -108,23 +108,12 @@ def test_synth_reruns_are_byte_identical(data_dir, tmp_path):
         assert _read_bytes(out / name) == _read_bytes(data_dir / name), name
 
 
-_DIGESTS = pathlib.Path(__file__).parent / "data" / "synth_digests_n20_k8_seed0.json"
-
-
 @pytest.mark.parametrize("preset", ["benchmark", "premise", "shift"])
-def test_synth_output_matches_the_recorded_digests(preset, tmp_path, capsys):
+def test_synth_output_matches_the_recorded_digests(preset, tmp_path):
     # Recorded from `conscal synth --preset P --n-queries 20 --k 8 --seed 0`;
     # a declared change to any output byte re-records the file.
-    recorded = _read_json(_DIGESTS)[preset]
-    out = tmp_path / "out"
-    argv = ["synth", "--preset", preset, "--n-queries", "20", "--k", "8", "--seed", "0",
-            "--out", str(out)]
-    assert main(argv) == 0
-    assert capsys.readouterr().out.replace(str(out), "{out}") == recorded["stdout"]
-    digests = {
-        name: hashlib.sha256(_read_bytes(out / name)).hexdigest() for name in recorded["files"]
-    }
-    assert digests == recorded["files"]
+    recorded = _read_json(golden.SYNTH_DIGESTS)[preset]
+    assert golden.synth(preset, tmp_path / "out") == recorded
 
 
 def _synth_parts(preset, n_queries, k):
@@ -137,7 +126,7 @@ def _synth_parts(preset, n_queries, k):
 @pytest.mark.parametrize("cpus", [2, 3, 8])
 @pytest.mark.parametrize("preset", ["benchmark", "premise", "shift"])
 def test_synth_output_matches_the_recorded_digests_in_parts(
-    preset, cpus, tmp_path, monkeypatch, capsys
+    preset, cpus, tmp_path, monkeypatch
 ):
     monkeypatch.setattr(synth, "_ROWS_PER_PART", 1)
     monkeypatch.setattr(parts, "_usable_cpus", lambda: cpus)
@@ -147,7 +136,7 @@ def test_synth_output_matches_the_recorded_digests_in_parts(
         # Two parts cut at the group boundary, query 20; three cut inside both groups.
         cuts = [part.start for part in ranges[1:]]
         assert cuts == {2: [20], 3: [14, 27], 8: [5, 10, 15, 20, 25, 30, 35]}[cpus]
-    test_synth_output_matches_the_recorded_digests(preset, tmp_path, capsys)
+    test_synth_output_matches_the_recorded_digests(preset, tmp_path)
     with pytest.raises(ChildProcessError):  # every part was reaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -1270,49 +1259,13 @@ def test_shift_checks_the_groups_before_reading_the_data(groups, message, tmp_pa
 # golden outputs
 # ---------------------------------------------------------------------------
 
-_CLI_DIGESTS = pathlib.Path(__file__).parent / "data" / "cli_digests_n20_k8_seed0.json"
-
-_DATA = ["--queries", "data/queries.jsonl", "--generations", "data/generations.jsonl"]
-_LABELS = ["--labels", "data/labels.jsonl"]
-_SHIFT_DATA = ["--queries", "shiftdata/queries.jsonl",
-               "--generations", "shiftdata/generations.jsonl",
-               "--labels", "shiftdata/labels.jsonl"]
-_GOLDEN_COMMANDS = {
-    "targets": ["targets", *_DATA],
-    "targets_k5": ["targets", *_DATA, "--k", "5", "--seed", "2"],
-    "train": ["train", *_DATA, "--seed", "1"],
-    "train_question": ["train", *_DATA, "--targets", "targets/targets.jsonl",
-                       "--feature-source", "question_embedding", "--alpha", "0.5",
-                       "--split-frac", "0.4"],
-    "score": ["score", *_DATA, "--model", "train/model.json"],
-    "eval": ["eval", *_DATA, *_LABELS, "--trials", "3", "--bins", "4", "--seed", "1"],
-    "eval_k4": ["eval", *_DATA, *_LABELS, "--trials", "2", "--bins", "3", "--k", "4"],
-    "eval_config": ["eval", *_DATA, *_LABELS, "--config", "trial.json", "--seed", "4"],
-    "selective": ["selective", *_DATA, *_LABELS, "--trials", "2", "--bins", "4",
-                  "--rates", "0,0.25,0.5", "--methods", "supervised,tt_sc,distilled"],
-    "shift": ["shift", *_SHIFT_DATA, "--trials", "2", "--bins", "4",
-              "--train-groups", "main", "--test-groups", "shifted"],
-}
-_TRIAL_JSON = {
-    "n_trials": 2, "bins": 4, "cal_fraction": 0.5, "alpha": 0.5, "split_frac": 0.4,
-    "methods": ["distilled", "verbal_conf", "answer_prob"],
-    "feature_source": "question_embedding",
-}
-
-
 def _golden_digests():
-    """Run every command of ``_GOLDEN_COMMANDS`` in the working directory and
-    return the sha256 of each file it wrote, keyed ``<out>/<name>``."""
-    for preset, out in (("benchmark", "data"), ("shift", "shiftdata")):
-        assert main(["synth", "--preset", preset, "--n-queries", "20", "--k", "8",
-                     "--seed", "0", "--out", out]) == 0
-    pathlib.Path("trial.json").write_text(json.dumps(_TRIAL_JSON), encoding="utf-8")
-    digests = {}
-    for out, argv in _GOLDEN_COMMANDS.items():
-        assert main([*argv, "--out", out]) == 0, out
-        for path in sorted(pathlib.Path(out).iterdir()):
-            digests[f"{out}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return digests
+    """Run the golden commands of ``golden.py`` in the working directory,
+    after the two synth runs they read, and return the sha256 of each file
+    they wrote, keyed ``<out>/<name>``."""
+    for preset in ("benchmark", "shift"):
+        golden.synth(preset, golden.SYNTH_OUTS[preset])
+    return golden.command_digests()
 
 
 def test_cli_outputs_match_the_recorded_digests(tmp_path, monkeypatch, capsys):
@@ -1320,7 +1273,7 @@ def test_cli_outputs_match_the_recorded_digests(tmp_path, monkeypatch, capsys):
     # change to any output byte re-records the file from _golden_digests()
     # run in an empty directory.
     monkeypatch.chdir(tmp_path)
-    assert _golden_digests() == _read_json(_CLI_DIGESTS)
+    assert _golden_digests() == _read_json(golden.CLI_DIGESTS)
     capsys.readouterr()
     # Every JSON file the commands wrote, the two datasets included, is strict JSON.
     written = sorted(tmp_path.glob("*/*.json*"))
@@ -1337,7 +1290,7 @@ def test_cli_outputs_keep_their_digests_when_generations_are_read_in_parts(
     monkeypatch.setattr(parts, "_usable_cpus", lambda: 3)
     count = parts.part_count(20 * 8 * 500, records._BYTES_PER_PART)
     assert count == (3 if hasattr(os, "fork") else 1)
-    assert _golden_digests() == _read_json(_CLI_DIGESTS)
+    assert _golden_digests() == _read_json(golden.CLI_DIGESTS)
     capsys.readouterr()
 
 

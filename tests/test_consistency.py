@@ -60,8 +60,8 @@ def test_unbalanced_boxes_are_skipped():
 
 
 def test_boxed_groups_lists_every_balanced_group_in_order():
-    assert boxed_groups(r"\boxed{a} mid \boxed{b{c}} end") == ["a", "b{c}"]
-    assert boxed_groups("") == []
+    assert list(boxed_groups(r"\boxed{a} mid \boxed{b{c}} end")) == ["b{c}", "a"]
+    assert list(boxed_groups("")) == []
 
 
 def test_empty_boxed_group_is_extracted_as_empty_string():
@@ -76,12 +76,12 @@ _box_texts = st.lists(
 
 @given(_box_texts)
 def test_boxed_groups_match_a_character_scan(text):
-    assert boxed_groups(text) == boxed_groups_by_scan(text)
+    assert list(boxed_groups(text)) == boxed_groups_by_scan(text)[::-1]
 
 
 @given(_box_texts)
 def test_extract_boxed_is_the_last_balanced_group(text):
-    groups = boxed_groups(text)
+    groups = boxed_groups_by_scan(text)
     assert extract_boxed(text) == (groups[-1] if groups else None)
 
 
@@ -173,7 +173,7 @@ def test_provided_answer_field_wins_over_boxed_text(caplog):
     )
     sets = records.SampleSets((make_query("q1"),), batch, np.arange(7), np.array([0, 7]))
     with caplog.at_level("WARNING", logger="conscal.consistency"):
-        assert consistency.canonical_answer(batch, 0) == "c"
+        assert consistency._answer(batch, 0, []) == "c"
         assert not caplog.records  # the extraction pass logs, once
         (codes,) = answer_codes(sets)
     assert codes.answers == ("c",)
@@ -281,7 +281,7 @@ def test_targets_match_the_counter_oracle(answers, k, seed):
     (codes,) = answer_codes(sample_set)
     canonical = [codes.answers[c] if c >= 0 else None for c in codes.codes]
     assert canonical == [
-        consistency.canonical_answer(sample_set.batch, i) for i in sample_set.rows.tolist()
+        consistency._answer(sample_set.batch, i, []) for i in sample_set.rows.tolist()
     ]
     expected = _expected_target(canonical, list(range(len(answers))))
     if expected is None:
@@ -328,13 +328,13 @@ def test_subsample_shares_equal_a_loop_of_subsample_targets(answer_lists, k, see
     coded = _coded(answer_lists)
     seeds = seeds[: len(coded)]
     expected = _outcome(lambda: [subsample_targets(c, k, seed=s).s for c, s in zip(coded, seeds)])
-    assert _outcome(lambda: subsample_shares(coded, k, seeds)) == expected
+    assert _outcome(lambda: subsample_shares(coded, np.arange(len(coded)), k, seeds)) == expected
 
 
 def test_subsample_shares_name_the_first_query_without_an_answer():
     coded = _coded([["a", "b"], [None, None, None], [None, None]])
     with pytest.raises(DataError) as excinfo:
-        subsample_shares(coded, 2, [3, 4, 5])
+        subsample_shares(coded, np.arange(len(coded)), 2, [3, 4, 5])
     assert str(excinfo.value) == "query q1: no extractable answer in any of 2 samples"
     with pytest.raises(DataError) as looped:
         [subsample_targets(c, 2, seed=s) for c, s in zip(coded, [3, 4, 5])]
@@ -345,11 +345,34 @@ def test_subsample_shares_without_any_answer_is_a_data_error():
     # No set has an answer, so there is no answer column to take a maximum of.
     coded = _coded([[None, None], [None]])
     with pytest.raises(DataError, match="query q0: no extractable answer in any of 1 samples"):
-        subsample_shares(coded, 1, [0, 1])
+        subsample_shares(coded, np.arange(len(coded)), 1, [0, 1])
 
 
 def test_subsample_shares_of_no_query_is_empty():
-    assert subsample_shares([], 3, []).shape == (0,)
+    assert subsample_shares([], np.arange(0), 3, []).shape == (0,)
+
+
+@given(
+    st.lists(_answers.filter(bool), min_size=1, max_size=4),
+    st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    st.integers(min_value=1, max_value=10),
+    st.lists(st.integers(0, 2**64 - 1), min_size=8, max_size=8),
+)
+@example([["a", "b"], ["b", "a", "a"]], [1, 0, 1, 1], 2, [0, 1, 2, 3, 4, 5, 6, 7])
+# q1 has no answer and q2 is too small; the first of them in row order is named.
+@example([["a"] * 3, [None, None], ["c"]], [2, 0, 1, 1], 2, [9] * 8)
+@example([["a"] * 3, [None, None], ["c"]], [0, 1, 2, 1], 2, [9] * 8)
+def test_subsample_shares_of_repeated_and_unordered_rows_equal_a_loop(
+    answer_lists, rows, k, seeds
+):
+    coded = _coded(answer_lists)
+    rows = [r % len(coded) for r in rows]
+    seeds = seeds[: len(rows)]
+    expected = _outcome(
+        lambda: [subsample_targets(coded[r], k, seed=s).s for r, s in zip(rows, seeds)]
+    )
+    assert _outcome(lambda: subsample_shares(coded, rows, k, seeds)) == expected
+    assert _outcome(lambda: subsample_shares(coded, np.array(rows), k, seeds)) == expected
 
 
 @pytest.mark.parametrize("k, calls", [(3, 2), (4, 0)])
@@ -373,7 +396,7 @@ def test_subsample_draws_replay_one_stream_per_query_below_the_set_size(
     monkeypatch.setattr(seeding, "generator", no_generator)
     monkeypatch.setattr(seeding, "generators", no_generator)
     coded = _coded([["a", "b", "a", "c"], ["c", None, "c", "b"]])
-    shares = subsample_shares(coded, k, [11, 12])
+    shares = subsample_shares(coded, np.arange(len(coded)), k, [11, 12])
     assert replayed == [11, 12][:calls]
     assert [subsample_targets(c, k, seed=s).s for c, s in zip(coded, [11, 12])] == list(shares)
     assert replayed == [11, 12][:calls] * 2
